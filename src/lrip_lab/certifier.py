@@ -29,14 +29,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import seeding
 from .decoder import DecoderOptions, decode_linear, decode_nonlinear, residual_certificate
-from .errors import InputError, SamplingError
+from .errors import InputError
 from .models import (
     CoveringBound,
     UnionOfSubspaces,
     project_to_model,
     reevaluate_covering_bound,
     sample_model_points,
+    sample_near_points,
 )
 from .operators import LinearGaussianOperator, NonlinearLripHypotheses
 from .spaces import Pseudometric, meas_norm
@@ -44,10 +46,6 @@ from .spaces import Pseudometric, meas_norm
 MODE_UNIFORM = "Uniform"
 MODE_ANCHORED = "NonUniformAnchor"
 MODE_FROM_IOP = "FromIopWitness"
-
-
-def _rng(seed, *path) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
 
 
 def wilson_upper(successes: int, n: int, z: float = 1.959963984540054) -> float:
@@ -100,7 +98,7 @@ class LripEstimate:
             return 0.0
         x, x2 = self.worst_pair
         num = max(metric.dist(x, x2) - self.eta, 0.0)
-        den = meas_norm(op.apply(x) - op.apply(x2))
+        den = float(op.gap_batch(x - x2)[0])
         if den == 0:
             return np.inf if num > 0 else 0.0
         return num / den
@@ -123,45 +121,6 @@ def _pair_json(pair):
     if pair is None:
         return None
     return [[float(v) for v in pair[0]], [float(v) for v in pair[1]]]
-
-
-def _sample_near_points(model, metric, anchor, eps, n, rng, max_rounds=200):
-    """Batch rejection sampling of model points at metric gap in (0, eps] from anchor.
-
-    Proposes subspace-projected Gaussian perturbations of the anchor and
-    shrinks the proposal radius geometrically while acceptances are missing.
-    """
-    try:
-        radius = metric.gap_for(min(eps, 0.999 * math.sqrt(2)) if metric.kind != "euclidean" else eps)
-    except InputError:
-        radius = eps
-    out = np.empty((n, model.dim))
-    got = 0
-    for _ in range(max_rounds):
-        want = n - got
-        block = max(want * 2, 64)
-        idx = rng.integers(model.num_subspaces, size=block)
-        noise = rng.normal(size=(block, model.dim)) * (radius / math.sqrt(model.dim))
-        cands = np.empty((block, model.dim))
-        for i in range(model.num_subspaces):
-            sel = idx == i
-            if not np.any(sel):
-                continue
-            B = model.bases[i]
-            cands[sel] = (anchor + noise[sel]) @ B @ B.T
-        norms = np.linalg.norm(cands, axis=1)
-        over = norms > model.norm_bound
-        cands[over] *= (model.norm_bound / norms[over])[:, None]
-        gaps = metric.dist_batch(cands, anchor)
-        ok = (gaps > 0) & (gaps <= eps)
-        take = min(int(ok.sum()), want)
-        if take:
-            out[got : got + take] = cands[ok][:take]
-            got += take
-        if got == n:
-            return out
-        radius *= 0.7
-    raise SamplingError(f"could not sample {n} near pairs at eps={eps}")
 
 
 def _extremal_linear_pairs(op: LinearGaussianOperator, model: UnionOfSubspaces):
@@ -213,6 +172,8 @@ def estimate_lrip(
     the budget into near pairs (metric gap <= near_eps, sampled around the
     anchor, or around per-pair random anchors in uniform mode) and far pairs,
     so small-gap behavior is always probed; near_fraction defaults to 1/2.
+    Near rows that ``sample_near_points`` cannot fill fall back to
+    independent model points; strata["near_fallback"] counts them.
 
     For linear operators under the Euclidean metric the sample is enriched
     with the per-subspace-pair extremal directions of the operator, which
@@ -225,7 +186,7 @@ def estimate_lrip(
         raise InputError(f"pairs must be >= 1, got {pairs}")
     if eta < 0:
         raise InputError("eta must be nonnegative")
-    rng_pairs = _rng(rng_seed, 0)
+    rng_pairs = seeding.generator(rng_seed, 0)
     anchored = anchor is not None
     if anchored:
         anchor = np.asarray(anchor, dtype=float)
@@ -236,7 +197,7 @@ def estimate_lrip(
     n_near = int(round(pairs * near_fraction))
     n_far = pairs - n_near
 
-    X_list, X2_list, strata = [], [], {"near": 0, "far": 0, "extremal": 0}
+    X_list, X2_list, strata = [], [], {"near": 0, "far": 0, "extremal": 0, "near_fallback": 0}
 
     if n_far:
         if anchored:
@@ -248,20 +209,13 @@ def estimate_lrip(
     if n_near:
         if anchored:
             firsts = np.broadcast_to(anchor, (n_near, model.dim))
-            try:
-                seconds = _sample_near_points(model, metric, anchor, near_eps, n_near, rng_pairs)
-            except SamplingError:
-                seconds = sample_model_points(model, n_near, rng_pairs)
-                strata["near_fallback"] = n_near
         else:
             firsts = sample_model_points(model, n_near, rng_pairs)
-            seconds = np.empty_like(firsts)
-            for k in range(n_near):
-                try:
-                    seconds[k] = _sample_near_points(model, metric, firsts[k], near_eps, 1, rng_pairs)[0]
-                except SamplingError:
-                    seconds[k] = sample_model_points(model, 1, rng_pairs)[0]
-        X_list.append(np.asarray(firsts, dtype=float))
+        seconds, found = sample_near_points(model, metric, firsts, near_eps, rng_pairs)
+        fallback = ~found
+        strata["near_fallback"] = int(fallback.sum())
+        seconds[fallback] = sample_model_points(model, strata["near_fallback"], rng_pairs)
+        X_list.append(firsts)
         X2_list.append(seconds)
         strata["near"] = n_near
 
@@ -280,7 +234,7 @@ def estimate_lrip(
     X = np.vstack(X_list)
     X2 = np.vstack(X2_list)
     dvals = metric.dist_pairs(X, X2)
-    gaps = np.linalg.norm(op.apply_batch(X) - op.apply_batch(X2), axis=1)
+    gaps = op.gap_batch(X - X2)
     numer = np.maximum(dvals - eta, 0.0)
 
     collapsed = (gaps == 0) & (numer > 0)
@@ -356,7 +310,7 @@ def estimate_bp(
     """
     if pairs < 1:
         raise InputError(f"pairs must be >= 1, got {pairs}")
-    rng = _rng(rng_seed, 1)
+    rng = seeding.generator(rng_seed, 1)
     xs = sample_model_points(model, pairs, rng)
     x = sample_model_points(model, pairs, rng)
     x = x + rng.normal(size=x.shape) * (perturbation_scale / math.sqrt(model.dim))
@@ -488,7 +442,7 @@ def check_iop_inequality(
     decoder_opts = decoder_opts or DecoderOptions()
     out = []
     for k in range(trials):
-        rng = _rng(rng_seed, 2, k)
+        rng = seeding.generator(rng_seed, 2, k)
         x0 = sample_model_points(model, 1, rng)[0]
         xstar = x0 + rng.normal(size=model.dim) * (model_error_scale / math.sqrt(model.dim))
         e = _noise_vector(op, noise_scale, rng)
@@ -496,14 +450,10 @@ def check_iop_inequality(
         result = _decode(op, model, y, decoder_opts, rng_seed=int(rng.integers(2**31)), metric=metric)
         decode_dist = metric.dist(xstar, result.xhat)
 
-        proj = project_to_model(model, xstar, metric)
-        cands = [proj]
+        cands = project_to_model(model, xstar, metric)[None, :]
         if uniform_candidates:
-            cands.extend(sample_model_points(model, uniform_candidates, rng))
-        psi_star = op.apply(xstar)
-        dprime = min(
-            metric.dist(xstar, c) + B * meas_norm(psi_star - op.apply(c)) for c in cands
-        )
+            cands = np.vstack([cands, sample_model_points(model, uniform_candidates, rng)])
+        dprime = float(np.min(metric.dist_batch(cands, xstar) + B * op.gap_batch(xstar - cands)))
 
         gap = residual_certificate(result, op, model, y, decoder_opts.grid_oracle)
         lam_eff = lam + max(gap, 0.0)
@@ -541,7 +491,7 @@ def lrip_from_iop_witness(
     if pairs < 1:
         raise InputError(f"pairs must be >= 1, got {pairs}")
     decoder_opts = decoder_opts or DecoderOptions()
-    rng = _rng(rng_seed, 3)
+    rng = seeding.generator(rng_seed, 3)
     X = sample_model_points(model, pairs, rng)
     X2 = sample_model_points(model, pairs, rng)
 
@@ -848,7 +798,7 @@ def estimate_operator_lipschitz(
     Supplies the constant C required by the linear covering argument; it is
     an empirical estimate and is flagged as such.
     """
-    rng = _rng(rng_seed, 4)
+    rng = seeding.generator(rng_seed, 4)
     X = sample_model_points(model, pairs, rng)
     X2 = sample_model_points(model, pairs, rng)
     d = metric.dist_pairs(X, X2)

@@ -223,6 +223,65 @@ def project_to_model(model: UnionOfSubspaces, x, metric: Pseudometric) -> np.nda
     return best
 
 
+_NEAR_PER_RADIUS = 64  # misses at one proposal radius before it shrinks by 0.7
+_NEAR_BLOCK = 8  # proposals per pending row per pass
+_NEAR_CHUNK = 1024  # rows sampled together; keeps proposal arrays to a few MB
+
+
+def sample_near_points(
+    model: UnionOfSubspaces,
+    metric: Pseudometric,
+    anchors,
+    eps: float,
+    rng_seed,
+    max_proposals: int = 200 * _NEAR_PER_RADIUS,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Model points at metric gap in (0, eps] from each anchor row, by batched rejection.
+
+    Per row, proposals are Gaussian perturbations of the row's anchor with
+    RMS norm equal to the current radius, projected onto a uniformly drawn
+    subspace and clipped to the ball; the first proposal with gap in
+    (0, eps] is kept.  The radius starts at the Euclidean gap matching eps
+    and shrinks by 0.7 after every 64 misses.  A row still missing after
+    ``max_proposals`` proposals is not found.
+
+    Returns (points, found): one row per anchor, NaN where found is False.
+    """
+    if not eps > 0:
+        raise InputError(f"eps must be positive, got {eps}")
+    rng = _as_generator(rng_seed)
+    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+    n, d = anchors.shape
+    points = np.full((n, d), np.nan)
+    found = np.zeros(n, dtype=bool)
+    radius0 = metric.gap_for(eps if metric.kind == "euclidean" else min(eps, 0.999 * np.sqrt(2)))
+    for start in range(0, n, _NEAR_CHUNK):
+        rows = np.arange(start, min(start + _NEAR_CHUNK, n))
+        radius, used = radius0, 0
+        while rows.size and used < max_proposals:
+            k = min(_NEAR_BLOCK, max_proposals - used, _NEAR_PER_RADIUS - used % _NEAR_PER_RADIUS)
+            base = np.repeat(anchors[rows], k, axis=0)
+            idx = rng.integers(model.num_subspaces, size=base.shape[0])
+            pre = base + rng.normal(size=base.shape) * (radius / np.sqrt(d))
+            cands = np.empty_like(pre)
+            for i, B in enumerate(model.bases):
+                sel = idx == i
+                cands[sel] = pre[sel] @ B @ B.T
+            norms = np.linalg.norm(cands, axis=1)
+            over = norms > model.norm_bound
+            cands[over] *= (model.norm_bound / norms[over])[:, None]
+            gaps = metric.dist_pairs(cands, base).reshape(rows.size, k)
+            ok = (gaps > 0) & (gaps <= eps)
+            hit = ok.any(axis=1)
+            points[rows[hit]] = cands.reshape(rows.size, k, d)[hit, ok[hit].argmax(axis=1)]
+            found[rows[hit]] = True
+            rows = rows[~hit]
+            used += k
+            if used % _NEAR_PER_RADIUS == 0:
+                radius *= 0.7
+    return points, found
+
+
 def sample_secant(
     model: UnionOfSubspaces,
     metric: Pseudometric,
@@ -234,8 +293,8 @@ def sample_secant(
     """One element of the normalized secant set (x - x') / d(x, x').
 
     With ``anchor`` the first endpoint is pinned to it (it must belong to the
-    model); with ``eps`` the pair is constrained to gap d(x, x') <= eps via
-    rejection sampling around the anchor with a shrinking proposal radius.
+    model); with ``eps`` the pair is constrained to gap d(x, x') <= eps by
+    ``sample_near_points`` around the anchor, with ``max_attempts`` proposals.
     """
     rng = _as_generator(rng_seed)
     if eps is not None and not eps > 0:
@@ -255,33 +314,14 @@ def sample_secant(
         raise SamplingError(f"no pair with positive gap in {max_attempts} attempts")
 
     base = anchor if anchor is not None else sample_model_point(model, rng)
-    # Euclidean proposal radius matching the requested metric gap, shrunk on failure.
-    try:
-        radius = metric.gap_for(min(eps, 0.999 * np.sqrt(2)) if metric.kind != "euclidean" else eps)
-    except InputError:
-        radius = eps
-    d = model.dim
-    attempts = 0
-    while attempts < max_attempts:
-        block = min(256, max_attempts - attempts)
-        idx = rng.integers(model.num_subspaces, size=block)
-        noise = rng.normal(size=(block, d)) * (radius / np.sqrt(d))
-        for k in range(block):
-            attempts += 1
-            B = model.bases[idx[k]]
-            p = B @ (B.T @ (base + noise[k]))
-            nrm = np.linalg.norm(p)
-            if nrm > model.norm_bound:
-                p = p * (model.norm_bound / nrm)
-            gap = metric.dist(base, p)
-            if 0 < gap <= eps:
-                return SecantSample((base - p) / gap, (base, p), gap)
-        radius *= 0.7
-        if radius < 1e-300:
-            break
-    raise SamplingError(
-        f"no pair with gap in (0, {eps}] around the anchor in {max_attempts} attempts"
-    )
+    points, found = sample_near_points(model, metric, base, eps, rng, max_proposals=max_attempts)
+    if not found[0]:
+        raise SamplingError(
+            f"no pair with gap in (0, {eps}] around the anchor in {max_attempts} attempts"
+        )
+    p = points[0]
+    gap = metric.dist(base, p)
+    return SecantSample((base - p) / gap, (base, p), gap)
 
 
 def _metric_diameter(model: UnionOfSubspaces, metric: Pseudometric) -> float:

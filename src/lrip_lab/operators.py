@@ -10,6 +10,15 @@ where gamma_l is the l-th moment of ||w|| under N(0, sigma^{-2} I).  The
 reweighting makes per-feature squared differences bounded while preserving
 the kernel identity  E |phi_w(x) - phi_w(x')|^2 = 2 (1 - exp(-||x-x'||^2 /
 (2 sigma^2))), i.e. the squared Gaussian-kernel distance.
+
+Gaps between measurements depend only on the secant delta = x - x'.  For the
+Fourier map |e^{ia} - e^{ib}|^2 = 4 sin^2((a - b) / 2) gives
+
+    ||Psi x - Psi x'||^2 = (4/m) sum_j sin^2(w_j . delta / 2) / f(w_j)^2,
+
+which is exact and, unlike the difference of two nearly equal exponentials,
+loses no precision on near pairs; for the linear map the gap is ||A delta||.
+Both operators evaluate it on secant rows with ``gap_batch``.
 """
 
 from __future__ import annotations
@@ -149,6 +158,10 @@ class LinearGaussianOperator:
             raise InputError(f"batch dimension {X.shape[1]} does not match d={self.dim}")
         return (X @ self.matrix.T).astype(complex)
 
+    def gap_batch(self, D) -> np.ndarray:
+        """Measurement gaps ||A delta|| of the secant rows delta = x - x' of D."""
+        return np.linalg.norm(self.apply_batch(D), axis=1)
+
     def to_json(self, embed_arrays: bool = False) -> dict:
         obj = {"kind": "linear-gaussian", "m": self.m, "d": self.dim, "seed": self.seed}
         if embed_arrays or self.seed is None:
@@ -202,6 +215,14 @@ class RandomFourierOperator:
         if X.shape[1] != self.dim:
             raise InputError(f"batch dimension {X.shape[1]} does not match d={self.dim}")
         return np.exp(1j * (X @ self.omegas.T)) / (self.weights * np.sqrt(self.m))[None, :]
+
+    def gap_batch(self, D) -> np.ndarray:
+        """Measurement gaps ||Psi x - Psi x'|| of the secant rows delta = x - x' of D (sin^2 form)."""
+        D = np.atleast_2d(np.asarray(D, dtype=float))
+        if D.shape[1] != self.dim:
+            raise InputError(f"batch dimension {D.shape[1]} does not match d={self.dim}")
+        half = np.sin(0.5 * (D @ self.omegas.T)) / self.weights
+        return (2.0 / np.sqrt(self.m)) * np.linalg.norm(half, axis=1)
 
     def to_json(self, embed_arrays: bool = False) -> dict:
         obj = {"kind": "random-fourier", "m": self.m, "d": self.dim, "sigma": self.sigma, "seed": self.seed}

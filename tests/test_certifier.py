@@ -68,6 +68,25 @@ class TestEstimateLrip:
         assert np.array_equal(est.worst_pair[0], anchor)
         assert est.strata["near"] + est.strata["far"] == 100
 
+    def test_uniform_near_fallbacks_are_counted(self):
+        model = UnionOfSubspaces.axes(2, 1.0)
+        op = LinearGaussianOperator.from_matrix(np.eye(2))
+        est = estimate_lrip(op, model, EUCLID, pairs=6, rng_seed=0, near_eps=1e-300,
+                            near_fraction=0.5)
+        assert est.mode == "Uniform"
+        assert est.strata["near"] == 3
+        assert est.strata["near_fallback"] == 3
+        est = estimate_lrip(op, model, EUCLID, pairs=6, rng_seed=0, near_fraction=0.5)
+        assert est.strata["near_fallback"] == 0
+
+    def test_near_pairs_within_eps(self):
+        model = UnionOfSubspaces.random(5, 2, 3, 1.0, 1)
+        op = RandomFourierOperator.from_seed(32, 5, 1.0, 2)
+        est = estimate_lrip(op, model, KERNEL, pairs=400, rng_seed=3, near_fraction=1.0)
+        assert est.strata == {"near": 400, "far": 0, "extremal": 0, "near_fallback": 0}
+        assert est.worst_pair is not None
+        assert KERNEL.dist(*est.worst_pair) <= 0.1
+
     def test_desk_scale_anchored_alpha_below_two(self):
         # Fourier operator at the recommended m = 55 on the (d=20, s=2, N=5)
         # model: anchored estimates stay below 2 in at least 90 of 100 draws
@@ -169,6 +188,26 @@ class TestCheckIop:
                                        rng_seed=2)
         for trial in witness.trials:
             assert trial.satisfied == trial.check(witness.A, witness.B)
+
+    @pytest.mark.parametrize("candidates", [0, 64])
+    def test_model_dist_matches_endpoint_loop(self, candidates):
+        # d' at the projection in the endpoint form is the reference: with no
+        # uniform candidates the infimum equals it, with candidates it is a bound
+        from lrip_lab import project_to_model
+
+        model = UnionOfSubspaces.random(3, 1, 3, 1.0, 4)
+        op = LinearGaussianOperator.from_seed(3, 3, 5)
+        witness = check_iop_inequality(op, model, EUCLID, None, A=1.0, B=2.0, lam=0.0,
+                                       trials=20, noise_scale=0.1, model_error_scale=0.3,
+                                       rng_seed=6, uniform_candidates=candidates)
+        for trial in witness.trials:
+            x = trial.x_true
+            proj = project_to_model(model, x, EUCLID)
+            ref = EUCLID.dist(x, proj) + 2.0 * meas_norm(op.apply(x) - op.apply(proj))
+            if candidates:
+                assert trial.model_dist <= ref * (1 + 1e-12)
+            else:
+                assert trial.model_dist == pytest.approx(ref, rel=1e-12)
 
     def test_negative_constants_rejected(self):
         model = UnionOfSubspaces.axes(2, 1.0)

@@ -18,6 +18,7 @@ from lrip_lab.models import (
     SecantSample,
     reevaluate_covering_bound,
     sample_model_points,
+    sample_near_points,
 )
 
 EUCLID = Pseudometric("euclidean")
@@ -153,6 +154,39 @@ class TestSecantSampling:
     def test_secant_sample_validates_reconstruction(self):
         with pytest.raises(InputError):
             SecantSample(np.array([1.0]), (np.array([1.0]), np.array([0.0])), 0.5)
+
+
+class TestNearSampler:
+    @pytest.mark.parametrize("metric", [EUCLID, KERNEL], ids=["euclidean", "kernel"])
+    def test_rows_are_near_model_points(self, metric):
+        model = UnionOfSubspaces.random(20, 2, 5, 1.0, 99)
+        anchors = sample_model_points(model, 3000, 4)
+        points, found = sample_near_points(model, metric, anchors, 0.1, 5)
+        assert found.all()
+        gaps = metric.dist_pairs(points, anchors)
+        assert np.all(gaps > 0) and np.all(gaps <= 0.1)
+        assert all(model.contains(p, tol=1e-8) for p in points)
+
+    def test_repeated_anchor(self):
+        model = UnionOfSubspaces.axes(3, 1.0)
+        anchor = np.array([0.0, 0.5, 0.0])
+        points, found = sample_near_points(model, KERNEL, np.tile(anchor, (200, 1)), 0.05, 6)
+        assert found.all()
+        assert np.all(KERNEL.dist_batch(points, anchor) <= 0.05)
+
+    def test_unfilled_rows_are_reported(self):
+        model = x_axis_model()
+        anchors = np.array([[0.5, 0.0], [-0.25, 0.0]])
+        points, found = sample_near_points(model, EUCLID, anchors, 1e-300, 0, max_proposals=500)
+        assert not found.any()
+        assert np.isnan(points).all()
+
+    def test_same_seed_same_points(self):
+        model = UnionOfSubspaces.random(6, 2, 3, 1.0, 1)
+        anchors = sample_model_points(model, 50, 2)
+        a, _ = sample_near_points(model, KERNEL, anchors, 0.1, 3)
+        b, _ = sample_near_points(model, KERNEL, anchors, 0.1, 3)
+        assert np.array_equal(a, b)
 
 
 class TestGreedyCover:

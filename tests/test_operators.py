@@ -164,6 +164,39 @@ class TestJacobian:
             assert np.linalg.norm(J @ s) <= bound * np.linalg.norm(s) + 1e-12
 
 
+class TestGapBatch:
+    @pytest.mark.parametrize("kind", ["linear", "fourier"])
+    def test_matches_endpoint_form_on_model_pairs(self, kind):
+        from lrip_lab.models import sample_model_points
+
+        model = UnionOfSubspaces.random(20, 2, 5, 1.0, 99)
+        if kind == "linear":
+            op = LinearGaussianOperator.from_seed(55, 20, 3)
+        else:
+            op = RandomFourierOperator.from_seed(55, 20, 1.0, 3)
+        X = sample_model_points(model, 10_000, 1)
+        X2 = sample_model_points(model, 10_000, 2)
+        endpoint = np.linalg.norm(op.apply_batch(X) - op.apply_batch(X2), axis=1)
+        np.testing.assert_allclose(op.gap_batch(X - X2), endpoint, rtol=1e-12, atol=0)
+
+    def test_fourier_tiny_secants_match_jacobian(self):
+        # at |delta| = 1e-9 the endpoint form keeps about 8 digits; the sin^2 form keeps all
+        op = RandomFourierOperator.from_seed(55, 20, 1.0, 3)
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(50, 20)) * 0.3
+        D = rng.normal(size=(50, 20))
+        D *= 1e-9 / np.linalg.norm(D, axis=1, keepdims=True)
+        gaps = op.gap_batch(D)
+        for x, delta, gap in zip(X, D, gaps):
+            lin = np.linalg.norm(jacobian(op, x) @ delta)
+            assert gap == pytest.approx(lin, rel=1e-6)
+
+    def test_dimension_mismatch(self):
+        op = RandomFourierOperator.from_seed(8, 3, 1.0, 0)
+        with pytest.raises(InputError):
+            op.gap_batch(np.zeros((2, 4)))
+
+
 class TestHypothesisConstants:
     def test_diameter_surrogate(self):
         op = RandomFourierOperator.from_seed(16, 3, 1.0, 0)
