@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seeding
-from .decoder import DecoderOptions, decode_linear, decode_nonlinear, residual_certificate
+from .decoder import DecoderOptions, decode, noise_vector
 from .errors import InputError
 from .models import (
     CoveringBound,
@@ -277,7 +277,7 @@ class BpEstimate:
             return 0.0
         x, xs = self.worst_pair
         den = self.metric_G.dist(x, xs)
-        return meas_norm(op.apply(x) - op.apply(xs)) / den if den > 0 else 0.0
+        return float(op.gap_batch(x - xs)[0]) / den if den > 0 else 0.0
 
     def report_dict(self) -> dict:
         return {
@@ -319,6 +319,8 @@ def estimate_bp(
     x, xs, dG = x[keep], xs[keep], dG[keep]
     if x.shape[0] == 0:
         return BpEstimate(0.0, 0, metric_G, None, seed=rng_seed)
+    # endpoint form, not gap_batch: on certify runs this is the benchmark's only
+    # apply_batch caller, which bench/test_trace_counts.py requires
     gaps = np.linalg.norm(op.apply_batch(x) - op.apply_batch(xs), axis=1)
     ratios = gaps / dG
     worst = int(np.argmax(ratios))
@@ -392,22 +394,6 @@ class IopWitness:
         }
 
 
-def _decode(op, model, y, decoder_opts, rng_seed, metric):
-    if isinstance(op, LinearGaussianOperator):
-        return decode_linear(op, model, y)
-    return decode_nonlinear(op, model, y, opts=decoder_opts, rng_seed=rng_seed, metric=metric)
-
-
-def _noise_vector(op, norm: float, rng) -> np.ndarray:
-    if norm == 0:
-        return np.zeros(op.m, dtype=complex)
-    if isinstance(op, LinearGaussianOperator):
-        e = rng.normal(size=op.m).astype(complex)
-    else:
-        e = rng.normal(size=op.m) + 1j * rng.normal(size=op.m)
-    return e * (norm / np.linalg.norm(e))
-
-
 def check_iop_inequality(
     op,
     model: UnionOfSubspaces,
@@ -445,9 +431,8 @@ def check_iop_inequality(
         rng = seeding.generator(rng_seed, 2, k)
         x0 = sample_model_points(model, 1, rng)[0]
         xstar = x0 + rng.normal(size=model.dim) * (model_error_scale / math.sqrt(model.dim))
-        e = _noise_vector(op, noise_scale, rng)
-        y = op.apply(xstar) + e
-        result = _decode(op, model, y, decoder_opts, rng_seed=int(rng.integers(2**31)), metric=metric)
+        y = op.apply(xstar) + noise_vector(op, noise_scale, rng)
+        result, gap = decode(op, model, y, decoder_opts, int(rng.integers(2**31)), metric)
         decode_dist = metric.dist(xstar, result.xhat)
 
         cands = project_to_model(model, xstar, metric)[None, :]
@@ -455,7 +440,6 @@ def check_iop_inequality(
             cands = np.vstack([cands, sample_model_points(model, uniform_candidates, rng)])
         dprime = float(np.min(metric.dist_batch(cands, xstar) + B * op.gap_batch(xstar - cands)))
 
-        gap = residual_certificate(result, op, model, y, decoder_opts.grid_oracle)
         lam_eff = lam + max(gap, 0.0)
         if not result.converged:
             out.append(IopTrial(xstar, noise_scale, decode_dist, dprime, np.inf, False,
@@ -486,7 +470,9 @@ def lrip_from_iop_witness(
     realizes the reduction from instance optimality to the LRIP with
     constant alpha = B and slack eta = 2 lambda; every pair is then checked
     against d(x, x') <= B ||Psi x - Psi x'|| + 2 lambda_eff, with lambda_eff
-    augmented by the decoder's residual certificate.
+    augmented by the decoder's residual certificate.  A pair whose decode did
+    not converge has lambda_eff = +inf and passes vacuously;
+    strata["unconverged"] counts those pairs.
     """
     if pairs < 1:
         raise InputError(f"pairs must be >= 1, got {pairs}")
@@ -498,13 +484,12 @@ def lrip_from_iop_witness(
     worst_ratio, worst_idx = -1.0, 0
     violation_count = 0
     violating = None
-    lam_eff_max = lam
+    unconverged = 0
     for k in range(pairs):
         y = op.apply(X2[k])
-        result = _decode(op, model, y, decoder_opts, rng_seed=int(rng.integers(2**31)), metric=metric)
-        gap = residual_certificate(result, op, model, y, decoder_opts.grid_oracle)
+        result, gap = decode(op, model, y, decoder_opts, int(rng.integers(2**31)), metric)
+        unconverged += not result.converged
         lam_eff = lam + max(gap, 0.0) if result.converged else np.inf
-        lam_eff_max = max(lam_eff_max, lam_eff if np.isfinite(lam_eff) else lam)
         d = metric.dist(X[k], X2[k])
         psn = meas_norm(op.apply(X[k]) - y)
         eta_eff = 2.0 * lam_eff
@@ -523,7 +508,7 @@ def lrip_from_iop_witness(
         pairs_tested=pairs,
         worst_pair=(X[worst_idx].copy(), X2[worst_idx].copy()),
         mode=MODE_FROM_IOP,
-        strata={"far": pairs},
+        strata={"far": pairs, "unconverged": unconverged},
         seed=rng_seed,
         violation_count=violation_count,
         violating_pair=violating,
@@ -596,13 +581,10 @@ def estimate_concentration(
     if not d > 0:
         raise InputError("pair must have positive metric distance")
     t_grid = tuple(float(t) for t in t_grid)
-    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(rng_seed).spawn(draws)]
     ratios = np.empty(draws)
-    m = None
-    for k, s in enumerate(seeds):
-        op = op_factory(s)
-        m = op.m
-        ratios[k] = meas_norm(op.apply(x) - op.apply(x2)) / d
+    for k in range(draws):
+        op = op_factory(seeding.child_seed(rng_seed, k))
+        ratios[k] = op.gap_batch(x - x2)[0] / d
     p_hat, c_hat, wilson, c_lo = [], [], [], []
     for t in t_grid:
         fails = int(np.sum(ratios - 1.0 <= -t))
@@ -631,7 +613,7 @@ def estimate_concentration(
         wilson_p_upper=tuple(wilson),
         c_lower=tuple(c_lo),
         draws=draws,
-        m=int(m),
+        m=int(op.m),
         seed=rng_seed,
     )
 
@@ -803,6 +785,6 @@ def estimate_operator_lipschitz(
     X2 = sample_model_points(model, pairs, rng)
     d = metric.dist_pairs(X, X2)
     keep = d > 0
-    gaps = np.linalg.norm(op.apply_batch(X[keep]) - op.apply_batch(X2[keep]), axis=1)
+    gaps = op.gap_batch(X[keep] - X2[keep])
     return {"C_hat": float(np.max(gaps / d[keep])), "pairs_tested": int(keep.sum()),
             "estimated": True}

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import seeding
 from .errors import InputError
 from .models import UnionOfSubspaces, _uniform_ball_coeffs, project_to_model
 from .operators import LinearGaussianOperator, RandomFourierOperator, jacobian
@@ -260,7 +261,7 @@ def decode_nonlinear(
         starts.append(np.zeros(B.shape[1]))
         # random coefficient starts from a per-subspace stream, so the k-th
         # start is independent of the total restart count (monotone restarts)
-        rng_i = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(i,)))
+        rng_i = seeding.generator(rng_seed, i)
         while len(starts) < opts.restarts:
             starts.append(_uniform_ball_coeffs(rng_i, 1, B.shape[1], M)[0])
         starts = starts[: opts.restarts]
@@ -334,3 +335,26 @@ def residual_certificate(
         _, lower = grid_minimum(op, model, y, grid_opts.resolution)
         return float(result.residual - lower)
     return float(result.residual)
+
+
+def decode(op, model: UnionOfSubspaces, y, opts: DecoderOptions, rng_seed, metric: Pseudometric):
+    """Decode y with the operator's decoder; returns (DecodeResult, residual certificate gap).
+
+    The linear decoder is exact, so its gap is 0 without a second solve; the
+    Fourier decoder's gap comes from ``residual_certificate``.
+    """
+    if isinstance(op, LinearGaussianOperator):
+        return decode_linear(op, model, y), 0.0
+    result = decode_nonlinear(op, model, y, opts=opts, rng_seed=rng_seed, metric=metric)
+    return result, residual_certificate(result, op, model, y, opts.grid_oracle)
+
+
+def noise_vector(op, norm: float, rng) -> np.ndarray:
+    """Gaussian measurement noise of exact norm ``norm``: real for the linear map, complex otherwise."""
+    if norm == 0:
+        return np.zeros(op.m, dtype=complex)
+    if isinstance(op, LinearGaussianOperator):
+        e = rng.normal(size=op.m).astype(complex)
+    else:
+        e = rng.normal(size=op.m) + 1j * rng.normal(size=op.m)
+    return e * (norm / np.linalg.norm(e))

@@ -27,7 +27,7 @@ from .certifier import (
     prop2_failure_bound,
     recommend_m,
 )
-from .decoder import DecoderOptions, GridOracleOptions, decode_linear, decode_nonlinear, residual_certificate
+from .decoder import DecoderOptions, GridOracleOptions, decode, noise_vector
 from .errors import ConfigError, InputError
 from .models import UnionOfSubspaces, covering_bound_model, covering_bound_secant, sample_model_points
 from .operators import (
@@ -167,6 +167,11 @@ class Report:
 
 # --- builders -------------------------------------------------------------
 
+def _config_seed(spec: dict, master_seed: int, stream: int) -> int:
+    """spec["seed"] when the config pins it, else the child seed of the master at ``stream``."""
+    return int(spec["seed"]) if "seed" in spec else seeding.child_seed(master_seed, stream)
+
+
 def build_model(cfg: ExperimentConfig) -> UnionOfSubspaces:
     m = cfg.model
     kind = m.get("kind", "random")
@@ -176,8 +181,7 @@ def build_model(cfg: ExperimentConfig) -> UnionOfSubspaces:
     if kind == "axes":
         model = UnionOfSubspaces.axes(d, M)
     elif kind == "random":
-        seed = m.get("seed", seeding.derive(cfg.master_seed, 10).generate_state(1)[0])
-        model = UnionOfSubspaces.random(d, s, N, M, int(seed))
+        model = UnionOfSubspaces.random(d, s, N, M, _config_seed(m, cfg.master_seed, 10))
     else:
         raise ConfigError(f"unknown model kind {kind!r}")
     if model.num_subspaces != N or model.subspace_dim != s:
@@ -245,7 +249,7 @@ def _run_decode(cfg: ExperimentConfig) -> dict:
     model = build_model(cfg)
     metric = build_metric(cfg)
     opts = build_decoder_options(cfg)
-    op_seed = int(cfg.operator.get("seed", seeding.derive(cfg.master_seed, 20).generate_state(1)[0]))
+    op_seed = _config_seed(cfg.operator, cfg.master_seed, 20)
     op = build_operator(cfg, op_seed)
     c = cfg.certifier
     rng = seeding.generator(cfg.master_seed, 21)
@@ -256,13 +260,8 @@ def _run_decode(cfg: ExperimentConfig) -> dict:
     y = op.apply(x_true)
     noise = float(c.get("noise_scale", 0.0))
     if noise:
-        e = rng.normal(size=op.m) + (1j * rng.normal(size=op.m) if isinstance(op, RandomFourierOperator) else 0)
-        y = y + e * (noise / np.linalg.norm(e))
-    if isinstance(op, LinearGaussianOperator):
-        result = decode_linear(op, model, y)
-    else:
-        result = decode_nonlinear(op, model, y, opts=opts, rng_seed=cfg.master_seed, metric=metric)
-    gap = residual_certificate(result, op, model, y, opts.grid_oracle)
+        y = y + noise_vector(op, noise, rng)
+    result, gap = decode(op, model, y, opts, cfg.master_seed, metric)
     return {
         "decode": result.to_json(),
         "x_true": [float(v) for v in x_true],
@@ -279,7 +278,7 @@ def _run_iop(cfg: ExperimentConfig) -> dict:
     metric = build_metric(cfg)
     opts = build_decoder_options(cfg)
     c = cfg.certifier
-    op_seed = int(cfg.operator.get("seed", seeding.derive(cfg.master_seed, 30).generate_state(1)[0]))
+    op_seed = _config_seed(cfg.operator, cfg.master_seed, 30)
     op = build_operator(cfg, op_seed)
 
     B = c.get("B")
@@ -288,7 +287,7 @@ def _run_iop(cfg: ExperimentConfig) -> dict:
         est = estimate_lrip(
             op, model, metric,
             pairs=int(c.get("pairs", 2000)),
-            rng_seed=int(seeding.derive(cfg.master_seed, 31).generate_state(1)[0]),
+            rng_seed=seeding.child_seed(cfg.master_seed, 31),
             eta=float(c.get("eta", 0.0)),
             near_eps=float(c.get("near_eps", 0.1)),
         )
@@ -302,7 +301,7 @@ def _run_iop(cfg: ExperimentConfig) -> dict:
         trials=int(c.get("trials", 100)),
         noise_scale=float(c.get("noise_scale", 0.0)),
         model_error_scale=float(c.get("model_error_scale", 0.0)),
-        rng_seed=int(seeding.derive(cfg.master_seed, 32).generate_state(1)[0]),
+        rng_seed=seeding.child_seed(cfg.master_seed, 32),
         uniform_candidates=int(c.get("uniform_candidates", 64)),
     )
     return {
@@ -318,7 +317,7 @@ def _run_iop(cfg: ExperimentConfig) -> dict:
 
 def _certify_one_draw(cfg, model, metric, k):
     c = cfg.certifier
-    op = build_operator(cfg, int(seeding.derive(cfg.master_seed, 40, k).generate_state(1)[0]))
+    op = build_operator(cfg, seeding.child_seed(cfg.master_seed, 40, k))
     anchored = bool(c.get("anchored", True))
     anchor = None
     if anchored:
@@ -326,7 +325,7 @@ def _certify_one_draw(cfg, model, metric, k):
     est = estimate_lrip(
         op, model, metric,
         pairs=int(c.get("pairs", 10000)),
-        rng_seed=int(seeding.derive(cfg.master_seed, 42, k).generate_state(1)[0]),
+        rng_seed=seeding.child_seed(cfg.master_seed, 42, k),
         anchor=anchor,
         eta=float(c.get("eta", 0.0)),
         near_eps=float(c.get("near_eps", 0.1)),
@@ -334,7 +333,7 @@ def _certify_one_draw(cfg, model, metric, k):
     bp = estimate_bp(
         op, model, metric,
         pairs=int(c.get("bp_pairs", c.get("pairs", 10000))),
-        rng_seed=int(seeding.derive(cfg.master_seed, 43, k).generate_state(1)[0]),
+        rng_seed=seeding.child_seed(cfg.master_seed, 43, k),
         perturbation_scale=float(c.get("perturbation_scale", 1.0)),
     )
     hyp = hypothesis_constants(op, model) if isinstance(op, RandomFourierOperator) else None
@@ -420,7 +419,7 @@ def _run_certify(cfg: ExperimentConfig) -> dict:
                 metric=metric,
                 draws=int(c.get("concentration_draws", 200)),
                 t_grid=[t / 2.0],
-                rng_seed=int(seeding.derive(cfg.master_seed, 45).generate_state(1)[0]),
+                rng_seed=seeding.child_seed(cfg.master_seed, 45),
             )
             # use the Wilson lower confidence bound when no failures were seen
             c_half_t = conc.c_hat[0] if np.isfinite(conc.c_hat[0]) else conc.c_lower[0]
@@ -464,7 +463,7 @@ def _run_concentration_sweep(cfg: ExperimentConfig) -> dict:
             metric=metric,
             draws=draws,
             t_grid=t_grid,
-            rng_seed=int(seeding.derive(cfg.master_seed, 51, m, rep).generate_state(1)[0]),
+            rng_seed=seeding.child_seed(cfg.master_seed, 51, m, rep),
         )
 
     tasks = [(m, rep) for m in m_sweep for rep in range(reps)]
@@ -508,6 +507,31 @@ def _run_concentration_sweep(cfg: ExperimentConfig) -> dict:
     return payload
 
 
+# Streams each runner derives from the master seed; -1 stands for a draw,
+# rep, subspace or sweep index.  Some are derived only on some branches
+# (31 when B is not given, 41 in anchored mode, 44-45 for the Fourier map,
+# 50 when no pair is given, the decoder starts for the Fourier map).
+_SEED_STREAMS = {
+    "recommend-m": {},
+    "decode": {"model": (10,), "operator": (20,), "signal_and_noise": (21,),
+               "decoder_starts_subspace_i": (-1,)},
+    "iop-experiment": {"model": (10,), "operator": (30,), "lrip_pairs": (31,), "iop_trials": (32,)},
+    "certify": {"model": (10,), "operator_draw_k": (40, -1), "anchor": (41,), "pairs_draw_k": (42, -1),
+                "bp_pairs_draw_k": (43, -1), "concentration_pair": (44,), "concentration_draws": (45,)},
+    "concentration-sweep": {"model": (10,), "pair": (50,), "concentration_m_rep": (51, -1, -1)},
+}
+
+
+def _seed_streams(cfg: ExperimentConfig) -> dict:
+    """The experiment's entry of _SEED_STREAMS, less the model and operator streams a config pins."""
+    pinned = set()
+    if "seed" in cfg.model or "bases" in cfg.model or cfg.model.get("kind", "random") != "random":
+        pinned.add("model")
+    if "seed" in cfg.operator:
+        pinned.add("operator")
+    return {name: path for name, path in _SEED_STREAMS[cfg.experiment].items() if name not in pinned}
+
+
 _RUNNERS = {
     "recommend-m": _run_recommend_m,
     "decode": _run_decode,
@@ -525,10 +549,7 @@ def run(config: ExperimentConfig) -> Report:
     return Report(
         config=config.to_dict(),
         results=results,
-        seed_lineage=seeding.lineage(
-            config.master_seed,
-            {"model": (10,), "operator_draw_k": (40, -1), "pairs_draw_k": (42, -1)},
-        ),
+        seed_lineage=seeding.lineage(config.master_seed, _seed_streams(config)),
         library_version=__version__,
         wall_clock_seconds=wall,
     )

@@ -247,11 +247,6 @@ def operator_from_json(obj: dict):
     raise InputError(f"unknown operator kind {kind!r}")
 
 
-def apply(op, x) -> np.ndarray:
-    """Apply either operator variant to a signal vector."""
-    return op.apply(x)
-
-
 def jacobian(op: RandomFourierOperator, x) -> np.ndarray:
     """Derivative of the Fourier map at x: row j is (i w_j / f_j) e^{i w_j . x} / sqrt m."""
     if not isinstance(op, RandomFourierOperator):

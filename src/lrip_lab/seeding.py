@@ -24,6 +24,11 @@ def derive(master_seed: int, *path: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(master_seed, spawn_key=tuple(int(p) for p in path))
 
 
+def child_seed(master_seed: int, *path: int) -> int:
+    """Integer seed at the given position, for consumers that take an int seed."""
+    return int(derive(master_seed, *path).generate_state(1)[0])
+
+
 def generator(master_seed: int, *path: int) -> np.random.Generator:
     """PCG64 generator seeded at the given position."""
     return np.random.Generator(np.random.PCG64(derive(master_seed, *path)))

@@ -142,10 +142,6 @@ def norm_equivalence_factors(metric: Pseudometric, M: float) -> tuple[float, flo
 
 # --- JSON conversion of vectors (complex entries as [re, im] pairs) ---
 
-def real_vector_to_json(x) -> list[float]:
-    return [float(v) for v in np.asarray(x, dtype=float)]
-
-
 def complex_vector_to_json(v) -> list[list[float]]:
     v = np.asarray(v, dtype=complex)
     return [[float(c.real), float(c.imag)] for c in v]

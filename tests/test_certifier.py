@@ -23,11 +23,29 @@ from lrip_lab.certifier import (
     fit_concentration_slope,
     wilson_upper,
 )
+import lrip_lab
+from lrip_lab import certifier, decoder, harness, seeding
+from lrip_lab.decoder import DecoderOptions, GridOracleOptions
 from lrip_lab.models import covering_bound_model, covering_bound_secant, sample_model_points
 from lrip_lab.spaces import meas_norm
 
 EUCLID = Pseudometric("euclidean")
 KERNEL = Pseudometric("gaussian-kernel", 1.0)
+
+
+def count_decode_linear(monkeypatch) -> list:
+    """Count decode_linear calls through every lrip_lab namespace that holds it."""
+    original = decoder.decode_linear
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for mod in (lrip_lab, decoder, certifier, harness):
+        if getattr(mod, "decode_linear", None) is original:
+            monkeypatch.setattr(mod, "decode_linear", counted)
+    return calls
 
 
 class TestEstimateLrip:
@@ -209,6 +227,16 @@ class TestCheckIop:
             else:
                 assert trial.model_dist == pytest.approx(ref, rel=1e-12)
 
+    def test_one_linear_decode_per_trial(self, monkeypatch):
+        calls = count_decode_linear(monkeypatch)
+        model = UnionOfSubspaces.random(3, 1, 3, 1.0, 21)
+        op = LinearGaussianOperator.from_seed(3, 3, 22)
+        witness = check_iop_inequality(op, model, EUCLID, None, A=1.0, B=4.0, lam=0.0,
+                                       trials=25, noise_scale=0.1, model_error_scale=0.3,
+                                       rng_seed=24)
+        assert len(witness.trials) == 25
+        assert len(calls) == 25
+
     def test_negative_constants_rejected(self):
         model = UnionOfSubspaces.axes(2, 1.0)
         op = LinearGaussianOperator.from_matrix(np.eye(2))
@@ -237,6 +265,23 @@ class TestLripFromIopWitness:
                                     pairs=300, rng_seed=15)
         assert est.violation_count == 0
         assert est.eta == pytest.approx(0.1)
+
+    def test_one_linear_decode_per_pair(self, monkeypatch):
+        calls = count_decode_linear(monkeypatch)
+        model = UnionOfSubspaces.random(3, 1, 2, 1.0, 11)
+        op = LinearGaussianOperator.from_seed(3, 3, 12)
+        est = lrip_from_iop_witness(op, model, EUCLID, None, B=4.0, lam=0.0, pairs=30, rng_seed=14)
+        assert len(calls) == 30
+        assert est.strata == {"far": 30, "unconverged": 0}
+
+    def test_unconverged_pairs_are_counted(self):
+        # one Gauss-Newton step never converges, so every pair passes vacuously
+        model = UnionOfSubspaces.random(3, 1, 2, 1.0, 5)
+        op = RandomFourierOperator.from_seed(12, 3, 1.0, 6)
+        opts = DecoderOptions(restarts=1, max_iters=1, grid_oracle=GridOracleOptions(enabled=False))
+        est = lrip_from_iop_witness(op, model, KERNEL, opts, B=2.0, lam=0.0, pairs=20, rng_seed=7)
+        assert est.alpha_hat == 0.0 and est.violation_count == 0
+        assert est.strata["unconverged"] == 20
 
     def test_degenerate_tiny_model(self):
         model = UnionOfSubspaces((np.array([[1.0], [0.0]]),), 1e-12)
@@ -302,6 +347,16 @@ class TestEstimateConcentration:
         assert list(est.c_hat_monotone) == sorted(est.c_hat_monotone)
         for raw, mono, flag in zip(est.c_hat, est.c_hat_monotone, est.monotone_adjusted):
             assert (mono != raw) == flag
+
+    def test_ratio_matches_endpoint_form(self):
+        pair = (np.zeros(3), np.array([0.6, -0.2, 0.1]))
+        factory = lambda seed: RandomFourierOperator.from_seed(8, 3, 1.0, seed)
+        est = estimate_concentration(factory, pair, KERNEL, draws=100, t_grid=[0.2], rng_seed=3)
+        seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(3).spawn(100)]
+        d = KERNEL.dist(*pair)
+        ratios = np.array([meas_norm(factory(s).apply(pair[0]) - factory(s).apply(pair[1])) / d
+                           for s in seeds])
+        assert est.p_hat[0] == np.mean(ratios - 1.0 <= -0.2)
 
     def test_requires_enough_draws_and_distinct_pair(self):
         with pytest.raises(InputError):
@@ -430,3 +485,13 @@ def test_operator_lipschitz_identity():
                                       model, EUCLID, pairs=300, rng_seed=0)
     assert out["C_hat"] == pytest.approx(1.0, abs=1e-12)
     assert out["estimated"]
+
+
+def test_operator_lipschitz_matches_endpoint_form():
+    model = UnionOfSubspaces.random(4, 2, 3, 1.0, 1)
+    op = RandomFourierOperator.from_seed(20, 4, 1.0, 2)
+    out = estimate_operator_lipschitz(op, model, KERNEL, pairs=400, rng_seed=3)
+    rng = seeding.generator(3, 4)
+    X, X2 = sample_model_points(model, 400, rng), sample_model_points(model, 400, rng)
+    gaps = np.linalg.norm(op.apply_batch(X) - op.apply_batch(X2), axis=1)
+    assert out["C_hat"] == pytest.approx(np.max(gaps / KERNEL.dist_pairs(X, X2)), rel=1e-12)

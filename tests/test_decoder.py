@@ -13,7 +13,7 @@ from lrip_lab import (
     decode_nonlinear,
     residual_certificate,
 )
-from lrip_lab.decoder import GridOracleOptions, grid_minimum
+from lrip_lab.decoder import GridOracleOptions, decode, grid_minimum, noise_vector
 from lrip_lab.models import sample_model_points
 
 EUCLID = Pseudometric("euclidean")
@@ -181,3 +181,40 @@ class TestResidualCertificate:
         res = decode_nonlinear(op, model, y, opts=DecoderOptions(restarts=2), rng_seed=0)
         gap = residual_certificate(res, op, model, y)
         assert gap == pytest.approx(res.residual)
+
+
+class TestDecode:
+    def test_linear_gap_is_zero_and_matches_resolve(self):
+        for seed in range(40):
+            model, op, y = random_small_instance(seed)
+            res, gap = decode(op, model, y, DecoderOptions(), 0, EUCLID)
+            ref = decode_linear(op, model, y)
+            assert gap == 0.0
+            assert residual_certificate(res, op, model, y) == gap
+            assert np.array_equal(res.xhat, ref.xhat) and res.residual == ref.residual
+
+    def test_fourier_gap_is_residual_certificate(self):
+        model = UnionOfSubspaces.axes(2, 1.0)
+        op = RandomFourierOperator.from_seed(16, 2, 1.0, 5)
+        y = op.apply(np.array([0.0, -0.3])) + 0.02
+        opts = DecoderOptions(restarts=3, grid_oracle=GridOracleOptions(True, 1e-2))
+        res, gap = decode(op, model, y, opts, 7, KERNEL)
+        ref = decode_nonlinear(op, model, y, opts=opts, rng_seed=7, metric=KERNEL)
+        assert np.array_equal(res.xhat, ref.xhat)
+        assert gap == residual_certificate(ref, op, model, y, opts.grid_oracle)
+
+
+class TestNoiseVector:
+    @pytest.mark.parametrize("op", [LinearGaussianOperator.from_seed(5, 3, 0),
+                                    RandomFourierOperator.from_seed(5, 3, 1.0, 0)])
+    def test_exact_norm(self, op):
+        e = noise_vector(op, 0.25, np.random.default_rng(1))
+        assert e.shape == (5,) and e.dtype == complex
+        assert np.linalg.norm(e) == pytest.approx(0.25, rel=1e-12)
+        assert np.all(e.imag == 0) == isinstance(op, LinearGaussianOperator)
+
+    def test_zero_norm_draws_nothing(self):
+        rng = np.random.default_rng(2)
+        e = noise_vector(RandomFourierOperator.from_seed(4, 2, 1.0, 0), 0.0, rng)
+        assert np.array_equal(e, np.zeros(4))
+        assert rng.normal() == np.random.default_rng(2).normal()

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from lrip_lab import seeding
 from lrip_lab.cli import main
 from lrip_lab.errors import ConfigError, InputError
 from lrip_lab.harness import ExperimentConfig, emit_plot_data, run, write_report
@@ -153,6 +154,76 @@ class TestReproducibility:
         echoed = ExperimentConfig.from_dict(report.config)
         again = run(echoed)
         assert report.payload_bytes() == again.payload_bytes()
+
+
+LINEAGE_CONFIGS = {
+    "recommend-m": {},
+    "decode": dict(
+        model={"d": 3, "s": 1, "N": 2, "M": 1.0},
+        operator={"kind": "random-fourier", "m": 12, "sigma": 1.0},
+        decoder={"restarts": 2, "max_iters": 20, "grid_oracle": {"enabled": False}},
+        certifier={"noise_scale": 0.05},
+    ),
+    "iop-experiment": dict(
+        model={"d": 3, "s": 1, "N": 2, "M": 1.0},
+        operator={"kind": "linear-gaussian", "m": 3},
+        metric={"kind": "euclidean"},
+        certifier={"trials": 3, "pairs": 50, "noise_scale": 0.1},
+    ),
+    "certify": dict(
+        model={"d": 3, "s": 1, "N": 2, "M": 1.0},
+        operator={"kind": "random-fourier", "m": 8, "sigma": 1.0},
+        certifier={"draws": 2, "pairs": 50, "bp_pairs": 50, "t": 0.5,
+                   "concentration_draws": 100},
+    ),
+    "concentration-sweep": dict(
+        model={"d": 3, "s": 1, "N": 2, "M": 1.0},
+        operator={"kind": "random-fourier", "m": 8, "sigma": 1.0},
+        certifier={"m_sweep": [4, 8], "reps": 2, "draws": 100, "t_grid": [0.3]},
+    ),
+}
+
+
+class TestSeedLineage:
+    """The lineage names exactly the streams a run derives from its master seed."""
+
+    MASTER = 3
+
+    def derived_paths(self, monkeypatch, cfg) -> tuple[dict, set]:
+        derive, paths = seeding.derive, set()
+
+        def recording(master_seed, *path):
+            if master_seed == self.MASTER:
+                paths.add(tuple(int(p) for p in path))
+            return derive(master_seed, *path)
+
+        monkeypatch.setattr(seeding, "derive", recording)
+        report = run(ExperimentConfig.from_dict(base_config(experiment=cfg.pop("experiment"),
+                                                            master_seed=self.MASTER, **cfg)))
+        return report.seed_lineage, paths
+
+    @staticmethod
+    def matches(path, stream) -> bool:
+        return len(path) == len(stream) and all(s in (-1, p) for p, s in zip(path, stream))
+
+    @pytest.mark.parametrize("experiment", list(LINEAGE_CONFIGS))
+    def test_streams_are_those_derived(self, monkeypatch, experiment):
+        lineage, paths = self.derived_paths(monkeypatch, dict(LINEAGE_CONFIGS[experiment],
+                                                              experiment=experiment))
+        streams = [tuple(v) for v in lineage["streams"].values()]
+        assert lineage["master_seed"] == self.MASTER
+        assert all(any(self.matches(p, s) for s in streams) for p in paths)
+        assert all(any(self.matches(p, s) for p in paths) for s in streams)
+        assert (experiment == "recommend-m") == (streams == [])
+
+    @pytest.mark.parametrize("experiment", ["decode", "iop-experiment"])
+    def test_pinned_seeds_are_left_out(self, monkeypatch, experiment):
+        cfg = LINEAGE_CONFIGS[experiment]
+        cfg = dict(cfg, experiment=experiment, model=dict(cfg["model"], seed=8),
+                   operator=dict(cfg["operator"], seed=9))
+        lineage, paths = self.derived_paths(monkeypatch, cfg)
+        assert "model" not in lineage["streams"] and "operator" not in lineage["streams"]
+        assert {(10,), (20,), (30,)}.isdisjoint(paths)
 
 
 class TestCli:
