@@ -471,8 +471,9 @@ def lrip_from_iop_witness(
     constant alpha = B and slack eta = 2 lambda; every pair is then checked
     against d(x, x') <= B ||Psi x - Psi x'|| + 2 lambda_eff, with lambda_eff
     augmented by the decoder's residual certificate.  A pair whose decode did
-    not converge has lambda_eff = +inf and passes vacuously;
-    strata["unconverged"] counts those pairs.
+    not converge has no finite lambda_eff and is not checked:
+    strata["unconverged"] counts those pairs, pairs_tested the others, and
+    with none checked alpha_hat is 0.0 and worst_pair is None.
     """
     if pairs < 1:
         raise InputError(f"pairs must be >= 1, got {pairs}")
@@ -481,34 +482,35 @@ def lrip_from_iop_witness(
     X = sample_model_points(model, pairs, rng)
     X2 = sample_model_points(model, pairs, rng)
 
-    worst_ratio, worst_idx = -1.0, 0
+    worst_ratio, worst_idx = 0.0, None
     violation_count = 0
     violating = None
-    unconverged = 0
+    tested = 0
     for k in range(pairs):
         y = op.apply(X2[k])
         result, gap = decode(op, model, y, decoder_opts, int(rng.integers(2**31)), metric)
-        unconverged += not result.converged
-        lam_eff = lam + max(gap, 0.0) if result.converged else np.inf
+        if not result.converged:
+            continue
+        tested += 1
+        eta_eff = 2.0 * (lam + max(gap, 0.0))
         d = metric.dist(X[k], X2[k])
         psn = meas_norm(op.apply(X[k]) - y)
-        eta_eff = 2.0 * lam_eff
         if d > B * psn + eta_eff + 1e-12:
             violation_count += 1
             if violating is None:
                 violating = (X[k].copy(), X2[k].copy())
         numer = max(d - eta_eff, 0.0)
         ratio = np.inf if (psn == 0 and numer > 0) else (numer / psn if psn > 0 else 0.0)
-        if ratio > worst_ratio:
+        if worst_idx is None or ratio > worst_ratio:
             worst_ratio, worst_idx = ratio, k
 
     return LripEstimate(
         alpha_hat=float(worst_ratio),
         eta=2.0 * lam,
-        pairs_tested=pairs,
-        worst_pair=(X[worst_idx].copy(), X2[worst_idx].copy()),
+        pairs_tested=tested,
+        worst_pair=None if worst_idx is None else (X[worst_idx].copy(), X2[worst_idx].copy()),
         mode=MODE_FROM_IOP,
-        strata={"far": pairs, "unconverged": unconverged},
+        strata={"far": pairs, "unconverged": pairs - tested},
         seed=rng_seed,
         violation_count=violation_count,
         violating_pair=violating,

@@ -20,6 +20,13 @@ from .operators import LinearGaussianOperator, RandomFourierOperator, jacobian
 from .spaces import Pseudometric, meas_norm
 
 
+# Stopping rule of the Gauss-Newton decoder (see DecoderOptions).
+GTOL = 1e-10
+_F_RTOL = 64 * np.finfo(float).eps
+_PG_RTOL = 64 * np.sqrt(np.finfo(float).eps)
+_HALVINGS = 0.5 ** np.arange(54)  # 1, 1/2, ..., 2^-53 >= 1e-16
+
+
 @dataclass(frozen=True)
 class GridOracleOptions:
     enabled: bool = True
@@ -28,9 +35,16 @@ class GridOracleOptions:
 
 @dataclass(frozen=True)
 class DecoderOptions:
+    """Multi-start projected Gauss-Newton settings for the Fourier decoder.
+
+    A start has converged when its projected gradient pg has ||pg|| <= GTOL,
+    or when no line-search step lowers f = ||r||^2 by more than its rounding
+    error 64 eps f and ||pg|| <= 64 sqrt(eps) ||J|| ||r||.  A start stopped
+    by max_iters has not converged.
+    """
+
     restarts: int = 8
     max_iters: int = 500
-    gtol: float = 1e-10
     grid_oracle: GridOracleOptions = field(default_factory=GridOracleOptions)
 
     def __post_init__(self):
@@ -152,66 +166,52 @@ def decode_linear(op: LinearGaussianOperator, model: UnionOfSubspaces, y) -> Dec
 
 
 def _ball_project(z: np.ndarray, radius: float) -> np.ndarray:
-    nrm = np.linalg.norm(z)
-    return z if nrm <= radius else z * (radius / nrm)
+    """Project z, or each row of z, onto the ball of the given radius."""
+    return z * (radius / np.maximum(np.linalg.norm(z, axis=-1, keepdims=True), radius))
 
 
-def _gauss_newton_subspace(op, B, y, z0, radius, opts: DecoderOptions):
+def _line_search(op, B, y, z, direction, alphas, radius):
+    """Ball-projected z + alpha * direction for each alpha, with residuals and objectives, in one apply_batch."""
+    cands = _ball_project(z + alphas[:, None] * direction, radius)
+    R = op.apply_batch(cands @ B.T) - y
+    return cands, R, np.real(np.sum(R * R.conj(), axis=1))
+
+
+def _gauss_newton_subspace(op, B, y, z0, radius, max_iters):
     """Projected Gauss-Newton on z -> ||Psi(B z) - y||^2 over the coefficient ball.
 
     Complex residuals are stacked as real and imaginary parts, so steps solve
-    a real least-squares problem.  Returns (z, objective, iters, converged).
+    a real least-squares problem.  Each iteration evaluates all of _HALVINGS
+    of the Gauss-Newton step in one batch and takes the first that passes the
+    Armijo test, falling back to the same search along the negative
+    gradient.  Returns (z, objective, iters, converged).
     """
     z = _ball_project(np.asarray(z0, dtype=float), radius)
-
-    def residual(zz):
-        return op.apply(B @ zz) - y
-
-    def objective(zz):
-        r = residual(zz)
-        return float(np.real(np.vdot(r, r)))
-
-    fz = objective(z)
-    iters = 0
-    converged = False
-    for iters in range(1, opts.max_iters + 1):
-        r = residual(z)
+    r = op.apply(B @ z) - y
+    for iters in range(1, max_iters + 1):
+        fz = float(np.real(np.vdot(r, r)))
         J = jacobian(op, B @ z) @ B
         Jr = np.vstack([J.real, J.imag])
         Rr = np.concatenate([r.real, r.imag])
         grad = 2.0 * Jr.T @ Rr
         # projected-gradient stationarity measure on the ball
-        pg = z - _ball_project(z - grad, radius)
-        if np.linalg.norm(pg) <= opts.gtol:
-            converged = True
-            break
+        pg = np.linalg.norm(z - _ball_project(z - grad, radius))
+        if pg <= GTOL:
+            return z, fz, iters, True
+        # a decrease within the rounding error of f is no progress
+        no_progress = (1.0 - _F_RTOL) * fz
         step, *_ = np.linalg.lstsq(Jr, -Rr, rcond=None)
-        alpha = 1.0
-        improved = False
-        while alpha >= 1e-16:
-            cand = _ball_project(z + alpha * step, radius)
-            fc = objective(cand)
-            if fc <= fz + 1e-4 * grad @ (cand - z):
-                z, fz = cand, fc
-                improved = True
-                break
-            alpha *= 0.5
-        if not improved:
-            # Gauss-Newton direction failed; fall back to projected gradient.
-            alpha = 1.0 / (1.0 + np.linalg.norm(grad))
-            moved = False
-            while alpha >= 1e-16:
-                cand = _ball_project(z - alpha * grad, radius)
-                fc = objective(cand)
-                if fc < fz:
-                    z, fz = cand, fc
-                    moved = True
-                    break
-                alpha *= 0.5
-            if not moved:
-                converged = np.linalg.norm(pg) <= max(opts.gtol, 1e-8)
-                break
-    return z, fz, iters, converged
+        cands, R, F = _line_search(op, B, y, z, step, _HALVINGS, radius)
+        ok = (F < no_progress) & (F <= fz + 1e-4 * ((cands - z) @ grad))
+        if not ok.any():
+            alphas = _HALVINGS / (1.0 + np.linalg.norm(grad))
+            cands, R, F = _line_search(op, B, y, z, -grad, alphas, radius)
+            ok = F < no_progress
+        if not ok.any():
+            return z, fz, iters, pg <= _PG_RTOL * np.linalg.norm(Jr) * np.linalg.norm(Rr)
+        k = int(np.argmax(ok))
+        z, r = cands[k], R[k]
+    return z, float(np.real(np.vdot(r, r))), iters, False
 
 
 def decode_nonlinear(
@@ -228,8 +228,8 @@ def decode_nonlinear(
     Starts per subspace: the linearized estimate at 0, the zero point, a
     projected warm start when given, and random model points; the best local
     minimum across subspaces and restarts wins, ties to the lowest
-    (residual, subspace, restart) triple.  A result that never reached the
-    gradient tolerance is returned with converged=False rather than raised.
+    (residual, subspace, restart) triple.  A winning start that did not
+    converge (see DecoderOptions) gives converged=False rather than raising.
     """
     if op.dim != model.dim:
         raise InputError(f"operator dimension {op.dim} does not match model dimension {model.dim}")
@@ -266,7 +266,7 @@ def decode_nonlinear(
             starts.append(_uniform_ball_coeffs(rng_i, 1, B.shape[1], M)[0])
         starts = starts[: opts.restarts]
         for k, z0 in enumerate(starts):
-            z, f, iters, conv = _gauss_newton_subspace(op, B, y, z0, M, opts)
+            z, f, iters, conv = _gauss_newton_subspace(op, B, y, z0, M, opts.max_iters)
             total_iters += iters
             key = (f, i, k)
             if best is None or key < best[0]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -203,18 +203,19 @@ def build_metric(cfg: ExperimentConfig) -> Pseudometric:
     return Pseudometric(cfg.metric["kind"], cfg.metric.get("sigma"))
 
 
+def _options(cls, spec: dict, section: str):
+    """cls from a config section: the defaults of cls, values cast to their types, unknown keys refused."""
+    unknown = set(spec) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
+    default = cls()
+    return replace(default, **{k: type(getattr(default, k))(v) for k, v in spec.items()})
+
+
 def build_decoder_options(cfg: ExperimentConfig) -> DecoderOptions:
-    dec = cfg.decoder
-    oracle = dec.get("grid_oracle", {})
-    return DecoderOptions(
-        restarts=int(dec.get("restarts", 8)),
-        max_iters=int(dec.get("max_iters", 500)),
-        gtol=float(dec.get("gtol", 1e-10)),
-        grid_oracle=GridOracleOptions(
-            enabled=bool(oracle.get("enabled", True)),
-            resolution=float(oracle.get("resolution", 1e-3)),
-        ),
-    )
+    dec = dict(cfg.decoder)
+    oracle = _options(GridOracleOptions, dec.pop("grid_oracle", {}), "decoder.grid_oracle")
+    return replace(_options(DecoderOptions, dec, "decoder"), grid_oracle=oracle)
 
 
 def _map_indexed(fn, count: int, workers: int) -> list:
@@ -261,7 +262,7 @@ def _run_decode(cfg: ExperimentConfig) -> dict:
     noise = float(c.get("noise_scale", 0.0))
     if noise:
         y = y + noise_vector(op, noise, rng)
-    result, gap = decode(op, model, y, opts, cfg.master_seed, metric)
+    result, gap = decode(op, model, y, opts, seeding.child_seed(cfg.master_seed, 22), metric)
     return {
         "decode": result.to_json(),
         "x_true": [float(v) for v in x_true],
@@ -508,13 +509,12 @@ def _run_concentration_sweep(cfg: ExperimentConfig) -> dict:
 
 
 # Streams each runner derives from the master seed; -1 stands for a draw,
-# rep, subspace or sweep index.  Some are derived only on some branches
-# (31 when B is not given, 41 in anchored mode, 44-45 for the Fourier map,
-# 50 when no pair is given, the decoder starts for the Fourier map).
+# rep or sweep index.  Some are derived only on some branches (31 when B is
+# not given, 41 in anchored mode, 44-45 for the Fourier map, 50 when no pair
+# is given).
 _SEED_STREAMS = {
     "recommend-m": {},
-    "decode": {"model": (10,), "operator": (20,), "signal_and_noise": (21,),
-               "decoder_starts_subspace_i": (-1,)},
+    "decode": {"model": (10,), "operator": (20,), "signal_and_noise": (21,), "decoder_starts": (22,)},
     "iop-experiment": {"model": (10,), "operator": (30,), "lrip_pairs": (31,), "iop_trials": (32,)},
     "certify": {"model": (10,), "operator_draw_k": (40, -1), "anchor": (41,), "pairs_draw_k": (42, -1),
                 "bp_pairs_draw_k": (43, -1), "concentration_pair": (44,), "concentration_draws": (45,)},

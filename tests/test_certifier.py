@@ -283,6 +283,20 @@ class TestLripFromIopWitness:
         assert est.alpha_hat == 0.0 and est.violation_count == 0
         assert est.strata["unconverged"] == 20
 
+    def test_unconverged_pairs_are_not_tested(self):
+        model = UnionOfSubspaces.random(3, 1, 2, 1.0, 5)
+        op = RandomFourierOperator.from_seed(12, 3, 1.0, 6)
+        opts = DecoderOptions(restarts=1, max_iters=1, grid_oracle=GridOracleOptions(enabled=False))
+        est = lrip_from_iop_witness(op, model, KERNEL, opts, B=2.0, lam=0.0, pairs=20, rng_seed=7)
+        assert est.pairs_tested == 0 and est.worst_pair is None
+        assert est.report_dict()["worst_cases"] is None
+
+    def test_converged_pairs_are_tested(self):
+        model = UnionOfSubspaces.random(3, 1, 2, 1.0, 11)
+        op = LinearGaussianOperator.from_seed(3, 3, 12)
+        est = lrip_from_iop_witness(op, model, EUCLID, None, B=4.0, lam=0.0, pairs=30, rng_seed=14)
+        assert est.pairs_tested == 30 and est.worst_pair is not None
+
     def test_degenerate_tiny_model(self):
         model = UnionOfSubspaces((np.array([[1.0], [0.0]]),), 1e-12)
         op = LinearGaussianOperator.from_matrix(np.eye(2))

@@ -13,7 +13,9 @@ from lrip_lab import (
     decode_nonlinear,
     residual_certificate,
 )
-from lrip_lab.decoder import GridOracleOptions, decode, grid_minimum, noise_vector
+from lrip_lab.decoder import (
+    _HALVINGS, GridOracleOptions, _line_search, decode, grid_minimum, noise_vector,
+)
 from lrip_lab.models import sample_model_points
 
 EUCLID = Pseudometric("euclidean")
@@ -131,6 +133,54 @@ class TestDecodeNonlinear:
             res = decode_nonlinear(op, model, y, rng_seed=0)
             assert model.membership_defect(res.xhat) <= 1e-10
             assert np.linalg.norm(res.xhat) <= 0.8 + 1e-10
+
+    def test_off_model_decodes_converge(self):
+        # the test_feasibility_invariants instance: off-model minima with f near 1
+        model = UnionOfSubspaces.random(4, 2, 3, 0.8, 2)
+        op = RandomFourierOperator.from_seed(48, 4, 1.0, 5)
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            res = decode_nonlinear(op, model, op.apply(rng.normal(size=4)), rng_seed=0)
+            assert res.converged
+
+    def test_last_bit_change_keeps_convergence(self):
+        # every start reaches the same minimum here, so the winner is picked by rounding
+        model = UnionOfSubspaces.random(3, 1, 2, 1.0, 8)
+        op = RandomFourierOperator.from_seed(12, 3, 1.0, 4)
+        y = op.apply(sample_model_points(model, 1, 1)[0]) + 0.05 * np.exp(1j * np.arange(12)) / np.sqrt(12)
+        for target in (y, np.nextafter(y.real, 2) + 1j * y.imag, y * (1 + 2 ** -52)):
+            assert decode_nonlinear(op, model, target, rng_seed=3).converged
+
+    def test_one_apply_per_iteration(self, monkeypatch):
+        calls = {"apply": 0, "apply_batch": 0}
+        for name in calls:
+            original = getattr(RandomFourierOperator, name)
+
+            def counted(self, x, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, x)
+
+            monkeypatch.setattr(RandomFourierOperator, name, counted)
+        model = UnionOfSubspaces.random(4, 2, 3, 0.8, 2)
+        op = RandomFourierOperator.from_seed(48, 4, 1.0, 5)
+        y = op.apply(np.random.default_rng(6).normal(size=4))
+        calls.update(apply=0, apply_batch=0)
+        res = decode_nonlinear(op, model, y, opts=DecoderOptions(restarts=3), rng_seed=0)
+        assert res.optimizer_iters > 3
+        assert calls["apply"] <= res.optimizer_iters + 1
+        assert calls["apply_batch"] <= 2 * res.optimizer_iters
+
+    def test_line_search_matches_one_apply_per_step(self):
+        model = UnionOfSubspaces.random(4, 2, 3, 0.8, 2)
+        op = RandomFourierOperator.from_seed(48, 4, 1.0, 5)
+        B, y = model.bases[1], op.apply(np.random.default_rng(6).normal(size=4))
+        z, direction = np.array([0.5, -0.4]), np.array([3.0, 1.0])
+        cands, R, F = _line_search(op, B, y, z, direction, _HALVINGS, 0.8)
+        for alpha, c, r, f in zip(_HALVINGS, cands, R, F):
+            step = z + alpha * direction
+            assert np.allclose(c, step * min(1.0, 0.8 / np.linalg.norm(step)), rtol=1e-15, atol=0)
+            assert np.allclose(r, op.apply(B @ c) - y, rtol=1e-12, atol=1e-15)
+            assert f == pytest.approx(np.linalg.norm(op.apply(B @ c) - y) ** 2, rel=1e-12)
 
     def test_monotone_in_restarts(self):
         model = UnionOfSubspaces.random(3, 1, 2, 1.0, 7)

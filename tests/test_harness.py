@@ -6,7 +6,8 @@ import pytest
 from lrip_lab import seeding
 from lrip_lab.cli import main
 from lrip_lab.errors import ConfigError, InputError
-from lrip_lab.harness import ExperimentConfig, emit_plot_data, run, write_report
+from lrip_lab.decoder import DecoderOptions, GridOracleOptions
+from lrip_lab.harness import ExperimentConfig, build_decoder_options, emit_plot_data, run, write_report
 
 
 def base_config(**overrides):
@@ -46,6 +47,26 @@ class TestConfig:
     def test_not_an_object(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict([1, 2])
+
+
+class TestDecoderOptions:
+    def test_defaults_come_from_the_options(self):
+        cfg = ExperimentConfig.from_dict(base_config(experiment="decode"))
+        assert build_decoder_options(cfg) == DecoderOptions()
+
+    def test_values_are_read(self):
+        cfg = ExperimentConfig.from_dict(base_config(
+            experiment="decode",
+            decoder={"restarts": 3, "max_iters": 40, "grid_oracle": {"enabled": False, "resolution": 0.01}},
+        ))
+        assert build_decoder_options(cfg) == DecoderOptions(
+            restarts=3, max_iters=40, grid_oracle=GridOracleOptions(enabled=False, resolution=0.01))
+
+    @pytest.mark.parametrize("decoder", [{"gtol": 1e-10}, {"grid_oracle": {"resolutoin": 0.01}}])
+    def test_unknown_keys_rejected(self, decoder):
+        cfg = ExperimentConfig.from_dict(base_config(experiment="decode", decoder=decoder))
+        with pytest.raises(ConfigError):
+            build_decoder_options(cfg)
 
 
 class TestRecommendMExperiment:
@@ -224,6 +245,13 @@ class TestSeedLineage:
         lineage, paths = self.derived_paths(monkeypatch, cfg)
         assert "model" not in lineage["streams"] and "operator" not in lineage["streams"]
         assert {(10,), (20,), (30,)}.isdisjoint(paths)
+
+    def test_decoder_starts_come_from_their_own_stream(self, monkeypatch):
+        # the per-subspace start streams (i,) hang below (22,), not below the master
+        cfg = dict(LINEAGE_CONFIGS["decode"], experiment="decode")
+        lineage, paths = self.derived_paths(monkeypatch, cfg)
+        assert (22,) in paths and lineage["streams"]["decoder_starts"] == [22]
+        assert {(i,) for i in range(cfg["model"]["N"])}.isdisjoint(paths)
 
 
 class TestCli:
