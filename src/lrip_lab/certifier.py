@@ -440,7 +440,7 @@ def check_iop_inequality(
             cands = np.vstack([cands, sample_model_points(model, uniform_candidates, rng)])
         dprime = float(np.min(metric.dist_batch(cands, xstar) + B * op.gap_batch(xstar - cands)))
 
-        lam_eff = lam + max(gap, 0.0)
+        lam_eff = lam + gap
         if not result.converged:
             out.append(IopTrial(xstar, noise_scale, decode_dist, dprime, np.inf, False,
                                 reason="decoder did not converge"))
@@ -492,7 +492,7 @@ def lrip_from_iop_witness(
         if not result.converged:
             continue
         tested += 1
-        eta_eff = 2.0 * (lam + max(gap, 0.0))
+        eta_eff = 2.0 * (lam + gap)
         d = metric.dist(X[k], X2[k])
         psn = meas_norm(op.apply(X[k]) - y)
         if d > B * psn + eta_eff + 1e-12:

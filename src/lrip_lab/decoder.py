@@ -4,7 +4,9 @@ For linear operators and a union-of-subspaces model the decoder is exact:
 each subspace yields a (norm-constrained) least-squares problem.  For the
 random Fourier map the problem is nonconvex and is attacked with multi-start
 projected Gauss-Newton; the achieved residual is reported so that optimizer
-error can be folded into the instance-optimality slack.
+error can be folded into the instance-optimality slack, and for subspace
+dimension <= 2 a branch-and-bound lower bound on the best residual
+certifies that error.
 """
 
 from __future__ import annotations
@@ -22,15 +24,32 @@ from .spaces import Pseudometric, meas_norm
 
 # Stopping rule of the Gauss-Newton decoder (see DecoderOptions).
 GTOL = 1e-10
-_F_RTOL = 64 * np.finfo(float).eps
-_PG_RTOL = 64 * np.sqrt(np.finfo(float).eps)
+_EPS = np.finfo(float).eps
+_F_RTOL = 64 * _EPS
+_PG_RTOL = 64 * np.sqrt(_EPS)
 _HALVINGS = 0.5 ** np.arange(54)  # 1, 1/2, ..., 2^-53 >= 1e-16
+
+# Branch-and-bound residual certificate (see certified_minimum).
+_CERT_BUDGET = 100_000  # boxes bounded per certificate, over all subspaces
+_CERT_CHUNK = 4096  # boxes bounded per batch
 
 
 @dataclass(frozen=True)
 class GridOracleOptions:
+    """Residual certificate of the Fourier decoder (subspace dimension <= 2).
+
+    resolution is the target certified gap, in measurement units: the
+    branch-and-bound of certified_minimum stops refining a box once its lower
+    bound is within resolution of the best residual found.  The name is kept
+    from the grid oracle it replaces.
+    """
+
     enabled: bool = True
-    resolution: float = 1e-3
+    resolution: float = 1e-6
+
+    def __post_init__(self):
+        if not self.resolution > 0:
+            raise InputError(f"resolution must be positive, got {self.resolution}")
 
 
 @dataclass(frozen=True)
@@ -227,9 +246,11 @@ def decode_nonlinear(
 
     Starts per subspace: the linearized estimate at 0, the zero point, a
     projected warm start when given, and random model points; the best local
-    minimum across subspaces and restarts wins, ties to the lowest
-    (residual, subspace, restart) triple.  A winning start that did not
-    converge (see DecoderOptions) gives converged=False rather than raising.
+    minimum across subspaces and restarts wins.  Objectives within a factor
+    1 + 64 eps of the best count as tied, and a tie goes to the lowest
+    (subspace, restart) pair, so rounding in the map cannot pick the winner.
+    A winning start that did not converge (see DecoderOptions) gives
+    converged=False rather than raising.
     """
     if op.dim != model.dim:
         raise InputError(f"operator dimension {op.dim} does not match model dimension {model.dim}")
@@ -245,7 +266,7 @@ def decode_nonlinear(
     if warm_start is not None:
         xw = project_to_model(model, np.asarray(warm_start, dtype=float), metric)
 
-    best = None  # ((residual2, subspace, restart), xhat, converged)
+    runs = []  # (objective, subspace, xhat, converged) in (subspace, restart) order
     total_iters = 0
     for i, B in enumerate(model.bases):
         starts = []
@@ -268,11 +289,12 @@ def decode_nonlinear(
         for k, z0 in enumerate(starts):
             z, f, iters, conv = _gauss_newton_subspace(op, B, y, z0, M, opts.max_iters)
             total_iters += iters
-            key = (f, i, k)
-            if best is None or key < best[0]:
-                best = (key, B @ z, conv)
+            runs.append((f, i, B @ z, conv))
 
-    (f, i, _), xhat, conv = best
+    # starts that reach one minimum differ in f only by rounding: the earliest
+    # start within 64 eps of the best objective wins
+    f_best = min(run[0] for run in runs)
+    _, i, xhat, conv = next(run for run in runs if run[0] <= f_best * (1.0 + _F_RTOL))
     return DecodeResult(
         xhat=xhat,
         residual=float(meas_norm(op.apply(xhat) - y)),
@@ -284,10 +306,12 @@ def decode_nonlinear(
 
 
 def grid_minimum(op, model: UnionOfSubspaces, y, resolution: float = 1e-3):
-    """Brute-force residual minimum over coefficient grids (oracle; s <= 2 only).
+    """Brute-force residual minimum over coefficient grids (s <= 2 only).
 
     Returns (x_best, residual_best).  The grid covers [-M, M]^s per subspace
-    at the given resolution, keeping only points inside the ball.
+    at the given resolution, keeping only points inside the ball.  A minimum
+    over finitely many points is an upper bound on the true minimum, not a
+    certificate: it serves as a reference for decoder quality in tests.
     """
     s = model.subspace_dim
     if s > 2:
@@ -311,6 +335,90 @@ def grid_minimum(op, model: UnionOfSubspaces, y, resolution: float = 1e-3):
     return best_x, best_res
 
 
+def certified_minimum(op: RandomFourierOperator, model: UnionOfSubspaces, y, target: float, upper: float):
+    """Certified lower bound on min ||Psi(x) - y|| over the model, by interval branch-and-bound (s <= 2).
+
+    On subspace i, in coefficients z, the squared residual is
+
+        f_i(z) = sum_j (a_j - |y_j|)^2 + 4 sum_j c_j sin^2((v_j . z - phi_j) / 2)
+
+    with a_j = 1 / (f(w_j) sqrt m), c_j = a_j |y_j|, phi_j = arg y_j and v_j
+    the rows of V_i = Omega B_i.  A box of half-width h about z0, with u_j the
+    phase v_j . z0 - phi_j wrapped to [-pi, pi), is bounded below by the
+    largest of a first-order bound, where each phase moves by at most
+    h ||v_j||_1, the second-order bound f(z0) - h ||grad f(z0)||_1 -
+    h^2 sum_j c_j ||v_j||_1^2 (|cos''| <= 1), and the same bound on
+    f + mu (|z|^2 - M^2) <= f, with mu >= 0 taken from the outward gradient at
+    z0, less a rounding allowance.
+
+    The search starts from one box [-M, M]^s per subspace and drops boxes
+    that miss the ball.  UB is the smaller of upper^2 and f at every in-ball
+    centre.  A box settles once its bound reaches (sqrt(UB) - target)^2 less
+    the allowance, so a target below what rounding resolves still ends the
+    search; the others split into 2^s children, bounded _CERT_CHUNK at a time.
+    Returns (lower, cells): lower is the square root of the smallest settled
+    bound, capped at upper, and cells the number of boxes bounded.  Should
+    the next level take the count past _CERT_BUDGET, the search stops and
+    the bounds the open boxes inherit count too, so lower stays certified.
+    """
+    s = model.subspace_dim
+    if s > 2:
+        raise InputError("certified_minimum supports subspace dimension <= 2")
+    y = np.asarray(y, dtype=complex)
+    M = model.norm_bound
+    a = 1.0 / (op.weights * np.sqrt(op.m))
+    c = a * np.abs(y)
+    phi = np.angle(y)
+    V = np.stack([op.omegas @ B for B in model.bases])  # (N, m, s)
+    L1 = np.sum(np.abs(V), axis=2)
+    curvature = L1**2 @ c
+    base = float(np.sum((a - np.abs(y)) ** 2))
+    # rounding of the m-term sums and of the phases, whose size is at most M ||v_j||_1 + pi
+    allowance = (64 + 4 * op.m) * _EPS * (
+        base + float(np.sum(c)) * (4.0 + 2.0 * np.pi + 2.0 * M * float(L1.max())))
+    offsets = ((np.arange(2**s)[:, None] >> np.arange(s)) & 1) - 0.5  # children at +-h/2
+
+    ub, settled, cells = upper**2, np.inf, 0
+    # open boxes of half-width h: subspace, centre and the bound inherited from the parent
+    N = len(model.bases)
+    idx, Z, inherited, h = np.arange(N), np.zeros((N, s)), np.zeros(N), M
+    while len(idx):
+        meets_ball = np.linalg.norm(np.maximum(np.abs(Z) - h, 0.0), axis=1) <= M
+        idx, Z, inherited = idx[meets_ball], Z[meets_ball], inherited[meets_ball]
+        if cells + len(idx) > _CERT_BUDGET:
+            settled = min(settled, float(np.min(inherited, initial=np.inf)))
+            break
+        cells += len(idx)
+        parts = [(idx[:0], Z[:0], inherited[:0])]
+        for lo in range(0, len(idx), _CERT_CHUNK):
+            I, Zc = idx[lo:lo + _CERT_CHUNK], Z[lo:lo + _CERT_CHUNK]
+            Vc = V[I]
+            u = (np.einsum("nms,ns->nm", Vc, Zc) - phi + np.pi) % (2.0 * np.pi) - np.pi
+            f0 = base + 4.0 * np.sin(0.5 * u) ** 2 @ c
+            first = base + 4.0 * np.sin(0.5 * np.maximum(np.abs(u) - h * L1[I], 0.0)) ** 2 @ c
+            grad = np.einsum("nm,nms->ns", 2.0 * c * np.sin(u), Vc)
+            second = f0 - h * np.sum(np.abs(grad), axis=1) - h * h * curvature[I]
+            # on the ball f >= f + mu (|z|^2 - M^2) for any mu >= 0; this mu cancels
+            # most of the outward gradient, so boxes at a minimum on the sphere settle too
+            r2 = np.sum(Zc * Zc, axis=1)
+            mu = np.maximum(-np.sum(grad * Zc, axis=1), 0.0) / (2.0 * np.maximum(r2, M * M))
+            shifted = grad + 2.0 * mu[:, None] * Zc
+            third = (f0 + mu * (r2 - M * M) - h * np.sum(np.abs(shifted), axis=1) - h * h * curvature[I]
+                     - 16 * _EPS * mu * (r2 + M * M + 2.0 * h * np.sum(np.abs(Zc), axis=1)))
+            bound = np.maximum(np.maximum.reduce([first, second, third]) - allowance,
+                               inherited[lo:lo + _CERT_CHUNK])
+            in_ball = r2 <= M * M
+            ub = min(ub, float(np.min(f0[in_ball], initial=np.inf)))
+            done = bound >= max(np.sqrt(ub) - target, 0.0) ** 2 - allowance
+            settled = min(settled, float(np.min(bound[done], initial=np.inf)))
+            split = ~done
+            parts.append((np.repeat(I[split], 2**s), (Zc[split, None, :] + h * offsets).reshape(-1, s),
+                          np.repeat(bound[split], 2**s)))
+        idx, Z, inherited = (np.concatenate(part) for part in zip(*parts))
+        h *= 0.5
+    return min(float(np.sqrt(max(settled, 0.0))), upper), cells
+
+
 def residual_certificate(
     result: DecodeResult,
     op,
@@ -318,12 +426,16 @@ def residual_certificate(
     y,
     grid_opts: GridOracleOptions | None = None,
 ) -> float:
-    """Gap between the achieved residual and the best available lower bound.
+    """Gap between the achieved residual and a certified lower bound on the minimum.
 
-    Linear operators re-solve exactly (gap 0 up to roundoff); small nonlinear
-    instances use the grid oracle when enabled; otherwise the trivial lower
-    bound 0 applies and the full residual is returned.  A non-converged
-    result reports an unknown gap as +inf.
+    Linear operators re-solve exactly (gap 0 up to roundoff).  For the
+    Fourier map with subspace dimension <= 2 and the oracle enabled, the
+    lower bound comes from certified_minimum with target gap
+    grid_opts.resolution, so the gap is >= 0 and, unless the cell budget
+    runs out, exceeds the decoder's own excess residual by about that target
+    at most.  Otherwise the trivial lower bound 0 applies and the full
+    residual is returned.  A non-converged result reports an unknown gap as
+    +inf.
     """
     if not result.converged:
         return np.inf
@@ -332,7 +444,7 @@ def residual_certificate(
         return float(result.residual - exact.residual)
     grid_opts = grid_opts or GridOracleOptions()
     if grid_opts.enabled and model.subspace_dim <= 2:
-        _, lower = grid_minimum(op, model, y, grid_opts.resolution)
+        lower, _ = certified_minimum(op, model, y, grid_opts.resolution, result.residual)
         return float(result.residual - lower)
     return float(result.residual)
 

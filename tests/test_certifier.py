@@ -237,6 +237,25 @@ class TestCheckIop:
         assert len(witness.trials) == 25
         assert len(calls) == 25
 
+    def test_fourier_lambda_eff_adds_the_unclipped_gap(self, monkeypatch):
+        gaps = []
+
+        def recorded(*args):
+            result, gap = decoder.decode(*args)
+            gaps.append(gap)
+            return result, gap
+
+        monkeypatch.setattr(certifier, "decode", recorded)
+        model = UnionOfSubspaces.random(4, 2, 3, 1.0, 2)
+        op = RandomFourierOperator.from_seed(48, 4, 1.0, 5)
+        witness = check_iop_inequality(op, model, KERNEL, DecoderOptions(restarts=3), A=1.0, B=2.0,
+                                       lam=0.01, trials=4, noise_scale=0.05, model_error_scale=0.3,
+                                       rng_seed=3)
+        assert len(gaps) == 4 and all(t.reason == "" for t in witness.trials)
+        for trial, gap in zip(witness.trials, gaps):
+            assert 0.0 <= gap < np.inf
+            assert trial.lambda_eff == 0.01 + gap
+
     def test_negative_constants_rejected(self):
         model = UnionOfSubspaces.axes(2, 1.0)
         op = LinearGaussianOperator.from_matrix(np.eye(2))

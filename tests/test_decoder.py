@@ -13,10 +13,12 @@ from lrip_lab import (
     decode_nonlinear,
     residual_certificate,
 )
+from lrip_lab import decoder
 from lrip_lab.decoder import (
-    _HALVINGS, GridOracleOptions, _line_search, decode, grid_minimum, noise_vector,
+    _HALVINGS, GridOracleOptions, _line_search, certified_minimum, decode, grid_minimum, noise_vector,
 )
 from lrip_lab.models import sample_model_points
+from lrip_lab.spaces import meas_norm
 
 EUCLID = Pseudometric("euclidean")
 KERNEL = Pseudometric("gaussian-kernel", 1.0)
@@ -25,6 +27,20 @@ IDENTITY2 = LinearGaussianOperator.from_matrix(np.eye(2))
 
 def x_axis_model(M=1.0):
     return UnionOfSubspaces((np.array([[1.0], [0.0]]),), M)
+
+
+def random_fourier_instance(seed):
+    """Noisy off-model target on s in {1, 2}; s = 2 keeps M = 0.5 and m <= 8 so the 2e-3 grid stays small."""
+    rng = np.random.default_rng(seed)
+    s = 1 + seed % 2
+    d = int(rng.integers(s + 1, 5))
+    M = 0.5 if s == 2 else float(rng.choice([0.5, 1.0, 2.0]))
+    model = UnionOfSubspaces.random(d, s, int(rng.integers(1, 4)), M, seed)
+    m = int(rng.integers(4, 9 if s == 2 else 13))
+    op = RandomFourierOperator.from_seed(m, d, 1.0, seed + 1)
+    noise = rng.normal(size=m) + 1j * rng.normal(size=m)
+    y = op.apply(rng.normal(size=d)) + rng.uniform(0.0, 0.3) * noise / np.linalg.norm(noise)
+    return model, op, y
 
 
 def random_small_instance(seed):
@@ -192,6 +208,23 @@ class TestDecodeNonlinear:
         ]
         assert all(a >= b - 1e-12 for a, b in zip(residuals, residuals[1:]))
 
+    @pytest.mark.parametrize("step, winner", [(1e-17, 0), (1e-9, 7)])
+    def test_rounding_ties_go_to_the_earliest_start(self, monkeypatch, step, winner):
+        # objectives fall by step with each start: 1e-17 is a few ulps at 0.01, 1e-9 is not
+        model = UnionOfSubspaces.random(3, 1, 2, 1.0, 7)
+        op = RandomFourierOperator.from_seed(12, 3, 1.0, 9)
+        starts = []
+
+        def fake(op, B, y, z0, radius, max_iters):
+            starts.append(np.array(z0, dtype=float))
+            return starts[-1], 0.01 - step * len(starts), 1, True
+
+        monkeypatch.setattr(decoder, "_gauss_newton_subspace", fake)
+        res = decode_nonlinear(op, model, op.apply(np.zeros(3)) + 0.1, opts=DecoderOptions(restarts=4))
+        assert len(starts) == 8
+        assert res.subspace_index == winner // 4
+        assert np.array_equal(res.xhat, model.bases[winner // 4] @ starts[winner])
+
     def test_residual_recomputation_invariant(self):
         model = UnionOfSubspaces.axes(2, 1.0)
         op = RandomFourierOperator.from_seed(16, 2, 1.0, 11)
@@ -231,6 +264,68 @@ class TestResidualCertificate:
         res = decode_nonlinear(op, model, y, opts=DecoderOptions(restarts=2), rng_seed=0)
         gap = residual_certificate(res, op, model, y)
         assert gap == pytest.approx(res.residual)
+
+
+class TestCertifiedMinimum:
+    def test_below_grid_and_residual_on_random_instances(self):
+        for seed in range(40):
+            model, op, y = random_fourier_instance(seed)
+            res = decode_nonlinear(op, model, y, opts=DecoderOptions(restarts=3), rng_seed=seed)
+            lower, cells = certified_minimum(op, model, y, 1e-6, res.residual)
+            _, rg = grid_minimum(op, model, y, resolution=2e-3)
+            assert 0 < cells < decoder._CERT_BUDGET
+            assert lower <= rg
+            assert lower <= res.residual
+
+    def test_poor_converged_result_gets_its_full_gap(self):
+        model, op, y = random_fourier_instance(3)
+        x0 = np.zeros(model.dim)
+        poor = DecodeResult(xhat=x0, residual=meas_norm(op.apply(x0) - y), subspace_index=0,
+                            optimizer_iters=1, restarts_used=1, converged=True)
+        _, rg = grid_minimum(op, model, y, resolution=2e-3)
+        assert poor.residual - rg > 0.05  # the origin is far from the optimum here
+        assert residual_certificate(poor, op, model, y) >= poor.residual - rg - 1e-9
+
+    def test_spent_budget_stays_below_grid(self, monkeypatch):
+        monkeypatch.setattr(decoder, "_CERT_BUDGET", 5)
+        for seed in range(6):
+            model, op, y = random_fourier_instance(seed)
+            res = decode_nonlinear(op, model, y, opts=DecoderOptions(restarts=3), rng_seed=seed)
+            lower, cells = certified_minimum(op, model, y, 1e-6, res.residual)
+            _, rg = grid_minimum(op, model, y, resolution=2e-3)
+            assert cells <= 5
+            assert lower <= rg
+
+    def test_tiny_target_finishes_within_budget(self):
+        model = UnionOfSubspaces.random(4, 2, 3, 1.0, 2)
+        op = RandomFourierOperator.from_seed(48, 4, 1.0, 5)
+        x = sample_model_points(model, 1, 3)[0]
+        y = op.apply(x) + 0.05 * np.exp(1j * np.arange(48)) / np.sqrt(48)
+        res = decode_nonlinear(op, model, y, rng_seed=0)
+        lower, cells = certified_minimum(op, model, y, 1e-12, res.residual)
+        assert cells < decoder._CERT_BUDGET
+        assert 0.0 <= res.residual - lower <= 1e-9
+
+    @pytest.mark.parametrize("resolution", [0.0, -1e-6, float("nan")])
+    def test_target_must_be_positive(self, resolution):
+        with pytest.raises(InputError):
+            GridOracleOptions(resolution=resolution)
+
+    def test_rejects_subspace_dim_above_two(self):
+        model = UnionOfSubspaces.random(4, 3, 1, 1.0, 0)
+        op = RandomFourierOperator.from_seed(8, 4, 1.0, 0)
+        with pytest.raises(InputError):
+            certified_minimum(op, model, np.zeros(8, dtype=complex), 1e-3, 1.0)
+
+    def test_converged_fourier_gaps_are_nonnegative(self):
+        converged = 0
+        for seed in range(20):
+            model, op, y = random_fourier_instance(seed)
+            res, gap = decode(op, model, y, DecoderOptions(restarts=3), seed, KERNEL)
+            if res.converged:
+                converged += 1
+                assert 0.0 <= gap <= res.residual
+        assert converged >= 15
 
 
 class TestDecode:
