@@ -432,7 +432,7 @@ def check_iop_inequality(
         x0 = sample_model_points(model, 1, rng)[0]
         xstar = x0 + rng.normal(size=model.dim) * (model_error_scale / math.sqrt(model.dim))
         y = op.apply(xstar) + noise_vector(op, noise_scale, rng)
-        result, gap = decode(op, model, y, decoder_opts, int(rng.integers(2**31)), metric)
+        result, gap = decode(op, model, y, decoder_opts, int(rng.integers(2**31)))
         decode_dist = metric.dist(xstar, result.xhat)
 
         cands = project_to_model(model, xstar, metric)[None, :]
@@ -488,7 +488,7 @@ def lrip_from_iop_witness(
     tested = 0
     for k in range(pairs):
         y = op.apply(X2[k])
-        result, gap = decode(op, model, y, decoder_opts, int(rng.integers(2**31)), metric)
+        result, gap = decode(op, model, y, decoder_opts, int(rng.integers(2**31)))
         if not result.converged:
             continue
         tested += 1

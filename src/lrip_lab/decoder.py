@@ -17,9 +17,9 @@ import numpy as np
 
 from . import seeding
 from .errors import InputError
-from .models import UnionOfSubspaces, _uniform_ball_coeffs, project_to_model
+from .models import UnionOfSubspaces, _uniform_ball_coeffs
 from .operators import LinearGaussianOperator, RandomFourierOperator, jacobian
-from .spaces import Pseudometric, meas_norm
+from .spaces import meas_norm
 
 
 # Stopping rule of the Gauss-Newton decoder (see DecoderOptions).
@@ -28,6 +28,7 @@ _EPS = np.finfo(float).eps
 _F_RTOL = 64 * _EPS
 _PG_RTOL = 64 * np.sqrt(_EPS)
 _HALVINGS = 0.5 ** np.arange(54)  # 1, 1/2, ..., 2^-53 >= 1e-16
+_ROWS = 256  # points per apply_batch call of the line search
 
 # Branch-and-bound residual certificate (see certified_minimum).
 _CERT_BUDGET = 100_000  # boxes bounded per certificate, over all subspaces
@@ -56,10 +57,14 @@ class GridOracleOptions:
 class DecoderOptions:
     """Multi-start projected Gauss-Newton settings for the Fourier decoder.
 
-    A start has converged when its projected gradient pg has ||pg|| <= GTOL,
-    or when no line-search step lowers f = ||r||^2 by more than its rounding
-    error 64 eps f and ||pg|| <= 64 sqrt(eps) ||J|| ||r||.  A start stopped
-    by max_iters has not converged.
+    Each subspace gets restarts starts, and all starts of a decode advance
+    in lockstep, one iteration per round.  An iteration's line search tries
+    the full Gauss-Newton step first and halves it only when that fails the
+    Armijo test.  A start has converged when its projected gradient pg has
+    ||pg|| <= GTOL, or when no line-search step lowers f = ||r||^2 by more
+    than its rounding error 64 eps f and ||pg|| <= 64 sqrt(eps) ||J|| ||r||.
+    A start stopped by max_iters, which counts its own iterations, has not
+    converged.
     """
 
     restarts: int = 8
@@ -189,48 +194,135 @@ def _ball_project(z: np.ndarray, radius: float) -> np.ndarray:
     return z * (radius / np.maximum(np.linalg.norm(z, axis=-1, keepdims=True), radius))
 
 
-def _line_search(op, B, y, z, direction, alphas, radius):
-    """Ball-projected z + alpha * direction for each alpha, with residuals and objectives, in one apply_batch."""
-    cands = _ball_project(z + alphas[:, None] * direction, radius)
-    R = op.apply_batch(cands @ B.T) - y
-    return cands, R, np.real(np.sum(R * R.conj(), axis=1))
+def _restricted_map(op: RandomFourierOperator, model: UnionOfSubspaces) -> np.ndarray:
+    """The frequencies seen from each subspace's coefficients: V_i = Omega B_i, stacked (N, m, s)."""
+    return np.stack([op.omegas @ B for B in model.bases])
 
 
-def _gauss_newton_subspace(op, B, y, z0, radius, max_iters):
-    """Projected Gauss-Newton on z -> ||Psi(B z) - y||^2 over the coefficient ball.
+def _evaluate(op, bases, y, sub, Z):
+    """Map values and objectives ||Psi(B_sub z) - y||^2 at the coefficient rows Z.
 
-    Complex residuals are stacked as real and imaginary parts, so steps solve
-    a real least-squares problem.  Each iteration evaluates all of _HALVINGS
-    of the Gauss-Newton step in one batch and takes the first that passes the
-    Armijo test, falling back to the same search along the negative
-    gradient.  Returns (z, objective, iters, converged).
+    Rows go through op.apply_batch _ROWS at a time.  A one-row batch is
+    evaluated twice over, because numpy routes a single row to a
+    matrix-vector product that rounds differently from the matrix product,
+    and a row's value must not depend on the rows batched with it.
     """
-    z = _ball_project(np.asarray(z0, dtype=float), radius)
-    r = op.apply(B @ z) - y
-    for iters in range(1, max_iters + 1):
-        fz = float(np.real(np.vdot(r, r)))
-        J = jacobian(op, B @ z) @ B
-        Jr = np.vstack([J.real, J.imag])
-        Rr = np.concatenate([r.real, r.imag])
-        grad = 2.0 * Jr.T @ Rr
+    X = np.einsum("nds,ns->nd", bases[sub], Z)
+    P = np.empty((len(X), op.m), dtype=complex)
+    for lo in range(0, len(X), _ROWS):
+        rows = X[lo:lo + _ROWS]
+        P[lo:lo + _ROWS] = op.apply_batch(np.vstack([rows, rows]) if len(rows) == 1 else rows)[:len(rows)]
+    R = P - y
+    return P, np.real(np.sum(R * R.conj(), axis=1))
+
+
+def _line_search(op, bases, y, sub, z, direction, alphas, radius):
+    """Ball-projected z + alpha * direction for each start and step size, with map values and objectives.
+
+    z and direction hold one row per start (subspace sub); alphas is (k,),
+    or (starts, k) for step sizes of each start's own.  The outputs are
+    indexed (start, step).
+    """
+    cands = _ball_project(z[:, None, :] + alphas[..., None] * direction[:, None, :], radius)
+    n, k, s = cands.shape
+    P, F = _evaluate(op, bases, y, np.repeat(sub, k), cands.reshape(-1, s))
+    return cands, P.reshape(n, k, -1), F.reshape(n, k)
+
+
+def _first_progress(op, bases, y, sub, z, f, grad, direction, alphas, radius, armijo):
+    """The first step size of alphas that makes progress from each start.
+
+    A step makes progress when it lowers f by more than its rounding error
+    64 eps f and, with armijo, passes f' <= f + 1e-4 (z' - z) . grad.
+    Starts are searched in groups of at most _ROWS points.  Returns
+    (found, z', psi', f'), whose rows are meaningful where found.
+    """
+    n, k = len(z), alphas.shape[-1]
+    alphas = np.broadcast_to(alphas, (n, k))
+    found, Zn, Pn, Fn = np.zeros(n, dtype=bool), np.empty_like(z), np.empty((n, op.m), complex), np.empty(n)
+    group = max(1, _ROWS // k)
+    for lo in range(0, n, group):
+        g = slice(lo, lo + group)
+        cands, P, F = _line_search(op, bases, y, sub[g], z[g], direction[g], alphas[g], radius)
+        ok = F < (1.0 - _F_RTOL) * f[g, None]
+        if armijo:
+            ok &= F <= f[g, None] + 1e-4 * np.einsum("nks,ns->nk", cands - z[g, None, :], grad[g])
+        j = np.argmax(ok, axis=1)
+        rows = np.arange(len(j))
+        found[g], Zn[g], Pn[g], Fn[g] = ok[rows, j], cands[rows, j], P[rows, j], F[rows, j]
+    return found, Zn, Pn, Fn
+
+
+def _lazy_search(op, bases, y, sub, z, f, grad, step, radius):
+    """Line search from each start along its Gauss-Newton step, trying the full step first.
+
+    The result is that of trying all of _HALVINGS at once and taking the
+    first that passes the Armijo test, then, with none passing, the same
+    along the negative gradient from 1/(1 + ||grad||) with plain decrease.
+    Only the starts whose full step fails try the other 53 step sizes, and
+    only those with no passing step search along the gradient.  Returns
+    (found, z', psi', f') as _first_progress does.
+    """
+    found, Zn, Pn, Fn = _first_progress(op, bases, y, sub, z, f, grad, step, _HALVINGS[:1], radius, True)
+    for direction, alphas, armijo in (
+        (step, _HALVINGS[1:], True),
+        (-grad, _HALVINGS / (1.0 + np.linalg.norm(grad, axis=1, keepdims=True)), False),
+    ):
+        miss = np.flatnonzero(~found)
+        if not len(miss):
+            break
+        found[miss], Zn[miss], Pn[miss], Fn[miss] = _first_progress(
+            op, bases, y, sub[miss], z[miss], f[miss], grad[miss], direction[miss],
+            alphas if alphas.ndim == 1 else alphas[miss], radius, armijo)
+    return found, Zn, Pn, Fn
+
+
+def _gauss_newton(op, model, y, sub, Z0, max_iters):
+    """Projected Gauss-Newton on z -> ||Psi(B_i z) - y||^2 over the coefficient ball, from every start at once.
+
+    Start k runs on subspace sub[k] from Z0[k].  All starts advance
+    together, one iteration per round, and a start leaves the round in
+    which it stops.  Complex residuals are stacked as real and imaginary
+    parts, and the Jacobian in coefficients is i psi * V_i, from the map
+    values psi at the iterate and the restricted map V_i.  The Gauss-Newton
+    steps of a round come from one batched SVD with lstsq's cutoff, and the
+    line search tries the full step first (see _lazy_search).  A start's
+    outcome does not depend on the starts run with it.  Returns (Z, f,
+    iters, converged), one entry per start.
+    """
+    M = model.norm_bound
+    bases, V = np.stack(model.bases), _restricted_map(op, model)
+    Z = _ball_project(np.asarray(Z0, dtype=float), M)
+    P, F = _evaluate(op, bases, y, sub, Z)
+    iters, converged = np.zeros(len(Z), dtype=int), np.zeros(len(Z), dtype=bool)
+    active = np.arange(len(Z))
+    for rnd in range(1, max_iters + 1):
+        if not len(active):
+            break
+        iters[active] = rnd
+        z, psi, f, Va = Z[active], P[active], F[active], V[sub[active]]
+        r = psi - y
+        Jr = np.concatenate([-psi.imag[:, :, None] * Va, psi.real[:, :, None] * Va], axis=1)
+        Rr = np.concatenate([r.real, r.imag], axis=1)
+        grad = 2.0 * np.einsum("nks,nk->ns", Jr, Rr)
         # projected-gradient stationarity measure on the ball
-        pg = np.linalg.norm(z - _ball_project(z - grad, radius))
-        if pg <= GTOL:
-            return z, fz, iters, True
-        # a decrease within the rounding error of f is no progress
-        no_progress = (1.0 - _F_RTOL) * fz
-        step, *_ = np.linalg.lstsq(Jr, -Rr, rcond=None)
-        cands, R, F = _line_search(op, B, y, z, step, _HALVINGS, radius)
-        ok = (F < no_progress) & (F <= fz + 1e-4 * ((cands - z) @ grad))
-        if not ok.any():
-            alphas = _HALVINGS / (1.0 + np.linalg.norm(grad))
-            cands, R, F = _line_search(op, B, y, z, -grad, alphas, radius)
-            ok = F < no_progress
-        if not ok.any():
-            return z, fz, iters, pg <= _PG_RTOL * np.linalg.norm(Jr) * np.linalg.norm(Rr)
-        k = int(np.argmax(ok))
-        z, r = cands[k], R[k]
-    return z, float(np.real(np.vdot(r, r))), iters, False
+        pg = np.linalg.norm(z - _ball_project(z - grad, M), axis=1)
+        stop = pg <= GTOL
+        converged[active[stop]] = True
+        go = ~stop
+        active, z, f, Jr, Rr, grad, pg = active[go], z[go], f[go], Jr[go], Rr[go], grad[go], pg[go]
+        # Gauss-Newton steps min ||Jr step + Rr||, with lstsq's cutoff on small singular values
+        U, S, Wt = np.linalg.svd(Jr, full_matrices=False)
+        inv = np.divide(1.0, S, out=np.zeros_like(S), where=S > _EPS * max(Jr.shape[1:]) * S[:, :1])
+        step = -np.einsum("nts,nt->ns", Wt, inv * np.einsum("nkt,nk->nt", U, Rr))
+        found, Zn, Pn, Fn = _lazy_search(op, bases, y, sub[active], z, f, grad, step, M)
+        # a start with no progress has converged when its gradient is within rounding of stationary
+        stuck = ~found
+        J_norm = np.sqrt(np.sum(Jr[stuck] ** 2, axis=(1, 2)))
+        converged[active[stuck]] = pg[stuck] <= _PG_RTOL * J_norm * np.linalg.norm(Rr[stuck], axis=1)
+        active = active[found]
+        Z[active], P[active], F[active] = Zn[found], Pn[found], Fn[found]
+    return Z, F, iters, converged
 
 
 def decode_nonlinear(
@@ -238,19 +330,18 @@ def decode_nonlinear(
     model: UnionOfSubspaces,
     y,
     opts: DecoderOptions | None = None,
-    warm_start=None,
     rng_seed=0,
-    metric: Pseudometric | None = None,
 ) -> DecodeResult:
     """Multi-start decoder for the Fourier map.
 
-    Starts per subspace: the linearized estimate at 0, the zero point, a
-    projected warm start when given, and random model points; the best local
-    minimum across subspaces and restarts wins.  Objectives within a factor
-    1 + 64 eps of the best count as tied, and a tie goes to the lowest
-    (subspace, restart) pair, so rounding in the map cannot pick the winner.
-    A winning start that did not converge (see DecoderOptions) gives
-    converged=False rather than raising.
+    Starts per subspace: the linearized estimate at 0, the zero point and
+    random model points, restarts in all.  All starts of all subspaces run
+    projected Gauss-Newton in lockstep (see _gauss_newton), and the best
+    local minimum wins.  Objectives within a factor 1 + 64 eps of the best
+    count as tied, and a tie goes to the lowest (subspace, restart) pair, so
+    rounding in the map cannot pick the winner.  optimizer_iters sums the
+    iterations of all starts.  A winning start that did not converge (see
+    DecoderOptions) gives converged=False rather than raising.
     """
     if op.dim != model.dim:
         raise InputError(f"operator dimension {op.dim} does not match model dimension {model.dim}")
@@ -258,50 +349,40 @@ def decode_nonlinear(
     y = np.asarray(y, dtype=complex)
     if y.shape != (op.m,):
         raise InputError(f"y has shape {y.shape}, expected ({op.m},)")
-    metric = metric or Pseudometric("euclidean")
 
-    M = model.norm_bound
+    M, s = model.norm_bound, model.subspace_dim
     psi0 = op.apply(np.zeros(op.dim))
     J0 = jacobian(op, np.zeros(op.dim))
-    if warm_start is not None:
-        xw = project_to_model(model, np.asarray(warm_start, dtype=float), metric)
-
-    runs = []  # (objective, subspace, xhat, converged) in (subspace, restart) order
-    total_iters = 0
+    starts = []  # in (subspace, restart) order
     for i, B in enumerate(model.bases):
-        starts = []
-        if warm_start is not None:
-            starts.append(B.T @ xw)
         # linearized estimate at the origin
         Jb = J0 @ B
         rhs = y - psi0
         z_lin, *_ = np.linalg.lstsq(
             np.vstack([Jb.real, Jb.imag]), np.concatenate([rhs.real, rhs.imag]), rcond=None
         )
-        starts.append(z_lin)
-        starts.append(np.zeros(B.shape[1]))
+        starts_i = [z_lin, np.zeros(s)]
         # random coefficient starts from a per-subspace stream, so the k-th
         # start is independent of the total restart count (monotone restarts)
         rng_i = seeding.generator(rng_seed, i)
-        while len(starts) < opts.restarts:
-            starts.append(_uniform_ball_coeffs(rng_i, 1, B.shape[1], M)[0])
-        starts = starts[: opts.restarts]
-        for k, z0 in enumerate(starts):
-            z, f, iters, conv = _gauss_newton_subspace(op, B, y, z0, M, opts.max_iters)
-            total_iters += iters
-            runs.append((f, i, B @ z, conv))
+        while len(starts_i) < opts.restarts:
+            starts_i.append(_uniform_ball_coeffs(rng_i, 1, s, M)[0])
+        starts += starts_i[: opts.restarts]
+    sub = np.repeat(np.arange(model.num_subspaces), opts.restarts)
+    Z, F, iters, converged = _gauss_newton(op, model, y, sub, np.array(starts), opts.max_iters)
 
     # starts that reach one minimum differ in f only by rounding: the earliest
     # start within 64 eps of the best objective wins
-    f_best = min(run[0] for run in runs)
-    _, i, xhat, conv = next(run for run in runs if run[0] <= f_best * (1.0 + _F_RTOL))
+    k = int(np.argmax(F <= F.min() * (1.0 + _F_RTOL)))
+    i = int(sub[k])
+    xhat = model.bases[i] @ Z[k]
     return DecodeResult(
         xhat=xhat,
         residual=float(meas_norm(op.apply(xhat) - y)),
         subspace_index=i,
-        optimizer_iters=total_iters,
+        optimizer_iters=int(iters.sum()),
         restarts_used=opts.restarts,
-        converged=bool(conv),
+        converged=bool(converged[k]),
     )
 
 
@@ -369,7 +450,7 @@ def certified_minimum(op: RandomFourierOperator, model: UnionOfSubspaces, y, tar
     a = 1.0 / (op.weights * np.sqrt(op.m))
     c = a * np.abs(y)
     phi = np.angle(y)
-    V = np.stack([op.omegas @ B for B in model.bases])  # (N, m, s)
+    V = _restricted_map(op, model)
     L1 = np.sum(np.abs(V), axis=2)
     curvature = L1**2 @ c
     base = float(np.sum((a - np.abs(y)) ** 2))
@@ -449,7 +530,7 @@ def residual_certificate(
     return float(result.residual)
 
 
-def decode(op, model: UnionOfSubspaces, y, opts: DecoderOptions, rng_seed, metric: Pseudometric):
+def decode(op, model: UnionOfSubspaces, y, opts: DecoderOptions, rng_seed):
     """Decode y with the operator's decoder; returns (DecodeResult, residual certificate gap).
 
     The linear decoder is exact, so its gap is 0 without a second solve; the
@@ -457,7 +538,7 @@ def decode(op, model: UnionOfSubspaces, y, opts: DecoderOptions, rng_seed, metri
     """
     if isinstance(op, LinearGaussianOperator):
         return decode_linear(op, model, y), 0.0
-    result = decode_nonlinear(op, model, y, opts=opts, rng_seed=rng_seed, metric=metric)
+    result = decode_nonlinear(op, model, y, opts=opts, rng_seed=rng_seed)
     return result, residual_certificate(result, op, model, y, opts.grid_oracle)
 
 

@@ -262,7 +262,7 @@ def _run_decode(cfg: ExperimentConfig) -> dict:
     noise = float(c.get("noise_scale", 0.0))
     if noise:
         y = y + noise_vector(op, noise, rng)
-    result, gap = decode(op, model, y, opts, seeding.child_seed(cfg.master_seed, 22), metric)
+    result, gap = decode(op, model, y, opts, seeding.child_seed(cfg.master_seed, 22))
     return {
         "decode": result.to_json(),
         "x_true": [float(v) for v in x_true],

@@ -18,9 +18,9 @@ from lrip_lab.decoder import (
     _HALVINGS, GridOracleOptions, _line_search, certified_minimum, decode, grid_minimum, noise_vector,
 )
 from lrip_lab.models import sample_model_points
+from lrip_lab.operators import jacobian
 from lrip_lab.spaces import meas_norm
 
-EUCLID = Pseudometric("euclidean")
 KERNEL = Pseudometric("gaussian-kernel", 1.0)
 IDENTITY2 = LinearGaussianOperator.from_matrix(np.eye(2))
 
@@ -41,6 +41,34 @@ def random_fourier_instance(seed):
     noise = rng.normal(size=m) + 1j * rng.normal(size=m)
     y = op.apply(rng.normal(size=d)) + rng.uniform(0.0, 0.3) * noise / np.linalg.norm(noise)
     return model, op, y
+
+
+def per_start_gauss_newton(op, B, y, z0, radius, max_iters):
+    """Reference: one start at a time, with jacobian, lstsq and all 54 step sizes per line search."""
+    z = decoder._ball_project(np.asarray(z0, dtype=float), radius)
+    r = op.apply(B @ z) - y
+    for iters in range(1, max_iters + 1):
+        fz = float(np.real(np.vdot(r, r)))
+        J = jacobian(op, B @ z) @ B
+        Jr, Rr = np.vstack([J.real, J.imag]), np.concatenate([r.real, r.imag])
+        grad = 2.0 * Jr.T @ Rr
+        pg = np.linalg.norm(z - decoder._ball_project(z - grad, radius))
+        if pg <= decoder.GTOL:
+            return z, fz, iters, True
+        step, *_ = np.linalg.lstsq(Jr, -Rr, rcond=None)
+        cands = decoder._ball_project(z + _HALVINGS[:, None] * step, radius)
+        R = op.apply_batch(cands @ B.T) - y
+        F = np.real(np.sum(R * R.conj(), axis=1))
+        ok = (F < (1 - decoder._F_RTOL) * fz) & (F <= fz + 1e-4 * ((cands - z) @ grad))
+        if not ok.any():
+            cands = decoder._ball_project(z - (_HALVINGS / (1.0 + np.linalg.norm(grad)))[:, None] * grad, radius)
+            R = op.apply_batch(cands @ B.T) - y
+            ok = np.real(np.sum(R * R.conj(), axis=1)) < (1 - decoder._F_RTOL) * fz
+        if not ok.any():
+            return z, fz, iters, pg <= decoder._PG_RTOL * np.linalg.norm(Jr) * np.linalg.norm(Rr)
+        k = int(np.argmax(ok))
+        z, r = cands[k], R[k]
+    return z, float(np.real(np.vdot(r, r))), iters, False
 
 
 def random_small_instance(seed):
@@ -116,11 +144,11 @@ class TestDecodeLinear:
 
 
 class TestDecodeNonlinear:
-    def test_warm_start_recovers_truth(self):
+    def test_cold_starts_recover_truth(self):
         model = UnionOfSubspaces.axes(2, 1.0)
         op = RandomFourierOperator.from_seed(64, 2, 1.0, 3)
         x0 = np.array([0.6, 0.0])
-        res = decode_nonlinear(op, model, op.apply(x0), warm_start=x0, rng_seed=0)
+        res = decode_nonlinear(op, model, op.apply(x0), rng_seed=0)
         assert res.residual <= 1e-8
         assert res.converged
 
@@ -139,6 +167,9 @@ class TestDecodeNonlinear:
         op = RandomFourierOperator.from_seed(32, 2, 1.0, 8)
         res = decode_nonlinear(op, model, op.apply(np.zeros(2)), rng_seed=1)
         assert KERNEL.dist(np.zeros(2), res.xhat) <= 1e-8
+        # both starts of each subspace sit at the minimum, so every start stops in the first round
+        res = decode_nonlinear(op, model, op.apply(np.zeros(2)), opts=DecoderOptions(restarts=2), rng_seed=1)
+        assert res.converged and res.optimizer_iters == 4 and res.residual == 0.0
 
     def test_feasibility_invariants(self):
         model = UnionOfSubspaces.random(4, 2, 3, 0.8, 2)
@@ -191,12 +222,75 @@ class TestDecodeNonlinear:
         op = RandomFourierOperator.from_seed(48, 4, 1.0, 5)
         B, y = model.bases[1], op.apply(np.random.default_rng(6).normal(size=4))
         z, direction = np.array([0.5, -0.4]), np.array([3.0, 1.0])
-        cands, R, F = _line_search(op, B, y, z, direction, _HALVINGS, 0.8)
-        for alpha, c, r, f in zip(_HALVINGS, cands, R, F):
+        cands, P, F = _line_search(op, np.stack(model.bases), y, np.array([1]), z[None], direction[None],
+                                   _HALVINGS, 0.8)
+        for alpha, c, r, f in zip(_HALVINGS, cands[0], P[0] - y, F[0]):
             step = z + alpha * direction
             assert np.allclose(c, step * min(1.0, 0.8 / np.linalg.norm(step)), rtol=1e-15, atol=0)
             assert np.allclose(r, op.apply(B @ c) - y, rtol=1e-12, atol=1e-15)
             assert f == pytest.approx(np.linalg.norm(op.apply(B @ c) - y) ** 2, rel=1e-12)
+
+    def test_lazy_search_takes_the_step_of_all_halvings_at_once(self):
+        # reference: every halving of the step in one batch, the first passing the Armijo test wins,
+        # and with none passing the same along -grad from 1/(1 + ||grad||) with plain decrease
+        seen = {"full": 0, "halved": 0, "gradient": 0, "none": 0}
+        for seed in range(30):
+            model, op, y = random_fourier_instance(seed)
+            rng = np.random.default_rng(seed)
+            bases, s, M = np.stack(model.bases), model.subspace_dim, model.norm_bound
+            n = 6
+            sub = rng.integers(model.num_subspaces, size=n)
+            z = decoder._ball_project(rng.normal(size=(n, s)) * M, M)
+            # grad at z and a direction that may be good, too long, uphill or zero
+            P, f = decoder._evaluate(op, bases, y, sub, z)
+            grad = np.array([2.0 * np.real(np.conj(jacobian(op, bases[i] @ zk) @ bases[i]).T @ (p - y))
+                             for i, zk, p in zip(sub, z, P)])
+            step = -grad * np.array([0.1, 10.0, 1e3, -1.0, 0.0, 1.0])[:, None]
+            if seed % 3 == 0:  # a stationary start: no step size makes progress
+                z[-1], f[-1], grad[-1], step[-1] = z[0], 0.0, grad[0], step[0]
+            found, Zn, _, Fn = decoder._lazy_search(op, bases, y, sub, z, f, grad, step, M)
+            for k in range(n):
+                c, _, F = _line_search(op, bases, y, sub[k:k + 1], z[k:k + 1], step[k:k + 1], _HALVINGS, M)
+                ok = (F[0] < (1 - decoder._F_RTOL) * f[k]) & (F[0] <= f[k] + 1e-4 * ((c[0] - z[k]) @ grad[k]))
+                kind = "full" if ok[0] else "halved"
+                if not ok.any():
+                    alphas = _HALVINGS / (1.0 + np.linalg.norm(grad[k]))
+                    c, _, F = _line_search(op, bases, y, sub[k:k + 1], z[k:k + 1], -grad[k:k + 1], alphas, M)
+                    ok = F[0] < (1 - decoder._F_RTOL) * f[k]
+                    kind = "gradient" if ok.any() else "none"
+                seen[kind] += 1
+                assert found[k] == ok.any()
+                if found[k]:
+                    j = int(np.argmax(ok))
+                    assert np.array_equal(Zn[k], c[0, j]) and Fn[k] == F[0, j]
+        assert min(seen.values()) > 0, seen
+
+    def test_lockstep_starts_match_the_per_start_reference(self):
+        # the batched SVD and the restricted-map Jacobian round differently from lstsq and jacobian
+        for seed in range(8):
+            model, op, y = random_fourier_instance(seed)
+            rng = np.random.default_rng(seed)
+            sub = np.repeat(np.arange(model.num_subspaces), 3)
+            Z0 = rng.normal(size=(len(sub), model.subspace_dim))
+            Z, F, _, converged = decoder._gauss_newton(op, model, y, sub, Z0, 500)
+            for k, i in enumerate(sub):
+                z, f, _, conv = per_start_gauss_newton(op, model.bases[i], y, Z0[k], model.norm_bound, 500)
+                assert converged[k] == conv
+                assert F[k] == pytest.approx(f, rel=1e-12, abs=1e-15)
+                assert np.allclose(Z[k], z, rtol=0, atol=1e-6)
+
+    def test_start_runs_bitwise_the_same_alone_and_in_the_batch(self):
+        for seed, max_iters in ((0, 500), (1, 500), (2, 3), (3, 500)):
+            model, op, y = random_fourier_instance(seed)
+            rng = np.random.default_rng(seed)
+            n = 4 * model.num_subspaces
+            sub = np.repeat(np.arange(model.num_subspaces), 4)
+            Z0 = rng.normal(size=(n, model.subspace_dim))
+            batch = decoder._gauss_newton(op, model, y, sub, Z0, max_iters)
+            for k in range(n):
+                alone = decoder._gauss_newton(op, model, y, sub[k:k + 1], Z0[k:k + 1], max_iters)
+                for whole, one in zip(batch, alone):
+                    assert np.array_equal(whole[k], one[0])
 
     def test_monotone_in_restarts(self):
         model = UnionOfSubspaces.random(3, 1, 2, 1.0, 7)
@@ -215,11 +309,12 @@ class TestDecodeNonlinear:
         op = RandomFourierOperator.from_seed(12, 3, 1.0, 9)
         starts = []
 
-        def fake(op, B, y, z0, radius, max_iters):
-            starts.append(np.array(z0, dtype=float))
-            return starts[-1], 0.01 - step * len(starts), 1, True
+        def fake(op, model, y, sub, Z0, max_iters):
+            starts.extend(np.array(Z0, dtype=float))
+            n = len(starts)
+            return np.array(starts), 0.01 - step * np.arange(1, n + 1), np.ones(n, dtype=int), np.ones(n, dtype=bool)
 
-        monkeypatch.setattr(decoder, "_gauss_newton_subspace", fake)
+        monkeypatch.setattr(decoder, "_gauss_newton", fake)
         res = decode_nonlinear(op, model, op.apply(np.zeros(3)) + 0.1, opts=DecoderOptions(restarts=4))
         assert len(starts) == 8
         assert res.subspace_index == winner // 4
@@ -247,7 +342,7 @@ class TestResidualCertificate:
         y = op.apply(np.array([0.4, 0.0])) + 0.05
         res = decode_nonlinear(op, model, y, rng_seed=0)
         gap = residual_certificate(res, op, model, y, GridOracleOptions(True, 1e-3))
-        assert gap >= -1e-2  # grid lower bound can only underestimate mildly
+        assert gap >= 0  # the branch-and-bound lower bound never exceeds the achieved residual
 
     def test_unconverged_reports_infinity(self):
         res = DecodeResult(
@@ -321,7 +416,7 @@ class TestCertifiedMinimum:
         converged = 0
         for seed in range(20):
             model, op, y = random_fourier_instance(seed)
-            res, gap = decode(op, model, y, DecoderOptions(restarts=3), seed, KERNEL)
+            res, gap = decode(op, model, y, DecoderOptions(restarts=3), seed)
             if res.converged:
                 converged += 1
                 assert 0.0 <= gap <= res.residual
@@ -332,7 +427,7 @@ class TestDecode:
     def test_linear_gap_is_zero_and_matches_resolve(self):
         for seed in range(40):
             model, op, y = random_small_instance(seed)
-            res, gap = decode(op, model, y, DecoderOptions(), 0, EUCLID)
+            res, gap = decode(op, model, y, DecoderOptions(), 0)
             ref = decode_linear(op, model, y)
             assert gap == 0.0
             assert residual_certificate(res, op, model, y) == gap
@@ -343,8 +438,8 @@ class TestDecode:
         op = RandomFourierOperator.from_seed(16, 2, 1.0, 5)
         y = op.apply(np.array([0.0, -0.3])) + 0.02
         opts = DecoderOptions(restarts=3, grid_oracle=GridOracleOptions(True, 1e-2))
-        res, gap = decode(op, model, y, opts, 7, KERNEL)
-        ref = decode_nonlinear(op, model, y, opts=opts, rng_seed=7, metric=KERNEL)
+        res, gap = decode(op, model, y, opts, 7)
+        ref = decode_nonlinear(op, model, y, opts=opts, rng_seed=7)
         assert np.array_equal(res.xhat, ref.xhat)
         assert gap == residual_certificate(ref, op, model, y, opts.grid_oracle)
 
