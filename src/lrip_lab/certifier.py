@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seeding
-from .decoder import DecoderOptions, decode, noise_vector
+from .decoder import DecoderOptions, decode, decode_linear, noise_vector
 from .errors import InputError
 from .models import (
     CoveringBound,
@@ -41,7 +41,7 @@ from .models import (
     sample_near_points,
 )
 from .operators import LinearGaussianOperator, NonlinearLripHypotheses
-from .spaces import Pseudometric, meas_norm
+from .spaces import Pseudometric
 
 MODE_UNIFORM = "Uniform"
 MODE_ANCHORED = "NonUniformAnchor"
@@ -394,6 +394,21 @@ class IopWitness:
         }
 
 
+_IOP_CHUNK = 64  # trials drawn, decoded and checked together; bounds the working arrays
+
+
+def _decode_rows(op, model: UnionOfSubspaces, Y, opts: DecoderOptions, seeds):
+    """DecodeResults and residual-certificate gaps of the measurement rows Y.
+
+    The linear map decodes all rows in one decode_linear call, with gap 0;
+    the Fourier map decodes each row through ``decode`` with its own seed.
+    """
+    if isinstance(op, LinearGaussianOperator):
+        return decode_linear(op, model, Y), np.zeros(len(Y))
+    decoded = [decode(op, model, y, opts, seed) for y, seed in zip(Y, seeds)]
+    return [result for result, _ in decoded], np.array([gap for _, gap in decoded])
+
+
 def check_iop_inequality(
     op,
     model: UnionOfSubspaces,
@@ -422,31 +437,57 @@ def check_iop_inequality(
     projection only).  lambda_eff augments lambda by the decoder's residual
     certificate; a decoder that failed to converge marks the trial
     unsatisfied with a reason rather than raising.
+
+    Trials run _IOP_CHUNK at a time, in three phases:
+
+    * draw: trial k draws from its own stream (rng_seed, 2, k), in the order
+      model point, perturbation, noise, decoder seed, candidates;
+    * decode: the linear map decodes the chunk's measurements in one
+      decode_linear call, the Fourier map each with the trial's seed;
+    * check: decode distances, projections and d' over all rows of the
+      chunk, with one from_gap and one gap_batch for d'.
+
+    A trial's record depends only on its stream, not on the trial count or
+    on the chunking.
     """
     if min(A, B, lam) < 0:
         raise InputError("A, B, lambda must be nonnegative")
+    if trials < 1:
+        raise InputError(f"trials must be >= 1, got {trials}")
+    if noise_scale < 0 or model_error_scale < 0:
+        raise InputError("noise_scale and model_error_scale must be nonnegative")
+    if uniform_candidates < 0:
+        raise InputError(f"uniform_candidates must be >= 0, got {uniform_candidates}")
     decoder_opts = decoder_opts or DecoderOptions()
+    d, c = model.dim, uniform_candidates
     out = []
-    for k in range(trials):
-        rng = seeding.generator(rng_seed, 2, k)
-        x0 = sample_model_points(model, 1, rng)[0]
-        xstar = x0 + rng.normal(size=model.dim) * (model_error_scale / math.sqrt(model.dim))
-        y = op.apply(xstar) + noise_vector(op, noise_scale, rng)
-        result, gap = decode(op, model, y, decoder_opts, int(rng.integers(2**31)))
-        decode_dist = metric.dist(xstar, result.xhat)
+    for first in range(0, trials, _IOP_CHUNK):
+        ks = range(first, min(first + _IOP_CHUNK, trials))
+        xstar, Y = np.empty((len(ks), d)), np.empty((len(ks), op.m), dtype=complex)
+        cands, seeds = np.empty((len(ks), 1 + c, d)), []
+        for j, k in enumerate(ks):
+            rng = seeding.generator(rng_seed, 2, k)
+            x0 = sample_model_points(model, 1, rng)[0]
+            xstar[j] = x0 + rng.normal(size=d) * (model_error_scale / math.sqrt(d))
+            Y[j] = op.apply(xstar[j]) + noise_vector(op, noise_scale, rng)
+            seeds.append(int(rng.integers(2**31)))
+            if c:
+                cands[j, 1:] = sample_model_points(model, c, rng)
 
-        cands = project_to_model(model, xstar, metric)[None, :]
-        if uniform_candidates:
-            cands = np.vstack([cands, sample_model_points(model, uniform_candidates, rng)])
-        dprime = float(np.min(metric.dist_batch(cands, xstar) + B * op.gap_batch(xstar - cands)))
+        results, cert_gaps = _decode_rows(op, model, Y, decoder_opts, seeds)
 
-        lam_eff = lam + gap
-        if not result.converged:
-            out.append(IopTrial(xstar, noise_scale, decode_dist, dprime, np.inf, False,
-                                reason="decoder did not converge"))
-            continue
-        satisfied = decode_dist <= A * dprime + B * noise_scale + lam_eff
-        out.append(IopTrial(xstar, noise_scale, decode_dist, dprime, lam_eff, bool(satisfied)))
+        decode_dist = metric.dist_pairs(xstar, np.array([r.xhat for r in results]))
+        cands[:, 0] = project_to_model(model, xstar, metric)
+        D = (xstar[:, None, :] - cands).reshape(-1, d)
+        # a lone row goes in twice: numpy sends one row to a matrix-vector kernel that rounds differently
+        meas_gaps = op.gap_batch(np.vstack([D, D]) if len(D) == 1 else D)[:len(D)]
+        dprime = np.min((metric.from_gap(np.linalg.norm(D, axis=1)) + B * meas_gaps).reshape(-1, 1 + c), axis=1)
+        for j, result in enumerate(results):
+            ok = result.converged
+            lam_eff = lam + float(cert_gaps[j]) if ok else np.inf
+            satisfied = ok and decode_dist[j] <= A * dprime[j] + B * noise_scale + lam_eff
+            out.append(IopTrial(xstar[j], noise_scale, float(decode_dist[j]), float(dprime[j]), lam_eff,
+                                bool(satisfied), reason="" if ok else "decoder did not converge"))
     return IopWitness(
         A=A, B=B, lam=lam, trials=tuple(out),
         mode="uniform" if uniform_candidates else "non-uniform",
@@ -470,10 +511,12 @@ def lrip_from_iop_witness(
     realizes the reduction from instance optimality to the LRIP with
     constant alpha = B and slack eta = 2 lambda; every pair is then checked
     against d(x, x') <= B ||Psi x - Psi x'|| + 2 lambda_eff, with lambda_eff
-    augmented by the decoder's residual certificate.  A pair whose decode did
-    not converge has no finite lambda_eff and is not checked:
-    strata["unconverged"] counts those pairs, pairs_tested the others, and
-    with none checked alpha_hat is 0.0 and worst_pair is None.
+    augmented by the decoder's residual certificate.  The linear map decodes
+    all pairs in one decode_linear call, the Fourier map each pair with its
+    own seed.  A pair whose decode did not converge has no finite lambda_eff
+    and is not checked: strata["unconverged"] counts those pairs,
+    pairs_tested the others, and with none checked alpha_hat is 0.0 and
+    worst_pair is None.
     """
     if pairs < 1:
         raise InputError(f"pairs must be >= 1, got {pairs}")
@@ -481,39 +524,30 @@ def lrip_from_iop_witness(
     rng = seeding.generator(rng_seed, 3)
     X = sample_model_points(model, pairs, rng)
     X2 = sample_model_points(model, pairs, rng)
+    seeds = None if isinstance(op, LinearGaussianOperator) else [int(rng.integers(2**31)) for _ in range(pairs)]
+    Y = op.apply_batch(X2)
+    results, gaps = _decode_rows(op, model, Y, decoder_opts, seeds)
 
-    worst_ratio, worst_idx = 0.0, None
-    violation_count = 0
-    violating = None
-    tested = 0
-    for k in range(pairs):
-        y = op.apply(X2[k])
-        result, gap = decode(op, model, y, decoder_opts, int(rng.integers(2**31)))
-        if not result.converged:
-            continue
-        tested += 1
-        eta_eff = 2.0 * (lam + gap)
-        d = metric.dist(X[k], X2[k])
-        psn = meas_norm(op.apply(X[k]) - y)
-        if d > B * psn + eta_eff + 1e-12:
-            violation_count += 1
-            if violating is None:
-                violating = (X[k].copy(), X2[k].copy())
-        numer = max(d - eta_eff, 0.0)
-        ratio = np.inf if (psn == 0 and numer > 0) else (numer / psn if psn > 0 else 0.0)
-        if worst_idx is None or ratio > worst_ratio:
-            worst_ratio, worst_idx = ratio, k
-
+    tested = np.flatnonzero([r.converged for r in results])
+    Xt, X2t = X[tested], X2[tested]
+    eta_eff = 2.0 * (lam + gaps[tested])
+    d = metric.dist_pairs(Xt, X2t)
+    psn = op.gap_batch(Xt - X2t)
+    violating = tested[d > B * psn + eta_eff + 1e-12]
+    numer = np.maximum(d - eta_eff, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(psn > 0, numer / psn, np.where(numer > 0, np.inf, 0.0))
+    worst = int(tested[np.argmax(ratios)]) if len(tested) else None
     return LripEstimate(
-        alpha_hat=float(worst_ratio),
+        alpha_hat=float(ratios.max(initial=0.0)),
         eta=2.0 * lam,
-        pairs_tested=tested,
-        worst_pair=None if worst_idx is None else (X[worst_idx].copy(), X2[worst_idx].copy()),
+        pairs_tested=len(tested),
+        worst_pair=None if worst is None else (X[worst].copy(), X2[worst].copy()),
         mode=MODE_FROM_IOP,
-        strata={"far": pairs, "unconverged": pairs - tested},
+        strata={"far": pairs, "unconverged": pairs - len(tested)},
         seed=rng_seed,
-        violation_count=violation_count,
-        violating_pair=violating,
+        violation_count=len(violating),
+        violating_pair=(X[violating[0]].copy(), X2[violating[0]].copy()) if len(violating) else None,
     )
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import seeding
 from .errors import InputError
-from .models import UnionOfSubspaces, _uniform_ball_coeffs
+from .models import UnionOfSubspaces, _row_products, _uniform_ball_coeffs
 from .operators import LinearGaussianOperator, RandomFourierOperator, jacobian
 from .spaces import meas_norm
 
@@ -104,89 +104,114 @@ class DecodeResult:
         }
 
 
-def _as_real_measurement(y, m: int) -> np.ndarray:
+def _as_real_measurements(y, m: int) -> np.ndarray:
+    """y of shape (m,) or (n, m) as real measurement rows, shape (n, m)."""
     y = np.asarray(y)
-    if y.shape != (m,):
-        raise InputError(f"y has shape {y.shape}, expected ({m},)")
+    if y.ndim not in (1, 2) or y.shape[-1] != m:
+        raise InputError(f"y has shape {y.shape}, expected ({m},) or (n, {m})")
     if np.iscomplexobj(y):
-        if np.max(np.abs(y.imag)) > 1e-12:
+        if y.size and np.max(np.abs(y.imag)) > 1e-12:
             raise InputError("linear decoding expects a real measurement vector")
         y = y.real
-    return np.asarray(y, dtype=float)
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    if not np.all(np.isfinite(y)):
+        raise InputError("measurement vector has non-finite entries")
+    return y
 
 
-def _constrained_ls(G: np.ndarray, y: np.ndarray, radius: float, tol: float = 1e-10) -> np.ndarray:
-    """min ||G z - y|| subject to ||z|| <= radius.
+def _secular_bisection(S, beta, Vt, radius: float, tol: float) -> np.ndarray:
+    """The point of norm radius on the Tikhonov path of each row, by bisection on the secular equation.
 
-    Unconstrained minimum-norm solution when it is feasible; otherwise the
-    norm-equality solution on the Tikhonov path z(mu) = (G'G + mu I)^{-1} G'y,
-    located by bisection on the secular equation ||z(mu)|| = radius.
+    Row k has singular values S[k], coefficients beta[k] = U'y and right
+    singular vectors Vt[k]; its path is z(mu) = V diag(S / (S^2 + mu)) beta,
+    and mu is bisected until ||z(mu)|| is within tol of radius, at most 200
+    steps.  Rows advance together, and a row leaves once it is done.
+    """
+    num, S2 = S * beta, S**2
+
+    def norm_at(mu, rows):
+        return np.linalg.norm(num[rows] / (S2[rows] + mu[:, None]), axis=1)
+
+    lo, hi = np.zeros(len(S)), np.maximum(S2[:, 0], 1.0)
+    grow = np.flatnonzero(norm_at(hi, slice(None)) > radius)
+    while len(grow):
+        hi[grow] *= 2.0
+        grow = grow[hi[grow] <= 1e300]
+        grow = grow[norm_at(hi[grow], grow) > radius]
+    mu, active = np.empty(len(S)), np.arange(len(S))
+    for _ in range(200):
+        if not len(active):
+            break
+        mid = 0.5 * (lo[active] + hi[active])
+        norms = norm_at(mid, active)
+        done = np.abs(norms - radius) <= tol
+        mu[active[done]] = mid[done]
+        active, mid, above = active[~done], mid[~done], norms[~done] > radius
+        lo[active[above]] = mid[above]
+        hi[active[~above]] = mid[~above]
+    mu[active] = 0.5 * (lo[active] + hi[active])
+    Z = _row_products(num / (S2 + mu[:, None]), Vt)
+    nrm = np.linalg.norm(Z, axis=1)
+    over = nrm > radius
+    Z[over] *= (radius / nrm[over])[:, None]
+    return Z
+
+
+def _constrained_ls(G: np.ndarray, Y: np.ndarray, radius: float, tol: float = 1e-10) -> np.ndarray:
+    """min ||G_i z - y|| subject to ||z|| <= radius, for each matrix G_i of the stack G and each row y of Y.
+
+    One SVD per G_i serves every row.  A row takes the unconstrained
+    minimum-norm solution when it is feasible, and otherwise the
+    norm-equality solution on the Tikhonov path
+    z(mu) = (G'G + mu I)^{-1} G'y, from one bisection run on all such
+    (i, row) pairs at once (_secular_bisection).  Returns Z with
+    Z[i, k] the solution for G_i and Y[k].
     """
     U, svals, Vt = np.linalg.svd(G, full_matrices=False)
-    beta = U.T @ y
-    rank = svals > svals[0] * 1e-14 if svals.size and svals[0] > 0 else np.zeros_like(svals, bool)
+    beta = _row_products(Y[None], U[:, None])
+    top = svals[:, :1]
+    rank = (svals > top * 1e-14) & (top > 0)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        coeffs = np.where(rank, beta / svals, 0.0)
-    z = Vt.T @ coeffs
-    if np.linalg.norm(z) <= radius:
-        return z
-
-    def norm_at(mu: float) -> float:
-        c = svals * beta / (svals**2 + mu)
-        return float(np.linalg.norm(c))
-
-    lo, hi = 0.0, max(svals[0] ** 2, 1.0)
-    while norm_at(hi) > radius:
-        hi *= 2.0
-        if hi > 1e300:
-            break
-    mu = hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        n = norm_at(mid)
-        if abs(n - radius) <= tol:
-            mu = mid
-            break
-        if n > radius:
-            lo = mid
-        else:
-            hi = mid
-    else:
-        mu = 0.5 * (lo + hi)
-    z = Vt.T @ (svals * beta / (svals**2 + mu))
-    nrm = np.linalg.norm(z)
-    if nrm > radius:
-        z *= radius / nrm
-    return z
+        coeffs = np.where(rank[:, None], beta / svals[:, None], 0.0)
+    Z = _row_products(coeffs, Vt[:, None])
+    sub, row = np.nonzero(np.linalg.norm(Z, axis=2) > radius)
+    if len(sub):
+        Z[sub, row] = _secular_bisection(svals[sub], beta[sub, row], Vt[sub], radius, tol)
+    return Z
 
 
-def decode_linear(op: LinearGaussianOperator, model: UnionOfSubspaces, y) -> DecodeResult:
+def decode_linear(op: LinearGaussianOperator, model: UnionOfSubspaces, y):
     """Exact decoder for a linear operator over a union of subspaces.
 
-    Solves min_z ||A B_i z - y|| with ||z|| <= M per subspace and keeps the
-    best subspace.  Rank-deficient A B_i falls back to the minimum-norm
-    solution; the ball constraint is handled on the regularization path.
+    y is one measurement of shape (m,), which gives one DecodeResult, or a
+    batch of shape (n, m), which gives a list with one DecodeResult per row;
+    a complex y must have zero imaginary part.  For each subspace, one SVD
+    of A B_i serves every row: min_z ||A B_i z - y|| with ||z|| <= M is the
+    minimum-norm least-squares solution when that lies in the ball (which
+    also covers a rank-deficient A B_i), and otherwise a point of the
+    regularization path found by one bisection for all rows and subspaces
+    outside the ball (_constrained_ls).  Each row keeps its best subspace,
+    ties to the lowest index.  Every row goes through its own vector-matrix
+    products, so its result does not depend on the rows decoded with it.
     """
     if op.dim != model.dim:
         raise InputError(f"operator dimension {op.dim} does not match model dimension {model.dim}")
-    y = _as_real_measurement(y, op.m)
-    best = None
-    for i, B in enumerate(model.bases):
-        z = _constrained_ls(op.matrix @ B, y, model.norm_bound)
-        x = B @ z
-        res = float(np.linalg.norm(op.matrix @ x - y))
-        if best is None or res < best[0]:
-            best = (res, i, x)
-    res, i, x = best
-    return DecodeResult(
-        xhat=x,
-        residual=float(meas_norm(op.apply(x) - y.astype(complex))),
-        subspace_index=i,
-        optimizer_iters=0,
-        restarts_used=1,
-        converged=True,
-    )
+    Y = _as_real_measurements(y, op.m)
+    bases = np.stack(model.bases)
+    Z = _constrained_ls(op.matrix @ bases, Y, model.norm_bound)
+    X = _row_products(Z, np.swapaxes(bases, 1, 2)[:, None])
+    R = np.linalg.norm(_row_products(X, op.matrix.T) - Y, axis=2)
+    # argmin keeps the first minimum, so ties go to the lowest index
+    best = np.argmin(R, axis=0)
+    rows = np.arange(len(Y))
+    xhat, residual = X[best, rows], R[best, rows]
+    results = [
+        DecodeResult(xhat=xhat[k], residual=float(residual[k]), subspace_index=int(best[k]),
+                     optimizer_iters=0, restarts_used=1, converged=True)
+        for k in rows
+    ]
+    return results if np.ndim(y) == 2 else results[0]
 
 
 def _ball_project(z: np.ndarray, radius: float) -> np.ndarray:

@@ -193,34 +193,48 @@ def sample_model_points(model: UnionOfSubspaces, n: int, rng_seed) -> np.ndarray
     idx = rng.integers(model.num_subspaces, size=n)
     Z = _uniform_ball_coeffs(rng, n, model.subspace_dim, model.norm_bound)
     pts = np.empty((n, model.dim))
-    for i in range(model.num_subspaces):
+    for i in np.flatnonzero(np.bincount(idx, minlength=model.num_subspaces)):  # the subspaces drawn
         sel = idx == i
         pts[sel] = Z[sel] @ model.bases[i].T
     return pts
 
 
+def _row_products(X, M) -> np.ndarray:
+    """Each row of X (its last axis) times the matrix M, as its own vector-matrix product.
+
+    M is one matrix or a stack that broadcasts against the rows of X.  A
+    plain X @ M sends a one-row X to a matrix-vector kernel that rounds
+    differently from the matrix product, so a row's value would depend on
+    the rows batched with it.  A stacked product runs every row through the
+    same kernel.
+    """
+    return np.matmul(X[..., None, :], M)[..., 0, :]
+
+
 def project_to_model(model: UnionOfSubspaces, x, metric: Pseudometric) -> np.ndarray:
-    """Metric projection onto the model.
+    """Metric projection onto the model, of one point x of shape (d,) or of each row of x, shape (n, d).
 
     Per subspace, the orthogonal projection clipped to the ball minimizes the
     Euclidean distance, and both implemented metrics are monotone in it, so
     the per-subspace candidate is metric-optimal; the best subspace wins and
-    ties break to the lowest index.
+    ties break to the lowest index.  A row's projection does not depend on
+    the rows projected with it.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (model.dim,):
-        raise InputError(f"x has shape {x.shape}, expected ({model.dim},)")
-    best = None
-    best_dist = np.inf
-    for B in model.bases:
-        p = B @ (B.T @ x)
-        nrm = np.linalg.norm(p)
-        if nrm > model.norm_bound:
-            p = p * (model.norm_bound / nrm)
-        dist = metric.dist(x, p)
-        if dist < best_dist:
-            best, best_dist = p, dist
-    return best
+    if x.ndim not in (1, 2) or x.shape[-1] != model.dim:
+        raise InputError(f"x has shape {x.shape}, expected ({model.dim},) or (n, {model.dim})")
+    if not np.all(np.isfinite(x)):
+        raise InputError("x has non-finite entries")
+    X = np.atleast_2d(x)
+    bases = np.stack(model.bases)[:, None]
+    P = _row_products(_row_products(X, bases), np.swapaxes(bases, 2, 3))
+    norms = np.linalg.norm(P, axis=2)
+    over = norms > model.norm_bound
+    P[over] *= (model.norm_bound / norms[over])[:, None]
+    # argmin keeps the first minimum, so ties go to the lowest index
+    best = np.argmin(metric.from_gap(np.linalg.norm(X - P, axis=2)), axis=0)
+    proj = P[best, np.arange(len(X))]
+    return proj if x.ndim == 2 else proj[0]
 
 
 _NEAR_PER_RADIUS = 64  # misses at one proposal radius before it shrinks by 0.7

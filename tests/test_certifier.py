@@ -34,13 +34,13 @@ KERNEL = Pseudometric("gaussian-kernel", 1.0)
 
 
 def count_decode_linear(monkeypatch) -> list:
-    """Count decode_linear calls through every lrip_lab namespace that holds it."""
+    """The rows decoded by each decode_linear call, through every lrip_lab namespace that holds it."""
     original = decoder.decode_linear
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(op, model, y):
+        calls.append(len(np.atleast_2d(y)))
+        return original(op, model, y)
 
     for mod in (lrip_lab, decoder, certifier, harness):
         if getattr(mod, "decode_linear", None) is original:
@@ -235,7 +235,7 @@ class TestCheckIop:
                                        trials=25, noise_scale=0.1, model_error_scale=0.3,
                                        rng_seed=24)
         assert len(witness.trials) == 25
-        assert len(calls) == 25
+        assert sum(calls) == 25  # each trial decoded exactly once
 
     def test_fourier_lambda_eff_adds_the_unclipped_gap(self, monkeypatch):
         gaps = []
@@ -264,6 +264,54 @@ class TestCheckIop:
                                  trials=1, noise_scale=0.0, model_error_scale=0.0,
                                  rng_seed=0)
 
+    @pytest.mark.parametrize("bad", [
+        {"trials": 0},
+        {"noise_scale": -0.1},
+        {"model_error_scale": -0.3},
+        {"uniform_candidates": -1},
+    ], ids=["zero-trials", "negative-noise", "negative-model-error", "negative-candidates"])
+    def test_bad_inputs_rejected(self, bad):
+        model = UnionOfSubspaces.axes(2, 1.0)
+        op = LinearGaussianOperator.from_matrix(np.eye(2))
+        kwargs = {"trials": 3, "noise_scale": 0.1, "model_error_scale": 0.3, "uniform_candidates": 4, **bad}
+        with pytest.raises(InputError):
+            check_iop_inequality(op, model, EUCLID, None, A=1.0, B=2.0, lam=0.0, rng_seed=0, **kwargs)
+
+
+def trial_bits(trial) -> tuple:
+    """An IopTrial as exact bits, so two records compare equal only when identical."""
+    return (trial.x_true.tobytes(), float(trial.noise_norm).hex(), float(trial.decode_dist).hex(),
+            float(trial.model_dist).hex(), float(trial.lambda_eff).hex(), trial.satisfied, trial.reason)
+
+
+IOP_INSTANCES = {
+    "linear": (lambda: UnionOfSubspaces.random(3, 1, 3, 1.0, 21), lambda: LinearGaussianOperator.from_seed(3, 3, 22),
+               EUCLID, None),
+    "fourier": (lambda: UnionOfSubspaces.random(3, 1, 2, 1.0, 2), lambda: RandomFourierOperator.from_seed(16, 3, 1.0, 5),
+                KERNEL, DecoderOptions(restarts=2, grid_oracle=GridOracleOptions(True, 1e-2))),
+}
+
+
+class TestIopBatchInvariance:
+    """A trial's record depends on its own stream only, not on how many trials run or how they are chunked."""
+
+    @staticmethod
+    def witness(name, trials, candidates=64):
+        model, op, metric, opts = IOP_INSTANCES[name]
+        return check_iop_inequality(op(), model(), metric, opts, A=1.0, B=2.0, lam=0.0, trials=trials,
+                                    noise_scale=0.1, model_error_scale=0.3, rng_seed=31,
+                                    uniform_candidates=candidates)
+
+    @pytest.mark.parametrize("candidates", [0, 64])
+    @pytest.mark.parametrize("name", list(IOP_INSTANCES))
+    def test_first_trials_match_a_shorter_run(self, name, candidates, monkeypatch):
+        full = [trial_bits(t) for t in self.witness(name, 25, candidates).trials]
+        for k in (1, 2, 7):
+            assert [trial_bits(t) for t in self.witness(name, k, candidates).trials] == full[:k]
+        monkeypatch.setattr(certifier, "_IOP_CHUNK", 3)
+        assert [trial_bits(t) for t in self.witness(name, 25, candidates).trials] == full
+        assert [trial_bits(t) for t in self.witness(name, 1, candidates).trials] == full[:1]
+
 
 class TestLripFromIopWitness:
     def test_exact_linear_decoder_no_violations(self):
@@ -290,7 +338,7 @@ class TestLripFromIopWitness:
         model = UnionOfSubspaces.random(3, 1, 2, 1.0, 11)
         op = LinearGaussianOperator.from_seed(3, 3, 12)
         est = lrip_from_iop_witness(op, model, EUCLID, None, B=4.0, lam=0.0, pairs=30, rng_seed=14)
-        assert len(calls) == 30
+        assert sum(calls) == 30  # each pair decoded exactly once
         assert est.strata == {"far": 30, "unconverged": 0}
 
     def test_unconverged_pairs_are_counted(self):

@@ -127,6 +127,57 @@ class TestDecodeLinear:
         with pytest.raises(InputError):
             decode_linear(IDENTITY2, x_axis_model(), np.array([1j, 0.0]))
 
+    @pytest.mark.parametrize("shape", [(3,), (4, 3), (2, 2, 2)])
+    def test_rejects_wrong_shape(self, shape):
+        with pytest.raises(InputError):
+            decode_linear(IDENTITY2, x_axis_model(), np.zeros(shape))
+
+    @staticmethod
+    def batch_matching_rows(op, model, Y):
+        """decode_linear on the rows of Y, checked bit for bit against one call per row."""
+        batch = decode_linear(op, model, Y)
+        assert len(batch) == len(Y)
+        for res, y in zip(batch, Y):
+            one = decode_linear(op, model, y)
+            assert res.xhat.tobytes() == one.xhat.tobytes()
+            assert float(res.residual).hex() == float(one.residual).hex()
+            assert res.subspace_index == one.subspace_index
+        return batch
+
+    def test_batch_rows_match_single_rows(self):
+        rng = np.random.default_rng(3)
+        for seed in range(8):
+            d = int(rng.integers(2, 10))
+            model = UnionOfSubspaces.random(d, int(rng.integers(1, d + 1)), 3, 0.7, seed)
+            op = LinearGaussianOperator.from_seed(int(rng.integers(1, 12)), d, seed + 50)
+            # small rows are solved unconstrained, large ones by the ball bisection
+            Y = rng.normal(size=(30, op.m)) * np.geomspace(0.01, 20.0, 30)[:, None]
+            norms = [np.linalg.norm(r.xhat) for r in self.batch_matching_rows(op, model, Y)]
+            assert min(norms) < 0.7 - 1e-3
+            assert any(abs(n - 0.7) <= 1e-8 for n in norms)
+
+    def test_batch_rank_deficient(self):
+        # A collapses the second axis (G = 0 there) and spans one direction of the planes
+        rng = np.random.default_rng(4)
+        op = LinearGaussianOperator.from_matrix([[1.0, 0.0], [1.0, 0.0]])
+        Y = rng.normal(size=(12, 2)) * np.geomspace(0.1, 10.0, 12)[:, None]
+        self.batch_matching_rows(op, UnionOfSubspaces.axes(2, 1.0), Y)
+        u = rng.normal(size=(3, 1))
+        op = LinearGaussianOperator.from_matrix(u @ rng.normal(size=(1, 3)))
+        self.batch_matching_rows(op, UnionOfSubspaces.random(3, 2, 3, 0.5, 9), Y[:, :1] * u.T)
+
+    def test_batch_tie_goes_to_lowest_index(self):
+        # equidistant from both axes, inside and outside the ball
+        Y = np.array([[0.5, 0.5], [2.0, 2.0], [-0.3, 0.3], [0.0, 0.0]])
+        batch = self.batch_matching_rows(IDENTITY2, UnionOfSubspaces.axes(2, 1.0), Y)
+        assert [r.subspace_index for r in batch] == [0, 0, 0, 0]
+        assert np.array_equal(batch[0].xhat, [0.5, 0.0])
+
+    def test_batch_of_one_row(self):
+        model, op, y = random_small_instance(2)
+        (res,) = decode_linear(op, model, y[None, :])
+        assert res.xhat.tobytes() == decode_linear(op, model, y).xhat.tobytes()
+
     def test_matches_grid_oracle_on_random_instances(self):
         for seed in range(10):
             model, op, y = random_small_instance(seed)

@@ -286,6 +286,19 @@ class TestCli:
         path = self.write_config(tmp_path, cfg)
         assert main(["certify", "--config", path]) == 2
 
+    @pytest.mark.parametrize("bad", [{"trials": 0}, {"noise_scale": -0.1}, {"uniform_candidates": -1}],
+                             ids=["zero-trials", "negative-noise", "negative-candidates"])
+    def test_bad_iop_input_exit_code(self, tmp_path, bad):
+        cfg = base_config(
+            experiment="iop-experiment",
+            model={"d": 3, "s": 1, "N": 3, "M": 1.0, "seed": 21},
+            operator={"kind": "linear-gaussian", "m": 3, "seed": 22},
+            metric={"kind": "euclidean"},
+            certifier={"B": 2.0, "trials": 5, "noise_scale": 0.1, "model_error_scale": 0.3, **bad},
+        )
+        path = self.write_config(tmp_path, cfg)
+        assert main(["iop-experiment", "--config", path]) == 2
+
     def test_unwritable_output_exit_code(self, tmp_path):
         path = self.write_config(tmp_path, base_config())
         assert main(["recommend-m", "--config", path, "--out", "/dev/null/sub"]) == 4

@@ -109,6 +109,27 @@ class TestProjection:
         assert np.allclose(proj, [0.5, 0.0], atol=1e-14)
 
     @pytest.mark.parametrize("metric", [EUCLID, KERNEL], ids=["euclidean", "kernel"])
+    def test_rows_match_single_points(self, metric):
+        rng = np.random.default_rng(11)
+        # equidistant from both axes, then outside the ball, then random points
+        X = np.vstack([[0.5, 0.5], [2.0, 0.0], [3.0, -3.0], rng.normal(size=(20, 2)) * 1.5])
+        for model, rows in ((UnionOfSubspaces.axes(2, 1.0), X),
+                            (UnionOfSubspaces.random(9, 3, 4, 1.0, 5), rng.normal(size=(25, 9)))):
+            P = project_to_model(model, rows, metric)
+            assert P.shape == rows.shape
+            for x, p in zip(rows, P):
+                assert p.tobytes() == project_to_model(model, x, metric).tobytes()
+        P = project_to_model(UnionOfSubspaces.axes(2, 1.0), X[:3], metric)
+        assert np.array_equal(P[0], [0.5, 0.0])  # the tie goes to the lowest index
+        assert np.array_equal(P[1], [1.0, 0.0])  # clipped to the ball
+        assert P[2][1] == 0.0 and np.linalg.norm(P[2]) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 3), (2, 2, 2)])
+    def test_projection_rejects_wrong_shape(self, shape):
+        with pytest.raises(InputError):
+            project_to_model(UnionOfSubspaces.axes(2, 1.0), np.zeros(shape), EUCLID)
+
+    @pytest.mark.parametrize("metric", [EUCLID, KERNEL], ids=["euclidean", "kernel"])
     def test_matches_grid_oracle_on_small_instances(self, metric):
         rng = np.random.default_rng(7)
         for trial in range(10):
