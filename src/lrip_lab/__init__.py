@@ -8,18 +8,15 @@ constants, together with a batch CLI harness (``lrip-lab``).
 
 __version__ = "0.1.0"
 
-from .errors import ConfigError, InputError, LripLabError, NumericError, SamplingError
+from .errors import ConfigError, InputError, LripLabError, NumericError
 from .spaces import Pseudometric, kernel_norm_equivalence, meas_norm
 from .models import (
     CoveringBound,
-    SecantSample,
     UnionOfSubspaces,
     covering_bound_model,
     covering_bound_secant,
     greedy_cover,
     project_to_model,
-    sample_model_point,
-    sample_secant,
 )
 from .operators import (
     GammaMoments,
@@ -51,10 +48,9 @@ from .certifier import (
 
 __all__ = [
     "__version__",
-    "LripLabError", "InputError", "ConfigError", "SamplingError", "NumericError",
+    "LripLabError", "InputError", "ConfigError", "NumericError",
     "Pseudometric", "meas_norm", "kernel_norm_equivalence",
-    "UnionOfSubspaces", "SecantSample", "CoveringBound",
-    "sample_model_point", "project_to_model", "sample_secant",
+    "UnionOfSubspaces", "CoveringBound", "project_to_model",
     "covering_bound_model", "covering_bound_secant", "greedy_cover",
     "LinearGaussianOperator", "RandomFourierOperator", "GammaMoments",
     "NonlinearLripHypotheses", "weight_f", "sample_lambda", "hypothesis_constants",

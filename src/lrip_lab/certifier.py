@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seeding
-from .decoder import DecoderOptions, decode, decode_linear, noise_vector
+from .decoder import DecoderOptions, decode, noise_vector
 from .errors import InputError
 from .models import (
     CoveringBound,
@@ -397,18 +397,6 @@ class IopWitness:
 _IOP_CHUNK = 64  # trials drawn, decoded and checked together; bounds the working arrays
 
 
-def _decode_rows(op, model: UnionOfSubspaces, Y, opts: DecoderOptions, seeds):
-    """DecodeResults and residual-certificate gaps of the measurement rows Y.
-
-    The linear map decodes all rows in one decode_linear call, with gap 0;
-    the Fourier map decodes each row through ``decode`` with its own seed.
-    """
-    if isinstance(op, LinearGaussianOperator):
-        return decode_linear(op, model, Y), np.zeros(len(Y))
-    decoded = [decode(op, model, y, opts, seed) for y, seed in zip(Y, seeds)]
-    return [result for result, _ in decoded], np.array([gap for _, gap in decoded])
-
-
 def check_iop_inequality(
     op,
     model: UnionOfSubspaces,
@@ -442,7 +430,8 @@ def check_iop_inequality(
 
     * draw: trial k draws from its own stream (rng_seed, 2, k), in the order
       model point, perturbation, noise, decoder seed, candidates;
-    * decode: the linear map decodes the chunk's measurements in one
+    * decode: the chunk's signals are measured in one apply_batch, and
+      ``decode`` decodes the measurements, the linear map in one
       decode_linear call, the Fourier map each with the trial's seed;
     * check: decode distances, projections and d' over all rows of the
       chunk, with one from_gap and one gap_batch for d'.
@@ -463,24 +452,23 @@ def check_iop_inequality(
     out = []
     for first in range(0, trials, _IOP_CHUNK):
         ks = range(first, min(first + _IOP_CHUNK, trials))
-        xstar, Y = np.empty((len(ks), d)), np.empty((len(ks), op.m), dtype=complex)
+        xstar, noise = np.empty((len(ks), d)), np.empty((len(ks), op.m), dtype=complex)
         cands, seeds = np.empty((len(ks), 1 + c, d)), []
         for j, k in enumerate(ks):
             rng = seeding.generator(rng_seed, 2, k)
             x0 = sample_model_points(model, 1, rng)[0]
             xstar[j] = x0 + rng.normal(size=d) * (model_error_scale / math.sqrt(d))
-            Y[j] = op.apply(xstar[j]) + noise_vector(op, noise_scale, rng)
+            noise[j] = noise_vector(op, noise_scale, rng)
             seeds.append(int(rng.integers(2**31)))
             if c:
                 cands[j, 1:] = sample_model_points(model, c, rng)
 
-        results, cert_gaps = _decode_rows(op, model, Y, decoder_opts, seeds)
+        results, cert_gaps = decode(op, model, op.apply_batch(xstar) + noise, decoder_opts, seeds)
 
         decode_dist = metric.dist_pairs(xstar, np.array([r.xhat for r in results]))
         cands[:, 0] = project_to_model(model, xstar, metric)
         D = (xstar[:, None, :] - cands).reshape(-1, d)
-        # a lone row goes in twice: numpy sends one row to a matrix-vector kernel that rounds differently
-        meas_gaps = op.gap_batch(np.vstack([D, D]) if len(D) == 1 else D)[:len(D)]
+        meas_gaps = op.gap_batch(D)
         dprime = np.min((metric.from_gap(np.linalg.norm(D, axis=1)) + B * meas_gaps).reshape(-1, 1 + c), axis=1)
         for j, result in enumerate(results):
             ok = result.converged
@@ -525,8 +513,7 @@ def lrip_from_iop_witness(
     X = sample_model_points(model, pairs, rng)
     X2 = sample_model_points(model, pairs, rng)
     seeds = None if isinstance(op, LinearGaussianOperator) else [int(rng.integers(2**31)) for _ in range(pairs)]
-    Y = op.apply_batch(X2)
-    results, gaps = _decode_rows(op, model, Y, decoder_opts, seeds)
+    results, gaps = decode(op, model, op.apply_batch(X2), decoder_opts, seeds)
 
     tested = np.flatnonzero([r.converged for r in results])
     Xt, X2t = X[tested], X2[tested]

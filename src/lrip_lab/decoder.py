@@ -191,8 +191,10 @@ def decode_linear(op: LinearGaussianOperator, model: UnionOfSubspaces, y):
     minimum-norm least-squares solution when that lies in the ball (which
     also covers a rank-deficient A B_i), and otherwise a point of the
     regularization path found by one bisection for all rows and subspaces
-    outside the ball (_constrained_ls).  Each row keeps its best subspace,
-    ties to the lowest index.  Every row goes through its own vector-matrix
+    outside the ball (_constrained_ls).  Each row keeps its best subspace:
+    residuals within a factor 1 + 64 eps of the best count as tied, and a tie
+    goes to the lowest index, so rounding cannot pick the winner (as in
+    decode_nonlinear).  Every row goes through its own vector-matrix
     products, so its result does not depend on the rows decoded with it.
     """
     if op.dim != model.dim:
@@ -202,8 +204,8 @@ def decode_linear(op: LinearGaussianOperator, model: UnionOfSubspaces, y):
     Z = _constrained_ls(op.matrix @ bases, Y, model.norm_bound)
     X = _row_products(Z, np.swapaxes(bases, 1, 2)[:, None])
     R = np.linalg.norm(_row_products(X, op.matrix.T) - Y, axis=2)
-    # argmin keeps the first minimum, so ties go to the lowest index
-    best = np.argmin(R, axis=0)
+    # residuals within 64 eps of the best count as tied, and the lowest index wins
+    best = np.argmax(R <= R.min(axis=0) * (1.0 + _F_RTOL), axis=0)
     rows = np.arange(len(Y))
     xhat, residual = X[best, rows], R[best, rows]
     results = [
@@ -227,16 +229,12 @@ def _restricted_map(op: RandomFourierOperator, model: UnionOfSubspaces) -> np.nd
 def _evaluate(op, bases, y, sub, Z):
     """Map values and objectives ||Psi(B_sub z) - y||^2 at the coefficient rows Z.
 
-    Rows go through op.apply_batch _ROWS at a time.  A one-row batch is
-    evaluated twice over, because numpy routes a single row to a
-    matrix-vector product that rounds differently from the matrix product,
-    and a row's value must not depend on the rows batched with it.
+    Rows go through op.apply_batch _ROWS at a time.
     """
     X = np.einsum("nds,ns->nd", bases[sub], Z)
     P = np.empty((len(X), op.m), dtype=complex)
     for lo in range(0, len(X), _ROWS):
-        rows = X[lo:lo + _ROWS]
-        P[lo:lo + _ROWS] = op.apply_batch(np.vstack([rows, rows]) if len(rows) == 1 else rows)[:len(rows)]
+        P[lo:lo + _ROWS] = op.apply_batch(X[lo:lo + _ROWS])
     R = P - y
     return P, np.real(np.sum(R * R.conj(), axis=1))
 
@@ -376,7 +374,7 @@ def decode_nonlinear(
         raise InputError(f"y has shape {y.shape}, expected ({op.m},)")
 
     M, s = model.norm_bound, model.subspace_dim
-    psi0 = op.apply(np.zeros(op.dim))
+    psi0 = op.apply_batch(np.zeros(op.dim))[0]
     J0 = jacobian(op, np.zeros(op.dim))
     starts = []  # in (subspace, restart) order
     for i, B in enumerate(model.bases):
@@ -403,7 +401,7 @@ def decode_nonlinear(
     xhat = model.bases[i] @ Z[k]
     return DecodeResult(
         xhat=xhat,
-        residual=float(meas_norm(op.apply(xhat) - y)),
+        residual=float(meas_norm(op.apply_batch(xhat)[0] - y)),
         subspace_index=i,
         optimizer_iters=int(iters.sum()),
         restarts_used=opts.restarts,
@@ -532,22 +530,21 @@ def residual_certificate(
     y,
     grid_opts: GridOracleOptions | None = None,
 ) -> float:
-    """Gap between the achieved residual and a certified lower bound on the minimum.
+    """Gap between the Fourier decoder's residual and a certified lower bound on the minimum.
 
-    Linear operators re-solve exactly (gap 0 up to roundoff).  For the
-    Fourier map with subspace dimension <= 2 and the oracle enabled, the
-    lower bound comes from certified_minimum with target gap
+    The linear decoder is exact, and decode gives its gap 0; a linear
+    operator is refused here.  With subspace dimension <= 2 and the oracle
+    enabled, the lower bound comes from certified_minimum with target gap
     grid_opts.resolution, so the gap is >= 0 and, unless the cell budget
     runs out, exceeds the decoder's own excess residual by about that target
     at most.  Otherwise the trivial lower bound 0 applies and the full
     residual is returned.  A non-converged result reports an unknown gap as
     +inf.
     """
+    if not isinstance(op, RandomFourierOperator):
+        raise InputError("residual_certificate is for the Fourier decoder; the linear decoder is exact")
     if not result.converged:
         return np.inf
-    if isinstance(op, LinearGaussianOperator):
-        exact = decode_linear(op, model, y)
-        return float(result.residual - exact.residual)
     grid_opts = grid_opts or GridOracleOptions()
     if grid_opts.enabled and model.subspace_dim <= 2:
         lower, _ = certified_minimum(op, model, y, grid_opts.resolution, result.residual)
@@ -558,11 +555,21 @@ def residual_certificate(
 def decode(op, model: UnionOfSubspaces, y, opts: DecoderOptions, rng_seed):
     """Decode y with the operator's decoder; returns (DecodeResult, residual certificate gap).
 
-    The linear decoder is exact, so its gap is 0 without a second solve; the
-    Fourier decoder's gap comes from ``residual_certificate``.
+    y is one measurement of shape (m,) with one rng_seed, or rows of shape
+    (n, m) with a list of n seeds, which gives a list of DecodeResults and
+    an array of gaps.  The linear decoder is exact, so its gap is 0 without
+    a second solve, and it decodes all rows in one decode_linear call
+    without using the seeds.  The Fourier decoder runs on each row with its
+    seed, and its gap comes from ``residual_certificate``.
     """
     if isinstance(op, LinearGaussianOperator):
-        return decode_linear(op, model, y), 0.0
+        results = decode_linear(op, model, y)
+        return results, (np.zeros(len(results)) if np.ndim(y) == 2 else 0.0)
+    if np.ndim(y) == 2:
+        if len(rng_seed) != len(y):
+            raise InputError(f"{len(y)} measurement rows need as many seeds, got {len(rng_seed)}")
+        decoded = [decode(op, model, row, opts, seed) for row, seed in zip(y, rng_seed)]
+        return [result for result, _ in decoded], np.array([gap for _, gap in decoded])
     result = decode_nonlinear(op, model, y, opts=opts, rng_seed=rng_seed)
     return result, residual_certificate(result, op, model, y, opts.grid_oracle)
 

@@ -13,9 +13,5 @@ class ConfigError(LripLabError):
     """Experiment configuration could not be parsed or validated."""
 
 
-class SamplingError(LripLabError):
-    """Rejection sampling exhausted its attempt budget."""
-
-
 class NumericError(LripLabError):
     """A numerical routine failed to produce a usable result."""

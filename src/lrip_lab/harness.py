@@ -258,7 +258,7 @@ def _run_decode(cfg: ExperimentConfig) -> dict:
     pert = float(c.get("model_error_scale", 0.0))
     if pert:
         x_true = x_true + rng.normal(size=model.dim) * (pert / np.sqrt(model.dim))
-    y = op.apply(x_true)
+    y = op.apply_batch(x_true)[0]
     noise = float(c.get("noise_scale", 0.0))
     if noise:
         y = y + noise_vector(op, noise, rng)
@@ -532,6 +532,18 @@ def _seed_streams(cfg: ExperimentConfig) -> dict:
     return {name: path for name, path in _SEED_STREAMS[cfg.experiment].items() if name not in pinned}
 
 
+# The certifier keys each runner reads; run refuses any other.
+_CERTIFIER_KEYS = {
+    "recommend-m": {"t", "rho_target", "c0_m", "s", "N", "M", "d", "sigma"},
+    "decode": {"model_error_scale", "noise_scale"},
+    "iop-experiment": {"B", "pairs", "eta", "near_eps", "A", "lambda", "trials", "noise_scale",
+                       "model_error_scale", "uniform_candidates"},
+    "certify": {"anchored", "pairs", "eta", "near_eps", "bp_pairs", "perturbation_scale", "draws", "t",
+                "alpha_max", "beta_max", "m_sweep", "sweep_draws", "c_of_half_t", "estimate_concentration",
+                "concentration_draws", "c0_cover"},
+    "concentration-sweep": {"m_sweep", "t_grid", "reps", "draws", "pair"},
+}
+
 _RUNNERS = {
     "recommend-m": _run_recommend_m,
     "decode": _run_decode,
@@ -543,6 +555,9 @@ _RUNNERS = {
 
 def run(config: ExperimentConfig) -> Report:
     """Dispatch the configured experiment and assemble the report."""
+    unknown = set(config.certifier) - _CERTIFIER_KEYS[config.experiment]
+    if unknown:
+        raise ConfigError(f"unknown certifier keys for {config.experiment}: {sorted(unknown)}")
     start = time.perf_counter()
     results = _RUNNERS[config.experiment](config)
     wall = time.perf_counter() - start

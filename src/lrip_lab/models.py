@@ -1,4 +1,4 @@
-"""Union-of-subspaces models, secant sampling, and covering-number machinery.
+"""Union-of-subspaces models, model and near-pair sampling, and covering-number machinery.
 
 The model set is a union of N s-dimensional subspaces of R^d intersected
 with the Euclidean ball of radius M.  Covering numbers are handled two ways:
@@ -8,13 +8,12 @@ farthest-point oracle that certifies a covering of any sampled point set.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, SamplingError
+from .errors import InputError
 from .spaces import Pseudometric, norm_equivalence_factors
 
 ORTHO_TOL = 1e-10
@@ -84,13 +83,6 @@ class UnionOfSubspaces:
         eye = np.eye(d)
         return cls(tuple(eye[:, [i]] for i in range(d)), M)
 
-    @classmethod
-    def k_sparse(cls, d: int, k: int, M: float) -> "UnionOfSubspaces":
-        """All C(d, k) coordinate subspaces; intended for small d only."""
-        eye = np.eye(d)
-        bases = tuple(eye[:, list(supp)] for supp in itertools.combinations(range(d), k))
-        return cls(bases, M)
-
     def membership_defect(self, x) -> float:
         """min_i ||x - B_i B_i' x||, zero exactly when x lies in some subspace."""
         x = np.asarray(x, dtype=float)
@@ -119,23 +111,6 @@ class UnionOfSubspaces:
         if len(bases) != int(obj["N"]):
             raise InputError("basis count does not match N")
         return cls(bases, float(obj["M"]))
-
-
-@dataclass(frozen=True)
-class SecantSample:
-    """One normalized secant: (x - x') / d(x, x') together with its endpoints."""
-
-    direction: np.ndarray
-    endpoints: tuple[np.ndarray, np.ndarray]
-    gap: float
-
-    def __post_init__(self):
-        if not self.gap > 0:
-            raise InputError("secant gap must be positive")
-        x, x2 = self.endpoints
-        err = np.linalg.norm(self.direction * self.gap - (x - x2))
-        if err > 1e-10:
-            raise InputError(f"direction * gap does not reconstruct x - x' (err={err:.2e})")
 
 
 @dataclass(frozen=True)
@@ -176,19 +151,11 @@ def _uniform_ball_coeffs(rng: np.random.Generator, n: int, s: int, M: float) -> 
     return z / norms * radii
 
 
-def sample_model_point(model: UnionOfSubspaces, rng_seed) -> np.ndarray:
-    """One point of the model: uniform subspace index, coefficients uniform in the ball.
-
-    The output lies in some S_i intersected with B_M exactly by construction.
-    """
-    rng = _as_generator(rng_seed)
-    i = int(rng.integers(model.num_subspaces))
-    z = _uniform_ball_coeffs(rng, 1, model.subspace_dim, model.norm_bound)[0]
-    return model.bases[i] @ z
-
-
 def sample_model_points(model: UnionOfSubspaces, n: int, rng_seed) -> np.ndarray:
-    """n model points as rows; same law as sample_model_point."""
+    """n model points as rows: each in a uniformly drawn subspace, with coefficients uniform in the ball.
+
+    Every point lies in some S_i intersected with B_M exactly by construction.
+    """
     rng = _as_generator(rng_seed)
     idx = rng.integers(model.num_subspaces, size=n)
     Z = _uniform_ball_coeffs(rng, n, model.subspace_dim, model.norm_bound)
@@ -294,48 +261,6 @@ def sample_near_points(
             if used % _NEAR_PER_RADIUS == 0:
                 radius *= 0.7
     return points, found
-
-
-def sample_secant(
-    model: UnionOfSubspaces,
-    metric: Pseudometric,
-    rng_seed,
-    eps: float | None = None,
-    anchor: np.ndarray | None = None,
-    max_attempts: int = 100_000,
-) -> SecantSample:
-    """One element of the normalized secant set (x - x') / d(x, x').
-
-    With ``anchor`` the first endpoint is pinned to it (it must belong to the
-    model); with ``eps`` the pair is constrained to gap d(x, x') <= eps by
-    ``sample_near_points`` around the anchor, with ``max_attempts`` proposals.
-    """
-    rng = _as_generator(rng_seed)
-    if eps is not None and not eps > 0:
-        raise InputError(f"eps must be positive, got {eps}")
-    if anchor is not None:
-        anchor = np.asarray(anchor, dtype=float)
-        if not model.contains(anchor, tol=1e-8):
-            raise InputError("anchor does not lie in the model")
-
-    if eps is None:
-        for _ in range(max_attempts):
-            x = anchor if anchor is not None else sample_model_point(model, rng)
-            x2 = sample_model_point(model, rng)
-            gap = metric.dist(x, x2)
-            if gap > 0:
-                return SecantSample((x - x2) / gap, (x, x2), gap)
-        raise SamplingError(f"no pair with positive gap in {max_attempts} attempts")
-
-    base = anchor if anchor is not None else sample_model_point(model, rng)
-    points, found = sample_near_points(model, metric, base, eps, rng, max_proposals=max_attempts)
-    if not found[0]:
-        raise SamplingError(
-            f"no pair with gap in (0, {eps}] around the anchor in {max_attempts} attempts"
-        )
-    p = points[0]
-    gap = metric.dist(base, p)
-    return SecantSample((base - p) / gap, (base, p), gap)
 
 
 def _metric_diameter(model: UnionOfSubspaces, metric: Pseudometric) -> float:

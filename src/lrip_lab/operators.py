@@ -18,7 +18,9 @@ Fourier map |e^{ia} - e^{ib}|^2 = 4 sin^2((a - b) / 2) gives
 
 which is exact and, unlike the difference of two nearly equal exponentials,
 loses no precision on near pairs; for the linear map the gap is ||A delta||.
-Both operators evaluate it on secant rows with ``gap_batch``.
+Both operators evaluate it on secant rows with ``gap_batch``, and the map
+itself with ``apply_batch``; these are their only evaluators, and a row's
+value does not depend on the rows evaluated with it.
 """
 
 from __future__ import annotations
@@ -31,6 +33,21 @@ from .errors import InputError
 from .spaces import kernel_norm_equivalence
 
 WEIGHT_TOL = 1e-12
+
+
+def _times_rows(X, W) -> np.ndarray:
+    """W x for x of shape (d,), or for each row of X of shape (n, d), as rows of shape (n, k).
+
+    A plain X @ W.T sends a lone row to numpy's matrix-vector kernel, which
+    rounds differently from the matrix product, so a lone row is evaluated
+    as two.  A row's value then does not depend on the rows batched with it.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.ndim != 2 or X.shape[1] != W.shape[1]:
+        raise InputError(f"rows have shape {X.shape}, expected ({W.shape[1]},) or (n, {W.shape[1]})")
+    if len(X) == 1:
+        return (np.vstack([X, X]) @ W.T)[:1]
+    return X @ W.T
 
 
 @dataclass(frozen=True)
@@ -146,27 +163,13 @@ class LinearGaussianOperator:
     def from_matrix(cls, A) -> "LinearGaussianOperator":
         return cls(np.asarray(A, dtype=float))
 
-    def apply(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise InputError(f"x has shape {x.shape}, expected ({self.dim},)")
-        return (self.matrix @ x).astype(complex)
-
     def apply_batch(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.dim:
-            raise InputError(f"batch dimension {X.shape[1]} does not match d={self.dim}")
-        return (X @ self.matrix.T).astype(complex)
+        """The measurements A x of x, shape (d,), or of each row of X, shape (n, d), as (n, m) complex rows."""
+        return _times_rows(X, self.matrix).astype(complex)
 
     def gap_batch(self, D) -> np.ndarray:
         """Measurement gaps ||A delta|| of the secant rows delta = x - x' of D."""
-        return np.linalg.norm(self.apply_batch(D), axis=1)
-
-    def to_json(self, embed_arrays: bool = False) -> dict:
-        obj = {"kind": "linear-gaussian", "m": self.m, "d": self.dim, "seed": self.seed}
-        if embed_arrays or self.seed is None:
-            obj["matrix"] = [float(v) for v in self.matrix.flatten(order="C")]
-        return obj
+        return np.linalg.norm(_times_rows(D, self.matrix), axis=1)
 
 
 @dataclass(frozen=True)
@@ -204,47 +207,14 @@ class RandomFourierOperator:
         omegas = sample_lambda(sigma, d, m, np.random.default_rng(seed))
         return cls(omegas, sigma, seed=seed)
 
-    def apply(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise InputError(f"x has shape {x.shape}, expected ({self.dim},)")
-        return np.exp(1j * (self.omegas @ x)) / (self.weights * np.sqrt(self.m))
-
     def apply_batch(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.dim:
-            raise InputError(f"batch dimension {X.shape[1]} does not match d={self.dim}")
-        return np.exp(1j * (X @ self.omegas.T)) / (self.weights * np.sqrt(self.m))[None, :]
+        """The measurements of x, shape (d,), or of each row of X, shape (n, d), as (n, m) rows."""
+        return np.exp(1j * _times_rows(X, self.omegas)) / (self.weights * np.sqrt(self.m))[None, :]
 
     def gap_batch(self, D) -> np.ndarray:
         """Measurement gaps ||Psi x - Psi x'|| of the secant rows delta = x - x' of D (sin^2 form)."""
-        D = np.atleast_2d(np.asarray(D, dtype=float))
-        if D.shape[1] != self.dim:
-            raise InputError(f"batch dimension {D.shape[1]} does not match d={self.dim}")
-        half = np.sin(0.5 * (D @ self.omegas.T)) / self.weights
+        half = np.sin(0.5 * _times_rows(D, self.omegas)) / self.weights
         return (2.0 / np.sqrt(self.m)) * np.linalg.norm(half, axis=1)
-
-    def to_json(self, embed_arrays: bool = False) -> dict:
-        obj = {"kind": "random-fourier", "m": self.m, "d": self.dim, "sigma": self.sigma, "seed": self.seed}
-        if embed_arrays or self.seed is None:
-            obj["omegas"] = [float(v) for v in self.omegas.flatten(order="C")]
-        return obj
-
-
-def operator_from_json(obj: dict):
-    """Rebuild an operator from its JSON form; a stored seed regenerates omitted arrays."""
-    kind = obj.get("kind")
-    if kind == "linear-gaussian":
-        if "matrix" in obj:
-            A = np.asarray(obj["matrix"], dtype=float).reshape((obj["m"], obj["d"]))
-            return LinearGaussianOperator(A, seed=obj.get("seed"))
-        return LinearGaussianOperator.from_seed(obj["m"], obj["d"], obj["seed"])
-    if kind == "random-fourier":
-        if "omegas" in obj:
-            om = np.asarray(obj["omegas"], dtype=float).reshape((obj["m"], obj["d"]))
-            return RandomFourierOperator(om, obj["sigma"], seed=obj.get("seed"))
-        return RandomFourierOperator.from_seed(obj["m"], obj["d"], obj["sigma"], obj["seed"])
-    raise InputError(f"unknown operator kind {kind!r}")
 
 
 def jacobian(op: RandomFourierOperator, x) -> np.ndarray:
@@ -254,8 +224,7 @@ def jacobian(op: RandomFourierOperator, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (op.dim,):
         raise InputError(f"x has shape {x.shape}, expected ({op.dim},)")
-    phase = np.exp(1j * (op.omegas @ x)) / (op.weights * np.sqrt(op.m))
-    return 1j * phase[:, None] * op.omegas
+    return 1j * op.apply_batch(x)[0][:, None] * op.omegas
 
 
 @dataclass(frozen=True)

@@ -140,15 +140,9 @@ def norm_equivalence_factors(metric: Pseudometric, M: float) -> tuple[float, flo
     return kernel_norm_equivalence(M, metric.sigma)
 
 
-# --- JSON conversion of vectors (complex entries as [re, im] pairs) ---
+# --- JSON form of measurement vectors (complex entries as [re, im] pairs) ---
 
 def complex_vector_to_json(v) -> list[list[float]]:
     v = np.asarray(v, dtype=complex)
     return [[float(c.real), float(c.imag)] for c in v]
 
-
-def complex_vector_from_json(pairs) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise InputError("complex vector JSON must be a list of [re, im] pairs")
-    return arr[:, 0] + 1j * arr[:, 1]

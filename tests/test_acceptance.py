@@ -274,7 +274,7 @@ def test_criterion_7b_fourier_modulus_invariance():
     ref = 1.0 / (np.sqrt(op.m) * op.weights)
     rng = np.random.default_rng(18)
     worst = max(
-        float(np.max(np.abs(np.abs(op.apply(rng.normal(size=6) * 2)) - ref)))
+        float(np.max(np.abs(np.abs(op.apply_batch(rng.normal(size=6) * 2)[0]) - ref)))
         for _ in range(100)
     )
     elapsed = time.perf_counter() - start
@@ -294,7 +294,7 @@ def test_criterion_7c_jacobian_slope():
     for h in hs:
         v = rng.normal(size=5)
         v *= h / np.linalg.norm(v)
-        errs.append(np.linalg.norm(op.apply(x + v) - op.apply(x) - J @ v) / h)
+        errs.append(np.linalg.norm(op.apply_batch(x + v)[0] - op.apply_batch(x)[0] - J @ v) / h)
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     elapsed = time.perf_counter() - start
     assert abs(slope - 1.0) <= 0.1
@@ -315,7 +315,7 @@ def test_criterion_7d_decoder_membership():
     for k in range(5):
         model = UnionOfSubspaces.random(3, 1, 2, 0.8, 800 + k)
         op = RandomFourierOperator.from_seed(24, 3, 1.0, 900 + k)
-        res = decode_nonlinear(op, model, op.apply(rng.normal(size=3)), rng_seed=k)
+        res = decode_nonlinear(op, model, op.apply_batch(rng.normal(size=3))[0], rng_seed=k)
         worst_defect = max(worst_defect, model.membership_defect(res.xhat))
         worst_norm = max(worst_norm, np.linalg.norm(res.xhat) - model.norm_bound)
     elapsed = time.perf_counter() - start

@@ -185,7 +185,7 @@ class TestCheckIop:
         xhat = decode_linear(op, model, xstar).xhat
         decode_dist = EUCLID.dist(xstar, xhat)
         proj = project_to_model(model, xstar, EUCLID)
-        dprime = EUCLID.dist(xstar, proj) + 2.0 * meas_norm(op.apply(xstar) - op.apply(proj))
+        dprime = EUCLID.dist(xstar, proj) + 2.0 * meas_norm(op.apply_batch(xstar)[0] - op.apply_batch(proj)[0])
         assert decode_dist == pytest.approx(0.4, abs=1e-12)
         assert dprime == pytest.approx(1.2, abs=1e-12)
         assert decode_dist <= 1.0 * dprime
@@ -221,7 +221,7 @@ class TestCheckIop:
         for trial in witness.trials:
             x = trial.x_true
             proj = project_to_model(model, x, EUCLID)
-            ref = EUCLID.dist(x, proj) + 2.0 * meas_norm(op.apply(x) - op.apply(proj))
+            ref = EUCLID.dist(x, proj) + 2.0 * meas_norm(op.apply_batch(x)[0] - op.apply_batch(proj)[0])
             if candidates:
                 assert trial.model_dist <= ref * (1 + 1e-12)
             else:
@@ -241,9 +241,9 @@ class TestCheckIop:
         gaps = []
 
         def recorded(*args):
-            result, gap = decoder.decode(*args)
-            gaps.append(gap)
-            return result, gap
+            results, chunk_gaps = decoder.decode(*args)
+            gaps.extend(chunk_gaps)
+            return results, chunk_gaps
 
         monkeypatch.setattr(certifier, "decode", recorded)
         model = UnionOfSubspaces.random(4, 2, 3, 1.0, 2)
@@ -435,7 +435,7 @@ class TestEstimateConcentration:
         est = estimate_concentration(factory, pair, KERNEL, draws=100, t_grid=[0.2], rng_seed=3)
         seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(3).spawn(100)]
         d = KERNEL.dist(*pair)
-        ratios = np.array([meas_norm(factory(s).apply(pair[0]) - factory(s).apply(pair[1])) / d
+        ratios = np.array([meas_norm(factory(s).apply_batch(pair[0])[0] - factory(s).apply_batch(pair[1])[0]) / d
                            for s in seeds])
         assert est.p_hat[0] == np.mean(ratios - 1.0 <= -0.2)
 

@@ -39,14 +39,14 @@ def random_fourier_instance(seed):
     m = int(rng.integers(4, 9 if s == 2 else 13))
     op = RandomFourierOperator.from_seed(m, d, 1.0, seed + 1)
     noise = rng.normal(size=m) + 1j * rng.normal(size=m)
-    y = op.apply(rng.normal(size=d)) + rng.uniform(0.0, 0.3) * noise / np.linalg.norm(noise)
+    y = op.apply_batch(rng.normal(size=d))[0] + rng.uniform(0.0, 0.3) * noise / np.linalg.norm(noise)
     return model, op, y
 
 
 def per_start_gauss_newton(op, B, y, z0, radius, max_iters):
     """Reference: one start at a time, with jacobian, lstsq and all 54 step sizes per line search."""
     z = decoder._ball_project(np.asarray(z0, dtype=float), radius)
-    r = op.apply(B @ z) - y
+    r = op.apply_batch(B @ z)[0] - y
     for iters in range(1, max_iters + 1):
         fz = float(np.real(np.vdot(r, r)))
         J = jacobian(op, B @ z) @ B
@@ -173,6 +173,15 @@ class TestDecodeLinear:
         assert [r.subspace_index for r in batch] == [0, 0, 0, 0]
         assert np.array_equal(batch[0].xhat, [0.5, 0.0])
 
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_full_dimensional_ties_go_to_index_zero(self, d):
+        # with s = d every subspace is R^d, so all subspaces reach the same residual
+        rng = np.random.default_rng(d)
+        model = UnionOfSubspaces.random(d, d, 4, 100.0, d)
+        op = LinearGaussianOperator.from_seed(2 * d, d, d + 1)
+        Y = rng.normal(size=(200, 2 * d))
+        assert [r.subspace_index for r in decode_linear(op, model, Y)] == [0] * 200
+
     def test_batch_of_one_row(self):
         model, op, y = random_small_instance(2)
         (res,) = decode_linear(op, model, y[None, :])
@@ -199,7 +208,7 @@ class TestDecodeNonlinear:
         model = UnionOfSubspaces.axes(2, 1.0)
         op = RandomFourierOperator.from_seed(64, 2, 1.0, 3)
         x0 = np.array([0.6, 0.0])
-        res = decode_nonlinear(op, model, op.apply(x0), rng_seed=0)
+        res = decode_nonlinear(op, model, op.apply_batch(x0)[0], rng_seed=0)
         assert res.residual <= 1e-8
         assert res.converged
 
@@ -209,17 +218,17 @@ class TestDecodeNonlinear:
         for seed in range(20):
             op = RandomFourierOperator.from_seed(64, 2, 1.0, seed)
             x0 = sample_model_points(model, 1, 10_000 + seed)[0]
-            res = decode_nonlinear(op, model, op.apply(x0), rng_seed=seed)
+            res = decode_nonlinear(op, model, op.apply_batch(x0)[0], rng_seed=seed)
             hits += KERNEL.dist(x0, res.xhat) <= 1e-6
         assert hits >= 19
 
     def test_zero_signal_exact(self):
         model = UnionOfSubspaces.axes(2, 1.0)
         op = RandomFourierOperator.from_seed(32, 2, 1.0, 8)
-        res = decode_nonlinear(op, model, op.apply(np.zeros(2)), rng_seed=1)
+        res = decode_nonlinear(op, model, op.apply_batch(np.zeros(2))[0], rng_seed=1)
         assert KERNEL.dist(np.zeros(2), res.xhat) <= 1e-8
         # both starts of each subspace sit at the minimum, so every start stops in the first round
-        res = decode_nonlinear(op, model, op.apply(np.zeros(2)), opts=DecoderOptions(restarts=2), rng_seed=1)
+        res = decode_nonlinear(op, model, op.apply_batch(np.zeros(2))[0], opts=DecoderOptions(restarts=2), rng_seed=1)
         assert res.converged and res.optimizer_iters == 4 and res.residual == 0.0
 
     def test_feasibility_invariants(self):
@@ -227,7 +236,7 @@ class TestDecodeNonlinear:
         op = RandomFourierOperator.from_seed(48, 4, 1.0, 5)
         rng = np.random.default_rng(6)
         for _ in range(5):
-            y = op.apply(rng.normal(size=4))  # off-model target
+            y = op.apply_batch(rng.normal(size=4))[0]  # off-model target
             res = decode_nonlinear(op, model, y, rng_seed=0)
             assert model.membership_defect(res.xhat) <= 1e-10
             assert np.linalg.norm(res.xhat) <= 0.8 + 1e-10
@@ -238,48 +247,47 @@ class TestDecodeNonlinear:
         op = RandomFourierOperator.from_seed(48, 4, 1.0, 5)
         rng = np.random.default_rng(6)
         for _ in range(5):
-            res = decode_nonlinear(op, model, op.apply(rng.normal(size=4)), rng_seed=0)
+            res = decode_nonlinear(op, model, op.apply_batch(rng.normal(size=4))[0], rng_seed=0)
             assert res.converged
 
     def test_last_bit_change_keeps_convergence(self):
         # every start reaches the same minimum here, so the winner is picked by rounding
         model = UnionOfSubspaces.random(3, 1, 2, 1.0, 8)
         op = RandomFourierOperator.from_seed(12, 3, 1.0, 4)
-        y = op.apply(sample_model_points(model, 1, 1)[0]) + 0.05 * np.exp(1j * np.arange(12)) / np.sqrt(12)
+        y = op.apply_batch(sample_model_points(model, 1, 1)[0])[0] + 0.05 * np.exp(1j * np.arange(12)) / np.sqrt(12)
         for target in (y, np.nextafter(y.real, 2) + 1j * y.imag, y * (1 + 2 ** -52)):
             assert decode_nonlinear(op, model, target, rng_seed=3).converged
 
     def test_one_apply_per_iteration(self, monkeypatch):
-        calls = {"apply": 0, "apply_batch": 0}
-        for name in calls:
-            original = getattr(RandomFourierOperator, name)
+        calls = []
+        original = RandomFourierOperator.apply_batch
 
-            def counted(self, x, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(self, x)
+        def counted(self, X):
+            calls.append(len(np.atleast_2d(X)))
+            return original(self, X)
 
-            monkeypatch.setattr(RandomFourierOperator, name, counted)
+        monkeypatch.setattr(RandomFourierOperator, "apply_batch", counted)
         model = UnionOfSubspaces.random(4, 2, 3, 0.8, 2)
         op = RandomFourierOperator.from_seed(48, 4, 1.0, 5)
-        y = op.apply(np.random.default_rng(6).normal(size=4))
-        calls.update(apply=0, apply_batch=0)
+        y = op.apply_batch(np.random.default_rng(6).normal(size=4))[0]
+        calls.clear()
         res = decode_nonlinear(op, model, y, opts=DecoderOptions(restarts=3), rng_seed=0)
         assert res.optimizer_iters > 3
-        assert calls["apply"] <= res.optimizer_iters + 1
-        assert calls["apply_batch"] <= 2 * res.optimizer_iters
+        # the origin's value and Jacobian, the starts, the line searches and the winner's residual
+        assert len(calls) <= 2 * res.optimizer_iters + 3
 
     def test_line_search_matches_one_apply_per_step(self):
         model = UnionOfSubspaces.random(4, 2, 3, 0.8, 2)
         op = RandomFourierOperator.from_seed(48, 4, 1.0, 5)
-        B, y = model.bases[1], op.apply(np.random.default_rng(6).normal(size=4))
+        B, y = model.bases[1], op.apply_batch(np.random.default_rng(6).normal(size=4))[0]
         z, direction = np.array([0.5, -0.4]), np.array([3.0, 1.0])
         cands, P, F = _line_search(op, np.stack(model.bases), y, np.array([1]), z[None], direction[None],
                                    _HALVINGS, 0.8)
         for alpha, c, r, f in zip(_HALVINGS, cands[0], P[0] - y, F[0]):
             step = z + alpha * direction
             assert np.allclose(c, step * min(1.0, 0.8 / np.linalg.norm(step)), rtol=1e-15, atol=0)
-            assert np.allclose(r, op.apply(B @ c) - y, rtol=1e-12, atol=1e-15)
-            assert f == pytest.approx(np.linalg.norm(op.apply(B @ c) - y) ** 2, rel=1e-12)
+            assert np.allclose(r, op.apply_batch(B @ c)[0] - y, rtol=1e-12, atol=1e-15)
+            assert f == pytest.approx(np.linalg.norm(op.apply_batch(B @ c)[0] - y) ** 2, rel=1e-12)
 
     def test_lazy_search_takes_the_step_of_all_halvings_at_once(self):
         # reference: every halving of the step in one batch, the first passing the Armijo test wins,
@@ -346,7 +354,7 @@ class TestDecodeNonlinear:
     def test_monotone_in_restarts(self):
         model = UnionOfSubspaces.random(3, 1, 2, 1.0, 7)
         op = RandomFourierOperator.from_seed(24, 3, 1.0, 9)
-        y = op.apply(np.random.default_rng(1).normal(size=3))
+        y = op.apply_batch(np.random.default_rng(1).normal(size=3))[0]
         residuals = [
             decode_nonlinear(op, model, y, opts=DecoderOptions(restarts=r), rng_seed=4).residual
             for r in (1, 2, 4, 8)
@@ -366,7 +374,7 @@ class TestDecodeNonlinear:
             return np.array(starts), 0.01 - step * np.arange(1, n + 1), np.ones(n, dtype=int), np.ones(n, dtype=bool)
 
         monkeypatch.setattr(decoder, "_gauss_newton", fake)
-        res = decode_nonlinear(op, model, op.apply(np.zeros(3)) + 0.1, opts=DecoderOptions(restarts=4))
+        res = decode_nonlinear(op, model, op.apply_batch(np.zeros(3))[0] + 0.1, opts=DecoderOptions(restarts=4))
         assert len(starts) == 8
         assert res.subspace_index == winner // 4
         assert np.array_equal(res.xhat, model.bases[winner // 4] @ starts[winner])
@@ -374,23 +382,26 @@ class TestDecodeNonlinear:
     def test_residual_recomputation_invariant(self):
         model = UnionOfSubspaces.axes(2, 1.0)
         op = RandomFourierOperator.from_seed(16, 2, 1.0, 11)
-        y = op.apply(np.array([0.2, 0.0]))
+        y = op.apply_batch(np.array([0.2, 0.0]))[0]
         res = decode_nonlinear(op, model, y, rng_seed=0)
         from lrip_lab.spaces import meas_norm
 
-        assert abs(meas_norm(op.apply(res.xhat) - y) - res.residual) <= 1e-10
+        assert abs(meas_norm(op.apply_batch(res.xhat)[0] - y) - res.residual) <= 1e-10
 
 
 class TestResidualCertificate:
     def test_exact_linear_gap_zero(self):
+        # the linear decoder is exact: decode gives it gap 0, and the certificate refuses the linear map
         model, op, y = random_small_instance(3)
-        res = decode_linear(op, model, y)
-        assert abs(residual_certificate(res, op, model, y)) <= 1e-12
+        res, gap = decode(op, model, y, DecoderOptions(), 0)
+        assert gap == 0.0
+        with pytest.raises(InputError):
+            residual_certificate(res, op, model, y)
 
     def test_grid_gap_above_minus_resolution(self):
         model = UnionOfSubspaces.axes(2, 1.0)
         op = RandomFourierOperator.from_seed(32, 2, 1.0, 13)
-        y = op.apply(np.array([0.4, 0.0])) + 0.05
+        y = op.apply_batch(np.array([0.4, 0.0]))[0] + 0.05
         res = decode_nonlinear(op, model, y, rng_seed=0)
         gap = residual_certificate(res, op, model, y, GridOracleOptions(True, 1e-3))
         assert gap >= 0  # the branch-and-bound lower bound never exceeds the achieved residual
@@ -406,7 +417,7 @@ class TestResidualCertificate:
     def test_trivial_bound_for_large_subspace_dim(self):
         model = UnionOfSubspaces.random(6, 3, 2, 1.0, 0)
         op = RandomFourierOperator.from_seed(16, 6, 1.0, 1)
-        y = op.apply(sample_model_points(model, 1, 0)[0])
+        y = op.apply_batch(sample_model_points(model, 1, 0)[0])[0]
         res = decode_nonlinear(op, model, y, opts=DecoderOptions(restarts=2), rng_seed=0)
         gap = residual_certificate(res, op, model, y)
         assert gap == pytest.approx(res.residual)
@@ -426,7 +437,7 @@ class TestCertifiedMinimum:
     def test_poor_converged_result_gets_its_full_gap(self):
         model, op, y = random_fourier_instance(3)
         x0 = np.zeros(model.dim)
-        poor = DecodeResult(xhat=x0, residual=meas_norm(op.apply(x0) - y), subspace_index=0,
+        poor = DecodeResult(xhat=x0, residual=meas_norm(op.apply_batch(x0)[0] - y), subspace_index=0,
                             optimizer_iters=1, restarts_used=1, converged=True)
         _, rg = grid_minimum(op, model, y, resolution=2e-3)
         assert poor.residual - rg > 0.05  # the origin is far from the optimum here
@@ -446,7 +457,7 @@ class TestCertifiedMinimum:
         model = UnionOfSubspaces.random(4, 2, 3, 1.0, 2)
         op = RandomFourierOperator.from_seed(48, 4, 1.0, 5)
         x = sample_model_points(model, 1, 3)[0]
-        y = op.apply(x) + 0.05 * np.exp(1j * np.arange(48)) / np.sqrt(48)
+        y = op.apply_batch(x)[0] + 0.05 * np.exp(1j * np.arange(48)) / np.sqrt(48)
         res = decode_nonlinear(op, model, y, rng_seed=0)
         lower, cells = certified_minimum(op, model, y, 1e-12, res.residual)
         assert cells < decoder._CERT_BUDGET
@@ -481,18 +492,38 @@ class TestDecode:
             res, gap = decode(op, model, y, DecoderOptions(), 0)
             ref = decode_linear(op, model, y)
             assert gap == 0.0
-            assert residual_certificate(res, op, model, y) == gap
             assert np.array_equal(res.xhat, ref.xhat) and res.residual == ref.residual
 
     def test_fourier_gap_is_residual_certificate(self):
         model = UnionOfSubspaces.axes(2, 1.0)
         op = RandomFourierOperator.from_seed(16, 2, 1.0, 5)
-        y = op.apply(np.array([0.0, -0.3])) + 0.02
+        y = op.apply_batch(np.array([0.0, -0.3]))[0] + 0.02
         opts = DecoderOptions(restarts=3, grid_oracle=GridOracleOptions(True, 1e-2))
         res, gap = decode(op, model, y, opts, 7)
         ref = decode_nonlinear(op, model, y, opts=opts, rng_seed=7)
         assert np.array_equal(res.xhat, ref.xhat)
         assert gap == residual_certificate(ref, op, model, y, opts.grid_oracle)
+
+
+    @pytest.mark.parametrize("kind", ["linear", "fourier"])
+    def test_rows_match_one_decode_per_row(self, kind):
+        if kind == "linear":
+            model, op, _ = random_small_instance(4)
+        else:
+            model, op = UnionOfSubspaces.axes(2, 1.0), RandomFourierOperator.from_seed(16, 2, 1.0, 5)
+        opts = DecoderOptions(restarts=3, grid_oracle=GridOracleOptions(True, 1e-2))
+        Y = op.apply_batch(np.random.default_rng(1).normal(size=(3, op.dim))) + 0.05
+        results, gaps = decode(op, model, Y, opts, [7, 8, 9])
+        assert len(results) == len(gaps) == 3
+        for y, seed, res, gap in zip(Y, [7, 8, 9], results, gaps):
+            one, one_gap = decode(op, model, y, opts, seed)
+            assert res.xhat.tobytes() == one.xhat.tobytes() and gap == one_gap
+
+    def test_rows_need_one_seed_each(self):
+        op = RandomFourierOperator.from_seed(16, 2, 1.0, 5)
+        Y = op.apply_batch(np.zeros((3, 2)))
+        with pytest.raises(InputError):
+            decode(op, UnionOfSubspaces.axes(2, 1.0), Y, DecoderOptions(restarts=2), [7, 8])
 
 
 class TestNoiseVector:

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,8 @@ from lrip_lab.cli import main
 from lrip_lab.errors import ConfigError, InputError
 from lrip_lab.decoder import DecoderOptions, GridOracleOptions
 from lrip_lab.harness import ExperimentConfig, build_decoder_options, emit_plot_data, run, write_report
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def base_config(**overrides):
@@ -205,6 +208,22 @@ LINEAGE_CONFIGS = {
 }
 
 
+class TestCertifierKeys:
+    @pytest.mark.parametrize("experiment", list(LINEAGE_CONFIGS))
+    def test_a_key_no_runner_reads_is_refused(self, experiment):
+        cfg = dict(LINEAGE_CONFIGS[experiment])
+        cfg["certifier"] = dict(cfg.get("certifier", base_config()["certifier"]), bogus=1)
+        with pytest.raises(ConfigError, match="bogus"):
+            run(ExperimentConfig.from_dict(base_config(experiment=experiment, **cfg)))
+
+    def test_another_runners_key_is_refused(self):
+        # rho_target belongs to recommend-m, not to certify
+        cfg = dict(LINEAGE_CONFIGS["certify"])
+        cfg["certifier"] = dict(cfg["certifier"], rho_target=0.01)
+        with pytest.raises(ConfigError, match="rho_target"):
+            run(ExperimentConfig.from_dict(base_config(experiment="certify", **cfg)))
+
+
 class TestSeedLineage:
     """The lineage names exactly the streams a run derives from its master seed."""
 
@@ -298,6 +317,12 @@ class TestCli:
         )
         path = self.write_config(tmp_path, cfg)
         assert main(["iop-experiment", "--config", path]) == 2
+
+    def test_unknown_certifier_key_exit_code(self, tmp_path):
+        # a misspelt "trials" would otherwise run the default 100 trials
+        cfg = json.loads((ROOT / "configs" / "iop_linear.json").read_text())
+        cfg["certifier"]["trails"] = 5
+        assert main(["iop-experiment", "--config", self.write_config(tmp_path, cfg)]) == 2
 
     def test_unwritable_output_exit_code(self, tmp_path):
         path = self.write_config(tmp_path, base_config())

@@ -5,17 +5,13 @@ from lrip_lab import (
     CoveringBound,
     InputError,
     Pseudometric,
-    SamplingError,
     UnionOfSubspaces,
     covering_bound_model,
     covering_bound_secant,
     greedy_cover,
     project_to_model,
-    sample_model_point,
-    sample_secant,
 )
 from lrip_lab.models import (
-    SecantSample,
     reevaluate_covering_bound,
     sample_model_points,
     sample_near_points,
@@ -51,11 +47,6 @@ class TestUnionOfSubspaces:
         with pytest.raises(InputError):
             UnionOfSubspaces((np.array([[1.0], [0.0]]),), 0.0)
 
-    def test_k_sparse_constructor(self):
-        model = UnionOfSubspaces.k_sparse(4, 2, 1.0)
-        assert model.num_subspaces == 6
-        assert model.subspace_dim == 2
-
     def test_json_round_trip(self):
         model = UnionOfSubspaces.random(5, 2, 3, 0.7, 0)
         clone = UnionOfSubspaces.from_json(model.to_json())
@@ -72,7 +63,7 @@ class TestUnionOfSubspaces:
 
 class TestSampleModelPoint:
     def test_axis_model_point_on_axis(self):
-        p = sample_model_point(x_axis_model(), 0)
+        p = sample_model_points(x_axis_model(), 1, 0)[0]
         assert p[1] == 0.0 and abs(p[0]) <= 1.0
 
     def test_membership_and_ball(self):
@@ -142,39 +133,25 @@ class TestProjection:
 
 
 class TestSecantSampling:
-    def test_reconstruction_and_positive_gap(self):
-        model = UnionOfSubspaces.axes(2, 1.0)
-        for seed in range(20):
-            sec = sample_secant(model, KERNEL, seed)
-            x, x2 = sec.endpoints
-            assert sec.gap > 0
-            assert np.linalg.norm(sec.direction * sec.gap - (x - x2)) <= 1e-10
-
     def test_anchor_and_eps(self):
         model = UnionOfSubspaces.axes(2, 1.0)
         anchor = np.array([1.0, 0.0])
-        sec = sample_secant(model, KERNEL, 3, eps=0.1, anchor=anchor)
-        assert np.array_equal(sec.endpoints[0], anchor)
-        assert 0 < sec.gap <= 0.1
+        points, found = sample_near_points(model, KERNEL, anchor, 0.1, 3)
+        assert found[0] and model.contains(points[0], tol=1e-12)
+        assert 0 < KERNEL.dist(anchor, points[0]) <= 0.1
+
+    def test_anchor_outside_model_rejected(self):
+        # anchored secants are drawn by estimate_lrip, which refuses an anchor off the model
+        from lrip_lab import LinearGaussianOperator, estimate_lrip
+
+        with pytest.raises(InputError):
+            estimate_lrip(LinearGaussianOperator.from_matrix(np.eye(2)), UnionOfSubspaces.axes(2, 1.0), EUCLID,
+                          pairs=10, rng_seed=0, anchor=np.array([0.5, 0.5]))
 
     def test_single_subspace_line_directions(self):
         model = UnionOfSubspaces((np.array([[1.0]]),), 1.0)
-        dirs = {float(sample_secant(model, EUCLID, s).direction[0]) for s in range(100)}
-        assert dirs == {-1.0, 1.0}
-
-    def test_anchor_outside_model_rejected(self):
-        with pytest.raises(InputError):
-            sample_secant(UnionOfSubspaces.axes(2, 1.0), EUCLID, 0, anchor=np.array([0.5, 0.5]))
-
-    def test_exhaustion_raises_sampling_error(self):
-        model = x_axis_model()
-        with pytest.raises(SamplingError):
-            sample_secant(model, EUCLID, 0, eps=1e-300, anchor=np.array([0.5, 0.0]),
-                          max_attempts=2000)
-
-    def test_secant_sample_validates_reconstruction(self):
-        with pytest.raises(InputError):
-            SecantSample(np.array([1.0]), (np.array([1.0]), np.array([0.0])), 0.5)
+        D = sample_model_points(model, 100, 0) - sample_model_points(model, 100, 1)
+        assert set((D / np.abs(D))[:, 0]) == {-1.0, 1.0}
 
 
 class TestNearSampler:
@@ -274,9 +251,9 @@ class TestCoveringBounds:
 
     def test_secant_dominance_two_axes(self):
         model = UnionOfSubspaces.axes(2, 1.0)
-        dirs = np.array([
-            sample_secant(model, EUCLID, seed).direction for seed in range(10_000)
-        ])
+        D = sample_model_points(model, 10_000, 0) - sample_model_points(model, 10_000, 1)
+        gaps = np.linalg.norm(D, axis=1)
+        dirs = D[gaps > 0] / gaps[gaps > 0, None]  # normalized secants
         oracle = greedy_cover(dirs, EUCLID, 0.5)
         bound = covering_bound_secant(model, EUCLID, 0.5)
         assert bound.log_count >= oracle.log_count

@@ -12,7 +12,7 @@ from lrip_lab import (
     sample_lambda,
     weight_f,
 )
-from lrip_lab.operators import jacobian, operator_from_json
+from lrip_lab.operators import jacobian
 
 KERNEL = Pseudometric("gaussian-kernel", 1.0)
 
@@ -87,7 +87,7 @@ class TestSampleLambda:
 class TestLinearOperator:
     def test_identity_fixture(self):
         op = LinearGaussianOperator.from_matrix(np.eye(2))
-        assert np.allclose(op.apply(np.array([1.0, 2.0])), [1.0, 2.0])
+        assert np.allclose(op.apply_batch(np.array([1.0, 2.0]))[0], [1.0, 2.0])
 
     def test_linearity(self):
         op = LinearGaussianOperator.from_seed(6, 4, 0)
@@ -95,20 +95,20 @@ class TestLinearOperator:
         for _ in range(50):
             x, x2 = rng.normal(size=4), rng.normal(size=4)
             a, b = rng.normal(), rng.normal()
-            lhs = op.apply(a * x + b * x2)
-            rhs = a * op.apply(x) + b * op.apply(x2)
+            lhs = op.apply_batch(a * x + b * x2)[0]
+            rhs = a * op.apply_batch(x)[0] + b * op.apply_batch(x2)[0]
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_dimension_mismatch(self):
         op = LinearGaussianOperator.from_seed(3, 2, 0)
         with pytest.raises(InputError):
-            op.apply(np.zeros(5))
+            op.apply_batch(np.zeros(5))
 
 
 class TestFourierOperator:
     def test_apply_at_origin(self):
         op = RandomFourierOperator.from_seed(16, 3, 1.0, 5)
-        out = op.apply(np.zeros(3))
+        out = op.apply_batch(np.zeros(3))[0]
         assert np.allclose(out, 1.0 / (np.sqrt(16) * op.weights))
 
     def test_modulus_is_signal_independent(self):
@@ -118,7 +118,7 @@ class TestFourierOperator:
         worst = 0.0
         for _ in range(100):
             x = rng.normal(size=4) * 3
-            worst = max(worst, float(np.max(np.abs(np.abs(op.apply(x)) - ref))))
+            worst = max(worst, float(np.max(np.abs(np.abs(op.apply_batch(x)[0]) - ref))))
         assert worst <= 1e-13
 
     def test_weights_recomputed_from_omegas(self):
@@ -129,8 +129,31 @@ class TestFourierOperator:
         op = RandomFourierOperator.from_seed(12, 3, 1.0, 2)
         X = np.random.default_rng(0).normal(size=(5, 3))
         batch = op.apply_batch(X)
+        assert batch.shape == (5, 12)
         for k in range(5):
-            assert np.allclose(batch[k], op.apply(X[k]))
+            assert op.apply_batch(X[k]).shape == (1, 12)
+            assert op.apply_batch(X[k])[0].tobytes() == batch[k].tobytes()
+
+
+OPERATORS = {
+    "linear": lambda d: LinearGaussianOperator.from_seed(48, d, 3),
+    "fourier": lambda d: RandomFourierOperator.from_seed(48, d, 1.0, 3),
+}
+
+
+class TestBatchInvariance:
+    """A row's measurements and gaps are bitwise the same whatever rows are evaluated with it."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50])
+    @pytest.mark.parametrize("d", [2, 4, 20])
+    @pytest.mark.parametrize("kind", list(OPERATORS))
+    def test_rows_match_the_full_batch(self, kind, d, n):
+        op = OPERATORS[kind](d)
+        X = np.random.default_rng(d).normal(size=(100, d))
+        full_apply, full_gap = op.apply_batch(X), op.gap_batch(X)
+        for k in range(50):
+            assert op.apply_batch(X[k:k + n]).tobytes() == full_apply[k:k + n].tobytes()
+            assert op.gap_batch(X[k:k + n]).tobytes() == full_gap[k:k + n].tobytes()
 
 
 class TestJacobian:
@@ -150,7 +173,7 @@ class TestJacobian:
         for h in hs:
             v = rng.normal(size=5)
             v *= h / np.linalg.norm(v)
-            errs.append(np.linalg.norm(op.apply(x + v) - op.apply(x) - J @ v) / h)
+            errs.append(np.linalg.norm(op.apply_batch(x + v)[0] - op.apply_batch(x)[0] - J @ v) / h)
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.1)
 
@@ -237,7 +260,7 @@ class TestUnbiasedness:
         vals = []
         for k in range(200):
             op = RandomFourierOperator.from_seed(m, d, sigma, 1000 + k)
-            vals.append(np.linalg.norm(op.apply(x) - op.apply(x2)) ** 2)
+            vals.append(np.linalg.norm(op.apply_batch(x)[0] - op.apply_batch(x2)[0]) ** 2)
         assert np.mean(vals) == pytest.approx(target, rel=0.05)
 
 
@@ -245,21 +268,7 @@ class TestSerialization:
     def test_seed_reproduces_bit_for_bit(self):
         a = RandomFourierOperator.from_seed(16, 3, 1.0, 42)
         b = RandomFourierOperator.from_seed(16, 3, 1.0, 42)
-        assert a.to_json(embed_arrays=True) == b.to_json(embed_arrays=True)
-
-    def test_seed_only_json_regenerates(self):
-        op = RandomFourierOperator.from_seed(16, 3, 1.0, 42)
-        clone = operator_from_json(op.to_json())
-        assert np.array_equal(op.omegas, clone.omegas)
-
-    def test_explicit_arrays_round_trip(self):
-        op = RandomFourierOperator.from_seed(8, 2, 0.9, 7)
-        clone = operator_from_json(op.to_json(embed_arrays=True))
-        assert np.array_equal(op.omegas, clone.omegas)
+        assert a.omegas.tobytes() == b.omegas.tobytes()
+        assert a.weights.tobytes() == b.weights.tobytes()
         lin = LinearGaussianOperator.from_seed(4, 3, 1)
-        clone2 = operator_from_json(lin.to_json(embed_arrays=True))
-        assert np.array_equal(lin.matrix, clone2.matrix)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(InputError):
-            operator_from_json({"kind": "mystery"})
+        assert lin.matrix.tobytes() == LinearGaussianOperator.from_seed(4, 3, 1).matrix.tobytes()

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from lrip_lab import InputError, Pseudometric, kernel_norm_equivalence, meas_norm
-from lrip_lab.spaces import complex_vector_from_json, complex_vector_to_json
 
 EUCLID = Pseudometric("euclidean")
 KERNEL = Pseudometric("gaussian-kernel", 1.0)
@@ -156,9 +155,3 @@ def test_metric_sandwich_violation_structure():
     beyond = gap > 1.483
     assert np.all(lower[beyond])
 
-
-def test_complex_vector_json_round_trip():
-    v = np.array([1 + 2j, -0.5j, 3.0])
-    assert np.allclose(complex_vector_from_json(complex_vector_to_json(v)), v)
-    with pytest.raises(InputError):
-        complex_vector_from_json([[1.0, 2.0, 3.0]])
