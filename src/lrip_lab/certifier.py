@@ -97,11 +97,7 @@ class LripEstimate:
         if self.worst_pair is None:
             return 0.0
         x, x2 = self.worst_pair
-        num = max(metric.dist(x, x2) - self.eta, 0.0)
-        den = float(op.gap_batch(x - x2)[0])
-        if den == 0:
-            return np.inf if num > 0 else 0.0
-        return num / den
+        return float(_lrip_ratio(max(metric.dist(x, x2) - self.eta, 0.0), op.gap_batch(x - x2)[0]))
 
     def report_dict(self) -> dict:
         return {
@@ -115,6 +111,16 @@ class LripEstimate:
             "config_echo": {"eta": self.eta, "pairs": self.pairs_tested, "mode": self.mode},
             "label": "empirical",
         }
+
+
+def _lrip_ratio(numer, gaps):
+    """The LRIP ratio (d - eta)_+ / ||Psi x - Psi x'|| from numer = (d - eta)_+ and the measurement gaps.
+
+    A pair with numer = 0 has ratio 0, also at gap 0; a positive numer over a
+    zero gap has ratio +inf.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(numer > 0, numer / gaps, 0.0)
 
 
 def _pair_json(pair):
@@ -239,9 +245,7 @@ def estimate_lrip(
 
     collapsed = (gaps == 0) & (numer > 0)
     violation_count = int(collapsed.sum())
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(numer > 0, numer / np.where(gaps > 0, gaps, np.nan), 0.0)
-    ratios = np.where(collapsed, np.inf, np.nan_to_num(ratios, nan=0.0, posinf=np.inf))
+    ratios = _lrip_ratio(numer, gaps)
 
     worst = int(np.argmax(ratios))
     alpha_hat = float(ratios[worst])
@@ -521,9 +525,7 @@ def lrip_from_iop_witness(
     d = metric.dist_pairs(Xt, X2t)
     psn = op.gap_batch(Xt - X2t)
     violating = tested[d > B * psn + eta_eff + 1e-12]
-    numer = np.maximum(d - eta_eff, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(psn > 0, numer / psn, np.where(numer > 0, np.inf, 0.0))
+    ratios = _lrip_ratio(np.maximum(d - eta_eff, 0.0), psn)
     worst = int(tested[np.argmax(ratios)]) if len(tested) else None
     return LripEstimate(
         alpha_hat=float(ratios.max(initial=0.0)),

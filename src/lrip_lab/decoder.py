@@ -17,7 +17,7 @@ import numpy as np
 
 from . import seeding
 from .errors import InputError
-from .models import UnionOfSubspaces, _row_products, _uniform_ball_coeffs
+from .models import UnionOfSubspaces, _ball_project, _row_products, _subspace_map, _uniform_ball_coeffs
 from .operators import LinearGaussianOperator, RandomFourierOperator, jacobian
 from .spaces import meas_norm
 
@@ -150,11 +150,7 @@ def _secular_bisection(S, beta, Vt, radius: float, tol: float) -> np.ndarray:
         lo[active[above]] = mid[above]
         hi[active[~above]] = mid[~above]
     mu[active] = 0.5 * (lo[active] + hi[active])
-    Z = _row_products(num / (S2 + mu[:, None]), Vt)
-    nrm = np.linalg.norm(Z, axis=1)
-    over = nrm > radius
-    Z[over] *= (radius / nrm[over])[:, None]
-    return Z
+    return _ball_project(_row_products(num / (S2 + mu[:, None]), Vt), radius)
 
 
 def _constrained_ls(G: np.ndarray, Y: np.ndarray, radius: float, tol: float = 1e-10) -> np.ndarray:
@@ -200,9 +196,8 @@ def decode_linear(op: LinearGaussianOperator, model: UnionOfSubspaces, y):
     if op.dim != model.dim:
         raise InputError(f"operator dimension {op.dim} does not match model dimension {model.dim}")
     Y = _as_real_measurements(y, op.m)
-    bases = np.stack(model.bases)
-    Z = _constrained_ls(op.matrix @ bases, Y, model.norm_bound)
-    X = _row_products(Z, np.swapaxes(bases, 1, 2)[:, None])
+    Z = _constrained_ls(op.matrix @ model.bases, Y, model.norm_bound)
+    X = _row_products(Z, np.swapaxes(model.bases, 1, 2)[:, None])
     R = np.linalg.norm(_row_products(X, op.matrix.T) - Y, axis=2)
     # residuals within 64 eps of the best count as tied, and the lowest index wins
     best = np.argmax(R <= R.min(axis=0) * (1.0 + _F_RTOL), axis=0)
@@ -216,14 +211,9 @@ def decode_linear(op: LinearGaussianOperator, model: UnionOfSubspaces, y):
     return results if np.ndim(y) == 2 else results[0]
 
 
-def _ball_project(z: np.ndarray, radius: float) -> np.ndarray:
-    """Project z, or each row of z, onto the ball of the given radius."""
-    return z * (radius / np.maximum(np.linalg.norm(z, axis=-1, keepdims=True), radius))
-
-
 def _restricted_map(op: RandomFourierOperator, model: UnionOfSubspaces) -> np.ndarray:
     """The frequencies seen from each subspace's coefficients: V_i = Omega B_i, stacked (N, m, s)."""
-    return np.stack([op.omegas @ B for B in model.bases])
+    return op.omegas @ model.bases
 
 
 def _evaluate(op, bases, y, sub, Z):
@@ -231,7 +221,7 @@ def _evaluate(op, bases, y, sub, Z):
 
     Rows go through op.apply_batch _ROWS at a time.
     """
-    X = np.einsum("nds,ns->nd", bases[sub], Z)
+    X = _subspace_map(bases, sub, Z)
     P = np.empty((len(X), op.m), dtype=complex)
     for lo in range(0, len(X), _ROWS):
         P[lo:lo + _ROWS] = op.apply_batch(X[lo:lo + _ROWS])
@@ -314,7 +304,7 @@ def _gauss_newton(op, model, y, sub, Z0, max_iters):
     iters, converged), one entry per start.
     """
     M = model.norm_bound
-    bases, V = np.stack(model.bases), _restricted_map(op, model)
+    bases, V = model.bases, _restricted_map(op, model)
     Z = _ball_project(np.asarray(Z0, dtype=float), M)
     P, F = _evaluate(op, bases, y, sub, Z)
     iters, converged = np.zeros(len(Z), dtype=int), np.zeros(len(Z), dtype=bool)

@@ -316,13 +316,9 @@ def _run_iop(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _certify_one_draw(cfg, model, metric, k):
+def _certify_one_draw(cfg, model, metric, anchor, k):
     c = cfg.certifier
     op = build_operator(cfg, seeding.child_seed(cfg.master_seed, 40, k))
-    anchored = bool(c.get("anchored", True))
-    anchor = None
-    if anchored:
-        anchor = sample_model_points(model, 1, seeding.generator(cfg.master_seed, 41))[0]
     est = estimate_lrip(
         op, model, metric,
         pairs=int(c.get("pairs", 10000)),
@@ -347,8 +343,11 @@ def _run_certify(cfg: ExperimentConfig) -> dict:
     c = cfg.certifier
     draws = int(c.get("draws", 100))
     t = float(c.get("t", 0.5))
+    anchor = None
+    if c.get("anchored", True):
+        anchor = sample_model_points(model, 1, seeding.generator(cfg.master_seed, 41))[0]
 
-    results = _map_indexed(lambda k: _certify_one_draw(cfg, model, metric, k), draws, cfg.workers)
+    results = _map_indexed(lambda k: _certify_one_draw(cfg, model, metric, anchor, k), draws, cfg.workers)
     alphas = [est.alpha_hat for est, _, _ in results]
     betas = [bp.beta_hat for _, bp, _ in results]
 
@@ -385,7 +384,7 @@ def _run_certify(cfg: ExperimentConfig) -> dict:
                 {**cfg.to_dict(), "operator": dict(cfg.operator, m=m_val)}
             )
             sweep = _map_indexed(
-                lambda k: _certify_one_draw(sub, model, metric, k),
+                lambda k: _certify_one_draw(sub, model, metric, anchor, k),
                 int(c.get("sweep_draws", draws)),
                 cfg.workers,
             )

@@ -27,11 +27,12 @@ METHOD_GREEDY_ORACLE = "GreedyOracle"
 class UnionOfSubspaces:
     """Model set: union of N norm-bounded subspaces, each given by an orthonormal basis.
 
-    bases       tuple of N arrays of shape (d, s) with orthonormal columns
+    bases       N arrays of shape (d, s) with orthonormal columns, stored stacked
+                as one read-only array of shape (N, d, s)
     norm_bound  radius M > 0 of the Euclidean ball intersected with every subspace
     """
 
-    bases: tuple[np.ndarray, ...]
+    bases: np.ndarray
     norm_bound: float
 
     def __post_init__(self):
@@ -39,21 +40,19 @@ class UnionOfSubspaces:
             raise InputError("model needs at least one subspace")
         if not self.norm_bound > 0:
             raise InputError(f"norm bound must be positive, got {self.norm_bound}")
-        d, s = self.bases[0].shape
+        bases = [np.asarray(B, dtype=float) for B in self.bases]
+        d, s = bases[0].shape
         if not 1 <= s <= d:
             raise InputError(f"need 1 <= s <= d, got s={s}, d={d}")
-        frozen = []
-        for i, B in enumerate(self.bases):
-            B = np.asarray(B, dtype=float)
+        for i, B in enumerate(bases):
             if B.shape != (d, s):
                 raise InputError(f"basis {i} has shape {B.shape}, expected {(d, s)}")
             gram_err = np.max(np.abs(B.T @ B - np.eye(s)))
             if gram_err > ORTHO_TOL:
                 raise InputError(f"basis {i} is not orthonormal (|B'B - I| = {gram_err:.2e})")
-            B = B.copy()
-            B.setflags(write=False)
-            frozen.append(B)
-        object.__setattr__(self, "bases", tuple(frozen))
+        bases = np.array(bases)
+        bases.setflags(write=False)
+        object.__setattr__(self, "bases", bases)
 
     @property
     def dim(self) -> int:
@@ -92,18 +91,9 @@ class UnionOfSubspaces:
         x = np.asarray(x, dtype=float)
         return self.membership_defect(x) <= tol and np.linalg.norm(x) <= self.norm_bound + tol
 
-    def to_json(self) -> dict:
-        """JSON object {d, s, N, M, bases} with column-major basis entries."""
-        return {
-            "d": self.dim,
-            "s": self.subspace_dim,
-            "N": self.num_subspaces,
-            "M": self.norm_bound,
-            "bases": [[float(v) for v in B.flatten(order="F")] for B in self.bases],
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "UnionOfSubspaces":
+        """The model of a JSON object {d, s, N, M, bases}, with column-major basis entries."""
         d, s = int(obj["d"]), int(obj["s"])
         bases = tuple(
             np.asarray(flat, dtype=float).reshape((d, s), order="F") for flat in obj["bases"]
@@ -154,16 +144,14 @@ def _uniform_ball_coeffs(rng: np.random.Generator, n: int, s: int, M: float) -> 
 def sample_model_points(model: UnionOfSubspaces, n: int, rng_seed) -> np.ndarray:
     """n model points as rows: each in a uniformly drawn subspace, with coefficients uniform in the ball.
 
-    Every point lies in some S_i intersected with B_M exactly by construction.
+    Every point lies in some S_i intersected with B_M exactly by construction,
+    and is its own vector-matrix product (_subspace_map), so its value does
+    not depend on the other points of the call.
     """
     rng = _as_generator(rng_seed)
     idx = rng.integers(model.num_subspaces, size=n)
     Z = _uniform_ball_coeffs(rng, n, model.subspace_dim, model.norm_bound)
-    pts = np.empty((n, model.dim))
-    for i in np.flatnonzero(np.bincount(idx, minlength=model.num_subspaces)):  # the subspaces drawn
-        sel = idx == i
-        pts[sel] = Z[sel] @ model.bases[i].T
-    return pts
+    return _subspace_map(model.bases, idx, Z)
 
 
 def _row_products(X, M) -> np.ndarray:
@@ -176,6 +164,23 @@ def _row_products(X, M) -> np.ndarray:
     same kernel.
     """
     return np.matmul(X[..., None, :], M)[..., 0, :]
+
+
+def _subspace_map(bases, idx, Z) -> np.ndarray:
+    """B_{idx[k]} Z[k] for each coefficient row k of Z, with B_i the bases of the stack (N, d, s).
+
+    Every row is its own vector-matrix product (_row_products), so a point
+    does not depend on the rows mapped with it.
+    """
+    return _row_products(Z, np.swapaxes(bases, 1, 2)[idx])
+
+
+def _ball_project(z, radius: float) -> np.ndarray:
+    """Project z, or each row of z (its last axis), onto the ball of the given radius.
+
+    Rows inside the ball are multiplied by exactly 1.0, so they are unchanged.
+    """
+    return z * (radius / np.maximum(np.linalg.norm(z, axis=-1, keepdims=True), radius))
 
 
 def project_to_model(model: UnionOfSubspaces, x, metric: Pseudometric) -> np.ndarray:
@@ -193,11 +198,8 @@ def project_to_model(model: UnionOfSubspaces, x, metric: Pseudometric) -> np.nda
     if not np.all(np.isfinite(x)):
         raise InputError("x has non-finite entries")
     X = np.atleast_2d(x)
-    bases = np.stack(model.bases)[:, None]
-    P = _row_products(_row_products(X, bases), np.swapaxes(bases, 2, 3))
-    norms = np.linalg.norm(P, axis=2)
-    over = norms > model.norm_bound
-    P[over] *= (model.norm_bound / norms[over])[:, None]
+    bases = model.bases[:, None]
+    P = _ball_project(_row_products(_row_products(X, bases), np.swapaxes(bases, 2, 3)), model.norm_bound)
     # argmin keeps the first minimum, so ties go to the lowest index
     best = np.argmin(metric.from_gap(np.linalg.norm(X - P, axis=2)), axis=0)
     proj = P[best, np.arange(len(X))]
@@ -244,13 +246,8 @@ def sample_near_points(
             base = np.repeat(anchors[rows], k, axis=0)
             idx = rng.integers(model.num_subspaces, size=base.shape[0])
             pre = base + rng.normal(size=base.shape) * (radius / np.sqrt(d))
-            cands = np.empty_like(pre)
-            for i, B in enumerate(model.bases):
-                sel = idx == i
-                cands[sel] = pre[sel] @ B @ B.T
-            norms = np.linalg.norm(cands, axis=1)
-            over = norms > model.norm_bound
-            cands[over] *= (model.norm_bound / norms[over])[:, None]
+            coeffs = _row_products(pre, model.bases[idx])
+            cands = _ball_project(_subspace_map(model.bases, idx, coeffs), model.norm_bound)
             gaps = metric.dist_pairs(cands, base).reshape(rows.size, k)
             ok = (gaps > 0) & (gaps <= eps)
             hit = ok.any(axis=1)

@@ -12,6 +12,8 @@ from lrip_lab import (
     project_to_model,
 )
 from lrip_lab.models import (
+    _subspace_map,
+    _uniform_ball_coeffs,
     reevaluate_covering_bound,
     sample_model_points,
     sample_near_points,
@@ -49,16 +51,23 @@ class TestUnionOfSubspaces:
 
     def test_json_round_trip(self):
         model = UnionOfSubspaces.random(5, 2, 3, 0.7, 0)
-        clone = UnionOfSubspaces.from_json(model.to_json())
-        for B, B2 in zip(model.bases, clone.bases):
-            assert np.array_equal(B, B2)
+        # column-major entries: the first column of each basis, then the second
+        columns = [[float(v) for v in np.concatenate([B[:, 0], B[:, 1]])] for B in model.bases]
+        clone = UnionOfSubspaces.from_json({"d": 5, "s": 2, "N": 3, "M": 0.7, "bases": columns})
+        assert np.array_equal(clone.bases, model.bases)
         assert clone.norm_bound == model.norm_bound
 
     def test_json_count_mismatch(self):
-        obj = UnionOfSubspaces.random(4, 1, 2, 1.0, 0).to_json()
-        obj["N"] = 3
+        obj = {"d": 2, "s": 1, "N": 3, "M": 1.0, "bases": [[1.0, 0.0], [0.0, 1.0]]}
         with pytest.raises(InputError):
             UnionOfSubspaces.from_json(obj)
+
+    def test_bases_are_one_read_only_stack(self):
+        model = UnionOfSubspaces.random(5, 2, 3, 0.7, 0)
+        assert model.bases.shape == (3, 5, 2)
+        assert not model.bases.flags.writeable
+        with pytest.raises(ValueError):
+            model.bases[0, 0, 0] = 1.0
 
 
 class TestSampleModelPoint:
@@ -73,6 +82,30 @@ class TestSampleModelPoint:
         assert norms.max() <= 0.8 + 1e-12
         defects = [model.membership_defect(p) for p in pts[:500]]
         assert max(defects) <= 1e-10
+
+
+class TestSubspaceMap:
+    """A model point is bitwise the same whatever points are drawn or mapped with it."""
+
+    @pytest.mark.parametrize("d, s", [(20, 2), (4, 2), (10, 3)])
+    def test_points_are_one_row_products(self, d, s):
+        model = UnionOfSubspaces.random(d, s, 3, 1.0, d)
+        pts = sample_model_points(model, 50, 5)
+        rng = np.random.default_rng(5)  # the sampler's draws: subspace indices, then coefficients
+        idx = rng.integers(3, size=50)
+        Z = _uniform_ball_coeffs(rng, 50, s, 1.0)
+        for k in range(50):
+            assert pts[k].tobytes() == (Z[k] @ model.bases[idx[k]].T).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50])
+    @pytest.mark.parametrize("d, s", [(20, 2), (4, 2), (10, 3)])
+    def test_rows_match_the_full_batch(self, d, s, n):
+        model = UnionOfSubspaces.random(d, s, 3, 1.0, d)
+        rng = np.random.default_rng(d)
+        idx, Z = rng.integers(3, size=100), rng.normal(size=(100, s))
+        full = _subspace_map(model.bases, idx, Z)
+        for k in range(50):
+            assert _subspace_map(model.bases, idx[k:k + n], Z[k:k + n]).tobytes() == full[k:k + n].tobytes()
 
 
 class TestProjection:
