@@ -2,11 +2,12 @@
 
 For linear operators and a union-of-subspaces model the decoder is exact:
 each subspace yields a (norm-constrained) least-squares problem.  For the
-random Fourier map the problem is nonconvex and is attacked with multi-start
-projected Gauss-Newton; the achieved residual is reported so that optimizer
-error can be folded into the instance-optimality slack, and for subspace
-dimension <= 2 a branch-and-bound lower bound on the best residual
-certifies that error.
+random Fourier map the problem is nonconvex.  With subspace dimension <= 2,
+one branch-and-bound search over the coefficient balls both bounds the best
+residual from below and supplies the start of one projected Gauss-Newton
+polish, so the decoder's excess residual is certified; otherwise multi-start
+projected Gauss-Newton runs and its achieved residual is reported, so that
+optimizer error can be folded into the instance-optimality slack.
 """
 
 from __future__ import annotations
@@ -41,8 +42,10 @@ class GridOracleOptions:
 
     resolution is the target certified gap, in measurement units: the
     branch-and-bound of certified_minimum stops refining a box once its lower
-    bound is within resolution of the best residual found.  The name is kept
-    from the grid oracle it replaces.
+    bound is within resolution of the best residual found.  With the oracle
+    enabled, decode runs that search before decoding and takes its start from
+    it, so resolution is also the target of the start search.  The name is
+    kept from the grid oracle it replaces.
     """
 
     enabled: bool = True
@@ -55,16 +58,19 @@ class GridOracleOptions:
 
 @dataclass(frozen=True)
 class DecoderOptions:
-    """Multi-start projected Gauss-Newton settings for the Fourier decoder.
+    """Projected Gauss-Newton settings for the Fourier decoder.
 
-    Each subspace gets restarts starts, and all starts of a decode advance
-    in lockstep, one iteration per round.  An iteration's line search tries
-    the full Gauss-Newton step first and halves it only when that fails the
-    Armijo test.  A start has converged when its projected gradient pg has
-    ||pg|| <= GTOL, or when no line-search step lowers f = ||r||^2 by more
-    than its rounding error 64 eps f and ||pg|| <= 64 sqrt(eps) ||J|| ||r||.
-    A start stopped by max_iters, which counts its own iterations, has not
-    converged.
+    restarts serves the multi-start decoder, decode_nonlinear, which decode
+    runs for subspace dimension > 2 or with grid_oracle disabled; otherwise
+    decode polishes one start from the certificate search and max_iters
+    bounds that polish.  Each subspace gets restarts starts, and all starts
+    of a decode advance in lockstep, one iteration per round.  An
+    iteration's line search tries the full Gauss-Newton step first and
+    halves it only when that fails the Armijo test.  A start has converged
+    when its projected gradient pg has ||pg|| <= GTOL, or when no
+    line-search step lowers f = ||r||^2 by more than its rounding error
+    64 eps f and ||pg|| <= 64 sqrt(eps) ||J|| ||r||.  A start stopped by
+    max_iters, which counts its own iterations, has not converged.
     """
 
     restarts: int = 8
@@ -338,6 +344,29 @@ def _gauss_newton(op, model, y, sub, Z0, max_iters):
     return Z, F, iters, converged
 
 
+def _fourier_target(op: RandomFourierOperator, model: UnionOfSubspaces, y) -> np.ndarray:
+    """y as one complex measurement of shape (m,), after checking that op and model agree on the dimension."""
+    if op.dim != model.dim:
+        raise InputError(f"operator dimension {op.dim} does not match model dimension {model.dim}")
+    y = np.asarray(y, dtype=complex)
+    if y.shape != (op.m,):
+        raise InputError(f"y has shape {y.shape}, expected ({op.m},)")
+    return y
+
+
+def _decode_result(op, model, y, i, z, iters, restarts, converged) -> DecodeResult:
+    """The DecodeResult of coefficients z on subspace i, with the residual recomputed at xhat = B_i z."""
+    xhat = model.bases[i] @ z
+    return DecodeResult(
+        xhat=xhat,
+        residual=float(meas_norm(op.apply_batch(xhat)[0] - y)),
+        subspace_index=i,
+        optimizer_iters=iters,
+        restarts_used=restarts,
+        converged=converged,
+    )
+
+
 def decode_nonlinear(
     op: RandomFourierOperator,
     model: UnionOfSubspaces,
@@ -356,13 +385,8 @@ def decode_nonlinear(
     iterations of all starts.  A winning start that did not converge (see
     DecoderOptions) gives converged=False rather than raising.
     """
-    if op.dim != model.dim:
-        raise InputError(f"operator dimension {op.dim} does not match model dimension {model.dim}")
+    y = _fourier_target(op, model, y)
     opts = opts or DecoderOptions()
-    y = np.asarray(y, dtype=complex)
-    if y.shape != (op.m,):
-        raise InputError(f"y has shape {y.shape}, expected ({op.m},)")
-
     M, s = model.norm_bound, model.subspace_dim
     psi0 = op.apply_batch(np.zeros(op.dim))[0]
     J0 = jacobian(op, np.zeros(op.dim))
@@ -387,46 +411,7 @@ def decode_nonlinear(
     # starts that reach one minimum differ in f only by rounding: the earliest
     # start within 64 eps of the best objective wins
     k = int(np.argmax(F <= F.min() * (1.0 + _F_RTOL)))
-    i = int(sub[k])
-    xhat = model.bases[i] @ Z[k]
-    return DecodeResult(
-        xhat=xhat,
-        residual=float(meas_norm(op.apply_batch(xhat)[0] - y)),
-        subspace_index=i,
-        optimizer_iters=int(iters.sum()),
-        restarts_used=opts.restarts,
-        converged=bool(converged[k]),
-    )
-
-
-def grid_minimum(op, model: UnionOfSubspaces, y, resolution: float = 1e-3):
-    """Brute-force residual minimum over coefficient grids (s <= 2 only).
-
-    Returns (x_best, residual_best).  The grid covers [-M, M]^s per subspace
-    at the given resolution, keeping only points inside the ball.  A minimum
-    over finitely many points is an upper bound on the true minimum, not a
-    certificate: it serves as a reference for decoder quality in tests.
-    """
-    s = model.subspace_dim
-    if s > 2:
-        raise InputError("grid oracle supports subspace dimension <= 2")
-    y = np.asarray(y, dtype=complex)
-    M = model.norm_bound
-    ticks = np.arange(-M, M + resolution / 2, resolution)
-    if s == 1:
-        Z = ticks[:, None]
-    else:
-        a, b = np.meshgrid(ticks, ticks, indexing="ij")
-        Z = np.column_stack([a.ravel(), b.ravel()])
-        Z = Z[np.linalg.norm(Z, axis=1) <= M]
-    best_x, best_res = None, np.inf
-    for B in model.bases:
-        X = Z @ B.T
-        res = np.linalg.norm(op.apply_batch(X) - y[None, :], axis=1)
-        k = int(np.argmin(res))
-        if res[k] < best_res:
-            best_x, best_res = X[k], float(res[k])
-    return best_x, best_res
+    return _decode_result(op, model, y, int(sub[k]), Z[k], int(iters.sum()), opts.restarts, bool(converged[k]))
 
 
 def certified_minimum(op: RandomFourierOperator, model: UnionOfSubspaces, y, target: float, upper: float):
@@ -450,10 +435,12 @@ def certified_minimum(op: RandomFourierOperator, model: UnionOfSubspaces, y, tar
     centre.  A box settles once its bound reaches (sqrt(UB) - target)^2 less
     the allowance, so a target below what rounding resolves still ends the
     search; the others split into 2^s children, bounded _CERT_CHUNK at a time.
-    Returns (lower, cells): lower is the square root of the smallest settled
-    bound, capped at upper, and cells the number of boxes bounded.  Should
-    the next level take the count past _CERT_BUDGET, the search stops and
-    the bounds the open boxes inherit count too, so lower stays certified.
+    Returns (lower, cells, best): lower is the square root of the smallest
+    settled bound, capped at upper, cells the number of boxes bounded, and
+    best the in-ball box centre of least f as (subspace, z), the earliest
+    bounded on ties.  Should the next level take the count past _CERT_BUDGET,
+    the search stops and the bounds the open boxes inherit count too, so
+    lower stays certified.
     """
     s = model.subspace_dim
     if s > 2:
@@ -473,6 +460,7 @@ def certified_minimum(op: RandomFourierOperator, model: UnionOfSubspaces, y, tar
     offsets = ((np.arange(2**s)[:, None] >> np.arange(s)) & 1) - 0.5  # children at +-h/2
 
     ub, settled, cells = upper**2, np.inf, 0
+    best_f, best = np.inf, None  # least f at an in-ball centre, and that centre as (subspace, z)
     # open boxes of half-width h: subspace, centre and the bound inherited from the parent
     N = len(model.bases)
     idx, Z, inherited, h = np.arange(N), np.zeros((N, s)), np.zeros(N), M
@@ -501,8 +489,10 @@ def certified_minimum(op: RandomFourierOperator, model: UnionOfSubspaces, y, tar
                      - 16 * _EPS * mu * (r2 + M * M + 2.0 * h * np.sum(np.abs(Zc), axis=1)))
             bound = np.maximum(np.maximum.reduce([first, second, third]) - allowance,
                                inherited[lo:lo + _CERT_CHUNK])
-            in_ball = r2 <= M * M
-            ub = min(ub, float(np.min(f0[in_ball], initial=np.inf)))
+            k = int(np.argmin(np.where(r2 <= M * M, f0, np.inf)))
+            if f0[k] < best_f and r2[k] <= M * M:
+                best_f, best = float(f0[k]), (int(I[k]), Zc[k].copy())
+            ub = min(ub, best_f)
             done = bound >= max(np.sqrt(ub) - target, 0.0) ** 2 - allowance
             settled = min(settled, float(np.min(bound[done], initial=np.inf)))
             split = ~done
@@ -510,7 +500,7 @@ def certified_minimum(op: RandomFourierOperator, model: UnionOfSubspaces, y, tar
                           np.repeat(bound[split], 2**s)))
         idx, Z, inherited = (np.concatenate(part) for part in zip(*parts))
         h *= 0.5
-    return min(float(np.sqrt(max(settled, 0.0))), upper), cells
+    return min(float(np.sqrt(max(settled, 0.0))), upper), cells, best
 
 
 def residual_certificate(
@@ -537,7 +527,7 @@ def residual_certificate(
         return np.inf
     grid_opts = grid_opts or GridOracleOptions()
     if grid_opts.enabled and model.subspace_dim <= 2:
-        lower, _ = certified_minimum(op, model, y, grid_opts.resolution, result.residual)
+        lower, _, _ = certified_minimum(op, model, y, grid_opts.resolution, result.residual)
         return float(result.residual - lower)
     return float(result.residual)
 
@@ -549,8 +539,18 @@ def decode(op, model: UnionOfSubspaces, y, opts: DecoderOptions, rng_seed):
     (n, m) with a list of n seeds, which gives a list of DecodeResults and
     an array of gaps.  The linear decoder is exact, so its gap is 0 without
     a second solve, and it decodes all rows in one decode_linear call
-    without using the seeds.  The Fourier decoder runs on each row with its
-    seed, and its gap comes from ``residual_certificate``.
+    without using the seeds.  The Fourier map decodes each row on its own.
+
+    With subspace dimension <= 2 and opts.grid_oracle enabled, one
+    certified_minimum search at target grid_oracle.resolution gives both the
+    lower bound and its best in-ball box centre; one projected Gauss-Newton
+    start polishes that centre (restarts_used 1, no seed used), and the gap
+    is the residual less the lower bound.  The search settles every box at
+    (sqrt(UB) - target)^2, with UB the centre's f, and the polish never
+    raises f, so the gap is at most the target (up to rounding) unless the
+    cell budget runs out; it is certified whether or not the polish
+    converged.  Otherwise decode_nonlinear runs with the row's seed, and the
+    gap comes from ``residual_certificate``.
     """
     if isinstance(op, LinearGaussianOperator):
         results = decode_linear(op, model, y)
@@ -560,6 +560,12 @@ def decode(op, model: UnionOfSubspaces, y, opts: DecoderOptions, rng_seed):
             raise InputError(f"{len(y)} measurement rows need as many seeds, got {len(rng_seed)}")
         decoded = [decode(op, model, row, opts, seed) for row, seed in zip(y, rng_seed)]
         return [result for result, _ in decoded], np.array([gap for _, gap in decoded])
+    if opts.grid_oracle.enabled and model.subspace_dim <= 2:
+        y = _fourier_target(op, model, y)
+        lower, _, (i, z) = certified_minimum(op, model, y, opts.grid_oracle.resolution, np.inf)
+        Z, _, iters, converged = _gauss_newton(op, model, y, np.array([i]), z[None], opts.max_iters)
+        result = _decode_result(op, model, y, i, Z[0], int(iters[0]), 1, bool(converged[0]))
+        return result, result.residual - min(lower, result.residual)
     result = decode_nonlinear(op, model, y, opts=opts, rng_seed=rng_seed)
     return result, residual_certificate(result, op, model, y, opts.grid_oracle)
 

@@ -23,13 +23,15 @@ METHOD_THEORETICAL_SECANT = "TheoreticalSecant"
 METHOD_GREEDY_ORACLE = "GreedyOracle"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnionOfSubspaces:
     """Model set: union of N norm-bounded subspaces, each given by an orthonormal basis.
 
     bases       N arrays of shape (d, s) with orthonormal columns, stored stacked
                 as one read-only array of shape (N, d, s)
     norm_bound  radius M > 0 of the Euclidean ball intersected with every subspace
+
+    Models compare and hash by identity.
     """
 
     bases: np.ndarray

@@ -30,10 +30,10 @@ from lrip_lab import (
     recommend_m,
 )
 from lrip_lab.certifier import fit_concentration_slope
-from lrip_lab.decoder import grid_minimum
 from lrip_lab.harness import ExperimentConfig, run
 from lrip_lab.models import CoveringBound, covering_bound_model, covering_bound_secant, sample_model_points
 from lrip_lab.operators import hypothesis_constants, jacobian
+from reference import grid_minimum
 
 EUCLID = Pseudometric("euclidean")
 KERNEL = Pseudometric("gaussian-kernel", 1.0)

@@ -21,3 +21,10 @@ def test_config_runs(path):
     assert report.results
     if path.name in REPEATED:
         assert run(ExperimentConfig.from_json_file(path)).results_bytes() == report.results_bytes()
+
+
+def test_fourier_decode_config_is_certified_from_one_start():
+    path = next(p for p in CONFIGS if p.name == "decode_fourier.json")
+    results = run(ExperimentConfig.from_json_file(path)).results
+    assert 0.0 <= results["residual_certificate_gap"] <= 1e-6
+    assert results["decode"]["restarts_used"] == 1

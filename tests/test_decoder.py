@@ -14,12 +14,11 @@ from lrip_lab import (
     residual_certificate,
 )
 from lrip_lab import decoder
-from lrip_lab.decoder import (
-    _HALVINGS, GridOracleOptions, _line_search, certified_minimum, decode, grid_minimum, noise_vector,
-)
+from lrip_lab.decoder import _HALVINGS, GridOracleOptions, _line_search, certified_minimum, decode, noise_vector
 from lrip_lab.models import sample_model_points
 from lrip_lab.operators import jacobian
 from lrip_lab.spaces import meas_norm
+from reference import grid_minimum
 
 KERNEL = Pseudometric("gaussian-kernel", 1.0)
 IDENTITY2 = LinearGaussianOperator.from_matrix(np.eye(2))
@@ -41,6 +40,18 @@ def random_fourier_instance(seed):
     noise = rng.normal(size=m) + 1j * rng.normal(size=m)
     y = op.apply_batch(rng.normal(size=d))[0] + rng.uniform(0.0, 0.3) * noise / np.linalg.norm(noise)
     return model, op, y
+
+
+def fixed_fourier_instances():
+    """random_fourier_instance seeds 0-39, then 30 noisy off-model targets at M = 2, sigma = 0.5, where restarts miss."""
+    for seed in range(40):
+        yield random_fourier_instance(seed)
+    for k in range(30):
+        model = UnionOfSubspaces.random(4, 1 + k % 2, 3, 2.0, 200 + k)
+        op = RandomFourierOperator.from_seed(32, 4, 0.5, 300 + k)
+        rng = np.random.default_rng(k)
+        x = sample_model_points(model, 1, rng)[0] + 0.3 * rng.normal(size=4)
+        yield model, op, op.apply_batch(x)[0] + noise_vector(op, 0.05, rng)
 
 
 def per_start_gauss_newton(op, B, y, z0, radius, max_iters):
@@ -428,7 +439,7 @@ class TestCertifiedMinimum:
         for seed in range(40):
             model, op, y = random_fourier_instance(seed)
             res = decode_nonlinear(op, model, y, opts=DecoderOptions(restarts=3), rng_seed=seed)
-            lower, cells = certified_minimum(op, model, y, 1e-6, res.residual)
+            lower, cells, _ = certified_minimum(op, model, y, 1e-6, res.residual)
             _, rg = grid_minimum(op, model, y, resolution=2e-3)
             assert 0 < cells < decoder._CERT_BUDGET
             assert lower <= rg
@@ -448,7 +459,7 @@ class TestCertifiedMinimum:
         for seed in range(6):
             model, op, y = random_fourier_instance(seed)
             res = decode_nonlinear(op, model, y, opts=DecoderOptions(restarts=3), rng_seed=seed)
-            lower, cells = certified_minimum(op, model, y, 1e-6, res.residual)
+            lower, cells, _ = certified_minimum(op, model, y, 1e-6, res.residual)
             _, rg = grid_minimum(op, model, y, resolution=2e-3)
             assert cells <= 5
             assert lower <= rg
@@ -459,7 +470,7 @@ class TestCertifiedMinimum:
         x = sample_model_points(model, 1, 3)[0]
         y = op.apply_batch(x)[0] + 0.05 * np.exp(1j * np.arange(48)) / np.sqrt(48)
         res = decode_nonlinear(op, model, y, rng_seed=0)
-        lower, cells = certified_minimum(op, model, y, 1e-12, res.residual)
+        lower, cells, _ = certified_minimum(op, model, y, 1e-12, res.residual)
         assert cells < decoder._CERT_BUDGET
         assert 0.0 <= res.residual - lower <= 1e-9
 
@@ -495,14 +506,43 @@ class TestDecode:
             assert np.array_equal(res.xhat, ref.xhat) and res.residual == ref.residual
 
     def test_fourier_gap_is_residual_certificate(self):
+        # with the oracle off, decode is the multi-start decoder and its trivial certificate
+        model = UnionOfSubspaces.axes(2, 1.0)
+        op = RandomFourierOperator.from_seed(16, 2, 1.0, 5)
+        y = op.apply_batch(np.array([0.0, -0.3]))[0] + 0.02
+        opts = DecoderOptions(restarts=3, grid_oracle=GridOracleOptions(enabled=False))
+        res, gap = decode(op, model, y, opts, 7)
+        ref = decode_nonlinear(op, model, y, opts=opts, rng_seed=7)
+        assert np.array_equal(res.xhat, ref.xhat) and res.restarts_used == 3
+        assert gap == residual_certificate(ref, op, model, y, opts.grid_oracle)
+
+    def test_fourier_gap_within_target_with_oracle(self):
         model = UnionOfSubspaces.axes(2, 1.0)
         op = RandomFourierOperator.from_seed(16, 2, 1.0, 5)
         y = op.apply_batch(np.array([0.0, -0.3]))[0] + 0.02
         opts = DecoderOptions(restarts=3, grid_oracle=GridOracleOptions(True, 1e-2))
         res, gap = decode(op, model, y, opts, 7)
-        ref = decode_nonlinear(op, model, y, opts=opts, rng_seed=7)
-        assert np.array_equal(res.xhat, ref.xhat)
-        assert gap == residual_certificate(ref, op, model, y, opts.grid_oracle)
+        assert res.converged and res.restarts_used == 1
+        assert 0.0 <= gap <= 1e-2
+        assert res.residual <= decode_nonlinear(op, model, y, opts=opts, rng_seed=7).residual + 1e-2
+
+    def test_certificate_start_escapes_multi_start_local_minimum(self):
+        # the multi-start decoder stops at residual 1.2072 here, and the certificate proves a gap of 0.29
+        model = UnionOfSubspaces.random(4, 2, 1, 2.0, 66)
+        op = RandomFourierOperator.from_seed(32, 4, 0.5, 67)
+        rng = np.random.default_rng(4)
+        x = sample_model_points(model, 1, rng)[0] + 0.3 * rng.normal(size=4)
+        y = op.apply_batch(x)[0] + noise_vector(op, 0.05, rng)
+        res, gap = decode(op, model, y, DecoderOptions(), 0)
+        assert res.converged and gap <= 1e-6
+        assert res.residual <= decode_nonlinear(op, model, y, rng_seed=0).residual - 0.2
+
+    def test_never_worse_than_multi_start_on_fixed_instances(self):
+        target = 1e-6
+        for k, (model, op, y) in enumerate(fixed_fourier_instances()):
+            res, gap = decode(op, model, y, DecoderOptions(), k)
+            assert 0.0 <= gap <= target, f"instance {k}"
+            assert res.residual <= decode_nonlinear(op, model, y, rng_seed=k).residual + target, f"instance {k}"
 
 
     @pytest.mark.parametrize("kind", ["linear", "fourier"])

@@ -69,6 +69,11 @@ class TestUnionOfSubspaces:
         with pytest.raises(ValueError):
             model.bases[0, 0, 0] = 1.0
 
+    def test_equality_and_hash_are_by_identity(self):
+        model, twin = UnionOfSubspaces.random(3, 1, 2, 1.0, 0), UnionOfSubspaces.random(3, 1, 2, 1.0, 0)
+        assert model == model and model != twin
+        assert hash(model) == hash(model) and len({model, twin}) == 2
+
 
 class TestSampleModelPoint:
     def test_axis_model_point_on_axis(self):
