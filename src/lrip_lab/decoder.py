@@ -42,10 +42,12 @@ class GridOracleOptions:
 
     resolution is the target certified gap, in measurement units: the
     branch-and-bound of certified_minimum stops refining a box once its lower
-    bound is within resolution of the best residual found.  With the oracle
-    enabled, decode runs that search before decoding and takes its start from
-    it, so resolution is also the target of the start search.  The name is
-    kept from the grid oracle it replaces.
+    bound is within resolution of the best residual found.  For subspace
+    dimension <= 2, decode runs that search before decoding and takes its
+    start from it, so resolution is also the target of the start search.
+    enabled is read only by residual_certificate, the independent reference:
+    decode takes its path from the subspace dimension alone.  The names are
+    kept from the grid oracle this search replaces.
     """
 
     enabled: bool = True
@@ -61,16 +63,16 @@ class DecoderOptions:
     """Projected Gauss-Newton settings for the Fourier decoder.
 
     restarts serves the multi-start decoder, decode_nonlinear, which decode
-    runs for subspace dimension > 2 or with grid_oracle disabled; otherwise
-    decode polishes one start from the certificate search and max_iters
-    bounds that polish.  Each subspace gets restarts starts, and all starts
-    of a decode advance in lockstep, one iteration per round.  An
-    iteration's line search tries the full Gauss-Newton step first and
-    halves it only when that fails the Armijo test.  A start has converged
-    when its projected gradient pg has ||pg|| <= GTOL, or when no
-    line-search step lowers f = ||r||^2 by more than its rounding error
-    64 eps f and ||pg|| <= 64 sqrt(eps) ||J|| ||r||.  A start stopped by
-    max_iters, which counts its own iterations, has not converged.
+    runs for subspace dimension > 2; for dimension <= 2 decode polishes one
+    start from the certificate search and max_iters bounds that polish.
+    Each subspace gets restarts starts, and all starts of a decode advance
+    in lockstep, one iteration per round.  An iteration's line search tries
+    the full Gauss-Newton step first and halves it only when that fails the
+    Armijo test.  A start has converged when its projected gradient pg has
+    ||pg|| <= GTOL, or when no line-search step lowers f = ||r||^2 by more
+    than its rounding error 64 eps f and ||pg|| <= 64 sqrt(eps) ||J|| ||r||.
+    A start stopped by max_iters, which counts its own iterations, has not
+    converged.
     """
 
     restarts: int = 8
@@ -519,7 +521,8 @@ def residual_certificate(
     runs out, exceeds the decoder's own excess residual by about that target
     at most.  Otherwise the trivial lower bound 0 applies and the full
     residual is returned.  A non-converged result reports an unknown gap as
-    +inf.
+    +inf.  decode does not call it; it is the independent reference that
+    certifies any DecodeResult, decode_nonlinear's included.
     """
     if not isinstance(op, RandomFourierOperator):
         raise InputError("residual_certificate is for the Fourier decoder; the linear decoder is exact")
@@ -541,16 +544,18 @@ def decode(op, model: UnionOfSubspaces, y, opts: DecoderOptions, rng_seed):
     a second solve, and it decodes all rows in one decode_linear call
     without using the seeds.  The Fourier map decodes each row on its own.
 
-    With subspace dimension <= 2 and opts.grid_oracle enabled, one
-    certified_minimum search at target grid_oracle.resolution gives both the
-    lower bound and its best in-ball box centre; one projected Gauss-Newton
-    start polishes that centre (restarts_used 1, no seed used), and the gap
-    is the residual less the lower bound.  The search settles every box at
-    (sqrt(UB) - target)^2, with UB the centre's f, and the polish never
-    raises f, so the gap is at most the target (up to rounding) unless the
-    cell budget runs out; it is certified whether or not the polish
-    converged.  Otherwise decode_nonlinear runs with the row's seed, and the
-    gap comes from ``residual_certificate``.
+    With subspace dimension <= 2, one certified_minimum search at target
+    opts.grid_oracle.resolution gives both the lower bound and its best
+    in-ball box centre; one projected Gauss-Newton start polishes that
+    centre (restarts_used 1, no seed used), and the gap is the residual less
+    the lower bound.  The search settles every box at (sqrt(UB) - target)^2,
+    with UB the centre's f, and the polish never raises f, so the gap is at
+    most the target (up to rounding) unless the cell budget runs out.  That
+    bound holds whether or not the polish converged, but the IOP checks
+    still count an unconverged decode as unchecked.  With subspace dimension
+    > 2, decode_nonlinear runs with the row's seed and only the trivial
+    lower bound 0 applies, so the gap is the residual, or +inf when the
+    decode did not converge.
     """
     if isinstance(op, LinearGaussianOperator):
         results = decode_linear(op, model, y)
@@ -560,14 +565,14 @@ def decode(op, model: UnionOfSubspaces, y, opts: DecoderOptions, rng_seed):
             raise InputError(f"{len(y)} measurement rows need as many seeds, got {len(rng_seed)}")
         decoded = [decode(op, model, row, opts, seed) for row, seed in zip(y, rng_seed)]
         return [result for result, _ in decoded], np.array([gap for _, gap in decoded])
-    if opts.grid_oracle.enabled and model.subspace_dim <= 2:
+    if model.subspace_dim <= 2:
         y = _fourier_target(op, model, y)
         lower, _, (i, z) = certified_minimum(op, model, y, opts.grid_oracle.resolution, np.inf)
         Z, _, iters, converged = _gauss_newton(op, model, y, np.array([i]), z[None], opts.max_iters)
         result = _decode_result(op, model, y, i, Z[0], int(iters[0]), 1, bool(converged[0]))
         return result, result.residual - min(lower, result.residual)
     result = decode_nonlinear(op, model, y, opts=opts, rng_seed=rng_seed)
-    return result, residual_certificate(result, op, model, y, opts.grid_oracle)
+    return result, (result.residual if result.converged else np.inf)
 
 
 def noise_vector(op, norm: float, rng) -> np.ndarray:

@@ -342,10 +342,10 @@ class TestLripFromIopWitness:
         assert est.strata == {"far": 30, "unconverged": 0}
 
     def test_unconverged_pairs_are_counted(self):
-        # one Gauss-Newton step never converges, so every pair passes vacuously
+        # a polish of one Gauss-Newton step never converges, so every pair passes vacuously
         model = UnionOfSubspaces.random(3, 1, 2, 1.0, 5)
         op = RandomFourierOperator.from_seed(12, 3, 1.0, 6)
-        opts = DecoderOptions(restarts=1, max_iters=1, grid_oracle=GridOracleOptions(enabled=False))
+        opts = DecoderOptions(restarts=1, max_iters=1)
         est = lrip_from_iop_witness(op, model, KERNEL, opts, B=2.0, lam=0.0, pairs=20, rng_seed=7)
         assert est.alpha_hat == 0.0 and est.violation_count == 0
         assert est.strata["unconverged"] == 20
@@ -353,7 +353,7 @@ class TestLripFromIopWitness:
     def test_unconverged_pairs_are_not_tested(self):
         model = UnionOfSubspaces.random(3, 1, 2, 1.0, 5)
         op = RandomFourierOperator.from_seed(12, 3, 1.0, 6)
-        opts = DecoderOptions(restarts=1, max_iters=1, grid_oracle=GridOracleOptions(enabled=False))
+        opts = DecoderOptions(restarts=1, max_iters=1)
         est = lrip_from_iop_witness(op, model, KERNEL, opts, B=2.0, lam=0.0, pairs=20, rng_seed=7)
         assert est.pairs_tested == 0 and est.worst_pair is None
         assert est.report_dict()["worst_cases"] is None

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -506,17 +508,17 @@ class TestDecode:
             assert np.array_equal(res.xhat, ref.xhat) and res.residual == ref.residual
 
     def test_fourier_gap_is_residual_certificate(self):
-        # with the oracle off, decode is the multi-start decoder and its trivial certificate
-        model = UnionOfSubspaces.axes(2, 1.0)
-        op = RandomFourierOperator.from_seed(16, 2, 1.0, 5)
-        y = op.apply_batch(np.array([0.0, -0.3]))[0] + 0.02
-        opts = DecoderOptions(restarts=3, grid_oracle=GridOracleOptions(enabled=False))
+        # subspace dimension 3: decode is the seeded multi-start decoder and its trivial certificate
+        model = UnionOfSubspaces.random(4, 3, 2, 1.0, 5)
+        op = RandomFourierOperator.from_seed(16, 4, 1.0, 5)
+        y = op.apply_batch(sample_model_points(model, 1, 6)[0])[0] + 0.02
+        opts = DecoderOptions(restarts=3)
         res, gap = decode(op, model, y, opts, 7)
         ref = decode_nonlinear(op, model, y, opts=opts, rng_seed=7)
-        assert np.array_equal(res.xhat, ref.xhat) and res.restarts_used == 3
-        assert gap == residual_certificate(ref, op, model, y, opts.grid_oracle)
+        assert np.array_equal(res.xhat, ref.xhat) and res.restarts_used == 3 and res.converged
+        assert gap == residual_certificate(ref, op, model, y, opts.grid_oracle) == res.residual
 
-    def test_fourier_gap_within_target_with_oracle(self):
+    def test_fourier_gap_within_target(self):
         model = UnionOfSubspaces.axes(2, 1.0)
         op = RandomFourierOperator.from_seed(16, 2, 1.0, 5)
         y = op.apply_batch(np.array([0.0, -0.3]))[0] + 0.02
@@ -525,6 +527,9 @@ class TestDecode:
         assert res.converged and res.restarts_used == 1
         assert 0.0 <= gap <= 1e-2
         assert res.residual <= decode_nonlinear(op, model, y, opts=opts, rng_seed=7).residual + 1e-2
+        # the path follows the subspace dimension alone, not the enabled flag
+        off, off_gap = decode(op, model, y, replace(opts, grid_oracle=GridOracleOptions(False, 1e-2)), 7)
+        assert off.xhat.tobytes() == res.xhat.tobytes() and off_gap == gap
 
     def test_certificate_start_escapes_multi_start_local_minimum(self):
         # the multi-start decoder stops at residual 1.2072 here, and the certificate proves a gap of 0.29

@@ -183,9 +183,9 @@ class TestReproducibility:
 LINEAGE_CONFIGS = {
     "recommend-m": {},
     "decode": dict(
-        model={"d": 3, "s": 1, "N": 2, "M": 1.0},
+        model={"d": 4, "s": 3, "N": 2, "M": 1.0},
         operator={"kind": "random-fourier", "m": 12, "sigma": 1.0},
-        decoder={"restarts": 2, "max_iters": 20, "grid_oracle": {"enabled": False}},
+        decoder={"restarts": 2, "max_iters": 20},
         certifier={"noise_scale": 0.05},
     ),
     "iop-experiment": dict(
