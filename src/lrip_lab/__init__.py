@@ -27,7 +27,7 @@ from .operators import (
     sample_lambda,
     weight_f,
 )
-from .decoder import DecodeResult, DecoderOptions, decode_linear, decode_nonlinear, residual_certificate
+from .decoder import DecodeResult, DecoderOptions, decode, decode_linear, decode_nonlinear, residual_certificate
 from .certifier import (
     BpEstimate,
     ConcentrationEstimate,
@@ -54,7 +54,7 @@ __all__ = [
     "covering_bound_model", "covering_bound_secant", "greedy_cover",
     "LinearGaussianOperator", "RandomFourierOperator", "GammaMoments",
     "NonlinearLripHypotheses", "weight_f", "sample_lambda", "hypothesis_constants",
-    "DecoderOptions", "DecodeResult", "decode_linear", "decode_nonlinear",
+    "DecoderOptions", "DecodeResult", "decode", "decode_linear", "decode_nonlinear",
     "residual_certificate",
     "LripEstimate", "BpEstimate", "IopWitness", "ConcentrationEstimate",
     "Prop1Result", "Prop2Result", "RecommendedM",

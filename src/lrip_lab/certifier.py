@@ -3,8 +3,9 @@
 Empirical estimators sample model pairs and report worst-case ratios; they
 understate the true suprema and are labeled accordingly (pairs_tested plus
 near/far stratification travel with every report).  The failure-probability
-calculators are pure arithmetic in the covering bounds and concentration
-exponents and are labeled as theoretical bounds.
+calculators are closed-form arithmetic in the concentration exponent and
+covering bounds; Prop. 2 takes the model and metric and builds both covers at
+the radii its level t fixes.  All are labeled as theoretical bounds.
 
 Conventions.  The lower restricted isometry property (LRIP) at constant
 alpha and slack eta reads
@@ -35,8 +36,9 @@ from .errors import InputError
 from .models import (
     CoveringBound,
     UnionOfSubspaces,
+    covering_bound_model,
+    covering_bound_secant,
     project_to_model,
-    reevaluate_covering_bound,
     sample_model_points,
     sample_near_points,
 )
@@ -350,9 +352,6 @@ class IopTrial:
     lambda_eff: float
     satisfied: bool
     reason: str = ""
-
-    def check(self, A: float, B: float) -> bool:
-        return self.decode_dist <= A * self.model_dist + B * self.noise_norm + self.lambda_eff
 
 
 @dataclass(frozen=True)
@@ -726,11 +725,12 @@ class Prop2Result:
 
 
 def prop2_failure_bound(
-    model_cover: CoveringBound,
-    secant_cover: CoveringBound,
+    model: UnionOfSubspaces,
+    metric: Pseudometric,
     c_of_half_t: float,
     constants: NonlinearLripHypotheses,
     t: float,
+    c0: float = 3.0,
 ) -> Prop2Result:
     """Failure probability of the nonlinear covering argument at level t.
 
@@ -739,7 +739,9 @@ def prop2_failure_bound(
         eps = min(eps0, t / (8 C2)),  delta' = t / (4 C3),
         delta = (t eps^2 / (4 C1)) / (eps + M_S),
 
-    re-evaluates both covering bounds at those radii, and returns
+    covers the model at radius delta (covering_bound_model) and the
+    normalized secant set at radius delta' (covering_bound_secant), both
+    with ball-covering constant c0, and returns
     rho = min(1, (count_model + count_secant) * exp(-c(t/2))).
     """
     if not 0.0 < t < 1.0:
@@ -749,8 +751,8 @@ def prop2_failure_bound(
     eps = min(constants.eps0, t / (8.0 * constants.C2))
     delta_prime = t / (4.0 * constants.C3)
     delta = (t * eps * eps / (4.0 * constants.C1)) / (eps + constants.M_S)
-    mc = reevaluate_covering_bound(model_cover, delta)
-    sc = reevaluate_covering_bound(secant_cover, delta_prime)
+    mc = covering_bound_model(model, metric, delta, c0)
+    sc = covering_bound_secant(model, metric, delta_prime, c0)
     log_total = float(np.logaddexp(mc.log_count, sc.log_count))
     rho = float(min(1.0, math.exp(min(log_total - c_of_half_t, 0.0))))
     return Prop2Result(rho=rho, eps=eps, delta=delta, delta_prime=delta_prime,

@@ -29,7 +29,7 @@ from .certifier import (
 )
 from .decoder import DecoderOptions, GridOracleOptions, decode, noise_vector
 from .errors import ConfigError, InputError
-from .models import UnionOfSubspaces, covering_bound_model, covering_bound_secant, sample_model_points
+from .models import UnionOfSubspaces, sample_model_points
 from .operators import (
     LinearGaussianOperator,
     RandomFourierOperator,
@@ -38,6 +38,14 @@ from .operators import (
 from .spaces import Pseudometric, complex_vector_to_json
 
 EXPERIMENTS = ("certify", "decode", "iop-experiment", "recommend-m", "concentration-sweep")
+
+
+def _cast(kind, value, key: str):
+    """kind(value), with a value that does not cast refused as a ConfigError naming its key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -67,8 +75,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(
             experiment=exp,
-            master_seed=int(obj.get("master_seed", 0)),
-            workers=int(obj.get("workers", 1)),
+            master_seed=_cast(int, obj.get("master_seed", 0), "master_seed"),
+            workers=_cast(int, obj.get("workers", 1), "workers"),
             model=dict(obj.get("model", {})),
             operator=dict(obj.get("operator", {})),
             metric=dict(obj.get("metric", {"kind": "euclidean"})),
@@ -100,7 +108,7 @@ class ExperimentConfig:
         for key in ("d", "s", "N", "M"):
             if key not in m:
                 raise ConfigError(f"model.{key} is required for {self.experiment}")
-        if not (1 <= int(m["s"]) <= int(m["d"])):
+        if not (1 <= _cast(int, m["s"], "model.s") <= _cast(int, m["d"], "model.d")):
             raise ConfigError("need 1 <= s <= d in model spec")
         op = self.operator
         if op.get("kind") not in ("linear-gaussian", "random-fourier"):
@@ -108,15 +116,16 @@ class ExperimentConfig:
         if op.get("identity"):
             if op.get("kind") != "linear-gaussian":
                 raise ConfigError("operator.identity applies to linear-gaussian only")
-            if int(op.get("m", m["d"])) != int(m["d"]):
+            if _cast(int, op.get("m", m["d"]), "operator.m") != int(m["d"]):
                 raise ConfigError("identity operator requires m == d")
-        elif int(op.get("m", 0)) < 1:
+        elif _cast(int, op.get("m", 0), "operator.m") < 1:
             raise ConfigError("operator.m must be >= 1")
-        if op.get("kind") == "random-fourier" and not float(op.get("sigma", 0)) > 0:
+        if op.get("kind") == "random-fourier" and not _cast(float, op.get("sigma", 0), "operator.sigma") > 0:
             raise ConfigError("operator.sigma must be > 0 for the Fourier operator")
         if self.metric.get("kind") not in ("euclidean", "gaussian-kernel"):
             raise ConfigError("metric.kind must be euclidean or gaussian-kernel")
-        if self.metric.get("kind") == "gaussian-kernel" and not float(self.metric.get("sigma", 0)) > 0:
+        sigma = self.metric.get("sigma", 0)
+        if self.metric.get("kind") == "gaussian-kernel" and not _cast(float, sigma, "metric.sigma") > 0:
             raise ConfigError("metric.sigma must be > 0 for the kernel metric")
 
     def to_dict(self) -> dict:
@@ -167,21 +176,24 @@ class Report:
 
 # --- builders -------------------------------------------------------------
 
-def _config_seed(spec: dict, master_seed: int, stream: int) -> int:
+def _config_seed(spec: dict, section: str, master_seed: int, stream: int) -> int:
     """spec["seed"] when the config pins it, else the child seed of the master at ``stream``."""
-    return int(spec["seed"]) if "seed" in spec else seeding.child_seed(master_seed, stream)
+    if "seed" in spec:
+        return _cast(int, spec["seed"], f"{section}.seed")
+    return seeding.child_seed(master_seed, stream)
 
 
 def build_model(cfg: ExperimentConfig) -> UnionOfSubspaces:
     m = cfg.model
     kind = m.get("kind", "random")
-    d, s, N, M = int(m["d"]), int(m["s"]), int(m["N"]), float(m["M"])
+    d, s, N = (_cast(int, m[k], f"model.{k}") for k in "dsN")
+    M = _cast(float, m["M"], "model.M")
     if "bases" in m:
         return UnionOfSubspaces.from_json({"d": d, "s": s, "N": N, "M": M, "bases": m["bases"]})
     if kind == "axes":
         model = UnionOfSubspaces.axes(d, M)
     elif kind == "random":
-        model = UnionOfSubspaces.random(d, s, N, M, _config_seed(m, cfg.master_seed, 10))
+        model = UnionOfSubspaces.random(d, s, N, M, _config_seed(m, "model", cfg.master_seed, 10))
     else:
         raise ConfigError(f"unknown model kind {kind!r}")
     if model.num_subspaces != N or model.subspace_dim != s:
@@ -209,7 +221,8 @@ def _options(cls, spec: dict, section: str):
     if unknown:
         raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
     default = cls()
-    return replace(default, **{k: type(getattr(default, k))(v) for k, v in spec.items()})
+    cast = {k: _cast(type(getattr(default, k)), v, f"{section}.{k}") for k, v in spec.items()}
+    return replace(default, **cast)
 
 
 def build_decoder_options(cfg: ExperimentConfig) -> DecoderOptions:
@@ -229,15 +242,15 @@ def _map_indexed(fn, count: int, workers: int) -> list:
 # --- experiments ----------------------------------------------------------
 
 def _run_recommend_m(cfg: ExperimentConfig) -> dict:
-    c = cfg.certifier
+    c, m = cfg.certifier, cfg.model
     try:
         rec = recommend_m(
             t=float(c["t"]),
-            s=int(cfg.model.get("s", c.get("s"))),
-            N=int(cfg.model.get("N", c.get("N"))),
-            M=float(cfg.model.get("M", c.get("M"))),
-            d=int(cfg.model.get("d", c.get("d"))),
-            sigma=float(cfg.operator.get("sigma", c.get("sigma", 1.0))),
+            s=_cast(int, m["s"], "model.s"),
+            N=_cast(int, m["N"], "model.N"),
+            M=_cast(float, m["M"], "model.M"),
+            d=_cast(int, m["d"], "model.d"),
+            sigma=_cast(float, cfg.operator.get("sigma", 1.0), "operator.sigma"),
             rho_target=float(c["rho_target"]),
             c0=float(c.get("c0_m", 1.0)),
         )
@@ -250,7 +263,7 @@ def _run_decode(cfg: ExperimentConfig) -> dict:
     model = build_model(cfg)
     metric = build_metric(cfg)
     opts = build_decoder_options(cfg)
-    op_seed = _config_seed(cfg.operator, cfg.master_seed, 20)
+    op_seed = _config_seed(cfg.operator, "operator", cfg.master_seed, 20)
     op = build_operator(cfg, op_seed)
     c = cfg.certifier
     rng = seeding.generator(cfg.master_seed, 21)
@@ -279,7 +292,7 @@ def _run_iop(cfg: ExperimentConfig) -> dict:
     metric = build_metric(cfg)
     opts = build_decoder_options(cfg)
     c = cfg.certifier
-    op_seed = _config_seed(cfg.operator, cfg.master_seed, 30)
+    op_seed = _config_seed(cfg.operator, "operator", cfg.master_seed, 30)
     op = build_operator(cfg, op_seed)
 
     B = c.get("B")
@@ -407,15 +420,10 @@ def _run_certify(cfg: ExperimentConfig) -> dict:
         # theoretical side: covering bounds + failure probability at level t
         c_half_t = c.get("c_of_half_t")
         if c_half_t is None and c.get("estimate_concentration", True):
-            pair_rng = seeding.generator(cfg.master_seed, 44)
-            pts = sample_model_points(model, 2, pair_rng)
-            tries = 0
-            while metric.dist(pts[0], pts[1]) == 0 and tries < 100:
-                pts = sample_model_points(model, 2, pair_rng)
-                tries += 1
+            x, x2 = sample_model_points(model, 2, seeding.generator(cfg.master_seed, 44))
             conc = estimate_concentration(
                 op_factory=lambda s: build_operator(cfg, s),
-                pair=(pts[0], pts[1]),
+                pair=(x, x2),
                 metric=metric,
                 draws=int(c.get("concentration_draws", 200)),
                 t_grid=[t / 2.0],
@@ -425,10 +433,8 @@ def _run_certify(cfg: ExperimentConfig) -> dict:
             c_half_t = conc.c_hat[0] if np.isfinite(conc.c_hat[0]) else conc.c_lower[0]
             payload["concentration_at_half_t"] = conc.report_dict()
         if c_half_t is not None:
-            h0 = hyps[0]
-            mc = covering_bound_model(model, metric, 1.0, c0=float(c.get("c0_cover", 3.0)))
-            sc = covering_bound_secant(model, metric, 1.0, c0=float(c.get("c0_cover", 3.0)))
-            prop2 = prop2_failure_bound(mc, sc, float(c_half_t), h0, t)
+            prop2 = prop2_failure_bound(model, metric, float(c_half_t), hyps[0], t,
+                                        c0=float(c.get("c0_cover", 3.0)))
             payload["prop2"] = prop2.report_dict()
     return payload
 
@@ -447,11 +453,7 @@ def _run_concentration_sweep(cfg: ExperimentConfig) -> dict:
         x = np.asarray(pair_cfg[0], dtype=float)
         x2 = np.asarray(pair_cfg[1], dtype=float)
     else:
-        rng = seeding.generator(cfg.master_seed, 50)
-        pts = sample_model_points(model, 2, rng)
-        x, x2 = pts[0], pts[1]
-        if metric.dist(x, x2) == 0:
-            x2 = x2 + model.norm_bound * 0.5 * np.eye(model.dim)[0]
+        x, x2 = sample_model_points(model, 2, seeding.generator(cfg.master_seed, 50))
 
     def one(args):
         m, rep = args
@@ -533,7 +535,7 @@ def _seed_streams(cfg: ExperimentConfig) -> dict:
 
 # The certifier keys each runner reads; run refuses any other.
 _CERTIFIER_KEYS = {
-    "recommend-m": {"t", "rho_target", "c0_m", "s", "N", "M", "d", "sigma"},
+    "recommend-m": {"t", "rho_target", "c0_m"},
     "decode": {"model_error_scale", "noise_scale"},
     "iop-experiment": {"B", "pairs", "eta", "near_eps", "A", "lambda", "trials", "noise_scale",
                        "model_error_scale", "uniform_candidates"},
@@ -557,6 +559,10 @@ def run(config: ExperimentConfig) -> Report:
     unknown = set(config.certifier) - _CERTIFIER_KEYS[config.experiment]
     if unknown:
         raise ConfigError(f"unknown certifier keys for {config.experiment}: {sorted(unknown)}")
+    # no certifier key takes a string or an object
+    for key, value in config.certifier.items():
+        if isinstance(value, (str, dict)):
+            raise ConfigError(f"certifier.{key} must be a number, a bool or a list, got {value!r}")
     start = time.perf_counter()
     results = _RUNNERS[config.experiment](config)
     wall = time.perf_counter() - start

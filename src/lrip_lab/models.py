@@ -9,7 +9,7 @@ farthest-point oracle that certifies a covering of any sampled point set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,7 +116,6 @@ class CoveringBound:
     radius: float
     log_count: float
     method: str
-    params: dict = field(default_factory=dict)
     centers: tuple[int, ...] | None = None
 
     def __post_init__(self):
@@ -262,10 +261,6 @@ def sample_near_points(
     return points, found
 
 
-def _metric_diameter(model: UnionOfSubspaces, metric: Pseudometric) -> float:
-    return float(metric.from_gap(2.0 * model.norm_bound))
-
-
 def covering_bound_model(
     model: UnionOfSubspaces,
     metric: Pseudometric,
@@ -282,28 +277,11 @@ def covering_bound_model(
     if not delta > 0:
         raise InputError(f"delta must be positive, got {delta}")
     _, L = norm_equivalence_factors(metric, model.norm_bound)
-    params = {
-        "N": model.num_subspaces,
-        "s": model.subspace_dim,
-        "M": model.norm_bound,
-        "c0": float(c0),
-        "metric": metric.kind,
-        "L": L,
-        "diameter": _metric_diameter(model, metric),
-    }
-    return CoveringBound(
-        radius=float(delta),
-        log_count=_model_log_count(params, delta),
-        method=METHOD_THEORETICAL_UOS,
-        params=params,
-    )
-
-
-def _model_log_count(params: dict, delta: float) -> float:
-    if delta >= params["diameter"]:
-        return 0.0
-    per_subspace = params["s"] * np.log(params["c0"] * params["L"] * params["M"] / delta)
-    return float(max(0.0, np.log(params["N"]) + max(0.0, per_subspace)))
+    log_count = 0.0
+    if delta < metric.from_gap(2.0 * model.norm_bound):
+        per_subspace = model.subspace_dim * np.log(float(c0) * L * model.norm_bound / delta)
+        log_count = float(max(0.0, np.log(model.num_subspaces) + max(0.0, per_subspace)))
+    return CoveringBound(radius=float(delta), log_count=log_count, method=METHOD_THEORETICAL_UOS)
 
 
 def covering_bound_secant(
@@ -326,46 +304,11 @@ def covering_bound_secant(
     # and metric values capped at sqrt(2) under the kernel metric, so the
     # secant set's metric diameter is bounded accordingly
     diameter = 2.0 if metric.kind == "euclidean" else float(np.sqrt(2.0))
-    params = {
-        "N": model.num_subspaces,
-        "s": model.subspace_dim,
-        "M": model.norm_bound,
-        "c0": float(c0),
-        "metric": metric.kind,
-        "ell": ell,
-        "L": L,
-        "diameter": diameter,
-    }
-    return CoveringBound(
-        radius=float(delta),
-        log_count=_secant_log_count(params, delta),
-        method=METHOD_THEORETICAL_SECANT,
-        params=params,
-    )
-
-
-def _secant_log_count(params: dict, delta: float) -> float:
-    if delta >= params["diameter"]:
-        return 0.0
-    per_pair = 2 * params["s"] * np.log(
-        params["c0"] * params["L"] * params["M"] / (params["ell"] * delta)
-    )
-    return float(max(0.0, 2.0 * np.log(params["N"]) + max(0.0, per_pair)))
-
-
-def reevaluate_covering_bound(bound: CoveringBound, delta: float) -> CoveringBound:
-    """Same bound family as ``bound``, recomputed at a new radius from its stored parameters."""
-    if not delta > 0:
-        raise InputError(f"delta must be positive, got {delta}")
-    if bound.method == METHOD_THEORETICAL_UOS:
-        log_count = _model_log_count(bound.params, delta)
-    elif bound.method == METHOD_THEORETICAL_SECANT:
-        log_count = _secant_log_count(bound.params, delta)
-    else:
-        raise InputError(f"cannot re-evaluate covering bound of method {bound.method!r}")
-    return CoveringBound(
-        radius=float(delta), log_count=log_count, method=bound.method, params=dict(bound.params)
-    )
+    log_count = 0.0
+    if delta < diameter:
+        per_pair = 2 * model.subspace_dim * np.log(float(c0) * L * model.norm_bound / (ell * delta))
+        log_count = float(max(0.0, 2.0 * np.log(model.num_subspaces) + max(0.0, per_pair)))
+    return CoveringBound(radius=float(delta), log_count=log_count, method=METHOD_THEORETICAL_SECANT)
 
 
 def greedy_cover(points, metric: Pseudometric, delta: float) -> CoveringBound:
@@ -381,7 +324,6 @@ def greedy_cover(points, metric: Pseudometric, delta: float) -> CoveringBound:
         raise InputError("greedy_cover needs at least one point")
     if not delta > 0:
         raise InputError(f"delta must be positive, got {delta}")
-    n = pts.shape[0]
     centers = [0]
     min_dist = metric.dist_batch(pts, pts[0])
     while True:
@@ -395,6 +337,5 @@ def greedy_cover(points, metric: Pseudometric, delta: float) -> CoveringBound:
         radius=float(delta),
         log_count=float(np.log(len(centers))),
         method=METHOD_GREEDY_ORACLE,
-        params={"points": n},
         centers=tuple(centers),
     )

@@ -121,12 +121,13 @@ def sample_lambda(sigma: float, d: int, count: int, rng_seed, component: int | N
     return dirs * radii[:, None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearGaussianOperator:
     """Random linear map given by an m x d matrix with i.i.d. N(0, 1/m) entries.
 
     The 1/m entry variance normalizes E ||A x||^2 = ||x||^2.  ``from_matrix``
-    wraps an explicit matrix (used for identity test fixtures).
+    wraps an explicit matrix (used for identity test fixtures).  Operators
+    compare and hash by identity.
     """
 
     matrix: np.ndarray
@@ -172,14 +173,17 @@ class LinearGaussianOperator:
         return np.linalg.norm(_times_rows(D, self.matrix), axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RandomFourierOperator:
-    """Reweighted random Fourier feature map x -> (1/sqrt m) e^{i w_j . x} / f(w_j)."""
+    """Reweighted random Fourier feature map x -> (1/sqrt m) e^{i w_j . x} / f(w_j).
+
+    Operators compare and hash by identity.
+    """
 
     omegas: np.ndarray
     sigma: float
     seed: int | None = None
-    weights: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    weights: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         om = np.asarray(self.omegas, dtype=float)

@@ -31,7 +31,7 @@ from lrip_lab import (
 )
 from lrip_lab.certifier import fit_concentration_slope
 from lrip_lab.harness import ExperimentConfig, run
-from lrip_lab.models import CoveringBound, covering_bound_model, covering_bound_secant, sample_model_points
+from lrip_lab.models import CoveringBound, sample_model_points
 from lrip_lab.operators import hypothesis_constants, jacobian
 from reference import grid_minimum
 
@@ -228,10 +228,8 @@ def test_criterion_6_calculator_arithmetic():
     assert recommend_m(0.5, 2, 5, 1.0, 20, 1.0, 0.01, c0=1.0).m == 55
 
     model = UnionOfSubspaces.random(8, 2, 3, 1.0, 31)
-    mc = covering_bound_model(model, KERNEL, 1.0)
-    sc = covering_bound_secant(model, KERNEL, 1.0)
     consts = hypothesis_constants(RandomFourierOperator.from_seed(64, 8, 1.0, 5), model)
-    rhos = [prop2_failure_bound(mc, sc, 40.0, consts, t).rho
+    rhos = [prop2_failure_bound(model, KERNEL, 40.0, consts, t).rho
             for t in np.linspace(0.05, 0.95, 10)]
     assert all(a >= b - 1e-15 for a, b in zip(rhos, rhos[1:]))
     elapsed = time.perf_counter() - start

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -26,8 +29,8 @@ from lrip_lab.certifier import (
 import lrip_lab
 from lrip_lab import certifier, decoder, harness, seeding
 from lrip_lab.decoder import DecoderOptions, GridOracleOptions
-from lrip_lab.models import covering_bound_model, covering_bound_secant, sample_model_points
-from lrip_lab.spaces import meas_norm
+from lrip_lab.models import sample_model_points
+from lrip_lab.spaces import meas_norm, norm_equivalence_factors
 
 EUCLID = Pseudometric("euclidean")
 KERNEL = Pseudometric("gaussian-kernel", 1.0)
@@ -204,8 +207,10 @@ class TestCheckIop:
         witness = check_iop_inequality(op, model, EUCLID, None, A=1.0, B=3.0, lam=0.0,
                                        trials=20, noise_scale=0.05, model_error_scale=0.2,
                                        rng_seed=2)
+        A, B = witness.A, witness.B
         for trial in witness.trials:
-            assert trial.satisfied == trial.check(witness.A, witness.B)
+            bound = A * trial.model_dist + B * trial.noise_norm + trial.lambda_eff
+            assert trial.satisfied == (trial.decode_dist <= bound)
 
     @pytest.mark.parametrize("candidates", [0, 64])
     def test_model_dist_matches_endpoint_loop(self, candidates):
@@ -489,11 +494,12 @@ def _constants(C1=10.0, C2=10.0, C3=10.0, M_S=1.0, eps0=np.inf):
 class TestProp2:
     def setup_method(self):
         self.model = UnionOfSubspaces.random(8, 2, 3, 1.0, 31)
-        self.mc = covering_bound_model(self.model, KERNEL, 1.0)
-        self.sc = covering_bound_secant(self.model, KERNEL, 1.0)
+
+    def prop2(self, c_of_half_t, constants, t, **kw):
+        return prop2_failure_bound(self.model, KERNEL, c_of_half_t, constants, t, **kw)
 
     def test_radii_at_caps(self):
-        res = prop2_failure_bound(self.mc, self.sc, 10.0, _constants(), 0.5)
+        res = self.prop2(10.0, _constants(), 0.5)
         assert res.eps == pytest.approx(0.5 / 80)
         assert res.delta_prime == pytest.approx(0.5 / 40)
         eps = res.eps
@@ -502,8 +508,8 @@ class TestProp2:
         assert res.secant_cover.radius == pytest.approx(res.delta_prime)
 
     def test_doubling_c2_shrinks_radii_and_grows_cover(self):
-        r1 = prop2_failure_bound(self.mc, self.sc, 10.0, _constants(), 0.5)
-        r2 = prop2_failure_bound(self.mc, self.sc, 10.0, _constants(C2=20.0), 0.5)
+        r1 = self.prop2(10.0, _constants(), 0.5)
+        r2 = self.prop2(10.0, _constants(C2=20.0), 0.5)
         assert r2.eps == pytest.approx(r1.eps / 2)
         assert r2.delta == pytest.approx(r1.delta / 4, rel=0.01)
         s = self.model.subspace_dim
@@ -512,21 +518,47 @@ class TestProp2:
 
     def test_monotone_in_t(self):
         rhos = [
-            prop2_failure_bound(self.mc, self.sc, 30.0, _constants(), t).rho
+            self.prop2(30.0, _constants(), t).rho
             for t in np.linspace(0.05, 0.95, 10)
         ]
         assert all(a >= b - 1e-15 for a, b in zip(rhos, rhos[1:]))
 
     def test_rho_one_boundary_exact(self):
-        res0 = prop2_failure_bound(self.mc, self.sc, 10.0, _constants(), 0.5)
+        res0 = self.prop2(10.0, _constants(), 0.5)
         c_exact = float(np.logaddexp(res0.model_cover.log_count,
                                      res0.secant_cover.log_count))
-        res = prop2_failure_bound(self.mc, self.sc, c_exact, _constants(), 0.5)
+        res = self.prop2(c_exact, _constants(), 0.5)
         assert res.rho == 1.0
 
     def test_t_out_of_range(self):
         with pytest.raises(InputError):
-            prop2_failure_bound(self.mc, self.sc, 1.0, _constants(), 1.5)
+            self.prop2(1.0, _constants(), 1.5)
+
+    @pytest.mark.parametrize("metric", [EUCLID, KERNEL], ids=["euclidean", "kernel"])
+    def test_rho_and_covers_equal_closed_forms(self, metric):
+        # the model of setup_method: N = 3 subspaces of dimension s = 2, radius M = 1
+        N, s, M = 3, 2, 1.0
+        ell, L = norm_equivalence_factors(metric, M)
+        model_diameter = metric.from_gap(2.0 * M)
+        secant_diameter = 2.0 if metric.kind == "euclidean" else np.sqrt(2.0)
+        # C3 = 0.1 puts delta' at or above the secant diameter for the larger t
+        for t, c, c0, C3 in itertools.product((0.05, 0.5, 0.95), (0.0, 5.0, 40.0), (1.0, 3.0, 7.5),
+                                              (10.0, 0.1)):
+            res = prop2_failure_bound(self.model, metric, c, _constants(C3=C3), t, c0=c0)
+            eps = t / 80.0
+            delta = (t * eps * eps / 40.0) / (eps + M)
+            delta_prime = t / (4.0 * C3)
+            log_model = 0.0
+            if delta < model_diameter:
+                log_model = max(0.0, np.log(N) + max(0.0, s * np.log(c0 * L * M / delta)))
+            log_secant = 0.0
+            if delta_prime < secant_diameter:
+                per_pair = 2 * s * np.log(c0 * L * M / (ell * delta_prime))
+                log_secant = max(0.0, 2.0 * np.log(N) + max(0.0, per_pair))
+            rho = min(1.0, math.exp(min(np.logaddexp(log_model, log_secant) - c, 0.0)))
+            assert res.model_cover.log_count == log_model
+            assert res.secant_cover.log_count == log_secant
+            assert res.rho == rho
 
 
 class TestRecommendM:

@@ -216,6 +216,12 @@ class TestCertifierKeys:
         with pytest.raises(ConfigError, match="bogus"):
             run(ExperimentConfig.from_dict(base_config(experiment=experiment, **cfg)))
 
+    def test_recommend_m_reads_the_model_not_the_certifier(self):
+        cfg = base_config()
+        cfg["certifier"] = dict(cfg["certifier"], s=2)
+        with pytest.raises(ConfigError, match="'s'"):
+            run(ExperimentConfig.from_dict(cfg))
+
     def test_another_runners_key_is_refused(self):
         # rho_target belongs to recommend-m, not to certify
         cfg = dict(LINEAGE_CONFIGS["certify"])
@@ -317,6 +323,19 @@ class TestCli:
         )
         path = self.write_config(tmp_path, cfg)
         assert main(["iop-experiment", "--config", path]) == 2
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("decoder", "restarts", "abc"),
+        (None, "master_seed", "x"),
+        ("model", "d", "three"),
+        ("certifier", "noise_scale", "lots"),
+    ], ids=["decoder-restarts", "master-seed", "model-d", "certifier-noise-scale"])
+    def test_wrong_typed_value_exit_code(self, tmp_path, capsys, section, key, value):
+        cfg = json.loads((ROOT / "configs" / "decode_fourier.json").read_text())
+        (cfg if section is None else cfg.setdefault(section, {}))[key] = value
+        assert main(["decode", "--config", self.write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
 
     def test_unknown_certifier_key_exit_code(self, tmp_path):
         # a misspelt "trials" would otherwise run the default 100 trials

@@ -14,7 +14,6 @@ from lrip_lab import (
 from lrip_lab.models import (
     _subspace_map,
     _uniform_ball_coeffs,
-    reevaluate_covering_bound,
     sample_model_points,
     sample_near_points,
 )
@@ -304,17 +303,6 @@ class TestCoveringBounds:
                 oracle = greedy_cover(pts, metric, delta)
                 bound = covering_bound_model(model, metric, delta)
                 assert bound.log_count >= oracle.log_count
-
-    def test_reevaluate_matches_and_grows(self):
-        model = UnionOfSubspaces.random(5, 2, 3, 1.0, 4)
-        bound = covering_bound_model(model, KERNEL, 0.4)
-        same = reevaluate_covering_bound(bound, 0.4)
-        assert same.log_count == bound.log_count
-        assert reevaluate_covering_bound(bound, 0.1).log_count > bound.log_count
-        with pytest.raises(InputError):
-            reevaluate_covering_bound(
-                CoveringBound(0.5, 0.0, "GreedyOracle"), 0.2
-            )
 
     def test_count_bound_floor(self):
         with pytest.raises(InputError):

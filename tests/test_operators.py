@@ -272,3 +272,13 @@ class TestSerialization:
         assert a.weights.tobytes() == b.weights.tobytes()
         lin = LinearGaussianOperator.from_seed(4, 3, 1)
         assert lin.matrix.tobytes() == LinearGaussianOperator.from_seed(4, 3, 1).matrix.tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LinearGaussianOperator.from_seed(4, 3, 0),
+    lambda: RandomFourierOperator.from_seed(4, 3, 1.0, 0),
+], ids=["linear", "fourier"])
+def test_equality_and_hash_are_by_identity(make):
+    op, twin = make(), make()
+    assert op == op and op != twin
+    assert hash(op) == hash(op) and len({op, twin}) == 2
