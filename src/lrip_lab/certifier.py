@@ -94,13 +94,6 @@ class LripEstimate:
             return -np.inf
         return 1.0 - 1.0 / self.alpha_hat
 
-    def reevaluate(self, op, metric: Pseudometric) -> float:
-        """Recompute the ratio at the stored worst pair (consistency check)."""
-        if self.worst_pair is None:
-            return 0.0
-        x, x2 = self.worst_pair
-        return float(_lrip_ratio(max(metric.dist(x, x2) - self.eta, 0.0), op.gap_batch(x - x2)[0]))
-
     def report_dict(self) -> dict:
         return {
             "mode": self.mode,
@@ -278,13 +271,6 @@ class BpEstimate:
     worst_pair: tuple[np.ndarray, np.ndarray] | None
     seed: int | None = None
 
-    def reevaluate(self, op) -> float:
-        if self.worst_pair is None:
-            return 0.0
-        x, xs = self.worst_pair
-        den = self.metric_G.dist(x, xs)
-        return float(op.gap_batch(x - xs)[0]) / den if den > 0 else 0.0
-
     def report_dict(self) -> dict:
         return {
             "mode": "BP",
@@ -432,10 +418,10 @@ def check_iop_inequality(
     Trials run _IOP_CHUNK at a time, in three phases:
 
     * draw: trial k draws from its own stream (rng_seed, 2, k), in the order
-      model point, perturbation, noise, decoder seed, candidates;
+      model point, perturbation, noise, candidates;
     * decode: the chunk's signals are measured in one apply_batch, and
       ``decode`` decodes the measurements, the linear map in one
-      decode_linear call, the Fourier map each with the trial's seed;
+      decode_linear call, the Fourier map one row at a time;
     * check: decode distances, projections and d' over all rows of the
       chunk, with one from_gap and one gap_batch for d'.
 
@@ -456,17 +442,16 @@ def check_iop_inequality(
     for first in range(0, trials, _IOP_CHUNK):
         ks = range(first, min(first + _IOP_CHUNK, trials))
         xstar, noise = np.empty((len(ks), d)), np.empty((len(ks), op.m), dtype=complex)
-        cands, seeds = np.empty((len(ks), 1 + c, d)), []
+        cands = np.empty((len(ks), 1 + c, d))
         for j, k in enumerate(ks):
             rng = seeding.generator(rng_seed, 2, k)
             x0 = sample_model_points(model, 1, rng)[0]
             xstar[j] = x0 + rng.normal(size=d) * (model_error_scale / math.sqrt(d))
             noise[j] = noise_vector(op, noise_scale, rng)
-            seeds.append(int(rng.integers(2**31)))
             if c:
                 cands[j, 1:] = sample_model_points(model, c, rng)
 
-        results, cert_gaps = decode(op, model, op.apply_batch(xstar) + noise, decoder_opts, seeds)
+        results, cert_gaps = decode(op, model, op.apply_batch(xstar) + noise, decoder_opts)
 
         decode_dist = metric.dist_pairs(xstar, np.array([r.xhat for r in results]))
         cands[:, 0] = project_to_model(model, xstar, metric)
@@ -502,12 +487,12 @@ def lrip_from_iop_witness(
     realizes the reduction from instance optimality to the LRIP with
     constant alpha = B and slack eta = 2 lambda; every pair is then checked
     against d(x, x') <= B ||Psi x - Psi x'|| + 2 lambda_eff, with lambda_eff
-    augmented by the decoder's residual certificate.  The linear map decodes
-    all pairs in one decode_linear call, the Fourier map each pair with its
-    own seed.  A pair whose decode did not converge has no finite lambda_eff
-    and is not checked: strata["unconverged"] counts those pairs,
-    pairs_tested the others, and with none checked alpha_hat is 0.0 and
-    worst_pair is None.
+    augmented by the decoder's residual certificate.  All pairs go through
+    one decode call: one decode_linear call on the linear map, one row at a
+    time on the Fourier map.  A pair whose decode did not converge has no
+    finite lambda_eff and is not checked: strata["unconverged"] counts those
+    pairs, pairs_tested the others, and with none checked alpha_hat is 0.0
+    and worst_pair is None.
     """
     if pairs < 1:
         raise InputError(f"pairs must be >= 1, got {pairs}")
@@ -515,8 +500,7 @@ def lrip_from_iop_witness(
     rng = seeding.generator(rng_seed, 3)
     X = sample_model_points(model, pairs, rng)
     X2 = sample_model_points(model, pairs, rng)
-    seeds = None if isinstance(op, LinearGaussianOperator) else [int(rng.integers(2**31)) for _ in range(pairs)]
-    results, gaps = decode(op, model, op.apply_batch(X2), decoder_opts, seeds)
+    results, gaps = decode(op, model, op.apply_batch(X2), decoder_opts)
 
     tested = np.flatnonzero([r.converged for r in results])
     Xt, X2t = X[tested], X2[tested]

@@ -2,12 +2,11 @@
 
 For linear operators and a union-of-subspaces model the decoder is exact:
 each subspace yields a (norm-constrained) least-squares problem.  For the
-random Fourier map the problem is nonconvex.  With subspace dimension <= 2,
-one branch-and-bound search over the coefficient balls both bounds the best
-residual from below and supplies the start of one projected Gauss-Newton
-polish, so the decoder's excess residual is certified; otherwise multi-start
-projected Gauss-Newton runs and its achieved residual is reported, so that
-optimizer error can be folded into the instance-optimality slack.
+random Fourier map the problem is nonconvex: one branch-and-bound search
+over the coefficient balls both bounds the best residual from below and
+supplies the start of one projected Gauss-Newton polish, so the decoder's
+excess residual is certified, at any subspace dimension, and can be folded
+into the instance-optimality slack.
 """
 
 from __future__ import annotations
@@ -16,10 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import seeding
 from .errors import InputError
-from .models import UnionOfSubspaces, _ball_project, _row_products, _subspace_map, _uniform_ball_coeffs
-from .operators import LinearGaussianOperator, RandomFourierOperator, jacobian
+from .models import UnionOfSubspaces, _ball_project, _row_products, _subspace_map
+from .operators import LinearGaussianOperator, RandomFourierOperator
 from .spaces import meas_norm
 
 
@@ -38,19 +36,16 @@ _CERT_CHUNK = 4096  # boxes bounded per batch
 
 @dataclass(frozen=True)
 class GridOracleOptions:
-    """Residual certificate of the Fourier decoder (subspace dimension <= 2).
+    """Residual certificate of the Fourier decoder.
 
     resolution is the target certified gap, in measurement units: the
     branch-and-bound of certified_minimum stops refining a box once its lower
-    bound is within resolution of the best residual found.  For subspace
-    dimension <= 2, decode runs that search before decoding and takes its
-    start from it, so resolution is also the target of the start search.
-    enabled is read only by residual_certificate, the independent reference:
-    decode takes its path from the subspace dimension alone.  The names are
-    kept from the grid oracle this search replaces.
+    bound is within resolution of the best residual found.  decode runs that
+    search before decoding and takes its start from it, so resolution is also
+    the target of the start search.  The names are kept from the grid oracle
+    this search replaces.
     """
 
-    enabled: bool = True
     resolution: float = 1e-6
 
     def __post_init__(self):
@@ -62,26 +57,19 @@ class GridOracleOptions:
 class DecoderOptions:
     """Projected Gauss-Newton settings for the Fourier decoder.
 
-    restarts serves the multi-start decoder, decode_nonlinear, which decode
-    runs for subspace dimension > 2; for dimension <= 2 decode polishes one
-    start from the certificate search and max_iters bounds that polish.
-    Each subspace gets restarts starts, and all starts of a decode advance
-    in lockstep, one iteration per round.  An iteration's line search tries
-    the full Gauss-Newton step first and halves it only when that fails the
-    Armijo test.  A start has converged when its projected gradient pg has
-    ||pg|| <= GTOL, or when no line-search step lowers f = ||r||^2 by more
-    than its rounding error 64 eps f and ||pg|| <= 64 sqrt(eps) ||J|| ||r||.
-    A start stopped by max_iters, which counts its own iterations, has not
-    converged.
+    decode polishes one start, the best box centre of the certificate
+    search, and max_iters bounds that polish.  An iteration's line search
+    tries the full Gauss-Newton step first and halves it only when that fails
+    the Armijo test.  The polish has converged when its projected gradient pg
+    has ||pg|| <= GTOL, or when no line-search step lowers f = ||r||^2 by
+    more than its rounding error 64 eps f and ||pg|| <= 64 sqrt(eps) ||J||
+    ||r||.  A polish stopped by max_iters has not converged.
     """
 
-    restarts: int = 8
     max_iters: int = 500
     grid_oracle: GridOracleOptions = field(default_factory=GridOracleOptions)
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise InputError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iters < 1:
             raise InputError(f"max_iters must be >= 1, got {self.max_iters}")
 
@@ -98,7 +86,6 @@ class DecodeResult:
     residual: float
     subspace_index: int
     optimizer_iters: int
-    restarts_used: int
     converged: bool
 
     def to_json(self) -> dict:
@@ -107,7 +94,6 @@ class DecodeResult:
             "residual": self.residual,
             "subspace_index": self.subspace_index,
             "optimizer_iters": self.optimizer_iters,
-            "restarts_used": self.restarts_used,
             "converged": self.converged,
         }
 
@@ -197,9 +183,9 @@ def decode_linear(op: LinearGaussianOperator, model: UnionOfSubspaces, y):
     regularization path found by one bisection for all rows and subspaces
     outside the ball (_constrained_ls).  Each row keeps its best subspace:
     residuals within a factor 1 + 64 eps of the best count as tied, and a tie
-    goes to the lowest index, so rounding cannot pick the winner (as in
-    decode_nonlinear).  Every row goes through its own vector-matrix
-    products, so its result does not depend on the rows decoded with it.
+    goes to the lowest index, so rounding cannot pick the winner.  Every row
+    goes through its own vector-matrix products, so its result does not
+    depend on the rows decoded with it.
     """
     if op.dim != model.dim:
         raise InputError(f"operator dimension {op.dim} does not match model dimension {model.dim}")
@@ -213,7 +199,7 @@ def decode_linear(op: LinearGaussianOperator, model: UnionOfSubspaces, y):
     xhat, residual = X[best, rows], R[best, rows]
     results = [
         DecodeResult(xhat=xhat[k], residual=float(residual[k]), subspace_index=int(best[k]),
-                     optimizer_iters=0, restarts_used=1, converged=True)
+                     optimizer_iters=0, converged=True)
         for k in rows
     ]
     return results if np.ndim(y) == 2 else results[0]
@@ -346,78 +332,8 @@ def _gauss_newton(op, model, y, sub, Z0, max_iters):
     return Z, F, iters, converged
 
 
-def _fourier_target(op: RandomFourierOperator, model: UnionOfSubspaces, y) -> np.ndarray:
-    """y as one complex measurement of shape (m,), after checking that op and model agree on the dimension."""
-    if op.dim != model.dim:
-        raise InputError(f"operator dimension {op.dim} does not match model dimension {model.dim}")
-    y = np.asarray(y, dtype=complex)
-    if y.shape != (op.m,):
-        raise InputError(f"y has shape {y.shape}, expected ({op.m},)")
-    return y
-
-
-def _decode_result(op, model, y, i, z, iters, restarts, converged) -> DecodeResult:
-    """The DecodeResult of coefficients z on subspace i, with the residual recomputed at xhat = B_i z."""
-    xhat = model.bases[i] @ z
-    return DecodeResult(
-        xhat=xhat,
-        residual=float(meas_norm(op.apply_batch(xhat)[0] - y)),
-        subspace_index=i,
-        optimizer_iters=iters,
-        restarts_used=restarts,
-        converged=converged,
-    )
-
-
-def decode_nonlinear(
-    op: RandomFourierOperator,
-    model: UnionOfSubspaces,
-    y,
-    opts: DecoderOptions | None = None,
-    rng_seed=0,
-) -> DecodeResult:
-    """Multi-start decoder for the Fourier map.
-
-    Starts per subspace: the linearized estimate at 0, the zero point and
-    random model points, restarts in all.  All starts of all subspaces run
-    projected Gauss-Newton in lockstep (see _gauss_newton), and the best
-    local minimum wins.  Objectives within a factor 1 + 64 eps of the best
-    count as tied, and a tie goes to the lowest (subspace, restart) pair, so
-    rounding in the map cannot pick the winner.  optimizer_iters sums the
-    iterations of all starts.  A winning start that did not converge (see
-    DecoderOptions) gives converged=False rather than raising.
-    """
-    y = _fourier_target(op, model, y)
-    opts = opts or DecoderOptions()
-    M, s = model.norm_bound, model.subspace_dim
-    psi0 = op.apply_batch(np.zeros(op.dim))[0]
-    J0 = jacobian(op, np.zeros(op.dim))
-    starts = []  # in (subspace, restart) order
-    for i, B in enumerate(model.bases):
-        # linearized estimate at the origin
-        Jb = J0 @ B
-        rhs = y - psi0
-        z_lin, *_ = np.linalg.lstsq(
-            np.vstack([Jb.real, Jb.imag]), np.concatenate([rhs.real, rhs.imag]), rcond=None
-        )
-        starts_i = [z_lin, np.zeros(s)]
-        # random coefficient starts from a per-subspace stream, so the k-th
-        # start is independent of the total restart count (monotone restarts)
-        rng_i = seeding.generator(rng_seed, i)
-        while len(starts_i) < opts.restarts:
-            starts_i.append(_uniform_ball_coeffs(rng_i, 1, s, M)[0])
-        starts += starts_i[: opts.restarts]
-    sub = np.repeat(np.arange(model.num_subspaces), opts.restarts)
-    Z, F, iters, converged = _gauss_newton(op, model, y, sub, np.array(starts), opts.max_iters)
-
-    # starts that reach one minimum differ in f only by rounding: the earliest
-    # start within 64 eps of the best objective wins
-    k = int(np.argmax(F <= F.min() * (1.0 + _F_RTOL)))
-    return _decode_result(op, model, y, int(sub[k]), Z[k], int(iters.sum()), opts.restarts, bool(converged[k]))
-
-
 def certified_minimum(op: RandomFourierOperator, model: UnionOfSubspaces, y, target: float, upper: float):
-    """Certified lower bound on min ||Psi(x) - y|| over the model, by interval branch-and-bound (s <= 2).
+    """Certified lower bound on min ||Psi(x) - y|| over the model, by interval branch-and-bound.
 
     On subspace i, in coefficients z, the squared residual is
 
@@ -437,16 +353,16 @@ def certified_minimum(op: RandomFourierOperator, model: UnionOfSubspaces, y, tar
     centre.  A box settles once its bound reaches (sqrt(UB) - target)^2 less
     the allowance, so a target below what rounding resolves still ends the
     search; the others split into 2^s children, bounded _CERT_CHUNK at a time.
-    Returns (lower, cells, best): lower is the square root of the smallest
-    settled bound, capped at upper, cells the number of boxes bounded, and
-    best the in-ball box centre of least f as (subspace, z), the earliest
-    bounded on ties.  Should the next level take the count past _CERT_BUDGET,
-    the search stops and the bounds the open boxes inherit count too, so
-    lower stays certified.
+    A box splits only while the boxes bounded so far plus the children made
+    at its level stay within _CERT_BUDGET; a box that would cross it settles
+    at its own bound, which is still certified.  So at any s the count stays
+    within _CERT_BUDGET, unless the model alone has more subspaces, and so
+    does the memory of a level.  Returns (lower, cells, best): lower is the
+    square root of the smallest settled bound, capped at upper, cells the
+    number of boxes bounded, and best the in-ball box centre of least f as
+    (subspace, z), the earliest bounded on ties.
     """
     s = model.subspace_dim
-    if s > 2:
-        raise InputError("certified_minimum supports subspace dimension <= 2")
     y = np.asarray(y, dtype=complex)
     M = model.norm_bound
     a = 1.0 / (op.weights * np.sqrt(op.m))
@@ -456,10 +372,12 @@ def certified_minimum(op: RandomFourierOperator, model: UnionOfSubspaces, y, tar
     L1 = np.sum(np.abs(V), axis=2)
     curvature = L1**2 @ c
     base = float(np.sum((a - np.abs(y)) ** 2))
-    # rounding of the m-term sums and of the phases, whose size is at most M ||v_j||_1 + pi
-    allowance = (64 + 4 * op.m) * _EPS * (
+    # rounding of the m-term sums and of the phases, s-term sums whose size is at most M ||v_j||_1 + pi
+    allowance = (64 + 4 * max(op.m, s)) * _EPS * (
         base + float(np.sum(c)) * (4.0 + 2.0 * np.pi + 2.0 * M * float(L1.max())))
-    offsets = ((np.arange(2**s)[:, None] >> np.arange(s)) & 1) - 0.5  # children at +-h/2
+    children = 2**s
+    # children at +-h/2; with more children than the budget no box ever splits
+    offsets = ((np.arange(children)[:, None] >> np.arange(s)) & 1) - 0.5 if children <= _CERT_BUDGET else None
 
     ub, settled, cells = upper**2, np.inf, 0
     best_f, best = np.inf, None  # least f at an in-ball centre, and that centre as (subspace, z)
@@ -467,12 +385,7 @@ def certified_minimum(op: RandomFourierOperator, model: UnionOfSubspaces, y, tar
     N = len(model.bases)
     idx, Z, inherited, h = np.arange(N), np.zeros((N, s)), np.zeros(N), M
     while len(idx):
-        meets_ball = np.linalg.norm(np.maximum(np.abs(Z) - h, 0.0), axis=1) <= M
-        idx, Z, inherited = idx[meets_ball], Z[meets_ball], inherited[meets_ball]
-        if cells + len(idx) > _CERT_BUDGET:
-            settled = min(settled, float(np.min(inherited, initial=np.inf)))
-            break
-        cells += len(idx)
+        cells, made = cells + len(idx), 0
         parts = [(idx[:0], Z[:0], inherited[:0])]
         for lo in range(0, len(idx), _CERT_CHUNK):
             I, Zc = idx[lo:lo + _CERT_CHUNK], Z[lo:lo + _CERT_CHUNK]
@@ -487,8 +400,9 @@ def certified_minimum(op: RandomFourierOperator, model: UnionOfSubspaces, y, tar
             r2 = np.sum(Zc * Zc, axis=1)
             mu = np.maximum(-np.sum(grad * Zc, axis=1), 0.0) / (2.0 * np.maximum(r2, M * M))
             shifted = grad + 2.0 * mu[:, None] * Zc
+            # the last term is the rounding of the mu terms, with |z|^2 an s-term sum
             third = (f0 + mu * (r2 - M * M) - h * np.sum(np.abs(shifted), axis=1) - h * h * curvature[I]
-                     - 16 * _EPS * mu * (r2 + M * M + 2.0 * h * np.sum(np.abs(Zc), axis=1)))
+                     - 8 * max(2, s) * _EPS * mu * (r2 + M * M + 2.0 * h * np.sum(np.abs(Zc), axis=1)))
             bound = np.maximum(np.maximum.reduce([first, second, third]) - allowance,
                                inherited[lo:lo + _CERT_CHUNK])
             k = int(np.argmin(np.where(r2 <= M * M, f0, np.inf)))
@@ -496,10 +410,18 @@ def certified_minimum(op: RandomFourierOperator, model: UnionOfSubspaces, y, tar
                 best_f, best = float(f0[k]), (int(I[k]), Zc[k].copy())
             ub = min(ub, best_f)
             done = bound >= max(np.sqrt(ub) - target, 0.0) ** 2 - allowance
-            settled = min(settled, float(np.min(bound[done], initial=np.inf)))
-            split = ~done
-            parts.append((np.repeat(I[split], 2**s), (Zc[split, None, :] + h * offsets).reshape(-1, s),
-                          np.repeat(bound[split], 2**s)))
+            # the boxes past the budget's room settle at their own bound too
+            split = np.flatnonzero(~done)
+            room = max(_CERT_BUDGET - cells - made, 0) // children
+            settled = min(settled, float(np.min(bound[done], initial=np.inf)),
+                          float(np.min(bound[split[room:]], initial=np.inf)))
+            split = split[:room]
+            made += len(split) * children
+            if len(split):
+                kids = (Zc[split, None, :] + h * offsets).reshape(-1, s)
+                meets_ball = np.linalg.norm(np.maximum(np.abs(kids) - 0.5 * h, 0.0), axis=1) <= M
+                parts.append((np.repeat(I[split], children)[meets_ball], kids[meets_ball],
+                              np.repeat(bound[split], children)[meets_ball]))
         idx, Z, inherited = (np.concatenate(part) for part in zip(*parts))
         h *= 0.5
     return min(float(np.sqrt(max(settled, 0.0))), upper), cells, best
@@ -515,64 +437,57 @@ def residual_certificate(
     """Gap between the Fourier decoder's residual and a certified lower bound on the minimum.
 
     The linear decoder is exact, and decode gives its gap 0; a linear
-    operator is refused here.  With subspace dimension <= 2 and the oracle
-    enabled, the lower bound comes from certified_minimum with target gap
-    grid_opts.resolution, so the gap is >= 0 and, unless the cell budget
-    runs out, exceeds the decoder's own excess residual by about that target
-    at most.  Otherwise the trivial lower bound 0 applies and the full
-    residual is returned.  A non-converged result reports an unknown gap as
+    operator is refused here.  The lower bound comes from certified_minimum
+    with target gap grid_opts.resolution, so the gap is >= 0 and, unless the
+    cell budget runs out, exceeds the decoder's own excess residual by about
+    that target at most.  A non-converged result reports an unknown gap as
     +inf.  decode does not call it; it is the independent reference that
-    certifies any DecodeResult, decode_nonlinear's included.
+    certifies any DecodeResult.
     """
     if not isinstance(op, RandomFourierOperator):
         raise InputError("residual_certificate is for the Fourier decoder; the linear decoder is exact")
     if not result.converged:
         return np.inf
     grid_opts = grid_opts or GridOracleOptions()
-    if grid_opts.enabled and model.subspace_dim <= 2:
-        lower, _, _ = certified_minimum(op, model, y, grid_opts.resolution, result.residual)
-        return float(result.residual - lower)
-    return float(result.residual)
+    lower, _, _ = certified_minimum(op, model, y, grid_opts.resolution, result.residual)
+    return float(result.residual - lower)
 
 
-def decode(op, model: UnionOfSubspaces, y, opts: DecoderOptions, rng_seed):
+def decode(op, model: UnionOfSubspaces, y, opts: DecoderOptions):
     """Decode y with the operator's decoder; returns (DecodeResult, residual certificate gap).
 
-    y is one measurement of shape (m,) with one rng_seed, or rows of shape
-    (n, m) with a list of n seeds, which gives a list of DecodeResults and
-    an array of gaps.  The linear decoder is exact, so its gap is 0 without
-    a second solve, and it decodes all rows in one decode_linear call
-    without using the seeds.  The Fourier map decodes each row on its own.
-
-    With subspace dimension <= 2, one certified_minimum search at target
+    y is one measurement of shape (m,), or rows of shape (n, m), which give
+    a list of DecodeResults and an array of gaps.  The linear decoder is
+    exact, so its gap is 0 without a second solve, and it decodes all rows
+    in one decode_linear call.  The Fourier map decodes each row on its own,
+    at any subspace dimension: one certified_minimum search at target
     opts.grid_oracle.resolution gives both the lower bound and its best
-    in-ball box centre; one projected Gauss-Newton start polishes that
-    centre (restarts_used 1, no seed used), and the gap is the residual less
-    the lower bound.  The search settles every box at (sqrt(UB) - target)^2,
-    with UB the centre's f, and the polish never raises f, so the gap is at
-    most the target (up to rounding) unless the cell budget runs out.  That
-    bound holds whether or not the polish converged, but the IOP checks
-    still count an unconverged decode as unchecked.  With subspace dimension
-    > 2, decode_nonlinear runs with the row's seed and only the trivial
-    lower bound 0 applies, so the gap is the residual, or +inf when the
-    decode did not converge.
+    in-ball box centre, one projected Gauss-Newton start polishes that
+    centre, and the gap is the residual less the lower bound.  The search
+    settles every box at (sqrt(UB) - target)^2, with UB the centre's f, and
+    the polish never raises f, so the gap is at most the target (up to
+    rounding) unless the cell budget runs out, and certified either way.
+    That bound holds whether or not the polish converged, but the IOP checks
+    still count an unconverged decode as unchecked.
     """
     if isinstance(op, LinearGaussianOperator):
         results = decode_linear(op, model, y)
         return results, (np.zeros(len(results)) if np.ndim(y) == 2 else 0.0)
     if np.ndim(y) == 2:
-        if len(rng_seed) != len(y):
-            raise InputError(f"{len(y)} measurement rows need as many seeds, got {len(rng_seed)}")
-        decoded = [decode(op, model, row, opts, seed) for row, seed in zip(y, rng_seed)]
+        decoded = [decode(op, model, row, opts) for row in y]
         return [result for result, _ in decoded], np.array([gap for _, gap in decoded])
-    if model.subspace_dim <= 2:
-        y = _fourier_target(op, model, y)
-        lower, _, (i, z) = certified_minimum(op, model, y, opts.grid_oracle.resolution, np.inf)
-        Z, _, iters, converged = _gauss_newton(op, model, y, np.array([i]), z[None], opts.max_iters)
-        result = _decode_result(op, model, y, i, Z[0], int(iters[0]), 1, bool(converged[0]))
-        return result, result.residual - min(lower, result.residual)
-    result = decode_nonlinear(op, model, y, opts=opts, rng_seed=rng_seed)
-    return result, (result.residual if result.converged else np.inf)
+    if op.dim != model.dim:
+        raise InputError(f"operator dimension {op.dim} does not match model dimension {model.dim}")
+    y = np.asarray(y, dtype=complex)
+    if y.shape != (op.m,):
+        raise InputError(f"y has shape {y.shape}, expected ({op.m},)")
+    lower, _, (i, z) = certified_minimum(op, model, y, opts.grid_oracle.resolution, np.inf)
+    Z, _, iters, converged = _gauss_newton(op, model, y, np.array([i]), z[None], opts.max_iters)
+    xhat = model.bases[i] @ Z[0]
+    residual = float(meas_norm(op.apply_batch(xhat)[0] - y))
+    result = DecodeResult(xhat=xhat, residual=residual, subspace_index=i, optimizer_iters=int(iters[0]),
+                          converged=bool(converged[0]))
+    return result, residual - min(lower, residual)
 
 
 def noise_vector(op, norm: float, rng) -> np.ndarray:

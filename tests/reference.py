@@ -1,31 +1,29 @@
-"""Brute-force references that decoder tests compare against."""
+"""Brute-force and multi-start references that decoder tests compare against."""
 
 import numpy as np
 
-from lrip_lab.errors import InputError
-from lrip_lab.models import UnionOfSubspaces
+from lrip_lab import decoder, seeding
+from lrip_lab.decoder import DecodeResult
+from lrip_lab.models import UnionOfSubspaces, _uniform_ball_coeffs
+from lrip_lab.operators import jacobian
+from lrip_lab.spaces import meas_norm
 
 
 def grid_minimum(op, model: UnionOfSubspaces, y, resolution: float = 1e-3):
-    """Brute-force residual minimum over coefficient grids (s <= 2 only).
+    """Brute-force residual minimum over coefficient grids.
 
     Returns (x_best, residual_best).  The grid covers [-M, M]^s per subspace
-    at the given resolution, keeping only points inside the ball.  A minimum
-    over finitely many points is an upper bound on the true minimum, not a
-    certificate: it serves as a reference for decoder quality in tests.
+    at the given resolution, keeping only points inside the ball, so its size
+    grows as (2M / resolution)^s.  A minimum over finitely many points is an
+    upper bound on the true minimum, not a certificate: it serves as a
+    reference for decoder quality in tests.
     """
     s = model.subspace_dim
-    if s > 2:
-        raise InputError("grid oracle supports subspace dimension <= 2")
     y = np.asarray(y, dtype=complex)
     M = model.norm_bound
     ticks = np.arange(-M, M + resolution / 2, resolution)
-    if s == 1:
-        Z = ticks[:, None]
-    else:
-        a, b = np.meshgrid(ticks, ticks, indexing="ij")
-        Z = np.column_stack([a.ravel(), b.ravel()])
-        Z = Z[np.linalg.norm(Z, axis=1) <= M]
+    Z = np.stack(np.meshgrid(*[ticks] * s, indexing="ij"), axis=-1).reshape(-1, s)
+    Z = Z[np.linalg.norm(Z, axis=1) <= M]
     best_x, best_res = None, np.inf
     for B in model.bases:
         X = Z @ B.T
@@ -34,3 +32,39 @@ def grid_minimum(op, model: UnionOfSubspaces, y, resolution: float = 1e-3):
         if res[k] < best_res:
             best_x, best_res = X[k], float(res[k])
     return best_x, best_res
+
+
+def multi_start_decode(op, model: UnionOfSubspaces, y, restarts: int = 8, max_iters: int = 500,
+                       rng_seed: int = 0) -> DecodeResult:
+    """The multi-start Fourier decoder that the certificate-first decode replaced.
+
+    Starts per subspace: the linearized estimate at 0, the zero point and
+    random model points from the stream (rng_seed, i), restarts in all.  All
+    starts run the library's projected Gauss-Newton in lockstep, and the best
+    local minimum wins; objectives within a factor 1 + 64 eps of the best
+    count as tied, and a tie goes to the lowest (subspace, restart) pair.
+    optimizer_iters sums the iterations of all starts.  Its random restarts
+    can stop in a local minimum and report convergence, which is what the
+    decode gates compare against.
+    """
+    y = np.asarray(y, dtype=complex)
+    M, s = model.norm_bound, model.subspace_dim
+    psi0 = op.apply_batch(np.zeros(op.dim))[0]
+    J0 = jacobian(op, np.zeros(op.dim))
+    starts = []  # in (subspace, restart) order
+    for i, B in enumerate(model.bases):
+        Jb, rhs = J0 @ B, y - psi0
+        z_lin, *_ = np.linalg.lstsq(np.vstack([Jb.real, Jb.imag]), np.concatenate([rhs.real, rhs.imag]), rcond=None)
+        starts_i = [z_lin, np.zeros(s)]
+        # the k-th start of a subspace does not depend on the restart count, so restarts are nested
+        rng_i = seeding.generator(rng_seed, i)
+        while len(starts_i) < restarts:
+            starts_i.append(_uniform_ball_coeffs(rng_i, 1, s, M)[0])
+        starts += starts_i[:restarts]
+    sub = np.repeat(np.arange(model.num_subspaces), restarts)
+    Z, F, iters, converged = decoder._gauss_newton(op, model, y, sub, np.array(starts), max_iters)
+    k = int(np.argmax(F <= F.min() * (1.0 + decoder._F_RTOL)))
+    i = int(sub[k])
+    xhat = model.bases[i] @ Z[k]
+    return DecodeResult(xhat=xhat, residual=float(meas_norm(op.apply_batch(xhat)[0] - y)), subspace_index=i,
+                        optimizer_iters=int(iters.sum()), converged=bool(converged[k]))

@@ -17,9 +17,10 @@ from lrip_lab import (
     Pseudometric,
     RandomFourierOperator,
     UnionOfSubspaces,
+    DecoderOptions,
     check_iop_inequality,
+    decode,
     decode_linear,
-    decode_nonlinear,
     estimate_bp,
     estimate_concentration,
     estimate_lrip,
@@ -313,7 +314,7 @@ def test_criterion_7d_decoder_membership():
     for k in range(5):
         model = UnionOfSubspaces.random(3, 1, 2, 0.8, 800 + k)
         op = RandomFourierOperator.from_seed(24, 3, 1.0, 900 + k)
-        res = decode_nonlinear(op, model, op.apply_batch(rng.normal(size=3))[0], rng_seed=k)
+        res, _ = decode(op, model, op.apply_batch(rng.normal(size=3))[0], DecoderOptions())
         worst_defect = max(worst_defect, model.membership_defect(res.xhat))
         worst_norm = max(worst_norm, np.linalg.norm(res.xhat) - model.norm_bound)
     elapsed = time.perf_counter() - start

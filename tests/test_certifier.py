@@ -72,7 +72,9 @@ class TestEstimateLrip:
         model = UnionOfSubspaces.random(5, 2, 3, 1.0, 1)
         op = RandomFourierOperator.from_seed(32, 5, 1.0, 2)
         est = estimate_lrip(op, model, KERNEL, pairs=400, rng_seed=3)
-        assert est.reevaluate(op, KERNEL) == pytest.approx(est.alpha_hat, abs=1e-10)
+        x, x2 = est.worst_pair
+        ratio = max(KERNEL.dist(x, x2) - est.eta, 0.0) / op.gap_batch(x - x2)[0]
+        assert ratio == pytest.approx(est.alpha_hat, abs=1e-10)
 
     def test_eta_slack_reduces_alpha(self):
         model = UnionOfSubspaces.axes(2, 1.0)
@@ -155,7 +157,9 @@ class TestEstimateBp:
         model = UnionOfSubspaces.random(5, 2, 2, 1.0, 2)
         op = RandomFourierOperator.from_seed(24, 5, 1.0, 3)
         bp = estimate_bp(op, model, KERNEL, pairs=500, rng_seed=4)
-        assert bp.reevaluate(op) == pytest.approx(bp.beta_hat, abs=1e-10)
+        x, xs = bp.worst_pair
+        ratio = op.gap_batch(x - xs)[0] / bp.metric_G.dist(x, xs)
+        assert ratio == pytest.approx(bp.beta_hat, abs=1e-10)
 
     def test_desk_scale_beta_below_one_plus_t(self):
         # BP constant beta = 1 + t at t = 0.5 holds in at least 90 of 100 draws
@@ -253,7 +257,7 @@ class TestCheckIop:
         monkeypatch.setattr(certifier, "decode", recorded)
         model = UnionOfSubspaces.random(4, 2, 3, 1.0, 2)
         op = RandomFourierOperator.from_seed(48, 4, 1.0, 5)
-        witness = check_iop_inequality(op, model, KERNEL, DecoderOptions(restarts=3), A=1.0, B=2.0,
+        witness = check_iop_inequality(op, model, KERNEL, DecoderOptions(), A=1.0, B=2.0,
                                        lam=0.01, trials=4, noise_scale=0.05, model_error_scale=0.3,
                                        rng_seed=3)
         assert len(gaps) == 4 and all(t.reason == "" for t in witness.trials)
@@ -293,7 +297,7 @@ IOP_INSTANCES = {
     "linear": (lambda: UnionOfSubspaces.random(3, 1, 3, 1.0, 21), lambda: LinearGaussianOperator.from_seed(3, 3, 22),
                EUCLID, None),
     "fourier": (lambda: UnionOfSubspaces.random(3, 1, 2, 1.0, 2), lambda: RandomFourierOperator.from_seed(16, 3, 1.0, 5),
-                KERNEL, DecoderOptions(restarts=2, grid_oracle=GridOracleOptions(True, 1e-2))),
+                KERNEL, DecoderOptions(grid_oracle=GridOracleOptions(resolution=1e-2))),
 }
 
 
@@ -350,7 +354,7 @@ class TestLripFromIopWitness:
         # a polish of one Gauss-Newton step never converges, so every pair passes vacuously
         model = UnionOfSubspaces.random(3, 1, 2, 1.0, 5)
         op = RandomFourierOperator.from_seed(12, 3, 1.0, 6)
-        opts = DecoderOptions(restarts=1, max_iters=1)
+        opts = DecoderOptions(max_iters=1)
         est = lrip_from_iop_witness(op, model, KERNEL, opts, B=2.0, lam=0.0, pairs=20, rng_seed=7)
         assert est.alpha_hat == 0.0 and est.violation_count == 0
         assert est.strata["unconverged"] == 20
@@ -358,7 +362,7 @@ class TestLripFromIopWitness:
     def test_unconverged_pairs_are_not_tested(self):
         model = UnionOfSubspaces.random(3, 1, 2, 1.0, 5)
         op = RandomFourierOperator.from_seed(12, 3, 1.0, 6)
-        opts = DecoderOptions(restarts=1, max_iters=1)
+        opts = DecoderOptions(max_iters=1)
         est = lrip_from_iop_witness(op, model, KERNEL, opts, B=2.0, lam=0.0, pairs=20, rng_seed=7)
         assert est.pairs_tested == 0 and est.worst_pair is None
         assert est.report_dict()["worst_cases"] is None

@@ -1,4 +1,4 @@
-from dataclasses import replace
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from lrip_lab import (
     RandomFourierOperator,
     UnionOfSubspaces,
     decode_linear,
-    decode_nonlinear,
     residual_certificate,
 )
 from lrip_lab import decoder
@@ -20,7 +19,7 @@ from lrip_lab.decoder import _HALVINGS, GridOracleOptions, _line_search, certifi
 from lrip_lab.models import sample_model_points
 from lrip_lab.operators import jacobian
 from lrip_lab.spaces import meas_norm
-from reference import grid_minimum
+from reference import grid_minimum, multi_start_decode
 
 KERNEL = Pseudometric("gaussian-kernel", 1.0)
 IDENTITY2 = LinearGaussianOperator.from_matrix(np.eye(2))
@@ -44,16 +43,29 @@ def random_fourier_instance(seed):
     return model, op, y
 
 
+def noisy_off_model_target(model, op, k):
+    """A model point plus 0.3 * normal, measured, plus noise of norm 0.05, all from default_rng(k)."""
+    rng = np.random.default_rng(k)
+    x = sample_model_points(model, 1, rng)[0] + 0.3 * rng.normal(size=model.dim)
+    return op.apply_batch(x)[0] + noise_vector(op, 0.05, rng)
+
+
 def fixed_fourier_instances():
-    """random_fourier_instance seeds 0-39, then 30 noisy off-model targets at M = 2, sigma = 0.5, where restarts miss."""
+    """(model, op, y, reference seed): 70 instances with s <= 2, then 15 with s = 3.
+
+    random_fourier_instance seeds 0-39, 30 noisy off-model targets at M = 2,
+    sigma = 0.5, where restarts miss, and 15 at s = 3, M = 3, sigma = 0.5.
+    """
     for seed in range(40):
-        yield random_fourier_instance(seed)
+        yield *random_fourier_instance(seed), seed
     for k in range(30):
         model = UnionOfSubspaces.random(4, 1 + k % 2, 3, 2.0, 200 + k)
         op = RandomFourierOperator.from_seed(32, 4, 0.5, 300 + k)
-        rng = np.random.default_rng(k)
-        x = sample_model_points(model, 1, rng)[0] + 0.3 * rng.normal(size=4)
-        yield model, op, op.apply_batch(x)[0] + noise_vector(op, 0.05, rng)
+        yield model, op, noisy_off_model_target(model, op, k), 40 + k
+    for k in range(15):
+        model = UnionOfSubspaces.random(5, 3, 3, 3.0, 400 + k)
+        op = RandomFourierOperator.from_seed(32, 5, 0.5, 500 + k)
+        yield model, op, noisy_off_model_target(model, op, k), k
 
 
 def per_start_gauss_newton(op, B, y, z0, radius, max_iters):
@@ -216,12 +228,19 @@ class TestDecodeLinear:
             assert res.residual <= 1e-10
 
 
+def fourier_decode(op, model, y, opts=None):
+    """decode's DecodeResult for one Fourier measurement."""
+    return decode(op, model, y, opts or DecoderOptions())[0]
+
+
 class TestDecodeNonlinear:
+    """The Fourier map's decoder: the certificate-started polish of decode and the lockstep Gauss-Newton under it."""
+
     def test_cold_starts_recover_truth(self):
         model = UnionOfSubspaces.axes(2, 1.0)
         op = RandomFourierOperator.from_seed(64, 2, 1.0, 3)
         x0 = np.array([0.6, 0.0])
-        res = decode_nonlinear(op, model, op.apply_batch(x0)[0], rng_seed=0)
+        res = fourier_decode(op, model, op.apply_batch(x0)[0])
         assert res.residual <= 1e-8
         assert res.converged
 
@@ -231,18 +250,17 @@ class TestDecodeNonlinear:
         for seed in range(20):
             op = RandomFourierOperator.from_seed(64, 2, 1.0, seed)
             x0 = sample_model_points(model, 1, 10_000 + seed)[0]
-            res = decode_nonlinear(op, model, op.apply_batch(x0)[0], rng_seed=seed)
+            res = fourier_decode(op, model, op.apply_batch(x0)[0])
             hits += KERNEL.dist(x0, res.xhat) <= 1e-6
         assert hits >= 19
 
     def test_zero_signal_exact(self):
         model = UnionOfSubspaces.axes(2, 1.0)
         op = RandomFourierOperator.from_seed(32, 2, 1.0, 8)
-        res = decode_nonlinear(op, model, op.apply_batch(np.zeros(2))[0], rng_seed=1)
+        res = fourier_decode(op, model, op.apply_batch(np.zeros(2))[0])
         assert KERNEL.dist(np.zeros(2), res.xhat) <= 1e-8
-        # both starts of each subspace sit at the minimum, so every start stops in the first round
-        res = decode_nonlinear(op, model, op.apply_batch(np.zeros(2))[0], opts=DecoderOptions(restarts=2), rng_seed=1)
-        assert res.converged and res.optimizer_iters == 4 and res.residual == 0.0
+        # the search's first centre, the origin, is the minimum, so the polish stops in its first round
+        assert res.converged and res.optimizer_iters == 1 and res.residual == 0.0
 
     def test_feasibility_invariants(self):
         model = UnionOfSubspaces.random(4, 2, 3, 0.8, 2)
@@ -250,7 +268,7 @@ class TestDecodeNonlinear:
         rng = np.random.default_rng(6)
         for _ in range(5):
             y = op.apply_batch(rng.normal(size=4))[0]  # off-model target
-            res = decode_nonlinear(op, model, y, rng_seed=0)
+            res = fourier_decode(op, model, y)
             assert model.membership_defect(res.xhat) <= 1e-10
             assert np.linalg.norm(res.xhat) <= 0.8 + 1e-10
 
@@ -260,16 +278,16 @@ class TestDecodeNonlinear:
         op = RandomFourierOperator.from_seed(48, 4, 1.0, 5)
         rng = np.random.default_rng(6)
         for _ in range(5):
-            res = decode_nonlinear(op, model, op.apply_batch(rng.normal(size=4))[0], rng_seed=0)
+            res = fourier_decode(op, model, op.apply_batch(rng.normal(size=4))[0])
             assert res.converged
 
     def test_last_bit_change_keeps_convergence(self):
-        # every start reaches the same minimum here, so the winner is picked by rounding
+        # targets that differ in their last bits all decode to a converged polish
         model = UnionOfSubspaces.random(3, 1, 2, 1.0, 8)
         op = RandomFourierOperator.from_seed(12, 3, 1.0, 4)
         y = op.apply_batch(sample_model_points(model, 1, 1)[0])[0] + 0.05 * np.exp(1j * np.arange(12)) / np.sqrt(12)
         for target in (y, np.nextafter(y.real, 2) + 1j * y.imag, y * (1 + 2 ** -52)):
-            assert decode_nonlinear(op, model, target, rng_seed=3).converged
+            assert fourier_decode(op, model, target).converged
 
     def test_one_apply_per_iteration(self, monkeypatch):
         calls = []
@@ -284,10 +302,11 @@ class TestDecodeNonlinear:
         op = RandomFourierOperator.from_seed(48, 4, 1.0, 5)
         y = op.apply_batch(np.random.default_rng(6).normal(size=4))[0]
         calls.clear()
-        res = decode_nonlinear(op, model, y, opts=DecoderOptions(restarts=3), rng_seed=0)
-        assert res.optimizer_iters > 3
-        # the origin's value and Jacobian, the starts, the line searches and the winner's residual
-        assert len(calls) <= 2 * res.optimizer_iters + 3
+        res = fourier_decode(op, model, y)
+        assert res.optimizer_iters > 1
+        # the start, then per iteration the full step, the other 53 halvings at once and the 54
+        # gradient steps at once, and the recomputed residual; the search itself applies no map
+        assert len(calls) <= 3 * res.optimizer_iters + 2
 
     def test_line_search_matches_one_apply_per_step(self):
         model = UnionOfSubspaces.random(4, 2, 3, 0.8, 2)
@@ -365,18 +384,21 @@ class TestDecodeNonlinear:
                     assert np.array_equal(whole[k], one[0])
 
     def test_monotone_in_restarts(self):
+        # the multi-start reference's restarts are nested, so the 8-restart baseline of the gates
+        # is no worse than any fewer
         model = UnionOfSubspaces.random(3, 1, 2, 1.0, 7)
         op = RandomFourierOperator.from_seed(24, 3, 1.0, 9)
         y = op.apply_batch(np.random.default_rng(1).normal(size=3))[0]
         residuals = [
-            decode_nonlinear(op, model, y, opts=DecoderOptions(restarts=r), rng_seed=4).residual
+            multi_start_decode(op, model, y, restarts=r, rng_seed=4).residual
             for r in (1, 2, 4, 8)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(residuals, residuals[1:]))
 
     @pytest.mark.parametrize("step, winner", [(1e-17, 0), (1e-9, 7)])
     def test_rounding_ties_go_to_the_earliest_start(self, monkeypatch, step, winner):
-        # objectives fall by step with each start: 1e-17 is a few ulps at 0.01, 1e-9 is not
+        # the multi-start reference picks its winner by objective, not by rounding: objectives
+        # fall by step with each start, and 1e-17 is a few ulps at 0.01, 1e-9 is not
         model = UnionOfSubspaces.random(3, 1, 2, 1.0, 7)
         op = RandomFourierOperator.from_seed(12, 3, 1.0, 9)
         starts = []
@@ -387,7 +409,7 @@ class TestDecodeNonlinear:
             return np.array(starts), 0.01 - step * np.arange(1, n + 1), np.ones(n, dtype=int), np.ones(n, dtype=bool)
 
         monkeypatch.setattr(decoder, "_gauss_newton", fake)
-        res = decode_nonlinear(op, model, op.apply_batch(np.zeros(3))[0] + 0.1, opts=DecoderOptions(restarts=4))
+        res = multi_start_decode(op, model, op.apply_batch(np.zeros(3))[0] + 0.1, restarts=4)
         assert len(starts) == 8
         assert res.subspace_index == winner // 4
         assert np.array_equal(res.xhat, model.bases[winner // 4] @ starts[winner])
@@ -396,9 +418,7 @@ class TestDecodeNonlinear:
         model = UnionOfSubspaces.axes(2, 1.0)
         op = RandomFourierOperator.from_seed(16, 2, 1.0, 11)
         y = op.apply_batch(np.array([0.2, 0.0]))[0]
-        res = decode_nonlinear(op, model, y, rng_seed=0)
-        from lrip_lab.spaces import meas_norm
-
+        res = fourier_decode(op, model, y)
         assert abs(meas_norm(op.apply_batch(res.xhat)[0] - y) - res.residual) <= 1e-10
 
 
@@ -406,7 +426,7 @@ class TestResidualCertificate:
     def test_exact_linear_gap_zero(self):
         # the linear decoder is exact: decode gives it gap 0, and the certificate refuses the linear map
         model, op, y = random_small_instance(3)
-        res, gap = decode(op, model, y, DecoderOptions(), 0)
+        res, gap = decode(op, model, y, DecoderOptions())
         assert gap == 0.0
         with pytest.raises(InputError):
             residual_certificate(res, op, model, y)
@@ -415,32 +435,32 @@ class TestResidualCertificate:
         model = UnionOfSubspaces.axes(2, 1.0)
         op = RandomFourierOperator.from_seed(32, 2, 1.0, 13)
         y = op.apply_batch(np.array([0.4, 0.0]))[0] + 0.05
-        res = decode_nonlinear(op, model, y, rng_seed=0)
-        gap = residual_certificate(res, op, model, y, GridOracleOptions(True, 1e-3))
+        res = fourier_decode(op, model, y)
+        gap = residual_certificate(res, op, model, y, GridOracleOptions(resolution=1e-3))
         assert gap >= 0  # the branch-and-bound lower bound never exceeds the achieved residual
 
     def test_unconverged_reports_infinity(self):
         res = DecodeResult(
             xhat=np.zeros(2), residual=1.0, subspace_index=0,
-            optimizer_iters=1, restarts_used=1, converged=False,
+            optimizer_iters=1, converged=False,
         )
         op = RandomFourierOperator.from_seed(8, 2, 1.0, 0)
         assert residual_certificate(res, op, UnionOfSubspaces.axes(2, 1.0), np.zeros(8)) == np.inf
 
-    def test_trivial_bound_for_large_subspace_dim(self):
+    def test_certified_gap_within_target_at_subspace_dim_three(self):
         model = UnionOfSubspaces.random(6, 3, 2, 1.0, 0)
         op = RandomFourierOperator.from_seed(16, 6, 1.0, 1)
-        y = op.apply_batch(sample_model_points(model, 1, 0)[0])[0]
-        res = decode_nonlinear(op, model, y, opts=DecoderOptions(restarts=2), rng_seed=0)
-        gap = residual_certificate(res, op, model, y)
-        assert gap == pytest.approx(res.residual)
+        y = noisy_off_model_target(model, op, 0)
+        res = fourier_decode(op, model, y)
+        assert res.converged
+        assert 0.0 <= residual_certificate(res, op, model, y) <= GridOracleOptions().resolution
 
 
 class TestCertifiedMinimum:
     def test_below_grid_and_residual_on_random_instances(self):
         for seed in range(40):
             model, op, y = random_fourier_instance(seed)
-            res = decode_nonlinear(op, model, y, opts=DecoderOptions(restarts=3), rng_seed=seed)
+            res = multi_start_decode(op, model, y, restarts=3, rng_seed=seed)
             lower, cells, _ = certified_minimum(op, model, y, 1e-6, res.residual)
             _, rg = grid_minimum(op, model, y, resolution=2e-3)
             assert 0 < cells < decoder._CERT_BUDGET
@@ -451,7 +471,7 @@ class TestCertifiedMinimum:
         model, op, y = random_fourier_instance(3)
         x0 = np.zeros(model.dim)
         poor = DecodeResult(xhat=x0, residual=meas_norm(op.apply_batch(x0)[0] - y), subspace_index=0,
-                            optimizer_iters=1, restarts_used=1, converged=True)
+                            optimizer_iters=1, converged=True)
         _, rg = grid_minimum(op, model, y, resolution=2e-3)
         assert poor.residual - rg > 0.05  # the origin is far from the optimum here
         assert residual_certificate(poor, op, model, y) >= poor.residual - rg - 1e-9
@@ -460,7 +480,7 @@ class TestCertifiedMinimum:
         monkeypatch.setattr(decoder, "_CERT_BUDGET", 5)
         for seed in range(6):
             model, op, y = random_fourier_instance(seed)
-            res = decode_nonlinear(op, model, y, opts=DecoderOptions(restarts=3), rng_seed=seed)
+            res = multi_start_decode(op, model, y, restarts=3, rng_seed=seed)
             lower, cells, _ = certified_minimum(op, model, y, 1e-6, res.residual)
             _, rg = grid_minimum(op, model, y, resolution=2e-3)
             assert cells <= 5
@@ -471,7 +491,7 @@ class TestCertifiedMinimum:
         op = RandomFourierOperator.from_seed(48, 4, 1.0, 5)
         x = sample_model_points(model, 1, 3)[0]
         y = op.apply_batch(x)[0] + 0.05 * np.exp(1j * np.arange(48)) / np.sqrt(48)
-        res = decode_nonlinear(op, model, y, rng_seed=0)
+        res = multi_start_decode(op, model, y)
         lower, cells, _ = certified_minimum(op, model, y, 1e-12, res.residual)
         assert cells < decoder._CERT_BUDGET
         assert 0.0 <= res.residual - lower <= 1e-9
@@ -481,17 +501,49 @@ class TestCertifiedMinimum:
         with pytest.raises(InputError):
             GridOracleOptions(resolution=resolution)
 
-    def test_rejects_subspace_dim_above_two(self):
+    def test_gap_within_target_at_subspace_dim_three(self):
         model = UnionOfSubspaces.random(4, 3, 1, 1.0, 0)
         op = RandomFourierOperator.from_seed(8, 4, 1.0, 0)
-        with pytest.raises(InputError):
-            certified_minimum(op, model, np.zeros(8, dtype=complex), 1e-3, 1.0)
+        y = noisy_off_model_target(model, op, 1)
+        res = fourier_decode(op, model, y)
+        lower, cells, _ = certified_minimum(op, model, y, 1e-3, res.residual)
+        assert cells < decoder._CERT_BUDGET
+        assert 0.0 <= res.residual - lower <= 1e-3
+
+    def test_below_grid_at_subspace_dim_three(self):
+        # M = 0.5 and m <= 8 keep the 0.05 grid small: 21^3 points per subspace, about half in the ball
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            d = int(rng.integers(4, 6))
+            model = UnionOfSubspaces.random(d, 3, int(rng.integers(1, 4)), 0.5, seed)
+            op = RandomFourierOperator.from_seed(int(rng.integers(4, 9)), d, 1.0, seed + 1)
+            y = op.apply_batch(rng.normal(size=d))[0] + 0.1 * rng.normal(size=op.m)
+            lower, cells, _ = certified_minimum(op, model, y, 1e-6, np.inf)
+            _, rg = grid_minimum(op, model, y, resolution=0.05)
+            assert 0 < cells < decoder._CERT_BUDGET
+            assert lower <= rg
+
+    def test_memory_bounded_at_subspace_dim_eight(self):
+        # each split makes 2^8 children; the budget guard keeps every level within _CERT_BUDGET boxes
+        model = UnionOfSubspaces.random(9, 8, 2, 1.0, 0)
+        op = RandomFourierOperator.from_seed(16, 9, 1.0, 1)
+        y = noisy_off_model_target(model, op, 2)
+        res = fourier_decode(op, model, y)
+        tracemalloc.start()
+        try:
+            lower, cells, _ = certified_minimum(op, model, y, 1e-6, np.inf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert cells <= decoder._CERT_BUDGET
+        assert lower <= res.residual
 
     def test_converged_fourier_gaps_are_nonnegative(self):
         converged = 0
         for seed in range(20):
             model, op, y = random_fourier_instance(seed)
-            res, gap = decode(op, model, y, DecoderOptions(restarts=3), seed)
+            res, gap = decode(op, model, y, DecoderOptions())
             if res.converged:
                 converged += 1
                 assert 0.0 <= gap <= res.residual
@@ -502,34 +554,30 @@ class TestDecode:
     def test_linear_gap_is_zero_and_matches_resolve(self):
         for seed in range(40):
             model, op, y = random_small_instance(seed)
-            res, gap = decode(op, model, y, DecoderOptions(), 0)
+            res, gap = decode(op, model, y, DecoderOptions())
             ref = decode_linear(op, model, y)
             assert gap == 0.0
             assert np.array_equal(res.xhat, ref.xhat) and res.residual == ref.residual
 
     def test_fourier_gap_is_residual_certificate(self):
-        # subspace dimension 3: decode is the seeded multi-start decoder and its trivial certificate
+        # subspace dimension 3: decode's own gap and the independent certificate of its result agree
         model = UnionOfSubspaces.random(4, 3, 2, 1.0, 5)
         op = RandomFourierOperator.from_seed(16, 4, 1.0, 5)
         y = op.apply_batch(sample_model_points(model, 1, 6)[0])[0] + 0.02
-        opts = DecoderOptions(restarts=3)
-        res, gap = decode(op, model, y, opts, 7)
-        ref = decode_nonlinear(op, model, y, opts=opts, rng_seed=7)
-        assert np.array_equal(res.xhat, ref.xhat) and res.restarts_used == 3 and res.converged
-        assert gap == residual_certificate(ref, op, model, y, opts.grid_oracle) == res.residual
+        opts = DecoderOptions(grid_oracle=GridOracleOptions(resolution=1e-4))
+        res, gap = decode(op, model, y, opts)
+        cert = residual_certificate(res, op, model, y, opts.grid_oracle)
+        assert res.converged
+        assert 0.0 <= gap <= 1e-4 and 0.0 <= cert <= 1e-4
 
     def test_fourier_gap_within_target(self):
         model = UnionOfSubspaces.axes(2, 1.0)
         op = RandomFourierOperator.from_seed(16, 2, 1.0, 5)
         y = op.apply_batch(np.array([0.0, -0.3]))[0] + 0.02
-        opts = DecoderOptions(restarts=3, grid_oracle=GridOracleOptions(True, 1e-2))
-        res, gap = decode(op, model, y, opts, 7)
-        assert res.converged and res.restarts_used == 1
+        res, gap = decode(op, model, y, DecoderOptions(grid_oracle=GridOracleOptions(resolution=1e-2)))
+        assert res.converged
         assert 0.0 <= gap <= 1e-2
-        assert res.residual <= decode_nonlinear(op, model, y, opts=opts, rng_seed=7).residual + 1e-2
-        # the path follows the subspace dimension alone, not the enabled flag
-        off, off_gap = decode(op, model, y, replace(opts, grid_oracle=GridOracleOptions(False, 1e-2)), 7)
-        assert off.xhat.tobytes() == res.xhat.tobytes() and off_gap == gap
+        assert res.residual <= multi_start_decode(op, model, y, restarts=3, rng_seed=7).residual + 1e-2
 
     def test_certificate_start_escapes_multi_start_local_minimum(self):
         # the multi-start decoder stops at residual 1.2072 here, and the certificate proves a gap of 0.29
@@ -538,17 +586,20 @@ class TestDecode:
         rng = np.random.default_rng(4)
         x = sample_model_points(model, 1, rng)[0] + 0.3 * rng.normal(size=4)
         y = op.apply_batch(x)[0] + noise_vector(op, 0.05, rng)
-        res, gap = decode(op, model, y, DecoderOptions(), 0)
+        res, gap = decode(op, model, y, DecoderOptions())
         assert res.converged and gap <= 1e-6
-        assert res.residual <= decode_nonlinear(op, model, y, rng_seed=0).residual - 0.2
+        assert res.residual <= multi_start_decode(op, model, y, rng_seed=0).residual - 0.2
 
     def test_never_worse_than_multi_start_on_fixed_instances(self):
-        target = 1e-6
-        for k, (model, op, y) in enumerate(fixed_fourier_instances()):
-            res, gap = decode(op, model, y, DecoderOptions(), k)
+        target, misses_at_three = 1e-6, 0
+        for k, (model, op, y, seed) in enumerate(fixed_fourier_instances()):
+            res, gap = decode(op, model, y, DecoderOptions())
+            ref = multi_start_decode(op, model, y, rng_seed=seed)
             assert 0.0 <= gap <= target, f"instance {k}"
-            assert res.residual <= decode_nonlinear(op, model, y, rng_seed=k).residual + target, f"instance {k}"
-
+            assert res.residual <= ref.residual + target, f"instance {k}"
+            misses_at_three += model.subspace_dim == 3 and ref.residual > res.residual + 1e-3
+        # the 8-restart reference stops in a local minimum on some s = 3 instances
+        assert misses_at_three >= 1
 
     @pytest.mark.parametrize("kind", ["linear", "fourier"])
     def test_rows_match_one_decode_per_row(self, kind):
@@ -556,19 +607,13 @@ class TestDecode:
             model, op, _ = random_small_instance(4)
         else:
             model, op = UnionOfSubspaces.axes(2, 1.0), RandomFourierOperator.from_seed(16, 2, 1.0, 5)
-        opts = DecoderOptions(restarts=3, grid_oracle=GridOracleOptions(True, 1e-2))
+        opts = DecoderOptions(grid_oracle=GridOracleOptions(resolution=1e-2))
         Y = op.apply_batch(np.random.default_rng(1).normal(size=(3, op.dim))) + 0.05
-        results, gaps = decode(op, model, Y, opts, [7, 8, 9])
+        results, gaps = decode(op, model, Y, opts)
         assert len(results) == len(gaps) == 3
-        for y, seed, res, gap in zip(Y, [7, 8, 9], results, gaps):
-            one, one_gap = decode(op, model, y, opts, seed)
+        for y, res, gap in zip(Y, results, gaps):
+            one, one_gap = decode(op, model, y, opts)
             assert res.xhat.tobytes() == one.xhat.tobytes() and gap == one_gap
-
-    def test_rows_need_one_seed_each(self):
-        op = RandomFourierOperator.from_seed(16, 2, 1.0, 5)
-        Y = op.apply_batch(np.zeros((3, 2)))
-        with pytest.raises(InputError):
-            decode(op, UnionOfSubspaces.axes(2, 1.0), Y, DecoderOptions(restarts=2), [7, 8])
 
 
 class TestNoiseVector:

@@ -59,11 +59,19 @@ class TestDecoderOptions:
 
     def test_values_are_read(self):
         cfg = ExperimentConfig.from_dict(base_config(
-            experiment="decode",
-            decoder={"restarts": 3, "max_iters": 40, "grid_oracle": {"enabled": False, "resolution": 0.01}},
+            experiment="decode", decoder={"max_iters": 40, "grid_oracle": {"resolution": 0.01}},
         ))
         assert build_decoder_options(cfg) == DecoderOptions(
-            restarts=3, max_iters=40, grid_oracle=GridOracleOptions(enabled=False, resolution=0.01))
+            max_iters=40, grid_oracle=GridOracleOptions(resolution=0.01))
+
+    def test_keys_of_the_multi_start_decoder_are_dropped(self):
+        # the benchmark's iop-fourier workload still passes restarts and grid_oracle.enabled
+        cfg = ExperimentConfig.from_dict(base_config(
+            experiment="decode",
+            decoder={"restarts": 8, "max_iters": 40, "grid_oracle": {"enabled": True, "resolution": 0.01}},
+        ))
+        assert build_decoder_options(cfg) == DecoderOptions(
+            max_iters=40, grid_oracle=GridOracleOptions(resolution=0.01))
 
     @pytest.mark.parametrize("decoder", [{"gtol": 1e-10}, {"grid_oracle": {"resolutoin": 0.01}}])
     def test_unknown_keys_rejected(self, decoder):
@@ -185,7 +193,7 @@ LINEAGE_CONFIGS = {
     "decode": dict(
         model={"d": 4, "s": 3, "N": 2, "M": 1.0},
         operator={"kind": "random-fourier", "m": 12, "sigma": 1.0},
-        decoder={"restarts": 2, "max_iters": 20},
+        decoder={"max_iters": 20},
         certifier={"noise_scale": 0.05},
     ),
     "iop-experiment": dict(
@@ -271,13 +279,6 @@ class TestSeedLineage:
         assert "model" not in lineage["streams"] and "operator" not in lineage["streams"]
         assert {(10,), (20,), (30,)}.isdisjoint(paths)
 
-    def test_decoder_starts_come_from_their_own_stream(self, monkeypatch):
-        # the per-subspace start streams (i,) hang below (22,), not below the master
-        cfg = dict(LINEAGE_CONFIGS["decode"], experiment="decode")
-        lineage, paths = self.derived_paths(monkeypatch, cfg)
-        assert (22,) in paths and lineage["streams"]["decoder_starts"] == [22]
-        assert {(i,) for i in range(cfg["model"]["N"])}.isdisjoint(paths)
-
 
 class TestCli:
     def write_config(self, tmp_path, cfg):
@@ -325,11 +326,15 @@ class TestCli:
         assert main(["iop-experiment", "--config", path]) == 2
 
     @pytest.mark.parametrize("section, key, value", [
-        ("decoder", "restarts", "abc"),
         (None, "master_seed", "x"),
         ("model", "d", "three"),
         ("certifier", "noise_scale", "lots"),
-    ], ids=["decoder-restarts", "master-seed", "model-d", "certifier-noise-scale"])
+        ("decoder", "max_iters", 2.7),
+        ("model", "d", 3.5),
+        (None, "master_seed", True),
+        ("certifier", "noise_scale", [1]),
+    ], ids=["master-seed", "model-d", "certifier-noise-scale", "decoder-max-iters-float", "model-d-float",
+            "master-seed-bool", "certifier-noise-scale-list"])
     def test_wrong_typed_value_exit_code(self, tmp_path, capsys, section, key, value):
         cfg = json.loads((ROOT / "configs" / "decode_fourier.json").read_text())
         (cfg if section is None else cfg.setdefault(section, {}))[key] = value
