@@ -421,7 +421,8 @@ def check_iop_inequality(
       model point, perturbation, noise, candidates;
     * decode: the chunk's signals are measured in one apply_batch, and
       ``decode`` decodes the measurements, the linear map in one
-      decode_linear call, the Fourier map one row at a time;
+      decode_linear call, the Fourier map in one lockstep search and
+      polish for the whole chunk;
     * check: decode distances, projections and d' over all rows of the
       chunk, with one from_gap and one gap_batch for d'.
 
@@ -488,11 +489,11 @@ def lrip_from_iop_witness(
     constant alpha = B and slack eta = 2 lambda; every pair is then checked
     against d(x, x') <= B ||Psi x - Psi x'|| + 2 lambda_eff, with lambda_eff
     augmented by the decoder's residual certificate.  All pairs go through
-    one decode call: one decode_linear call on the linear map, one row at a
-    time on the Fourier map.  A pair whose decode did not converge has no
-    finite lambda_eff and is not checked: strata["unconverged"] counts those
-    pairs, pairs_tested the others, and with none checked alpha_hat is 0.0
-    and worst_pair is None.
+    one decode call: one decode_linear call on the linear map, one lockstep
+    search and polish for all pairs on the Fourier map.  A pair whose decode
+    did not converge has no finite lambda_eff and is not checked:
+    strata["unconverged"] counts those pairs, pairs_tested the others, and
+    with none checked alpha_hat is 0.0 and worst_pair is None.
     """
     if pairs < 1:
         raise InputError(f"pairs must be >= 1, got {pairs}")

@@ -213,7 +213,8 @@ def _restricted_map(op: RandomFourierOperator, model: UnionOfSubspaces) -> np.nd
 def _evaluate(op, bases, y, sub, Z):
     """Map values and objectives ||Psi(B_sub z) - y||^2 at the coefficient rows Z.
 
-    Rows go through op.apply_batch _ROWS at a time.
+    y is one measurement, or one per row of Z.  Rows go through
+    op.apply_batch _ROWS at a time.
     """
     X = _subspace_map(bases, sub, Z)
     P = np.empty((len(X), op.m), dtype=complex)
@@ -226,13 +227,15 @@ def _evaluate(op, bases, y, sub, Z):
 def _line_search(op, bases, y, sub, z, direction, alphas, radius):
     """Ball-projected z + alpha * direction for each start and step size, with map values and objectives.
 
-    z and direction hold one row per start (subspace sub); alphas is (k,),
-    or (starts, k) for step sizes of each start's own.  The outputs are
+    z and direction hold one row per start (subspace sub), and y is one
+    measurement for every start or one row per start; alphas is (k,), or
+    (starts, k) for step sizes of each start's own.  The outputs are
     indexed (start, step).
     """
     cands = _ball_project(z[:, None, :] + alphas[..., None] * direction[:, None, :], radius)
     n, k, s = cands.shape
-    P, F = _evaluate(op, bases, y, np.repeat(sub, k), cands.reshape(-1, s))
+    Y = y if y.ndim == 1 else np.repeat(y, k, axis=0)
+    P, F = _evaluate(op, bases, Y, np.repeat(sub, k), cands.reshape(-1, s))
     return cands, P.reshape(n, k, -1), F.reshape(n, k)
 
 
@@ -241,8 +244,9 @@ def _first_progress(op, bases, y, sub, z, f, grad, direction, alphas, radius, ar
 
     A step makes progress when it lowers f by more than its rounding error
     64 eps f and, with armijo, passes f' <= f + 1e-4 (z' - z) . grad.
-    Starts are searched in groups of at most _ROWS points.  Returns
-    (found, z', psi', f'), whose rows are meaningful where found.
+    y holds one measurement row per start.  Starts are searched in groups
+    of at most _ROWS points.  Returns (found, z', psi', f'), whose rows are
+    meaningful where found.
     """
     n, k = len(z), alphas.shape[-1]
     alphas = np.broadcast_to(alphas, (n, k))
@@ -250,7 +254,7 @@ def _first_progress(op, bases, y, sub, z, f, grad, direction, alphas, radius, ar
     group = max(1, _ROWS // k)
     for lo in range(0, n, group):
         g = slice(lo, lo + group)
-        cands, P, F = _line_search(op, bases, y, sub[g], z[g], direction[g], alphas[g], radius)
+        cands, P, F = _line_search(op, bases, y[g], sub[g], z[g], direction[g], alphas[g], radius)
         ok = F < (1.0 - _F_RTOL) * f[g, None]
         if armijo:
             ok &= F <= f[g, None] + 1e-4 * np.einsum("nks,ns->nk", cands - z[g, None, :], grad[g])
@@ -267,9 +271,11 @@ def _lazy_search(op, bases, y, sub, z, f, grad, step, radius):
     first that passes the Armijo test, then, with none passing, the same
     along the negative gradient from 1/(1 + ||grad||) with plain decrease.
     Only the starts whose full step fails try the other 53 step sizes, and
-    only those with no passing step search along the gradient.  Returns
-    (found, z', psi', f') as _first_progress does.
+    only those with no passing step search along the gradient.  y is one
+    measurement for every start or one row per start.  Returns (found, z',
+    psi', f') as _first_progress does.
     """
+    y = np.broadcast_to(y, (len(z), op.m))
     found, Zn, Pn, Fn = _first_progress(op, bases, y, sub, z, f, grad, step, _HALVINGS[:1], radius, True)
     for direction, alphas, armijo in (
         (step, _HALVINGS[1:], True),
@@ -279,7 +285,7 @@ def _lazy_search(op, bases, y, sub, z, f, grad, step, radius):
         if not len(miss):
             break
         found[miss], Zn[miss], Pn[miss], Fn[miss] = _first_progress(
-            op, bases, y, sub[miss], z[miss], f[miss], grad[miss], direction[miss],
+            op, bases, y[miss], sub[miss], z[miss], f[miss], grad[miss], direction[miss],
             alphas if alphas.ndim == 1 else alphas[miss], radius, armijo)
     return found, Zn, Pn, Fn
 
@@ -287,7 +293,8 @@ def _lazy_search(op, bases, y, sub, z, f, grad, step, radius):
 def _gauss_newton(op, model, y, sub, Z0, max_iters):
     """Projected Gauss-Newton on z -> ||Psi(B_i z) - y||^2 over the coefficient ball, from every start at once.
 
-    Start k runs on subspace sub[k] from Z0[k].  All starts advance
+    Start k runs on subspace sub[k] from Z0[k], against y, one measurement
+    for every start, or against y[k], one row per start.  All starts advance
     together, one iteration per round, and a start leaves the round in
     which it stops.  Complex residuals are stacked as real and imaginary
     parts, and the Jacobian in coefficients is i psi * V_i, from the map
@@ -300,14 +307,15 @@ def _gauss_newton(op, model, y, sub, Z0, max_iters):
     M = model.norm_bound
     bases, V = model.bases, _restricted_map(op, model)
     Z = _ball_project(np.asarray(Z0, dtype=float), M)
-    P, F = _evaluate(op, bases, y, sub, Z)
+    Y = np.broadcast_to(y, (len(Z), op.m))
+    P, F = _evaluate(op, bases, Y, sub, Z)
     iters, converged = np.zeros(len(Z), dtype=int), np.zeros(len(Z), dtype=bool)
     active = np.arange(len(Z))
     for rnd in range(1, max_iters + 1):
         if not len(active):
             break
         iters[active] = rnd
-        z, psi, f, Va = Z[active], P[active], F[active], V[sub[active]]
+        z, psi, f, Va, y = Z[active], P[active], F[active], V[sub[active]], Y[active]
         r = psi - y
         Jr = np.concatenate([-psi.imag[:, :, None] * Va, psi.real[:, :, None] * Va], axis=1)
         Rr = np.concatenate([r.real, r.imag], axis=1)
@@ -317,7 +325,7 @@ def _gauss_newton(op, model, y, sub, Z0, max_iters):
         stop = pg <= GTOL
         converged[active[stop]] = True
         go = ~stop
-        active, z, f, Jr, Rr, grad, pg = active[go], z[go], f[go], Jr[go], Rr[go], grad[go], pg[go]
+        active, z, y, f, Jr, Rr, grad, pg = active[go], z[go], y[go], f[go], Jr[go], Rr[go], grad[go], pg[go]
         # Gauss-Newton steps min ||Jr step + Rr||, with lstsq's cutoff on small singular values
         U, S, Wt = np.linalg.svd(Jr, full_matrices=False)
         inv = np.divide(1.0, S, out=np.zeros_like(S), where=S > _EPS * max(Jr.shape[1:]) * S[:, :1])
@@ -330,6 +338,51 @@ def _gauss_newton(op, model, y, sub, Z0, max_iters):
         active = active[found]
         Z[active], P[active], F[active] = Zn[found], Pn[found], Fn[found]
     return Z, F, iters, converged
+
+
+def _rounds(sizes):
+    """Split consecutive chunk sizes into rounds of at most _CERT_CHUNK boxes, at least one chunk each."""
+    lo, total = 0, 0
+    for k, size in enumerate(sizes):
+        if total and total + size > _CERT_CHUNK:
+            yield slice(lo, k)
+            lo, total = k, 0
+        total += size
+    yield slice(lo, len(sizes))
+
+
+def _box_bounds(V, L1, M, h, consts, rows, lo, sizes, owner, I, Zc):
+    """f at the centres Zc of boxes of half-width h on subspaces I, and the boxes' lower bounds.
+
+    The boxes come in segments: rows[k] owns the sizes[k] boxes from lo[k],
+    and owner is the row of each box.  consts = (c, phi, base, curvature,
+    allowance) holds each row's constants (see certified_minimum).  A
+    segment's sums over the m frequencies are one matrix-vector product, so
+    a box gets the values it gets in its row's own chunk.  Returns (f0,
+    bound, r2), with r2 = |z|^2, per box.
+    """
+    c, phi, base, curvature, allowance = consts
+    Vc = V[I]
+    u = (np.einsum("nms,ns->nm", Vc, Zc) - phi[owner] + np.pi) % (2.0 * np.pi) - np.pi
+    grad = np.einsum("nm,nms->ns", 2.0 * c[owner] * np.sin(u), Vc)
+    del Vc
+    terms = 4.0 * np.sin(0.5 * u) ** 2
+    terms_first = 4.0 * np.sin(0.5 * np.maximum(np.abs(u) - h * L1[I], 0.0)) ** 2
+    sums = np.empty((2, len(I)))
+    for r, a, n in zip(rows, lo, sizes):
+        sums[0, a:a + n], sums[1, a:a + n] = terms[a:a + n] @ c[r], terms_first[a:a + n] @ c[r]
+    f0, first = base[owner] + sums
+    s, curved = Zc.shape[1], h * h * curvature[owner, I]
+    second = f0 - h * np.sum(np.abs(grad), axis=1) - curved
+    # on the ball f >= f + mu (|z|^2 - M^2) for any mu >= 0; this mu cancels
+    # most of the outward gradient, so boxes at a minimum on the sphere settle too
+    r2 = np.sum(Zc * Zc, axis=1)
+    mu = np.maximum(-np.sum(grad * Zc, axis=1), 0.0) / (2.0 * np.maximum(r2, M * M))
+    shifted = grad + 2.0 * mu[:, None] * Zc
+    # the last term is the rounding of the mu terms, with |z|^2 an s-term sum
+    third = (f0 + mu * (r2 - M * M) - h * np.sum(np.abs(shifted), axis=1) - curved
+             - 8 * max(2, s) * _EPS * mu * (r2 + M * M + 2.0 * h * np.sum(np.abs(Zc), axis=1)))
+    return f0, np.maximum.reduce([first, second, third]) - allowance[owner], r2
 
 
 def certified_minimum(op: RandomFourierOperator, model: UnionOfSubspaces, y, target: float, upper: float):
@@ -356,75 +409,141 @@ def certified_minimum(op: RandomFourierOperator, model: UnionOfSubspaces, y, tar
     A box splits only while the boxes bounded so far plus the children made
     at its level stay within _CERT_BUDGET; a box that would cross it settles
     at its own bound, which is still certified.  So at any s the count stays
-    within _CERT_BUDGET, unless the model alone has more subspaces, and so
-    does the memory of a level.  Returns (lower, cells, best): lower is the
-    square root of the smallest settled bound, capped at upper, cells the
-    number of boxes bounded, and best the in-ball box centre of least f as
-    (subspace, z), the earliest bounded on ties.
+    within _CERT_BUDGET, unless the model alone has more subspaces.
+
+    y is one measurement of shape (m,), or rows of shape (n, m) searched in
+    lockstep, one level of every row's boxes at a time.  Each row keeps its
+    own UB, settled bound, cell count and budget, and its boxes are bounded
+    in its own chunks of _CERT_CHUNK, so a row's result is bitwise the one
+    it gets alone.  Children are ball-tested _CERT_CHUNK at a time and then
+    written straight into each row's region of the next level, whose size
+    is then known.  A row reserves its open boxes plus the children it may
+    still make; the rows in flight reserve at most _CERT_BUDGET boxes between
+    them, and a row that would cross that leaves and is searched again from
+    the root after the others.
+
+    Returns (lower, cells, best): lower is the square root of the smallest
+    settled bound, capped at upper, cells the number of boxes bounded, and
+    best the in-ball box centre of least f as (subspace, z), the earliest
+    bounded on ties.  For rows, lower and cells are arrays and best is
+    (subspaces, Z), one entry per row.
     """
-    s = model.subspace_dim
-    y = np.asarray(y, dtype=complex)
-    M = model.norm_bound
+    s, M, N = model.subspace_dim, model.norm_bound, model.num_subspaces
+    Y = np.atleast_2d(np.asarray(y, dtype=complex))
+    n = len(Y)
     a = 1.0 / (op.weights * np.sqrt(op.m))
-    c = a * np.abs(y)
-    phi = np.angle(y)
+    c = a * np.abs(Y)
     V = _restricted_map(op, model)
     L1 = np.sum(np.abs(V), axis=2)
-    curvature = L1**2 @ c
-    base = float(np.sum((a - np.abs(y)) ** 2))
+    L1_squared = L1**2
+    base = np.sum((a - np.abs(Y)) ** 2, axis=1)
     # rounding of the m-term sums and of the phases, s-term sums whose size is at most M ||v_j||_1 + pi
     allowance = (64 + 4 * max(op.m, s)) * _EPS * (
-        base + float(np.sum(c)) * (4.0 + 2.0 * np.pi + 2.0 * M * float(L1.max())))
+        base + np.sum(c, axis=1) * (4.0 + 2.0 * np.pi + 2.0 * M * float(L1.max())))
+    consts = (c, np.angle(Y), base, np.array([L1_squared @ row for row in c]).reshape(n, N), allowance)
     children = 2**s
     # children at +-h/2; with more children than the budget no box ever splits
     offsets = ((np.arange(children)[:, None] >> np.arange(s)) & 1) - 0.5 if children <= _CERT_BUDGET else None
+    per_split = min(children, _CERT_BUDGET + 1)  # keeps the room arithmetic within int64
 
-    ub, settled, cells = upper**2, np.inf, 0
-    best_f, best = np.inf, None  # least f at an in-ball centre, and that centre as (subspace, z)
-    # open boxes of half-width h: subspace, centre and the bound inherited from the parent
-    N = len(model.bases)
-    idx, Z, inherited, h = np.arange(N), np.zeros((N, s)), np.zeros(N), M
-    while len(idx):
-        cells, made = cells + len(idx), 0
-        parts = [(idx[:0], Z[:0], inherited[:0])]
-        for lo in range(0, len(idx), _CERT_CHUNK):
-            I, Zc = idx[lo:lo + _CERT_CHUNK], Z[lo:lo + _CERT_CHUNK]
-            Vc = V[I]
-            u = (np.einsum("nms,ns->nm", Vc, Zc) - phi + np.pi) % (2.0 * np.pi) - np.pi
-            f0 = base + 4.0 * np.sin(0.5 * u) ** 2 @ c
-            first = base + 4.0 * np.sin(0.5 * np.maximum(np.abs(u) - h * L1[I], 0.0)) ** 2 @ c
-            grad = np.einsum("nm,nms->ns", 2.0 * c * np.sin(u), Vc)
-            second = f0 - h * np.sum(np.abs(grad), axis=1) - h * h * curvature[I]
-            # on the ball f >= f + mu (|z|^2 - M^2) for any mu >= 0; this mu cancels
-            # most of the outward gradient, so boxes at a minimum on the sphere settle too
-            r2 = np.sum(Zc * Zc, axis=1)
-            mu = np.maximum(-np.sum(grad * Zc, axis=1), 0.0) / (2.0 * np.maximum(r2, M * M))
-            shifted = grad + 2.0 * mu[:, None] * Zc
-            # the last term is the rounding of the mu terms, with |z|^2 an s-term sum
-            third = (f0 + mu * (r2 - M * M) - h * np.sum(np.abs(shifted), axis=1) - h * h * curvature[I]
-                     - 8 * max(2, s) * _EPS * mu * (r2 + M * M + 2.0 * h * np.sum(np.abs(Zc), axis=1)))
-            bound = np.maximum(np.maximum.reduce([first, second, third]) - allowance,
-                               inherited[lo:lo + _CERT_CHUNK])
-            k = int(np.argmin(np.where(r2 <= M * M, f0, np.inf)))
-            if f0[k] < best_f and r2[k] <= M * M:
-                best_f, best = float(f0[k]), (int(I[k]), Zc[k].copy())
-            ub = min(ub, best_f)
-            done = bound >= max(np.sqrt(ub) - target, 0.0) ** 2 - allowance
-            # the boxes past the budget's room settle at their own bound too
-            split = np.flatnonzero(~done)
-            room = max(_CERT_BUDGET - cells - made, 0) // children
-            settled = min(settled, float(np.min(bound[done], initial=np.inf)),
-                          float(np.min(bound[split[room:]], initial=np.inf)))
-            split = split[:room]
-            made += len(split) * children
-            if len(split):
-                kids = (Zc[split, None, :] + h * offsets).reshape(-1, s)
-                meets_ball = np.linalg.norm(np.maximum(np.abs(kids) - 0.5 * h, 0.0), axis=1) <= M
-                parts.append((np.repeat(I[split], children)[meets_ball], kids[meets_ball],
-                              np.repeat(bound[split], children)[meets_ball]))
-        idx, Z, inherited = (np.concatenate(part) for part in zip(*parts))
-        h *= 0.5
-    return min(float(np.sqrt(max(settled, 0.0))), upper), cells, best
+    ub, settled, cells = np.empty(n), np.empty(n), np.zeros(n, dtype=int)
+    # least f at an in-ball centre, and that centre as (subspace, z)
+    best_f, best_sub, best_z = np.empty(n), np.zeros(n, dtype=int), np.zeros((n, s))
+    lower, todo = np.empty(n), np.arange(n)
+    while len(todo):
+        rows, todo = todo, todo[:0]
+        ub[rows], settled[rows], cells[rows], best_f[rows] = upper**2, np.inf, 0, np.inf
+        # open boxes of half-width h, one region per row from start: subspace, centre, inherited bound
+        count, start, h = np.full(len(rows), N), np.arange(len(rows)) * N, M
+        idx, Z, inherited = np.tile(np.arange(N), len(rows)), np.zeros((len(rows) * N, s)), np.zeros(len(rows) * N)
+        while len(rows):
+            cells[rows] += count
+            cap = per_split * np.minimum(np.maximum(_CERT_BUDGET - cells[rows], 0) // per_split, count)
+            stay = np.cumsum(count + cap) <= _CERT_BUDGET
+            stay[0] = True
+            todo = np.concatenate([todo, rows[~stay]])
+            rows, count, start = rows[stay], count[stay], start[stay]
+            made, kept = np.zeros(len(rows), dtype=int), np.zeros(len(rows), dtype=int)
+            parents = []  # per round: owner, subspace, centre, bound and the children's ball test
+            for offset in range(0, int(count.max()), _CERT_CHUNK):
+                live = np.flatnonzero(count > offset)
+                sizes = np.minimum(count[live] - offset, _CERT_CHUNK)
+                for part in _rounds(sizes):
+                    rr, sz = live[part], sizes[part]
+                    g, lo = rows[rr], np.cumsum(sz) - sz
+                    seg = np.repeat(np.arange(len(rr)), sz)
+                    box = np.repeat(start[rr] + offset - lo, sz) + np.arange(lo[-1] + sz[-1])
+                    I, Zc = idx[box], Z[box]
+                    f0, bound, r2 = _box_bounds(V, L1, M, h, consts, g, lo, sz, g[seg], I, Zc)
+                    bound = np.maximum(bound, inherited[box])
+                    # each row's in-ball centre of least f, the earliest on ties
+                    f_in = np.where(r2 <= M * M, f0, np.inf)
+                    least = np.minimum.reduceat(f_in, lo)
+                    at = np.minimum.reduceat(np.where(f_in == least[seg], np.arange(len(box)), len(box)), lo)
+                    better = least < best_f[g]
+                    up, at = g[better], at[better]
+                    best_f[up], best_sub[up], best_z[up] = least[better], I[at], Zc[at]
+                    ub[g] = np.minimum(ub[g], best_f[g])
+                    level = np.array([max(np.sqrt(b) - target, 0.0) ** 2 for b in ub[g]]) - allowance[g]
+                    # the boxes past the budget's room settle at their own bound too
+                    wide = bound < level[seg]
+                    opened = np.cumsum(wide)
+                    rank = opened - np.repeat(opened[lo] - wide[lo], sz) - 1
+                    room = np.maximum(_CERT_BUDGET - cells[g] - made[rr], 0) // per_split
+                    split = wide & (rank < room[seg])
+                    settled[g] = np.minimum(settled[g], np.minimum.reduceat(np.where(split, np.inf, bound), lo))
+                    made[rr] += per_split * np.bincount(seg[split], minlength=len(rr))
+                    p = np.flatnonzero(split)
+                    if len(p):
+                        owner, meets_ball = rr[seg[p]], _meets_ball(Zc[p], h, offsets, M)
+                        kept += np.bincount(np.repeat(owner, children)[meets_ball], minlength=len(rows))
+                        parents.append((owner, I[p], Zc[p], bound[p], meets_ball))
+            start, idx, Z, inherited = _next_level(parents, kept, h, offsets, s)
+            count, h = kept, 0.5 * h
+            finished = rows[count == 0]
+            lower[finished] = np.minimum(np.sqrt(np.maximum(settled[finished], 0.0)), upper)
+            rows, start, count = rows[count > 0], start[count > 0], count[count > 0]
+    if np.ndim(y) == 1:
+        return float(lower[0]), int(cells[0]), (int(best_sub[0]), best_z[0].copy())
+    return lower, cells, (best_sub, best_z)
+
+
+def _children(Z, h, offsets):
+    """The children of the boxes of half-width h about the rows of Z, 2^s per box, at +-h/2."""
+    return (Z[:, None, :] + h * offsets).reshape(-1, Z.shape[1])
+
+
+def _meets_ball(Z, h, offsets, M):
+    """Whether each child of the boxes about the rows of Z meets the ball of radius M, _CERT_CHUNK at a time."""
+    piece = max(1, _CERT_CHUNK // len(offsets))
+    return np.concatenate([
+        np.linalg.norm(np.maximum(np.abs(_children(Z[lo:lo + piece], h, offsets)) - 0.5 * h, 0.0), axis=1) <= M
+        for lo in range(0, len(Z), piece)])
+
+
+def _next_level(parents, kept, h, offsets, s):
+    """The children that meet the ball, built _CERT_CHUNK at a time into one region per row.
+
+    parents holds, per round, the owner row, subspace, centre, bound and
+    children's ball test of the boxes of half-width h that split, and
+    kept[r] the children that row r keeps.  A row's region holds its
+    children in the order they were made.  Returns (start, subspace,
+    centre, inherited bound), with start[r] the first box of row r.
+    """
+    start, total = np.cumsum(kept) - kept, int(kept.sum())
+    idx, Z, inherited = np.empty(total, dtype=int), np.empty((total, s)), np.empty(total)
+    fill = np.zeros(len(kept), dtype=int)
+    for owner, sub, centres, bounds, meets_ball in parents:
+        children = len(offsets)
+        piece = max(1, _CERT_CHUNK // children)  # parents whose children make one chunk
+        for lo in range(0, len(owner), piece):
+            q, keep = slice(lo, lo + piece), meets_ball[lo * children:(lo + piece) * children]
+            own = np.repeat(owner[q], children)[keep]
+            at = start[own] + fill[own] + np.arange(len(own)) - np.searchsorted(own, own)
+            idx[at], Z[at] = np.repeat(sub[q], children)[keep], _children(centres[q], h, offsets)[keep]
+            inherited[at] = np.repeat(bounds[q], children)[keep]
+            fill += np.bincount(own, minlength=len(kept))
+    return start, idx, Z, inherited
 
 
 def residual_certificate(
@@ -459,35 +578,38 @@ def decode(op, model: UnionOfSubspaces, y, opts: DecoderOptions):
     y is one measurement of shape (m,), or rows of shape (n, m), which give
     a list of DecodeResults and an array of gaps.  The linear decoder is
     exact, so its gap is 0 without a second solve, and it decodes all rows
-    in one decode_linear call.  The Fourier map decodes each row on its own,
-    at any subspace dimension: one certified_minimum search at target
-    opts.grid_oracle.resolution gives both the lower bound and its best
-    in-ball box centre, one projected Gauss-Newton start polishes that
-    centre, and the gap is the residual less the lower bound.  The search
-    settles every box at (sqrt(UB) - target)^2, with UB the centre's f, and
-    the polish never raises f, so the gap is at most the target (up to
-    rounding) unless the cell budget runs out, and certified either way.
-    That bound holds whether or not the polish converged, but the IOP checks
-    still count an unconverged decode as unchecked.
+    in one decode_linear call.  The Fourier map decodes all rows in
+    lockstep, at any subspace dimension: one certified_minimum search at
+    target opts.grid_oracle.resolution gives each row both its lower bound
+    and its best in-ball box centre, one projected Gauss-Newton run polishes
+    every row's centre against its own row, and a row's gap is its residual
+    less its lower bound.  A row's result is bitwise the one it gets alone.
+    The search settles every box at (sqrt(UB) - target)^2, with UB the
+    centre's f, and the polish never raises f, so the gap is at most the
+    target (up to rounding) unless the cell budget runs out, and certified
+    either way.  That bound holds whether or not the polish converged, but
+    the IOP checks still count an unconverged decode as unchecked.
     """
     if isinstance(op, LinearGaussianOperator):
         results = decode_linear(op, model, y)
         return results, (np.zeros(len(results)) if np.ndim(y) == 2 else 0.0)
-    if np.ndim(y) == 2:
-        decoded = [decode(op, model, row, opts) for row in y]
-        return [result for result, _ in decoded], np.array([gap for _, gap in decoded])
     if op.dim != model.dim:
         raise InputError(f"operator dimension {op.dim} does not match model dimension {model.dim}")
     y = np.asarray(y, dtype=complex)
-    if y.shape != (op.m,):
-        raise InputError(f"y has shape {y.shape}, expected ({op.m},)")
-    lower, _, (i, z) = certified_minimum(op, model, y, opts.grid_oracle.resolution, np.inf)
-    Z, _, iters, converged = _gauss_newton(op, model, y, np.array([i]), z[None], opts.max_iters)
-    xhat = model.bases[i] @ Z[0]
-    residual = float(meas_norm(op.apply_batch(xhat)[0] - y))
-    result = DecodeResult(xhat=xhat, residual=residual, subspace_index=i, optimizer_iters=int(iters[0]),
-                          converged=bool(converged[0]))
-    return result, residual - min(lower, residual)
+    if y.ndim not in (1, 2) or y.shape[-1] != op.m:
+        raise InputError(f"y has shape {y.shape}, expected ({op.m},) or (n, {op.m})")
+    Y = np.atleast_2d(y)
+    lower, _, (sub, Z0) = certified_minimum(op, model, Y, opts.grid_oracle.resolution, np.inf)
+    Z, _, iters, converged = _gauss_newton(op, model, Y, sub, Z0, opts.max_iters)
+    X = _subspace_map(model.bases, sub, Z)
+    results = [
+        DecodeResult(xhat=x, residual=meas_norm(r), subspace_index=int(i), optimizer_iters=int(k),
+                     converged=bool(ok))
+        for x, r, i, k, ok in zip(X, op.apply_batch(X) - Y, sub, iters, converged)
+    ]
+    residual = np.array([result.residual for result in results])
+    gaps = residual - np.minimum(lower, residual)
+    return (results, gaps) if y.ndim == 2 else (results[0], float(gaps[0]))
 
 
 def noise_vector(op, norm: float, rng) -> np.ndarray:

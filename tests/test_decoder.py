@@ -96,6 +96,18 @@ def per_start_gauss_newton(op, B, y, z0, radius, max_iters):
     return z, float(np.real(np.vdot(r, r))), iters, False
 
 
+def fourier_rows(s, n=9):
+    """(model, op, Y): n noisy off-model rows on an instance of subspace dimension s; row 4 repeats row 0."""
+    if s <= 2:
+        model, op, _ = random_fourier_instance({1: 4, 2: 9}[s])  # three subspaces each
+    else:
+        model = UnionOfSubspaces.random(4, 3, 2, 1.0, 0)
+        op = RandomFourierOperator.from_seed(8, 4, 1.0, 0)
+    Y = np.array([noisy_off_model_target(model, op, k) for k in range(n)])
+    Y[4] = Y[0]
+    return model, op, Y
+
+
 def random_small_instance(seed):
     rng = np.random.default_rng(seed)
     d = int(rng.integers(2, 4))
@@ -539,6 +551,60 @@ class TestCertifiedMinimum:
         assert cells <= decoder._CERT_BUDGET
         assert lower <= res.residual
 
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_rows_match_one_search_per_row(self, s):
+        model, op, Y = fourier_rows(s)
+        lower, cells, (sub, Z) = certified_minimum(op, model, Y, 1e-6, np.inf)
+        for k, y in enumerate(Y):
+            one_lower, one_cells, (i, z) = certified_minimum(op, model, y, 1e-6, np.inf)
+            assert lower[k] == one_lower and cells[k] == one_cells
+            assert sub[k] == i and Z[k].tobytes() == z.tobytes()
+        assert lower[4] == lower[0] and cells[4] == cells[0]
+
+    def test_no_rows(self):
+        model, op, _ = fourier_rows(2)
+        lower, cells, (sub, Z) = certified_minimum(op, model, np.zeros((0, op.m)), 1e-6, np.inf)
+        assert lower.shape == cells.shape == sub.shape == (0,) and Z.shape == (0, 2)
+
+    def test_rows_searched_again_after_leaving_match_one_search_per_row(self, monkeypatch):
+        # a small budget lets few s = 8 rows fly together: some leave the group at the root, others
+        # deeper, and are searched again from the root
+        monkeypatch.setattr(decoder, "_CERT_BUDGET", 3000)
+        model = UnionOfSubspaces.random(9, 8, 2, 1.0, 0)
+        op = RandomFourierOperator.from_seed(16, 9, 1.0, 1)
+        Y = np.array([noisy_off_model_target(model, op, k) for k in range(8)])
+        bounded = []
+        original = decoder._box_bounds
+
+        def counted(*args):
+            bounded.append(len(args[-1]))  # the box centres
+            return original(*args)
+
+        monkeypatch.setattr(decoder, "_box_bounds", counted)
+        lower, cells, (sub, Z) = certified_minimum(op, model, Y, 1e-6, np.inf)
+        assert sum(bounded) > cells.sum()  # the rows that left were bounded again
+        for k, y in enumerate(Y):
+            one_lower, one_cells, (i, z) = certified_minimum(op, model, y, 1e-6, np.inf)
+            assert lower[k] == one_lower and cells[k] == one_cells <= 3000
+            assert sub[k] == i and Z[k].tobytes() == z.tobytes()
+
+    def test_memory_bounded_for_rows_at_subspace_dim_eight(self):
+        # the rows in flight share one budget, so four rows stay within the bound of one
+        model = UnionOfSubspaces.random(9, 8, 2, 1.0, 0)
+        op = RandomFourierOperator.from_seed(16, 9, 1.0, 1)
+        Y = np.array([noisy_off_model_target(model, op, k) for k in range(2, 6)])
+        peaks = []
+        for rows in (Y[:1], Y):
+            tracemalloc.start()
+            try:
+                _, cells, _ = certified_minimum(op, model, rows, 1e-6, np.inf)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 32 * 2**20
+        assert peaks[1] < 1.25 * peaks[0]  # four rows in flight without the shared budget hold over twice as much
+        assert np.all(cells <= decoder._CERT_BUDGET)
+
     def test_converged_fourier_gaps_are_nonnegative(self):
         converged = 0
         for seed in range(20):
@@ -614,6 +680,28 @@ class TestDecode:
         for y, res, gap in zip(Y, results, gaps):
             one, one_gap = decode(op, model, y, opts)
             assert res.xhat.tobytes() == one.xhat.tobytes() and gap == one_gap
+
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("max_iters", [500, 1])
+    def test_fourier_rows_bitwise_match_one_decode_per_row(self, s, max_iters):
+        model, op, Y = fourier_rows(s)
+        opts = DecoderOptions(max_iters=max_iters)
+        results, gaps = decode(op, model, Y, opts)
+        for y, res, gap in zip(Y, results, gaps):
+            one, one_gap = decode(op, model, y, opts)
+            assert res.xhat.tobytes() == one.xhat.tobytes() and res.residual == one.residual
+            assert (res.subspace_index, res.optimizer_iters, res.converged) == (
+                one.subspace_index, one.optimizer_iters, one.converged)
+            assert gap == one_gap
+        assert results[4].xhat.tobytes() == results[0].xhat.tobytes()
+        if max_iters == 1:
+            assert not all(res.converged for res in results)
+
+    def test_fourier_no_rows(self):
+        model, op, _ = fourier_rows(2)
+        results, gaps = decode(op, model, np.zeros((0, op.m), dtype=complex), DecoderOptions())
+        assert results == [] and gaps.shape == (0,)
 
 
 class TestNoiseVector:
