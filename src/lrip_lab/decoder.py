@@ -340,38 +340,23 @@ def _gauss_newton(op, model, y, sub, Z0, max_iters):
     return Z, F, iters, converged
 
 
-def _rounds(sizes):
-    """Split consecutive chunk sizes into rounds of at most _CERT_CHUNK boxes, at least one chunk each."""
-    lo, total = 0, 0
-    for k, size in enumerate(sizes):
-        if total and total + size > _CERT_CHUNK:
-            yield slice(lo, k)
-            lo, total = k, 0
-        total += size
-    yield slice(lo, len(sizes))
-
-
-def _box_bounds(V, L1, M, h, consts, rows, lo, sizes, owner, I, Zc):
+def _box_bounds(V, L1, M, h, consts, owner, I, Zc):
     """f at the centres Zc of boxes of half-width h on subspaces I, and the boxes' lower bounds.
 
-    The boxes come in segments: rows[k] owns the sizes[k] boxes from lo[k],
-    and owner is the row of each box.  consts = (c, phi, base, curvature,
-    allowance) holds each row's constants (see certified_minimum).  A
-    segment's sums over the m frequencies are one matrix-vector product, so
-    a box gets the values it gets in its row's own chunk.  Returns (f0,
-    bound, r2), with r2 = |z|^2, per box.
+    owner is the row of each box, and consts = (c, phi, base, curvature,
+    allowance) holds each row's constants (see certified_minimum).  Each
+    box's sums over the m frequencies run along its own numbers, so its
+    values do not depend on the boxes bounded with it.  Returns (f0, bound,
+    r2), with r2 = |z|^2, per box.
     """
     c, phi, base, curvature, allowance = consts
     Vc = V[I]
     u = (np.einsum("nms,ns->nm", Vc, Zc) - phi[owner] + np.pi) % (2.0 * np.pi) - np.pi
     grad = np.einsum("nm,nms->ns", 2.0 * c[owner] * np.sin(u), Vc)
     del Vc
-    terms = 4.0 * np.sin(0.5 * u) ** 2
-    terms_first = 4.0 * np.sin(0.5 * np.maximum(np.abs(u) - h * L1[I], 0.0)) ** 2
-    sums = np.empty((2, len(I)))
-    for r, a, n in zip(rows, lo, sizes):
-        sums[0, a:a + n], sums[1, a:a + n] = terms[a:a + n] @ c[r], terms_first[a:a + n] @ c[r]
-    f0, first = base[owner] + sums
+    c = c[owner]  # gathered for the sums only once V[I] is freed, which keeps the chunk's peak memory down
+    f0 = base[owner] + np.sum(4.0 * np.sin(0.5 * u) ** 2 * c, axis=1)
+    first = base[owner] + np.sum(4.0 * np.sin(0.5 * np.maximum(np.abs(u) - h * L1[I], 0.0)) ** 2 * c, axis=1)
     s, curved = Zc.shape[1], h * h * curvature[owner, I]
     second = f0 - h * np.sum(np.abs(grad), axis=1) - curved
     # on the ball f >= f + mu (|z|^2 - M^2) for any mu >= 0; this mu cancels
@@ -401,26 +386,26 @@ def certified_minimum(op: RandomFourierOperator, model: UnionOfSubspaces, y, tar
     f + mu (|z|^2 - M^2) <= f, with mu >= 0 taken from the outward gradient at
     z0, less a rounding allowance.
 
-    The search starts from one box [-M, M]^s per subspace and drops boxes
-    that miss the ball.  UB is the smaller of upper^2 and f at every in-ball
-    centre.  A box settles once its bound reaches (sqrt(UB) - target)^2 less
-    the allowance, so a target below what rounding resolves still ends the
-    search; the others split into 2^s children, bounded _CERT_CHUNK at a time.
-    A box splits only while the boxes bounded so far plus the children made
-    at its level stay within _CERT_BUDGET; a box that would cross it settles
-    at its own bound, which is still certified.  So at any s the count stays
-    within _CERT_BUDGET, unless the model alone has more subspaces.
+    The search starts from one box [-M, M]^s per subspace, drops boxes that
+    miss the ball, and goes one level at a time: it bounds every open box,
+    then takes UB, the smaller of upper^2 and f at every in-ball centre so
+    far.  A box settles once its bound reaches (sqrt(UB) - target)^2 less the
+    allowance, so a target below what rounding resolves still ends the
+    search; the others split into 2^s children.  A box splits only while the
+    boxes bounded so far plus the children made at its level stay within
+    _CERT_BUDGET; a box that would cross it settles at its own bound, which is
+    still certified.  So at any s the count stays within _CERT_BUDGET, unless
+    the model alone has more subspaces.
 
     y is one measurement of shape (m,), or rows of shape (n, m) searched in
-    lockstep, one level of every row's boxes at a time.  Each row keeps its
-    own UB, settled bound, cell count and budget, and its boxes are bounded
-    in its own chunks of _CERT_CHUNK, so a row's result is bitwise the one
-    it gets alone.  Children are ball-tested _CERT_CHUNK at a time and then
-    written straight into each row's region of the next level, whose size
-    is then known.  A row reserves its open boxes plus the children it may
-    still make; the rows in flight reserve at most _CERT_BUDGET boxes between
-    them, and a row that would cross that leaves and is searched again from
-    the root after the others.
+    lockstep, one level of every row's boxes at a time.  The boxes of a level
+    are bounded _CERT_CHUNK at a time, rows mixed, each along its own
+    numbers (_box_bounds); each row then takes its best centre, UB, settled
+    bound and splits from its own boxes, in order.  So a row's result is
+    bitwise the one it gets alone, whatever _CERT_CHUNK.  A row reserves its
+    open boxes plus the children it may still make; the rows in flight
+    reserve at most _CERT_BUDGET boxes between them, and a row that would
+    cross that leaves and is searched again from the root after the others.
 
     Returns (lower, cells, best): lower is the square root of the smallest
     settled bound, capped at upper, cells the number of boxes bounded, and
@@ -446,63 +431,48 @@ def certified_minimum(op: RandomFourierOperator, model: UnionOfSubspaces, y, tar
     offsets = ((np.arange(children)[:, None] >> np.arange(s)) & 1) - 0.5 if children <= _CERT_BUDGET else None
     per_split = min(children, _CERT_BUDGET + 1)  # keeps the room arithmetic within int64
 
-    ub, settled, cells = np.empty(n), np.empty(n), np.zeros(n, dtype=int)
+    settled, cells, todo = np.empty(n), np.zeros(n, dtype=int), np.arange(n)
     # least f at an in-ball centre, and that centre as (subspace, z)
     best_f, best_sub, best_z = np.empty(n), np.zeros(n, dtype=int), np.zeros((n, s))
-    lower, todo = np.empty(n), np.arange(n)
     while len(todo):
         rows, todo = todo, todo[:0]
-        ub[rows], settled[rows], cells[rows], best_f[rows] = upper**2, np.inf, 0, np.inf
-        # open boxes of half-width h, one region per row from start: subspace, centre, inherited bound
-        count, start, h = np.full(len(rows), N), np.arange(len(rows)) * N, M
-        idx, Z, inherited = np.tile(np.arange(N), len(rows)), np.zeros((len(rows) * N, s)), np.zeros(len(rows) * N)
+        settled[rows], cells[rows], best_f[rows] = np.inf, 0, np.inf
+        # open boxes of half-width h, grouped by row in the order of rows: subspace, centre and lower
+        # bound, the parent's until the box is bounded
+        count, h = np.full(len(rows), N), M
+        idx, Z, bound = np.tile(np.arange(N), len(rows)), np.zeros((len(rows) * N, s)), np.zeros(len(rows) * N)
         while len(rows):
             cells[rows] += count
-            cap = per_split * np.minimum(np.maximum(_CERT_BUDGET - cells[rows], 0) // per_split, count)
-            stay = np.cumsum(count + cap) <= _CERT_BUDGET
+            room = np.maximum(_CERT_BUDGET - cells[rows], 0) // per_split
+            # the rows that stay are a prefix, so the boxes of those that leave are the last ones
+            stay = np.cumsum(count + per_split * np.minimum(room, count)) <= _CERT_BUDGET
             stay[0] = True
             todo = np.concatenate([todo, rows[~stay]])
-            rows, count, start = rows[stay], count[stay], start[stay]
-            made, kept = np.zeros(len(rows), dtype=int), np.zeros(len(rows), dtype=int)
-            parents = []  # per round: owner, subspace, centre, bound and the children's ball test
-            for offset in range(0, int(count.max()), _CERT_CHUNK):
-                live = np.flatnonzero(count > offset)
-                sizes = np.minimum(count[live] - offset, _CERT_CHUNK)
-                for part in _rounds(sizes):
-                    rr, sz = live[part], sizes[part]
-                    g, lo = rows[rr], np.cumsum(sz) - sz
-                    seg = np.repeat(np.arange(len(rr)), sz)
-                    box = np.repeat(start[rr] + offset - lo, sz) + np.arange(lo[-1] + sz[-1])
-                    I, Zc = idx[box], Z[box]
-                    f0, bound, r2 = _box_bounds(V, L1, M, h, consts, g, lo, sz, g[seg], I, Zc)
-                    bound = np.maximum(bound, inherited[box])
-                    # each row's in-ball centre of least f, the earliest on ties
-                    f_in = np.where(r2 <= M * M, f0, np.inf)
-                    least = np.minimum.reduceat(f_in, lo)
-                    at = np.minimum.reduceat(np.where(f_in == least[seg], np.arange(len(box)), len(box)), lo)
-                    better = least < best_f[g]
-                    up, at = g[better], at[better]
-                    best_f[up], best_sub[up], best_z[up] = least[better], I[at], Zc[at]
-                    ub[g] = np.minimum(ub[g], best_f[g])
-                    level = np.array([max(np.sqrt(b) - target, 0.0) ** 2 for b in ub[g]]) - allowance[g]
-                    # the boxes past the budget's room settle at their own bound too
-                    wide = bound < level[seg]
-                    opened = np.cumsum(wide)
-                    rank = opened - np.repeat(opened[lo] - wide[lo], sz) - 1
-                    room = np.maximum(_CERT_BUDGET - cells[g] - made[rr], 0) // per_split
-                    split = wide & (rank < room[seg])
-                    settled[g] = np.minimum(settled[g], np.minimum.reduceat(np.where(split, np.inf, bound), lo))
-                    made[rr] += per_split * np.bincount(seg[split], minlength=len(rr))
-                    p = np.flatnonzero(split)
-                    if len(p):
-                        owner, meets_ball = rr[seg[p]], _meets_ball(Zc[p], h, offsets, M)
-                        kept += np.bincount(np.repeat(owner, children)[meets_ball], minlength=len(rows))
-                        parents.append((owner, I[p], Zc[p], bound[p], meets_ball))
-            start, idx, Z, inherited = _next_level(parents, kept, h, offsets, s)
-            count, h = kept, 0.5 * h
-            finished = rows[count == 0]
-            lower[finished] = np.minimum(np.sqrt(np.maximum(settled[finished], 0.0)), upper)
-            rows, start, count = rows[count > 0], start[count > 0], count[count > 0]
+            rows, count, room = rows[stay], count[stay], room[stay]
+            total, lo = int(count.sum()), np.cumsum(count) - count
+            idx, Z, bound, f_in = idx[:total], Z[:total], bound[:total], np.empty(total)
+            seg = np.repeat(np.arange(len(rows)), count)
+            for b in range(0, total, _CERT_CHUNK):
+                box = slice(b, b + _CERT_CHUNK)
+                f0, own, r2 = _box_bounds(V, L1, M, h, consts, rows[seg[box]], idx[box], Z[box])
+                f_in[box], bound[box] = np.where(r2 <= M * M, f0, np.inf), np.maximum(own, bound[box])
+            # each row's in-ball centre of least f, the earliest on ties
+            least = np.minimum.reduceat(f_in, lo)
+            at = np.minimum.reduceat(np.where(f_in == least[seg], np.arange(total), total), lo)
+            better = least < best_f[rows]
+            up, at = rows[better], at[better]
+            best_f[up], best_sub[up], best_z[up] = least[better], idx[at], Z[at]
+            ub = np.minimum(best_f[rows], upper**2)
+            level = np.maximum(np.sqrt(ub) - target, 0.0) ** 2 - allowance[rows]
+            # the boxes past the budget's room settle at their own bound too
+            wide = bound < level[seg]
+            opened = np.cumsum(wide)
+            split = wide & (opened - np.repeat(opened[lo] - wide[lo], count) <= room[seg])
+            settled[rows] = np.minimum(settled[rows], np.minimum.reduceat(np.where(split, np.inf, bound), lo))
+            p = np.flatnonzero(split)
+            count, idx, Z, bound = _next_level(seg[p], len(rows), idx[p], Z[p], bound[p], h, offsets, M)
+            rows, count, h = rows[count > 0], count[count > 0], 0.5 * h
+    lower = np.minimum(np.sqrt(np.maximum(settled, 0.0)), upper)
     if np.ndim(y) == 1:
         return float(lower[0]), int(cells[0]), (int(best_sub[0]), best_z[0].copy())
     return lower, cells, (best_sub, best_z)
@@ -513,37 +483,30 @@ def _children(Z, h, offsets):
     return (Z[:, None, :] + h * offsets).reshape(-1, Z.shape[1])
 
 
-def _meets_ball(Z, h, offsets, M):
-    """Whether each child of the boxes about the rows of Z meets the ball of radius M, _CERT_CHUNK at a time."""
-    piece = max(1, _CERT_CHUNK // len(offsets))
-    return np.concatenate([
-        np.linalg.norm(np.maximum(np.abs(_children(Z[lo:lo + piece], h, offsets)) - 0.5 * h, 0.0), axis=1) <= M
-        for lo in range(0, len(Z), piece)])
+def _next_level(owner, n, sub, centres, bounds, h, offsets, M):
+    """The children that meet the ball of the boxes of half-width h that split, in parent order.
 
-
-def _next_level(parents, kept, h, offsets, s):
-    """The children that meet the ball, built _CERT_CHUNK at a time into one region per row.
-
-    parents holds, per round, the owner row, subspace, centre, bound and
-    children's ball test of the boxes of half-width h that split, and
-    kept[r] the children that row r keeps.  A row's region holds its
-    children in the order they were made.  Returns (start, subspace,
-    centre, inherited bound), with start[r] the first box of row r.
+    owner is the row of each parent, one of n, and sub, centres and bounds
+    its subspace, centre and bound.  Children are made and ball-tested
+    _CERT_CHUNK at a time, once to count them and once more to write the kept
+    ones into arrays of exact size.  Returns (count, subspace, centre,
+    inherited bound), with count[r] the children row r keeps.
     """
-    start, total = np.cumsum(kept) - kept, int(kept.sum())
-    idx, Z, inherited = np.empty(total, dtype=int), np.empty((total, s)), np.empty(total)
-    fill = np.zeros(len(kept), dtype=int)
-    for owner, sub, centres, bounds, meets_ball in parents:
-        children = len(offsets)
-        piece = max(1, _CERT_CHUNK // children)  # parents whose children make one chunk
-        for lo in range(0, len(owner), piece):
-            q, keep = slice(lo, lo + piece), meets_ball[lo * children:(lo + piece) * children]
-            own = np.repeat(owner[q], children)[keep]
-            at = start[own] + fill[own] + np.arange(len(own)) - np.searchsorted(own, own)
-            idx[at], Z[at] = np.repeat(sub[q], children)[keep], _children(centres[q], h, offsets)[keep]
-            inherited[at] = np.repeat(bounds[q], children)[keep]
-            fill += np.bincount(own, minlength=len(kept))
-    return start, idx, Z, inherited
+    if not len(owner):  # no box split, as always when 2^s exceeds the budget
+        return np.zeros(n, dtype=int), sub, centres, bounds
+    children = len(offsets)
+    piece = max(1, _CERT_CHUNK // children)  # parents whose children make one chunk
+    parts = [slice(lo, lo + piece) for lo in range(0, len(centres), piece)]
+    meets_ball = [np.linalg.norm(np.maximum(np.abs(_children(centres[q], h, offsets)) - 0.5 * h, 0.0), axis=1) <= M
+                  for q in parts]
+    count = np.bincount(np.repeat(owner, children)[np.concatenate(meets_ball)], minlength=n)
+    total, at = int(count.sum()), 0
+    idx, Z, inherited = np.empty(total, dtype=int), np.empty((total, centres.shape[1])), np.empty(total)
+    for q, keep in zip(parts, meets_ball):
+        kept = slice(at, at + int(keep.sum()))
+        idx[kept], Z[kept] = np.repeat(sub[q], children)[keep], _children(centres[q], h, offsets)[keep]
+        inherited[kept], at = np.repeat(bounds[q], children)[keep], kept.stop
+    return count, idx, Z, inherited
 
 
 def residual_certificate(
@@ -584,10 +547,11 @@ def decode(op, model: UnionOfSubspaces, y, opts: DecoderOptions):
     and its best in-ball box centre, one projected Gauss-Newton run polishes
     every row's centre against its own row, and a row's gap is its residual
     less its lower bound.  A row's result is bitwise the one it gets alone.
-    The search settles every box at (sqrt(UB) - target)^2, with UB the
-    centre's f, and the polish never raises f, so the gap is at most the
-    target (up to rounding) unless the cell budget runs out, and certified
-    either way.  That bound holds whether or not the polish converged, but
+    The search settles a box once its bound reaches (sqrt(UB) - target)^2,
+    with UB the least f at a centre bounded by then, which is never below
+    the best centre's f, and the polish never raises f; so the gap is at
+    most the target (up to rounding) unless the cell budget runs out, and
+    certified either way.  That bound holds whether or not the polish converged, but
     the IOP checks still count an unconverged decode as unchecked.
     """
     if isinstance(op, LinearGaussianOperator):

@@ -43,10 +43,15 @@ EXPERIMENTS = ("certify", "decode", "iop-experiment", "recommend-m", "concentrat
 def _cast(kind, value, key: str):
     """kind(value), with a value that does not cast exactly refused as a ConfigError naming its key.
 
-    A bool is not a number here, and an int must be integral: 2.7 is refused, not truncated to 2.
+    Neither a bool nor a string is a number here, and an int must be integral: 2.7 is refused, not
+    truncated to 2.  kind bool takes a bool only, and [kind] a list of kind.
     """
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        return [_cast(kind[0], v, key) for v in value]
     message = f"{key} must be {kind.__name__}, got {value!r}"
-    if isinstance(value, bool):
+    if isinstance(value, str) or isinstance(value, bool) != (kind is bool):
         raise ConfigError(message)
     try:
         out = kind(value)
@@ -257,14 +262,14 @@ def _run_recommend_m(cfg: ExperimentConfig) -> dict:
     c, m = cfg.certifier, cfg.model
     try:
         rec = recommend_m(
-            t=float(c["t"]),
+            t=c["t"],
             s=_cast(int, m["s"], "model.s"),
             N=_cast(int, m["N"], "model.N"),
             M=_cast(float, m["M"], "model.M"),
             d=_cast(int, m["d"], "model.d"),
             sigma=_cast(float, cfg.operator.get("sigma", 1.0), "operator.sigma"),
-            rho_target=float(c["rho_target"]),
-            c0=float(c.get("c0_m", 1.0)),
+            rho_target=c["rho_target"],
+            c0=c.get("c0_m", 1.0),
         )
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"recommend-m needs t, rho_target and model (d, s, N, M): {exc}") from exc
@@ -280,11 +285,11 @@ def _run_decode(cfg: ExperimentConfig) -> dict:
     c = cfg.certifier
     rng = seeding.generator(cfg.master_seed, 21)
     x_true = sample_model_points(model, 1, rng)[0]
-    pert = float(c.get("model_error_scale", 0.0))
+    pert = c.get("model_error_scale", 0.0)
     if pert:
         x_true = x_true + rng.normal(size=model.dim) * (pert / np.sqrt(model.dim))
     y = op.apply_batch(x_true)[0]
-    noise = float(c.get("noise_scale", 0.0))
+    noise = c.get("noise_scale", 0.0)
     if noise:
         y = y + noise_vector(op, noise, rng)
     result, gap = decode(op, model, y, opts)
@@ -312,23 +317,23 @@ def _run_iop(cfg: ExperimentConfig) -> dict:
     if B is None:
         est = estimate_lrip(
             op, model, metric,
-            pairs=int(c.get("pairs", 2000)),
+            pairs=c.get("pairs", 2000),
             rng_seed=seeding.child_seed(cfg.master_seed, 31),
-            eta=float(c.get("eta", 0.0)),
-            near_eps=float(c.get("near_eps", 0.1)),
+            eta=c.get("eta", 0.0),
+            near_eps=c.get("near_eps", 0.1),
         )
         B = 2.0 * est.alpha_hat
         alpha_report = est.report_dict()
     witness = check_iop_inequality(
         op, model, metric, opts,
-        A=float(c.get("A", 1.0)),
+        A=c.get("A", 1.0),
         B=float(B),
-        lam=float(c.get("lambda", 0.0)),
-        trials=int(c.get("trials", 100)),
-        noise_scale=float(c.get("noise_scale", 0.0)),
-        model_error_scale=float(c.get("model_error_scale", 0.0)),
+        lam=c.get("lambda", 0.0),
+        trials=c.get("trials", 100),
+        noise_scale=c.get("noise_scale", 0.0),
+        model_error_scale=c.get("model_error_scale", 0.0),
         rng_seed=seeding.child_seed(cfg.master_seed, 32),
-        uniform_candidates=int(c.get("uniform_candidates", 64)),
+        uniform_candidates=c.get("uniform_candidates", 64),
     )
     return {
         "iop": witness.report_dict(),
@@ -346,17 +351,17 @@ def _certify_one_draw(cfg, model, metric, anchor, k):
     op = build_operator(cfg, seeding.child_seed(cfg.master_seed, 40, k))
     est = estimate_lrip(
         op, model, metric,
-        pairs=int(c.get("pairs", 10000)),
+        pairs=c.get("pairs", 10000),
         rng_seed=seeding.child_seed(cfg.master_seed, 42, k),
         anchor=anchor,
-        eta=float(c.get("eta", 0.0)),
-        near_eps=float(c.get("near_eps", 0.1)),
+        eta=c.get("eta", 0.0),
+        near_eps=c.get("near_eps", 0.1),
     )
     bp = estimate_bp(
         op, model, metric,
-        pairs=int(c.get("bp_pairs", c.get("pairs", 10000))),
+        pairs=c.get("bp_pairs", c.get("pairs", 10000)),
         rng_seed=seeding.child_seed(cfg.master_seed, 43, k),
-        perturbation_scale=float(c.get("perturbation_scale", 1.0)),
+        perturbation_scale=c.get("perturbation_scale", 1.0),
     )
     hyp = hypothesis_constants(op, model) if isinstance(op, RandomFourierOperator) else None
     return est, bp, hyp
@@ -366,8 +371,8 @@ def _run_certify(cfg: ExperimentConfig) -> dict:
     model = build_model(cfg)
     metric = build_metric(cfg)
     c = cfg.certifier
-    draws = int(c.get("draws", 100))
-    t = float(c.get("t", 0.5))
+    draws = c.get("draws", 100)
+    t = c.get("t", 0.5)
     anchor = None
     if c.get("anchored", True):
         anchor = sample_model_points(model, 1, seeding.generator(cfg.master_seed, 41))[0]
@@ -401,7 +406,7 @@ def _run_certify(cfg: ExperimentConfig) -> dict:
         },
     }
 
-    m_sweep = [int(v) for v in c.get("m_sweep", [])]
+    m_sweep = c.get("m_sweep", [])
     if m_sweep:
         sweep_rows = []
         for m_val in m_sweep:
@@ -410,7 +415,7 @@ def _run_certify(cfg: ExperimentConfig) -> dict:
             )
             sweep = _map_indexed(
                 lambda k: _certify_one_draw(sub, model, metric, anchor, k),
-                int(c.get("sweep_draws", draws)),
+                c.get("sweep_draws", draws),
                 cfg.workers,
             )
             sweep_rows.append([m_val, float(np.median([e.alpha_hat for e, _, _ in sweep]))])
@@ -437,7 +442,7 @@ def _run_certify(cfg: ExperimentConfig) -> dict:
                 op_factory=lambda s: build_operator(cfg, s),
                 pair=(x, x2),
                 metric=metric,
-                draws=int(c.get("concentration_draws", 200)),
+                draws=c.get("concentration_draws", 200),
                 t_grid=[t / 2.0],
                 rng_seed=seeding.child_seed(cfg.master_seed, 45),
             )
@@ -446,7 +451,7 @@ def _run_certify(cfg: ExperimentConfig) -> dict:
             payload["concentration_at_half_t"] = conc.report_dict()
         if c_half_t is not None:
             prop2 = prop2_failure_bound(model, metric, float(c_half_t), hyps[0], t,
-                                        c0=float(c.get("c0_cover", 3.0)))
+                                        c0=c.get("c0_cover", 3.0))
             payload["prop2"] = prop2.report_dict()
     return payload
 
@@ -455,10 +460,10 @@ def _run_concentration_sweep(cfg: ExperimentConfig) -> dict:
     model = build_model(cfg)
     metric = build_metric(cfg)
     c = cfg.certifier
-    m_sweep = [int(v) for v in c.get("m_sweep", [16, 64, 256])]
-    t_grid = [float(v) for v in c.get("t_grid", [0.3])]
-    reps = int(c.get("reps", 5))
-    draws = int(c.get("draws", 200))
+    m_sweep = c.get("m_sweep", [16, 64, 256])
+    t_grid = c.get("t_grid", [0.3])
+    reps = c.get("reps", 5)
+    draws = c.get("draws", 200)
 
     pair_cfg = c.get("pair")
     if pair_cfg is not None:
@@ -545,16 +550,17 @@ def _seed_streams(cfg: ExperimentConfig) -> dict:
     return {name: path for name, path in _SEED_STREAMS[cfg.experiment].items() if name not in pinned}
 
 
-# The certifier keys each runner reads; run refuses any other.
+# The certifier keys each runner reads, with their types (see _cast); run refuses any other.
 _CERTIFIER_KEYS = {
-    "recommend-m": {"t", "rho_target", "c0_m"},
-    "decode": {"model_error_scale", "noise_scale"},
-    "iop-experiment": {"B", "pairs", "eta", "near_eps", "A", "lambda", "trials", "noise_scale",
-                       "model_error_scale", "uniform_candidates"},
-    "certify": {"anchored", "pairs", "eta", "near_eps", "bp_pairs", "perturbation_scale", "draws", "t",
-                "alpha_max", "beta_max", "m_sweep", "sweep_draws", "c_of_half_t", "estimate_concentration",
-                "concentration_draws", "c0_cover"},
-    "concentration-sweep": {"m_sweep", "t_grid", "reps", "draws", "pair"},
+    "recommend-m": {"t": float, "rho_target": float, "c0_m": float},
+    "decode": {"model_error_scale": float, "noise_scale": float},
+    "iop-experiment": {"B": float, "pairs": int, "eta": float, "near_eps": float, "A": float, "lambda": float,
+                       "trials": int, "noise_scale": float, "model_error_scale": float, "uniform_candidates": int},
+    "certify": {"anchored": bool, "pairs": int, "eta": float, "near_eps": float, "bp_pairs": int,
+                "perturbation_scale": float, "draws": int, "t": float, "alpha_max": float, "beta_max": float,
+                "m_sweep": [int], "sweep_draws": int, "c_of_half_t": float, "estimate_concentration": bool,
+                "concentration_draws": int, "c0_cover": float},
+    "concentration-sweep": {"m_sweep": [int], "t_grid": [float], "reps": int, "draws": int, "pair": [[float]]},
 }
 
 _RUNNERS = {
@@ -568,17 +574,19 @@ _RUNNERS = {
 
 def run(config: ExperimentConfig) -> Report:
     """Dispatch the configured experiment and assemble the report."""
-    unknown = set(config.certifier) - _CERTIFIER_KEYS[config.experiment]
+    kinds = _CERTIFIER_KEYS[config.experiment]
+    unknown = set(config.certifier) - set(kinds)
     if unknown:
         raise ConfigError(f"unknown certifier keys for {config.experiment}: {sorted(unknown)}")
-    # no certifier key takes a string or an object, and only these take a list
-    lists = {"m_sweep", "t_grid", "pair"}
-    for key, value in config.certifier.items():
-        if isinstance(value, (str, dict)) or (isinstance(value, list) and key not in lists):
-            kind = "a list" if key in lists else "a number or a bool"
-            raise ConfigError(f"certifier.{key} must be {kind}, got {value!r}")
+    certifier = {key: _cast(kinds[key], value, f"certifier.{key}") for key, value in config.certifier.items()}
+    # a median over no draws or reps is NaN, and the series start at the first t of t_grid
+    for key in ("draws", "sweep_draws", "reps"):
+        if certifier.get(key, 1) < 1:
+            raise ConfigError(f"certifier.{key} must be >= 1, got {certifier[key]}")
+    if certifier.get("t_grid") == []:
+        raise ConfigError("certifier.t_grid must not be empty")
     start = time.perf_counter()
-    results = _RUNNERS[config.experiment](config)
+    results = _RUNNERS[config.experiment](replace(config, certifier=certifier))
     wall = time.perf_counter() - start
     return Report(
         config=config.to_dict(),

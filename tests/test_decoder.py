@@ -588,10 +588,21 @@ class TestCertifiedMinimum:
             assert lower[k] == one_lower and cells[k] == one_cells <= 3000
             assert sub[k] == i and Z[k].tobytes() == z.tobytes()
 
-    def test_memory_bounded_for_rows_at_subspace_dim_eight(self):
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_rows_do_not_depend_on_chunk_size(self, s, monkeypatch):
+        # boxes of several rows share each chunk, and every row's result stays what a chunk of 4096 gives
+        model, op, Y = fourier_rows(s, n=5)
+        lower, cells, (sub, Z) = certified_minimum(op, model, Y, 1e-6, np.inf)
+        monkeypatch.setattr(decoder, "_CERT_CHUNK", 7)
+        small = certified_minimum(op, model, Y, 1e-6, np.inf)
+        assert lower.tobytes() == small[0].tobytes() and np.array_equal(cells, small[1])
+        assert np.array_equal(sub, small[2][0]) and Z.tobytes() == small[2][1].tobytes()
+
+    @pytest.mark.parametrize("s", [8, 12])
+    def test_memory_bounded_for_rows_at_large_subspace_dim(self, s):
         # the rows in flight share one budget, so four rows stay within the bound of one
-        model = UnionOfSubspaces.random(9, 8, 2, 1.0, 0)
-        op = RandomFourierOperator.from_seed(16, 9, 1.0, 1)
+        model = UnionOfSubspaces.random(s + 1, s, 2, 1.0, 0)
+        op = RandomFourierOperator.from_seed(16, s + 1, 1.0, 1)
         Y = np.array([noisy_off_model_target(model, op, k) for k in range(2, 6)])
         peaks = []
         for rows in (Y[:1], Y):

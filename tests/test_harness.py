@@ -342,6 +342,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
 
+    @pytest.mark.parametrize("config, key, value", [
+        ("iop_linear", "trials", 2.7),
+        ("iop_linear", "trials", True),
+        ("iop_linear", "uniform_candidates", 64.5),
+        ("iop_linear", "noise_scale", False),
+        ("certify_fourier", "draws", 2.5),
+        ("certify_fourier", "t", True),
+        ("certify_fourier", "anchored", 1),
+        ("certify_fourier", "m_sweep", [16.5]),
+        ("certify_fourier", "m_sweep", 16),
+        ("concentration_sweep", "reps", 1.5),
+        ("concentration_sweep", "t_grid", ["0.3"]),
+        ("recommend_m", "rho_target", True),
+        ("certify_fourier", "draws", 0),
+        ("certify_fourier", "sweep_draws", 0),
+        ("concentration_sweep", "reps", 0),
+        ("concentration_sweep", "t_grid", []),
+    ])
+    def test_bad_certifier_value_exit_code(self, tmp_path, capsys, config, key, value):
+        # a bare int() ran 2 trials for 2.7 and 1 for true; medians over no draws or reps were NaN,
+        # and an empty t_grid raised IndexError
+        cfg = json.loads((ROOT / "configs" / f"{config}.json").read_text())
+        cfg["certifier"][key] = value
+        assert main([cfg["experiment"], "--config", self.write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"certifier.{key}" in err
+
     def test_unknown_certifier_key_exit_code(self, tmp_path):
         # a misspelt "trials" would otherwise run the default 100 trials
         cfg = json.loads((ROOT / "configs" / "iop_linear.json").read_text())
