@@ -27,7 +27,7 @@ from .operators import (
     sample_lambda,
     weight_f,
 )
-from .decoder import DecodeResult, DecoderOptions, decode, decode_linear, residual_certificate
+from .decoder import DecodeResult, DecoderOptions, decode, decode_linear
 from .certifier import (
     BpEstimate,
     ConcentrationEstimate,
@@ -54,7 +54,7 @@ __all__ = [
     "covering_bound_model", "covering_bound_secant", "greedy_cover",
     "LinearGaussianOperator", "RandomFourierOperator", "GammaMoments",
     "NonlinearLripHypotheses", "weight_f", "sample_lambda", "hypothesis_constants",
-    "DecoderOptions", "DecodeResult", "decode", "decode_linear", "residual_certificate",
+    "DecoderOptions", "DecodeResult", "decode", "decode_linear",
     "LripEstimate", "BpEstimate", "IopWitness", "ConcentrationEstimate",
     "Prop1Result", "Prop2Result", "RecommendedM",
     "estimate_lrip", "estimate_bp", "check_iop_inequality", "lrip_from_iop_witness",

@@ -778,25 +778,3 @@ def recommend_m(
     log_term = max(0.0, math.log(arg))
     raw = c0 * t**-2 * (s * log_term + math.log(N) + math.log(1.0 / rho_target))
     return RecommendedM(m=max(1, math.ceil(raw)), raw=raw, log_term_clipped=clipped)
-
-
-def estimate_operator_lipschitz(
-    op,
-    model: UnionOfSubspaces,
-    metric: Pseudometric,
-    pairs: int,
-    rng_seed: int,
-) -> dict:
-    """Empirical Lipschitz constant sup ||Psi x - Psi x'|| / d(x, x') over model pairs.
-
-    Supplies the constant C required by the linear covering argument; it is
-    an empirical estimate and is flagged as such.
-    """
-    rng = seeding.generator(rng_seed, 4)
-    X = sample_model_points(model, pairs, rng)
-    X2 = sample_model_points(model, pairs, rng)
-    d = metric.dist_pairs(X, X2)
-    keep = d > 0
-    gaps = op.gap_batch(X[keep] - X2[keep])
-    return {"C_hat": float(np.max(gaps / d[keep])), "pairs_tested": int(keep.sum()),
-            "estimated": True}

@@ -11,7 +11,7 @@ import json
 import sys
 
 from .errors import ConfigError, InputError, NumericError
-from .harness import EXPERIMENTS, ExperimentConfig, run, write_report
+from .harness import EXPERIMENTS, ExperimentConfig, read_config, run, write_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -35,13 +35,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg_dict = ExperimentConfig.from_json_file(args.config).to_dict()
-        cfg_dict["experiment"] = args.experiment
+        obj = read_config(args.config)
+        obj["experiment"] = args.experiment
         if args.seed is not None:
-            cfg_dict["master_seed"] = args.seed
-        if args.out is not None:
-            cfg_dict.setdefault("output", {})["dir"] = args.out
-        config = ExperimentConfig.from_dict(cfg_dict)
+            obj["master_seed"] = args.seed
+        output = obj.get("output", {})
+        if args.out is not None and isinstance(output, dict):
+            obj["output"] = {**output, "dir": args.out}
+        config = ExperimentConfig.from_dict(obj)
     except (ConfigError, InputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -55,10 +56,12 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
-    out_dir = config.output.get("dir")
-    if out_dir:
+    if config.output["dir"]:
         try:
-            paths = write_report(report, out_dir, config.output.get("series", []))
+            paths = write_report(report, config.output["dir"], config.output["series"])
+        except InputError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         except OSError as exc:
             print(f"unwritable output path: {exc}", file=sys.stderr)
             return EXIT_OUTPUT

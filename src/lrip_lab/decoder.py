@@ -509,32 +509,6 @@ def _next_level(owner, n, sub, centres, bounds, h, offsets, M):
     return count, idx, Z, inherited
 
 
-def residual_certificate(
-    result: DecodeResult,
-    op,
-    model: UnionOfSubspaces,
-    y,
-    grid_opts: GridOracleOptions | None = None,
-) -> float:
-    """Gap between the Fourier decoder's residual and a certified lower bound on the minimum.
-
-    The linear decoder is exact, and decode gives its gap 0; a linear
-    operator is refused here.  The lower bound comes from certified_minimum
-    with target gap grid_opts.resolution, so the gap is >= 0 and, unless the
-    cell budget runs out, exceeds the decoder's own excess residual by about
-    that target at most.  A non-converged result reports an unknown gap as
-    +inf.  decode does not call it; it is the independent reference that
-    certifies any DecodeResult.
-    """
-    if not isinstance(op, RandomFourierOperator):
-        raise InputError("residual_certificate is for the Fourier decoder; the linear decoder is exact")
-    if not result.converged:
-        return np.inf
-    grid_opts = grid_opts or GridOracleOptions()
-    lower, _, _ = certified_minimum(op, model, y, grid_opts.resolution, result.residual)
-    return float(result.residual - lower)
-
-
 def decode(op, model: UnionOfSubspaces, y, opts: DecoderOptions):
     """Decode y with the operator's decoder; returns (DecodeResult, residual certificate gap).
 

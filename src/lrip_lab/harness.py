@@ -9,11 +9,13 @@ thread pool but are always reduced in index order.
 
 from __future__ import annotations
 
+import copy
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,21 +39,29 @@ from .operators import (
 )
 from .spaces import Pseudometric, complex_vector_to_json
 
-EXPERIMENTS = ("certify", "decode", "iop-experiment", "recommend-m", "concentration-sweep")
+_REQUIRED = object()  # the default of a key that a config must give
 
 
 def _cast(kind, value, key: str):
-    """kind(value), with a value that does not cast exactly refused as a ConfigError naming its key.
+    """value as kind, refused as a ConfigError naming its key unless it is one exactly.
 
-    Neither a bool nor a string is a number here, and an int must be integral: 2.7 is refused, not
-    truncated to 2.  kind bool takes a bool only, and [kind] a list of kind.
+    kind is bool, str, int or float; a tuple, the strings allowed; or [kind], a list of kind.  Only kind bool takes a
+    bool and only kind str a string, and an int must be integral: 2.7 is refused, not truncated to 2.
     """
     if isinstance(kind, list):
         if not isinstance(value, list):
             raise ConfigError(f"{key} must be a list, got {value!r}")
         return [_cast(kind[0], v, key) for v in value]
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{key} must be one of {', '.join(kind)}, got {value!r}")
+        return value
     message = f"{key} must be {kind.__name__}, got {value!r}"
-    if isinstance(value, str) or isinstance(value, bool) != (kind is bool):
+    if kind in (bool, str):
+        if not isinstance(value, kind):
+            raise ConfigError(message)
+        return value
+    if isinstance(value, (bool, str)):
         raise ConfigError(message)
     try:
         out = kind(value)
@@ -62,98 +72,118 @@ def _cast(kind, value, key: str):
     return out
 
 
+def _section(spec, keys: dict, name: str) -> dict:
+    """The values of config section name, or of the whole config when name is empty.
+
+    keys maps each key to (kind, default), kind as in _cast, or to the keys of a nested section.  Each given value is
+    cast to its kind and each key not given takes its default, None included.  An unknown key is refused, and so is
+    a missing key whose default is _REQUIRED.
+    """
+    path = lambda key: f"{name}.{key}" if name else key
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name or 'config'} must be a JSON object, got {spec!r}")
+    unknown = [path(key) for key in spec if key not in keys]
+    if unknown:
+        raise ConfigError(f"unknown keys {', '.join(unknown)}; {name or 'config'} takes {', '.join(keys)}")
+    values = {}
+    for key, entry in keys.items():
+        if isinstance(entry, dict):
+            values[key] = _section(spec.get(key, {}), entry, path(key))
+        elif key in spec:
+            values[key] = _cast(entry[0], spec[key], path(key))
+        elif entry[1] is _REQUIRED:
+            raise ConfigError(f"{path(key)} is required")
+        else:
+            values[key] = entry[1]
+    return values
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment configuration; echoed verbatim into every report."""
+    """An experiment configuration parsed by from_dict: every section as typed values, defaults filled in.
+
+    The keys, kinds and defaults are those of _CONFIG_KEYS and of the experiment's certifier keys in EXPERIMENTS.
+    to_dict gives the config as it was given, which every report echoes.
+    """
 
     experiment: str
-    master_seed: int = 0
-    workers: int = 1
-    model: dict = field(default_factory=dict)
-    operator: dict = field(default_factory=dict)
-    metric: dict = field(default_factory=lambda: {"kind": "euclidean"})
-    decoder: dict = field(default_factory=dict)
-    certifier: dict = field(default_factory=dict)
-    output: dict = field(default_factory=dict)
+    master_seed: int
+    workers: int
+    model: dict
+    operator: dict
+    metric: dict
+    decoder: dict
+    certifier: dict
+    output: dict
+    echo: dict = field(repr=False, compare=False)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        if not isinstance(obj, dict):
-            raise ConfigError("config must be a JSON object")
-        exp = obj.get("experiment")
-        if exp not in EXPERIMENTS:
-            raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {exp!r}")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(obj) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(
-            experiment=exp,
-            master_seed=_cast(int, obj.get("master_seed", 0), "master_seed"),
-            workers=_cast(int, obj.get("workers", 1), "workers"),
-            model=dict(obj.get("model", {})),
-            operator=dict(obj.get("operator", {})),
-            metric=dict(obj.get("metric", {"kind": "euclidean"})),
-            decoder=dict(obj.get("decoder", {})),
-            certifier=dict(obj.get("certifier", {})),
-            output=dict(obj.get("output", {})),
-        )
+        exp = obj.get("experiment") if isinstance(obj, dict) else None
+        certifier = EXPERIMENTS[exp].certifier if isinstance(exp, str) and exp in EXPERIMENTS else {}
+        keys = {**_CONFIG_KEYS, "certifier": certifier}
+        values = _section(obj, keys, "")
+        echo = {key: dict(obj.get(key, {})) if isinstance(entry, dict) else values[key] for key, entry in keys.items()}
+        cfg = cls(**values, echo=echo)
         cfg.validate()
         return cfg
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                obj = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(obj)
+        return cls.from_dict(read_config(path))
 
     def validate(self):
-        """Dimensional compatibility checks run before any computation."""
+        """Checks across keys, run before any computation."""
+        model, op, c = self.model, self.operator, self.certifier
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        # a median over no draws or reps is NaN, and the series start at the first t of t_grid
+        for key in ("draws", "sweep_draws", "reps"):
+            if c.get(key) is not None and c[key] < 1:
+                raise ConfigError(f"certifier.{key} must be >= 1, got {c[key]}")
+        if c.get("t_grid") == []:
+            raise ConfigError("certifier.t_grid must not be empty")
+        if c.get("pair") is not None and [len(x) for x in c["pair"]] != [model["d"]] * 2:
+            raise ConfigError(f"certifier.pair must be two points of length model.d = {model['d']}, got {c['pair']}")
+        series = EXPERIMENTS[self.experiment].series
+        unknown = [name for name in self.output["series"] if name not in series]
+        if unknown:
+            raise ConfigError(f"unknown output.series {unknown}; {self.experiment} writes {list(series)}")
         if self.experiment == "recommend-m":
             return
-        m = self.model
-        for key in ("d", "s", "N", "M"):
-            if key not in m:
-                raise ConfigError(f"model.{key} is required for {self.experiment}")
-        if not (1 <= _cast(int, m["s"], "model.s") <= _cast(int, m["d"], "model.d")):
+        if not 1 <= model["s"] <= model["d"]:
             raise ConfigError("need 1 <= s <= d in model spec")
-        op = self.operator
-        if op.get("kind") not in ("linear-gaussian", "random-fourier"):
-            raise ConfigError("operator.kind must be linear-gaussian or random-fourier")
-        if op.get("identity"):
-            if op.get("kind") != "linear-gaussian":
-                raise ConfigError("operator.identity applies to linear-gaussian only")
-            if _cast(int, op.get("m", m["d"]), "operator.m") != int(m["d"]):
+        if op["kind"] is None:
+            raise ConfigError(f"operator.kind is required for {self.experiment}")
+        if op["identity"] and op["kind"] != "linear-gaussian":
+            raise ConfigError("operator.identity applies to linear-gaussian only")
+        for m in [op["m"], *c.get("m_sweep", [])]:
+            if op["identity"] and m not in (None, model["d"]):
                 raise ConfigError("identity operator requires m == d")
-        elif _cast(int, op.get("m", 0), "operator.m") < 1:
-            raise ConfigError("operator.m must be >= 1")
-        if op.get("kind") == "random-fourier" and not _cast(float, op.get("sigma", 0), "operator.sigma") > 0:
+            if not op["identity"] and (m is None or m < 1):
+                raise ConfigError("operator.m and every certifier.m_sweep entry must be >= 1")
+        if op["kind"] == "random-fourier" and not op["sigma"] > 0:
             raise ConfigError("operator.sigma must be > 0 for the Fourier operator")
-        if self.metric.get("kind") not in ("euclidean", "gaussian-kernel"):
-            raise ConfigError("metric.kind must be euclidean or gaussian-kernel")
-        sigma = self.metric.get("sigma", 0)
-        if self.metric.get("kind") == "gaussian-kernel" and not _cast(float, sigma, "metric.sigma") > 0:
+        sigma = self.metric["sigma"]
+        if self.metric["kind"] == "gaussian-kernel" and (sigma is None or not sigma > 0):
             raise ConfigError("metric.sigma must be > 0 for the kernel metric")
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "master_seed": self.master_seed,
-            "workers": self.workers,
-            "model": dict(self.model),
-            "operator": dict(self.operator),
-            "metric": dict(self.metric),
-            "decoder": dict(self.decoder),
-            "certifier": dict(self.certifier),
-            "output": dict(self.output),
-        }
+        return copy.deepcopy(self.echo)
+
+
+def read_config(path) -> dict:
+    """The JSON object in the file at path; an unreadable file or another JSON value is a ConfigError."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    return obj
 
 
 @dataclass(frozen=True)
@@ -190,62 +220,43 @@ class Report:
 
 # --- builders -------------------------------------------------------------
 
-def _config_seed(spec: dict, section: str, master_seed: int, stream: int) -> int:
+def _config_seed(spec: dict, master_seed: int, stream: int) -> int:
     """spec["seed"] when the config pins it, else the child seed of the master at ``stream``."""
-    if "seed" in spec:
-        return _cast(int, spec["seed"], f"{section}.seed")
-    return seeding.child_seed(master_seed, stream)
+    return seeding.child_seed(master_seed, stream) if spec["seed"] is None else spec["seed"]
 
 
 def build_model(cfg: ExperimentConfig) -> UnionOfSubspaces:
     m = cfg.model
-    kind = m.get("kind", "random")
-    d, s, N = (_cast(int, m[k], f"model.{k}") for k in "dsN")
-    M = _cast(float, m["M"], "model.M")
-    if "bases" in m:
-        return UnionOfSubspaces.from_json({"d": d, "s": s, "N": N, "M": M, "bases": m["bases"]})
-    if kind == "axes":
-        model = UnionOfSubspaces.axes(d, M)
-    elif kind == "random":
-        model = UnionOfSubspaces.random(d, s, N, M, _config_seed(m, "model", cfg.master_seed, 10))
+    if m["bases"] is not None:
+        return UnionOfSubspaces.from_json(m)
+    if m["kind"] == "axes":
+        model = UnionOfSubspaces.axes(m["d"], m["M"])
     else:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    if model.num_subspaces != N or model.subspace_dim != s:
+        model = UnionOfSubspaces.random(m["d"], m["s"], m["N"], m["M"], _config_seed(m, cfg.master_seed, 10))
+    if model.num_subspaces != m["N"] or model.subspace_dim != m["s"]:
         raise ConfigError("model kind is inconsistent with (s, N)")
     return model
 
 
-def build_operator(cfg: ExperimentConfig, seed: int):
-    op = cfg.operator
-    d = int(cfg.model["d"])
+def build_operator(cfg: ExperimentConfig, seed: int, m: int | None = None):
+    """The configured operator drawn from seed, with m measurements in place of operator.m when m is given."""
+    op, d = cfg.operator, cfg.model["d"]
+    m = op["m"] if m is None else m
     if op["kind"] == "linear-gaussian":
-        if op.get("identity"):
+        if op["identity"]:
             return LinearGaussianOperator.from_matrix(np.eye(d))
-        return LinearGaussianOperator.from_seed(int(op["m"]), d, seed)
-    return RandomFourierOperator.from_seed(int(op["m"]), d, float(op["sigma"]), seed)
+        return LinearGaussianOperator.from_seed(m, d, seed)
+    return RandomFourierOperator.from_seed(m, d, op["sigma"], seed)
 
 
 def build_metric(cfg: ExperimentConfig) -> Pseudometric:
-    return Pseudometric(cfg.metric["kind"], cfg.metric.get("sigma"))
-
-
-def _options(cls, spec: dict, section: str):
-    """cls from a config section: the defaults of cls, values cast to their types, unknown keys refused."""
-    unknown = set(spec) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
-    default = cls()
-    cast = {k: _cast(type(getattr(default, k)), v, f"{section}.{k}") for k, v in spec.items()}
-    return replace(default, **cast)
+    return Pseudometric(cfg.metric["kind"], cfg.metric["sigma"])
 
 
 def build_decoder_options(cfg: ExperimentConfig) -> DecoderOptions:
-    # decoder.restarts and decoder.grid_oracle.enabled served the multi-start decoder, which is gone;
-    # the benchmark's iop-fourier workload still passes both, so they are dropped here, not refused
-    dec = {k: v for k, v in cfg.decoder.items() if k != "restarts"}
-    oracle = {k: v for k, v in dec.pop("grid_oracle", {}).items() if k != "enabled"}
-    oracle = _options(GridOracleOptions, oracle, "decoder.grid_oracle")
-    return replace(_options(DecoderOptions, dec, "decoder"), grid_oracle=oracle)
+    dec = cfg.decoder
+    return DecoderOptions(max_iters=dec["max_iters"],
+                          grid_oracle=GridOracleOptions(resolution=dec["grid_oracle"]["resolution"]))
 
 
 def _map_indexed(fn, count: int, workers: int) -> list:
@@ -260,19 +271,8 @@ def _map_indexed(fn, count: int, workers: int) -> list:
 
 def _run_recommend_m(cfg: ExperimentConfig) -> dict:
     c, m = cfg.certifier, cfg.model
-    try:
-        rec = recommend_m(
-            t=c["t"],
-            s=_cast(int, m["s"], "model.s"),
-            N=_cast(int, m["N"], "model.N"),
-            M=_cast(float, m["M"], "model.M"),
-            d=_cast(int, m["d"], "model.d"),
-            sigma=_cast(float, cfg.operator.get("sigma", 1.0), "operator.sigma"),
-            rho_target=c["rho_target"],
-            c0=c.get("c0_m", 1.0),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"recommend-m needs t, rho_target and model (d, s, N, M): {exc}") from exc
+    rec = recommend_m(t=c["t"], s=m["s"], N=m["N"], M=m["M"], d=m["d"], sigma=cfg.operator["sigma"],
+                      rho_target=c["rho_target"], c0=c["c0_m"])
     return {"recommendation": rec.report_dict(), "m": rec.m, "series": {}}
 
 
@@ -280,18 +280,16 @@ def _run_decode(cfg: ExperimentConfig) -> dict:
     model = build_model(cfg)
     metric = build_metric(cfg)
     opts = build_decoder_options(cfg)
-    op_seed = _config_seed(cfg.operator, "operator", cfg.master_seed, 20)
+    op_seed = _config_seed(cfg.operator, cfg.master_seed, 20)
     op = build_operator(cfg, op_seed)
     c = cfg.certifier
     rng = seeding.generator(cfg.master_seed, 21)
     x_true = sample_model_points(model, 1, rng)[0]
-    pert = c.get("model_error_scale", 0.0)
-    if pert:
-        x_true = x_true + rng.normal(size=model.dim) * (pert / np.sqrt(model.dim))
+    if c["model_error_scale"]:
+        x_true = x_true + rng.normal(size=model.dim) * (c["model_error_scale"] / np.sqrt(model.dim))
     y = op.apply_batch(x_true)[0]
-    noise = c.get("noise_scale", 0.0)
-    if noise:
-        y = y + noise_vector(op, noise, rng)
+    if c["noise_scale"]:
+        y = y + noise_vector(op, c["noise_scale"], rng)
     result, gap = decode(op, model, y, opts)
     return {
         "decode": result.to_json(),
@@ -309,31 +307,31 @@ def _run_iop(cfg: ExperimentConfig) -> dict:
     metric = build_metric(cfg)
     opts = build_decoder_options(cfg)
     c = cfg.certifier
-    op_seed = _config_seed(cfg.operator, "operator", cfg.master_seed, 30)
+    op_seed = _config_seed(cfg.operator, cfg.master_seed, 30)
     op = build_operator(cfg, op_seed)
 
-    B = c.get("B")
+    B = c["B"]
     alpha_report = None
     if B is None:
         est = estimate_lrip(
             op, model, metric,
-            pairs=c.get("pairs", 2000),
+            pairs=c["pairs"],
             rng_seed=seeding.child_seed(cfg.master_seed, 31),
-            eta=c.get("eta", 0.0),
-            near_eps=c.get("near_eps", 0.1),
+            eta=c["eta"],
+            near_eps=c["near_eps"],
         )
         B = 2.0 * est.alpha_hat
         alpha_report = est.report_dict()
     witness = check_iop_inequality(
         op, model, metric, opts,
-        A=c.get("A", 1.0),
-        B=float(B),
-        lam=c.get("lambda", 0.0),
-        trials=c.get("trials", 100),
-        noise_scale=c.get("noise_scale", 0.0),
-        model_error_scale=c.get("model_error_scale", 0.0),
+        A=c["A"],
+        B=B,
+        lam=c["lambda"],
+        trials=c["trials"],
+        noise_scale=c["noise_scale"],
+        model_error_scale=c["model_error_scale"],
         rng_seed=seeding.child_seed(cfg.master_seed, 32),
-        uniform_candidates=c.get("uniform_candidates", 64),
+        uniform_candidates=c["uniform_candidates"],
     )
     return {
         "iop": witness.report_dict(),
@@ -346,22 +344,22 @@ def _run_iop(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _certify_one_draw(cfg, model, metric, anchor, k):
+def _certify_one_draw(cfg, model, metric, anchor, k, m=None):
     c = cfg.certifier
-    op = build_operator(cfg, seeding.child_seed(cfg.master_seed, 40, k))
+    op = build_operator(cfg, seeding.child_seed(cfg.master_seed, 40, k), m)
     est = estimate_lrip(
         op, model, metric,
-        pairs=c.get("pairs", 10000),
+        pairs=c["pairs"],
         rng_seed=seeding.child_seed(cfg.master_seed, 42, k),
         anchor=anchor,
-        eta=c.get("eta", 0.0),
-        near_eps=c.get("near_eps", 0.1),
+        eta=c["eta"],
+        near_eps=c["near_eps"],
     )
     bp = estimate_bp(
         op, model, metric,
-        pairs=c.get("bp_pairs", c.get("pairs", 10000)),
+        pairs=c["pairs"] if c["bp_pairs"] is None else c["bp_pairs"],
         rng_seed=seeding.child_seed(cfg.master_seed, 43, k),
-        perturbation_scale=c.get("perturbation_scale", 1.0),
+        perturbation_scale=c["perturbation_scale"],
     )
     hyp = hypothesis_constants(op, model) if isinstance(op, RandomFourierOperator) else None
     return est, bp, hyp
@@ -371,18 +369,17 @@ def _run_certify(cfg: ExperimentConfig) -> dict:
     model = build_model(cfg)
     metric = build_metric(cfg)
     c = cfg.certifier
-    draws = c.get("draws", 100)
-    t = c.get("t", 0.5)
+    draws, t = c["draws"], c["t"]
     anchor = None
-    if c.get("anchored", True):
+    if c["anchored"]:
         anchor = sample_model_points(model, 1, seeding.generator(cfg.master_seed, 41))[0]
 
     results = _map_indexed(lambda k: _certify_one_draw(cfg, model, metric, anchor, k), draws, cfg.workers)
     alphas = [est.alpha_hat for est, _, _ in results]
     betas = [bp.beta_hat for _, bp, _ in results]
 
-    alpha_max = c.get("alpha_max", 1.5 / (1.0 - t))
-    beta_max = c.get("beta_max", 1.5 * (1.0 + t))
+    alpha_max = 1.5 / (1.0 - t) if c["alpha_max"] is None else c["alpha_max"]
+    beta_max = 1.5 * (1.0 + t) if c["beta_max"] is None else c["beta_max"]
     payload = {
         "draws": draws,
         "alpha_hat": alphas,
@@ -406,16 +403,12 @@ def _run_certify(cfg: ExperimentConfig) -> dict:
         },
     }
 
-    m_sweep = c.get("m_sweep", [])
-    if m_sweep:
+    if c["m_sweep"]:
         sweep_rows = []
-        for m_val in m_sweep:
-            sub = ExperimentConfig.from_dict(
-                {**cfg.to_dict(), "operator": dict(cfg.operator, m=m_val)}
-            )
+        for m_val in c["m_sweep"]:
             sweep = _map_indexed(
-                lambda k: _certify_one_draw(sub, model, metric, anchor, k),
-                c.get("sweep_draws", draws),
+                lambda k: _certify_one_draw(cfg, model, metric, anchor, k, m_val),
+                draws if c["sweep_draws"] is None else c["sweep_draws"],
                 cfg.workers,
             )
             sweep_rows.append([m_val, float(np.median([e.alpha_hat for e, _, _ in sweep]))])
@@ -435,23 +428,22 @@ def _run_certify(cfg: ExperimentConfig) -> dict:
         }
         payload["hypothesis_constants_median"] = consts_median
         # theoretical side: covering bounds + failure probability at level t
-        c_half_t = c.get("c_of_half_t")
-        if c_half_t is None and c.get("estimate_concentration", True):
+        c_half_t = c["c_of_half_t"]
+        if c_half_t is None and c["estimate_concentration"]:
             x, x2 = sample_model_points(model, 2, seeding.generator(cfg.master_seed, 44))
             conc = estimate_concentration(
                 op_factory=lambda s: build_operator(cfg, s),
                 pair=(x, x2),
                 metric=metric,
-                draws=c.get("concentration_draws", 200),
+                draws=c["concentration_draws"],
                 t_grid=[t / 2.0],
                 rng_seed=seeding.child_seed(cfg.master_seed, 45),
             )
             # use the Wilson lower confidence bound when no failures were seen
-            c_half_t = conc.c_hat[0] if np.isfinite(conc.c_hat[0]) else conc.c_lower[0]
+            c_half_t = float(conc.c_hat[0] if np.isfinite(conc.c_hat[0]) else conc.c_lower[0])
             payload["concentration_at_half_t"] = conc.report_dict()
         if c_half_t is not None:
-            prop2 = prop2_failure_bound(model, metric, float(c_half_t), hyps[0], t,
-                                        c0=c.get("c0_cover", 3.0))
+            prop2 = prop2_failure_bound(model, metric, c_half_t, hyps[0], t, c0=c["c0_cover"])
             payload["prop2"] = prop2.report_dict()
     return payload
 
@@ -460,32 +452,24 @@ def _run_concentration_sweep(cfg: ExperimentConfig) -> dict:
     model = build_model(cfg)
     metric = build_metric(cfg)
     c = cfg.certifier
-    m_sweep = c.get("m_sweep", [16, 64, 256])
-    t_grid = c.get("t_grid", [0.3])
-    reps = c.get("reps", 5)
-    draws = c.get("draws", 200)
-
-    pair_cfg = c.get("pair")
-    if pair_cfg is not None:
-        x = np.asarray(pair_cfg[0], dtype=float)
-        x2 = np.asarray(pair_cfg[1], dtype=float)
+    m_sweep, t_grid = c["m_sweep"], c["t_grid"]
+    if c["pair"] is not None:
+        x, x2 = np.asarray(c["pair"], dtype=float)
     else:
         x, x2 = sample_model_points(model, 2, seeding.generator(cfg.master_seed, 50))
 
     def one(args):
         m, rep = args
-        op_cfg = dict(cfg.operator, m=m)
-        sub = ExperimentConfig.from_dict({**cfg.to_dict(), "operator": op_cfg})
         return estimate_concentration(
-            op_factory=lambda s: build_operator(sub, s),
+            op_factory=lambda s: build_operator(cfg, s, m),
             pair=(x, x2),
             metric=metric,
-            draws=draws,
+            draws=c["draws"],
             t_grid=t_grid,
             rng_seed=seeding.child_seed(cfg.master_seed, 51, m, rep),
         )
 
-    tasks = [(m, rep) for m in m_sweep for rep in range(reps)]
+    tasks = [(m, rep) for m in m_sweep for rep in range(c["reps"])]
     ests = _map_indexed(lambda k: one(tasks[k]), len(tasks), cfg.workers)
     by_m = {m: [ests[i] for i, (mm, _) in enumerate(tasks) if mm == m] for m in m_sweep}
 
@@ -526,67 +510,79 @@ def _run_concentration_sweep(cfg: ExperimentConfig) -> dict:
     return payload
 
 
-# Streams each runner derives from the master seed; -1 stands for a draw,
-# rep or sweep index.  Some are derived only on some branches (31 when B is
-# not given, 41 in anchored mode, 44-45 for the Fourier map, 50 when no pair
-# is given).
-_SEED_STREAMS = {
-    "recommend-m": {},
-    "decode": {"model": (10,), "operator": (20,), "signal_and_noise": (21,)},
-    "iop-experiment": {"model": (10,), "operator": (30,), "lrip_pairs": (31,), "iop_trials": (32,)},
-    "certify": {"model": (10,), "operator_draw_k": (40, -1), "anchor": (41,), "pairs_draw_k": (42, -1),
-                "bp_pairs_draw_k": (43, -1), "concentration_pair": (44,), "concentration_draws": (45,)},
-    "concentration-sweep": {"model": (10,), "pair": (50,), "concentration_m_rep": (51, -1, -1)},
+# --- schema -----------------------------------------------------------------
+
+class _Experiment(NamedTuple):
+    runner: Callable[[ExperimentConfig], dict]
+    certifier: dict  # key -> (kind, default), as _section takes them
+    streams: dict  # the streams derived from the master seed, by name
+    series: tuple  # the CSV series its results can carry
+
+
+# The one table of experiments.  A None default of bp_pairs, sweep_draws, alpha_max or beta_max stands for a value
+# the runner works out from pairs, draws or t.  In the streams, -1 stands for a draw, rep or sweep index, and some
+# are derived only on some branches (31 when B is not given, 41 in anchored mode, 44-45 for the Fourier map, 50
+# when no pair is given).
+_LRIP = {"eta": (float, 0.0), "near_eps": (float, 0.1)}
+_SCALES = {"noise_scale": (float, 0.0), "model_error_scale": (float, 0.0)}
+EXPERIMENTS = {
+    "certify": _Experiment(
+        _run_certify,
+        {"draws": (int, 100), "pairs": (int, 10000), "bp_pairs": (int, None), "anchored": (bool, True), **_LRIP,
+         "perturbation_scale": (float, 1.0), "t": (float, 0.5), "alpha_max": (float, None), "beta_max": (float, None),
+         "m_sweep": ([int], []), "sweep_draws": (int, None), "c_of_half_t": (float, None),
+         "estimate_concentration": (bool, True), "concentration_draws": (int, 200), "c0_cover": (float, 3.0)},
+        {"model": (10,), "operator_draw_k": (40, -1), "anchor": (41,), "pairs_draw_k": (42, -1),
+         "bp_pairs_draw_k": (43, -1), "concentration_pair": (44,), "concentration_draws": (45,)},
+        ("alpha_hat_vs_draw", "beta_hat_vs_draw", "alpha_hat_vs_m")),
+    "decode": _Experiment(
+        _run_decode, _SCALES, {"model": (10,), "operator": (20,), "signal_and_noise": (21,)}, ()),
+    "iop-experiment": _Experiment(
+        _run_iop,
+        {"B": (float, None), "pairs": (int, 2000), **_LRIP, "A": (float, 1.0), "lambda": (float, 0.0),
+         "trials": (int, 100), **_SCALES, "uniform_candidates": (int, 64)},
+        {"model": (10,), "operator": (30,), "lrip_pairs": (31,), "iop_trials": (32,)}, ()),
+    "recommend-m": _Experiment(
+        _run_recommend_m, {"t": (float, _REQUIRED), "rho_target": (float, _REQUIRED), "c0_m": (float, 1.0)}, {}, ()),
+    "concentration-sweep": _Experiment(
+        _run_concentration_sweep,
+        {"m_sweep": ([int], [16, 64, 256]), "t_grid": ([float], [0.3]), "reps": (int, 5), "draws": (int, 200),
+         "pair": ([[float]], None)},
+        {"model": (10,), "pair": (50,), "concentration_m_rep": (51, -1, -1)}, ("p_hat_vs_m", "c_hat_vs_t")),
+}
+
+# Every other key.  A None default leaves the key unset: a seed then comes from the master seed, the identity
+# operator takes m from model.d, and only the kernel metric needs a sigma.  decoder.restarts and
+# decoder.grid_oracle.enabled served the multi-start decoder, which is gone; the benchmark's iop-fourier workload
+# still passes both, so they are parsed and never read.
+_CONFIG_KEYS = {
+    "experiment": (tuple(EXPERIMENTS), _REQUIRED), "master_seed": (int, 0), "workers": (int, 1),
+    "model": {"d": (int, _REQUIRED), "s": (int, _REQUIRED), "N": (int, _REQUIRED), "M": (float, _REQUIRED),
+              "kind": (("random", "axes"), "random"), "seed": (int, None), "bases": ([[float]], None)},
+    "operator": {"kind": (("linear-gaussian", "random-fourier"), None), "m": (int, None), "sigma": (float, 1.0),
+                 "identity": (bool, False), "seed": (int, None)},
+    "metric": {"kind": (("euclidean", "gaussian-kernel"), "euclidean"), "sigma": (float, None)},
+    "decoder": {"max_iters": (int, DecoderOptions.max_iters), "restarts": (int, None),
+                "grid_oracle": {"resolution": (float, GridOracleOptions.resolution), "enabled": (bool, None)}},
+    "certifier": {},
+    "output": {"dir": (str, None), "series": ([str], [])},
 }
 
 
 def _seed_streams(cfg: ExperimentConfig) -> dict:
-    """The experiment's entry of _SEED_STREAMS, less the model and operator streams a config pins."""
+    """The experiment's seed streams, less the model and operator streams a config pins."""
     pinned = set()
-    if "seed" in cfg.model or "bases" in cfg.model or cfg.model.get("kind", "random") != "random":
+    if cfg.model["seed"] is not None or cfg.model["bases"] is not None or cfg.model["kind"] != "random":
         pinned.add("model")
-    if "seed" in cfg.operator:
+    if cfg.operator["seed"] is not None:
         pinned.add("operator")
-    return {name: path for name, path in _SEED_STREAMS[cfg.experiment].items() if name not in pinned}
-
-
-# The certifier keys each runner reads, with their types (see _cast); run refuses any other.
-_CERTIFIER_KEYS = {
-    "recommend-m": {"t": float, "rho_target": float, "c0_m": float},
-    "decode": {"model_error_scale": float, "noise_scale": float},
-    "iop-experiment": {"B": float, "pairs": int, "eta": float, "near_eps": float, "A": float, "lambda": float,
-                       "trials": int, "noise_scale": float, "model_error_scale": float, "uniform_candidates": int},
-    "certify": {"anchored": bool, "pairs": int, "eta": float, "near_eps": float, "bp_pairs": int,
-                "perturbation_scale": float, "draws": int, "t": float, "alpha_max": float, "beta_max": float,
-                "m_sweep": [int], "sweep_draws": int, "c_of_half_t": float, "estimate_concentration": bool,
-                "concentration_draws": int, "c0_cover": float},
-    "concentration-sweep": {"m_sweep": [int], "t_grid": [float], "reps": int, "draws": int, "pair": [[float]]},
-}
-
-_RUNNERS = {
-    "recommend-m": _run_recommend_m,
-    "decode": _run_decode,
-    "iop-experiment": _run_iop,
-    "certify": _run_certify,
-    "concentration-sweep": _run_concentration_sweep,
-}
+    return {name: path for name, path in EXPERIMENTS[cfg.experiment].streams.items() if name not in pinned}
 
 
 def run(config: ExperimentConfig) -> Report:
-    """Dispatch the configured experiment and assemble the report."""
-    kinds = _CERTIFIER_KEYS[config.experiment]
-    unknown = set(config.certifier) - set(kinds)
-    if unknown:
-        raise ConfigError(f"unknown certifier keys for {config.experiment}: {sorted(unknown)}")
-    certifier = {key: _cast(kinds[key], value, f"certifier.{key}") for key, value in config.certifier.items()}
-    # a median over no draws or reps is NaN, and the series start at the first t of t_grid
-    for key in ("draws", "sweep_draws", "reps"):
-        if certifier.get(key, 1) < 1:
-            raise ConfigError(f"certifier.{key} must be >= 1, got {certifier[key]}")
-    if certifier.get("t_grid") == []:
-        raise ConfigError("certifier.t_grid must not be empty")
+    """Run the configured experiment and assemble the report."""
     start = time.perf_counter()
-    results = _RUNNERS[config.experiment](replace(config, certifier=certifier))
+    results = EXPERIMENTS[config.experiment].runner(config)
     wall = time.perf_counter() - start
     return Report(
         config=config.to_dict(),
@@ -608,8 +604,12 @@ def emit_plot_data(report: Report, series: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(report: Report, out_dir, series_names=None) -> dict:
-    """Write report.json (and requested CSV series); returns written paths."""
+def write_report(report: Report, out_dir, series_names=()) -> dict:
+    """Write report.json and the named CSV series; returns written paths.
+
+    Every series is rendered first, so an unknown name raises InputError before any file is written.
+    """
+    tables = {name: emit_plot_data(report, name) for name in series_names}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {}
@@ -618,9 +618,8 @@ def write_report(report: Report, out_dir, series_names=None) -> dict:
         json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
     paths["report"] = str(report_path)
-    for name in series_names or []:
+    for name, table in tables.items():
         csv_path = out / f"{name}.csv"
-        with open(csv_path, "w") as fh:
-            fh.write(emit_plot_data(report, name))
+        csv_path.write_text(table)
         paths[name] = str(csv_path)
     return paths

@@ -70,14 +70,13 @@ class GammaMoments:
         return cls(1.0, d / sigma**2, d * (d + 2) / sigma**4)
 
 
-def weight_f(omega, sigma: float, d: int, moments: GammaMoments | None = None):
+def weight_f(omega, sigma: float, d: int):
     """Frequency weight f(w) = sqrt((1/3)(1 + ||w||^2/gamma_2 + ||w||^4/gamma_4)).
 
     Radial in w and bounded below by sqrt(1/3).  Accepts a single frequency
     vector or a batch of rows.
     """
-    if moments is None:
-        moments = GammaMoments.for_gaussian(d, sigma)
+    moments = GammaMoments.for_gaussian(d, sigma)
     om = np.asarray(omega, dtype=float)
     single = om.ndim == 1
     om = np.atleast_2d(om)

@@ -1,11 +1,12 @@
-"""Brute-force and multi-start references that decoder tests compare against."""
+"""Brute-force, multi-start and certificate references that decoder tests compare against."""
 
 import numpy as np
 
 from lrip_lab import decoder, seeding
-from lrip_lab.decoder import DecodeResult
+from lrip_lab.decoder import DecodeResult, certified_minimum
+from lrip_lab.errors import InputError
 from lrip_lab.models import UnionOfSubspaces, _uniform_ball_coeffs
-from lrip_lab.operators import jacobian
+from lrip_lab.operators import RandomFourierOperator, jacobian
 from lrip_lab.spaces import meas_norm
 
 
@@ -68,3 +69,22 @@ def multi_start_decode(op, model: UnionOfSubspaces, y, restarts: int = 8, max_it
     xhat = model.bases[i] @ Z[k]
     return DecodeResult(xhat=xhat, residual=float(meas_norm(op.apply_batch(xhat)[0] - y)), subspace_index=i,
                         optimizer_iters=int(iters.sum()), converged=bool(converged[k]))
+
+
+def residual_certificate(result: DecodeResult, op, model: UnionOfSubspaces, y, target: float = 1e-6) -> float:
+    """Gap between a Fourier decode's residual and a certified lower bound on the minimum.
+
+    The linear decoder is exact, and decode gives its gap 0; a linear
+    operator is refused here.  The lower bound comes from certified_minimum
+    with the given target gap, so the gap is >= 0 and, unless the cell budget
+    runs out, exceeds the decoder's own excess residual by about that target
+    at most.  A non-converged result reports an unknown gap as +inf.  It is
+    the independent check of decode's own gap, which certifies any
+    DecodeResult.
+    """
+    if not isinstance(op, RandomFourierOperator):
+        raise InputError("residual_certificate is for the Fourier decoder; the linear decoder is exact")
+    if not result.converged:
+        return np.inf
+    lower, _, _ = certified_minimum(op, model, y, target, result.residual)
+    return float(result.residual - lower)

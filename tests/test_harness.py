@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from lrip_lab import seeding
+from lrip_lab import harness, seeding
 from lrip_lab.cli import main
 from lrip_lab.errors import ConfigError, InputError
 from lrip_lab.decoder import DecoderOptions, GridOracleOptions
@@ -14,15 +14,17 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def base_config(**overrides):
+    """A recommend-m config with overrides; the certifier keys of recommend-m go only to that experiment."""
     cfg = {
         "experiment": "recommend-m",
         "master_seed": 0,
         "model": {"d": 20, "s": 2, "N": 5, "M": 1.0},
         "operator": {"kind": "random-fourier", "m": 55, "sigma": 1.0},
         "metric": {"kind": "gaussian-kernel", "sigma": 1.0},
-        "certifier": {"t": 0.5, "rho_target": 0.01, "c0_m": 1.0},
     }
     cfg.update(overrides)
+    if cfg["experiment"] == "recommend-m":
+        cfg.setdefault("certifier", {"t": 0.5, "rho_target": 0.01, "c0_m": 1.0})
     return cfg
 
 
@@ -75,9 +77,8 @@ class TestDecoderOptions:
 
     @pytest.mark.parametrize("decoder", [{"gtol": 1e-10}, {"grid_oracle": {"resolutoin": 0.01}}])
     def test_unknown_keys_rejected(self, decoder):
-        cfg = ExperimentConfig.from_dict(base_config(experiment="decode", decoder=decoder))
         with pytest.raises(ConfigError):
-            build_decoder_options(cfg)
+            ExperimentConfig.from_dict(base_config(experiment="decode", decoder=decoder))
 
 
 class TestRecommendMExperiment:
@@ -227,7 +228,7 @@ class TestCertifierKeys:
     def test_recommend_m_reads_the_model_not_the_certifier(self):
         cfg = base_config()
         cfg["certifier"] = dict(cfg["certifier"], s=2)
-        with pytest.raises(ConfigError, match="'s'"):
+        with pytest.raises(ConfigError, match=r"certifier\.s\b"):
             run(ExperimentConfig.from_dict(cfg))
 
     def test_another_runners_key_is_refused(self):
@@ -375,6 +376,61 @@ class TestCli:
         cfg["certifier"]["trails"] = 5
         assert main(["iop-experiment", "--config", self.write_config(tmp_path, cfg)]) == 2
 
+    @pytest.mark.parametrize("section, key", [("model", "sedd"), ("operator", "sede"), ("metric", "sigam"),
+                                              ("output", "serie")])
+    def test_misspelt_key_exit_code(self, tmp_path, capsys, section, key):
+        # these sections used to ignore a key they did not read: "model": {"sedd": 5} ran an unpinned model
+        cfg = json.loads((ROOT / "configs" / "iop_linear.json").read_text())
+        cfg.setdefault(section, {})[key] = 5
+        assert main(["iop-experiment", "--config", self.write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{section}.{key}" in err
+
+    def test_identity_given_as_string_exit_code(self, tmp_path, capsys):
+        # "false" is a truthy string, and it used to run the identity operator
+        cfg = json.loads((ROOT / "configs" / "iop_linear.json").read_text())
+        cfg["operator"]["identity"] = "false"
+        assert main(["iop-experiment", "--config", self.write_config(tmp_path, cfg)]) == 2
+        assert "operator.identity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pair", [[[0.1] * 10], [[0.1] * 10] * 3, [[0.1], [0.2]]],
+                             ids=["one-point", "three-points", "short-points"])
+    def test_bad_pair_exit_code(self, tmp_path, capsys, pair):
+        # one point ended in an IndexError, and a third point was silently dropped
+        cfg = json.loads((ROOT / "configs" / "concentration_sweep.json").read_text())
+        cfg["certifier"]["pair"] = pair
+        assert main(["concentration-sweep", "--config", self.write_config(tmp_path, cfg)]) == 2
+        assert "certifier.pair" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("output", [{"series": ["bogus"]}, {"series": "p_hat_vs_m"}, {"dir": 5}],
+                             ids=["unknown-series", "series-not-a-list", "dir-not-a-string"])
+    def test_bad_output_exit_code_writes_nothing(self, tmp_path, capsys, output):
+        cfg = json.loads((ROOT / "configs" / "concentration_sweep.json").read_text())
+        cfg["output"] = {"dir": str(tmp_path / "out"), **output}
+        assert main(["concentration-sweep", "--config", self.write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "out").exists() and not (tmp_path / "5").exists()
+
+    def test_series_missing_from_results_writes_nothing(self, tmp_path, capsys):
+        # alpha_hat_vs_m is a certify series only when certifier.m_sweep is given
+        cfg = base_config(
+            experiment="certify",
+            model={"d": 3, "s": 1, "N": 2, "M": 1.0},
+            operator={"kind": "random-fourier", "m": 8, "sigma": 1.0},
+            certifier={"draws": 1, "pairs": 20, "estimate_concentration": False},
+            output={"series": ["alpha_hat_vs_m"]},
+        )
+        out = tmp_path / "out"
+        assert main(["certify", "--config", self.write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        assert "alpha_hat_vs_m" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_positional_experiment_reads_its_own_certifier_keys(self, tmp_path):
+        # the config is parsed once, as the experiment named on the command line
+        cfg = base_config(experiment="certify", certifier={"t": 0.5, "rho_target": 0.01})
+        path = self.write_config(tmp_path, cfg)
+        assert main(["recommend-m", "--config", path, "--out", str(tmp_path / "o")]) == 0
+
     def test_unwritable_output_exit_code(self, tmp_path):
         path = self.write_config(tmp_path, base_config())
         assert main(["recommend-m", "--config", path, "--out", "/dev/null/sub"]) == 4
@@ -439,3 +495,59 @@ def test_certify_alpha_vs_m_sweep_series():
     rows = report.results["series"]["alpha_hat_vs_m"]["rows"]
     # more measurements tighten the estimate toward isometry
     assert rows[1][1] <= rows[0][1]
+
+
+def _kind_text(kind) -> str:
+    if isinstance(kind, list):
+        return "list of " + _kind_text(kind[0])
+    if isinstance(kind, tuple):
+        return " / ".join(kind)
+    return "string" if kind is str else kind.__name__
+
+
+def _default_matches(cell: str, default) -> bool:
+    """A required key reads 'required', an unset one (None) reads as words, any other the default as JSON."""
+    if default is harness._REQUIRED:
+        return cell == "required"
+    try:
+        value = json.loads(cell)
+    except ValueError:
+        return default is None and cell != "required"
+    return default is not None and value == default and type(value) is type(default)
+
+
+def test_readme_key_table_matches_the_schema():
+    # the defaults live in the schema, and the README table is where users read them
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| section | key | read by | type | default |")
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip().replace("`", "") for cell in line.strip("|").split("|")])
+    readme = {(section, key, by if section == "certifier" else None): (kind, default)
+              for section, key, by, kind, default in rows}
+    assert len(readme) == len(rows)
+
+    expected = {}
+
+    def walk(keys, section):
+        for key, entry in keys.items():
+            if isinstance(entry, dict):
+                walk(entry, key if section == "top level" else f"{section}.{key}")
+            else:
+                expected[(section, key, None)] = entry
+
+    walk(harness._CONFIG_KEYS, "top level")
+    readers = {}
+    for name, experiment in harness.EXPERIMENTS.items():
+        for key, (kind, default) in experiment.certifier.items():
+            readers.setdefault((key, _kind_text(kind), repr(default)), ([], (kind, default)))[0].append(name)
+    for (key, _, _), (names, entry) in readers.items():
+        expected[("certifier", key, ", ".join(names))] = entry
+    assert readme.keys() == expected.keys()
+    for row, (kind, default) in expected.items():
+        assert readme[row][0] == _kind_text(kind), row
+        assert _default_matches(readme[row][1], default), row
+    for section, key, by, _, _ in rows:
+        assert set(by.removeprefix("all but ").split(", ")) <= {"all", *harness.EXPERIMENTS}, (section, key)
