@@ -234,9 +234,9 @@ def estimate_lrip(
 
     X = np.vstack(X_list)
     X2 = np.vstack(X2_list)
-    dvals = metric.dist_pairs(X, X2)
-    gaps = op.gap_batch(X - X2)
-    numer = np.maximum(dvals - eta, 0.0)
+    D = X - X2
+    numer = np.maximum(metric.dist(D) - eta, 0.0)
+    gaps = op.gap_batch(D)
 
     collapsed = (gaps == 0) & (numer > 0)
     violation_count = int(collapsed.sum())
@@ -306,7 +306,7 @@ def estimate_bp(
     xs = sample_model_points(model, pairs, rng)
     x = sample_model_points(model, pairs, rng)
     x = x + rng.normal(size=x.shape) * (perturbation_scale / math.sqrt(model.dim))
-    dG = metric_G.dist_pairs(x, xs)
+    dG = metric_G.dist(x - xs)
     keep = dG > 0
     x, xs, dG = x[keep], xs[keep], dG[keep]
     if x.shape[0] == 0:
@@ -424,7 +424,8 @@ def check_iop_inequality(
       decode_linear call, the Fourier map in one lockstep search and
       polish for the whole chunk;
     * check: decode distances, projections and d' over all rows of the
-      chunk, with one from_gap and one gap_batch for d'.
+      chunk; the secants x* - c are formed once, for one dist and one
+      gap_batch.
 
     A trial's record depends only on its stream, not on the trial count or
     on the chunking.
@@ -454,11 +455,10 @@ def check_iop_inequality(
 
         results, cert_gaps = decode(op, model, op.apply_batch(xstar) + noise, decoder_opts)
 
-        decode_dist = metric.dist_pairs(xstar, np.array([r.xhat for r in results]))
+        decode_dist = metric.dist(xstar - np.array([r.xhat for r in results]))
         cands[:, 0] = project_to_model(model, xstar, metric)
         D = (xstar[:, None, :] - cands).reshape(-1, d)
-        meas_gaps = op.gap_batch(D)
-        dprime = np.min((metric.from_gap(np.linalg.norm(D, axis=1)) + B * meas_gaps).reshape(-1, 1 + c), axis=1)
+        dprime = np.min((metric.dist(D) + B * op.gap_batch(D)).reshape(-1, 1 + c), axis=1)
         for j, result in enumerate(results):
             ok = result.converged
             lam_eff = lam + float(cert_gaps[j]) if ok else np.inf
@@ -504,10 +504,10 @@ def lrip_from_iop_witness(
     results, gaps = decode(op, model, op.apply_batch(X2), decoder_opts)
 
     tested = np.flatnonzero([r.converged for r in results])
-    Xt, X2t = X[tested], X2[tested]
     eta_eff = 2.0 * (lam + gaps[tested])
-    d = metric.dist_pairs(Xt, X2t)
-    psn = op.gap_batch(Xt - X2t)
+    D = X[tested] - X2[tested]
+    d = metric.dist(D)
+    psn = op.gap_batch(D)
     violating = tested[d > B * psn + eta_eff + 1e-12]
     ratios = _lrip_ratio(np.maximum(d - eta_eff, 0.0), psn)
     worst = int(tested[np.argmax(ratios)]) if len(tested) else None
@@ -586,14 +586,17 @@ def estimate_concentration(
     if draws < 100:
         raise InputError(f"need draws >= 100, got {draws}")
     x, x2 = (np.asarray(p, dtype=float) for p in pair)
-    d = metric.dist(x, x2)
+    if x.ndim != 1 or x.shape != x2.shape:
+        raise InputError(f"pair must be two points of one shape (d,), got {x.shape} and {x2.shape}")
+    D = x - x2
+    d = metric.dist(D)
     if not d > 0:
         raise InputError("pair must have positive metric distance")
     t_grid = tuple(float(t) for t in t_grid)
     ratios = np.empty(draws)
     for k in range(draws):
         op = op_factory(seeding.child_seed(rng_seed, k))
-        ratios[k] = op.gap_batch(x - x2)[0] / d
+        ratios[k] = op.gap_batch(D)[0] / d
     p_hat, c_hat, wilson, c_lo = [], [], [], []
     for t in t_grid:
         fails = int(np.sum(ratios - 1.0 <= -t))

@@ -98,19 +98,14 @@ class DecodeResult:
         }
 
 
-def _as_real_measurements(y, m: int) -> np.ndarray:
-    """y of shape (m,) or (n, m) as real measurement rows, shape (n, m)."""
+def _measurement_rows(y, m: int) -> np.ndarray:
+    """y of shape (m,) or (n, m) as measurement rows, shape (n, m), refused unless every entry is finite."""
     y = np.asarray(y)
     if y.ndim not in (1, 2) or y.shape[-1] != m:
         raise InputError(f"y has shape {y.shape}, expected ({m},) or (n, {m})")
-    if np.iscomplexobj(y):
-        if y.size and np.max(np.abs(y.imag)) > 1e-12:
-            raise InputError("linear decoding expects a real measurement vector")
-        y = y.real
-    y = np.atleast_2d(np.asarray(y, dtype=float))
     if not np.all(np.isfinite(y)):
         raise InputError("measurement vector has non-finite entries")
-    return y
+    return np.atleast_2d(y)
 
 
 def _secular_bisection(S, beta, Vt, radius: float, tol: float) -> np.ndarray:
@@ -189,7 +184,12 @@ def decode_linear(op: LinearGaussianOperator, model: UnionOfSubspaces, y):
     """
     if op.dim != model.dim:
         raise InputError(f"operator dimension {op.dim} does not match model dimension {model.dim}")
-    Y = _as_real_measurements(y, op.m)
+    Y = _measurement_rows(y, op.m)
+    if np.iscomplexobj(Y):
+        if Y.size and np.max(np.abs(Y.imag)) > 1e-12:
+            raise InputError("linear decoding expects a real measurement vector")
+        Y = Y.real
+    Y = np.asarray(Y, dtype=float)
     Z = _constrained_ls(op.matrix @ model.bases, Y, model.norm_bound)
     X = _row_products(Z, np.swapaxes(model.bases, 1, 2)[:, None])
     R = np.linalg.norm(_row_products(X, op.matrix.T) - Y, axis=2)
@@ -513,7 +513,8 @@ def decode(op, model: UnionOfSubspaces, y, opts: DecoderOptions):
     """Decode y with the operator's decoder; returns (DecodeResult, residual certificate gap).
 
     y is one measurement of shape (m,), or rows of shape (n, m), which give
-    a list of DecodeResults and an array of gaps.  The linear decoder is
+    a list of DecodeResults and an array of gaps; a y with a non-finite
+    entry is refused before any search.  The linear decoder is
     exact, so its gap is 0 without a second solve, and it decodes all rows
     in one decode_linear call.  The Fourier map decodes all rows in
     lockstep, at any subspace dimension: one certified_minimum search at
@@ -533,10 +534,7 @@ def decode(op, model: UnionOfSubspaces, y, opts: DecoderOptions):
         return results, (np.zeros(len(results)) if np.ndim(y) == 2 else 0.0)
     if op.dim != model.dim:
         raise InputError(f"operator dimension {op.dim} does not match model dimension {model.dim}")
-    y = np.asarray(y, dtype=complex)
-    if y.ndim not in (1, 2) or y.shape[-1] != op.m:
-        raise InputError(f"y has shape {y.shape}, expected ({op.m},) or (n, {op.m})")
-    Y = np.atleast_2d(y)
+    Y = np.asarray(_measurement_rows(y, op.m), dtype=complex)
     lower, _, (sub, Z0) = certified_minimum(op, model, Y, opts.grid_oracle.resolution, np.inf)
     Z, _, iters, converged = _gauss_newton(op, model, Y, sub, Z0, opts.max_iters)
     X = _subspace_map(model.bases, sub, Z)
@@ -547,7 +545,7 @@ def decode(op, model: UnionOfSubspaces, y, opts: DecoderOptions):
     ]
     residual = np.array([result.residual for result in results])
     gaps = residual - np.minimum(lower, residual)
-    return (results, gaps) if y.ndim == 2 else (results[0], float(gaps[0]))
+    return (results, gaps) if np.ndim(y) == 2 else (results[0], float(gaps[0]))
 
 
 def noise_vector(op, norm: float, rng) -> np.ndarray:

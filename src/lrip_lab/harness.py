@@ -137,10 +137,12 @@ class ExperimentConfig:
         model, op, c = self.model, self.operator, self.certifier
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        # a median over no draws or reps is NaN, and the series start at the first t of t_grid
-        for key in ("draws", "sweep_draws", "reps"):
-            if c.get(key) is not None and c[key] < 1:
-                raise ConfigError(f"certifier.{key} must be >= 1, got {c[key]}")
+        # a median over no draws or reps is NaN, an IOP check needs a trial, and counts and scales are nonnegative
+        for key, least in (("draws", 1), ("sweep_draws", 1), ("reps", 1), ("trials", 1), ("uniform_candidates", 0),
+                           ("noise_scale", 0), ("model_error_scale", 0), ("A", 0), ("lambda", 0), ("B", 0)):
+            if c.get(key) is not None and c[key] < least:
+                raise ConfigError(f"certifier.{key} must be >= {least}, got {c[key]}")
+        # the series start at the first t of t_grid
         if c.get("t_grid") == []:
             raise ConfigError("certifier.t_grid must not be empty")
         if c.get("pair") is not None and [len(x) for x in c["pair"]] != [model["d"]] * 2:
@@ -295,7 +297,7 @@ def _run_decode(cfg: ExperimentConfig) -> dict:
         "decode": result.to_json(),
         "x_true": [float(v) for v in x_true],
         "y": complex_vector_to_json(np.asarray(y, dtype=complex)),
-        "metric_error": metric.dist(x_true, result.xhat),
+        "metric_error": metric.dist(x_true - result.xhat),
         "residual_certificate_gap": gap if np.isfinite(gap) else None,
         "operator_seed": op_seed,
         "series": {},
@@ -344,7 +346,8 @@ def _run_iop(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _certify_one_draw(cfg, model, metric, anchor, k, m=None):
+def _lrip_draw(cfg, model, metric, anchor, k, m=None):
+    """Draw k's operator, with m measurements in place of operator.m when m is given, and its LRIP estimate."""
     c = cfg.certifier
     op = build_operator(cfg, seeding.child_seed(cfg.master_seed, 40, k), m)
     est = estimate_lrip(
@@ -355,6 +358,12 @@ def _certify_one_draw(cfg, model, metric, anchor, k, m=None):
         eta=c["eta"],
         near_eps=c["near_eps"],
     )
+    return op, est
+
+
+def _certify_one_draw(cfg, model, metric, anchor, k):
+    c = cfg.certifier
+    op, est = _lrip_draw(cfg, model, metric, anchor, k)
     bp = estimate_bp(
         op, model, metric,
         pairs=c["pairs"] if c["bp_pairs"] is None else c["bp_pairs"],
@@ -407,11 +416,11 @@ def _run_certify(cfg: ExperimentConfig) -> dict:
         sweep_rows = []
         for m_val in c["m_sweep"]:
             sweep = _map_indexed(
-                lambda k: _certify_one_draw(cfg, model, metric, anchor, k, m_val),
+                lambda k: _lrip_draw(cfg, model, metric, anchor, k, m_val)[1].alpha_hat,
                 draws if c["sweep_draws"] is None else c["sweep_draws"],
                 cfg.workers,
             )
-            sweep_rows.append([m_val, float(np.median([e.alpha_hat for e, _, _ in sweep]))])
+            sweep_rows.append([m_val, float(np.median(sweep))])
         payload["series"]["alpha_hat_vs_m"] = {
             "columns": ["m", "alpha_hat_median"],
             "rows": sweep_rows,

@@ -18,10 +18,6 @@ from .spaces import Pseudometric, norm_equivalence_factors
 
 ORTHO_TOL = 1e-10
 
-METHOD_THEORETICAL_UOS = "TheoreticalUoS"
-METHOD_THEORETICAL_SECANT = "TheoreticalSecant"
-METHOD_GREEDY_ORACLE = "GreedyOracle"
-
 
 @dataclass(frozen=True, eq=False)
 class UnionOfSubspaces:
@@ -109,13 +105,12 @@ class UnionOfSubspaces:
 class CoveringBound:
     """Covering-number statement at radius ``radius``, stored on the log scale.
 
-    method distinguishes closed-form union-bound estimates from the greedy
-    oracle, which carries the certified center indices of the sampled set.
+    The greedy oracle also carries the certified center indices of the
+    sampled set.
     """
 
     radius: float
     log_count: float
-    method: str
     centers: tuple[int, ...] | None = None
 
     def __post_init__(self):
@@ -202,7 +197,7 @@ def project_to_model(model: UnionOfSubspaces, x, metric: Pseudometric) -> np.nda
     bases = model.bases[:, None]
     P = _ball_project(_row_products(_row_products(X, bases), np.swapaxes(bases, 2, 3)), model.norm_bound)
     # argmin keeps the first minimum, so ties go to the lowest index
-    best = np.argmin(metric.from_gap(np.linalg.norm(X - P, axis=2)), axis=0)
+    best = np.argmin(metric.dist(X - P), axis=0)
     proj = P[best, np.arange(len(X))]
     return proj if x.ndim == 2 else proj[0]
 
@@ -249,7 +244,7 @@ def sample_near_points(
             pre = base + rng.normal(size=base.shape) * (radius / np.sqrt(d))
             coeffs = _row_products(pre, model.bases[idx])
             cands = _ball_project(_subspace_map(model.bases, idx, coeffs), model.norm_bound)
-            gaps = metric.dist_pairs(cands, base).reshape(rows.size, k)
+            gaps = metric.dist(cands - base).reshape(rows.size, k)
             ok = (gaps > 0) & (gaps <= eps)
             hit = ok.any(axis=1)
             points[rows[hit]] = cands.reshape(rows.size, k, d)[hit, ok[hit].argmax(axis=1)]
@@ -281,7 +276,7 @@ def covering_bound_model(
     if delta < metric.from_gap(2.0 * model.norm_bound):
         per_subspace = model.subspace_dim * np.log(float(c0) * L * model.norm_bound / delta)
         log_count = float(max(0.0, np.log(model.num_subspaces) + max(0.0, per_subspace)))
-    return CoveringBound(radius=float(delta), log_count=log_count, method=METHOD_THEORETICAL_UOS)
+    return CoveringBound(radius=float(delta), log_count=log_count)
 
 
 def covering_bound_secant(
@@ -308,7 +303,7 @@ def covering_bound_secant(
     if delta < diameter:
         per_pair = 2 * model.subspace_dim * np.log(float(c0) * L * model.norm_bound / (ell * delta))
         log_count = float(max(0.0, 2.0 * np.log(model.num_subspaces) + max(0.0, per_pair)))
-    return CoveringBound(radius=float(delta), log_count=log_count, method=METHOD_THEORETICAL_SECANT)
+    return CoveringBound(radius=float(delta), log_count=log_count)
 
 
 def greedy_cover(points, metric: Pseudometric, delta: float) -> CoveringBound:
@@ -325,17 +320,12 @@ def greedy_cover(points, metric: Pseudometric, delta: float) -> CoveringBound:
     if not delta > 0:
         raise InputError(f"delta must be positive, got {delta}")
     centers = [0]
-    min_dist = metric.dist_batch(pts, pts[0])
+    min_dist = metric.dist(pts - pts[0])
     while True:
         far = int(np.argmax(min_dist))
         if min_dist[far] <= delta:
             break
         centers.append(far)
-        min_dist = np.minimum(min_dist, metric.dist_batch(pts, pts[far]))
+        min_dist = np.minimum(min_dist, metric.dist(pts - pts[far]))
     assert np.all(min_dist <= delta), "greedy cover failed to certify coverage"
-    return CoveringBound(
-        radius=float(delta),
-        log_count=float(np.log(len(centers))),
-        method=METHOD_GREEDY_ORACLE,
-        centers=tuple(centers),
-    )
+    return CoveringBound(radius=float(delta), log_count=float(np.log(len(centers))), centers=tuple(centers))

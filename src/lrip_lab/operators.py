@@ -143,10 +143,6 @@ class LinearGaussianOperator:
         object.__setattr__(self, "matrix", A)
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-    @property
     def m(self) -> int:
         return self.matrix.shape[0]
 

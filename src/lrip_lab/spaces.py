@@ -27,15 +27,6 @@ EUCLIDEAN = "euclidean"
 GAUSSIAN_KERNEL = "gaussian-kernel"
 
 
-def _check_vector(x, name: str = "x") -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise InputError(f"{name} must be a 1-d real vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InputError(f"{name} has non-finite entries")
-    return x
-
-
 @dataclass(frozen=True)
 class Pseudometric:
     """Distance functional on signal space.
@@ -54,29 +45,23 @@ class Pseudometric:
             if self.sigma is None or not (self.sigma > 0):
                 raise InputError("gaussian-kernel metric requires sigma > 0")
 
-    def dist(self, x, x2) -> float:
-        """Distance between two signal vectors."""
-        x = _check_vector(x, "x")
-        x2 = _check_vector(x2, "x2")
-        if x.shape != x2.shape:
-            raise InputError(f"dimension mismatch: {x.shape} vs {x2.shape}")
-        return float(self.from_gap(np.linalg.norm(x - x2)))
+    def dist(self, D):
+        """Distance d(x, x') of the secant D = x - x'.
 
-    def dist_batch(self, X, x2) -> np.ndarray:
-        """Distances from each row of X to the single vector x2."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        x2 = _check_vector(x2, "x2")
-        if X.shape[1] != x2.shape[0]:
-            raise InputError(f"dimension mismatch: {X.shape[1]} vs {x2.shape[0]}")
-        return self.from_gap(np.linalg.norm(X - x2[None, :], axis=1))
-
-    def dist_pairs(self, X, X2) -> np.ndarray:
-        """Row-wise distances between two equal-shape batches."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        X2 = np.atleast_2d(np.asarray(X2, dtype=float))
-        if X.shape != X2.shape:
-            raise InputError(f"shape mismatch: {X.shape} vs {X2.shape}")
-        return self.from_gap(np.linalg.norm(X - X2, axis=1))
+        D of shape (d,) gives a float; secant rows on the last axis give an
+        array of one distance per row.  It is from_gap of each row's
+        Euclidean norm, and a row whose norm is not finite is refused.  A
+        lone secant's norm is numpy's vector norm, which can round apart from
+        the row-wise norm in the last bit.
+        """
+        D = np.asarray(D, dtype=float)
+        if D.ndim < 1:
+            raise InputError(f"a secant must have at least one axis, got shape {D.shape}")
+        gap = np.linalg.norm(D, axis=None if D.ndim == 1 else -1)
+        if not np.all(np.isfinite(gap)):
+            raise InputError("secant has a non-finite norm")
+        value = self.from_gap(gap)
+        return float(value) if D.ndim == 1 else value
 
     def from_gap(self, gap):
         """Metric value as a function of the Euclidean gap ||x - x'||.

@@ -72,7 +72,7 @@ class TestEstimateLrip:
         op = RandomFourierOperator.from_seed(32, 5, 1.0, 2)
         est = estimate_lrip(op, model, KERNEL, pairs=400, rng_seed=3)
         x, x2 = est.worst_pair
-        ratio = max(KERNEL.dist(x, x2) - est.eta, 0.0) / op.gap_batch(x - x2)[0]
+        ratio = max(KERNEL.dist(x - x2) - est.eta, 0.0) / op.gap_batch(x - x2)[0]
         assert ratio == pytest.approx(est.alpha_hat, abs=1e-10)
 
     def test_eta_slack_reduces_alpha(self):
@@ -107,7 +107,7 @@ class TestEstimateLrip:
         est = estimate_lrip(op, model, KERNEL, pairs=400, rng_seed=3, near_fraction=1.0)
         assert est.strata == {"near": 400, "far": 0, "extremal": 0, "near_fallback": 0}
         assert est.worst_pair is not None
-        assert KERNEL.dist(*est.worst_pair) <= 0.1
+        assert KERNEL.dist(np.subtract(*est.worst_pair)) <= 0.1
 
     def test_desk_scale_anchored_alpha_below_two(self):
         # Fourier operator at the recommended m = 55 on the (d=20, s=2, N=5)
@@ -157,7 +157,7 @@ class TestEstimateBp:
         op = RandomFourierOperator.from_seed(24, 5, 1.0, 3)
         bp = estimate_bp(op, model, KERNEL, pairs=500, rng_seed=4)
         x, xs = bp.worst_pair
-        ratio = op.gap_batch(x - xs)[0] / bp.metric_G.dist(x, xs)
+        ratio = op.gap_batch(x - xs)[0] / bp.metric_G.dist(x - xs)
         assert ratio == pytest.approx(bp.beta_hat, abs=1e-10)
 
     def test_desk_scale_beta_below_one_plus_t(self):
@@ -189,9 +189,9 @@ class TestCheckIop:
         op = LinearGaussianOperator.from_matrix(np.eye(2))
         xstar = np.array([0.3, 0.4])
         xhat = decode_linear(op, model, xstar).xhat
-        decode_dist = EUCLID.dist(xstar, xhat)
+        decode_dist = EUCLID.dist(xstar - xhat)
         proj = project_to_model(model, xstar, EUCLID)
-        dprime = EUCLID.dist(xstar, proj) + 2.0 * meas_norm(op.apply_batch(xstar)[0] - op.apply_batch(proj)[0])
+        dprime = EUCLID.dist(xstar - proj) + 2.0 * meas_norm(op.apply_batch(xstar)[0] - op.apply_batch(proj)[0])
         assert decode_dist == pytest.approx(0.4, abs=1e-12)
         assert dprime == pytest.approx(1.2, abs=1e-12)
         assert decode_dist <= 1.0 * dprime
@@ -229,7 +229,7 @@ class TestCheckIop:
         for trial in witness.trials:
             x = trial.x_true
             proj = project_to_model(model, x, EUCLID)
-            ref = EUCLID.dist(x, proj) + 2.0 * meas_norm(op.apply_batch(x)[0] - op.apply_batch(proj)[0])
+            ref = EUCLID.dist(x - proj) + 2.0 * meas_norm(op.apply_batch(x)[0] - op.apply_batch(proj)[0])
             if candidates:
                 assert trial.model_dist <= ref * (1 + 1e-12)
             else:
@@ -442,7 +442,7 @@ class TestEstimateConcentration:
         factory = lambda seed: RandomFourierOperator.from_seed(8, 3, 1.0, seed)
         est = estimate_concentration(factory, pair, KERNEL, draws=100, t_grid=[0.2], rng_seed=3)
         seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(3).spawn(100)]
-        d = KERNEL.dist(*pair)
+        d = KERNEL.dist(np.subtract(*pair))
         ratios = np.array([meas_norm(factory(s).apply_batch(pair[0])[0] - factory(s).apply_batch(pair[1])[0]) / d
                            for s in seeds])
         assert est.p_hat[0] == np.mean(ratios - 1.0 <= -0.2)
@@ -477,16 +477,16 @@ class TestWilson:
 
 class TestProp1:
     def test_frozen_arithmetic(self):
-        bound = CoveringBound(0.5, np.log(1000.0), "TheoreticalUoS")
+        bound = CoveringBound(0.5, np.log(1000.0))
         res = prop1_failure_bound(bound, 20.0)
         assert res.rho == pytest.approx(1000.0 * np.exp(-20.0), abs=1e-10)
 
     def test_vacuous_cases_clip_to_one(self):
-        assert prop1_failure_bound(CoveringBound(0.5, np.log(1000.0), "X"), 0.0).rho == 1.0
-        assert prop1_failure_bound(CoveringBound(0.5, 0.0, "X"), 0.0).rho == 1.0
+        assert prop1_failure_bound(CoveringBound(0.5, np.log(1000.0)), 0.0).rho == 1.0
+        assert prop1_failure_bound(CoveringBound(0.5, 0.0), 0.0).rho == 1.0
 
     def test_presumed_delta(self):
-        res = prop1_failure_bound(CoveringBound(0.5, 1.0, "X"), 5.0, t=0.4, C=2.0)
+        res = prop1_failure_bound(CoveringBound(0.5, 1.0), 5.0, t=0.4, C=2.0)
         assert res.delta_presumed == pytest.approx(0.1)
 
 

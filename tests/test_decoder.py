@@ -262,14 +262,14 @@ class TestDecodeNonlinear:
             op = RandomFourierOperator.from_seed(64, 2, 1.0, seed)
             x0 = sample_model_points(model, 1, 10_000 + seed)[0]
             res = fourier_decode(op, model, op.apply_batch(x0)[0])
-            hits += KERNEL.dist(x0, res.xhat) <= 1e-6
+            hits += KERNEL.dist(x0 - res.xhat) <= 1e-6
         assert hits >= 19
 
     def test_zero_signal_exact(self):
         model = UnionOfSubspaces.axes(2, 1.0)
         op = RandomFourierOperator.from_seed(32, 2, 1.0, 8)
         res = fourier_decode(op, model, op.apply_batch(np.zeros(2))[0])
-        assert KERNEL.dist(np.zeros(2), res.xhat) <= 1e-8
+        assert KERNEL.dist(res.xhat) <= 1e-8
         # the search's first centre, the origin, is the minimum, so the polish stops in its first round
         assert res.converged and res.optimizer_iters == 1 and res.residual == 0.0
 
@@ -712,6 +712,21 @@ class TestDecode:
         model, op, _ = fourier_rows(2)
         results, gaps = decode(op, model, np.zeros((0, op.m), dtype=complex), DecoderOptions())
         assert results == [] and gaps.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "nan-imaginary"])
+    @pytest.mark.parametrize("kind", ["linear", "fourier"])
+    def test_non_finite_measurement_refused_before_any_solve(self, monkeypatch, kind, bad):
+        # neither decoder may search, polish or solve on a non-finite row
+        monkeypatch.setattr(decoder, "certified_minimum", lambda *args: pytest.fail("search ran"))
+        monkeypatch.setattr(decoder, "_constrained_ls", lambda *args: pytest.fail("solve ran"))
+        if kind == "linear":
+            model, op, y = x_axis_model(), IDENTITY2, np.zeros(2, dtype=complex)
+        else:
+            model, op, Y = fourier_rows(2)
+            y = Y[:2].copy()
+        y[-1] = bad
+        with pytest.raises(InputError, match="non-finite"):
+            decode(op, model, y, DecoderOptions())
 
 
 class TestNoiseVector:

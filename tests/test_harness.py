@@ -53,6 +53,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict([1, 2])
 
+    @pytest.mark.parametrize("key, value", [("trials", 0), ("noise_scale", -0.1), ("model_error_scale", -0.1),
+                                            ("uniform_candidates", -1), ("A", -1.0), ("lambda", -1.0), ("B", -1.0)])
+    def test_iop_range_refused_at_parse_time(self, key, value):
+        # refused by the certifier too, but only after the LRIP estimate that sets B when B is not given
+        cfg = json.loads((ROOT / "configs" / "iop_linear.json").read_text())
+        cfg["certifier"][key] = value
+        with pytest.raises(ConfigError, match=f"certifier.{key}"):
+            ExperimentConfig.from_dict(cfg)
+
 
 class TestDecoderOptions:
     def test_defaults_come_from_the_options(self):
@@ -478,6 +487,21 @@ def test_decode_report_serializes_measurement():
     assert report.results["decode"]["converged"]
 
 
+def test_certify_m_sweep_estimates_only_lrip(monkeypatch):
+    # the sweep reports only alpha_hat, so BP runs once per main draw and never per sweep draw
+    calls = []
+    estimate_bp = harness.estimate_bp
+    monkeypatch.setattr(harness, "estimate_bp", lambda *args, **kw: calls.append(1) or estimate_bp(*args, **kw))
+    run(ExperimentConfig.from_dict(base_config(
+        experiment="certify",
+        model={"d": 4, "s": 1, "N": 2, "M": 1.0, "seed": 3},
+        operator={"kind": "linear-gaussian", "m": 4},
+        metric={"kind": "euclidean"},
+        certifier={"draws": 2, "pairs": 50, "m_sweep": [3, 6], "sweep_draws": 3},
+    )))
+    assert len(calls) == 2
+
+
 def test_certify_alpha_vs_m_sweep_series():
     cfg = ExperimentConfig.from_dict(base_config(
         experiment="certify",
@@ -514,6 +538,14 @@ def _default_matches(cell: str, default) -> bool:
     except ValueError:
         return default is None and cell != "required"
     return default is not None and value == default and type(value) is type(default)
+
+
+def test_readme_quick_tour_runs(capsys):
+    # the tour is the README's library example, so an API change must not leave it stale
+    tour = (ROOT / "README.md").read_text().split("## Library quick tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md: Library quick tour", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 def test_readme_key_table_matches_the_schema():

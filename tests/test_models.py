@@ -32,7 +32,7 @@ def grid_project(model, x, metric, resolution=1e-3):
     best, best_d = None, np.inf
     for B in model.bases:
         cands = ticks[:, None] * B[:, 0][None, :]
-        dists = metric.dist_batch(cands, np.asarray(x, dtype=float))
+        dists = metric.dist(cands - np.asarray(x, dtype=float))
         k = int(np.argmin(dists))
         if dists[k] < best_d:
             best, best_d = cands[k], dists[k]
@@ -166,7 +166,7 @@ class TestProjection:
             x = rng.normal(size=d)
             got = project_to_model(model, x, metric)
             oracle = grid_project(model, x, metric)
-            assert metric.dist(x, got) <= metric.dist(x, oracle) + 1e-9
+            assert metric.dist(x - got) <= metric.dist(x - oracle) + 1e-9
 
 
 class TestSecantSampling:
@@ -175,7 +175,7 @@ class TestSecantSampling:
         anchor = np.array([1.0, 0.0])
         points, found = sample_near_points(model, KERNEL, anchor, 0.1, 3)
         assert found[0] and model.contains(points[0], tol=1e-12)
-        assert 0 < KERNEL.dist(anchor, points[0]) <= 0.1
+        assert 0 < KERNEL.dist(anchor - points[0]) <= 0.1
 
     def test_anchor_outside_model_rejected(self):
         # anchored secants are drawn by estimate_lrip, which refuses an anchor off the model
@@ -198,7 +198,7 @@ class TestNearSampler:
         anchors = sample_model_points(model, 3000, 4)
         points, found = sample_near_points(model, metric, anchors, 0.1, 5)
         assert found.all()
-        gaps = metric.dist_pairs(points, anchors)
+        gaps = metric.dist(points - anchors)
         assert np.all(gaps > 0) and np.all(gaps <= 0.1)
         assert all(model.contains(p, tol=1e-8) for p in points)
 
@@ -207,7 +207,7 @@ class TestNearSampler:
         anchor = np.array([0.0, 0.5, 0.0])
         points, found = sample_near_points(model, KERNEL, np.tile(anchor, (200, 1)), 0.05, 6)
         assert found.all()
-        assert np.all(KERNEL.dist_batch(points, anchor) <= 0.05)
+        assert np.all(KERNEL.dist(points - anchor) <= 0.05)
 
     def test_unfilled_rows_are_reported(self):
         model = x_axis_model()
@@ -243,7 +243,7 @@ class TestGreedyCover:
         bound = greedy_cover(pts, KERNEL, 0.4)
         centers = pts[list(bound.centers)]
         for p in pts:
-            assert min(KERNEL.dist(p, c) for c in centers) <= 0.4
+            assert min(KERNEL.dist(p - c) for c in centers) <= 0.4
 
 
 class TestCoveringBounds:
@@ -306,7 +306,7 @@ class TestCoveringBounds:
 
     def test_count_bound_floor(self):
         with pytest.raises(InputError):
-            CoveringBound(0.5, -0.1, "TheoreticalUoS")
+            CoveringBound(0.5, -0.1)
 
 
 def test_secant_bound_clips_at_diameter():

@@ -256,7 +256,7 @@ class TestUnbiasedness:
         rng = np.random.default_rng(5)
         x = rng.normal(size=d) * 0.5
         x2 = x + rng.normal(size=d) * 0.4
-        target = KERNEL.dist(x, x2) ** 2
+        target = KERNEL.dist(x - x2) ** 2
         vals = []
         for k in range(200):
             op = RandomFourierOperator.from_seed(m, d, sigma, 1000 + k)

@@ -15,12 +15,12 @@ def rkhs_distance(x, x2, sigma):
 
 def test_kernel_identity_is_zero():
     x = np.array([0.3, -0.7, 0.1])
-    assert KERNEL.dist(x, x) == 0.0
+    assert KERNEL.dist(x - x) == 0.0
 
 
 def test_kernel_closed_form_gap_two():
     x, x2 = np.zeros(2), np.array([2.0, 0.0])
-    d = KERNEL.dist(x, x2)
+    d = KERNEL.dist(x - x2)
     assert d == pytest.approx(rkhs_distance(x, x2, 1.0), abs=1e-14)
     # squared kernel distance is the quoted 2(1 - e^{-2}) value
     assert d**2 == pytest.approx(1.7293294335267746, abs=1e-12)
@@ -29,11 +29,11 @@ def test_kernel_closed_form_gap_two():
 
 def test_kernel_unit_distance_gap():
     gap = np.sqrt(2 * np.log(2))
-    assert KERNEL.dist(np.zeros(1), np.array([gap])) == pytest.approx(1.0, abs=1e-12)
+    assert KERNEL.dist(np.zeros(1) - np.array([gap])) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_euclidean_pythagorean():
-    assert EUCLID.dist(np.array([3.0, 0.0]), np.array([0.0, 4.0])) == 5.0
+    assert EUCLID.dist(np.array([3.0, 0.0]) - np.array([0.0, 4.0])) == 5.0
 
 
 def test_kernel_range_and_monotonicity():
@@ -46,11 +46,25 @@ def test_kernel_range_and_monotonicity():
     assert vals[-1] <= np.sqrt(2.0)
 
 
-def test_dimension_mismatch_rejected():
+def test_non_finite_secant_rejected():
     with pytest.raises(InputError):
-        EUCLID.dist(np.zeros(2), np.zeros(3))
+        KERNEL.dist(np.array([np.nan]) - np.zeros(1))
+    D = np.zeros((3, 2))
+    D[1, 0] = np.inf
     with pytest.raises(InputError):
-        KERNEL.dist(np.array([np.nan]), np.zeros(1))
+        EUCLID.dist(D)
+    with pytest.raises(InputError):
+        EUCLID.dist(1.0)
+
+
+@pytest.mark.parametrize("metric", [EUCLID, KERNEL], ids=["euclidean", "kernel"])
+def test_secant_rows_on_last_axis(metric):
+    D = np.random.default_rng(4).normal(size=(4, 5, 3))
+    got = metric.dist(D)
+    assert got.shape == (4, 5)
+    # a lone secant takes numpy's vector norm, which may round apart from the row-wise norm in the last bit
+    assert np.allclose(got, [[metric.dist(row) for row in block] for block in D], rtol=4e-16, atol=0.0)
+    assert isinstance(metric.dist(D[0, 0]), float)
 
 
 def test_kernel_requires_sigma():
@@ -65,10 +79,10 @@ def test_pseudometric_axioms_on_random_triples(metric):
     rng = np.random.default_rng(1)
     X = rng.normal(size=(3000, 3, 3))
     for a, b, c in X:
-        dab, dba = metric.dist(a, b), metric.dist(b, a)
+        dab, dba = metric.dist(a - b), metric.dist(b - a)
         assert dab == dba
-        assert metric.dist(a, a) == 0.0
-        assert metric.dist(a, c) <= dab + metric.dist(b, c) + 1e-12
+        assert metric.dist(a - a) == 0.0
+        assert metric.dist(a - c) <= dab + metric.dist(b - c) + 1e-12
 
 
 def test_gap_for_inverts_from_gap():
