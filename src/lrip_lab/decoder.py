@@ -59,8 +59,9 @@ class DecoderOptions:
 
     decode polishes one start, the best box centre of the certificate
     search, and max_iters bounds that polish.  An iteration's line search
-    tries the full Gauss-Newton step first and halves it only when that fails
-    the Armijo test.  The polish has converged when its projected gradient pg
+    tries the full Gauss-Newton step first, halves it only when that fails
+    the Armijo test, and steps along the gradient only when no halving
+    passes (_line_search).  The polish has converged when its projected gradient pg
     has ||pg|| <= GTOL, or when no line-search step lowers f = ||r||^2 by
     more than its rounding error 64 eps f and ||pg|| <= 64 sqrt(eps) ||J||
     ||r||.  A polish stopped by max_iters has not converged.
@@ -211,82 +212,54 @@ def _restricted_map(op: RandomFourierOperator, model: UnionOfSubspaces) -> np.nd
 
 
 def _evaluate(op, bases, y, sub, Z):
-    """Map values and objectives ||Psi(B_sub z) - y||^2 at the coefficient rows Z.
+    """Map values and objectives ||Psi(B_sub z) - y||^2 at the coefficient rows Z, in one op.apply_batch call.
 
-    y is one measurement, or one per row of Z.  Rows go through
-    op.apply_batch _ROWS at a time.
+    y is one measurement, or one per row of Z.
     """
-    X = _subspace_map(bases, sub, Z)
-    P = np.empty((len(X), op.m), dtype=complex)
-    for lo in range(0, len(X), _ROWS):
-        P[lo:lo + _ROWS] = op.apply_batch(X[lo:lo + _ROWS])
+    P = op.apply_batch(_subspace_map(bases, sub, Z))
     R = P - y
     return P, np.real(np.sum(R * R.conj(), axis=1))
 
 
-def _line_search(op, bases, y, sub, z, direction, alphas, radius):
-    """Ball-projected z + alpha * direction for each start and step size, with map values and objectives.
+def _line_search(op, bases, y, sub, z, f, grad, step, radius):
+    """The first step that makes progress from each start, along its Gauss-Newton step and then its gradient.
 
-    z and direction hold one row per start (subspace sub), and y is one
-    measurement for every start or one row per start; alphas is (k,), or
-    (starts, k) for step sizes of each start's own.  The outputs are
-    indexed (start, step).
+    Start k runs on subspace sub[k] from z[k], with objective f[k], gradient
+    grad[k] and Gauss-Newton step step[k]; y is one measurement for every
+    start or one row per start.  A candidate is z + alpha * direction
+    projected onto the ball, and it makes progress when it lowers f by more
+    than its rounding error 64 eps f and, with the Armijo test, passes
+    f' <= f + 1e-4 (z' - z) . grad.  Three stages run in turn, each on the
+    starts still without progress: the full step with the Armijo test, the
+    other 53 of _HALVINGS with the Armijo test, and the 54 steps
+    _HALVINGS / (1 + ||grad||) along -grad with plain decrease.  A stage goes
+    over its starts in groups of at most _ROWS points, one op.apply_batch
+    call each, and a start takes its first passing step size.  Returns
+    (found, z', psi', f'), whose rows are meaningful where found.
     """
-    cands = _ball_project(z[:, None, :] + alphas[..., None] * direction[:, None, :], radius)
-    n, k, s = cands.shape
-    Y = y if y.ndim == 1 else np.repeat(y, k, axis=0)
-    P, F = _evaluate(op, bases, Y, np.repeat(sub, k), cands.reshape(-1, s))
-    return cands, P.reshape(n, k, -1), F.reshape(n, k)
-
-
-def _first_progress(op, bases, y, sub, z, f, grad, direction, alphas, radius, armijo):
-    """The first step size of alphas that makes progress from each start.
-
-    A step makes progress when it lowers f by more than its rounding error
-    64 eps f and, with armijo, passes f' <= f + 1e-4 (z' - z) . grad.
-    y holds one measurement row per start.  Starts are searched in groups
-    of at most _ROWS points.  Returns (found, z', psi', f'), whose rows are
-    meaningful where found.
-    """
-    n, k = len(z), alphas.shape[-1]
-    alphas = np.broadcast_to(alphas, (n, k))
+    n = len(z)
+    y = np.broadcast_to(y, (n, op.m))
     found, Zn, Pn, Fn = np.zeros(n, dtype=bool), np.empty_like(z), np.empty((n, op.m), complex), np.empty(n)
-    group = max(1, _ROWS // k)
-    for lo in range(0, n, group):
-        g = slice(lo, lo + group)
-        cands, P, F = _line_search(op, bases, y[g], sub[g], z[g], direction[g], alphas[g], radius)
-        ok = F < (1.0 - _F_RTOL) * f[g, None]
-        if armijo:
-            ok &= F <= f[g, None] + 1e-4 * np.einsum("nks,ns->nk", cands - z[g, None, :], grad[g])
-        j = np.argmax(ok, axis=1)
-        rows = np.arange(len(j))
-        found[g], Zn[g], Pn[g], Fn[g] = ok[rows, j], cands[rows, j], P[rows, j], F[rows, j]
-    return found, Zn, Pn, Fn
-
-
-def _lazy_search(op, bases, y, sub, z, f, grad, step, radius):
-    """Line search from each start along its Gauss-Newton step, trying the full step first.
-
-    The result is that of trying all of _HALVINGS at once and taking the
-    first that passes the Armijo test, then, with none passing, the same
-    along the negative gradient from 1/(1 + ||grad||) with plain decrease.
-    Only the starts whose full step fails try the other 53 step sizes, and
-    only those with no passing step search along the gradient.  y is one
-    measurement for every start or one row per start.  Returns (found, z',
-    psi', f') as _first_progress does.
-    """
-    y = np.broadcast_to(y, (len(z), op.m))
-    found, Zn, Pn, Fn = _first_progress(op, bases, y, sub, z, f, grad, step, _HALVINGS[:1], radius, True)
     for direction, alphas, armijo in (
+        (step, _HALVINGS[:1], True),
         (step, _HALVINGS[1:], True),
         (-grad, _HALVINGS / (1.0 + np.linalg.norm(grad, axis=1, keepdims=True)), False),
     ):
+        k = alphas.shape[-1]
+        alphas = np.broadcast_to(alphas, (n, k))
         miss = np.flatnonzero(~found)
-        if not len(miss):
-            break
-        found[miss], Zn[miss], Pn[miss], Fn[miss] = _first_progress(
-            op, bases, y[miss], sub[miss], z[miss], f[miss], grad[miss], direction[miss],
-            alphas if alphas.ndim == 1 else alphas[miss], radius, armijo)
+        group = max(1, _ROWS // k)
+        for lo in range(0, len(miss), group):
+            g = miss[lo:lo + group]
+            cands = _ball_project(z[g, None, :] + alphas[g, :, None] * direction[g, None, :], radius)
+            P, F = _evaluate(op, bases, np.repeat(y[g], k, axis=0), np.repeat(sub[g], k), cands.reshape(len(g) * k, -1))
+            P, F = P.reshape(len(g), k, -1), F.reshape(len(g), k)
+            ok = F < (1.0 - _F_RTOL) * f[g, None]
+            if armijo:
+                ok &= F <= f[g, None] + 1e-4 * np.einsum("nks,ns->nk", cands - z[g, None, :], grad[g])
+            j = np.argmax(ok, axis=1)
+            rows = np.arange(len(g))
+            found[g], Zn[g], Pn[g], Fn[g] = ok[rows, j], cands[rows, j], P[rows, j], F[rows, j]
     return found, Zn, Pn, Fn
 
 
@@ -300,7 +273,7 @@ def _gauss_newton(op, model, y, sub, Z0, max_iters):
     parts, and the Jacobian in coefficients is i psi * V_i, from the map
     values psi at the iterate and the restricted map V_i.  The Gauss-Newton
     steps of a round come from one batched SVD with lstsq's cutoff, and the
-    line search tries the full step first (see _lazy_search).  A start's
+    line search tries the full step first (see _line_search).  A start's
     outcome does not depend on the starts run with it.  Returns (Z, f,
     iters, converged), one entry per start.
     """
@@ -330,7 +303,7 @@ def _gauss_newton(op, model, y, sub, Z0, max_iters):
         U, S, Wt = np.linalg.svd(Jr, full_matrices=False)
         inv = np.divide(1.0, S, out=np.zeros_like(S), where=S > _EPS * max(Jr.shape[1:]) * S[:, :1])
         step = -np.einsum("nts,nt->ns", Wt, inv * np.einsum("nkt,nk->nt", U, Rr))
-        found, Zn, Pn, Fn = _lazy_search(op, bases, y, sub[active], z, f, grad, step, M)
+        found, Zn, Pn, Fn = _line_search(op, bases, y, sub[active], z, f, grad, step, M)
         # a start with no progress has converged when its gradient is within rounding of stationary
         stuck = ~found
         J_norm = np.sqrt(np.sum(Jr[stuck] ** 2, axis=(1, 2)))

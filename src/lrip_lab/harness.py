@@ -46,7 +46,8 @@ def _cast(kind, value, key: str):
     """value as kind, refused as a ConfigError naming its key unless it is one exactly.
 
     kind is bool, str, int or float; a tuple, the strings allowed; or [kind], a list of kind.  Only kind bool takes a
-    bool and only kind str a string, and an int must be integral: 2.7 is refused, not truncated to 2.
+    bool and only kind str a string, an int must be integral: 2.7 is refused, not truncated to 2, and a float must
+    be finite: JSON's NaN and Infinity are refused.
     """
     if isinstance(kind, list):
         if not isinstance(value, list):
@@ -69,6 +70,8 @@ def _cast(kind, value, key: str):
         raise ConfigError(message) from exc
     if kind is int and isinstance(value, float) and out != value:
         raise ConfigError(message)
+    if kind is float and not np.isfinite(out):
+        raise ConfigError(f"{key} must be a finite float, got {value!r}")
     return out
 
 

@@ -67,7 +67,7 @@ class UnionOfSubspaces:
     @classmethod
     def random(cls, d: int, s: int, N: int, M: float, rng_seed) -> "UnionOfSubspaces":
         """N random s-dimensional subspaces (orthonormalized Gaussian frames)."""
-        rng = _as_generator(rng_seed)
+        rng = np.random.default_rng(rng_seed)
         bases = []
         for _ in range(N):
             Q, _ = np.linalg.qr(rng.normal(size=(d, s)))
@@ -122,12 +122,6 @@ class CoveringBound:
         return math.exp(self.log_count)
 
 
-def _as_generator(rng_seed) -> np.random.Generator:
-    if isinstance(rng_seed, np.random.Generator):
-        return rng_seed
-    return np.random.default_rng(rng_seed)
-
-
 def _uniform_ball_coeffs(rng: np.random.Generator, n: int, s: int, M: float) -> np.ndarray:
     """n coefficient vectors uniform in the radius-M ball of R^s."""
     z = rng.normal(size=(n, s))
@@ -144,7 +138,7 @@ def sample_model_points(model: UnionOfSubspaces, n: int, rng_seed) -> np.ndarray
     and is its own vector-matrix product (_subspace_map), so its value does
     not depend on the other points of the call.
     """
-    rng = _as_generator(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     idx = rng.integers(model.num_subspaces, size=n)
     Z = _uniform_ball_coeffs(rng, n, model.subspace_dim, model.norm_bound)
     return _subspace_map(model.bases, idx, Z)
@@ -228,7 +222,7 @@ def sample_near_points(
     """
     if not eps > 0:
         raise InputError(f"eps must be positive, got {eps}")
-    rng = _as_generator(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     n, d = anchors.shape
     points = np.full((n, d), np.nan)

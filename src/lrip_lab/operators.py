@@ -100,7 +100,7 @@ def sample_lambda(sigma: float, d: int, count: int, rng_seed, component: int | N
         raise InputError(f"count must be >= 1, got {count}")
     if not sigma > 0 or d < 1:
         raise InputError(f"need sigma > 0 and d >= 1, got sigma={sigma}, d={d}")
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     comp = (
         np.full(count, int(component))
         if component is not None

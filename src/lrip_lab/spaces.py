@@ -51,17 +51,17 @@ class Pseudometric:
         D of shape (d,) gives a float; secant rows on the last axis give an
         array of one distance per row.  It is from_gap of each row's
         Euclidean norm, and a row whose norm is not finite is refused.  A
-        lone secant's norm is numpy's vector norm, which can round apart from
-        the row-wise norm in the last bit.
+        lone secant goes through the same row-wise norm, as a batch of one, so
+        its distance is bitwise its value as a row.
         """
         D = np.asarray(D, dtype=float)
         if D.ndim < 1:
             raise InputError(f"a secant must have at least one axis, got shape {D.shape}")
-        gap = np.linalg.norm(D, axis=None if D.ndim == 1 else -1)
+        gap = np.linalg.norm(np.atleast_2d(D), axis=-1)
         if not np.all(np.isfinite(gap)):
             raise InputError("secant has a non-finite norm")
         value = self.from_gap(gap)
-        return float(value) if D.ndim == 1 else value
+        return float(value[0]) if D.ndim == 1 else value
 
     def from_gap(self, gap):
         """Metric value as a function of the Euclidean gap ||x - x'||.

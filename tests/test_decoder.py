@@ -239,6 +239,23 @@ class TestDecodeLinear:
             assert res.residual <= 1e-10
 
 
+def line_search_one_apply_per_step(z, f, grad, step, radius, mapped):
+    """Reference line search of one start: the full step, the other halvings, then the gradient steps, in turn.
+
+    Every ball-projected step size goes through its own mapped(z') -> (psi', f') call.  Returns (stage, z', psi',
+    f') of the first step that makes progress, or ("none", None, None, None).
+    """
+    stages = (("full", step, _HALVINGS[:1], True), ("halved", step, _HALVINGS[1:], True),
+              ("gradient", -grad, _HALVINGS / (1.0 + np.linalg.norm(grad)), False))
+    for stage, direction, alphas, armijo in stages:
+        for alpha in alphas:
+            c = decoder._ball_project(z + alpha * direction, radius)
+            psi, fc = mapped(c)
+            if fc < (1 - decoder._F_RTOL) * f and (not armijo or fc <= f + 1e-4 * ((c - z) @ grad)):
+                return stage, c, psi, fc
+    return "none", None, None, None
+
+
 def fourier_decode(op, model, y, opts=None):
     """decode's DecodeResult for one Fourier measurement."""
     return decode(op, model, y, opts or DecoderOptions())[0]
@@ -315,26 +332,42 @@ class TestDecodeNonlinear:
         calls.clear()
         res = fourier_decode(op, model, y)
         assert res.optimizer_iters > 1
-        # the start, then per iteration the full step, the other 53 halvings at once and the 54
-        # gradient steps at once, and the recomputed residual; the search itself applies no map
+        # the start, then per iteration one call for each stage of _line_search (the full step, the other 53
+        # halvings, the 54 gradient steps), and the recomputed residual
         assert len(calls) <= 3 * res.optimizer_iters + 2
 
     def test_line_search_matches_one_apply_per_step(self):
+        # each step size mapped through B @ z' and its own apply_batch call, f as the squared norm
         model = UnionOfSubspaces.random(4, 2, 3, 0.8, 2)
         op = RandomFourierOperator.from_seed(48, 4, 1.0, 5)
-        B, y = model.bases[1], op.apply_batch(np.random.default_rng(6).normal(size=4))[0]
-        z, direction = np.array([0.5, -0.4]), np.array([3.0, 1.0])
-        cands, P, F = _line_search(op, np.stack(model.bases), y, np.array([1]), z[None], direction[None],
-                                   _HALVINGS, 0.8)
-        for alpha, c, r, f in zip(_HALVINGS, cands[0], P[0] - y, F[0]):
-            step = z + alpha * direction
-            assert np.allclose(c, step * min(1.0, 0.8 / np.linalg.norm(step)), rtol=1e-15, atol=0)
-            assert np.allclose(r, op.apply_batch(B @ c)[0] - y, rtol=1e-12, atol=1e-15)
-            assert f == pytest.approx(np.linalg.norm(op.apply_batch(B @ c)[0] - y) ** 2, rel=1e-12)
+        bases, B, y = np.stack(model.bases), model.bases[1], op.apply_batch(np.random.default_rng(6).normal(size=4))[0]
+        z = np.array([0.5, -0.4])
+        r = op.apply_batch(B @ z)[0] - y
+        f, grad = np.linalg.norm(r) ** 2, 2.0 * np.real(np.conj(jacobian(op, B @ z) @ B).T @ r)
+        # full, halved and gradient steps win; z + (-0.764798, 0) lowers f by about 5e-6, more than rounding but
+        # too little for the Armijo test, so the last two steps take their first and second halvings
+        steps = np.array([-0.1 * grad, [-3.0, -1.0], [3.0, 1.0], [-0.764798, 0.0], [-1.529596, 0.0]])
+        n = len(steps)
+        found, Zn, Pn, Fn = _line_search(op, bases, y, np.ones(n, dtype=int), np.tile(z, (n, 1)), np.full(n, f),
+                                         np.tile(grad, (n, 1)), steps, 0.8)
+
+        def mapped(c):
+            psi = op.apply_batch(B @ c)[0]
+            return psi, np.linalg.norm(psi - y) ** 2
+
+        seen = set()
+        for k, step in enumerate(steps):
+            stage, c, psi, fc = line_search_one_apply_per_step(z, f, grad, step, 0.8, mapped)
+            seen.add(stage)
+            assert found[k] == (stage != "none")
+            assert np.allclose(Zn[k], c, rtol=1e-15, atol=0)
+            assert np.allclose(Pn[k], psi, rtol=1e-12, atol=1e-15)
+            assert Fn[k] == pytest.approx(fc, rel=1e-12)
+        assert seen == {"full", "halved", "gradient"}, seen
 
     def test_lazy_search_takes_the_step_of_all_halvings_at_once(self):
-        # reference: every halving of the step in one batch, the first passing the Armijo test wins,
-        # and with none passing the same along -grad from 1/(1 + ||grad||) with plain decrease
+        # reference: every step size through its own _evaluate call; the first halving of the step that passes
+        # the Armijo test wins, and with none passing the same along -grad from 1/(1 + ||grad||) with plain decrease
         seen = {"full": 0, "halved": 0, "gradient": 0, "none": 0}
         for seed in range(30):
             model, op, y = random_fourier_instance(seed)
@@ -350,21 +383,17 @@ class TestDecodeNonlinear:
             step = -grad * np.array([0.1, 10.0, 1e3, -1.0, 0.0, 1.0])[:, None]
             if seed % 3 == 0:  # a stationary start: no step size makes progress
                 z[-1], f[-1], grad[-1], step[-1] = z[0], 0.0, grad[0], step[0]
-            found, Zn, _, Fn = decoder._lazy_search(op, bases, y, sub, z, f, grad, step, M)
+            found, Zn, Pn, Fn = _line_search(op, bases, y, sub, z, f, grad, step, M)
             for k in range(n):
-                c, _, F = _line_search(op, bases, y, sub[k:k + 1], z[k:k + 1], step[k:k + 1], _HALVINGS, M)
-                ok = (F[0] < (1 - decoder._F_RTOL) * f[k]) & (F[0] <= f[k] + 1e-4 * ((c[0] - z[k]) @ grad[k]))
-                kind = "full" if ok[0] else "halved"
-                if not ok.any():
-                    alphas = _HALVINGS / (1.0 + np.linalg.norm(grad[k]))
-                    c, _, F = _line_search(op, bases, y, sub[k:k + 1], z[k:k + 1], -grad[k:k + 1], alphas, M)
-                    ok = F[0] < (1 - decoder._F_RTOL) * f[k]
-                    kind = "gradient" if ok.any() else "none"
-                seen[kind] += 1
-                assert found[k] == ok.any()
+                def mapped(c):
+                    psi, fc = decoder._evaluate(op, bases, y, sub[k:k + 1], c[None])
+                    return psi[0], fc[0]
+
+                stage, c, psi, fc = line_search_one_apply_per_step(z[k], f[k], grad[k], step[k], M, mapped)
+                seen[stage] += 1
+                assert found[k] == (stage != "none")
                 if found[k]:
-                    j = int(np.argmax(ok))
-                    assert np.array_equal(Zn[k], c[0, j]) and Fn[k] == F[0, j]
+                    assert np.array_equal(Zn[k], c) and np.array_equal(Pn[k], psi) and Fn[k] == fc
         assert min(seen.values()) > 0, seen
 
     def test_lockstep_starts_match_the_per_start_reference(self):

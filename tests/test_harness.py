@@ -343,8 +343,9 @@ class TestCli:
         ("model", "d", 3.5),
         (None, "master_seed", True),
         ("certifier", "noise_scale", [1]),
+        ("model", "M", float("nan")),
     ], ids=["master-seed", "model-d", "certifier-noise-scale", "decoder-max-iters-float", "model-d-float",
-            "master-seed-bool", "certifier-noise-scale-list"])
+            "master-seed-bool", "certifier-noise-scale-list", "model-M-nan"])
     def test_wrong_typed_value_exit_code(self, tmp_path, capsys, section, key, value):
         cfg = json.loads((ROOT / "configs" / "decode_fourier.json").read_text())
         (cfg if section is None else cfg.setdefault(section, {}))[key] = value
@@ -369,10 +370,15 @@ class TestCli:
         ("certify_fourier", "sweep_draws", 0),
         ("concentration_sweep", "reps", 0),
         ("concentration_sweep", "t_grid", []),
+        ("iop_linear", "noise_scale", float("nan")),
+        ("iop_linear", "noise_scale", float("inf")),
+        ("iop_linear", "B", float("inf")),
+        ("iop_linear", "lambda", float("inf")),
+        ("concentration_sweep", "t_grid", [float("nan")]),
     ])
     def test_bad_certifier_value_exit_code(self, tmp_path, capsys, config, key, value):
         # a bare int() ran 2 trials for 2.7 and 1 for true; medians over no draws or reps were NaN,
-        # and an empty t_grid raised IndexError
+        # an empty t_grid raised IndexError, and a NaN noise_scale passed every range check
         cfg = json.loads((ROOT / "configs" / f"{config}.json").read_text())
         cfg["certifier"][key] = value
         assert main([cfg["experiment"], "--config", self.write_config(tmp_path, cfg)]) == 2

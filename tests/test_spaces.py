@@ -62,9 +62,13 @@ def test_secant_rows_on_last_axis(metric):
     D = np.random.default_rng(4).normal(size=(4, 5, 3))
     got = metric.dist(D)
     assert got.shape == (4, 5)
-    # a lone secant takes numpy's vector norm, which may round apart from the row-wise norm in the last bit
-    assert np.allclose(got, [[metric.dist(row) for row in block] for block in D], rtol=4e-16, atol=0.0)
+    assert np.array_equal(got, [[metric.dist(row) for row in block] for block in D])
     assert isinstance(metric.dist(D[0, 0]), float)
+    # a lone secant is bitwise its row, though numpy's vector norm (a BLAS dot) rounds apart from the row-wise norm
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 3, 4, 5, 8, 20, 33):
+        D = rng.normal(size=(500, d))
+        assert np.array_equal(metric.dist(D), [metric.dist(row) for row in D])
 
 
 def test_kernel_requires_sigma():
