@@ -453,15 +453,14 @@ def check_iop_inequality(
             if c:
                 cands[j, 1:] = sample_model_points(model, c, rng)
 
-        results, cert_gaps = decode(op, model, op.apply_batch(xstar) + noise, decoder_opts)
+        dec = decode(op, model, op.apply_batch(xstar) + noise, decoder_opts)
 
-        decode_dist = metric.dist(xstar - np.array([r.xhat for r in results]))
+        decode_dist = metric.dist(xstar - dec.xhat)
         cands[:, 0] = project_to_model(model, xstar, metric)
         D = (xstar[:, None, :] - cands).reshape(-1, d)
         dprime = np.min((metric.dist(D) + B * op.gap_batch(D)).reshape(-1, 1 + c), axis=1)
-        for j, result in enumerate(results):
-            ok = result.converged
-            lam_eff = lam + float(cert_gaps[j]) if ok else np.inf
+        for j, ok in enumerate(dec.converged):
+            lam_eff = lam + float(dec.gap[j]) if ok else np.inf
             satisfied = ok and decode_dist[j] <= A * dprime[j] + B * noise_scale + lam_eff
             out.append(IopTrial(xstar[j], noise_scale, float(decode_dist[j]), float(dprime[j]), lam_eff,
                                 bool(satisfied), reason="" if ok else "decoder did not converge"))
@@ -501,10 +500,10 @@ def lrip_from_iop_witness(
     rng = seeding.generator(rng_seed, 3)
     X = sample_model_points(model, pairs, rng)
     X2 = sample_model_points(model, pairs, rng)
-    results, gaps = decode(op, model, op.apply_batch(X2), decoder_opts)
+    dec = decode(op, model, op.apply_batch(X2), decoder_opts)
 
-    tested = np.flatnonzero([r.converged for r in results])
-    eta_eff = 2.0 * (lam + gaps[tested])
+    tested = np.flatnonzero(dec.converged)
+    eta_eff = 2.0 * (lam + dec.gap[tested])
     D = X[tested] - X2[tested]
     d = metric.dist(D)
     psn = op.gap_batch(D)

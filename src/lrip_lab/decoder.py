@@ -11,7 +11,7 @@ into the instance-optimality slack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,78 +35,70 @@ _CERT_CHUNK = 4096  # boxes bounded per batch
 
 
 @dataclass(frozen=True)
-class GridOracleOptions:
-    """Residual certificate of the Fourier decoder.
-
-    resolution is the target certified gap, in measurement units: the
-    branch-and-bound of certified_minimum stops refining a box once its lower
-    bound is within resolution of the best residual found.  decode runs that
-    search before decoding and takes its start from it, so resolution is also
-    the target of the start search.  The names are kept from the grid oracle
-    this search replaces.
-    """
-
-    resolution: float = 1e-6
-
-    def __post_init__(self):
-        if not self.resolution > 0:
-            raise InputError(f"resolution must be positive, got {self.resolution}")
-
-
-@dataclass(frozen=True)
 class DecoderOptions:
-    """Projected Gauss-Newton settings for the Fourier decoder.
+    """Settings of the Fourier decoder: the target of its certificate search and the length of its polish.
 
-    decode polishes one start, the best box centre of the certificate
-    search, and max_iters bounds that polish.  An iteration's line search
+    target is the certified gap that decode aims for, in measurement units:
+    the branch-and-bound of certified_minimum stops refining a box once its
+    lower bound is within target of the best residual found, and decode
+    polishes that search's best box centre with one projected Gauss-Newton
+    start, whose iterations max_iters bounds.  An iteration's line search
     tries the full Gauss-Newton step first, halves it only when that fails
     the Armijo test, and steps along the gradient only when no halving
-    passes (_line_search).  The polish has converged when its projected gradient pg
-    has ||pg|| <= GTOL, or when no line-search step lowers f = ||r||^2 by
-    more than its rounding error 64 eps f and ||pg|| <= 64 sqrt(eps) ||J||
-    ||r||.  A polish stopped by max_iters has not converged.
+    passes (_line_search).  The polish has converged when its projected
+    gradient pg has ||pg|| <= GTOL, or when no line-search step lowers
+    f = ||r||^2 by more than its rounding error 64 eps f and
+    ||pg|| <= 64 sqrt(eps) ||J|| ||r||.  A polish stopped by max_iters has
+    not converged.
     """
 
     max_iters: int = 500
-    grid_oracle: GridOracleOptions = field(default_factory=GridOracleOptions)
+    target: float = 1e-6
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise InputError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not self.target > 0:
+            raise InputError(f"target must be positive, got {self.target}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecodeResult:
-    """Recovered signal plus diagnostics.
+    """Decoded measurement rows plus diagnostics, each field an array over the n rows.
 
-    residual is ||Psi(xhat) - y|| recomputed at construction; subspace_index
-    is the winning subspace (ties to the lowest index).
+    Row k has the recovered signal xhat[k] (xhat has shape (n, d)), its
+    residual ||Psi(xhat[k]) - y[k]||, recomputed from xhat[k], the winning
+    subspace_index (ties to the lowest index), the polish's optimizer_iters
+    and whether it converged, and gap, the residual less a certified lower
+    bound on the least residual over the model.
     """
 
     xhat: np.ndarray
-    residual: float
-    subspace_index: int
-    optimizer_iters: int
-    converged: bool
+    residual: np.ndarray
+    subspace_index: np.ndarray
+    optimizer_iters: np.ndarray
+    converged: np.ndarray
+    gap: np.ndarray
 
-    def to_json(self) -> dict:
+    def to_json(self, k: int) -> dict:
+        """Row k's fields but its gap, as JSON values."""
         return {
-            "xhat": [float(v) for v in self.xhat],
-            "residual": self.residual,
-            "subspace_index": self.subspace_index,
-            "optimizer_iters": self.optimizer_iters,
-            "converged": self.converged,
+            "xhat": [float(v) for v in self.xhat[k]],
+            "residual": float(self.residual[k]),
+            "subspace_index": int(self.subspace_index[k]),
+            "optimizer_iters": int(self.optimizer_iters[k]),
+            "converged": bool(self.converged[k]),
         }
 
 
 def _measurement_rows(y, m: int) -> np.ndarray:
-    """y of shape (m,) or (n, m) as measurement rows, shape (n, m), refused unless every entry is finite."""
+    """y as measurement rows of shape (n, m), refused unless it has that shape and every entry is finite."""
     y = np.asarray(y)
-    if y.ndim not in (1, 2) or y.shape[-1] != m:
-        raise InputError(f"y has shape {y.shape}, expected ({m},) or (n, {m})")
+    if y.ndim != 2 or y.shape[1] != m:
+        raise InputError(f"y has shape {y.shape}, expected (n, {m})")
     if not np.all(np.isfinite(y)):
         raise InputError("measurement vector has non-finite entries")
-    return np.atleast_2d(y)
+    return y
 
 
 def _secular_bisection(S, beta, Vt, radius: float, tol: float) -> np.ndarray:
@@ -167,17 +159,16 @@ def _constrained_ls(G: np.ndarray, Y: np.ndarray, radius: float, tol: float = 1e
     return Z
 
 
-def decode_linear(op: LinearGaussianOperator, model: UnionOfSubspaces, y):
-    """Exact decoder for a linear operator over a union of subspaces.
+def decode_linear(op: LinearGaussianOperator, model: UnionOfSubspaces, y) -> DecodeResult:
+    """Exact decoder for a linear operator over a union of subspaces, on the measurement rows y of shape (n, m).
 
-    y is one measurement of shape (m,), which gives one DecodeResult, or a
-    batch of shape (n, m), which gives a list with one DecodeResult per row;
-    a complex y must have zero imaginary part.  For each subspace, one SVD
-    of A B_i serves every row: min_z ||A B_i z - y|| with ||z|| <= M is the
-    minimum-norm least-squares solution when that lies in the ball (which
-    also covers a rank-deficient A B_i), and otherwise a point of the
-    regularization path found by one bisection for all rows and subspaces
-    outside the ball (_constrained_ls).  Each row keeps its best subspace:
+    A complex y must have zero imaginary part, and every row's gap is 0, as
+    the decoder is exact.  For each subspace, one SVD of A B_i serves every
+    row: min_z ||A B_i z - y|| with ||z|| <= M is the minimum-norm
+    least-squares solution when that lies in the ball (which also covers a
+    rank-deficient A B_i), and otherwise a point of the regularization path
+    found by one bisection for all rows and subspaces outside the ball
+    (_constrained_ls).  Each row keeps its best subspace:
     residuals within a factor 1 + 64 eps of the best count as tied, and a tie
     goes to the lowest index, so rounding cannot pick the winner.  Every row
     goes through its own vector-matrix products, so its result does not
@@ -196,14 +187,9 @@ def decode_linear(op: LinearGaussianOperator, model: UnionOfSubspaces, y):
     R = np.linalg.norm(_row_products(X, op.matrix.T) - Y, axis=2)
     # residuals within 64 eps of the best count as tied, and the lowest index wins
     best = np.argmax(R <= R.min(axis=0) * (1.0 + _F_RTOL), axis=0)
-    rows = np.arange(len(Y))
-    xhat, residual = X[best, rows], R[best, rows]
-    results = [
-        DecodeResult(xhat=xhat[k], residual=float(residual[k]), subspace_index=int(best[k]),
-                     optimizer_iters=0, converged=True)
-        for k in rows
-    ]
-    return results if np.ndim(y) == 2 else results[0]
+    rows, n = np.arange(len(Y)), len(Y)
+    return DecodeResult(xhat=X[best, rows], residual=R[best, rows], subspace_index=best,
+                        optimizer_iters=np.zeros(n, dtype=int), converged=np.ones(n, dtype=bool), gap=np.zeros(n))
 
 
 def _restricted_map(op: RandomFourierOperator, model: UnionOfSubspaces) -> np.ndarray:
@@ -211,22 +197,22 @@ def _restricted_map(op: RandomFourierOperator, model: UnionOfSubspaces) -> np.nd
     return op.omegas @ model.bases
 
 
-def _evaluate(op, bases, y, sub, Z):
-    """Map values and objectives ||Psi(B_sub z) - y||^2 at the coefficient rows Z, in one op.apply_batch call.
+def _evaluate(op, bases, Y, sub, Z):
+    """Map values and objectives ||Psi(B_sub z) - y||^2 at the coefficient rows Z, each against its row of Y.
 
-    y is one measurement, or one per row of Z.
+    All rows are mapped in one op.apply_batch call.
     """
     P = op.apply_batch(_subspace_map(bases, sub, Z))
-    R = P - y
+    R = P - Y
     return P, np.real(np.sum(R * R.conj(), axis=1))
 
 
-def _line_search(op, bases, y, sub, z, f, grad, step, radius):
+def _line_search(op, bases, Y, sub, z, f, grad, step, radius):
     """The first step that makes progress from each start, along its Gauss-Newton step and then its gradient.
 
-    Start k runs on subspace sub[k] from z[k], with objective f[k], gradient
-    grad[k] and Gauss-Newton step step[k]; y is one measurement for every
-    start or one row per start.  A candidate is z + alpha * direction
+    Start k runs on subspace sub[k] against the measurement row Y[k], from
+    z[k], with objective f[k], gradient grad[k] and Gauss-Newton step
+    step[k].  A candidate is z + alpha * direction
     projected onto the ball, and it makes progress when it lowers f by more
     than its rounding error 64 eps f and, with the Armijo test, passes
     f' <= f + 1e-4 (z' - z) . grad.  Three stages run in turn, each on the
@@ -238,7 +224,6 @@ def _line_search(op, bases, y, sub, z, f, grad, step, radius):
     (found, z', psi', f'), whose rows are meaningful where found.
     """
     n = len(z)
-    y = np.broadcast_to(y, (n, op.m))
     found, Zn, Pn, Fn = np.zeros(n, dtype=bool), np.empty_like(z), np.empty((n, op.m), complex), np.empty(n)
     for direction, alphas, armijo in (
         (step, _HALVINGS[:1], True),
@@ -252,7 +237,7 @@ def _line_search(op, bases, y, sub, z, f, grad, step, radius):
         for lo in range(0, len(miss), group):
             g = miss[lo:lo + group]
             cands = _ball_project(z[g, None, :] + alphas[g, :, None] * direction[g, None, :], radius)
-            P, F = _evaluate(op, bases, np.repeat(y[g], k, axis=0), np.repeat(sub[g], k), cands.reshape(len(g) * k, -1))
+            P, F = _evaluate(op, bases, np.repeat(Y[g], k, axis=0), np.repeat(sub[g], k), cands.reshape(len(g) * k, -1))
             P, F = P.reshape(len(g), k, -1), F.reshape(len(g), k)
             ok = F < (1.0 - _F_RTOL) * f[g, None]
             if armijo:
@@ -263,15 +248,15 @@ def _line_search(op, bases, y, sub, z, f, grad, step, radius):
     return found, Zn, Pn, Fn
 
 
-def _gauss_newton(op, model, y, sub, Z0, max_iters):
+def _gauss_newton(op, model, Y, sub, Z0, max_iters):
     """Projected Gauss-Newton on z -> ||Psi(B_i z) - y||^2 over the coefficient ball, from every start at once.
 
-    Start k runs on subspace sub[k] from Z0[k], against y, one measurement
-    for every start, or against y[k], one row per start.  All starts advance
-    together, one iteration per round, and a start leaves the round in
-    which it stops.  Complex residuals are stacked as real and imaginary
-    parts, and the Jacobian in coefficients is i psi * V_i, from the map
-    values psi at the iterate and the restricted map V_i.  The Gauss-Newton
+    Start k runs on subspace sub[k] from Z0[k], against the measurement row
+    Y[k].  All starts advance together, one iteration per round, and a start
+    leaves the round in which it stops.  Complex residuals are stacked as
+    real and imaginary parts, and the Jacobian in coefficients is
+    i psi * V_i, from the map values psi at the iterate and the restricted
+    map V_i.  The Gauss-Newton
     steps of a round come from one batched SVD with lstsq's cutoff, and the
     line search tries the full step first (see _line_search).  A start's
     outcome does not depend on the starts run with it.  Returns (Z, f,
@@ -280,7 +265,6 @@ def _gauss_newton(op, model, y, sub, Z0, max_iters):
     M = model.norm_bound
     bases, V = model.bases, _restricted_map(op, model)
     Z = _ball_project(np.asarray(Z0, dtype=float), M)
-    Y = np.broadcast_to(y, (len(Z), op.m))
     P, F = _evaluate(op, bases, Y, sub, Z)
     iters, converged = np.zeros(len(Z), dtype=int), np.zeros(len(Z), dtype=bool)
     active = np.arange(len(Z))
@@ -370,8 +354,8 @@ def certified_minimum(op: RandomFourierOperator, model: UnionOfSubspaces, y, tar
     still certified.  So at any s the count stays within _CERT_BUDGET, unless
     the model alone has more subspaces.
 
-    y is one measurement of shape (m,), or rows of shape (n, m) searched in
-    lockstep, one level of every row's boxes at a time.  The boxes of a level
+    y holds measurement rows of shape (n, m), searched in lockstep, one level
+    of every row's boxes at a time.  The boxes of a level
     are bounded _CERT_CHUNK at a time, rows mixed, each along its own
     numbers (_box_bounds); each row then takes its best centre, UB, settled
     bound and splits from its own boxes, in order.  So a row's result is
@@ -380,14 +364,13 @@ def certified_minimum(op: RandomFourierOperator, model: UnionOfSubspaces, y, tar
     reserve at most _CERT_BUDGET boxes between them, and a row that would
     cross that leaves and is searched again from the root after the others.
 
-    Returns (lower, cells, best): lower is the square root of the smallest
-    settled bound, capped at upper, cells the number of boxes bounded, and
-    best the in-ball box centre of least f as (subspace, z), the earliest
-    bounded on ties.  For rows, lower and cells are arrays and best is
-    (subspaces, Z), one entry per row.
+    Returns (lower, cells, (sub, Z)), one entry per row: lower is the square
+    root of the row's smallest settled bound, capped at upper, cells the
+    number of boxes bounded, and (sub[k], Z[k]) the in-ball box centre of
+    least f as (subspace, z), the earliest bounded on ties.
     """
     s, M, N = model.subspace_dim, model.norm_bound, model.num_subspaces
-    Y = np.atleast_2d(np.asarray(y, dtype=complex))
+    Y = np.asarray(y, dtype=complex)
     n = len(Y)
     a = 1.0 / (op.weights * np.sqrt(op.m))
     c = a * np.abs(Y)
@@ -445,10 +428,7 @@ def certified_minimum(op: RandomFourierOperator, model: UnionOfSubspaces, y, tar
             p = np.flatnonzero(split)
             count, idx, Z, bound = _next_level(seg[p], len(rows), idx[p], Z[p], bound[p], h, offsets, M)
             rows, count, h = rows[count > 0], count[count > 0], 0.5 * h
-    lower = np.minimum(np.sqrt(np.maximum(settled, 0.0)), upper)
-    if np.ndim(y) == 1:
-        return float(lower[0]), int(cells[0]), (int(best_sub[0]), best_z[0].copy())
-    return lower, cells, (best_sub, best_z)
+    return np.minimum(np.sqrt(np.maximum(settled, 0.0)), upper), cells, (best_sub, best_z)
 
 
 def _children(Z, h, offsets):
@@ -482,43 +462,36 @@ def _next_level(owner, n, sub, centres, bounds, h, offsets, M):
     return count, idx, Z, inherited
 
 
-def decode(op, model: UnionOfSubspaces, y, opts: DecoderOptions):
-    """Decode y with the operator's decoder; returns (DecodeResult, residual certificate gap).
+def decode(op, model: UnionOfSubspaces, y, opts: DecoderOptions) -> DecodeResult:
+    """Decode the measurement rows y, of shape (n, m), with the operator's decoder, into one DecodeResult.
 
-    y is one measurement of shape (m,), or rows of shape (n, m), which give
-    a list of DecodeResults and an array of gaps; a y with a non-finite
-    entry is refused before any search.  The linear decoder is
-    exact, so its gap is 0 without a second solve, and it decodes all rows
-    in one decode_linear call.  The Fourier map decodes all rows in
+    A y with a non-finite entry is refused before any search.  The linear
+    decoder is exact, so its gap is 0 without a second solve, and it decodes
+    all rows in one decode_linear call.  The Fourier map decodes all rows in
     lockstep, at any subspace dimension: one certified_minimum search at
-    target opts.grid_oracle.resolution gives each row both its lower bound
-    and its best in-ball box centre, one projected Gauss-Newton run polishes
-    every row's centre against its own row, and a row's gap is its residual
-    less its lower bound.  A row's result is bitwise the one it gets alone.
-    The search settles a box once its bound reaches (sqrt(UB) - target)^2,
-    with UB the least f at a centre bounded by then, which is never below
-    the best centre's f, and the polish never raises f; so the gap is at
-    most the target (up to rounding) unless the cell budget runs out, and
-    certified either way.  That bound holds whether or not the polish converged, but
-    the IOP checks still count an unconverged decode as unchecked.
+    target opts.target gives each row both its lower bound and its best
+    in-ball box centre, one projected Gauss-Newton run polishes every row's
+    centre against its own row, and a row's gap is its residual less its
+    lower bound.  A row's result is bitwise the one it gets alone.  The
+    search settles a box once its bound reaches (sqrt(UB) - target)^2, with
+    UB the least f at a centre bounded by then, which is never below the
+    best centre's f, and the polish never raises f; so the gap is at most
+    the target (up to rounding) unless the cell budget runs out, and
+    certified either way.  That bound holds whether or not the polish
+    converged, but the IOP checks still count an unconverged decode as
+    unchecked.
     """
     if isinstance(op, LinearGaussianOperator):
-        results = decode_linear(op, model, y)
-        return results, (np.zeros(len(results)) if np.ndim(y) == 2 else 0.0)
+        return decode_linear(op, model, y)
     if op.dim != model.dim:
         raise InputError(f"operator dimension {op.dim} does not match model dimension {model.dim}")
     Y = np.asarray(_measurement_rows(y, op.m), dtype=complex)
-    lower, _, (sub, Z0) = certified_minimum(op, model, Y, opts.grid_oracle.resolution, np.inf)
+    lower, _, (sub, Z0) = certified_minimum(op, model, Y, opts.target, np.inf)
     Z, _, iters, converged = _gauss_newton(op, model, Y, sub, Z0, opts.max_iters)
     X = _subspace_map(model.bases, sub, Z)
-    results = [
-        DecodeResult(xhat=x, residual=meas_norm(r), subspace_index=int(i), optimizer_iters=int(k),
-                     converged=bool(ok))
-        for x, r, i, k, ok in zip(X, op.apply_batch(X) - Y, sub, iters, converged)
-    ]
-    residual = np.array([result.residual for result in results])
-    gaps = residual - np.minimum(lower, residual)
-    return (results, gaps) if np.ndim(y) == 2 else (results[0], float(gaps[0]))
+    residual = np.array([meas_norm(r) for r in op.apply_batch(X) - Y])
+    return DecodeResult(xhat=X, residual=residual, subspace_index=sub, optimizer_iters=iters, converged=converged,
+                        gap=residual - np.minimum(lower, residual))
 
 
 def noise_vector(op, norm: float, rng) -> np.ndarray:

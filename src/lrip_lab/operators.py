@@ -100,14 +100,14 @@ def sample_lambda(sigma: float, d: int, count: int, rng_seed, component: int | N
         raise InputError(f"count must be >= 1, got {count}")
     if not sigma > 0 or d < 1:
         raise InputError(f"need sigma > 0 and d >= 1, got sigma={sigma}, d={d}")
+    if component is not None and component not in (0, 1, 2):
+        raise InputError(f"component must be in {{0, 1, 2}}, got {component!r}")
     rng = np.random.default_rng(rng_seed)
     comp = (
         np.full(count, int(component))
         if component is not None
         else rng.integers(0, 3, size=count)
     )
-    if component is not None and component not in (0, 1, 2):
-        raise InputError(f"component must be in {{0, 1, 2}}, got {component}")
     dirs = rng.normal(size=(count, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = np.empty(count)

@@ -1,5 +1,8 @@
 """Brute-force, multi-start and certificate references that decoder tests compare against."""
 
+from dataclasses import fields
+from types import SimpleNamespace
+
 import numpy as np
 
 from lrip_lab import decoder, seeding
@@ -8,6 +11,12 @@ from lrip_lab.errors import InputError
 from lrip_lab.models import UnionOfSubspaces, _uniform_ball_coeffs
 from lrip_lab.operators import RandomFourierOperator, jacobian
 from lrip_lab.spaces import meas_norm
+
+
+def rows(result: DecodeResult) -> list:
+    """The rows of a DecodeResult, each a namespace of its fields' entries for that row."""
+    return [SimpleNamespace(**{f.name: getattr(result, f.name)[k] for f in fields(result)})
+            for k in range(len(result.xhat))]
 
 
 def grid_minimum(op, model: UnionOfSubspaces, y, resolution: float = 1e-3):
@@ -36,8 +45,8 @@ def grid_minimum(op, model: UnionOfSubspaces, y, resolution: float = 1e-3):
 
 
 def multi_start_decode(op, model: UnionOfSubspaces, y, restarts: int = 8, max_iters: int = 500,
-                       rng_seed: int = 0) -> DecodeResult:
-    """The multi-start Fourier decoder that the certificate-first decode replaced.
+                       rng_seed: int = 0) -> SimpleNamespace:
+    """The multi-start Fourier decoder that the certificate-first decode replaced, on one measurement y.
 
     Starts per subspace: the linearized estimate at 0, the zero point and
     random model points from the stream (rng_seed, i), restarts in all.  All
@@ -46,7 +55,8 @@ def multi_start_decode(op, model: UnionOfSubspaces, y, restarts: int = 8, max_it
     count as tied, and a tie goes to the lowest (subspace, restart) pair.
     optimizer_iters sums the iterations of all starts.  Its random restarts
     can stop in a local minimum and report convergence, which is what the
-    decode gates compare against.
+    decode gates compare against.  Returns the fields of one DecodeResult
+    row but its gap.
     """
     y = np.asarray(y, dtype=complex)
     M, s = model.norm_bound, model.subspace_dim
@@ -63,15 +73,16 @@ def multi_start_decode(op, model: UnionOfSubspaces, y, restarts: int = 8, max_it
             starts_i.append(_uniform_ball_coeffs(rng_i, 1, s, M)[0])
         starts += starts_i[:restarts]
     sub = np.repeat(np.arange(model.num_subspaces), restarts)
-    Z, F, iters, converged = decoder._gauss_newton(op, model, y, sub, np.array(starts), max_iters)
+    Z, F, iters, converged = decoder._gauss_newton(op, model, np.broadcast_to(y, (len(sub), op.m)), sub,
+                                                   np.array(starts), max_iters)
     k = int(np.argmax(F <= F.min() * (1.0 + decoder._F_RTOL)))
     i = int(sub[k])
     xhat = model.bases[i] @ Z[k]
-    return DecodeResult(xhat=xhat, residual=float(meas_norm(op.apply_batch(xhat)[0] - y)), subspace_index=i,
-                        optimizer_iters=int(iters.sum()), converged=bool(converged[k]))
+    return SimpleNamespace(xhat=xhat, residual=float(meas_norm(op.apply_batch(xhat)[0] - y)), subspace_index=i,
+                           optimizer_iters=int(iters.sum()), converged=bool(converged[k]))
 
 
-def residual_certificate(result: DecodeResult, op, model: UnionOfSubspaces, y, target: float = 1e-6) -> float:
+def residual_certificate(result, op, model: UnionOfSubspaces, y, target: float = 1e-6) -> float:
     """Gap between a Fourier decode's residual and a certified lower bound on the minimum.
 
     The linear decoder is exact, and decode gives its gap 0; a linear
@@ -79,12 +90,13 @@ def residual_certificate(result: DecodeResult, op, model: UnionOfSubspaces, y, t
     with the given target gap, so the gap is >= 0 and, unless the cell budget
     runs out, exceeds the decoder's own excess residual by about that target
     at most.  A non-converged result reports an unknown gap as +inf.  It is
-    the independent check of decode's own gap, which certifies any
-    DecodeResult.
+    the independent check of decode's own gap, which certifies any decoded
+    row: result is one row of a DecodeResult (see rows) and y its one
+    measurement.
     """
     if not isinstance(op, RandomFourierOperator):
         raise InputError("residual_certificate is for the Fourier decoder; the linear decoder is exact")
     if not result.converged:
         return np.inf
-    lower, _, _ = certified_minimum(op, model, y, target, result.residual)
+    (lower,), _, _ = certified_minimum(op, model, np.asarray(y)[None], target, result.residual)
     return float(result.residual - lower)

@@ -34,7 +34,7 @@ from lrip_lab.certifier import fit_concentration_slope
 from lrip_lab.harness import ExperimentConfig, run
 from lrip_lab.models import CoveringBound, sample_model_points
 from lrip_lab.operators import hypothesis_constants, jacobian
-from reference import grid_minimum
+from reference import grid_minimum, rows
 
 EUCLID = Pseudometric("euclidean")
 KERNEL = Pseudometric("gaussian-kernel", 1.0)
@@ -94,7 +94,7 @@ def test_criterion_2_decoder_grid_equivalence():
         else:
             op = LinearGaussianOperator.from_seed(d, d, 400 + k)
         y = rng.normal(size=d) * rng.uniform(0.2, 1.5)
-        res = decode_linear(op, model, y)
+        (res,) = rows(decode_linear(op, model, y[None]))
         x_grid, r_grid = grid_minimum(op, model, y.astype(complex), resolution=1e-3)
         assert abs(res.residual - r_grid) <= 2e-3, f"instance {k}: residual gap"
         assert np.linalg.norm(res.xhat - x_grid) <= 2e-3, f"instance {k}: argmin gap"
@@ -308,13 +308,13 @@ def test_criterion_7d_decoder_membership():
     for k in range(10):
         model = UnionOfSubspaces.random(3, 1, 2, 1.0, 600 + k)
         lin = LinearGaussianOperator.from_seed(3, 3, 700 + k)
-        res = decode_linear(lin, model, rng.normal(size=3) * 2)
+        (res,) = rows(decode_linear(lin, model, (rng.normal(size=3) * 2)[None]))
         worst_defect = max(worst_defect, model.membership_defect(res.xhat))
         worst_norm = max(worst_norm, np.linalg.norm(res.xhat) - model.norm_bound)
     for k in range(5):
         model = UnionOfSubspaces.random(3, 1, 2, 0.8, 800 + k)
         op = RandomFourierOperator.from_seed(24, 3, 1.0, 900 + k)
-        res, _ = decode(op, model, op.apply_batch(rng.normal(size=3))[0], DecoderOptions())
+        (res,) = rows(decode(op, model, op.apply_batch(rng.normal(size=3)), DecoderOptions()))
         worst_defect = max(worst_defect, model.membership_defect(res.xhat))
         worst_norm = max(worst_norm, np.linalg.norm(res.xhat) - model.norm_bound)
     elapsed = time.perf_counter() - start

@@ -27,7 +27,7 @@ from lrip_lab.certifier import (
 )
 import lrip_lab
 from lrip_lab import certifier, decoder, harness
-from lrip_lab.decoder import DecoderOptions, GridOracleOptions
+from lrip_lab.decoder import DecoderOptions
 from lrip_lab.models import sample_model_points
 from lrip_lab.spaces import meas_norm, norm_equivalence_factors
 
@@ -188,7 +188,7 @@ class TestCheckIop:
         model = UnionOfSubspaces((np.array([[1.0], [0.0]]),), 1.0)
         op = LinearGaussianOperator.from_matrix(np.eye(2))
         xstar = np.array([0.3, 0.4])
-        xhat = decode_linear(op, model, xstar).xhat
+        xhat = decode_linear(op, model, xstar[None]).xhat[0]
         decode_dist = EUCLID.dist(xstar - xhat)
         proj = project_to_model(model, xstar, EUCLID)
         dprime = EUCLID.dist(xstar - proj) + 2.0 * meas_norm(op.apply_batch(xstar)[0] - op.apply_batch(proj)[0])
@@ -249,9 +249,9 @@ class TestCheckIop:
         gaps = []
 
         def recorded(*args):
-            results, chunk_gaps = decoder.decode(*args)
-            gaps.extend(chunk_gaps)
-            return results, chunk_gaps
+            dec = decoder.decode(*args)
+            gaps.extend(dec.gap)
+            return dec
 
         monkeypatch.setattr(certifier, "decode", recorded)
         model = UnionOfSubspaces.random(4, 2, 3, 1.0, 2)
@@ -296,7 +296,7 @@ IOP_INSTANCES = {
     "linear": (lambda: UnionOfSubspaces.random(3, 1, 3, 1.0, 21), lambda: LinearGaussianOperator.from_seed(3, 3, 22),
                EUCLID, None),
     "fourier": (lambda: UnionOfSubspaces.random(3, 1, 2, 1.0, 2), lambda: RandomFourierOperator.from_seed(16, 3, 1.0, 5),
-                KERNEL, DecoderOptions(grid_oracle=GridOracleOptions(resolution=1e-2))),
+                KERNEL, DecoderOptions(target=1e-2)),
 }
 
 

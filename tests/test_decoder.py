@@ -14,11 +14,11 @@ from lrip_lab import (
     decode_linear,
 )
 from lrip_lab import decoder
-from lrip_lab.decoder import _HALVINGS, GridOracleOptions, _line_search, certified_minimum, decode, noise_vector
+from lrip_lab.decoder import _HALVINGS, _line_search, certified_minimum, decode, noise_vector
 from lrip_lab.models import sample_model_points
 from lrip_lab.operators import jacobian
 from lrip_lab.spaces import meas_norm
-from reference import grid_minimum, multi_start_decode, residual_certificate
+from reference import grid_minimum, multi_start_decode, residual_certificate, rows
 
 KERNEL = Pseudometric("gaussian-kernel", 1.0)
 IDENTITY2 = LinearGaussianOperator.from_matrix(np.eye(2))
@@ -122,20 +122,20 @@ def random_small_instance(seed):
 
 class TestDecodeLinear:
     def test_on_model_measurement(self):
-        res = decode_linear(IDENTITY2, x_axis_model(), np.array([0.5, 0.0]))
+        (res,) = rows(decode_linear(IDENTITY2, x_axis_model(), np.array([[0.5, 0.0]])))
         assert np.allclose(res.xhat, [0.5, 0.0], atol=1e-12)
         assert res.residual <= 1e-12
         assert res.converged
 
     def test_orthogonal_residual(self):
-        res = decode_linear(IDENTITY2, x_axis_model(), np.array([0.3, 0.4]))
+        (res,) = rows(decode_linear(IDENTITY2, x_axis_model(), np.array([[0.3, 0.4]])))
         assert np.allclose(res.xhat, [0.3, 0.0], atol=1e-12)
         assert res.residual == pytest.approx(0.4, abs=1e-12)
         xg, rg = grid_minimum(IDENTITY2, x_axis_model(), np.array([0.3, 0.4]).astype(complex))
         assert np.allclose(xg, res.xhat, atol=2e-3) and abs(rg - res.residual) <= 2e-3
 
     def test_ball_clip(self):
-        res = decode_linear(IDENTITY2, x_axis_model(), np.array([2.0, 0.0]))
+        (res,) = rows(decode_linear(IDENTITY2, x_axis_model(), np.array([[2.0, 0.0]])))
         assert np.allclose(res.xhat, [1.0, 0.0], atol=1e-10)
         assert res.residual == pytest.approx(1.0, abs=1e-10)
         # 1-d scan oracle
@@ -149,19 +149,19 @@ class TestDecodeLinear:
             A = rng.normal(size=(3, 3))
             model = UnionOfSubspaces.random(3, 2, 2, 0.5, seed)
             y = rng.normal(size=3) * 4.0
-            res = decode_linear(LinearGaussianOperator.from_matrix(A), model, y)
+            (res,) = rows(decode_linear(LinearGaussianOperator.from_matrix(A), model, y[None]))
             assert np.linalg.norm(res.xhat) <= 0.5 + 1e-10
 
     def test_rank_deficient_minimum_norm(self):
         A = np.array([[1.0, 0.0], [1.0, 0.0]])  # collapses the y-axis
         model = UnionOfSubspaces.axes(2, 1.0)
-        res = decode_linear(LinearGaussianOperator.from_matrix(A), model, np.array([0.0, 0.0]))
+        (res,) = rows(decode_linear(LinearGaussianOperator.from_matrix(A), model, np.array([[0.0, 0.0]])))
         assert res.residual <= 1e-12
         assert np.linalg.norm(res.xhat) <= 1e-12  # minimum-norm pick of a flat optimum
 
     def test_rejects_complex_measurement(self):
         with pytest.raises(InputError):
-            decode_linear(IDENTITY2, x_axis_model(), np.array([1j, 0.0]))
+            decode_linear(IDENTITY2, x_axis_model(), np.array([[1j, 0.0]]))
 
     @pytest.mark.parametrize("shape", [(3,), (4, 3), (2, 2, 2)])
     def test_rejects_wrong_shape(self, shape):
@@ -171,10 +171,10 @@ class TestDecodeLinear:
     @staticmethod
     def batch_matching_rows(op, model, Y):
         """decode_linear on the rows of Y, checked bit for bit against one call per row."""
-        batch = decode_linear(op, model, Y)
+        batch = rows(decode_linear(op, model, Y))
         assert len(batch) == len(Y)
         for res, y in zip(batch, Y):
-            one = decode_linear(op, model, y)
+            (one,) = rows(decode_linear(op, model, y[None]))
             assert res.xhat.tobytes() == one.xhat.tobytes()
             assert float(res.residual).hex() == float(one.residual).hex()
             assert res.subspace_index == one.subspace_index
@@ -216,17 +216,17 @@ class TestDecodeLinear:
         model = UnionOfSubspaces.random(d, d, 4, 100.0, d)
         op = LinearGaussianOperator.from_seed(2 * d, d, d + 1)
         Y = rng.normal(size=(200, 2 * d))
-        assert [r.subspace_index for r in decode_linear(op, model, Y)] == [0] * 200
+        assert [r.subspace_index for r in rows(decode_linear(op, model, Y))] == [0] * 200
 
     def test_batch_of_one_row(self):
         model, op, y = random_small_instance(2)
-        (res,) = decode_linear(op, model, y[None, :])
-        assert res.xhat.tobytes() == decode_linear(op, model, y).xhat.tobytes()
+        (res,) = rows(decode_linear(op, model, y[None, :]))
+        assert res.xhat.tobytes() == rows(decode_linear(op, model, np.stack([y, -y])))[0].xhat.tobytes()
 
     def test_matches_grid_oracle_on_random_instances(self):
         for seed in range(10):
             model, op, y = random_small_instance(seed)
-            res = decode_linear(op, model, y)
+            (res,) = rows(decode_linear(op, model, y[None]))
             _, rg = grid_minimum(op, model, y.astype(complex), resolution=1e-3)
             assert res.residual <= rg + 1e-9
             assert abs(res.residual - rg) <= 2e-3
@@ -235,7 +235,7 @@ class TestDecodeLinear:
         for seed in range(5):
             model, op, _ = random_small_instance(seed)
             x0 = sample_model_points(model, 1, seed)[0]
-            res = decode_linear(op, model, op.matrix @ x0)
+            (res,) = rows(decode_linear(op, model, (op.matrix @ x0)[None]))
             assert res.residual <= 1e-10
 
 
@@ -256,9 +256,15 @@ def line_search_one_apply_per_step(z, f, grad, step, radius, mapped):
     return "none", None, None, None
 
 
+def decode_one(op, model, y, opts=None):
+    """decode's row for the one measurement y, and that row's gap."""
+    (res,) = rows(decode(op, model, np.asarray(y)[None], opts or DecoderOptions()))
+    return res, res.gap
+
+
 def fourier_decode(op, model, y, opts=None):
-    """decode's DecodeResult for one Fourier measurement."""
-    return decode(op, model, y, opts or DecoderOptions())[0]
+    """decode's row for one Fourier measurement."""
+    return decode_one(op, model, y, opts)[0]
 
 
 class TestDecodeNonlinear:
@@ -348,8 +354,8 @@ class TestDecodeNonlinear:
         # too little for the Armijo test, so the last two steps take their first and second halvings
         steps = np.array([-0.1 * grad, [-3.0, -1.0], [3.0, 1.0], [-0.764798, 0.0], [-1.529596, 0.0]])
         n = len(steps)
-        found, Zn, Pn, Fn = _line_search(op, bases, y, np.ones(n, dtype=int), np.tile(z, (n, 1)), np.full(n, f),
-                                         np.tile(grad, (n, 1)), steps, 0.8)
+        found, Zn, Pn, Fn = _line_search(op, bases, np.broadcast_to(y, (n, op.m)), np.ones(n, dtype=int),
+                                         np.tile(z, (n, 1)), np.full(n, f), np.tile(grad, (n, 1)), steps, 0.8)
 
         def mapped(c):
             psi = op.apply_batch(B @ c)[0]
@@ -374,19 +380,20 @@ class TestDecodeNonlinear:
             rng = np.random.default_rng(seed)
             bases, s, M = np.stack(model.bases), model.subspace_dim, model.norm_bound
             n = 6
+            Y = np.broadcast_to(y, (n, op.m))
             sub = rng.integers(model.num_subspaces, size=n)
             z = decoder._ball_project(rng.normal(size=(n, s)) * M, M)
             # grad at z and a direction that may be good, too long, uphill or zero
-            P, f = decoder._evaluate(op, bases, y, sub, z)
+            P, f = decoder._evaluate(op, bases, Y, sub, z)
             grad = np.array([2.0 * np.real(np.conj(jacobian(op, bases[i] @ zk) @ bases[i]).T @ (p - y))
                              for i, zk, p in zip(sub, z, P)])
             step = -grad * np.array([0.1, 10.0, 1e3, -1.0, 0.0, 1.0])[:, None]
             if seed % 3 == 0:  # a stationary start: no step size makes progress
                 z[-1], f[-1], grad[-1], step[-1] = z[0], 0.0, grad[0], step[0]
-            found, Zn, Pn, Fn = _line_search(op, bases, y, sub, z, f, grad, step, M)
+            found, Zn, Pn, Fn = _line_search(op, bases, Y, sub, z, f, grad, step, M)
             for k in range(n):
                 def mapped(c):
-                    psi, fc = decoder._evaluate(op, bases, y, sub[k:k + 1], c[None])
+                    psi, fc = decoder._evaluate(op, bases, Y[k:k + 1], sub[k:k + 1], c[None])
                     return psi[0], fc[0]
 
                 stage, c, psi, fc = line_search_one_apply_per_step(z[k], f[k], grad[k], step[k], M, mapped)
@@ -403,7 +410,7 @@ class TestDecodeNonlinear:
             rng = np.random.default_rng(seed)
             sub = np.repeat(np.arange(model.num_subspaces), 3)
             Z0 = rng.normal(size=(len(sub), model.subspace_dim))
-            Z, F, _, converged = decoder._gauss_newton(op, model, y, sub, Z0, 500)
+            Z, F, _, converged = decoder._gauss_newton(op, model, np.broadcast_to(y, (len(sub), op.m)), sub, Z0, 500)
             for k, i in enumerate(sub):
                 z, f, _, conv = per_start_gauss_newton(op, model.bases[i], y, Z0[k], model.norm_bound, 500)
                 assert converged[k] == conv
@@ -417,9 +424,10 @@ class TestDecodeNonlinear:
             n = 4 * model.num_subspaces
             sub = np.repeat(np.arange(model.num_subspaces), 4)
             Z0 = rng.normal(size=(n, model.subspace_dim))
-            batch = decoder._gauss_newton(op, model, y, sub, Z0, max_iters)
+            Y = np.broadcast_to(y, (n, op.m))
+            batch = decoder._gauss_newton(op, model, Y, sub, Z0, max_iters)
             for k in range(n):
-                alone = decoder._gauss_newton(op, model, y, sub[k:k + 1], Z0[k:k + 1], max_iters)
+                alone = decoder._gauss_newton(op, model, Y[k:k + 1], sub[k:k + 1], Z0[k:k + 1], max_iters)
                 for whole, one in zip(batch, alone):
                     assert np.array_equal(whole[k], one[0])
 
@@ -466,7 +474,7 @@ class TestResidualCertificate:
     def test_exact_linear_gap_zero(self):
         # the linear decoder is exact: decode gives it gap 0, and the certificate refuses the linear map
         model, op, y = random_small_instance(3)
-        res, gap = decode(op, model, y, DecoderOptions())
+        res, gap = decode_one(op, model, y, DecoderOptions())
         assert gap == 0.0
         with pytest.raises(InputError):
             residual_certificate(res, op, model, y)
@@ -480,10 +488,10 @@ class TestResidualCertificate:
         assert gap >= 0  # the branch-and-bound lower bound never exceeds the achieved residual
 
     def test_unconverged_reports_infinity(self):
-        res = DecodeResult(
-            xhat=np.zeros(2), residual=1.0, subspace_index=0,
-            optimizer_iters=1, converged=False,
-        )
+        (res,) = rows(DecodeResult(
+            xhat=np.zeros((1, 2)), residual=np.ones(1), subspace_index=np.zeros(1, dtype=int),
+            optimizer_iters=np.ones(1, dtype=int), converged=np.zeros(1, dtype=bool), gap=np.ones(1),
+        ))
         op = RandomFourierOperator.from_seed(8, 2, 1.0, 0)
         assert residual_certificate(res, op, UnionOfSubspaces.axes(2, 1.0), np.zeros(8)) == np.inf
 
@@ -493,7 +501,7 @@ class TestResidualCertificate:
         y = noisy_off_model_target(model, op, 0)
         res = fourier_decode(op, model, y)
         assert res.converged
-        assert 0.0 <= residual_certificate(res, op, model, y) <= GridOracleOptions().resolution
+        assert 0.0 <= residual_certificate(res, op, model, y) <= DecoderOptions().target
 
 
 class TestCertifiedMinimum:
@@ -501,7 +509,7 @@ class TestCertifiedMinimum:
         for seed in range(40):
             model, op, y = random_fourier_instance(seed)
             res = multi_start_decode(op, model, y, restarts=3, rng_seed=seed)
-            lower, cells, _ = certified_minimum(op, model, y, 1e-6, res.residual)
+            (lower,), (cells,), _ = certified_minimum(op, model, y[None], 1e-6, res.residual)
             _, rg = grid_minimum(op, model, y, resolution=2e-3)
             assert 0 < cells < decoder._CERT_BUDGET
             assert lower <= rg
@@ -510,8 +518,10 @@ class TestCertifiedMinimum:
     def test_poor_converged_result_gets_its_full_gap(self):
         model, op, y = random_fourier_instance(3)
         x0 = np.zeros(model.dim)
-        poor = DecodeResult(xhat=x0, residual=meas_norm(op.apply_batch(x0)[0] - y), subspace_index=0,
-                            optimizer_iters=1, converged=True)
+        residual = np.array([meas_norm(op.apply_batch(x0)[0] - y)])
+        (poor,) = rows(DecodeResult(xhat=x0[None], residual=residual, subspace_index=np.zeros(1, dtype=int),
+                                    optimizer_iters=np.ones(1, dtype=int), converged=np.ones(1, dtype=bool),
+                                    gap=residual))
         _, rg = grid_minimum(op, model, y, resolution=2e-3)
         assert poor.residual - rg > 0.05  # the origin is far from the optimum here
         assert residual_certificate(poor, op, model, y) >= poor.residual - rg - 1e-9
@@ -521,7 +531,7 @@ class TestCertifiedMinimum:
         for seed in range(6):
             model, op, y = random_fourier_instance(seed)
             res = multi_start_decode(op, model, y, restarts=3, rng_seed=seed)
-            lower, cells, _ = certified_minimum(op, model, y, 1e-6, res.residual)
+            (lower,), (cells,), _ = certified_minimum(op, model, y[None], 1e-6, res.residual)
             _, rg = grid_minimum(op, model, y, resolution=2e-3)
             assert cells <= 5
             assert lower <= rg
@@ -532,21 +542,21 @@ class TestCertifiedMinimum:
         x = sample_model_points(model, 1, 3)[0]
         y = op.apply_batch(x)[0] + 0.05 * np.exp(1j * np.arange(48)) / np.sqrt(48)
         res = multi_start_decode(op, model, y)
-        lower, cells, _ = certified_minimum(op, model, y, 1e-12, res.residual)
+        (lower,), (cells,), _ = certified_minimum(op, model, y[None], 1e-12, res.residual)
         assert cells < decoder._CERT_BUDGET
         assert 0.0 <= res.residual - lower <= 1e-9
 
     @pytest.mark.parametrize("resolution", [0.0, -1e-6, float("nan")])
     def test_target_must_be_positive(self, resolution):
         with pytest.raises(InputError):
-            GridOracleOptions(resolution=resolution)
+            DecoderOptions(target=resolution)
 
     def test_gap_within_target_at_subspace_dim_three(self):
         model = UnionOfSubspaces.random(4, 3, 1, 1.0, 0)
         op = RandomFourierOperator.from_seed(8, 4, 1.0, 0)
         y = noisy_off_model_target(model, op, 1)
         res = fourier_decode(op, model, y)
-        lower, cells, _ = certified_minimum(op, model, y, 1e-3, res.residual)
+        (lower,), (cells,), _ = certified_minimum(op, model, y[None], 1e-3, res.residual)
         assert cells < decoder._CERT_BUDGET
         assert 0.0 <= res.residual - lower <= 1e-3
 
@@ -558,7 +568,7 @@ class TestCertifiedMinimum:
             model = UnionOfSubspaces.random(d, 3, int(rng.integers(1, 4)), 0.5, seed)
             op = RandomFourierOperator.from_seed(int(rng.integers(4, 9)), d, 1.0, seed + 1)
             y = op.apply_batch(rng.normal(size=d))[0] + 0.1 * rng.normal(size=op.m)
-            lower, cells, _ = certified_minimum(op, model, y, 1e-6, np.inf)
+            (lower,), (cells,), _ = certified_minimum(op, model, y[None], 1e-6, np.inf)
             _, rg = grid_minimum(op, model, y, resolution=0.05)
             assert 0 < cells < decoder._CERT_BUDGET
             assert lower <= rg
@@ -571,7 +581,7 @@ class TestCertifiedMinimum:
         res = fourier_decode(op, model, y)
         tracemalloc.start()
         try:
-            lower, cells, _ = certified_minimum(op, model, y, 1e-6, np.inf)
+            (lower,), (cells,), _ = certified_minimum(op, model, y[None], 1e-6, np.inf)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -584,7 +594,7 @@ class TestCertifiedMinimum:
         model, op, Y = fourier_rows(s)
         lower, cells, (sub, Z) = certified_minimum(op, model, Y, 1e-6, np.inf)
         for k, y in enumerate(Y):
-            one_lower, one_cells, (i, z) = certified_minimum(op, model, y, 1e-6, np.inf)
+            (one_lower,), (one_cells,), ((i,), (z,)) = certified_minimum(op, model, y[None], 1e-6, np.inf)
             assert lower[k] == one_lower and cells[k] == one_cells
             assert sub[k] == i and Z[k].tobytes() == z.tobytes()
         assert lower[4] == lower[0] and cells[4] == cells[0]
@@ -612,7 +622,7 @@ class TestCertifiedMinimum:
         lower, cells, (sub, Z) = certified_minimum(op, model, Y, 1e-6, np.inf)
         assert sum(bounded) > cells.sum()  # the rows that left were bounded again
         for k, y in enumerate(Y):
-            one_lower, one_cells, (i, z) = certified_minimum(op, model, y, 1e-6, np.inf)
+            (one_lower,), (one_cells,), ((i,), (z,)) = certified_minimum(op, model, y[None], 1e-6, np.inf)
             assert lower[k] == one_lower and cells[k] == one_cells <= 3000
             assert sub[k] == i and Z[k].tobytes() == z.tobytes()
 
@@ -648,7 +658,7 @@ class TestCertifiedMinimum:
         converged = 0
         for seed in range(20):
             model, op, y = random_fourier_instance(seed)
-            res, gap = decode(op, model, y, DecoderOptions())
+            res, gap = decode_one(op, model, y, DecoderOptions())
             if res.converged:
                 converged += 1
                 assert 0.0 <= gap <= res.residual
@@ -659,8 +669,8 @@ class TestDecode:
     def test_linear_gap_is_zero_and_matches_resolve(self):
         for seed in range(40):
             model, op, y = random_small_instance(seed)
-            res, gap = decode(op, model, y, DecoderOptions())
-            ref = decode_linear(op, model, y)
+            res, gap = decode_one(op, model, y, DecoderOptions())
+            (ref,) = rows(decode_linear(op, model, y[None]))
             assert gap == 0.0
             assert np.array_equal(res.xhat, ref.xhat) and res.residual == ref.residual
 
@@ -669,9 +679,9 @@ class TestDecode:
         model = UnionOfSubspaces.random(4, 3, 2, 1.0, 5)
         op = RandomFourierOperator.from_seed(16, 4, 1.0, 5)
         y = op.apply_batch(sample_model_points(model, 1, 6)[0])[0] + 0.02
-        opts = DecoderOptions(grid_oracle=GridOracleOptions(resolution=1e-4))
-        res, gap = decode(op, model, y, opts)
-        cert = residual_certificate(res, op, model, y, opts.grid_oracle.resolution)
+        opts = DecoderOptions(target=1e-4)
+        res, gap = decode_one(op, model, y, opts)
+        cert = residual_certificate(res, op, model, y, opts.target)
         assert res.converged
         assert 0.0 <= gap <= 1e-4 and 0.0 <= cert <= 1e-4
 
@@ -679,7 +689,7 @@ class TestDecode:
         model = UnionOfSubspaces.axes(2, 1.0)
         op = RandomFourierOperator.from_seed(16, 2, 1.0, 5)
         y = op.apply_batch(np.array([0.0, -0.3]))[0] + 0.02
-        res, gap = decode(op, model, y, DecoderOptions(grid_oracle=GridOracleOptions(resolution=1e-2)))
+        res, gap = decode_one(op, model, y, DecoderOptions(target=1e-2))
         assert res.converged
         assert 0.0 <= gap <= 1e-2
         assert res.residual <= multi_start_decode(op, model, y, restarts=3, rng_seed=7).residual + 1e-2
@@ -691,14 +701,14 @@ class TestDecode:
         rng = np.random.default_rng(4)
         x = sample_model_points(model, 1, rng)[0] + 0.3 * rng.normal(size=4)
         y = op.apply_batch(x)[0] + noise_vector(op, 0.05, rng)
-        res, gap = decode(op, model, y, DecoderOptions())
+        res, gap = decode_one(op, model, y, DecoderOptions())
         assert res.converged and gap <= 1e-6
         assert res.residual <= multi_start_decode(op, model, y, rng_seed=0).residual - 0.2
 
     def test_never_worse_than_multi_start_on_fixed_instances(self):
         target, misses_at_three = 1e-6, 0
         for k, (model, op, y, seed) in enumerate(fixed_fourier_instances()):
-            res, gap = decode(op, model, y, DecoderOptions())
+            res, gap = decode_one(op, model, y, DecoderOptions())
             ref = multi_start_decode(op, model, y, rng_seed=seed)
             assert 0.0 <= gap <= target, f"instance {k}"
             assert res.residual <= ref.residual + target, f"instance {k}"
@@ -712,12 +722,13 @@ class TestDecode:
             model, op, _ = random_small_instance(4)
         else:
             model, op = UnionOfSubspaces.axes(2, 1.0), RandomFourierOperator.from_seed(16, 2, 1.0, 5)
-        opts = DecoderOptions(grid_oracle=GridOracleOptions(resolution=1e-2))
+        opts = DecoderOptions(target=1e-2)
         Y = op.apply_batch(np.random.default_rng(1).normal(size=(3, op.dim))) + 0.05
-        results, gaps = decode(op, model, Y, opts)
+        dec = decode(op, model, Y, opts)
+        results, gaps = rows(dec), dec.gap
         assert len(results) == len(gaps) == 3
         for y, res, gap in zip(Y, results, gaps):
-            one, one_gap = decode(op, model, y, opts)
+            one, one_gap = decode_one(op, model, y, opts)
             assert res.xhat.tobytes() == one.xhat.tobytes() and gap == one_gap
 
 
@@ -726,9 +737,10 @@ class TestDecode:
     def test_fourier_rows_bitwise_match_one_decode_per_row(self, s, max_iters):
         model, op, Y = fourier_rows(s)
         opts = DecoderOptions(max_iters=max_iters)
-        results, gaps = decode(op, model, Y, opts)
+        dec = decode(op, model, Y, opts)
+        results, gaps = rows(dec), dec.gap
         for y, res, gap in zip(Y, results, gaps):
-            one, one_gap = decode(op, model, y, opts)
+            one, one_gap = decode_one(op, model, y, opts)
             assert res.xhat.tobytes() == one.xhat.tobytes() and res.residual == one.residual
             assert (res.subspace_index, res.optimizer_iters, res.converged) == (
                 one.subspace_index, one.optimizer_iters, one.converged)
@@ -739,7 +751,8 @@ class TestDecode:
 
     def test_fourier_no_rows(self):
         model, op, _ = fourier_rows(2)
-        results, gaps = decode(op, model, np.zeros((0, op.m), dtype=complex), DecoderOptions())
+        dec = decode(op, model, np.zeros((0, op.m), dtype=complex), DecoderOptions())
+        results, gaps = rows(dec), dec.gap
         assert results == [] and gaps.shape == (0,)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "nan-imaginary"])
@@ -749,7 +762,7 @@ class TestDecode:
         monkeypatch.setattr(decoder, "certified_minimum", lambda *args: pytest.fail("search ran"))
         monkeypatch.setattr(decoder, "_constrained_ls", lambda *args: pytest.fail("solve ran"))
         if kind == "linear":
-            model, op, y = x_axis_model(), IDENTITY2, np.zeros(2, dtype=complex)
+            model, op, y = x_axis_model(), IDENTITY2, np.zeros((1, 2), dtype=complex)
         else:
             model, op, Y = fourier_rows(2)
             y = Y[:2].copy()

@@ -7,7 +7,7 @@ import pytest
 from lrip_lab import harness, seeding
 from lrip_lab.cli import main
 from lrip_lab.errors import ConfigError, InputError
-from lrip_lab.decoder import DecoderOptions, GridOracleOptions
+from lrip_lab.decoder import DecoderOptions
 from lrip_lab.harness import ExperimentConfig, build_decoder_options, emit_plot_data, run, write_report
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,8 +72,7 @@ class TestDecoderOptions:
         cfg = ExperimentConfig.from_dict(base_config(
             experiment="decode", decoder={"max_iters": 40, "grid_oracle": {"resolution": 0.01}},
         ))
-        assert build_decoder_options(cfg) == DecoderOptions(
-            max_iters=40, grid_oracle=GridOracleOptions(resolution=0.01))
+        assert build_decoder_options(cfg) == DecoderOptions(max_iters=40, target=0.01)
 
     def test_keys_of_the_multi_start_decoder_are_dropped(self):
         # the benchmark's iop-fourier workload still passes restarts and grid_oracle.enabled
@@ -81,8 +80,7 @@ class TestDecoderOptions:
             experiment="decode",
             decoder={"restarts": 8, "max_iters": 40, "grid_oracle": {"enabled": True, "resolution": 0.01}},
         ))
-        assert build_decoder_options(cfg) == DecoderOptions(
-            max_iters=40, grid_oracle=GridOracleOptions(resolution=0.01))
+        assert build_decoder_options(cfg) == DecoderOptions(max_iters=40, target=0.01)
 
     @pytest.mark.parametrize("decoder", [{"gtol": 1e-10}, {"grid_oracle": {"resolutoin": 0.01}}])
     def test_unknown_keys_rejected(self, decoder):
@@ -157,10 +155,11 @@ class TestConcentrationSweep:
         csv_t = emit_plot_data(report, "c_hat_vs_t")
         assert len(csv_t.strip().splitlines()) == 1 + 2  # header + t-grid length
 
-    def test_empty_sweep_header_only(self):
-        report = run(self.sweep_config([]))
-        csv = emit_plot_data(report, "p_hat_vs_m")
-        assert len(csv.strip().splitlines()) == 1
+    def test_operator_m_is_not_required(self):
+        # the sweep builds its operators at the m_sweep entries only, so operator.m changes nothing
+        cfg = self.sweep_config([16]).to_dict()
+        del cfg["operator"]["m"]
+        assert run(ExperimentConfig.from_dict(cfg)).results_bytes() == run(self.sweep_config([16])).results_bytes()
 
     def test_unknown_series_rejected(self):
         report = run(self.sweep_config([16]))
@@ -375,10 +374,14 @@ class TestCli:
         ("iop_linear", "B", float("inf")),
         ("iop_linear", "lambda", float("inf")),
         ("concentration_sweep", "t_grid", [float("nan")]),
+        ("certify_fourier", "concentration_draws", 50),
+        ("concentration_sweep", "draws", 50),
+        ("concentration_sweep", "m_sweep", []),
     ])
     def test_bad_certifier_value_exit_code(self, tmp_path, capsys, config, key, value):
         # a bare int() ran 2 trials for 2.7 and 1 for true; medians over no draws or reps were NaN,
-        # an empty t_grid raised IndexError, and a NaN noise_scale passed every range check
+        # an empty t_grid raised IndexError, a NaN noise_scale passed every range check, fewer than 100
+        # concentration draws failed only inside estimate_concentration, and an empty m_sweep ran no sweep
         cfg = json.loads((ROOT / "configs" / f"{config}.json").read_text())
         cfg["certifier"][key] = value
         assert main([cfg["experiment"], "--config", self.write_config(tmp_path, cfg)]) == 2

@@ -80,8 +80,10 @@ class TestSampleLambda:
     def test_input_validation(self):
         with pytest.raises(InputError):
             sample_lambda(1.0, 3, 0, 0)
-        with pytest.raises(InputError):
-            sample_lambda(1.0, 3, 5, 0, component=7)
+        # component is checked before it is used: int("x") raised ValueError and int([1]) TypeError
+        for component in (7, "x", [1]):
+            with pytest.raises(InputError):
+                sample_lambda(1.0, 3, 5, 0, component=component)
 
 
 class TestLinearOperator:
