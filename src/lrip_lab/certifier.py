@@ -36,6 +36,8 @@ from .errors import InputError
 from .models import (
     CoveringBound,
     UnionOfSubspaces,
+    _draw_model_points,
+    _map_model_points,
     covering_bound_model,
     covering_bound_secant,
     project_to_model,
@@ -418,7 +420,9 @@ def check_iop_inequality(
     Trials run _IOP_CHUNK at a time, in three phases:
 
     * draw: trial k draws from its own stream (rng_seed, 2, k), in the order
-      model point, perturbation, noise, candidates;
+      model point, perturbation, noise, candidates; then one
+      _map_model_points call maps the chunk's model points and candidates,
+      and one array expression adds the perturbations;
     * decode: the chunk's signals are measured in one apply_batch, and
       ``decode`` decodes the measurements, the linear map in one
       decode_linear call, the Fourier map in one lockstep search and
@@ -430,8 +434,8 @@ def check_iop_inequality(
     A trial's record depends only on its stream, not on the trial count or
     on the chunking.
     """
-    if min(A, B, lam) < 0:
-        raise InputError("A, B, lambda must be nonnegative")
+    if not all(math.isfinite(v) and v >= 0 for v in (A, B, lam)):
+        raise InputError(f"A, B, lambda must be finite and nonnegative, got A={A}, B={B}, lambda={lam}")
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
     if noise_scale < 0 or model_error_scale < 0:
@@ -443,17 +447,18 @@ def check_iop_inequality(
     out = []
     for first in range(0, trials, _IOP_CHUNK):
         ks = range(first, min(first + _IOP_CHUNK, trials))
-        xstar, noise = np.empty((len(ks), d)), np.empty((len(ks), op.m), dtype=complex)
-        cands = np.empty((len(ks), 1 + c, d))
-        for j, k in enumerate(ks):
+        draws, perturb, noise = [], [], []  # draws: each trial's model point, then its candidates
+        for k in ks:
             rng = seeding.generator(rng_seed, 2, k)
-            x0 = sample_model_points(model, 1, rng)[0]
-            xstar[j] = x0 + rng.normal(size=d) * (model_error_scale / math.sqrt(d))
-            noise[j] = noise_vector(op, noise_scale, rng)
+            draws.append(_draw_model_points(model, 1, rng))
+            perturb.append(rng.normal(size=d))
+            noise.append(noise_vector(op, noise_scale, rng))
             if c:
-                cands[j, 1:] = sample_model_points(model, c, rng)
+                draws.append(_draw_model_points(model, c, rng))
+        cands = _map_model_points(model, *(np.concatenate(a) for a in zip(*draws))).reshape(len(ks), 1 + c, d)
+        xstar = cands[:, 0] + np.array(perturb) * (model_error_scale / math.sqrt(d))
 
-        dec = decode(op, model, op.apply_batch(xstar) + noise, decoder_opts)
+        dec = decode(op, model, op.apply_batch(xstar) + np.array(noise), decoder_opts)
 
         decode_dist = metric.dist(xstar - dec.xhat)
         cands[:, 0] = project_to_model(model, xstar, metric)

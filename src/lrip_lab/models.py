@@ -122,13 +122,33 @@ class CoveringBound:
         return math.exp(self.log_count)
 
 
-def _uniform_ball_coeffs(rng: np.random.Generator, n: int, s: int, M: float) -> np.ndarray:
-    """n coefficient vectors uniform in the radius-M ball of R^s."""
-    z = rng.normal(size=(n, s))
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
+def _draw_model_points(model: UnionOfSubspaces, n: int, rng: np.random.Generator) -> tuple:
+    """The draws of n model points, in the sampler's order: (subspace indices, Gaussian coefficients, uniform radii).
+
+    Returns idx of shape (n,), Z of shape (n, s) and U of shape (n, 1);
+    _map_model_points turns them into the points.
+    """
+    # integers' size handling costs several times its draw, so one index is drawn as a scalar, which
+    # draws the same value; random() is uniform(0, 1) bit for bit (0 + 1 r) at half the call cost
+    idx = rng.integers(model.num_subspaces, size=n) if n != 1 else np.array([rng.integers(model.num_subspaces)])
+    Z = rng.normal(size=(n, model.subspace_dim))
+    return idx, Z, rng.random(size=(n, 1))
+
+
+def _map_model_points(model: UnionOfSubspaces, idx, Z, U) -> np.ndarray:
+    """The model points of draws (idx, Z, U), as rows; Z is overwritten with their ball coefficients.
+
+    Each Gaussian row Z[k] is scaled to direction times radius M U[k]^(1/s),
+    uniform in the radius-M ball of R^s, and mapped into subspace idx[k].
+    Both steps work row by row, so a point does not depend on the draws
+    mapped with it.  Z is scaled in place, so a large call holds no second
+    coefficient array while it gathers the bases.
+    """
+    norms = np.linalg.norm(Z, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
-    radii = M * rng.uniform(size=(n, 1)) ** (1.0 / s)
-    return z / norms * radii
+    Z /= norms
+    Z *= model.norm_bound * U ** (1.0 / model.subspace_dim)
+    return _subspace_map(model.bases, idx, Z)
 
 
 def sample_model_points(model: UnionOfSubspaces, n: int, rng_seed) -> np.ndarray:
@@ -136,12 +156,10 @@ def sample_model_points(model: UnionOfSubspaces, n: int, rng_seed) -> np.ndarray
 
     Every point lies in some S_i intersected with B_M exactly by construction,
     and is its own vector-matrix product (_subspace_map), so its value does
-    not depend on the other points of the call.
+    not depend on the other points of the call.  It is _map_model_points of
+    _draw_model_points.
     """
-    rng = np.random.default_rng(rng_seed)
-    idx = rng.integers(model.num_subspaces, size=n)
-    Z = _uniform_ball_coeffs(rng, n, model.subspace_dim, model.norm_bound)
-    return _subspace_map(model.bases, idx, Z)
+    return _map_model_points(model, *_draw_model_points(model, n, np.random.default_rng(rng_seed)))
 
 
 def _row_products(X, M) -> np.ndarray:

@@ -1,14 +1,16 @@
-"""Brute-force, multi-start and certificate references that decoder tests compare against."""
+"""Brute-force, multi-start, certificate and per-trial IOP references that the decoder and certifier tests use."""
 
+import math
 from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
 
 from lrip_lab import decoder, seeding
-from lrip_lab.decoder import DecodeResult, certified_minimum
+from lrip_lab.certifier import IopTrial
+from lrip_lab.decoder import DecodeResult, DecoderOptions, certified_minimum, noise_vector
 from lrip_lab.errors import InputError
-from lrip_lab.models import UnionOfSubspaces, _uniform_ball_coeffs
+from lrip_lab.models import UnionOfSubspaces, project_to_model, sample_model_points
 from lrip_lab.operators import RandomFourierOperator, jacobian
 from lrip_lab.spaces import meas_norm
 
@@ -70,7 +72,11 @@ def multi_start_decode(op, model: UnionOfSubspaces, y, restarts: int = 8, max_it
         # the k-th start of a subspace does not depend on the restart count, so restarts are nested
         rng_i = seeding.generator(rng_seed, i)
         while len(starts_i) < restarts:
-            starts_i.append(_uniform_ball_coeffs(rng_i, 1, s, M)[0])
+            # a coefficient row uniform in the radius-M ball, in the model sampler's array forms
+            z = rng_i.normal(size=(1, s))
+            norms = np.linalg.norm(z, axis=1, keepdims=True)
+            norms[norms == 0] = 1.0
+            starts_i.append((z / norms * (M * rng_i.uniform(size=(1, 1)) ** (1.0 / s)))[0])
         starts += starts_i[:restarts]
     sub = np.repeat(np.arange(model.num_subspaces), restarts)
     Z, F, iters, converged = decoder._gauss_newton(op, model, np.broadcast_to(y, (len(sub), op.m)), sub,
@@ -100,3 +106,36 @@ def residual_certificate(result, op, model: UnionOfSubspaces, y, target: float =
         return np.inf
     (lower,), _, _ = certified_minimum(op, model, np.asarray(y)[None], target, result.residual)
     return float(result.residual - lower)
+
+
+def iop_trials(op, model: UnionOfSubspaces, metric, decoder_opts, A: float, B: float, lam: float, trials: int,
+               noise_scale: float, model_error_scale: float, rng_seed: int, uniform_candidates: int) -> list:
+    """The IopTrial records of check_iop_inequality, from its per-trial draw loop.
+
+    Trial k draws from its own stream (rng_seed, 2, k): its model point with
+    one sample_model_points call, the perturbation, the noise and then its
+    candidates with a second sample_model_points call.  All trials are
+    decoded and checked together, as one chunk.
+    """
+    d, c = model.dim, uniform_candidates
+    xstar, noise = np.empty((trials, d)), np.empty((trials, op.m), dtype=complex)
+    cands = np.empty((trials, 1 + c, d))
+    for k in range(trials):
+        rng = seeding.generator(rng_seed, 2, k)
+        x0 = sample_model_points(model, 1, rng)[0]
+        xstar[k] = x0 + rng.normal(size=d) * (model_error_scale / math.sqrt(d))
+        noise[k] = noise_vector(op, noise_scale, rng)
+        if c:
+            cands[k, 1:] = sample_model_points(model, c, rng)
+    dec = decoder.decode(op, model, op.apply_batch(xstar) + noise, decoder_opts or DecoderOptions())
+    decode_dist = metric.dist(xstar - dec.xhat)
+    cands[:, 0] = project_to_model(model, xstar, metric)
+    D = (xstar[:, None, :] - cands).reshape(-1, d)
+    dprime = np.min((metric.dist(D) + B * op.gap_batch(D)).reshape(-1, 1 + c), axis=1)
+    out = []
+    for k, ok in enumerate(dec.converged):
+        lam_eff = lam + float(dec.gap[k]) if ok else np.inf
+        satisfied = ok and decode_dist[k] <= A * dprime[k] + B * noise_scale + lam_eff
+        out.append(IopTrial(xstar[k], noise_scale, float(decode_dist[k]), float(dprime[k]), lam_eff,
+                            bool(satisfied), reason="" if ok else "decoder did not converge"))
+    return out

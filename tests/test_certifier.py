@@ -31,6 +31,8 @@ from lrip_lab.decoder import DecoderOptions
 from lrip_lab.models import sample_model_points
 from lrip_lab.spaces import meas_norm, norm_equivalence_factors
 
+import reference
+
 EUCLID = Pseudometric("euclidean")
 KERNEL = Pseudometric("gaussian-kernel", 1.0)
 
@@ -272,6 +274,17 @@ class TestCheckIop:
                                  trials=1, noise_scale=0.0, model_error_scale=0.0,
                                  rng_seed=0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["A", "B", "lam"])
+    def test_non_finite_constants_rejected(self, name, value):
+        # B = inf would make d' at an on-model x* inf * 0 = NaN, so perfect decodes read unsatisfied
+        model = UnionOfSubspaces.axes(2, 1.0)
+        op = LinearGaussianOperator.from_matrix(np.eye(2))
+        constants = {"A": 1.0, "B": 2.0, "lam": 0.0, name: value}
+        with pytest.raises(InputError, match="finite"):
+            check_iop_inequality(op, model, EUCLID, None, **constants, trials=3, noise_scale=0.0,
+                                 model_error_scale=0.0, rng_seed=0)
+
     @pytest.mark.parametrize("bad", [
         {"trials": 0},
         {"noise_scale": -0.1},
@@ -319,6 +332,27 @@ class TestIopBatchInvariance:
         monkeypatch.setattr(certifier, "_IOP_CHUNK", 3)
         assert [trial_bits(t) for t in self.witness(name, 25, candidates).trials] == full
         assert [trial_bits(t) for t in self.witness(name, 1, candidates).trials] == full[:1]
+
+
+IOP_AT_SUBSPACE_DIM = {  # (model, map, metric, decoder options) at subspace dimension s
+    "linear": lambda s: (UnionOfSubspaces.random(s + 2, s, 3, 1.0, 21),
+                         LinearGaussianOperator.from_seed(s + 2, s + 2, 22), EUCLID, None),
+    "fourier": lambda s: (UnionOfSubspaces.random(s + 1, s, 2, 1.0, 2),
+                          RandomFourierOperator.from_seed(16, s + 1, 1.0, 5), KERNEL, DecoderOptions(target=1e-2)),
+}
+
+
+class TestIopMatchesPerTrialDraws:
+    """Drawing per trial and mapping per chunk gives bitwise the records of two sampler calls per trial."""
+
+    @pytest.mark.parametrize("candidates", [0, 64])
+    @pytest.mark.parametrize("s", [1, 2, 3, 8])
+    @pytest.mark.parametrize("name", list(IOP_AT_SUBSPACE_DIM))
+    def test_trials_match_the_reference_loop(self, name, s, candidates):
+        model, op, metric, opts = IOP_AT_SUBSPACE_DIM[name](s)
+        args = (op, model, metric, opts, 1.0, 2.0, 0.0, 6, 0.1, 0.3, 33, candidates)
+        got = check_iop_inequality(*args).trials
+        assert [trial_bits(t) for t in got] == [trial_bits(t) for t in reference.iop_trials(*args)]
 
 
 class TestLripFromIopWitness:

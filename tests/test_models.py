@@ -12,8 +12,9 @@ from lrip_lab import (
     project_to_model,
 )
 from lrip_lab.models import (
+    _draw_model_points,
+    _map_model_points,
     _subspace_map,
-    _uniform_ball_coeffs,
     sample_model_points,
     sample_near_points,
 )
@@ -91,15 +92,20 @@ class TestSampleModelPoint:
 class TestSubspaceMap:
     """A model point is bitwise the same whatever points are drawn or mapped with it."""
 
-    @pytest.mark.parametrize("d, s", [(20, 2), (4, 2), (10, 3)])
+    @pytest.mark.parametrize("d, s", [(20, 2), (4, 2), (10, 3), (20, 8), (30, 12)])
     def test_points_are_one_row_products(self, d, s):
         model = UnionOfSubspaces.random(d, s, 3, 1.0, d)
         pts = sample_model_points(model, 50, 5)
-        rng = np.random.default_rng(5)  # the sampler's draws: subspace indices, then coefficients
-        idx = rng.integers(3, size=50)
-        Z = _uniform_ball_coeffs(rng, 50, s, 1.0)
+        rng, draws = np.random.default_rng(5), np.random.default_rng(5)
+        for n in (1, 2, 50):  # the draws in order: subspace indices, coefficients, radii
+            idx, Z, U = _draw_model_points(model, n, draws)
+            assert idx.tobytes() == rng.integers(3, size=n).tobytes()
+            assert Z.tobytes() == rng.normal(size=(n, s)).tobytes()
+            assert U.tobytes() == rng.uniform(size=(n, 1)).tobytes()
+        idx, Z, U = _draw_model_points(model, 50, np.random.default_rng(5))
         for k in range(50):
-            assert pts[k].tobytes() == (Z[k] @ model.bases[idx[k]].T).tobytes()
+            one = _map_model_points(model, idx[k:k + 1], Z[k:k + 1].copy(), U[k:k + 1])
+            assert pts[k].tobytes() == one[0].tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 50])
     @pytest.mark.parametrize("d, s", [(20, 2), (4, 2), (10, 3)])
