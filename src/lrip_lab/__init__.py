@@ -19,9 +19,9 @@ from .models import (
     project_to_model,
 )
 from .operators import (
-    GammaMoments,
     LinearGaussianOperator,
     NonlinearLripHypotheses,
+    OperatorLaw,
     RandomFourierOperator,
     hypothesis_constants,
     sample_lambda,
@@ -52,7 +52,7 @@ __all__ = [
     "Pseudometric", "meas_norm", "kernel_norm_equivalence",
     "UnionOfSubspaces", "CoveringBound", "project_to_model",
     "covering_bound_model", "covering_bound_secant", "greedy_cover",
-    "LinearGaussianOperator", "RandomFourierOperator", "GammaMoments",
+    "LinearGaussianOperator", "RandomFourierOperator", "OperatorLaw",
     "NonlinearLripHypotheses", "weight_f", "sample_lambda", "hypothesis_constants",
     "DecoderOptions", "DecodeResult", "decode", "decode_linear",
     "LripEstimate", "BpEstimate", "IopWitness", "ConcentrationEstimate",

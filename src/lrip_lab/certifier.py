@@ -25,13 +25,14 @@ with the augmented metric d'(u, v) = d(u, v) + B ||Psi u - Psi v||.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import seeding
-from .decoder import DecoderOptions, decode, noise_vector
+from .decoder import DecoderOptions, _draw_noise, _scale_noise, decode
 from .errors import InputError
 from .models import (
     CoveringBound,
@@ -44,12 +45,11 @@ from .models import (
     sample_model_points,
     sample_near_points,
 )
-from .operators import LinearGaussianOperator, NonlinearLripHypotheses
+from .operators import LinearGaussianOperator, NonlinearLripHypotheses, OperatorLaw
 from .spaces import Pseudometric
 
 MODE_UNIFORM = "Uniform"
 MODE_ANCHORED = "NonUniformAnchor"
-MODE_FROM_IOP = "FromIopWitness"
 
 
 def wilson_upper(successes: int, n: int, z: float = 1.959963984540054) -> float:
@@ -419,10 +419,12 @@ def check_iop_inequality(
 
     Trials run _IOP_CHUNK at a time, in three phases:
 
-    * draw: trial k draws from its own stream (rng_seed, 2, k), in the order
-      model point, perturbation, noise, candidates; then one
+    * draw: the chunk's streams (rng_seed, 2, k) are derived in one
+      seeding.generators call, and trial k draws from its own, in the order
+      model point, perturbation, raw noise, candidates; then one
       _map_model_points call maps the chunk's model points and candidates,
-      and one array expression adds the perturbations;
+      one array expression adds the perturbations, and one _scale_noise
+      call scales every trial's noise to norm ``noise_scale``;
     * decode: the chunk's signals are measured in one apply_batch, and
       ``decode`` decodes the measurements, the linear map in one
       decode_linear call, the Fourier map in one lockstep search and
@@ -446,19 +448,18 @@ def check_iop_inequality(
     d, c = model.dim, uniform_candidates
     out = []
     for first in range(0, trials, _IOP_CHUNK):
-        ks = range(first, min(first + _IOP_CHUNK, trials))
+        ks = np.arange(first, min(first + _IOP_CHUNK, trials))
         draws, perturb, noise = [], [], []  # draws: each trial's model point, then its candidates
-        for k in ks:
-            rng = seeding.generator(rng_seed, 2, k)
+        for rng in seeding.generators(rng_seed, 2, ks):
             draws.append(_draw_model_points(model, 1, rng))
             perturb.append(rng.normal(size=d))
-            noise.append(noise_vector(op, noise_scale, rng))
+            noise.append(_draw_noise(op, noise_scale, rng))
             if c:
                 draws.append(_draw_model_points(model, c, rng))
         cands = _map_model_points(model, *(np.concatenate(a) for a in zip(*draws))).reshape(len(ks), 1 + c, d)
         xstar = cands[:, 0] + np.array(perturb) * (model_error_scale / math.sqrt(d))
 
-        dec = decode(op, model, op.apply_batch(xstar) + np.array(noise), decoder_opts)
+        dec = decode(op, model, op.apply_batch(xstar) + _scale_noise(np.array(noise), noise_scale), decoder_opts)
 
         decode_dist = metric.dist(xstar - dec.xhat)
         cands[:, 0] = project_to_model(model, xstar, metric)
@@ -520,7 +521,7 @@ def lrip_from_iop_witness(
         eta=2.0 * lam,
         pairs_tested=len(tested),
         worst_pair=None if worst is None else (X[worst].copy(), X2[worst].copy()),
-        mode=MODE_FROM_IOP,
+        mode="FromIopWitness",
         strata={"far": pairs, "unconverged": pairs - len(tested)},
         seed=rng_seed,
         violation_count=len(violating),
@@ -573,8 +574,11 @@ class ConcentrationEstimate:
         }
 
 
+_CONCENTRATION_CHUNK = 16  # operator draws mapped together; bounds the working arrays to about 1 MB at m = 55, d = 20
+
+
 def estimate_concentration(
-    op_factory,
+    law: OperatorLaw,
     pair,
     metric: Pseudometric,
     draws: int,
@@ -583,9 +587,12 @@ def estimate_concentration(
 ) -> ConcentrationEstimate:
     """Estimate the concentration exponent on a fixed pair over operator draws.
 
-    op_factory maps an integer seed to a fresh operator; draws are keyed by
-    derived seeds so the estimate is reproducible and worker-count
-    independent.
+    Draw k is the operator law.sample(seeding.child_seed(rng_seed, k)), so
+    the estimate is reproducible and worker-count independent.  The draws'
+    child seeds, and then their generators, are derived in one seeding call
+    each; each draw makes only its RNG calls, and one law.gaps call per
+    _CONCENTRATION_CHUNK draws maps their operators and evaluates their gaps
+    on the pair's secant.
     """
     if draws < 100:
         raise InputError(f"need draws >= 100, got {draws}")
@@ -597,10 +604,10 @@ def estimate_concentration(
     if not d > 0:
         raise InputError("pair must have positive metric distance")
     t_grid = tuple(float(t) for t in t_grid)
-    ratios = np.empty(draws)
-    for k in range(draws):
-        op = op_factory(seeding.child_seed(rng_seed, k))
-        ratios[k] = op.gap_batch(D)[0] / d
+    rngs = seeding.generators(seeding.child_seeds(rng_seed, np.arange(draws)))
+    gaps = [law.gaps([law.draw(rng) for rng in itertools.islice(rngs, _CONCENTRATION_CHUNK)], D)
+            for _ in range(0, draws, _CONCENTRATION_CHUNK)]
+    ratios = np.concatenate(gaps) / d
     p_hat, c_hat, wilson, c_lo = [], [], [], []
     for t in t_grid:
         fails = int(np.sum(ratios - 1.0 <= -t))
@@ -629,7 +636,7 @@ def estimate_concentration(
         wilson_p_upper=tuple(wilson),
         c_lower=tuple(c_lo),
         draws=draws,
-        m=int(op.m),
+        m=law.m,
         seed=rng_seed,
     )
 

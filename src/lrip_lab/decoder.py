@@ -496,10 +496,27 @@ def decode(op, model: UnionOfSubspaces, y, opts: DecoderOptions) -> DecodeResult
 
 def noise_vector(op, norm: float, rng) -> np.ndarray:
     """Gaussian measurement noise of exact norm ``norm``: real for the linear map, complex otherwise."""
+    return _scale_noise(_draw_noise(op, norm, rng), norm)
+
+
+def _draw_noise(op, norm: float, rng) -> np.ndarray:
+    """The Gaussian draws of noise_vector, unscaled; at norm 0 it draws nothing and gives zeros."""
     if norm == 0:
         return np.zeros(op.m, dtype=complex)
     if isinstance(op, LinearGaussianOperator):
-        e = rng.normal(size=op.m).astype(complex)
-    else:
-        e = rng.normal(size=op.m) + 1j * rng.normal(size=op.m)
-    return e * (norm / np.linalg.norm(e))
+        return rng.normal(size=op.m).astype(complex)
+    return rng.normal(size=op.m) + 1j * rng.normal(size=op.m)
+
+
+def _scale_noise(E, norm: float) -> np.ndarray:
+    """The noise e of shape (m,), or each row of E of shape (n, m), scaled to norm ``norm``.
+
+    A row's norm is the one np.linalg.norm takes of it alone, the 1-D BLAS
+    dot of its real part plus that of its imaginary part.  A stacked
+    vector-vector matmul runs every row through that same dot; the
+    row-wise np.linalg.norm(E, axis=1) rounds differently.
+    """
+    if norm == 0:
+        return E
+    dot = lambda P: np.matmul(P[..., None, :], P[..., :, None])[..., 0, 0]
+    return E * (norm / np.sqrt(dot(E.real) + dot(E.imag)))[..., None]

@@ -33,7 +33,9 @@ from .decoder import DecoderOptions, decode, noise_vector
 from .errors import ConfigError, InputError
 from .models import UnionOfSubspaces, sample_model_points
 from .operators import (
+    OPERATOR_KINDS,
     LinearGaussianOperator,
+    OperatorLaw,
     RandomFourierOperator,
     hypothesis_constants,
 )
@@ -131,10 +133,6 @@ class ExperimentConfig:
         cfg.validate()
         return cfg
 
-    @classmethod
-    def from_json_file(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(read_config(path))
-
     def validate(self):
         """Checks across keys, run before any computation."""
         model, op, c = self.model, self.operator, self.certifier
@@ -167,6 +165,8 @@ class ExperimentConfig:
             raise ConfigError(f"operator.kind is required for {self.experiment}")
         if op["identity"] and op["kind"] != "linear-gaussian":
             raise ConfigError("operator.identity applies to linear-gaussian only")
+        if op["identity"] and sweep:
+            raise ConfigError("a concentration sweep draws random operators; operator.identity is not one")
         # a concentration sweep builds its operators at the m_sweep entries only
         for m in c["m_sweep"] if sweep else [op["m"], *c.get("m_sweep", [])]:
             if op["identity"] and m not in (None, model["d"]):
@@ -247,6 +247,11 @@ def build_model(cfg: ExperimentConfig) -> UnionOfSubspaces:
     if model.num_subspaces != m["N"] or model.subspace_dim != m["s"]:
         raise ConfigError("model kind is inconsistent with (s, N)")
     return model
+
+
+def build_law(cfg: ExperimentConfig, m: int) -> OperatorLaw:
+    """The law of the configured random operator, with m measurements."""
+    return OperatorLaw(cfg.operator["kind"], m, cfg.model["d"], cfg.operator["sigma"])
 
 
 def build_operator(cfg: ExperimentConfig, seed: int, m: int | None = None):
@@ -450,7 +455,7 @@ def _run_certify(cfg: ExperimentConfig) -> dict:
         if c_half_t is None and c["estimate_concentration"]:
             x, x2 = sample_model_points(model, 2, seeding.generator(cfg.master_seed, 44))
             conc = estimate_concentration(
-                op_factory=lambda s: build_operator(cfg, s),
+                law=build_law(cfg, cfg.operator["m"]),
                 pair=(x, x2),
                 metric=metric,
                 draws=c["concentration_draws"],
@@ -479,7 +484,7 @@ def _run_concentration_sweep(cfg: ExperimentConfig) -> dict:
     def one(args):
         m, rep = args
         return estimate_concentration(
-            op_factory=lambda s: build_operator(cfg, s, m),
+            law=build_law(cfg, m),
             pair=(x, x2),
             metric=metric,
             draws=c["draws"],
@@ -575,7 +580,7 @@ _CONFIG_KEYS = {
     "experiment": (tuple(EXPERIMENTS), _REQUIRED), "master_seed": (int, 0), "workers": (int, 1),
     "model": {"d": (int, _REQUIRED), "s": (int, _REQUIRED), "N": (int, _REQUIRED), "M": (float, _REQUIRED),
               "kind": (("random", "axes"), "random"), "seed": (int, None), "bases": ([[float]], None)},
-    "operator": {"kind": (("linear-gaussian", "random-fourier"), None), "m": (int, None), "sigma": (float, 1.0),
+    "operator": {"kind": (OPERATOR_KINDS, None), "m": (int, None), "sigma": (float, 1.0),
                  "identity": (bool, False), "seed": (int, None)},
     "metric": {"kind": (("euclidean", "gaussian-kernel"), "euclidean"), "sigma": (float, None)},
     "decoder": {"max_iters": (int, DecoderOptions.max_iters), "restarts": (int, None),

@@ -50,40 +50,23 @@ def _times_rows(X, W) -> np.ndarray:
     return X @ W.T
 
 
-@dataclass(frozen=True)
-class GammaMoments:
-    """Even moments of ||w|| under N(0, sigma^{-2} I_d): gamma_0, gamma_2, gamma_4."""
-
-    gamma0: float
-    gamma2: float
-    gamma4: float
-
-    def __post_init__(self):
-        if not (self.gamma0 > 0 and self.gamma2 > 0 and self.gamma4 > 0):
-            raise InputError("moments must be positive")
-
-    @classmethod
-    def for_gaussian(cls, d: int, sigma: float) -> "GammaMoments":
-        """Closed forms: gamma_0 = 1, gamma_2 = d/sigma^2, gamma_4 = d(d+2)/sigma^4."""
-        if d < 1 or not sigma > 0:
-            raise InputError(f"need d >= 1 and sigma > 0, got d={d}, sigma={sigma}")
-        return cls(1.0, d / sigma**2, d * (d + 2) / sigma**4)
-
-
 def weight_f(omega, sigma: float, d: int):
     """Frequency weight f(w) = sqrt((1/3)(1 + ||w||^2/gamma_2 + ||w||^4/gamma_4)).
 
-    Radial in w and bounded below by sqrt(1/3).  Accepts a single frequency
-    vector or a batch of rows.
+    gamma_2 = d/sigma^2 and gamma_4 = d(d+2)/sigma^4 are the even moments of
+    ||w|| under N(0, sigma^{-2} I_d).  Radial in w and bounded below by
+    sqrt(1/3).  Accepts a single frequency vector or a batch of rows.
     """
-    moments = GammaMoments.for_gaussian(d, sigma)
+    if d < 1 or not sigma > 0:
+        raise InputError(f"need d >= 1 and sigma > 0, got d={d}, sigma={sigma}")
+    gamma2, gamma4 = d / sigma**2, d * (d + 2) / sigma**4
     om = np.asarray(omega, dtype=float)
     single = om.ndim == 1
     om = np.atleast_2d(om)
     if om.shape[1] != d:
         raise InputError(f"frequency dimension {om.shape[1]} does not match d={d}")
     n2 = np.sum(om * om, axis=1)
-    f = np.sqrt((1.0 + n2 / moments.gamma2 + n2 * n2 / moments.gamma4) / 3.0)
+    f = np.sqrt((1.0 + n2 / gamma2 + n2 * n2 / gamma4) / 3.0)
     return float(f[0]) if single else f
 
 
@@ -94,7 +77,7 @@ def sample_lambda(sigma: float, d: int, count: int, rng_seed, component: int | N
     component with tilt ||w||^{2l} is sampled exactly as a uniform direction
     times the norm of a standard Gaussian in dimension d + 2l, scaled by
     1/sigma.  ``component`` restricts sampling to one mixture component
-    (diagnostic use).
+    (diagnostic use).  It is _map_lambda of _draw_lambda.
     """
     if count < 1:
         raise InputError(f"count must be >= 1, got {count}")
@@ -102,22 +85,32 @@ def sample_lambda(sigma: float, d: int, count: int, rng_seed, component: int | N
         raise InputError(f"need sigma > 0 and d >= 1, got sigma={sigma}, d={d}")
     if component is not None and component not in (0, 1, 2):
         raise InputError(f"component must be in {{0, 1, 2}}, got {component!r}")
-    rng = np.random.default_rng(rng_seed)
-    comp = (
-        np.full(count, int(component))
-        if component is not None
-        else rng.integers(0, 3, size=count)
-    )
+    return _map_lambda(*_draw_lambda(d, count, np.random.default_rng(rng_seed), component), sigma)
+
+
+def _draw_lambda(d: int, count: int, rng, component: int | None = None):
+    """The draws of sample_lambda, in its order: (components, directions, radial Gaussians per component).
+
+    The radial Gaussians are (n_l, d + 2l) for the n_l frequencies of
+    component l; a component with none draws nothing.
+    """
+    comp = np.full(count, int(component)) if component is not None else rng.integers(0, 3, size=count)
     dirs = rng.normal(size=(count, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = np.empty(count)
-    for ell in (0, 1, 2):
-        sel = comp == ell
-        n = int(sel.sum())
-        if n:
-            z = rng.normal(size=(n, d + 2 * ell))
-            radii[sel] = np.linalg.norm(z, axis=1) / sigma
-    return dirs * radii[:, None]
+    return comp, dirs, [rng.normal(size=(int(np.count_nonzero(comp == ell)), d + 2 * ell)) for ell in (0, 1, 2)]
+
+
+def _map_lambda(comp, dirs, radial, sigma: float) -> np.ndarray:
+    """The frequencies of draws (comp, dirs, radial): each direction row normalized, times its radius.
+
+    comp and dirs may stack draws, (n, count) and (n, count, d); radial[l]
+    then holds the component-l rows of every draw, draw after draw.  Each
+    frequency is computed from its own row, so a draw's frequencies do not
+    depend on the draws mapped with it.
+    """
+    radii = np.empty(comp.shape)
+    for ell, z in enumerate(radial):
+        radii[comp == ell] = np.linalg.norm(z, axis=1) / sigma
+    return dirs / np.linalg.norm(dirs, axis=-1, keepdims=True) * radii[..., None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,8 +145,7 @@ class LinearGaussianOperator:
 
     @classmethod
     def from_seed(cls, m: int, d: int, seed: int) -> "LinearGaussianOperator":
-        rng = np.random.default_rng(seed)
-        return cls(rng.normal(size=(m, d)) / np.sqrt(m), seed=seed)
+        return cls(OperatorLaw("linear-gaussian", m, d).sample(seed), seed=seed)
 
     @classmethod
     def from_matrix(cls, A) -> "LinearGaussianOperator":
@@ -203,8 +195,7 @@ class RandomFourierOperator:
 
     @classmethod
     def from_seed(cls, m: int, d: int, sigma: float, seed: int) -> "RandomFourierOperator":
-        omegas = sample_lambda(sigma, d, m, np.random.default_rng(seed))
-        return cls(omegas, sigma, seed=seed)
+        return cls(OperatorLaw("random-fourier", m, d, sigma).sample(seed), sigma, seed=seed)
 
     def apply_batch(self, X) -> np.ndarray:
         """The measurements of x, shape (d,), or of each row of X, shape (n, d), as (n, m) rows."""
@@ -212,8 +203,75 @@ class RandomFourierOperator:
 
     def gap_batch(self, D) -> np.ndarray:
         """Measurement gaps ||Psi x - Psi x'|| of the secant rows delta = x - x' of D (sin^2 form)."""
-        half = np.sin(0.5 * _times_rows(D, self.omegas)) / self.weights
-        return (2.0 / np.sqrt(self.m)) * np.linalg.norm(half, axis=1)
+        return _sin_gaps(_times_rows(D, self.omegas), self.weights)
+
+
+def _sin_gaps(phases, weights) -> np.ndarray:
+    """The Fourier map's gaps (2/sqrt m) ||sin(w_j . delta / 2) / f_j|| from the phases w_j . delta on the last axis."""
+    return (2.0 / np.sqrt(weights.shape[-1])) * np.linalg.norm(np.sin(0.5 * phases) / weights, axis=-1)
+
+
+OPERATOR_KINDS = ("linear-gaussian", "random-fourier")
+
+
+@dataclass(frozen=True)
+class OperatorLaw:
+    """The law of a random operator on R^d with m measurements.
+
+    Kind "linear-gaussian" is the matrix of LinearGaussianOperator.from_seed,
+    with i.i.d. N(0, 1/m) entries; kind "random-fourier" the frequencies of
+    RandomFourierOperator.from_seed, drawn from Lambda at bandwidth sigma.
+    An operator is drawn in two halves, as the models' points are: ``draw``
+    makes one operator's RNG calls, and ``map`` turns a list of draws into
+    their stacked matrices or frequencies at once.  ``sample(seed)`` is the
+    one operator from_seed builds, and ``gaps`` gives each drawn operator's
+    measurement gap on one secant, bitwise as its gap_batch gives it.
+    """
+
+    kind: str
+    m: int
+    d: int
+    sigma: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in OPERATOR_KINDS:
+            raise InputError(f"kind must be one of {', '.join(OPERATOR_KINDS)}, got {self.kind!r}")
+        if self.m < 1 or self.d < 1 or not self.sigma > 0:
+            raise InputError(f"need m >= 1, d >= 1 and sigma > 0, got m={self.m}, d={self.d}, sigma={self.sigma}")
+
+    def draw(self, rng):
+        """One operator's draws from the generator rng, in from_seed's order."""
+        if self.kind == "linear-gaussian":
+            return rng.normal(size=(self.m, self.d))
+        return _draw_lambda(self.d, self.m, rng)
+
+    def map(self, draws) -> np.ndarray:
+        """The (n, m, d) matrices or frequencies of a list of n draws, each from its own draw alone."""
+        if self.kind == "linear-gaussian":
+            return np.stack(draws) / np.sqrt(self.m)
+        comp, dirs, radial = zip(*draws)
+        return _map_lambda(np.stack(comp), np.stack(dirs), [np.concatenate(z) for z in zip(*radial)], self.sigma)
+
+    def sample(self, seed) -> np.ndarray:
+        """The (m, d) matrix or frequencies drawn from np.random.default_rng(seed)."""
+        return self.map([self.draw(np.random.default_rng(seed))])[0]
+
+    def gaps(self, draws, delta) -> np.ndarray:
+        """Each drawn operator's measurement gap ||Psi x - Psi x'|| on the one secant delta = x - x' of shape (d,).
+
+        Each operator's W delta is the matrix product that _times_rows makes
+        of a lone secant (two equal rows), run per operator by one stacked
+        matmul, so every gap is bitwise that operator's gap_batch(delta)[0].
+        """
+        delta = np.asarray(delta, dtype=float)
+        if delta.shape != (self.d,):
+            raise InputError(f"secant has shape {delta.shape}, expected ({self.d},)")
+        W = self.map(draws)
+        products = (np.vstack([delta, delta]) @ np.swapaxes(W, 1, 2))[:, 0]
+        if self.kind == "linear-gaussian":
+            return np.linalg.norm(products, axis=-1)
+        weights = weight_f(W.reshape(-1, self.d), self.sigma, self.d).reshape(W.shape[:2])
+        return _sin_gaps(products, weights)
 
 
 def jacobian(op: RandomFourierOperator, x) -> np.ndarray:

@@ -14,6 +14,7 @@ import pytest
 
 from lrip_lab import (
     LinearGaussianOperator,
+    OperatorLaw,
     Pseudometric,
     RandomFourierOperator,
     UnionOfSubspaces,
@@ -131,8 +132,8 @@ def _concentration_pair():
     return x, x2
 
 
-def _fourier_factory(m):
-    return lambda seed: RandomFourierOperator.from_seed(m, 10, 1.0, seed)
+def _fourier_law(m):
+    return OperatorLaw("random-fourier", m, 10)
 
 
 @pytest.mark.xfail(
@@ -150,7 +151,7 @@ def test_criterion_4a_pointwise_strict_decrease():
     medians = []
     for m in (16, 64, 256):
         reps = [
-            estimate_concentration(_fourier_factory(m), pair, KERNEL, draws=200,
+            estimate_concentration(_fourier_law(m), pair, KERNEL, draws=200,
                                    t_grid=[0.3], rng_seed=10 * m + r).p_hat[0]
             for r in range(5)
         ]
@@ -170,7 +171,7 @@ def test_criterion_4b_exponent_linear_in_m():
     t_grids = {16: [0.25, 0.3, 0.35], 64: [0.125, 0.15, 0.175],
                256: [0.0625, 0.075, 0.0875]}
     estimates = [
-        estimate_concentration(_fourier_factory(m), pair, KERNEL, draws=1000,
+        estimate_concentration(_fourier_law(m), pair, KERNEL, draws=1000,
                                t_grid=t_grids[m], rng_seed=77 + m)
         for m in (16, 64, 256)
     ]

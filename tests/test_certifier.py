@@ -9,6 +9,7 @@ from lrip_lab import (
     InputError,
     LinearGaussianOperator,
     NonlinearLripHypotheses,
+    OperatorLaw,
     Pseudometric,
     RandomFourierOperator,
     UnionOfSubspaces,
@@ -26,7 +27,7 @@ from lrip_lab.certifier import (
     wilson_upper,
 )
 import lrip_lab
-from lrip_lab import certifier, decoder, harness
+from lrip_lab import certifier, decoder, harness, seeding
 from lrip_lab.decoder import DecoderOptions
 from lrip_lab.models import sample_model_points
 from lrip_lab.spaces import meas_norm, norm_equivalence_factors
@@ -354,6 +355,15 @@ class TestIopMatchesPerTrialDraws:
         got = check_iop_inequality(*args).trials
         assert [trial_bits(t) for t in got] == [trial_bits(t) for t in reference.iop_trials(*args)]
 
+    @pytest.mark.parametrize("noise_scale, model_error_scale", [(0.0, 0.3), (0.1, 0.0), (0.0, 0.0)])
+    @pytest.mark.parametrize("name", list(IOP_AT_SUBSPACE_DIM))
+    def test_zero_scales_match_the_reference_loop(self, name, noise_scale, model_error_scale):
+        # zero noise draws nothing, so the candidates after it keep their place in the trial's stream
+        model, op, metric, opts = IOP_AT_SUBSPACE_DIM[name](2)
+        args = (op, model, metric, opts, 1.0, 2.0, 0.0, 6, noise_scale, model_error_scale, 33, 64)
+        got = check_iop_inequality(*args).trials
+        assert [trial_bits(t) for t in got] == [trial_bits(t) for t in reference.iop_trials(*args)]
+
 
 class TestLripFromIopWitness:
     def test_exact_linear_decoder_no_violations(self):
@@ -432,19 +442,18 @@ class TestTheorem1RoundTrip:
 
 class TestEstimateConcentration:
     @staticmethod
-    def linear_factory(m, d):
-        return lambda seed: LinearGaussianOperator.from_seed(m, d, seed)
+    def linear_law(m, d):
+        return OperatorLaw("linear-gaussian", m, d)
 
     def test_t_zero_is_bulk_probability(self):
         pair = (np.zeros(4), np.array([1.0, 0, 0, 0]))
-        est = estimate_concentration(self.linear_factory(256, 4), pair, EUCLID,
+        est = estimate_concentration(self.linear_law(256, 4), pair, EUCLID,
                                      draws=200, t_grid=[0.0], rng_seed=0)
         assert 0.2 <= est.p_hat[0] <= 0.8
 
     def test_t_at_least_one_never_fails(self):
         pair = (np.zeros(3), np.array([0.7, 0, 0]))
-        factory = lambda seed: RandomFourierOperator.from_seed(4, 3, 1.0, seed)
-        est = estimate_concentration(factory, pair, KERNEL, draws=300,
+        est = estimate_concentration(OperatorLaw("random-fourier", 4, 3), pair, KERNEL, draws=300,
                                      t_grid=[1.0, 1.5], rng_seed=1)
         assert est.p_hat == (0.0, 0.0)
         assert est.c_hat[0] == np.inf
@@ -455,7 +464,7 @@ class TestEstimateConcentration:
         medians = []
         for m in (16, 32):
             reps = [
-                estimate_concentration(self.linear_factory(m, 3), pair, EUCLID,
+                estimate_concentration(self.linear_law(m, 3), pair, EUCLID,
                                        draws=200, t_grid=[0.3], rng_seed=100 * m + r
                                        ).p_hat[0]
                 for r in range(5)
@@ -465,7 +474,7 @@ class TestEstimateConcentration:
 
     def test_monotone_regularization_is_nondecreasing(self):
         pair = (np.zeros(3), np.array([1.0, 0, 0]))
-        est = estimate_concentration(self.linear_factory(16, 3), pair, EUCLID, draws=200,
+        est = estimate_concentration(self.linear_law(16, 3), pair, EUCLID, draws=200,
                                      t_grid=[0.0, 0.1, 0.2, 0.3, 0.5], rng_seed=3)
         assert list(est.c_hat_monotone) == sorted(est.c_hat_monotone)
         for raw, mono, flag in zip(est.c_hat, est.c_hat_monotone, est.monotone_adjusted):
@@ -474,24 +483,48 @@ class TestEstimateConcentration:
     def test_ratio_matches_endpoint_form(self):
         pair = (np.zeros(3), np.array([0.6, -0.2, 0.1]))
         factory = lambda seed: RandomFourierOperator.from_seed(8, 3, 1.0, seed)
-        est = estimate_concentration(factory, pair, KERNEL, draws=100, t_grid=[0.2], rng_seed=3)
+        est = estimate_concentration(OperatorLaw("random-fourier", 8, 3), pair, KERNEL, draws=100, t_grid=[0.2],
+                                     rng_seed=3)
         seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(3).spawn(100)]
         d = KERNEL.dist(np.subtract(*pair))
         ratios = np.array([meas_norm(factory(s).apply_batch(pair[0])[0] - factory(s).apply_batch(pair[1])[0]) / d
                            for s in seeds])
         assert est.p_hat[0] == np.mean(ratios - 1.0 <= -0.2)
 
+    @pytest.mark.parametrize("law, metric", [(OperatorLaw("linear-gaussian", 16, 3), EUCLID),
+                                             (OperatorLaw("random-fourier", 55, 3, 0.7), KERNEL)],
+                             ids=["linear", "fourier"])
+    def test_batched_ratios_are_each_operators_gap(self, law, metric):
+        # 150 draws end in a part chunk; each ratio is bitwise its own operator's lone-secant gap over d
+        chunks = []
+
+        class Recording(OperatorLaw):
+            def gaps(self, draws, delta):
+                chunks.append(super().gaps(draws, delta))
+                return chunks[-1]
+
+        pair = (np.array([0.1, -0.3, 0.2]), np.array([0.4, 0.1, -0.2]))
+        D, d = np.subtract(*pair), metric.dist(np.subtract(*pair))
+        estimate_concentration(Recording(law.kind, law.m, law.d, law.sigma), pair, metric, draws=150,
+                               t_grid=[0.2], rng_seed=9)
+        size = certifier._CONCENTRATION_CHUNK
+        assert [len(c) for c in chunks] == [size] * (150 // size) + [150 % size] and 150 % size
+        make = {"linear-gaussian": lambda s: LinearGaussianOperator.from_seed(law.m, law.d, s),
+                "random-fourier": lambda s: RandomFourierOperator.from_seed(law.m, law.d, law.sigma, s)}[law.kind]
+        expected = [make(seeding.child_seed(9, k)).gap_batch(D)[0] / d for k in range(150)]
+        assert (np.concatenate(chunks) / d).tobytes() == np.array(expected).tobytes()
+
     def test_requires_enough_draws_and_distinct_pair(self):
         with pytest.raises(InputError):
-            estimate_concentration(self.linear_factory(4, 2), (np.zeros(2), np.zeros(2)),
+            estimate_concentration(self.linear_law(4, 2), (np.zeros(2), np.zeros(2)),
                                    EUCLID, draws=200, t_grid=[0.1])
         with pytest.raises(InputError):
-            estimate_concentration(self.linear_factory(4, 2),
+            estimate_concentration(self.linear_law(4, 2),
                                    (np.zeros(2), np.ones(2)), EUCLID, draws=50,
                                    t_grid=[0.1])
 
     def test_slope_fit_through_origin(self):
-        est_a = estimate_concentration(self.linear_factory(16, 3),
+        est_a = estimate_concentration(self.linear_law(16, 3),
                                        (np.zeros(3), np.array([1.0, 0, 0])), EUCLID,
                                        draws=400, t_grid=[0.3, 0.4], rng_seed=5)
         fit = fit_concentration_slope([est_a])

@@ -14,7 +14,7 @@ from lrip_lab import (
     decode_linear,
 )
 from lrip_lab import decoder
-from lrip_lab.decoder import _HALVINGS, _line_search, certified_minimum, decode, noise_vector
+from lrip_lab.decoder import _HALVINGS, _line_search, _scale_noise, certified_minimum, decode, noise_vector
 from lrip_lab.models import sample_model_points
 from lrip_lab.operators import jacobian
 from lrip_lab.spaces import meas_norm
@@ -779,6 +779,19 @@ class TestNoiseVector:
         assert e.shape == (5,) and e.dtype == complex
         assert np.linalg.norm(e) == pytest.approx(0.25, rel=1e-12)
         assert np.all(e.imag == 0) == isinstance(op, LinearGaussianOperator)
+
+    @pytest.mark.parametrize("m", [3, 48])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_rows_scale_as_each_row_alone(self, m, kind):
+        # np.linalg.norm of one row is a 1-D BLAS dot; np.linalg.norm(E, axis=1) differs from it on thousands
+        # of these rows, so each scaled row must be bitwise the row scaled alone
+        rng = np.random.default_rng(m)
+        E = rng.normal(size=(5000, m)).astype(complex)
+        if kind == "complex":
+            E += 1j * rng.normal(size=E.shape)
+        alone = np.array([e * (0.3 / np.linalg.norm(e)) for e in E])
+        assert _scale_noise(E, 0.3).tobytes() == alone.tobytes()
+        assert np.array([_scale_noise(e, 0.3) for e in E[:200]]).tobytes() == alone[:200].tobytes()
 
     def test_zero_norm_draws_nothing(self):
         rng = np.random.default_rng(2)

@@ -161,6 +161,13 @@ class TestConcentrationSweep:
         del cfg["operator"]["m"]
         assert run(ExperimentConfig.from_dict(cfg)).results_bytes() == run(self.sweep_config([16])).results_bytes()
 
+    def test_identity_operator_is_refused(self):
+        # every draw of the identity is the same map, so there is no concentration over draws to estimate
+        cfg = self.sweep_config([2]).to_dict()
+        cfg["operator"] = {"kind": "linear-gaussian", "identity": True}
+        with pytest.raises(ConfigError, match="operator.identity"):
+            ExperimentConfig.from_dict(cfg)
+
     def test_unknown_series_rejected(self):
         report = run(self.sweep_config([16]))
         with pytest.raises(InputError):

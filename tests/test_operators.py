@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from lrip_lab import (
-    GammaMoments,
     InputError,
     LinearGaussianOperator,
     Pseudometric,
@@ -17,25 +16,25 @@ from lrip_lab.operators import jacobian
 KERNEL = Pseudometric("gaussian-kernel", 1.0)
 
 
-class TestGammaMoments:
-    def test_closed_forms(self):
-        gm = GammaMoments.for_gaussian(4, 1.0)
-        assert (gm.gamma0, gm.gamma2, gm.gamma4) == (1.0, 4.0, 24.0)
-        gm2 = GammaMoments.for_gaussian(3, 2.0)
-        assert gm2.gamma2 == pytest.approx(3 / 4)
-        assert gm2.gamma4 == pytest.approx(15 / 16)
-
-    def test_monte_carlo_cross_check(self):
-        d, sigma = 4, 1.0
-        rng = np.random.default_rng(0)
-        w = rng.normal(scale=1 / sigma, size=(1_000_000, d))
-        n2 = np.sum(w * w, axis=1)
-        gm = GammaMoments.for_gaussian(d, sigma)
-        assert np.mean(n2) == pytest.approx(gm.gamma2, rel=0.02)
-        assert np.mean(n2**2) == pytest.approx(gm.gamma4, rel=0.02)
-
-
 class TestWeightF:
+    def test_moments_closed_forms(self):
+        # gamma_2 = d / sigma^2 and gamma_4 = d (d + 2) / sigma^4: at d = 4, sigma = 1 they are 4 and 24, so
+        # ||w||^2 = 1 gives f^2 = (1 + 1/4 + 1/24) / 3; at d = 3, sigma = 2 they are 3/4 and 15/16, so
+        # ||w||^2 = 3/4 gives f^2 = (1 + 1 + (9/16) / (15/16)) / 3
+        assert weight_f(np.array([1.0, 0, 0, 0]), 1.0, 4) ** 2 == pytest.approx((1 + 1 / 4 + 1 / 24) / 3, rel=1e-15)
+        assert weight_f(np.array([0.75**0.5, 0, 0]), 2.0, 3) ** 2 == pytest.approx((2 + 9 / 15) / 3, rel=1e-14)
+
+    def test_monte_carlo_moments(self):
+        # E||w||^2 = gamma_2 and E||w||^4 = gamma_4 under N(0, sigma^{-2} I), so E f(w)^2 = (1 + 1 + 1) / 3 = 1
+        for d, sigma in ((4, 1.0), (3, 2.0)):
+            w = np.random.default_rng(0).normal(scale=1 / sigma, size=(1_000_000, d))
+            assert np.mean(weight_f(w, sigma, d) ** 2) == pytest.approx(1.0, rel=0.01)
+
+    @pytest.mark.parametrize("d, sigma", [(0, 1.0), (3, 0.0), (3, -1.0)])
+    def test_refuses_bad_dimension_or_bandwidth(self, d, sigma):
+        with pytest.raises(InputError):
+            weight_f(np.zeros(max(d, 1)), sigma, d)
+
     def test_zero_frequency(self):
         assert weight_f(np.zeros(4), 1.0, 4) == pytest.approx(np.sqrt(1 / 3), abs=1e-15)
 
