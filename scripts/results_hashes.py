@@ -1,4 +1,4 @@
-"""Print sha256(results_bytes())[:8] of every shipped config and of every benchmark workload.
+"""Print sha256(results_bytes())[:8] of every shipped config and of every benchmark workload, and a decode digest.
 
 Usage, from any directory:
 
@@ -6,7 +6,9 @@ Usage, from any directory:
 
 Each config under configs/ runs without its output section, so no report is
 written.  Each workload of bench/workloads.py runs at every seed given; that
-module is only imported, without writing its bytecode cache.  The library is
+module is only imported, without writing its bytecode cache.  The last line,
+"decode digest", hashes certified_minimum's and decode's output arrays on
+fixed random Fourier instances (see decode_digest).  The library is
 the one in this checkout's src/, so two checkouts can be compared line by
 line.
 """
@@ -21,12 +23,36 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from lrip_lab import harness  # noqa: E402
+import numpy as np  # noqa: E402
+
+from lrip_lab import DecoderOptions, RandomFourierOperator, UnionOfSubspaces, decode, harness  # noqa: E402
+from lrip_lab.decoder import certified_minimum  # noqa: E402
 
 
 def results_hash(config: dict) -> str:
     report = harness.run(harness.ExperimentConfig.from_dict(config))
     return hashlib.sha256(report.results_bytes()).hexdigest()[:8]
+
+
+def decode_digest() -> str:
+    """sha256(...)[:8] over certified_minimum's (lower, cells, sub, Z) and decode's arrays, on fixed instances.
+
+    Each instance is a random Fourier map on a random union of subspaces
+    (d = s + 2, N = 3, M = 1, m = 16), with rows drawn off the model from
+    default_rng(s): 16 rows at each of s = 1, 2 and 3, and 2 rows at s = 8.
+    """
+    digest = hashlib.sha256()
+    for s, n in ((1, 16), (2, 16), (3, 16), (8, 2)):
+        rng = np.random.default_rng(s)
+        model = UnionOfSubspaces.random(s + 2, s, 3, 1.0, s)
+        op = RandomFourierOperator.from_seed(16, s + 2, 1.0, s)
+        Y = op.apply_batch(rng.normal(scale=0.5, size=(n, s + 2))) + 0.05 * rng.normal(size=(n, 16))
+        lower, cells, (sub, Z) = certified_minimum(op, model, Y, 1e-6, np.inf)
+        dec = decode(op, model, Y, DecoderOptions())
+        for a in (lower, cells, sub, Z, dec.xhat, dec.residual, dec.subspace_index, dec.optimizer_iters,
+                  dec.converged, dec.gap):
+            digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()[:8]
 
 
 def main(argv=None) -> int:
@@ -44,6 +70,7 @@ def main(argv=None) -> int:
     for name in workloads.WORKLOADS:
         hashes = [results_hash(workloads.build_config(name, seed)[0]) for seed in args.seeds]
         print(f"{name} (seeds {' / '.join(map(str, args.seeds))})\t{' / '.join(hashes)}", flush=True)
+    print(f"decode digest\t{decode_digest()}", flush=True)
     return 0
 
 

@@ -121,9 +121,7 @@ def _lrip_ratio(numer, gaps):
 
 
 def _pair_json(pair):
-    if pair is None:
-        return None
-    return [[float(v) for v in pair[0]], [float(v) for v in pair[1]]]
+    return None if pair is None else [[float(v) for v in pair[0]], [float(v) for v in pair[1]]]
 
 
 def _extremal_linear_pairs(op: LinearGaussianOperator, model: UnionOfSubspaces):
@@ -166,7 +164,6 @@ def estimate_lrip(
     anchor: np.ndarray | None = None,
     eta: float = 0.0,
     near_eps: float = 0.1,
-    near_fraction: float | None = None,
 ) -> LripEstimate:
     """Empirical LRIP constant over sampled model pairs.
 
@@ -174,7 +171,7 @@ def estimate_lrip(
     endpoint (non-uniform guarantee for that signal).  Both modes stratify
     the budget into near pairs (metric gap <= near_eps, sampled around the
     anchor, or around per-pair random anchors in uniform mode) and far pairs,
-    so small-gap behavior is always probed; near_fraction defaults to 1/2.
+    so small-gap behavior is always probed; half the pairs are near pairs.
     Near rows that ``sample_near_points`` cannot fill fall back to
     independent model points; strata["near_fallback"] counts them.
 
@@ -195,9 +192,7 @@ def estimate_lrip(
         anchor = np.asarray(anchor, dtype=float)
         if not model.contains(anchor, tol=1e-8):
             raise InputError("anchor does not lie in the model")
-    if near_fraction is None:
-        near_fraction = 0.5
-    n_near = int(round(pairs * near_fraction))
+    n_near = int(round(pairs * 0.5))
     n_far = pairs - n_near
 
     X_list, X2_list, strata = [], [], {"near": 0, "far": 0, "extremal": 0, "near_fallback": 0}
@@ -563,8 +558,8 @@ class ConcentrationEstimate:
             "pairs_tested": self.draws,
             "t_grid": list(self.t_grid),
             "p_hat": list(self.p_hat),
-            "c_hat": [c if np.isfinite(c) else None for c in self.c_hat],
-            "c_hat_monotone": [c if np.isfinite(c) else None for c in self.c_hat_monotone],
+            "c_hat": list(self.c_hat),
+            "c_hat_monotone": list(self.c_hat_monotone),
             "monotone_adjusted": list(self.monotone_adjusted),
             "wilson_p_upper": list(self.wilson_p_upper),
             "c_lower": list(self.c_lower),

@@ -67,7 +67,7 @@ def main(argv=None) -> int:
             return EXIT_OUTPUT
         print(f"wrote {paths['report']}")
     else:
-        print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
+        print(json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False))
     return EXIT_OK
 
 

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import InputError
 from .models import UnionOfSubspaces, _ball_project, _row_products, _subspace_map
 from .operators import LinearGaussianOperator, RandomFourierOperator
-from .spaces import meas_norm
 
 
 # Stopping rule of the Gauss-Newton decoder (see DecoderOptions).
@@ -303,8 +302,7 @@ def _box_bounds(V, L1, M, h, consts, owner, I, Zc):
     owner is the row of each box, and consts = (c, phi, base, curvature,
     allowance) holds each row's constants (see certified_minimum).  Each
     box's sums over the m frequencies run along its own numbers, so its
-    values do not depend on the boxes bounded with it.  Returns (f0, bound,
-    r2), with r2 = |z|^2, per box.
+    values do not depend on the boxes bounded with it.  Returns (f0, bound).
     """
     c, phi, base, curvature, allowance = consts
     Vc = V[I]
@@ -324,7 +322,7 @@ def _box_bounds(V, L1, M, h, consts, owner, I, Zc):
     # the last term is the rounding of the mu terms, with |z|^2 an s-term sum
     third = (f0 + mu * (r2 - M * M) - h * np.sum(np.abs(shifted), axis=1) - curved
              - 8 * max(2, s) * _EPS * mu * (r2 + M * M + 2.0 * h * np.sum(np.abs(Zc), axis=1)))
-    return f0, np.maximum.reduce([first, second, third]) - allowance[owner], r2
+    return f0, np.maximum.reduce([first, second, third]) - allowance[owner]
 
 
 def certified_minimum(op: RandomFourierOperator, model: UnionOfSubspaces, y, target: float, upper: float):
@@ -341,54 +339,64 @@ def certified_minimum(op: RandomFourierOperator, model: UnionOfSubspaces, y, tar
     h ||v_j||_1, the second-order bound f(z0) - h ||grad f(z0)||_1 -
     h^2 sum_j c_j ||v_j||_1^2 (|cos''| <= 1), and the same bound on
     f + mu (|z|^2 - M^2) <= f, with mu >= 0 taken from the outward gradient at
-    z0, less a rounding allowance.
+    z0, less a rounding allowance (_box_bounds).
 
-    The search starts from one box [-M, M]^s per subspace, drops boxes that
-    miss the ball, and goes one level at a time: it bounds every open box,
-    then takes UB, the smaller of upper^2 and f at every in-ball centre so
-    far.  A box settles once its bound reaches (sqrt(UB) - target)^2 less the
-    allowance, so a target below what rounding resolves still ends the
-    search; the others split into 2^s children.  A box splits only while the
-    boxes bounded so far plus the children made at its level stay within
-    _CERT_BUDGET; a box that would cross it settles at its own bound, which is
-    still certified.  So at any s the count stays within _CERT_BUDGET, unless
-    the model alone has more subspaces.
-
-    y holds measurement rows of shape (n, m), searched in lockstep, one level
-    of every row's boxes at a time.  The boxes of a level
-    are bounded _CERT_CHUNK at a time, rows mixed, each along its own
-    numbers (_box_bounds); each row then takes its best centre, UB, settled
-    bound and splits from its own boxes, in order.  So a row's result is
-    bitwise the one it gets alone, whatever _CERT_CHUNK.  A row reserves its
-    open boxes plus the children it may still make; the rows in flight
-    reserve at most _CERT_BUDGET boxes between them, and a row that would
-    cross that leaves and is searched again from the root after the others.
+    The rows y, of shape (n, m), are searched by _branch_and_bound.  A box
+    settles once its bound reaches (sqrt(UB) - target)^2 less the allowance,
+    UB the least of upper^2 and f at the in-ball centres so far, so even a
+    target below what rounding resolves ends the search.
 
     Returns (lower, cells, (sub, Z)), one entry per row: lower is the square
     root of the row's smallest settled bound, capped at upper, cells the
     number of boxes bounded, and (sub[k], Z[k]) the in-ball box centre of
     least f as (subspace, z), the earliest bounded on ties.
     """
-    s, M, N = model.subspace_dim, model.norm_bound, model.num_subspaces
     Y = np.asarray(y, dtype=complex)
-    n = len(Y)
+    n, s, M, N = len(Y), model.subspace_dim, model.norm_bound, model.num_subspaces
     a = 1.0 / (op.weights * np.sqrt(op.m))
     c = a * np.abs(Y)
     V = _restricted_map(op, model)
     L1 = np.sum(np.abs(V), axis=2)
-    L1_squared = L1**2
     base = np.sum((a - np.abs(Y)) ** 2, axis=1)
     # rounding of the m-term sums and of the phases, s-term sums whose size is at most M ||v_j||_1 + pi
     allowance = (64 + 4 * max(op.m, s)) * _EPS * (
         base + np.sum(c, axis=1) * (4.0 + 2.0 * np.pi + 2.0 * M * float(L1.max())))
-    consts = (c, np.angle(Y), base, np.array([L1_squared @ row for row in c]).reshape(n, N), allowance)
-    children = 2**s
-    # children at +-h/2; with more children than the budget no box ever splits
-    offsets = ((np.arange(children)[:, None] >> np.arange(s)) & 1) - 0.5 if children <= _CERT_BUDGET else None
-    per_split = min(children, _CERT_BUDGET + 1)  # keeps the room arithmetic within int64
+    consts = (c, np.angle(Y), base, np.array([L1**2 @ row for row in c]).reshape(n, N), allowance)
+    settled, cells, best = _branch_and_bound(
+        n, model, lambda owner, I, Zc, h: _box_bounds(V, L1, M, h, consts, owner, I, Zc),
+        lambda rows, best_f: np.maximum(np.sqrt(np.minimum(best_f, upper**2)) - target, 0.0) ** 2 - allowance[rows])
+    return np.minimum(np.sqrt(np.maximum(settled, 0.0)), upper), cells, best
 
+
+def _branch_and_bound(n: int, model: UnionOfSubspaces, bound, level):
+    """Interval branch-and-bound of n rows, each minimising its own f over the coefficient balls of the model.
+
+    bound(owner, sub, Z, h) gives f at the centres Z of boxes of half-width h
+    on subspaces sub, of rows owner, and lower bounds on f over the boxes,
+    each box's values the ones it gets alone; level(rows, best) gives each
+    row its settle level from best, its least f at an in-ball centre so far.
+    From one box [-M, M]^s per subspace, each level bounds the open boxes.  A
+    box settles once its bound reaches its row's level, and the others split
+    into their 2^s children at +-h/2 that meet the ball, while the boxes
+    bounded so far plus the children made at the level stay within
+    _CERT_BUDGET; a box past that settles at its own bound, still certified,
+    so the count stays within _CERT_BUDGET unless the model alone has more
+    subspaces.
+
+    Rows advance in lockstep, their boxes bounded _CERT_CHUNK at a time, rows
+    mixed; each row then takes its best centre, level, settled bound and
+    splits from its own boxes, in order, so its result is bitwise the one it
+    gets alone, whatever _CERT_CHUNK.  A row reserves its open boxes plus the
+    children it may still make; the rows in flight reserve at most
+    _CERT_BUDGET boxes between them, and a row that would cross that leaves
+    and is searched again from the root after the others.
+
+    Returns (settled, cells, (sub, Z)) per row: its least settled bound, the
+    boxes bounded, and its in-ball centre of least f, the earliest on ties.
+    """
+    s, M, N = model.subspace_dim, model.norm_bound, model.num_subspaces
+    per_split = min(2**s, _CERT_BUDGET + 1)  # children per split; the min keeps the room arithmetic within int64
     settled, cells, todo = np.empty(n), np.zeros(n, dtype=int), np.arange(n)
-    # least f at an in-ball centre, and that centre as (subspace, z)
     best_f, best_sub, best_z = np.empty(n), np.zeros(n, dtype=int), np.zeros((n, s))
     while len(todo):
         rows, todo = todo, todo[:0]
@@ -396,7 +404,7 @@ def certified_minimum(op: RandomFourierOperator, model: UnionOfSubspaces, y, tar
         # open boxes of half-width h, grouped by row in the order of rows: subspace, centre and lower
         # bound, the parent's until the box is bounded
         count, h = np.full(len(rows), N), M
-        idx, Z, bound = np.tile(np.arange(N), len(rows)), np.zeros((len(rows) * N, s)), np.zeros(len(rows) * N)
+        idx, Z, lower = np.tile(np.arange(N), len(rows)), np.zeros((len(rows) * N, s)), np.zeros(len(rows) * N)
         while len(rows):
             cells[rows] += count
             room = np.maximum(_CERT_BUDGET - cells[rows], 0) // per_split
@@ -406,38 +414,31 @@ def certified_minimum(op: RandomFourierOperator, model: UnionOfSubspaces, y, tar
             todo = np.concatenate([todo, rows[~stay]])
             rows, count, room = rows[stay], count[stay], room[stay]
             total, lo = int(count.sum()), np.cumsum(count) - count
-            idx, Z, bound, f_in = idx[:total], Z[:total], bound[:total], np.empty(total)
+            idx, Z, lower, f_in = idx[:total], Z[:total], lower[:total], np.empty(total)
             seg = np.repeat(np.arange(len(rows)), count)
             for b in range(0, total, _CERT_CHUNK):
                 box = slice(b, b + _CERT_CHUNK)
-                f0, own, r2 = _box_bounds(V, L1, M, h, consts, rows[seg[box]], idx[box], Z[box])
-                f_in[box], bound[box] = np.where(r2 <= M * M, f0, np.inf), np.maximum(own, bound[box])
+                f0, own = bound(rows[seg[box]], idx[box], Z[box], h)
+                in_ball = np.sum(Z[box] * Z[box], axis=1) <= M * M
+                f_in[box], lower[box] = np.where(in_ball, f0, np.inf), np.maximum(own, lower[box])
             # each row's in-ball centre of least f, the earliest on ties
             least = np.minimum.reduceat(f_in, lo)
             at = np.minimum.reduceat(np.where(f_in == least[seg], np.arange(total), total), lo)
             better = least < best_f[rows]
             up, at = rows[better], at[better]
             best_f[up], best_sub[up], best_z[up] = least[better], idx[at], Z[at]
-            ub = np.minimum(best_f[rows], upper**2)
-            level = np.maximum(np.sqrt(ub) - target, 0.0) ** 2 - allowance[rows]
             # the boxes past the budget's room settle at their own bound too
-            wide = bound < level[seg]
+            wide = lower < level(rows, best_f[rows])[seg]
             opened = np.cumsum(wide)
             split = wide & (opened - np.repeat(opened[lo] - wide[lo], count) <= room[seg])
-            settled[rows] = np.minimum(settled[rows], np.minimum.reduceat(np.where(split, np.inf, bound), lo))
-            p = np.flatnonzero(split)
-            count, idx, Z, bound = _next_level(seg[p], len(rows), idx[p], Z[p], bound[p], h, offsets, M)
+            settled[rows] = np.minimum(settled[rows], np.minimum.reduceat(np.where(split, np.inf, lower), lo))
+            count, idx, Z, lower = _next_level(seg[split], len(rows), idx[split], Z[split], lower[split], h, M)
             rows, count, h = rows[count > 0], count[count > 0], 0.5 * h
-    return np.minimum(np.sqrt(np.maximum(settled, 0.0)), upper), cells, (best_sub, best_z)
+    return settled, cells, (best_sub, best_z)
 
 
-def _children(Z, h, offsets):
-    """The children of the boxes of half-width h about the rows of Z, 2^s per box, at +-h/2."""
-    return (Z[:, None, :] + h * offsets).reshape(-1, Z.shape[1])
-
-
-def _next_level(owner, n, sub, centres, bounds, h, offsets, M):
-    """The children that meet the ball of the boxes of half-width h that split, in parent order.
+def _next_level(owner, n, sub, centres, bounds, h, M):
+    """The children that meet the ball of the boxes of half-width h that split, 2^s per box at +-h/2, in parent order.
 
     owner is the row of each parent, one of n, and sub, centres and bounds
     its subspace, centre and bound.  Children are made and ball-tested
@@ -447,17 +448,18 @@ def _next_level(owner, n, sub, centres, bounds, h, offsets, M):
     """
     if not len(owner):  # no box split, as always when 2^s exceeds the budget
         return np.zeros(n, dtype=int), sub, centres, bounds
-    children = len(offsets)
+    s, children = centres.shape[1], 2 ** centres.shape[1]
+    offsets = ((np.arange(children)[:, None] >> np.arange(s)) & 1) - 0.5
     piece = max(1, _CERT_CHUNK // children)  # parents whose children make one chunk
     parts = [slice(lo, lo + piece) for lo in range(0, len(centres), piece)]
-    meets_ball = [np.linalg.norm(np.maximum(np.abs(_children(centres[q], h, offsets)) - 0.5 * h, 0.0), axis=1) <= M
-                  for q in parts]
+    kids = lambda q: (centres[q][:, None, :] + h * offsets).reshape(-1, s)
+    meets_ball = [np.linalg.norm(np.maximum(np.abs(kids(q)) - 0.5 * h, 0.0), axis=1) <= M for q in parts]
     count = np.bincount(np.repeat(owner, children)[np.concatenate(meets_ball)], minlength=n)
     total, at = int(count.sum()), 0
-    idx, Z, inherited = np.empty(total, dtype=int), np.empty((total, centres.shape[1])), np.empty(total)
+    idx, Z, inherited = np.empty(total, dtype=int), np.empty((total, s)), np.empty(total)
     for q, keep in zip(parts, meets_ball):
         kept = slice(at, at + int(keep.sum()))
-        idx[kept], Z[kept] = np.repeat(sub[q], children)[keep], _children(centres[q], h, offsets)[keep]
+        idx[kept], Z[kept] = np.repeat(sub[q], children)[keep], kids(q)[keep]
         inherited[kept], at = np.repeat(bounds[q], children)[keep], kept.stop
     return count, idx, Z, inherited
 
@@ -469,17 +471,14 @@ def decode(op, model: UnionOfSubspaces, y, opts: DecoderOptions) -> DecodeResult
     decoder is exact, so its gap is 0 without a second solve, and it decodes
     all rows in one decode_linear call.  The Fourier map decodes all rows in
     lockstep, at any subspace dimension: one certified_minimum search at
-    target opts.target gives each row both its lower bound and its best
-    in-ball box centre, one projected Gauss-Newton run polishes every row's
-    centre against its own row, and a row's gap is its residual less its
-    lower bound.  A row's result is bitwise the one it gets alone.  The
-    search settles a box once its bound reaches (sqrt(UB) - target)^2, with
-    UB the least f at a centre bounded by then, which is never below the
-    best centre's f, and the polish never raises f; so the gap is at most
-    the target (up to rounding) unless the cell budget runs out, and
-    certified either way.  That bound holds whether or not the polish
-    converged, but the IOP checks still count an unconverged decode as
-    unchecked.
+    target opts.target gives each row its lower bound and its best in-ball
+    box centre, one projected Gauss-Newton run polishes every row's centre,
+    and a row's gap is its residual less its lower bound.  A row's result is
+    bitwise the one it gets alone.  The search's UB is never below the best
+    centre's f, and the polish never raises f, so the gap is at most the
+    target (up to rounding) unless the cell budget runs out, and certified
+    either way, converged or not; the IOP checks still count an unconverged
+    decode as unchecked.
     """
     if isinstance(op, LinearGaussianOperator):
         return decode_linear(op, model, y)
@@ -489,7 +488,7 @@ def decode(op, model: UnionOfSubspaces, y, opts: DecoderOptions) -> DecodeResult
     lower, _, (sub, Z0) = certified_minimum(op, model, Y, opts.target, np.inf)
     Z, _, iters, converged = _gauss_newton(op, model, Y, sub, Z0, opts.max_iters)
     X = _subspace_map(model.bases, sub, Z)
-    residual = np.array([meas_norm(r) for r in op.apply_batch(X) - Y])
+    residual = _row_norms(op.apply_batch(X) - Y)
     return DecodeResult(xhat=X, residual=residual, subspace_index=sub, optimizer_iters=iters, converged=converged,
                         gap=residual - np.minimum(lower, residual))
 
@@ -508,15 +507,16 @@ def _draw_noise(op, norm: float, rng) -> np.ndarray:
     return rng.normal(size=op.m) + 1j * rng.normal(size=op.m)
 
 
-def _scale_noise(E, norm: float) -> np.ndarray:
-    """The noise e of shape (m,), or each row of E of shape (n, m), scaled to norm ``norm``.
+def _row_norms(E) -> np.ndarray:
+    """The norm of e of shape (m,), or of each row of E of shape (n, m), bitwise np.linalg.norm's of it alone.
 
-    A row's norm is the one np.linalg.norm takes of it alone, the 1-D BLAS
-    dot of its real part plus that of its imaginary part.  A stacked
-    vector-vector matmul runs every row through that same dot; the
-    row-wise np.linalg.norm(E, axis=1) rounds differently.
+    A stacked matmul runs each row through np.linalg.norm's 1-D BLAS dots of
+    its real and imaginary parts; np.linalg.norm(E, axis=1) rounds otherwise.
     """
-    if norm == 0:
-        return E
     dot = lambda P: np.matmul(P[..., None, :], P[..., :, None])[..., 0, 0]
-    return E * (norm / np.sqrt(dot(E.real) + dot(E.imag)))[..., None]
+    return np.sqrt(dot(E.real) + dot(E.imag))
+
+
+def _scale_noise(E, norm: float) -> np.ndarray:
+    """The noise e of shape (m,), or each row of E of shape (n, m), scaled to norm ``norm`` (see _row_norms)."""
+    return E if norm == 0 else E * (norm / _row_norms(E))[..., None]

@@ -217,7 +217,7 @@ class Report:
     def payload_bytes(self) -> bytes:
         """Canonical bytes of the deterministic part (everything but wall clock)."""
         det = {k: v for k, v in self.to_dict().items() if k != "wall_clock_seconds"}
-        return json.dumps(det, sort_keys=True).encode()
+        return json.dumps(det, sort_keys=True, allow_nan=False).encode()
 
     def results_bytes(self) -> bytes:
         """Canonical bytes of the results payload alone.
@@ -226,7 +226,7 @@ class Report:
         across worker counts (the config echo necessarily differs in its
         ``workers`` field).
         """
-        return json.dumps(self.results, sort_keys=True).encode()
+        return json.dumps(self.results, sort_keys=True, allow_nan=False).encode()
 
 
 # --- builders -------------------------------------------------------------
@@ -306,13 +306,12 @@ def _run_decode(cfg: ExperimentConfig) -> dict:
     if c["noise_scale"]:
         y = y + noise_vector(op, c["noise_scale"], rng)
     dec = decode(op, model, y[None], opts)
-    gap = float(dec.gap[0])
     return {
         "decode": dec.to_json(0),
         "x_true": [float(v) for v in x_true],
         "y": complex_vector_to_json(np.asarray(y, dtype=complex)),
         "metric_error": metric.dist(x_true - dec.xhat[0]),
-        "residual_certificate_gap": gap if np.isfinite(gap) else None,
+        "residual_certificate_gap": float(dec.gap[0]),
         "operator_seed": op_seed,
         "series": {},
     }
@@ -500,9 +499,7 @@ def _run_concentration_sweep(cfg: ExperimentConfig) -> dict:
     for m in m_sweep:
         group = by_m[m]
         p_median = [float(np.median([e.p_hat[j] for e in group])) for j in range(len(t_grid))]
-        c_median = [
-            (-np.log(p) if p > 0 else None) for p in p_median
-        ]
+        c_median = [-np.log(p) if p > 0 else None for p in p_median]
         per_m.append({
             "m": m,
             "p_hat_median": p_median,
@@ -600,10 +597,19 @@ def _seed_streams(cfg: ExperimentConfig) -> dict:
     return {name: path for name, path in EXPERIMENTS[cfg.experiment].streams.items() if name not in pinned}
 
 
+def _strict_json(value):
+    """value with each non-finite float in its dicts, lists and tuples replaced by None, which JSON writes as null."""
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    return None if isinstance(value, float) and not np.isfinite(value) else value
+
+
 def run(config: ExperimentConfig) -> Report:
-    """Run the configured experiment and assemble the report."""
+    """Run the configured experiment and assemble the report; its results hold no NaN or infinity."""
     start = time.perf_counter()
-    results = EXPERIMENTS[config.experiment].runner(config)
+    results = _strict_json(EXPERIMENTS[config.experiment].runner(config))
     wall = time.perf_counter() - start
     return Report(
         config=config.to_dict(),
@@ -636,7 +642,7 @@ def write_report(report: Report, out_dir, series_names=()) -> dict:
     paths = {}
     report_path = out / "report.json"
     with open(report_path, "w") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
+        json.dump(report.to_dict(), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
     paths["report"] = str(report_path)
     for name, table in tables.items():

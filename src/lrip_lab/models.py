@@ -215,7 +215,7 @@ def project_to_model(model: UnionOfSubspaces, x, metric: Pseudometric) -> np.nda
 
 
 _NEAR_PER_RADIUS = 64  # misses at one proposal radius before it shrinks by 0.7
-_NEAR_BLOCK = 8  # proposals per pending row per pass
+_NEAR_BLOCK = 8  # proposals per pending row per pass; divides _NEAR_PER_RADIUS
 _NEAR_CHUNK = 1024  # rows sampled together; keeps proposal arrays to a few MB
 
 
@@ -225,7 +225,6 @@ def sample_near_points(
     anchors,
     eps: float,
     rng_seed,
-    max_proposals: int = 200 * _NEAR_PER_RADIUS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Model points at metric gap in (0, eps] from each anchor row, by batched rejection.
 
@@ -234,7 +233,7 @@ def sample_near_points(
     subspace and clipped to the ball; the first proposal with gap in
     (0, eps] is kept.  The radius starts at the Euclidean gap matching eps
     and shrinks by 0.7 after every 64 misses.  A row still missing after
-    ``max_proposals`` proposals is not found.
+    200 radii (12,800 proposals) is not found.
 
     Returns (points, found): one row per anchor, NaN where found is False.
     """
@@ -249,20 +248,19 @@ def sample_near_points(
     for start in range(0, n, _NEAR_CHUNK):
         rows = np.arange(start, min(start + _NEAR_CHUNK, n))
         radius, used = radius0, 0
-        while rows.size and used < max_proposals:
-            k = min(_NEAR_BLOCK, max_proposals - used, _NEAR_PER_RADIUS - used % _NEAR_PER_RADIUS)
-            base = np.repeat(anchors[rows], k, axis=0)
+        while rows.size and used < 200 * _NEAR_PER_RADIUS:
+            base = np.repeat(anchors[rows], _NEAR_BLOCK, axis=0)
             idx = rng.integers(model.num_subspaces, size=base.shape[0])
             pre = base + rng.normal(size=base.shape) * (radius / np.sqrt(d))
             coeffs = _row_products(pre, model.bases[idx])
             cands = _ball_project(_subspace_map(model.bases, idx, coeffs), model.norm_bound)
-            gaps = metric.dist(cands - base).reshape(rows.size, k)
+            gaps = metric.dist(cands - base).reshape(rows.size, _NEAR_BLOCK)
             ok = (gaps > 0) & (gaps <= eps)
             hit = ok.any(axis=1)
-            points[rows[hit]] = cands.reshape(rows.size, k, d)[hit, ok[hit].argmax(axis=1)]
+            points[rows[hit]] = cands.reshape(rows.size, _NEAR_BLOCK, d)[hit, ok[hit].argmax(axis=1)]
             found[rows[hit]] = True
             rows = rows[~hit]
-            used += k
+            used += _NEAR_BLOCK
             if used % _NEAR_PER_RADIUS == 0:
                 radius *= 0.7
     return points, found

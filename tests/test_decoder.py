@@ -612,13 +612,15 @@ class TestCertifiedMinimum:
         op = RandomFourierOperator.from_seed(16, 9, 1.0, 1)
         Y = np.array([noisy_off_model_target(model, op, k) for k in range(8)])
         bounded = []
-        original = decoder._box_bounds
+        engine = decoder._branch_and_bound
 
-        def counted(*args):
-            bounded.append(len(args[-1]))  # the box centres
-            return original(*args)
+        def counted(n, model, bound, level):
+            def counting(owner, sub, Z, h):
+                bounded.append(len(Z))
+                return bound(owner, sub, Z, h)
+            return engine(n, model, counting, level)
 
-        monkeypatch.setattr(decoder, "_box_bounds", counted)
+        monkeypatch.setattr(decoder, "_branch_and_bound", counted)
         lower, cells, (sub, Z) = certified_minimum(op, model, Y, 1e-6, np.inf)
         assert sum(bounded) > cells.sum()  # the rows that left were bounded again
         for k, y in enumerate(Y):
@@ -663,6 +665,61 @@ class TestCertifiedMinimum:
                 converged += 1
                 assert 0.0 <= gap <= res.residual
         assert converged >= 15
+
+
+class TestBranchAndBound:
+    """A second client of the engine: row r minimises f(i, z) = ||z - T[r, i]||^2 on subspace i.
+
+    Its exact box bound is the squared distance from T[r, i] to the box, and
+    its minimum over the ball ||z|| <= M is (||T[r, i]|| - M)_+^2.
+    """
+
+    @staticmethod
+    def search(model, T, tol):
+        def bound(owner, sub, Z, h):
+            D = Z - T[owner, sub]
+            return np.sum(D * D, axis=1), np.sum(np.maximum(np.abs(D) - h, 0.0) ** 2, axis=1)
+
+        return decoder._branch_and_bound(len(T), model, bound, lambda rows, best: best - tol)
+
+    @staticmethod
+    def instance(s, n=6):
+        """(model, T, min f): three subspaces at M = 1, targets uniform in [-1.5, 1.5]^s, some outside the ball."""
+        model = UnionOfSubspaces.random(s + 1, s, 3, 1.0, s)
+        T = np.random.default_rng(s).uniform(-1.5, 1.5, size=(n, 3, s))
+        return model, T, np.min(np.maximum(np.linalg.norm(T, axis=2) - 1.0, 0.0) ** 2, axis=1)
+
+    @staticmethod
+    def best_f(T, sub, Z):
+        D = Z - T[np.arange(len(T)), sub]
+        return np.sum(D * D, axis=1)
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_settled_and_best_bracket_the_minimum(self, s):
+        model, T, least = self.instance(s)
+        settled, cells, (sub, Z) = self.search(model, T, 1e-4)
+        best = self.best_f(T, sub, Z)
+        assert np.all(np.linalg.norm(Z, axis=1) <= 1.0)
+        assert np.all(settled <= least + 1e-12) and np.all(least <= best)
+        assert np.all(best <= settled + 1e-4 + 1e-12)
+        assert np.all((0 < cells) & (cells < decoder._CERT_BUDGET))
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_rows_match_one_search_per_row(self, s):
+        model, T, _ = self.instance(s)
+        settled, cells, (sub, Z) = self.search(model, T, 1e-4)
+        for k in range(len(T)):
+            (one_settled,), (one_cells,), ((i,), (z,)) = self.search(model, T[k:k + 1], 1e-4)
+            assert settled[k] == one_settled and cells[k] == one_cells
+            assert sub[k] == i and Z[k].tobytes() == z.tobytes()
+
+    def test_spent_budget_stays_certified(self, monkeypatch):
+        monkeypatch.setattr(decoder, "_CERT_BUDGET", 40)
+        model, T, least = self.instance(3)
+        settled, cells, (sub, Z) = self.search(model, T, 1e-4)
+        assert np.all(cells <= 40)
+        assert np.all(settled <= least + 1e-12) and np.all(least <= self.best_f(T, sub, Z))
+        assert np.any(self.best_f(T, sub, Z) > settled + 1e-4)  # the budget, not the level, stopped these rows
 
 
 class TestDecode:

@@ -136,6 +136,38 @@ class TestIopExperiment:
             ExperimentConfig.from_dict(cfg)
 
 
+def strict_json(text):
+    """text parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+    return json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} is not JSON"))
+
+
+class TestStrictJson:
+    def test_eta_above_every_gap_writes_null_t_hat(self, tmp_path):
+        # eta = 10 exceeds every metric gap, so alpha_hat = 0 and t_hat = -inf
+        cfg = harness.read_config(ROOT / "configs" / "iop_linear.json")
+        cfg["certifier"].update(eta=10.0, trials=5)
+        report = run(ExperimentConfig.from_dict(cfg))
+        constants = strict_json(report.results_bytes())["lrip_estimate"]["constants"]
+        assert constants["alpha_hat"] == 0.0 and constants["t_hat"] is None
+        strict_json(report.payload_bytes())
+        strict_json(Path(write_report(report, tmp_path)["report"]).read_text())
+
+    def test_unconverged_trials_write_null_lambda_eff(self, tmp_path, capsys):
+        # one Gauss-Newton iteration leaves the decodes unconverged, and their lambda_eff infinite
+        cfg = base_config(
+            experiment="iop-experiment",
+            model={"d": 4, "s": 2, "N": 3, "M": 1.0, "seed": 1},
+            operator={"kind": "random-fourier", "m": 48, "sigma": 1.0, "seed": 2},
+            decoder={"max_iters": 1},
+            certifier={"trials": 3, "noise_scale": 0.05, "model_error_scale": 0.3, "pairs": 100},
+        )
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["iop-experiment", "--config", str(path)]) == 0
+        worst = strict_json(capsys.readouterr().out)["results"]["iop"]["worst_cases"]
+        assert worst and all(w["reason"] == "decoder did not converge" and w["lambda_eff"] is None for w in worst)
+
+
 class TestConcentrationSweep:
     def sweep_config(self, m_sweep, reps=2, draws=120):
         return ExperimentConfig.from_dict(base_config(

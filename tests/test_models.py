@@ -218,7 +218,7 @@ class TestNearSampler:
     def test_unfilled_rows_are_reported(self):
         model = x_axis_model()
         anchors = np.array([[0.5, 0.0], [-0.25, 0.0]])
-        points, found = sample_near_points(model, EUCLID, anchors, 1e-300, 0, max_proposals=500)
+        points, found = sample_near_points(model, EUCLID, anchors, 1e-300, 0)
         assert not found.any()
         assert np.isnan(points).all()
 
