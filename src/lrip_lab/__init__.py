@@ -9,7 +9,7 @@ constants, together with a batch CLI harness (``lrip-lab``).
 __version__ = "0.1.0"
 
 from .errors import ConfigError, InputError, LripLabError, NumericError
-from .spaces import Pseudometric, kernel_norm_equivalence, meas_norm
+from .spaces import Pseudometric, kernel_norm_equivalence
 from .models import (
     CoveringBound,
     UnionOfSubspaces,
@@ -49,7 +49,7 @@ from .certifier import (
 __all__ = [
     "__version__",
     "LripLabError", "InputError", "ConfigError", "NumericError",
-    "Pseudometric", "meas_norm", "kernel_norm_equivalence",
+    "Pseudometric", "kernel_norm_equivalence",
     "UnionOfSubspaces", "CoveringBound", "project_to_model",
     "covering_bound_model", "covering_bound_secant", "greedy_cover",
     "LinearGaussianOperator", "RandomFourierOperator", "OperatorLaw",

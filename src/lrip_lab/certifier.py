@@ -45,7 +45,7 @@ from .models import (
     sample_model_points,
     sample_near_points,
 )
-from .operators import LinearGaussianOperator, NonlinearLripHypotheses, OperatorLaw
+from .operators import LinearGaussianOperator, NonlinearLripHypotheses, OperatorLaw, _in_row_blocks
 from .spaces import Pseudometric
 
 MODE_UNIFORM = "Uniform"
@@ -310,7 +310,7 @@ def estimate_bp(
         return BpEstimate(0.0, 0, metric_G, None, seed=rng_seed)
     # endpoint form, not gap_batch: on certify runs this is the benchmark's only
     # apply_batch caller, which bench/test_trace_counts.py requires
-    gaps = np.linalg.norm(op.apply_batch(x) - op.apply_batch(xs), axis=1)
+    gaps = _in_row_blocks(lambda a, b: np.linalg.norm(op.apply_batch(a) - op.apply_batch(b), axis=1), op.m, x, xs)
     ratios = gaps / dG
     worst = int(np.argmax(ratios))
     return BpEstimate(

@@ -20,7 +20,9 @@ which is exact and, unlike the difference of two nearly equal exponentials,
 loses no precision on near pairs; for the linear map the gap is ||A delta||.
 Both operators evaluate it on secant rows with ``gap_batch``, and the map
 itself with ``apply_batch``; these are their only evaluators, and a row's
-value does not depend on the rows evaluated with it.
+value does not depend on the rows evaluated with it.  ``gap_batch`` runs over
+row blocks of max(1, _BLOCK_ENTRIES // m) rows, so its memory does not grow
+with the number of rows times m.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .errors import InputError
 from .spaces import kernel_norm_equivalence
 
 WEIGHT_TOL = 1e-12
+_BLOCK_ENTRIES = 1 << 16  # measurements per row block of _in_row_blocks; about 1 MB complex
 
 
 def _times_rows(X, W) -> np.ndarray:
@@ -48,6 +51,21 @@ def _times_rows(X, W) -> np.ndarray:
     if len(X) == 1:
         return (np.vstack([X, X]) @ W.T)[:1]
     return X @ W.T
+
+
+def _in_row_blocks(fn, m: int, *rows) -> np.ndarray:
+    """fn over aligned row blocks of the arrays rows, the results concatenated.
+
+    A block has max(1, _BLOCK_ENTRIES // m) rows, so fn's (rows, m)
+    intermediates stay near _BLOCK_ENTRIES entries for any m.  fn must compute
+    each row's value from that row alone; the result is then bitwise fn over
+    all rows at once.  Inputs of at most one block, empty ones included, go to
+    fn whole.
+    """
+    n, step = len(rows[0]), max(1, _BLOCK_ENTRIES // m)
+    if n <= step:
+        return fn(*rows)
+    return np.concatenate([fn(*(a[i:i + step] for a in rows)) for i in range(0, n, step)])
 
 
 def weight_f(omega, sigma: float, d: int):
@@ -157,7 +175,7 @@ class LinearGaussianOperator:
 
     def gap_batch(self, D) -> np.ndarray:
         """Measurement gaps ||A delta|| of the secant rows delta = x - x' of D."""
-        return np.linalg.norm(_times_rows(D, self.matrix), axis=1)
+        return _in_row_blocks(lambda B: np.linalg.norm(_times_rows(B, self.matrix), axis=1), self.m, np.atleast_2d(D))
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,11 +217,14 @@ class RandomFourierOperator:
 
     def apply_batch(self, X) -> np.ndarray:
         """The measurements of x, shape (d,), or of each row of X, shape (n, d), as (n, m) rows."""
-        return np.exp(1j * _times_rows(X, self.omegas)) / (self.weights * np.sqrt(self.m))[None, :]
+        Z = 1j * _times_rows(X, self.omegas)
+        np.exp(Z, out=Z)
+        Z /= self.weights * np.sqrt(self.m)
+        return Z
 
     def gap_batch(self, D) -> np.ndarray:
         """Measurement gaps ||Psi x - Psi x'|| of the secant rows delta = x - x' of D (sin^2 form)."""
-        return _sin_gaps(_times_rows(D, self.omegas), self.weights)
+        return _in_row_blocks(lambda B: _sin_gaps(_times_rows(B, self.omegas), self.weights), self.m, np.atleast_2d(D))
 
 
 def _sin_gaps(phases, weights) -> np.ndarray:

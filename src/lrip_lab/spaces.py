@@ -86,14 +86,6 @@ class Pseudometric:
         return float(self.sigma * np.sqrt(-2.0 * np.log1p(-v * v / 2.0)))
 
 
-def meas_norm(v) -> float:
-    """Norm on measurement space: the complex Euclidean 2-norm."""
-    v = np.asarray(v)
-    if not np.all(np.isfinite(v.view(float) if np.iscomplexobj(v) else v)):
-        raise InputError("measurement vector has non-finite entries")
-    return float(np.linalg.norm(v))
-
-
 def kernel_norm_equivalence(M: float, sigma: float) -> tuple[float, float]:
     """Norm-equivalence constants (l, L) for the Gaussian-kernel distance on the ball B_M.
 

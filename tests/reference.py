@@ -12,7 +12,6 @@ from lrip_lab.decoder import DecodeResult, DecoderOptions, certified_minimum, no
 from lrip_lab.errors import InputError
 from lrip_lab.models import UnionOfSubspaces, project_to_model, sample_model_points
 from lrip_lab.operators import RandomFourierOperator, jacobian
-from lrip_lab.spaces import meas_norm
 
 
 def rows(result: DecodeResult) -> list:
@@ -84,7 +83,7 @@ def multi_start_decode(op, model: UnionOfSubspaces, y, restarts: int = 8, max_it
     k = int(np.argmax(F <= F.min() * (1.0 + decoder._F_RTOL)))
     i = int(sub[k])
     xhat = model.bases[i] @ Z[k]
-    return SimpleNamespace(xhat=xhat, residual=float(meas_norm(op.apply_batch(xhat)[0] - y)), subspace_index=i,
+    return SimpleNamespace(xhat=xhat, residual=float(np.linalg.norm(op.apply_batch(xhat)[0] - y)), subspace_index=i,
                            optimizer_iters=int(iters.sum()), converged=bool(converged[k]))
 
 

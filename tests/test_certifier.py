@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ import lrip_lab
 from lrip_lab import certifier, decoder, harness, seeding
 from lrip_lab.decoder import DecoderOptions
 from lrip_lab.models import sample_model_points
-from lrip_lab.spaces import meas_norm, norm_equivalence_factors
+from lrip_lab.spaces import norm_equivalence_factors
 
 import reference
 
@@ -174,6 +175,31 @@ class TestEstimateBp:
         assert good >= 90
 
 
+class TestMemoryBoundedInM:
+    """Measurement kernels run over row blocks, so a tenfold m leaves the traced peak near where it was."""
+
+    ESTIMATORS = {
+        "bp": lambda op, model, D: estimate_bp(op, model, KERNEL, len(D), 1),
+        "lrip": lambda op, model, D: estimate_lrip(op, model, KERNEL, len(D), 2),
+        "gap_batch": lambda op, model, D: op.gap_batch(D),
+    }
+
+    @pytest.mark.parametrize("name", list(ESTIMATORS))
+    def test_peak_does_not_grow_with_m(self, name):
+        model = UnionOfSubspaces.random(20, 2, 5, 1.0, 99)
+        D = sample_model_points(model, 40_000, 1) - sample_model_points(model, 40_000, 2)
+        peaks = []
+        for m in (55, 550):
+            op = RandomFourierOperator.from_seed(m, 20, 1.0, 3)
+            tracemalloc.start()
+            try:
+                self.ESTIMATORS[name](op, model, D)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
+
+
 class TestCheckIop:
     def test_noiseless_on_model_trivial(self):
         model = UnionOfSubspaces.axes(2, 1.0)
@@ -194,7 +220,7 @@ class TestCheckIop:
         xhat = decode_linear(op, model, xstar[None]).xhat[0]
         decode_dist = EUCLID.dist(xstar - xhat)
         proj = project_to_model(model, xstar, EUCLID)
-        dprime = EUCLID.dist(xstar - proj) + 2.0 * meas_norm(op.apply_batch(xstar)[0] - op.apply_batch(proj)[0])
+        dprime = EUCLID.dist(xstar - proj) + 2.0 * float(np.linalg.norm(op.apply_batch(xstar)[0] - op.apply_batch(proj)[0]))
         assert decode_dist == pytest.approx(0.4, abs=1e-12)
         assert dprime == pytest.approx(1.2, abs=1e-12)
         assert decode_dist <= 1.0 * dprime
@@ -232,7 +258,7 @@ class TestCheckIop:
         for trial in witness.trials:
             x = trial.x_true
             proj = project_to_model(model, x, EUCLID)
-            ref = EUCLID.dist(x - proj) + 2.0 * meas_norm(op.apply_batch(x)[0] - op.apply_batch(proj)[0])
+            ref = EUCLID.dist(x - proj) + 2.0 * float(np.linalg.norm(op.apply_batch(x)[0] - op.apply_batch(proj)[0]))
             if candidates:
                 assert trial.model_dist <= ref * (1 + 1e-12)
             else:
@@ -487,7 +513,7 @@ class TestEstimateConcentration:
                                      rng_seed=3)
         seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(3).spawn(100)]
         d = KERNEL.dist(np.subtract(*pair))
-        ratios = np.array([meas_norm(factory(s).apply_batch(pair[0])[0] - factory(s).apply_batch(pair[1])[0]) / d
+        ratios = np.array([float(np.linalg.norm(factory(s).apply_batch(pair[0])[0] - factory(s).apply_batch(pair[1])[0])) / d
                            for s in seeds])
         assert est.p_hat[0] == np.mean(ratios - 1.0 <= -0.2)
 

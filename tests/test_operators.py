@@ -7,10 +7,12 @@ from lrip_lab import (
     Pseudometric,
     RandomFourierOperator,
     UnionOfSubspaces,
+    estimate_bp,
     hypothesis_constants,
     sample_lambda,
     weight_f,
 )
+from lrip_lab import operators
 from lrip_lab.operators import jacobian
 
 KERNEL = Pseudometric("gaussian-kernel", 1.0)
@@ -155,6 +157,25 @@ class TestBatchInvariance:
         for k in range(50):
             assert op.apply_batch(X[k:k + n]).tobytes() == full_apply[k:k + n].tobytes()
             assert op.gap_batch(X[k:k + n]).tobytes() == full_gap[k:k + n].tobytes()
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 17])
+    @pytest.mark.parametrize("kind", list(OPERATORS))
+    def test_row_blocks_match_one_block(self, kind, n, monkeypatch):
+        # blocks of B = 8 rows: n = B - 1, B, B + 1 and 2B + 1, whose last block is a lone row
+        op = OPERATORS[kind](4)
+        model = UnionOfSubspaces.random(4, 2, 3, 1.0, 0)
+        D = np.random.default_rng(n).normal(size=(n, 4))
+        gaps, bp = op.gap_batch(D), estimate_bp(op, model, KERNEL, n, 5)
+        monkeypatch.setattr(operators, "_BLOCK_ENTRIES", 8 * op.m)
+        calls = []
+        apply_batch = type(op).apply_batch
+        monkeypatch.setattr(type(op), "apply_batch", lambda self, X: calls.append(len(X)) or apply_batch(self, X))
+        blocked = estimate_bp(op, model, KERNEL, n, 5)
+        assert calls == [min(8, n - k) for k in range(0, n, 8) for _ in range(2)]
+        assert op.gap_batch(D).tobytes() == gaps.tobytes()
+        assert blocked.beta_hat == bp.beta_hat and blocked.pairs_tested == n
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(blocked.worst_pair, bp.worst_pair))
+        assert op.gap_batch(D[:0]).shape == (0,)
 
 
 class TestJacobian:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lrip_lab import InputError, Pseudometric, kernel_norm_equivalence, meas_norm
+from lrip_lab import InputError, Pseudometric, kernel_norm_equivalence
 
 EUCLID = Pseudometric("euclidean")
 KERNEL = Pseudometric("gaussian-kernel", 1.0)
@@ -93,22 +93,6 @@ def test_gap_for_inverts_from_gap():
     for v in (0.1, 0.5, 1.0, 1.3):
         assert KERNEL.from_gap(KERNEL.gap_for(v)) == pytest.approx(v, abs=1e-12)
     assert EUCLID.gap_for(0.7) == 0.7
-
-
-def test_meas_norm_values():
-    assert meas_norm(np.zeros(4, dtype=complex)) == 0.0
-    assert meas_norm(np.array([3 + 4j])) == 5.0
-    assert meas_norm(np.array([1.0, 1j])) == pytest.approx(np.sqrt(2), abs=1e-15)
-
-
-def test_meas_norm_homogeneity_and_triangle():
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        v = rng.normal(size=5) + 1j * rng.normal(size=5)
-        w = rng.normal(size=5) + 1j * rng.normal(size=5)
-        c = complex(rng.normal(), rng.normal())
-        assert meas_norm(c * v) == pytest.approx(abs(c) * meas_norm(v), rel=1e-12)
-        assert meas_norm(v + w) <= meas_norm(v) + meas_norm(w) + 1e-12
 
 
 def test_kernel_norm_equivalence_closed_forms():
