@@ -1,4 +1,4 @@
-"""Print sha256(results_bytes())[:8] of every shipped config and of every benchmark workload, and a decode digest.
+"""Print sha256(results_bytes())[:8] of every shipped config and benchmark workload, and decode and operator digests.
 
 Usage, from any directory:
 
@@ -6,9 +6,11 @@ Usage, from any directory:
 
 Each config under configs/ runs without its output section, so no report is
 written.  Each workload of bench/workloads.py runs at every seed given; that
-module is only imported, without writing its bytecode cache.  The last line,
-"decode digest", hashes certified_minimum's and decode's output arrays on
-fixed random Fourier instances (see decode_digest).  The library is
+module is only imported, without writing its bytecode cache.  The line
+"decode digest" hashes certified_minimum's and decode's output arrays on
+fixed random Fourier instances (see decode_digest), and the last line,
+"operator digest", the operators drawn from fixed seeds and their gaps (see
+operator_digest).  The library is
 the one in this checkout's src/, so two checkouts can be compared line by
 line.
 """
@@ -25,7 +27,15 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from lrip_lab import DecoderOptions, RandomFourierOperator, UnionOfSubspaces, decode, harness  # noqa: E402
+from lrip_lab import (  # noqa: E402
+    DecoderOptions,
+    LinearGaussianOperator,
+    OperatorLaw,
+    RandomFourierOperator,
+    UnionOfSubspaces,
+    decode,
+    harness,
+)
 from lrip_lab.decoder import certified_minimum  # noqa: E402
 
 
@@ -55,6 +65,27 @@ def decode_digest() -> str:
     return digest.hexdigest()[:8]
 
 
+def operator_digest() -> str:
+    """sha256(...)[:8] over operators drawn from fixed seeds and over OperatorLaw.gaps.
+
+    The first part is from_seed's matrix of the linear map and frequencies and
+    weights of the Fourier map at (m, d, sigma, seed) = (1, 1, 1.0, 0),
+    (16, 3, 0.7, 5) and (55, 20, 1.0, 7).  The second is each kind's gaps at
+    m = 55, d = 20, sigma = 1.0 over 16 draws, from default_rng(0) to
+    default_rng(15), on the one secant default_rng(99).normal(size=20).
+    """
+    digest = hashlib.sha256()
+    for m, d, sigma, seed in ((1, 1, 1.0, 0), (16, 3, 0.7, 5), (55, 20, 1.0, 7)):
+        fourier = RandomFourierOperator.from_seed(m, d, sigma, seed)
+        for a in (LinearGaussianOperator.from_seed(m, d, seed).matrix, fourier.omegas, fourier.weights):
+            digest.update(a.tobytes())
+    delta = np.random.default_rng(99).normal(size=20)
+    for kind in ("linear-gaussian", "random-fourier"):
+        law = OperatorLaw(kind, 55, 20, 1.0)
+        digest.update(law.gaps([law.draw(np.random.default_rng(seed)) for seed in range(16)], delta).tobytes())
+    return digest.hexdigest()[:8]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[7, 101], help="benchmark seeds of the workloads")
@@ -71,6 +102,7 @@ def main(argv=None) -> int:
         hashes = [results_hash(workloads.build_config(name, seed)[0]) for seed in args.seeds]
         print(f"{name} (seeds {' / '.join(map(str, args.seeds))})\t{' / '.join(hashes)}", flush=True)
     print(f"decode digest\t{decode_digest()}", flush=True)
+    print(f"operator digest\t{operator_digest()}", flush=True)
     return 0
 
 

@@ -8,7 +8,7 @@ constants, together with a batch CLI harness (``lrip-lab``).
 
 __version__ = "0.1.0"
 
-from .errors import ConfigError, InputError, LripLabError, NumericError
+from .errors import ConfigError, InputError, LripLabError
 from .spaces import Pseudometric, kernel_norm_equivalence
 from .models import (
     CoveringBound,
@@ -24,7 +24,6 @@ from .operators import (
     OperatorLaw,
     RandomFourierOperator,
     hypothesis_constants,
-    sample_lambda,
     weight_f,
 )
 from .decoder import DecodeResult, DecoderOptions, decode, decode_linear
@@ -48,12 +47,12 @@ from .certifier import (
 
 __all__ = [
     "__version__",
-    "LripLabError", "InputError", "ConfigError", "NumericError",
+    "LripLabError", "InputError", "ConfigError",
     "Pseudometric", "kernel_norm_equivalence",
     "UnionOfSubspaces", "CoveringBound", "project_to_model",
     "covering_bound_model", "covering_bound_secant", "greedy_cover",
     "LinearGaussianOperator", "RandomFourierOperator", "OperatorLaw",
-    "NonlinearLripHypotheses", "weight_f", "sample_lambda", "hypothesis_constants",
+    "NonlinearLripHypotheses", "weight_f", "hypothesis_constants",
     "DecoderOptions", "DecodeResult", "decode", "decode_linear",
     "LripEstimate", "BpEstimate", "IopWitness", "ConcentrationEstimate",
     "Prop1Result", "Prop2Result", "RecommendedM",

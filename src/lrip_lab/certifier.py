@@ -782,6 +782,8 @@ def recommend_m(
         raise InputError(f"need 0 < t < 1, got {t}")
     if not 0.0 < rho_target < 1.0:
         raise InputError(f"need rho_target in (0, 1), got {rho_target}")
+    if not (1 <= s <= d and N >= 1 and M > 0 and sigma > 0 and c0 > 0):
+        raise InputError(f"need 1 <= s <= d, N >= 1 and M, sigma, c0 > 0, got {s=}, {d=}, {N=}, {M=}, {sigma=}, {c0=}")
     arg = M * d / (sigma * t)
     clipped = arg <= 1.0
     log_term = max(0.0, math.log(arg))

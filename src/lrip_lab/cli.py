@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .errors import ConfigError, InputError, NumericError
+from .errors import ConfigError, InputError
 from .harness import EXPERIMENTS, ExperimentConfig, read_config, run, write_report
 
 EXIT_OK = 0
@@ -52,7 +52,7 @@ def main(argv=None) -> int:
     except (ConfigError, InputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericError, FloatingPointError, ZeroDivisionError) as exc:
+    except (FloatingPointError, ZeroDivisionError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -12,6 +12,3 @@ class InputError(LripLabError):
 class ConfigError(LripLabError):
     """Experiment configuration could not be parsed or validated."""
 
-
-class NumericError(LripLabError):
-    """A numerical routine failed to produce a usable result."""

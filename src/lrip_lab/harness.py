@@ -157,10 +157,18 @@ class ExperimentConfig:
         unknown = [name for name in self.output["series"] if name not in series]
         if unknown:
             raise ConfigError(f"unknown output.series {unknown}; {self.experiment} writes {list(series)}")
-        if self.experiment == "recommend-m":
-            return
+        if "alpha_hat_vs_m" in self.output["series"] and not c["m_sweep"]:
+            raise ConfigError("output.series alpha_hat_vs_m needs certifier.m_sweep")
         if not 1 <= model["s"] <= model["d"]:
-            raise ConfigError("need 1 <= s <= d in model spec")
+            raise ConfigError(f"need 1 <= model.s <= model.d, got model.s = {model['s']}, model.d = {model['d']}")
+        # the model and the operator law refuse these too, and recommend-m takes logs of N and of M d / (sigma t)
+        for key, value in (("model.N", model["N"]), ("model.M", model["M"]), ("operator.sigma", op["sigma"])):
+            if not value > 0:
+                raise ConfigError(f"{key} must be > 0, got {value}")
+        if self.experiment == "recommend-m":
+            if not c["c0_m"] > 0:
+                raise ConfigError(f"certifier.c0_m must be > 0, got {c['c0_m']}")
+            return
         if op["kind"] is None:
             raise ConfigError(f"operator.kind is required for {self.experiment}")
         if op["identity"] and op["kind"] != "linear-gaussian":
@@ -173,8 +181,6 @@ class ExperimentConfig:
                 raise ConfigError("identity operator requires m == d")
             if not op["identity"] and (m is None or m < 1):
                 raise ConfigError("operator.m and every certifier.m_sweep entry must be >= 1")
-        if op["kind"] == "random-fourier" and not op["sigma"] > 0:
-            raise ConfigError("operator.sigma must be > 0 for the Fourier operator")
         sigma = self.metric["sigma"]
         if self.metric["kind"] == "gaussian-kernel" and (sigma is None or not sigma > 0):
             raise ConfigError("metric.sigma must be > 0 for the kernel metric")
@@ -256,13 +262,9 @@ def build_law(cfg: ExperimentConfig, m: int) -> OperatorLaw:
 
 def build_operator(cfg: ExperimentConfig, seed: int, m: int | None = None):
     """The configured operator drawn from seed, with m measurements in place of operator.m when m is given."""
-    op, d = cfg.operator, cfg.model["d"]
-    m = op["m"] if m is None else m
-    if op["kind"] == "linear-gaussian":
-        if op["identity"]:
-            return LinearGaussianOperator.from_matrix(np.eye(d))
-        return LinearGaussianOperator.from_seed(m, d, seed)
-    return RandomFourierOperator.from_seed(m, d, op["sigma"], seed)
+    if cfg.operator["identity"]:
+        return LinearGaussianOperator(np.eye(cfg.model["d"]))
+    return build_law(cfg, cfg.operator["m"] if m is None else m).sample(seed)
 
 
 def build_metric(cfg: ExperimentConfig) -> Pseudometric:

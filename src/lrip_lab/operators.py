@@ -22,7 +22,8 @@ Both operators evaluate it on secant rows with ``gap_batch``, and the map
 itself with ``apply_batch``; these are their only evaluators, and a row's
 value does not depend on the rows evaluated with it.  ``gap_batch`` runs over
 row blocks of max(1, _BLOCK_ENTRIES // m) rows, so its memory does not grow
-with the number of rows times m.
+with the number of rows times m.  ``OperatorLaw(kind, m, d, sigma).sample(seed)``
+draws and builds an operator, and each ``from_seed`` is that call.
 """
 
 from __future__ import annotations
@@ -34,23 +35,24 @@ import numpy as np
 from .errors import InputError
 from .spaces import kernel_norm_equivalence
 
-WEIGHT_TOL = 1e-12
 _BLOCK_ENTRIES = 1 << 16  # measurements per row block of _in_row_blocks; about 1 MB complex
 
 
 def _times_rows(X, W) -> np.ndarray:
     """W x for x of shape (d,), or for each row of X of shape (n, d), as rows of shape (n, k).
 
+    W is one (k, d) matrix, or a stack (p, k, d) of them, which gives (p, n, k).
     A plain X @ W.T sends a lone row to numpy's matrix-vector kernel, which
     rounds differently from the matrix product, so a lone row is evaluated
     as two.  A row's value then does not depend on the rows batched with it.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.ndim != 2 or X.shape[1] != W.shape[1]:
-        raise InputError(f"rows have shape {X.shape}, expected ({W.shape[1]},) or (n, {W.shape[1]})")
+    if X.ndim != 2 or X.shape[1] != W.shape[-1]:
+        raise InputError(f"rows have shape {X.shape}, expected ({W.shape[-1]},) or (n, {W.shape[-1]})")
+    Wt = np.swapaxes(W, -1, -2)
     if len(X) == 1:
-        return (np.vstack([X, X]) @ W.T)[:1]
-    return X @ W.T
+        return (np.vstack([X, X]) @ Wt)[..., :1, :]
+    return X @ Wt
 
 
 def _in_row_blocks(fn, m: int, *rows) -> np.ndarray:
@@ -88,31 +90,16 @@ def weight_f(omega, sigma: float, d: int):
     return float(f[0]) if single else f
 
 
-def sample_lambda(sigma: float, d: int, count: int, rng_seed, component: int | None = None) -> np.ndarray:
-    """Draw ``count`` frequencies from Lambda = f(w)^2 N(0, sigma^{-2} I).
+def _draw_lambda(d: int, count: int, rng):
+    """The draws of count frequencies from Lambda = f(w)^2 N(0, sigma^{-2} I): (components, directions, radials).
 
     Lambda is an equal-weight mixture of three radially tilted Gaussians; the
     component with tilt ||w||^{2l} is sampled exactly as a uniform direction
     times the norm of a standard Gaussian in dimension d + 2l, scaled by
-    1/sigma.  ``component`` restricts sampling to one mixture component
-    (diagnostic use).  It is _map_lambda of _draw_lambda.
+    1/sigma in _map_lambda.  Component l's radials are (n_l, d + 2l), none
+    when it has no frequency.
     """
-    if count < 1:
-        raise InputError(f"count must be >= 1, got {count}")
-    if not sigma > 0 or d < 1:
-        raise InputError(f"need sigma > 0 and d >= 1, got sigma={sigma}, d={d}")
-    if component is not None and component not in (0, 1, 2):
-        raise InputError(f"component must be in {{0, 1, 2}}, got {component!r}")
-    return _map_lambda(*_draw_lambda(d, count, np.random.default_rng(rng_seed), component), sigma)
-
-
-def _draw_lambda(d: int, count: int, rng, component: int | None = None):
-    """The draws of sample_lambda, in its order: (components, directions, radial Gaussians per component).
-
-    The radial Gaussians are (n_l, d + 2l) for the n_l frequencies of
-    component l; a component with none draws nothing.
-    """
-    comp = np.full(count, int(component)) if component is not None else rng.integers(0, 3, size=count)
+    comp = rng.integers(0, 3, size=count)
     dirs = rng.normal(size=(count, d))
     return comp, dirs, [rng.normal(size=(int(np.count_nonzero(comp == ell)), d + 2 * ell)) for ell in (0, 1, 2)]
 
@@ -135,13 +122,12 @@ def _map_lambda(comp, dirs, radial, sigma: float) -> np.ndarray:
 class LinearGaussianOperator:
     """Random linear map given by an m x d matrix with i.i.d. N(0, 1/m) entries.
 
-    The 1/m entry variance normalizes E ||A x||^2 = ||x||^2.  ``from_matrix``
-    wraps an explicit matrix (used for identity test fixtures).  Operators
-    compare and hash by identity.
+    The 1/m entry variance normalizes E ||A x||^2 = ||x||^2.  The constructor
+    also takes any explicit matrix, such as the identity.  Operators compare
+    and hash by identity.
     """
 
     matrix: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         A = np.asarray(self.matrix, dtype=float)
@@ -163,11 +149,7 @@ class LinearGaussianOperator:
 
     @classmethod
     def from_seed(cls, m: int, d: int, seed: int) -> "LinearGaussianOperator":
-        return cls(OperatorLaw("linear-gaussian", m, d).sample(seed), seed=seed)
-
-    @classmethod
-    def from_matrix(cls, A) -> "LinearGaussianOperator":
-        return cls(np.asarray(A, dtype=float))
+        return OperatorLaw("linear-gaussian", m, d).sample(seed)
 
     def apply_batch(self, X) -> np.ndarray:
         """The measurements A x of x, shape (d,), or of each row of X, shape (n, d), as (n, m) complex rows."""
@@ -187,7 +169,6 @@ class RandomFourierOperator:
 
     omegas: np.ndarray
     sigma: float
-    seed: int | None = None
     weights: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -213,7 +194,7 @@ class RandomFourierOperator:
 
     @classmethod
     def from_seed(cls, m: int, d: int, sigma: float, seed: int) -> "RandomFourierOperator":
-        return cls(OperatorLaw("random-fourier", m, d, sigma).sample(seed), sigma, seed=seed)
+        return OperatorLaw("random-fourier", m, d, sigma).sample(seed)
 
     def apply_batch(self, X) -> np.ndarray:
         """The measurements of x, shape (d,), or of each row of X, shape (n, d), as (n, m) rows."""
@@ -239,14 +220,13 @@ OPERATOR_KINDS = ("linear-gaussian", "random-fourier")
 class OperatorLaw:
     """The law of a random operator on R^d with m measurements.
 
-    Kind "linear-gaussian" is the matrix of LinearGaussianOperator.from_seed,
+    Kind "linear-gaussian" draws the matrix of a LinearGaussianOperator,
     with i.i.d. N(0, 1/m) entries; kind "random-fourier" the frequencies of
-    RandomFourierOperator.from_seed, drawn from Lambda at bandwidth sigma.
-    An operator is drawn in two halves, as the models' points are: ``draw``
-    makes one operator's RNG calls, and ``map`` turns a list of draws into
-    their stacked matrices or frequencies at once.  ``sample(seed)`` is the
-    one operator from_seed builds, and ``gaps`` gives each drawn operator's
-    measurement gap on one secant, bitwise as its gap_batch gives it.
+    a RandomFourierOperator, drawn from Lambda at bandwidth sigma.
+    ``sample(seed)`` draws and builds one operator; each from_seed is that
+    call.  ``draw`` makes one operator's RNG calls, ``map`` turns a list of
+    draws into their stacked matrices or frequencies at once, and ``gaps``
+    gives each drawn operator's gap on one secant, bitwise its gap_batch.
     """
 
     kind: str
@@ -273,22 +253,22 @@ class OperatorLaw:
         comp, dirs, radial = zip(*draws)
         return _map_lambda(np.stack(comp), np.stack(dirs), [np.concatenate(z) for z in zip(*radial)], self.sigma)
 
-    def sample(self, seed) -> np.ndarray:
-        """The (m, d) matrix or frequencies drawn from np.random.default_rng(seed)."""
-        return self.map([self.draw(np.random.default_rng(seed))])[0]
+    def sample(self, seed) -> LinearGaussianOperator | RandomFourierOperator:
+        """The LinearGaussianOperator or RandomFourierOperator drawn from np.random.default_rng(seed)."""
+        W = self.map([self.draw(np.random.default_rng(seed))])[0]
+        return LinearGaussianOperator(W) if self.kind == "linear-gaussian" else RandomFourierOperator(W, self.sigma)
 
     def gaps(self, draws, delta) -> np.ndarray:
         """Each drawn operator's measurement gap ||Psi x - Psi x'|| on the one secant delta = x - x' of shape (d,).
 
-        Each operator's W delta is the matrix product that _times_rows makes
-        of a lone secant (two equal rows), run per operator by one stacked
-        matmul, so every gap is bitwise that operator's gap_batch(delta)[0].
+        Each operator's W delta comes from one _times_rows call on the stack
+        of matrices, so every gap is bitwise that operator's gap_batch(delta)[0].
         """
         delta = np.asarray(delta, dtype=float)
         if delta.shape != (self.d,):
             raise InputError(f"secant has shape {delta.shape}, expected ({self.d},)")
         W = self.map(draws)
-        products = (np.vstack([delta, delta]) @ np.swapaxes(W, 1, 2))[:, 0]
+        products = _times_rows(delta, W)[:, 0]
         if self.kind == "linear-gaussian":
             return np.linalg.norm(products, axis=-1)
         weights = weight_f(W.reshape(-1, self.d), self.sigma, self.d).reshape(W.shape[:2])

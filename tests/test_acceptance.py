@@ -52,7 +52,7 @@ def _small_linear_instance(seed):
     N = int(rng.integers(1, 4))
     model = UnionOfSubspaces.random(d, 1, N, 1.0, seed)
     if seed % 2 == 0:
-        op = LinearGaussianOperator.from_matrix(np.eye(d))
+        op = LinearGaussianOperator(np.eye(d))
     else:
         op = LinearGaussianOperator.from_seed(d, d, seed + 1)
     return model, op
@@ -91,7 +91,7 @@ def test_criterion_2_decoder_grid_equivalence():
         N = int(rng.integers(1, 4))
         model = UnionOfSubspaces.random(d, 1, N, 1.0, 300 + k)
         if k % 2 == 0:
-            op = LinearGaussianOperator.from_matrix(np.eye(d))
+            op = LinearGaussianOperator(np.eye(d))
         else:
             op = LinearGaussianOperator.from_seed(d, d, 400 + k)
         y = rng.normal(size=d) * rng.uniform(0.2, 1.5)

@@ -57,7 +57,7 @@ def count_decode_linear(monkeypatch) -> list:
 class TestEstimateLrip:
     def test_identity_is_exact_isometry(self):
         model = UnionOfSubspaces.axes(2, 1.0)
-        est = estimate_lrip(LinearGaussianOperator.from_matrix(np.eye(2)), model, EUCLID,
+        est = estimate_lrip(LinearGaussianOperator(np.eye(2)), model, EUCLID,
                             pairs=200, rng_seed=0)
         assert est.alpha_hat == 1.0
         assert est.t_hat == 0.0
@@ -65,7 +65,7 @@ class TestEstimateLrip:
 
     def test_zero_map_reports_infinite_alpha(self):
         model = UnionOfSubspaces.axes(2, 1.0)
-        est = estimate_lrip(LinearGaussianOperator.from_matrix(np.zeros((2, 2))), model,
+        est = estimate_lrip(LinearGaussianOperator(np.zeros((2, 2))), model,
                             EUCLID, pairs=100, rng_seed=0)
         assert est.alpha_hat == np.inf
         assert est.violation_count > 0
@@ -81,7 +81,7 @@ class TestEstimateLrip:
 
     def test_eta_slack_reduces_alpha(self):
         model = UnionOfSubspaces.axes(2, 1.0)
-        op = LinearGaussianOperator.from_matrix(np.eye(2))
+        op = LinearGaussianOperator(np.eye(2))
         est = estimate_lrip(op, model, EUCLID, pairs=100, rng_seed=0, eta=10.0)
         assert est.alpha_hat == 0.0  # every numerator clipped at zero
 
@@ -96,7 +96,7 @@ class TestEstimateLrip:
 
     def test_uniform_near_fallbacks_are_counted(self):
         model = UnionOfSubspaces.axes(2, 1.0)
-        op = LinearGaussianOperator.from_matrix(np.eye(2))
+        op = LinearGaussianOperator(np.eye(2))
         est = estimate_lrip(op, model, EUCLID, pairs=6, rng_seed=0, near_eps=1e-300)
         assert est.mode == "Uniform"
         assert est.strata["near"] == 3
@@ -145,15 +145,15 @@ class TestEstimateLrip:
 class TestEstimateBp:
     def test_identity_euclidean_is_one(self):
         model = UnionOfSubspaces.axes(2, 1.0)
-        bp = estimate_bp(LinearGaussianOperator.from_matrix(np.eye(2)), model, EUCLID,
+        bp = estimate_bp(LinearGaussianOperator(np.eye(2)), model, EUCLID,
                          pairs=300, rng_seed=0)
         assert bp.beta_hat == pytest.approx(1.0, abs=1e-12)
 
     def test_operator_scaling_doubles_beta(self):
         model = UnionOfSubspaces.random(4, 1, 2, 1.0, 0)
         A = np.random.default_rng(1).normal(size=(4, 4))
-        b1 = estimate_bp(LinearGaussianOperator.from_matrix(A), model, EUCLID, 200, 3)
-        b2 = estimate_bp(LinearGaussianOperator.from_matrix(2 * A), model, EUCLID, 200, 3)
+        b1 = estimate_bp(LinearGaussianOperator(A), model, EUCLID, 200, 3)
+        b2 = estimate_bp(LinearGaussianOperator(2 * A), model, EUCLID, 200, 3)
         assert b2.beta_hat == pytest.approx(2 * b1.beta_hat, rel=1e-12)
 
     def test_worst_pair_reproduces_beta(self):
@@ -203,7 +203,7 @@ class TestMemoryBoundedInM:
 class TestCheckIop:
     def test_noiseless_on_model_trivial(self):
         model = UnionOfSubspaces.axes(2, 1.0)
-        op = LinearGaussianOperator.from_matrix(np.eye(2))
+        op = LinearGaussianOperator(np.eye(2))
         witness = check_iop_inequality(op, model, EUCLID, None, A=0.0, B=0.0, lam=0.0,
                                        trials=25, noise_scale=0.0, model_error_scale=0.0,
                                        rng_seed=0)
@@ -215,7 +215,7 @@ class TestCheckIop:
         from lrip_lab import decode_linear, project_to_model
 
         model = UnionOfSubspaces((np.array([[1.0], [0.0]]),), 1.0)
-        op = LinearGaussianOperator.from_matrix(np.eye(2))
+        op = LinearGaussianOperator(np.eye(2))
         xstar = np.array([0.3, 0.4])
         xhat = decode_linear(op, model, xstar[None]).xhat[0]
         decode_dist = EUCLID.dist(xstar - xhat)
@@ -227,7 +227,7 @@ class TestCheckIop:
 
     def test_identity_with_model_error_and_noise(self):
         model = UnionOfSubspaces.axes(2, 1.0)
-        op = LinearGaussianOperator.from_matrix(np.eye(2))
+        op = LinearGaussianOperator(np.eye(2))
         witness = check_iop_inequality(op, model, EUCLID, None, A=1.0, B=2.0, lam=0.0,
                                        trials=50, noise_scale=0.1, model_error_scale=0.5,
                                        rng_seed=1)
@@ -295,7 +295,7 @@ class TestCheckIop:
 
     def test_negative_constants_rejected(self):
         model = UnionOfSubspaces.axes(2, 1.0)
-        op = LinearGaussianOperator.from_matrix(np.eye(2))
+        op = LinearGaussianOperator(np.eye(2))
         with pytest.raises(InputError):
             check_iop_inequality(op, model, EUCLID, None, A=-1.0, B=0.0, lam=0.0,
                                  trials=1, noise_scale=0.0, model_error_scale=0.0,
@@ -306,7 +306,7 @@ class TestCheckIop:
     def test_non_finite_constants_rejected(self, name, value):
         # B = inf would make d' at an on-model x* inf * 0 = NaN, so perfect decodes read unsatisfied
         model = UnionOfSubspaces.axes(2, 1.0)
-        op = LinearGaussianOperator.from_matrix(np.eye(2))
+        op = LinearGaussianOperator(np.eye(2))
         constants = {"A": 1.0, "B": 2.0, "lam": 0.0, name: value}
         with pytest.raises(InputError, match="finite"):
             check_iop_inequality(op, model, EUCLID, None, **constants, trials=3, noise_scale=0.0,
@@ -320,7 +320,7 @@ class TestCheckIop:
     ], ids=["zero-trials", "negative-noise", "negative-model-error", "negative-candidates"])
     def test_bad_inputs_rejected(self, bad):
         model = UnionOfSubspaces.axes(2, 1.0)
-        op = LinearGaussianOperator.from_matrix(np.eye(2))
+        op = LinearGaussianOperator(np.eye(2))
         kwargs = {"trials": 3, "noise_scale": 0.1, "model_error_scale": 0.3, "uniform_candidates": 4, **bad}
         with pytest.raises(InputError):
             check_iop_inequality(op, model, EUCLID, None, A=1.0, B=2.0, lam=0.0, rng_seed=0, **kwargs)
@@ -444,7 +444,7 @@ class TestLripFromIopWitness:
 
     def test_degenerate_tiny_model(self):
         model = UnionOfSubspaces((np.array([[1.0], [0.0]]),), 1e-12)
-        op = LinearGaussianOperator.from_matrix(np.eye(2))
+        op = LinearGaussianOperator(np.eye(2))
         est = lrip_from_iop_witness(op, model, EUCLID, None, B=2.0, lam=0.0,
                                     pairs=50, rng_seed=0)
         assert est.violation_count == 0
@@ -535,9 +535,7 @@ class TestEstimateConcentration:
                                t_grid=[0.2], rng_seed=9)
         size = certifier._CONCENTRATION_CHUNK
         assert [len(c) for c in chunks] == [size] * (150 // size) + [150 % size] and 150 % size
-        make = {"linear-gaussian": lambda s: LinearGaussianOperator.from_seed(law.m, law.d, s),
-                "random-fourier": lambda s: RandomFourierOperator.from_seed(law.m, law.d, law.sigma, s)}[law.kind]
-        expected = [make(seeding.child_seed(9, k)).gap_batch(D)[0] / d for k in range(150)]
+        expected = [law.sample(seeding.child_seed(9, k)).gap_batch(D)[0] / d for k in range(150)]
         assert (np.concatenate(chunks) / d).tobytes() == np.array(expected).tobytes()
 
     def test_requires_enough_draws_and_distinct_pair(self):
@@ -686,3 +684,11 @@ class TestRecommendM:
             recommend_m(1.5, 1, 1, 1.0, 2, 1.0, 0.5)
         with pytest.raises(InputError):
             recommend_m(0.5, 1, 1, 1.0, 2, 1.0, 1.5)
+
+    @pytest.mark.parametrize("bad", [{"s": -3}, {"s": 21}, {"N": 0}, {"M": -1.0}, {"sigma": 0.0}, {"sigma": -1.0},
+                                     {"c0": 0.0}], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+    def test_refuses_bad_model_operator_or_constant(self, bad):
+        # a negative s gave m = 1, N = 0 and negative M or sigma a math domain error, sigma = 0 a division by zero
+        args = dict(t=0.5, s=2, N=5, M=1.0, d=20, sigma=1.0, rho_target=0.01, c0=1.0)
+        with pytest.raises(InputError):
+            recommend_m(**{**args, **bad})

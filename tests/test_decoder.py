@@ -20,7 +20,7 @@ from lrip_lab.operators import jacobian
 from reference import grid_minimum, multi_start_decode, residual_certificate, rows
 
 KERNEL = Pseudometric("gaussian-kernel", 1.0)
-IDENTITY2 = LinearGaussianOperator.from_matrix(np.eye(2))
+IDENTITY2 = LinearGaussianOperator(np.eye(2))
 
 
 def x_axis_model(M=1.0):
@@ -112,7 +112,7 @@ def random_small_instance(seed):
     N = int(rng.integers(1, 4))
     model = UnionOfSubspaces.random(d, 1, N, 1.0, seed)
     if rng.uniform() < 0.5:
-        op = LinearGaussianOperator.from_matrix(np.eye(d))
+        op = LinearGaussianOperator(np.eye(d))
     else:
         op = LinearGaussianOperator.from_seed(d, d, seed + 1)
     y = rng.normal(size=d) * rng.uniform(0.2, 1.5)
@@ -148,13 +148,13 @@ class TestDecodeLinear:
             A = rng.normal(size=(3, 3))
             model = UnionOfSubspaces.random(3, 2, 2, 0.5, seed)
             y = rng.normal(size=3) * 4.0
-            (res,) = rows(decode_linear(LinearGaussianOperator.from_matrix(A), model, y[None]))
+            (res,) = rows(decode_linear(LinearGaussianOperator(A), model, y[None]))
             assert np.linalg.norm(res.xhat) <= 0.5 + 1e-10
 
     def test_rank_deficient_minimum_norm(self):
         A = np.array([[1.0, 0.0], [1.0, 0.0]])  # collapses the y-axis
         model = UnionOfSubspaces.axes(2, 1.0)
-        (res,) = rows(decode_linear(LinearGaussianOperator.from_matrix(A), model, np.array([[0.0, 0.0]])))
+        (res,) = rows(decode_linear(LinearGaussianOperator(A), model, np.array([[0.0, 0.0]])))
         assert res.residual <= 1e-12
         assert np.linalg.norm(res.xhat) <= 1e-12  # minimum-norm pick of a flat optimum
 
@@ -194,11 +194,11 @@ class TestDecodeLinear:
     def test_batch_rank_deficient(self):
         # A collapses the second axis (G = 0 there) and spans one direction of the planes
         rng = np.random.default_rng(4)
-        op = LinearGaussianOperator.from_matrix([[1.0, 0.0], [1.0, 0.0]])
+        op = LinearGaussianOperator([[1.0, 0.0], [1.0, 0.0]])
         Y = rng.normal(size=(12, 2)) * np.geomspace(0.1, 10.0, 12)[:, None]
         self.batch_matching_rows(op, UnionOfSubspaces.axes(2, 1.0), Y)
         u = rng.normal(size=(3, 1))
-        op = LinearGaussianOperator.from_matrix(u @ rng.normal(size=(1, 3)))
+        op = LinearGaussianOperator(u @ rng.normal(size=(1, 3)))
         self.batch_matching_rows(op, UnionOfSubspaces.random(3, 2, 3, 0.5, 9), Y[:, :1] * u.T)
 
     def test_batch_tie_goes_to_lowest_index(self):

@@ -43,6 +43,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(cfg)
 
+    def test_series_the_run_cannot_write_is_refused(self):
+        cfg = json.loads((ROOT / "configs" / "certify_fourier.json").read_text())
+        cfg["output"]["series"].append("alpha_hat_vs_m")
+        with pytest.raises(ConfigError, match="certifier.m_sweep"):
+            ExperimentConfig.from_dict(cfg)
+        cfg["certifier"]["m_sweep"] = [16]
+        assert ExperimentConfig.from_dict(cfg).output["series"][-1] == "alpha_hat_vs_m"
+
     def test_missing_operator_kind(self):
         cfg = base_config(experiment="certify")
         cfg["operator"] = {"m": 8}
@@ -468,8 +476,9 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "out").exists() and not (tmp_path / "5").exists()
 
-    def test_series_missing_from_results_writes_nothing(self, tmp_path, capsys):
-        # alpha_hat_vs_m is a certify series only when certifier.m_sweep is given
+    def test_series_missing_from_results_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # alpha_hat_vs_m is a certify series only when certifier.m_sweep is given; it was refused only after the run
+        monkeypatch.setattr("lrip_lab.cli.run", lambda config: pytest.fail("the experiment ran"))
         cfg = base_config(
             experiment="certify",
             model={"d": 3, "s": 1, "N": 2, "M": 1.0},
@@ -479,7 +488,21 @@ class TestCli:
         )
         out = tmp_path / "out"
         assert main(["certify", "--config", self.write_config(tmp_path, cfg), "--out", str(out)]) == 2
-        assert "alpha_hat_vs_m" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "alpha_hat_vs_m" in err and "certifier.m_sweep" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, value", [("model", "s", -3), ("model", "s", 21), ("model", "N", 0),
+                                                     ("model", "M", -1.0), ("operator", "sigma", 0.0),
+                                                     ("operator", "sigma", -1.0), ("certifier", "c0_m", 0.0)])
+    def test_bad_recommend_m_value_exit_code(self, tmp_path, capsys, section, key, value):
+        # these ran: a math domain error (exit 1), a division by zero (exit 3), or m = 1 for a negative s (exit 0)
+        cfg = json.loads((ROOT / "configs" / "recommend_m.json").read_text())
+        cfg[section][key] = value
+        out = tmp_path / "out"
+        assert main(["recommend-m", "--config", self.write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{section}.{key}" in err
         assert not out.exists()
 
     def test_positional_experiment_reads_its_own_certifier_keys(self, tmp_path):

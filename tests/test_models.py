@@ -188,7 +188,7 @@ class TestSecantSampling:
         from lrip_lab import LinearGaussianOperator, estimate_lrip
 
         with pytest.raises(InputError):
-            estimate_lrip(LinearGaussianOperator.from_matrix(np.eye(2)), UnionOfSubspaces.axes(2, 1.0), EUCLID,
+            estimate_lrip(LinearGaussianOperator(np.eye(2)), UnionOfSubspaces.axes(2, 1.0), EUCLID,
                           pairs=10, rng_seed=0, anchor=np.array([0.5, 0.5]))
 
     def test_single_subspace_line_directions(self):

@@ -4,12 +4,12 @@ import pytest
 from lrip_lab import (
     InputError,
     LinearGaussianOperator,
+    OperatorLaw,
     Pseudometric,
     RandomFourierOperator,
     UnionOfSubspaces,
     estimate_bp,
     hypothesis_constants,
-    sample_lambda,
     weight_f,
 )
 from lrip_lab import operators
@@ -57,16 +57,24 @@ class TestWeightF:
 
 
 class TestSampleLambda:
+    """Samples of the frequency law Lambda, as OperatorLaw draws them."""
+
     def test_change_of_measure_normalization(self):
         # E_Lambda[1/f^2] telescopes to the Gaussian total mass, i.e. 1
         d, sigma = 5, 1.0
-        om = sample_lambda(sigma, d, 1_000_000, 0)
+        om = OperatorLaw("random-fourier", 1_000_000, d, sigma).sample(0).omegas
         f = weight_f(om, sigma, d)
         assert np.mean(1.0 / f**2) == pytest.approx(1.0, rel=0.02)
 
+    @staticmethod
+    def component_rows(d, sigma, count, seed, ell):
+        """The frequencies of mixture component ell in one draw of count frequencies."""
+        comp, dirs, radial = operators._draw_lambda(d, count, np.random.default_rng(seed))
+        return operators._map_lambda(comp, dirs, radial, sigma)[comp == ell]
+
     def test_component_zero_is_plain_gaussian(self):
         d, sigma = 3, 0.5
-        om = sample_lambda(sigma, d, 400_000, 1, component=0)
+        om = self.component_rows(d, sigma, 1_200_000, 1, 0)
         assert np.max(np.abs(om.mean(axis=0))) < 0.02
         cov = np.cov(om.T)
         assert np.allclose(cov, np.eye(d) / sigma**2, atol=0.02 * 4)
@@ -74,22 +82,14 @@ class TestSampleLambda:
     def test_component_one_radial_law(self):
         # tilt ||w||^2: squared radius * sigma^2 is chi-square with d+2 dof
         d, sigma = 4, 1.0
-        om = sample_lambda(sigma, d, 400_000, 2, component=1)
+        om = self.component_rows(d, sigma, 1_200_000, 2, 1)
         r2 = np.sum(om * om, axis=1) * sigma**2
         assert np.mean(r2) == pytest.approx(d + 2, rel=0.02)
-
-    def test_input_validation(self):
-        with pytest.raises(InputError):
-            sample_lambda(1.0, 3, 0, 0)
-        # component is checked before it is used: int("x") raised ValueError and int([1]) TypeError
-        for component in (7, "x", [1]):
-            with pytest.raises(InputError):
-                sample_lambda(1.0, 3, 5, 0, component=component)
 
 
 class TestLinearOperator:
     def test_identity_fixture(self):
-        op = LinearGaussianOperator.from_matrix(np.eye(2))
+        op = LinearGaussianOperator(np.eye(2))
         assert np.allclose(op.apply_batch(np.array([1.0, 2.0]))[0], [1.0, 2.0])
 
     def test_linearity(self):
@@ -294,6 +294,58 @@ class TestSerialization:
         assert a.weights.tobytes() == b.weights.tobytes()
         lin = LinearGaussianOperator.from_seed(4, 3, 1)
         assert lin.matrix.tobytes() == LinearGaussianOperator.from_seed(4, 3, 1).matrix.tobytes()
+
+
+class TestOperatorLaw:
+    @staticmethod
+    def reference(kind, m, d, sigma, seed):
+        """The matrix or frequencies of the law, drawn row by row in the documented order."""
+        rng = np.random.default_rng(seed)
+        if kind == "linear-gaussian":
+            return rng.normal(size=(m, d)) / np.sqrt(m)
+        comp, dirs = rng.integers(0, 3, size=m), rng.normal(size=(m, d))
+        radii = np.empty(m)
+        for ell in (0, 1, 2):
+            radii[comp == ell] = np.linalg.norm(rng.normal(size=(np.sum(comp == ell), d + 2 * ell)), axis=1) / sigma
+        return dirs / np.linalg.norm(dirs, axis=1, keepdims=True) * radii[:, None]
+
+    @pytest.mark.parametrize("m, d, sigma, seed", [(1, 1, 1.0, 0), (4, 3, 0.7, 5), (16, 13, 2.5, 42),
+                                                   (55, 20, 1.0, 2**40 + 3)])
+    def test_sample_is_from_seed(self, m, d, sigma, seed):
+        lin = OperatorLaw("linear-gaussian", m, d, sigma).sample(seed)
+        assert type(lin) is LinearGaussianOperator
+        assert lin.matrix.tobytes() == LinearGaussianOperator.from_seed(m, d, seed).matrix.tobytes()
+        assert lin.matrix.tobytes() == self.reference("linear-gaussian", m, d, sigma, seed).tobytes()
+        rff = OperatorLaw("random-fourier", m, d, sigma).sample(seed)
+        twin = RandomFourierOperator.from_seed(m, d, sigma, seed)
+        assert type(rff) is RandomFourierOperator and rff.sigma == sigma
+        assert rff.omegas.tobytes() == twin.omegas.tobytes()
+        assert rff.omegas.tobytes() == self.reference("random-fourier", m, d, sigma, seed).tobytes()
+        assert rff.weights.tobytes() == twin.weights.tobytes() == weight_f(rff.omegas, sigma, d).tobytes()
+
+    @pytest.mark.parametrize("m, d", [(1, 1), (7, 3), (55, 20)])
+    @pytest.mark.parametrize("kind", operators.OPERATOR_KINDS)
+    def test_gaps_are_each_operators_gap_batch(self, kind, m, d):
+        law = OperatorLaw(kind, m, d, 0.8)
+        delta = np.random.default_rng(d).normal(size=d)
+        for seeds in ([3], range(17)):
+            gaps = law.gaps([law.draw(np.random.default_rng(seed)) for seed in seeds], delta)
+            expected = [law.sample(seed).gap_batch(delta)[0] for seed in seeds]
+            assert gaps.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("args", [("gaussian", 4, 3), ("linear-gaussian", 0, 3), ("random-fourier", 0, 3),
+                                      ("random-fourier", 4, 0), ("random-fourier", 4, 3, 0.0),
+                                      ("random-fourier", 4, 3, -1.0)],
+                             ids=["kind", "linear-m", "fourier-m", "d", "zero-sigma", "negative-sigma"])
+    def test_refuses_bad_parameters(self, args):
+        with pytest.raises(InputError):
+            OperatorLaw(*args)
+
+    def test_gaps_refuse_a_secant_of_another_shape(self):
+        law = OperatorLaw("random-fourier", 4, 3)
+        for delta in (np.zeros(2), np.zeros((1, 3))):
+            with pytest.raises(InputError):
+                law.gaps([law.draw(np.random.default_rng(0))], delta)
 
 
 @pytest.mark.parametrize("make", [
