@@ -1,4 +1,4 @@
-"""Print sha256(results_bytes())[:8] of every shipped config and benchmark workload, and decode and operator digests.
+"""Print sha256(results_bytes())[:8] of every shipped config and benchmark workload, and near, decode and operator digests.
 
 Usage, from any directory:
 
@@ -6,13 +6,14 @@ Usage, from any directory:
 
 Each config under configs/ runs without its output section, so no report is
 written.  Each workload of bench/workloads.py runs at every seed given; that
-module is only imported, without writing its bytecode cache.  The line
-"decode digest" hashes certified_minimum's and decode's output arrays on
-fixed random Fourier instances (see decode_digest), and the last line,
-"operator digest", the operators drawn from fixed seeds and their gaps (see
-operator_digest).  The library is
-the one in this checkout's src/, so two checkouts can be compared line by
-line.
+module is only imported, without writing its bytecode cache.  The line "near
+digest" hashes sample_near_points' output on fixed instances under both
+metrics (see near_digest): a workload's hash can stay put when its near
+points move.  The line "decode digest" hashes certified_minimum's and
+decode's output arrays on fixed random Fourier instances (see
+decode_digest), and the last line, "operator digest", the operators drawn
+from fixed seeds and their gaps (see operator_digest).  The library is the
+one in this checkout's src/, so two checkouts can be compared line by line.
 """
 
 from __future__ import annotations
@@ -31,17 +32,37 @@ from lrip_lab import (  # noqa: E402
     DecoderOptions,
     LinearGaussianOperator,
     OperatorLaw,
+    Pseudometric,
     RandomFourierOperator,
     UnionOfSubspaces,
     decode,
     harness,
 )
 from lrip_lab.decoder import certified_minimum  # noqa: E402
+from lrip_lab.models import sample_model_points, sample_near_points  # noqa: E402
 
 
 def results_hash(config: dict) -> str:
     report = harness.run(harness.ExperimentConfig.from_dict(config))
     return hashlib.sha256(report.results_bytes()).hexdigest()[:8]
+
+
+def near_digest() -> str:
+    """sha256(...)[:8] over sample_near_points' (points, found), on fixed instances under both metrics.
+
+    Each instance is a random union of subspaces, (d, s, N, M) = (20, 2, 5, 1)
+    from seed 99 and (6, 3, 4, 0.7) from seed 1, with 2,000 anchors drawn on
+    it from seed 4, near_eps 0.1 and sampler seed 5; the metrics are the
+    Euclidean one and the Gaussian kernel at sigma = 1.
+    """
+    digest = hashlib.sha256()
+    for d, s, N, M, seed in ((20, 2, 5, 1.0, 99), (6, 3, 4, 0.7, 1)):
+        model = UnionOfSubspaces.random(d, s, N, M, seed)
+        anchors = sample_model_points(model, 2000, 4)
+        for metric in (Pseudometric("euclidean"), Pseudometric("gaussian-kernel", 1.0)):
+            for a in sample_near_points(model, metric, anchors, 0.1, 5):
+                digest.update(a.tobytes())
+    return digest.hexdigest()[:8]
 
 
 def decode_digest() -> str:
@@ -101,6 +122,7 @@ def main(argv=None) -> int:
     for name in workloads.WORKLOADS:
         hashes = [results_hash(workloads.build_config(name, seed)[0]) for seed in args.seeds]
         print(f"{name} (seeds {' / '.join(map(str, args.seeds))})\t{' / '.join(hashes)}", flush=True)
+    print(f"near digest\t{near_digest()}", flush=True)
     print(f"decode digest\t{decode_digest()}", flush=True)
     print(f"operator digest\t{operator_digest()}", flush=True)
     return 0

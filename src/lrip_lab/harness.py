@@ -149,6 +149,14 @@ class ExperimentConfig:
         # the series start at the first t of t_grid, and a concentration sweep at its first m
         if c.get("t_grid") == []:
             raise ConfigError("certifier.t_grid must not be empty")
+        # a level t <= 0 has no failure exponent, and certify's alpha_max is 1.5 / (1 - t)
+        if any(not t > 0 for t in c.get("t_grid") or []):
+            raise ConfigError(f"certifier.t_grid entries must be > 0, got {c['t_grid']}")
+        if c.get("t") is not None and not 0 < c["t"] < 1:
+            raise ConfigError(f"certifier.t must be in (0, 1), got {c['t']}")
+        # 3 is the proven ball-covering constant; a smaller one undercounts the cover
+        if c.get("c0_cover") is not None and c["c0_cover"] < 3:
+            raise ConfigError(f"certifier.c0_cover must be >= 3, got {c['c0_cover']}")
         if sweep and c["m_sweep"] == []:
             raise ConfigError("certifier.m_sweep must not be empty")
         if c.get("pair") is not None and [len(x) for x in c["pair"]] != [model["d"]] * 2:

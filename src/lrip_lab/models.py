@@ -216,7 +216,7 @@ def project_to_model(model: UnionOfSubspaces, x, metric: Pseudometric) -> np.nda
 
 _NEAR_PER_RADIUS = 64  # misses at one proposal radius before it shrinks by 0.7
 _NEAR_BLOCK = 8  # proposals per pending row per pass; divides _NEAR_PER_RADIUS
-_NEAR_CHUNK = 1024  # rows sampled together; keeps proposal arrays to a few MB
+_NEAR_CHUNK = 1024  # rows sampled together; keeps the per-chunk coefficient arrays small
 
 
 def sample_near_points(
@@ -228,12 +228,17 @@ def sample_near_points(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Model points at metric gap in (0, eps] from each anchor row, by batched rejection.
 
-    Per row, proposals are Gaussian perturbations of the row's anchor with
-    RMS norm equal to the current radius, projected onto a uniformly drawn
-    subspace and clipped to the ball; the first proposal with gap in
-    (0, eps] is kept.  The radius starts at the Euclidean gap matching eps
-    and shrinks by 0.7 after every 64 misses.  A row still missing after
-    200 radii (12,800 proposals) is not found.
+    Per row, a proposal perturbs the anchor a by r g / sqrt(d), g ~ N(0, I_d),
+    at the current radius r, projects it onto a uniformly drawn subspace S_i
+    and clips it to the ball.  Its coefficients are B_i'a + (r / sqrt(d)) h,
+    h ~ N(0, I_s), so it is drawn and clipped in R^s, and the gap of its
+    coefficients c is from_gap(sqrt(||a - B_i B_i'a||^2 + ||c - B_i'a||^2)),
+    a sum of squares that does not cancel on near pairs.  A row's first
+    proposal with gap in (0, eps] is mapped to B_i c and kept if its distance
+    from a in R^d is in (0, eps] too; otherwise the row stays pending.  The
+    radius starts at the Euclidean gap matching eps and shrinks by 0.7 after
+    every 64 misses.  A row still missing after 200 radii (12,800 proposals)
+    is not found.
 
     Returns (points, found): one row per anchor, NaN where found is False.
     """
@@ -246,20 +251,33 @@ def sample_near_points(
     found = np.zeros(n, dtype=bool)
     radius0 = metric.gap_for(eps if metric.kind == "euclidean" else min(eps, 0.999 * np.sqrt(2)))
     for start in range(0, n, _NEAR_CHUNK):
-        rows = np.arange(start, min(start + _NEAR_CHUNK, n))
+        chunk = anchors[start:start + _NEAR_CHUNK]
+        # each anchor's coefficients in every subspace and its squared residual off it, one subspace at a time
+        P = np.empty((len(chunk), model.num_subspaces, model.subspace_dim))
+        res2 = np.empty((len(chunk), model.num_subspaces))
+        for i, B in enumerate(model.bases):
+            P[:, i] = chunk @ B
+            R = chunk - P[:, i] @ B.T
+            res2[:, i] = np.einsum("kd,kd->k", R, R)
+        P, res2 = P.reshape(-1, model.subspace_dim), res2.ravel()
+        rows = np.arange(len(chunk))
         radius, used = radius0, 0
         while rows.size and used < 200 * _NEAR_PER_RADIUS:
-            base = np.repeat(anchors[rows], _NEAR_BLOCK, axis=0)
-            idx = rng.integers(model.num_subspaces, size=base.shape[0])
-            pre = base + rng.normal(size=base.shape) * (radius / np.sqrt(d))
-            coeffs = _row_products(pre, model.bases[idx])
-            cands = _ball_project(_subspace_map(model.bases, idx, coeffs), model.norm_bound)
-            gaps = metric.dist(cands - base).reshape(rows.size, _NEAR_BLOCK)
-            ok = (gaps > 0) & (gaps <= eps)
-            hit = ok.any(axis=1)
-            points[rows[hit]] = cands.reshape(rows.size, _NEAR_BLOCK, d)[hit, ok[hit].argmax(axis=1)]
-            found[rows[hit]] = True
-            rows = rows[~hit]
+            idx = rng.integers(model.num_subspaces, size=rows.size * _NEAR_BLOCK)
+            flat = np.repeat(rows * model.num_subspaces, _NEAR_BLOCK) + idx  # (row, subspace) in P and res2
+            p = P[flat]
+            c = _ball_project(p + rng.normal(size=p.shape) * (radius / np.sqrt(d)), model.norm_bound)
+            step = c - p
+            gaps = metric.from_gap(np.sqrt(res2[flat] + np.einsum("ks,ks->k", step, step)))
+            ok = ((gaps > 0) & (gaps <= eps)).reshape(rows.size, _NEAR_BLOCK)
+            hit = np.flatnonzero(ok.any(axis=1))
+            first = hit * _NEAR_BLOCK + ok[hit].argmax(axis=1)
+            cands = _subspace_map(model.bases, idx[first], c[first])
+            true = metric.dist(cands - chunk[rows[hit]])
+            keep = (true > 0) & (true <= eps)
+            points[start + rows[hit[keep]]] = cands[keep]
+            found[start + rows[hit[keep]]] = True
+            rows = np.delete(rows, hit[keep])
             used += _NEAR_BLOCK
             if used % _NEAR_PER_RADIUS == 0:
                 radius *= 0.7

@@ -1,4 +1,4 @@
-"""Brute-force, multi-start, certificate and per-trial IOP references that the decoder and certifier tests use."""
+"""Brute-force, multi-start, certificate, per-trial IOP and near-sampler references that the tests use."""
 
 import math
 from dataclasses import fields
@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from lrip_lab import decoder, seeding
+from lrip_lab import decoder, models, seeding
 from lrip_lab.certifier import IopTrial
 from lrip_lab.decoder import DecodeResult, DecoderOptions, certified_minimum, noise_vector
 from lrip_lab.errors import InputError
@@ -138,3 +138,40 @@ def iop_trials(op, model: UnionOfSubspaces, metric, decoder_opts, A: float, B: f
         out.append(IopTrial(xstar[k], noise_scale, float(decode_dist[k]), float(dprime[k]), lam_eff,
                             bool(satisfied), reason="" if ok else "decoder did not converge"))
     return out
+
+
+def near_points_in_d_space(model: UnionOfSubspaces, metric, anchors, eps: float, rng_seed):
+    """sample_near_points as a rejection loop in R^d, the law the coefficient-space sampler must keep.
+
+    Each proposal draws its subspace index and d normals, perturbs the
+    anchor in R^d, projects onto the subspace, clips to the ball in R^d and
+    takes the metric distance of the d-space secant.  The radius schedule,
+    the blocks and the give-up are sample_near_points'.  Returns (points,
+    found).
+    """
+    rng = np.random.default_rng(rng_seed)
+    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+    n, d = anchors.shape
+    points = np.full((n, d), np.nan)
+    found = np.zeros(n, dtype=bool)
+    block = models._NEAR_BLOCK
+    radius0 = metric.gap_for(eps if metric.kind == "euclidean" else min(eps, 0.999 * np.sqrt(2)))
+    for start in range(0, n, models._NEAR_CHUNK):
+        rows = np.arange(start, min(start + models._NEAR_CHUNK, n))
+        radius, used = radius0, 0
+        while rows.size and used < 200 * models._NEAR_PER_RADIUS:
+            base = np.repeat(anchors[rows], block, axis=0)
+            idx = rng.integers(model.num_subspaces, size=base.shape[0])
+            pre = base + rng.normal(size=base.shape) * (radius / np.sqrt(d))
+            coeffs = models._row_products(pre, model.bases[idx])
+            cands = models._ball_project(models._subspace_map(model.bases, idx, coeffs), model.norm_bound)
+            gaps = metric.dist(cands - base).reshape(rows.size, block)
+            ok = (gaps > 0) & (gaps <= eps)
+            hit = ok.any(axis=1)
+            points[rows[hit]] = cands.reshape(rows.size, block, d)[hit, ok[hit].argmax(axis=1)]
+            found[rows[hit]] = True
+            rows = rows[~hit]
+            used += block
+            if used % models._NEAR_PER_RADIUS == 0:
+                radius *= 0.7
+    return points, found

@@ -424,11 +424,23 @@ class TestCli:
         ("certify_fourier", "concentration_draws", 50),
         ("concentration_sweep", "draws", 50),
         ("concentration_sweep", "m_sweep", []),
+        ("certify_fourier", "t", 1.0),
+        ("certify_fourier", "t", 0.0),
+        ("certify_fourier", "t", 1.5),
+        ("recommend_m", "t", 1.0),
+        ("certify_fourier", "c0_cover", -1.0),
+        ("certify_fourier", "c0_cover", 2.5),
+        ("concentration_sweep", "t_grid", [0.0]),
+        ("concentration_sweep", "t_grid", [0.3, -0.5]),
     ])
-    def test_bad_certifier_value_exit_code(self, tmp_path, capsys, config, key, value):
+    def test_bad_certifier_value_exit_code(self, tmp_path, capsys, monkeypatch, config, key, value):
         # a bare int() ran 2 trials for 2.7 and 1 for true; medians over no draws or reps were NaN,
         # an empty t_grid raised IndexError, a NaN noise_scale passed every range check, fewer than 100
-        # concentration draws failed only inside estimate_concentration, and an empty m_sweep ran no sweep
+        # concentration draws failed only inside estimate_concentration, and an empty m_sweep ran no sweep;
+        # certify's t = 1 ran every draw and then divided by zero in 1.5 / (1 - t) (exit 3), c0_cover = -1
+        # reported prop2 rho 0.565 where c0_cover = 3 gives 1.0, and t_grid [0.0] gave a null slope and
+        # [-0.5] a negative c_hat_median (both exit 0).  Each is refused before the experiment runs.
+        monkeypatch.setattr("lrip_lab.cli.run", lambda config: pytest.fail("the experiment ran"))
         cfg = json.loads((ROOT / "configs" / f"{config}.json").read_text())
         cfg["certifier"][key] = value
         assert main([cfg["experiment"], "--config", self.write_config(tmp_path, cfg)]) == 2

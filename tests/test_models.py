@@ -19,6 +19,8 @@ from lrip_lab.models import (
     sample_near_points,
 )
 
+import reference
+
 EUCLID = Pseudometric("euclidean")
 KERNEL = Pseudometric("gaussian-kernel", 1.0)
 
@@ -228,6 +230,37 @@ class TestNearSampler:
         a, _ = sample_near_points(model, KERNEL, anchors, 0.1, 3)
         b, _ = sample_near_points(model, KERNEL, anchors, 0.1, 3)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("metric", [EUCLID, KERNEL], ids=["euclidean", "kernel"])
+    def test_law_matches_the_d_space_sampler(self, metric):
+        # coefficient-space proposals are the d-space proposals' law: B_i'(a + r g / sqrt(d)) = B_i'a + (r / sqrt(d)) h;
+        # 20,000 anchors on the model and, in the last chunk, 100 lifted off it by 0 to 0.2, so about half of
+        # those cannot be filled; at this size the gap quantiles of two seeds differ by about 3e-4
+        model = UnionOfSubspaces.random(20, 2, 5, 1.0, 99)
+        lift = np.random.default_rng(0).normal(size=(100, 20))
+        lift *= np.linspace(0.0, 0.2, 100)[:, None] / np.linalg.norm(lift, axis=1, keepdims=True)
+        anchors = np.vstack([sample_model_points(model, 20000, 4), sample_model_points(model, 100, 5) + lift])
+        got, found = sample_near_points(model, metric, anchors, 0.1, 6)
+        ref, ref_found = reference.near_points_in_d_space(model, metric, anchors, 0.1, 6)
+
+        def subspace_shares(points):
+            residuals = [np.linalg.norm(points - points @ B @ B.T, axis=1) for B in model.bases]
+            return np.bincount(np.argmin(residuals, axis=0), minlength=model.num_subspaces) / len(points)
+
+        assert abs(found.mean() - ref_found.mean()) <= 1e-3
+        assert 0.4 < (~found[-100:]).mean() < 0.6
+        quantiles = lambda points, ok: np.quantile(metric.dist(points[ok] - anchors[ok]), [0.1, 0.5, 0.9])
+        assert np.allclose(quantiles(got, found), quantiles(ref, ref_found), rtol=0, atol=1e-3)
+        assert np.allclose(subspace_shares(got[found]), subspace_shares(ref[ref_found]), rtol=0, atol=5e-3)
+
+        # every point is B_i c with ||c|| <= M, at a d-space distance in (0, eps]
+        coeffs = np.einsum("kd,nds->nks", got[found], model.bases)
+        residuals = np.linalg.norm(got[found] - np.einsum("nks,nds->nkd", coeffs, model.bases), axis=2)
+        i = np.argmin(residuals, axis=0)
+        assert residuals[i, np.arange(len(i))].max() <= 1e-14
+        assert np.linalg.norm(coeffs[i, np.arange(len(i))], axis=1).max() <= model.norm_bound * (1 + 1e-15)
+        gaps = metric.dist(got[found] - anchors[found])
+        assert np.all((gaps > 0) & (gaps <= 0.1))
 
 
 class TestGreedyCover:
