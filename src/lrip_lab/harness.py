@@ -44,17 +44,18 @@ from .spaces import Pseudometric, complex_vector_to_json
 _REQUIRED = object()  # the default of a key that a config must give
 
 
-def _cast(kind, value, key: str):
-    """value as kind, refused as a ConfigError naming its key unless it is one exactly.
+def _cast(kind, value, key: str, interval: str | None = None):
+    """value as kind, refused as a ConfigError naming its key unless it is one exactly and lies in interval.
 
     kind is bool, str, int or float; a tuple, the strings allowed; or [kind], a list of kind.  Only kind bool takes a
     bool and only kind str a string, an int must be integral: 2.7 is refused, not truncated to 2, and a float must
-    be finite: JSON's NaN and Infinity are refused.
+    be finite: JSON's NaN and Infinity are refused.  interval, such as "(0, 1)" or "[1, inf)", is the range of a
+    number, or of each entry of a list.
     """
     if isinstance(kind, list):
         if not isinstance(value, list):
             raise ConfigError(f"{key} must be a list, got {value!r}")
-        return [_cast(kind[0], v, key) for v in value]
+        return [_cast(kind[0], v, key, interval) for v in value]
     if isinstance(kind, tuple):
         if value not in kind:
             raise ConfigError(f"{key} must be one of {', '.join(kind)}, got {value!r}")
@@ -74,15 +75,19 @@ def _cast(kind, value, key: str):
         raise ConfigError(message)
     if kind is float and not np.isfinite(out):
         raise ConfigError(f"{key} must be a finite float, got {value!r}")
+    lo, hi = map(float, interval[1:-1].split(",")) if interval else (-np.inf, np.inf)
+    if not (lo < out < hi or out == lo and interval[0] == "[" or out == hi and interval[-1] == "]"):
+        raise ConfigError(f"{key} must be in {interval}, got {value!r}")
     return out
 
 
 def _section(spec, keys: dict, name: str) -> dict:
     """The values of config section name, or of the whole config when name is empty.
 
-    keys maps each key to (kind, default), kind as in _cast, or to the keys of a nested section.  Each given value is
-    cast to its kind and each key not given takes its default, None included.  An unknown key is refused, and so is
-    a missing key whose default is _REQUIRED.
+    keys maps each key to (kind, default) or (kind, default, interval), kind and interval as in _cast, or to the keys
+    of a nested section.  Each given value is cast to its kind and checked against its interval, and each key not
+    given takes its default, None included.  An unknown key is refused, and so is a missing key whose default is
+    _REQUIRED.
     """
     path = lambda key: f"{name}.{key}" if name else key
     if not isinstance(spec, dict):
@@ -95,7 +100,7 @@ def _section(spec, keys: dict, name: str) -> dict:
         if isinstance(entry, dict):
             values[key] = _section(spec.get(key, {}), entry, path(key))
         elif key in spec:
-            values[key] = _cast(entry[0], spec[key], path(key))
+            values[key] = _cast(entry[0], spec[key], path(key), *entry[2:])
         elif entry[1] is _REQUIRED:
             raise ConfigError(f"{path(key)} is required")
         else:
@@ -134,29 +139,14 @@ class ExperimentConfig:
         return cfg
 
     def validate(self):
-        """Checks across keys, run before any computation."""
+        """The rules that span keys, run before any computation; _section has checked each value in its range."""
         model, op, c = self.model, self.operator, self.certifier
         sweep = self.experiment == "concentration-sweep"
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        # a median over no draws or reps is NaN, an IOP check needs a trial, estimate_concentration needs 100
-        # draws, and counts and scales are nonnegative
-        for key, least in (("draws", 100 if sweep else 1), ("concentration_draws", 100), ("sweep_draws", 1),
-                           ("reps", 1), ("trials", 1), ("uniform_candidates", 0), ("noise_scale", 0),
-                           ("model_error_scale", 0), ("A", 0), ("lambda", 0), ("B", 0)):
-            if c.get(key) is not None and c[key] < least:
-                raise ConfigError(f"certifier.{key} must be >= {least}, got {c[key]}")
+        if model["s"] > model["d"]:
+            raise ConfigError(f"need model.s <= model.d, got model.s = {model['s']}, model.d = {model['d']}")
         # the series start at the first t of t_grid, and a concentration sweep at its first m
         if c.get("t_grid") == []:
             raise ConfigError("certifier.t_grid must not be empty")
-        # a level t <= 0 has no failure exponent, and certify's alpha_max is 1.5 / (1 - t)
-        if any(not t > 0 for t in c.get("t_grid") or []):
-            raise ConfigError(f"certifier.t_grid entries must be > 0, got {c['t_grid']}")
-        if c.get("t") is not None and not 0 < c["t"] < 1:
-            raise ConfigError(f"certifier.t must be in (0, 1), got {c['t']}")
-        # 3 is the proven ball-covering constant; a smaller one undercounts the cover
-        if c.get("c0_cover") is not None and c["c0_cover"] < 3:
-            raise ConfigError(f"certifier.c0_cover must be >= 3, got {c['c0_cover']}")
         if sweep and c["m_sweep"] == []:
             raise ConfigError("certifier.m_sweep must not be empty")
         if c.get("pair") is not None and [len(x) for x in c["pair"]] != [model["d"]] * 2:
@@ -167,15 +157,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown output.series {unknown}; {self.experiment} writes {list(series)}")
         if "alpha_hat_vs_m" in self.output["series"] and not c["m_sweep"]:
             raise ConfigError("output.series alpha_hat_vs_m needs certifier.m_sweep")
-        if not 1 <= model["s"] <= model["d"]:
-            raise ConfigError(f"need 1 <= model.s <= model.d, got model.s = {model['s']}, model.d = {model['d']}")
-        # the model and the operator law refuse these too, and recommend-m takes logs of N and of M d / (sigma t)
-        for key, value in (("model.N", model["N"]), ("model.M", model["M"]), ("operator.sigma", op["sigma"])):
-            if not value > 0:
-                raise ConfigError(f"{key} must be > 0, got {value}")
         if self.experiment == "recommend-m":
-            if not c["c0_m"] > 0:
-                raise ConfigError(f"certifier.c0_m must be > 0, got {c['c0_m']}")
             return
         if op["kind"] is None:
             raise ConfigError(f"operator.kind is required for {self.experiment}")
@@ -183,15 +165,13 @@ class ExperimentConfig:
             raise ConfigError("operator.identity applies to linear-gaussian only")
         if op["identity"] and sweep:
             raise ConfigError("a concentration sweep draws random operators; operator.identity is not one")
+        if op["identity"] and any(m not in (None, model["d"]) for m in [op["m"], *c.get("m_sweep", [])]):
+            raise ConfigError("identity operator requires m == d")
         # a concentration sweep builds its operators at the m_sweep entries only
-        for m in c["m_sweep"] if sweep else [op["m"], *c.get("m_sweep", [])]:
-            if op["identity"] and m not in (None, model["d"]):
-                raise ConfigError("identity operator requires m == d")
-            if not op["identity"] and (m is None or m < 1):
-                raise ConfigError("operator.m and every certifier.m_sweep entry must be >= 1")
-        sigma = self.metric["sigma"]
-        if self.metric["kind"] == "gaussian-kernel" and (sigma is None or not sigma > 0):
-            raise ConfigError("metric.sigma must be > 0 for the kernel metric")
+        if not op["identity"] and not sweep and op["m"] is None:
+            raise ConfigError(f"operator.m is required for {self.experiment}")
+        if self.metric["kind"] == "gaussian-kernel" and self.metric["sigma"] is None:
+            raise ConfigError("metric.sigma is required for the kernel metric")
 
     def to_dict(self) -> dict:
         return copy.deepcopy(self.echo)
@@ -541,24 +521,26 @@ def _run_concentration_sweep(cfg: ExperimentConfig) -> dict:
 
 class _Experiment(NamedTuple):
     runner: Callable[[ExperimentConfig], dict]
-    certifier: dict  # key -> (kind, default), as _section takes them
+    certifier: dict  # key -> (kind, default) or (kind, default, interval), as _section takes them
     streams: dict  # the streams derived from the master seed, by name
     series: tuple  # the CSV series its results can carry
 
 
 # The one table of experiments.  A None default of bp_pairs, sweep_draws, alpha_max or beta_max stands for a value
-# the runner works out from pairs, draws or t.  In the streams, -1 stands for a draw, rep or sweep index, and some
-# are derived only on some branches (31 when B is not given, 41 in anchored mode, 44-45 for the Fourier map, 50
-# when no pair is given).
-_LRIP = {"eta": (float, 0.0), "near_eps": (float, 0.1)}
-_SCALES = {"noise_scale": (float, 0.0), "model_error_scale": (float, 0.0)}
+# the runner works out from pairs, draws or t.  estimate_concentration needs 100 draws, and 3 is the proven
+# ball-covering constant.  In the streams, -1 stands for a draw, rep or sweep index, and some are derived only on
+# some branches (31 when B is not given, 41 in anchored mode, 44-45 for the Fourier map, 50 when no pair is given).
+_LRIP = {"eta": (float, 0.0, "[0, inf)"), "near_eps": (float, 0.1, "(0, inf)")}
+_SCALES = {"noise_scale": (float, 0.0, "[0, inf)"), "model_error_scale": (float, 0.0, "[0, inf)")}
 EXPERIMENTS = {
     "certify": _Experiment(
         _run_certify,
-        {"draws": (int, 100), "pairs": (int, 10000), "bp_pairs": (int, None), "anchored": (bool, True), **_LRIP,
-         "perturbation_scale": (float, 1.0), "t": (float, 0.5), "alpha_max": (float, None), "beta_max": (float, None),
-         "m_sweep": ([int], []), "sweep_draws": (int, None), "c_of_half_t": (float, None),
-         "estimate_concentration": (bool, True), "concentration_draws": (int, 200), "c0_cover": (float, 3.0)},
+        {"draws": (int, 100, "[1, inf)"), "pairs": (int, 10000, "[1, inf)"), "bp_pairs": (int, None, "[1, inf)"),
+         "anchored": (bool, True), **_LRIP, "perturbation_scale": (float, 1.0, "[0, inf)"),
+         "t": (float, 0.5, "(0, 1)"), "alpha_max": (float, None, "(0, inf)"), "beta_max": (float, None, "(0, inf)"),
+         "m_sweep": ([int], [], "[1, inf)"), "sweep_draws": (int, None, "[1, inf)"),
+         "c_of_half_t": (float, None, "[0, inf)"), "estimate_concentration": (bool, True),
+         "concentration_draws": (int, 200, "[100, inf)"), "c0_cover": (float, 3.0, "[3, inf)")},
         {"model": (10,), "operator_draw_k": (40, -1), "anchor": (41,), "pairs_draw_k": (42, -1),
          "bp_pairs_draw_k": (43, -1), "concentration_pair": (44,), "concentration_draws": (45,)},
         ("alpha_hat_vs_draw", "beta_hat_vs_draw", "alpha_hat_vs_m")),
@@ -566,15 +548,17 @@ EXPERIMENTS = {
         _run_decode, _SCALES, {"model": (10,), "operator": (20,), "signal_and_noise": (21,)}, ()),
     "iop-experiment": _Experiment(
         _run_iop,
-        {"B": (float, None), "pairs": (int, 2000), **_LRIP, "A": (float, 1.0), "lambda": (float, 0.0),
-         "trials": (int, 100), **_SCALES, "uniform_candidates": (int, 64)},
+        {"B": (float, None, "[0, inf)"), "pairs": (int, 2000, "[1, inf)"), **_LRIP, "A": (float, 1.0, "[0, inf)"),
+         "lambda": (float, 0.0, "[0, inf)"), "trials": (int, 100, "[1, inf)"), **_SCALES,
+         "uniform_candidates": (int, 64, "[0, inf)")},
         {"model": (10,), "operator": (30,), "lrip_pairs": (31,), "iop_trials": (32,)}, ()),
     "recommend-m": _Experiment(
-        _run_recommend_m, {"t": (float, _REQUIRED), "rho_target": (float, _REQUIRED), "c0_m": (float, 1.0)}, {}, ()),
+        _run_recommend_m, {"t": (float, _REQUIRED, "(0, 1)"), "rho_target": (float, _REQUIRED, "(0, 1)"),
+                           "c0_m": (float, 1.0, "(0, inf)")}, {}, ()),
     "concentration-sweep": _Experiment(
         _run_concentration_sweep,
-        {"m_sweep": ([int], [16, 64, 256]), "t_grid": ([float], [0.3]), "reps": (int, 5), "draws": (int, 200),
-         "pair": ([[float]], None)},
+        {"m_sweep": ([int], [16, 64, 256], "[1, inf)"), "t_grid": ([float], [0.3], "(0, inf)"),
+         "reps": (int, 5, "[1, inf)"), "draws": (int, 200, "[100, inf)"), "pair": ([[float]], None)},
         {"model": (10,), "pair": (50,), "concentration_m_rep": (51, -1, -1)}, ("p_hat_vs_m", "c_hat_vs_t")),
 }
 
@@ -584,14 +568,15 @@ EXPERIMENTS = {
 # gone; the benchmark's iop-fourier workload still passes all three, so they keep their names and the last two are
 # parsed and never read.
 _CONFIG_KEYS = {
-    "experiment": (tuple(EXPERIMENTS), _REQUIRED), "master_seed": (int, 0), "workers": (int, 1),
-    "model": {"d": (int, _REQUIRED), "s": (int, _REQUIRED), "N": (int, _REQUIRED), "M": (float, _REQUIRED),
-              "kind": (("random", "axes"), "random"), "seed": (int, None), "bases": ([[float]], None)},
-    "operator": {"kind": (OPERATOR_KINDS, None), "m": (int, None), "sigma": (float, 1.0),
-                 "identity": (bool, False), "seed": (int, None)},
-    "metric": {"kind": (("euclidean", "gaussian-kernel"), "euclidean"), "sigma": (float, None)},
-    "decoder": {"max_iters": (int, DecoderOptions.max_iters), "restarts": (int, None),
-                "grid_oracle": {"resolution": (float, DecoderOptions.target), "enabled": (bool, None)}},
+    "experiment": (tuple(EXPERIMENTS), _REQUIRED), "master_seed": (int, 0, "[0, inf)"), "workers": (int, 1, "[1, inf)"),
+    "model": {"d": (int, _REQUIRED, "[1, inf)"), "s": (int, _REQUIRED, "[1, inf)"), "N": (int, _REQUIRED, "[1, inf)"),
+              "M": (float, _REQUIRED, "(0, inf)"), "kind": (("random", "axes"), "random"),
+              "seed": (int, None, "[0, inf)"), "bases": ([[float]], None)},
+    "operator": {"kind": (OPERATOR_KINDS, None), "m": (int, None, "[1, inf)"), "sigma": (float, 1.0, "(0, inf)"),
+                 "identity": (bool, False), "seed": (int, None, "[0, inf)")},
+    "metric": {"kind": (("euclidean", "gaussian-kernel"), "euclidean"), "sigma": (float, None, "(0, inf)")},
+    "decoder": {"max_iters": (int, DecoderOptions.max_iters, "[1, inf)"), "restarts": (int, None),
+                "grid_oracle": {"resolution": (float, DecoderOptions.target, "(0, inf)"), "enabled": (bool, None)}},
     "certifier": {},
     "output": {"dir": (str, None), "series": ([str], [])},
 }

@@ -238,7 +238,8 @@ def sample_near_points(
     from a in R^d is in (0, eps] too; otherwise the row stays pending.  The
     radius starts at the Euclidean gap matching eps and shrinks by 0.7 after
     every 64 misses.  A row still missing after 200 radii (12,800 proposals)
-    is not found.
+    is not found, and so is a row whose least residual off the subspaces
+    already has gap above eps, without a proposal.
 
     Returns (points, found): one row per anchor, NaN where found is False.
     """
@@ -259,8 +260,8 @@ def sample_near_points(
             P[:, i] = chunk @ B
             R = chunk - P[:, i] @ B.T
             res2[:, i] = np.einsum("kd,kd->k", R, R)
+        rows = np.flatnonzero(metric.from_gap(np.sqrt(res2.min(axis=1))) <= eps)
         P, res2 = P.reshape(-1, model.subspace_dim), res2.ravel()
-        rows = np.arange(len(chunk))
         radius, used = radius0, 0
         while rows.size and used < 200 * _NEAR_PER_RADIUS:
             idx = rng.integers(model.num_subspaces, size=rows.size * _NEAR_BLOCK)

@@ -1,5 +1,8 @@
 import json
+import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -336,6 +339,57 @@ class TestSeedLineage:
         assert {(10,), (20,), (30,)}.isdisjoint(paths)
 
 
+# the shipped config of each experiment
+SHIPPED = {"certify": "certify_fourier", "decode": "decode_fourier", "iop-experiment": "iop_linear",
+           "recommend-m": "recommend_m", "concentration-sweep": "concentration_sweep"}
+
+
+def _ends(interval: str) -> tuple:
+    """(lo, lo is closed, hi, hi is closed) of an interval such as "(0, 1)" or "[1, inf)"."""
+    lo, hi = map(float, interval[1:-1].split(","))
+    return lo, interval[0] == "[", hi, interval[-1] == "]"
+
+
+def _inside(value, interval: str) -> bool:
+    if isinstance(value, list):
+        return all(_inside(v, interval) for v in value)
+    lo, lo_closed, hi, hi_closed = _ends(interval)
+    return (lo < value or lo_closed and lo == value) and (value < hi or hi_closed and value == hi)
+
+
+def _just_outside(kind, interval: str) -> list:
+    """The values of kind just outside each finite end of interval; a list kind gets one-entry lists."""
+    if isinstance(kind, list):
+        return [[v] for v in _just_outside(kind[0], interval)]
+    lo, lo_closed, hi, hi_closed = _ends(interval)
+    values = []
+    if math.isfinite(lo):
+        values.append(lo if not lo_closed else lo - 1 if kind is int else math.nextafter(lo, -math.inf))
+    if math.isfinite(hi):
+        values.append(hi if not hi_closed else hi + 1 if kind is int else math.nextafter(hi, math.inf))
+    return [kind(v) for v in values]
+
+
+def _range_cases() -> list:
+    """(experiment, section.key, default, interval, value) for every value just outside a ranged key's range."""
+    cases = []
+
+    def walk(experiment, keys, prefix):
+        for key, entry in keys.items():
+            if isinstance(entry, dict):
+                walk(experiment, entry, f"{prefix}{key}.")
+            elif len(entry) == 3:
+                kind, default, interval = entry
+                cases.extend((experiment, prefix + key, default, interval, v) for v in _just_outside(kind, interval))
+
+    for name, experiment in harness.EXPERIMENTS.items():
+        walk(name, {**harness._CONFIG_KEYS, "certifier": experiment.certifier}, "")
+    return cases
+
+
+RANGE_CASES = _range_cases()
+
+
 class TestCli:
     def write_config(self, tmp_path, cfg):
         path = tmp_path / "config.json"
@@ -504,6 +558,34 @@ class TestCli:
         assert err.startswith("config error:") and "alpha_hat_vs_m" in err and "certifier.m_sweep" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment, path, default, interval, value", RANGE_CASES,
+                             ids=[f"{case[0]}-{case[1]}={case[-1]}" for case in RANGE_CASES])
+    def test_out_of_range_value_exit_code(self, tmp_path, capsys, monkeypatch, experiment, path, default, interval,
+                                          value):
+        # a value just outside a finite end of its key's range, in an experiment's shipped config, is refused while
+        # the config is parsed, naming section.key; the key's own default lies in the range
+        assert default in (None, harness._REQUIRED) or _inside(default, interval)
+        monkeypatch.setattr("lrip_lab.cli.run", lambda config: pytest.fail("the experiment ran"))
+        cfg = json.loads((ROOT / "configs" / f"{SHIPPED[experiment]}.json").read_text())
+        *sections, key = path.split(".")
+        node = cfg
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = value
+        out = tmp_path / "out"
+        assert main([experiment, "--config", self.write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{path} must be in {interval}" in err
+        assert not out.exists()
+
+    def test_negative_seed_on_the_command_line_exit_code(self):
+        # a negative master seed reached numpy's SeedSequence, whose ValueError ended the run with a traceback (exit 1)
+        config = ROOT / "configs" / "decode_fourier.json"
+        proc = subprocess.run([sys.executable, "-m", "lrip_lab.cli", "decode", "--config", str(config), "--seed", "-1"],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert proc.returncode == 2
+        assert "master_seed" in proc.stderr and "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("section, key, value", [("model", "s", -3), ("model", "s", 21), ("model", "N", 0),
                                                      ("model", "M", -1.0), ("operator", "sigma", 0.0),
                                                      ("operator", "sigma", -1.0), ("certifier", "c0_m", 0.0)])
@@ -632,16 +714,16 @@ def test_readme_quick_tour_runs(capsys):
 
 
 def test_readme_key_table_matches_the_schema():
-    # the defaults live in the schema, and the README table is where users read them
+    # the defaults and ranges live in the schema, and the README table is where users read them
     lines = (ROOT / "README.md").read_text().splitlines()
-    start = lines.index("| section | key | read by | type | default |")
+    start = lines.index("| section | key | read by | type | default | range |")
     rows = []
     for line in lines[start + 2:]:
         if not line.startswith("|"):
             break
         rows.append([cell.strip().replace("`", "") for cell in line.strip("|").split("|")])
-    readme = {(section, key, by if section == "certifier" else None): (kind, default)
-              for section, key, by, kind, default in rows}
+    readme = {(section, key, by if section == "certifier" else None): (kind, default, interval)
+              for section, key, by, kind, default, interval in rows}
     assert len(readme) == len(rows)
 
     expected = {}
@@ -656,13 +738,14 @@ def test_readme_key_table_matches_the_schema():
     walk(harness._CONFIG_KEYS, "top level")
     readers = {}
     for name, experiment in harness.EXPERIMENTS.items():
-        for key, (kind, default) in experiment.certifier.items():
-            readers.setdefault((key, _kind_text(kind), repr(default)), ([], (kind, default)))[0].append(name)
+        for key, entry in experiment.certifier.items():
+            readers.setdefault((key, _kind_text(entry[0]), repr(entry[1:])), ([], entry))[0].append(name)
     for (key, _, _), (names, entry) in readers.items():
         expected[("certifier", key, ", ".join(names))] = entry
     assert readme.keys() == expected.keys()
-    for row, (kind, default) in expected.items():
+    for row, (kind, default, *interval) in expected.items():
         assert readme[row][0] == _kind_text(kind), row
         assert _default_matches(readme[row][1], default), row
-    for section, key, by, _, _ in rows:
+        assert readme[row][2] == "".join(interval), row
+    for section, key, by, _, _, _ in rows:
         assert set(by.removeprefix("all but ").split(", ")) <= {"all", *harness.EXPERIMENTS}, (section, key)

@@ -223,6 +223,17 @@ class TestNearSampler:
         points, found = sample_near_points(model, EUCLID, anchors, 1e-300, 0)
         assert not found.any()
         assert np.isnan(points).all()
+        # an anchor 0.3 off the model is farther than eps = 0.1 from every model point under both metrics: it is
+        # reported without a proposal, so the generator is untouched and the row beside it samples as if alone
+        off, on = [0.5, 0.3], [0.2, 0.0]
+        for metric in (EUCLID, KERNEL):
+            rng = np.random.default_rng(0)
+            state = rng.bit_generator.state
+            points, found = sample_near_points(model, metric, [off], 0.1, rng)
+            assert not found[0] and np.isnan(points).all() and rng.bit_generator.state == state
+            points, found = sample_near_points(model, metric, [off, on], 0.1, 1)
+            alone, _ = sample_near_points(model, metric, [on], 0.1, 1)
+            assert found.tolist() == [False, True] and np.array_equal(points[1], alone[0])
 
     def test_same_seed_same_points(self):
         model = UnionOfSubspaces.random(6, 2, 3, 1.0, 1)
