@@ -1,4 +1,4 @@
-"""Print sha256(results_bytes())[:8] of every shipped config and benchmark workload, and near, decode and operator digests.
+"""Print sha256(results_bytes())[:8] of every shipped config and benchmark workload, and near, decode, operator and trial digests.
 
 Usage, from any directory:
 
@@ -11,9 +11,11 @@ digest" hashes sample_near_points' output on fixed instances under both
 metrics (see near_digest): a workload's hash can stay put when its near
 points move.  The line "decode digest" hashes certified_minimum's and
 decode's output arrays on fixed random Fourier instances (see
-decode_digest), and the last line, "operator digest", the operators drawn
-from fixed seeds and their gaps (see operator_digest).  The library is the
-one in this checkout's src/, so two checkouts can be compared line by line.
+decode_digest), "operator digest" the operators drawn from fixed seeds and
+their gaps (see operator_digest), and the last line, "trial digest", the
+IOP trials that _draw_trials draws on fixed instances (see trial_digest).
+The library is the one in this checkout's src/, so two checkouts can be
+compared line by line.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ from lrip_lab import (  # noqa: E402
     UnionOfSubspaces,
     decode,
     harness,
+    seeding,
 )
+from lrip_lab.certifier import _draw_trials  # noqa: E402
 from lrip_lab.decoder import certified_minimum  # noqa: E402
 from lrip_lab.models import sample_model_points, sample_near_points  # noqa: E402
 
@@ -107,6 +111,26 @@ def operator_digest() -> str:
     return digest.hexdigest()[:8]
 
 
+def trial_digest() -> str:
+    """sha256(...)[:8] over _draw_trials' (x*, y, points), on fixed instances.
+
+    The model is a random union of subspaces, (d, s, N, M) = (6, 2, 3, 1)
+    from seed 3, and the operators are both kinds at m = 12, sigma = 1.0,
+    sampled from seed 4.  Each draws 64 trials from the streams (11, 2, k)
+    at (noise_scale, model_error_scale) = (0, 0), (0.1, 0), (0, 0.3) and
+    (0.1, 0.3), with 0 and with 4 candidates.
+    """
+    digest = hashlib.sha256()
+    model = UnionOfSubspaces.random(6, 2, 3, 1.0, 3)
+    for kind in ("linear-gaussian", "random-fourier"):
+        op = OperatorLaw(kind, 12, 6, 1.0).sample(4)
+        for scales in ((0.0, 0.0), (0.1, 0.0), (0.0, 0.3), (0.1, 0.3)):
+            for candidates in (0, 4):
+                for a in _draw_trials(op, model, seeding.generators(11, 2, np.arange(64)), *scales, candidates):
+                    digest.update(a.tobytes())
+    return digest.hexdigest()[:8]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[7, 101], help="benchmark seeds of the workloads")
@@ -125,6 +149,7 @@ def main(argv=None) -> int:
     print(f"near digest\t{near_digest()}", flush=True)
     print(f"decode digest\t{decode_digest()}", flush=True)
     print(f"operator digest\t{operator_digest()}", flush=True)
+    print(f"trial digest\t{trial_digest()}", flush=True)
     return 0
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seeding
-from .decoder import DecoderOptions, _draw_noise, _scale_noise, decode
+from .decoder import DecoderOptions, _row_norms, decode
 from .errors import InputError
 from .models import (
     CoveringBound,
@@ -383,6 +383,38 @@ class IopWitness:
 _IOP_CHUNK = 64  # trials drawn, decoded and checked together; bounds the working arrays
 
 
+def _draw_trials(op, model: UnionOfSubspaces, rngs, noise_scale: float, model_error_scale: float,
+                 candidates: int = 0) -> tuple:
+    """The instances y = Psi(x*) + e of IOP trials, one from each generator of rngs: (x*, y, points).
+
+    x* is a model point plus an isotropic Gaussian perturbation of RMS norm
+    ``model_error_scale``; e is Gaussian noise of norm ``noise_scale``, real
+    on the linear map and complex otherwise.  Trial k draws from the k-th
+    generator only, in the order model point, perturbation, raw noise (none
+    at noise_scale 0), candidates; then one _map_model_points call maps all
+    model points and candidates, one array expression adds the
+    perturbations, each noise row is scaled by its _row_norms, and one
+    apply_batch measures x*.  So a trial does not depend on the trials drawn
+    with it.  Shapes: x* (n, d), y (n, m), points (n, 1 + candidates, d),
+    each trial's model point first.
+    """
+    d, c, real = model.dim, candidates, isinstance(op, LinearGaussianOperator)
+    draws, perturb, noise = [], [], []  # draws: each trial's model point, then its candidates
+    for rng in rngs:
+        draws.append(_draw_model_points(model, 1, rng))
+        perturb.append(rng.normal(size=d))
+        if noise_scale:
+            noise.append(rng.normal(size=op.m) + (0j if real else 1j * rng.normal(size=op.m)))
+        if c:
+            draws.append(_draw_model_points(model, c, rng))
+    points = _map_model_points(model, *(np.concatenate(a) for a in zip(*draws))).reshape(len(perturb), 1 + c, d)
+    xstar = points[:, 0] + np.array(perturb) * (model_error_scale / math.sqrt(d))
+    E = np.array(noise) if noise_scale else np.zeros((len(perturb), op.m), dtype=complex)
+    if noise_scale:
+        E *= (noise_scale / _row_norms(E))[:, None]
+    return xstar, op.apply_batch(xstar) + E, points
+
+
 def check_iop_inequality(
     op,
     model: UnionOfSubspaces,
@@ -415,15 +447,10 @@ def check_iop_inequality(
     Trials run _IOP_CHUNK at a time, in three phases:
 
     * draw: the chunk's streams (rng_seed, 2, k) are derived in one
-      seeding.generators call, and trial k draws from its own, in the order
-      model point, perturbation, raw noise, candidates; then one
-      _map_model_points call maps the chunk's model points and candidates,
-      one array expression adds the perturbations, and one _scale_noise
-      call scales every trial's noise to norm ``noise_scale``;
-    * decode: the chunk's signals are measured in one apply_batch, and
-      ``decode`` decodes the measurements, the linear map in one
-      decode_linear call, the Fourier map in one lockstep search and
-      polish for the whole chunk;
+      seeding.generators call, and _draw_trials draws trial k from its own;
+    * decode: ``decode`` decodes the chunk's measurements, the linear map
+      in one decode_linear call, the Fourier map in one lockstep search
+      and polish for the whole chunk;
     * check: decode distances, projections and d' over all rows of the
       chunk; the secants x* - c are formed once, for one dist and one
       gap_batch.
@@ -443,18 +470,10 @@ def check_iop_inequality(
     d, c = model.dim, uniform_candidates
     out = []
     for first in range(0, trials, _IOP_CHUNK):
-        ks = np.arange(first, min(first + _IOP_CHUNK, trials))
-        draws, perturb, noise = [], [], []  # draws: each trial's model point, then its candidates
-        for rng in seeding.generators(rng_seed, 2, ks):
-            draws.append(_draw_model_points(model, 1, rng))
-            perturb.append(rng.normal(size=d))
-            noise.append(_draw_noise(op, noise_scale, rng))
-            if c:
-                draws.append(_draw_model_points(model, c, rng))
-        cands = _map_model_points(model, *(np.concatenate(a) for a in zip(*draws))).reshape(len(ks), 1 + c, d)
-        xstar = cands[:, 0] + np.array(perturb) * (model_error_scale / math.sqrt(d))
+        rngs = seeding.generators(rng_seed, 2, np.arange(first, min(first + _IOP_CHUNK, trials)))
+        xstar, y, cands = _draw_trials(op, model, rngs, noise_scale, model_error_scale, c)
 
-        dec = decode(op, model, op.apply_batch(xstar) + _scale_noise(np.array(noise), noise_scale), decoder_opts)
+        dec = decode(op, model, y, decoder_opts)
 
         decode_dist = metric.dist(xstar - dec.xhat)
         cands[:, 0] = project_to_model(model, xstar, metric)

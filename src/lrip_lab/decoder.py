@@ -79,16 +79,6 @@ class DecodeResult:
     converged: np.ndarray
     gap: np.ndarray
 
-    def to_json(self, k: int) -> dict:
-        """Row k's fields but its gap, as JSON values."""
-        return {
-            "xhat": [float(v) for v in self.xhat[k]],
-            "residual": float(self.residual[k]),
-            "subspace_index": int(self.subspace_index[k]),
-            "optimizer_iters": int(self.optimizer_iters[k]),
-            "converged": bool(self.converged[k]),
-        }
-
 
 def _measurement_rows(y, m: int) -> np.ndarray:
     """y as measurement rows of shape (n, m), refused unless it has that shape and every entry is finite."""
@@ -493,20 +483,6 @@ def decode(op, model: UnionOfSubspaces, y, opts: DecoderOptions) -> DecodeResult
                         gap=residual - np.minimum(lower, residual))
 
 
-def noise_vector(op, norm: float, rng) -> np.ndarray:
-    """Gaussian measurement noise of exact norm ``norm``: real for the linear map, complex otherwise."""
-    return _scale_noise(_draw_noise(op, norm, rng), norm)
-
-
-def _draw_noise(op, norm: float, rng) -> np.ndarray:
-    """The Gaussian draws of noise_vector, unscaled; at norm 0 it draws nothing and gives zeros."""
-    if norm == 0:
-        return np.zeros(op.m, dtype=complex)
-    if isinstance(op, LinearGaussianOperator):
-        return rng.normal(size=op.m).astype(complex)
-    return rng.normal(size=op.m) + 1j * rng.normal(size=op.m)
-
-
 def _row_norms(E) -> np.ndarray:
     """The norm of e of shape (m,), or of each row of E of shape (n, m), bitwise np.linalg.norm's of it alone.
 
@@ -515,8 +491,3 @@ def _row_norms(E) -> np.ndarray:
     """
     dot = lambda P: np.matmul(P[..., None, :], P[..., :, None])[..., 0, 0]
     return np.sqrt(dot(E.real) + dot(E.imag))
-
-
-def _scale_noise(E, norm: float) -> np.ndarray:
-    """The noise e of shape (m,), or each row of E of shape (n, m), scaled to norm ``norm`` (see _row_norms)."""
-    return E if norm == 0 else E * (norm / _row_norms(E))[..., None]

@@ -13,7 +13,7 @@ import copy
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__, seeding
 from .certifier import (
+    _draw_trials,
     estimate_bp,
     estimate_concentration,
     estimate_lrip,
@@ -29,7 +30,7 @@ from .certifier import (
     prop2_failure_bound,
     recommend_m,
 )
-from .decoder import DecoderOptions, decode, noise_vector
+from .decoder import DecoderOptions, decode
 from .errors import ConfigError, InputError
 from .models import UnionOfSubspaces, sample_model_points
 from .operators import (
@@ -39,7 +40,7 @@ from .operators import (
     RandomFourierOperator,
     hypothesis_constants,
 )
-from .spaces import Pseudometric, complex_vector_to_json
+from .spaces import Pseudometric
 
 _REQUIRED = object()  # the default of a key that a config must give
 
@@ -144,6 +145,10 @@ class ExperimentConfig:
         sweep = self.experiment == "concentration-sweep"
         if model["s"] > model["d"]:
             raise ConfigError(f"need model.s <= model.d, got model.s = {model['s']}, model.d = {model['d']}")
+        lengths = None if model["bases"] is None else [len(b) for b in model["bases"]]
+        if lengths is not None and (model["kind"] == "axes" or lengths != [model["d"] * model["s"]] * model["N"]):
+            raise ConfigError(f"model.bases must be model.N entries of length model.d * model.s, without model.kind "
+                              f"axes; got lengths {lengths} with kind {model['kind']}")
         # the series start at the first t of t_grid, and a concentration sweep at its first m
         if c.get("t_grid") == []:
             raise ConfigError("certifier.t_grid must not be empty")
@@ -288,18 +293,13 @@ def _run_decode(cfg: ExperimentConfig) -> dict:
     op_seed = _config_seed(cfg.operator, cfg.master_seed, 20)
     op = build_operator(cfg, op_seed)
     c = cfg.certifier
-    rng = seeding.generator(cfg.master_seed, 21)
-    x_true = sample_model_points(model, 1, rng)[0]
-    if c["model_error_scale"]:
-        x_true = x_true + rng.normal(size=model.dim) * (c["model_error_scale"] / np.sqrt(model.dim))
-    y = op.apply_batch(x_true)[0]
-    if c["noise_scale"]:
-        y = y + noise_vector(op, c["noise_scale"], rng)
-    dec = decode(op, model, y[None], opts)
+    rngs = [seeding.generator(cfg.master_seed, 21)]
+    (x_true,), y, _ = _draw_trials(op, model, rngs, c["noise_scale"], c["model_error_scale"])
+    dec = decode(op, model, y, opts)
     return {
-        "decode": dec.to_json(0),
-        "x_true": [float(v) for v in x_true],
-        "y": complex_vector_to_json(np.asarray(y, dtype=complex)),
+        "decode": {f.name: getattr(dec, f.name)[0].tolist() for f in fields(dec) if f.name != "gap"},
+        "x_true": x_true.tolist(),
+        "y": [[v.real, v.imag] for v in y[0].tolist()],
         "metric_error": metric.dist(x_true - dec.xhat[0]),
         "residual_certificate_gap": float(dec.gap[0]),
         "operator_seed": op_seed,

@@ -115,11 +115,3 @@ def norm_equivalence_factors(metric: Pseudometric, M: float) -> tuple[float, flo
     if metric.kind == EUCLIDEAN:
         return 1.0, 1.0
     return kernel_norm_equivalence(M, metric.sigma)
-
-
-# --- JSON form of measurement vectors (complex entries as [re, im] pairs) ---
-
-def complex_vector_to_json(v) -> list[list[float]]:
-    v = np.asarray(v, dtype=complex)
-    return [[float(c.real), float(c.imag)] for c in v]
-

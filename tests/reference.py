@@ -8,10 +8,10 @@ import numpy as np
 
 from lrip_lab import decoder, models, seeding
 from lrip_lab.certifier import IopTrial
-from lrip_lab.decoder import DecodeResult, DecoderOptions, certified_minimum, noise_vector
+from lrip_lab.decoder import DecodeResult, DecoderOptions, certified_minimum
 from lrip_lab.errors import InputError
 from lrip_lab.models import UnionOfSubspaces, project_to_model, sample_model_points
-from lrip_lab.operators import RandomFourierOperator, jacobian
+from lrip_lab.operators import LinearGaussianOperator, RandomFourierOperator, jacobian
 
 
 def rows(result: DecodeResult) -> list:
@@ -107,26 +107,49 @@ def residual_certificate(result, op, model: UnionOfSubspaces, y, target: float =
     return float(result.residual - lower)
 
 
+def noise(op, norm: float, rng) -> np.ndarray:
+    """Gaussian measurement noise of exact norm ``norm``, complex and with zero imaginary part on the linear map.
+
+    The real parts are drawn first, then, on the Fourier map, the imaginary
+    parts; at norm 0 nothing is drawn and the noise is 0.
+    """
+    if norm == 0:
+        return np.zeros(op.m, dtype=complex)
+    if isinstance(op, LinearGaussianOperator):
+        e = rng.normal(size=op.m).astype(complex)
+    else:
+        e = rng.normal(size=op.m) + 1j * rng.normal(size=op.m)
+    return e * (norm / np.linalg.norm(e))
+
+
+def iop_trial(op, model: UnionOfSubspaces, rng, noise_scale: float, model_error_scale: float, candidates: int = 0):
+    """One IOP trial drawn from rng alone: (x*, y = Psi(x*) + e, candidates).
+
+    It draws its model point with one sample_model_points call, the
+    perturbation, the noise and then its candidates with a second
+    sample_model_points call (none when candidates is 0).
+    """
+    d = model.dim
+    x0 = sample_model_points(model, 1, rng)[0]
+    xstar = x0 + rng.normal(size=d) * (model_error_scale / math.sqrt(d))
+    y = op.apply_batch(xstar)[0] + noise(op, noise_scale, rng)
+    return xstar, y, sample_model_points(model, candidates, rng) if candidates else np.empty((0, d))
+
+
 def iop_trials(op, model: UnionOfSubspaces, metric, decoder_opts, A: float, B: float, lam: float, trials: int,
                noise_scale: float, model_error_scale: float, rng_seed: int, uniform_candidates: int) -> list:
     """The IopTrial records of check_iop_inequality, from its per-trial draw loop.
 
-    Trial k draws from its own stream (rng_seed, 2, k): its model point with
-    one sample_model_points call, the perturbation, the noise and then its
-    candidates with a second sample_model_points call.  All trials are
-    decoded and checked together, as one chunk.
+    Trial k is iop_trial from its own stream (rng_seed, 2, k).  All trials
+    are decoded and checked together, as one chunk.
     """
     d, c = model.dim, uniform_candidates
-    xstar, noise = np.empty((trials, d)), np.empty((trials, op.m), dtype=complex)
+    xstar, y = np.empty((trials, d)), np.empty((trials, op.m), dtype=complex)
     cands = np.empty((trials, 1 + c, d))
     for k in range(trials):
         rng = seeding.generator(rng_seed, 2, k)
-        x0 = sample_model_points(model, 1, rng)[0]
-        xstar[k] = x0 + rng.normal(size=d) * (model_error_scale / math.sqrt(d))
-        noise[k] = noise_vector(op, noise_scale, rng)
-        if c:
-            cands[k, 1:] = sample_model_points(model, c, rng)
-    dec = decoder.decode(op, model, op.apply_batch(xstar) + noise, decoder_opts or DecoderOptions())
+        xstar[k], y[k], cands[k, 1:] = iop_trial(op, model, rng, noise_scale, model_error_scale, c)
+    dec = decoder.decode(op, model, y, decoder_opts or DecoderOptions())
     decode_dist = metric.dist(xstar - dec.xhat)
     cands[:, 0] = project_to_model(model, xstar, metric)
     D = (xstar[:, None, :] - cands).reshape(-1, d)

@@ -13,11 +13,12 @@ from lrip_lab import (
     UnionOfSubspaces,
     decode_linear,
 )
-from lrip_lab import decoder
-from lrip_lab.decoder import _HALVINGS, _line_search, _scale_noise, certified_minimum, decode, noise_vector
+from lrip_lab import decoder, seeding
+from lrip_lab.certifier import _draw_trials
+from lrip_lab.decoder import _HALVINGS, _line_search, certified_minimum, decode
 from lrip_lab.models import sample_model_points
 from lrip_lab.operators import jacobian
-from reference import grid_minimum, multi_start_decode, residual_certificate, rows
+from reference import grid_minimum, iop_trial, multi_start_decode, noise, residual_certificate, rows
 
 KERNEL = Pseudometric("gaussian-kernel", 1.0)
 IDENTITY2 = LinearGaussianOperator(np.eye(2))
@@ -45,7 +46,7 @@ def noisy_off_model_target(model, op, k):
     """A model point plus 0.3 * normal, measured, plus noise of norm 0.05, all from default_rng(k)."""
     rng = np.random.default_rng(k)
     x = sample_model_points(model, 1, rng)[0] + 0.3 * rng.normal(size=model.dim)
-    return op.apply_batch(x)[0] + noise_vector(op, 0.05, rng)
+    return op.apply_batch(x)[0] + noise(op, 0.05, rng)
 
 
 def fixed_fourier_instances():
@@ -756,7 +757,7 @@ class TestDecode:
         op = RandomFourierOperator.from_seed(32, 4, 0.5, 67)
         rng = np.random.default_rng(4)
         x = sample_model_points(model, 1, rng)[0] + 0.3 * rng.normal(size=4)
-        y = op.apply_batch(x)[0] + noise_vector(op, 0.05, rng)
+        y = op.apply_batch(x)[0] + noise(op, 0.05, rng)
         res, gap = decode_one(op, model, y, DecoderOptions())
         assert res.converged and gap <= 1e-6
         assert res.residual <= multi_start_decode(op, model, y, rng_seed=0).residual - 0.2
@@ -828,11 +829,16 @@ class TestDecode:
 
 
 class TestNoiseVector:
+    """The noise of an IOP trial, as _draw_trials draws and scales it."""
+
+    MODEL = UnionOfSubspaces.random(3, 1, 2, 1.0, 0)
+
     @pytest.mark.parametrize("op", [LinearGaussianOperator.from_seed(5, 3, 0),
                                     RandomFourierOperator.from_seed(5, 3, 1.0, 0)])
     def test_exact_norm(self, op):
-        e = noise_vector(op, 0.25, np.random.default_rng(1))
-        assert e.shape == (5,) and e.dtype == complex
+        xstar, y, _ = _draw_trials(op, self.MODEL, [np.random.default_rng(1)], 0.25, 0.3)
+        e = y[0] - op.apply_batch(xstar)[0]
+        assert y.shape == (1, 5) and y.dtype == complex
         assert np.linalg.norm(e) == pytest.approx(0.25, rel=1e-12)
         assert np.all(e.imag == 0) == isinstance(op, LinearGaussianOperator)
 
@@ -840,17 +846,23 @@ class TestNoiseVector:
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_rows_scale_as_each_row_alone(self, m, kind):
         # np.linalg.norm of one row is a 1-D BLAS dot; np.linalg.norm(E, axis=1) differs from it on thousands
-        # of these rows, so each scaled row must be bitwise the row scaled alone
-        rng = np.random.default_rng(m)
-        E = rng.normal(size=(5000, m)).astype(complex)
-        if kind == "complex":
-            E += 1j * rng.normal(size=E.shape)
-        alone = np.array([e * (0.3 / np.linalg.norm(e)) for e in E])
-        assert _scale_noise(E, 0.3).tobytes() == alone.tobytes()
-        assert np.array([_scale_noise(e, 0.3) for e in E[:200]]).tobytes() == alone[:200].tobytes()
+        # of these rows, so each trial's measurement must be bitwise the trial drawn and scaled alone
+        op = (LinearGaussianOperator.from_seed(m, 3, m) if kind == "real"
+              else RandomFourierOperator.from_seed(m, 3, 1.0, m))
+        ks = np.arange(5000)
+        xstar, y, _ = _draw_trials(op, self.MODEL, seeding.generators(m, 2, ks), 0.3, 0.1)
+        alone = [iop_trial(op, self.MODEL, seeding.generator(m, 2, k), 0.3, 0.1) for k in ks]
+        assert xstar.tobytes() == np.array([a[0] for a in alone]).tobytes()
+        assert y.tobytes() == np.array([a[1] for a in alone]).tobytes()
+        first = [_draw_trials(op, self.MODEL, [seeding.generator(m, 2, k)], 0.3, 0.1)[1][0] for k in ks[:200]]
+        assert np.array(first).tobytes() == y[:200].tobytes()
 
     def test_zero_norm_draws_nothing(self):
+        op = RandomFourierOperator.from_seed(4, 3, 1.0, 0)
         rng = np.random.default_rng(2)
-        e = noise_vector(RandomFourierOperator.from_seed(4, 2, 1.0, 0), 0.0, rng)
-        assert np.array_equal(e, np.zeros(4))
-        assert rng.normal() == np.random.default_rng(2).normal()
+        xstar, y, _ = _draw_trials(op, self.MODEL, [rng], 0.0, 0.3)
+        assert np.array_equal(y, op.apply_batch(xstar))
+        ref = np.random.default_rng(2)
+        sample_model_points(self.MODEL, 1, ref)
+        ref.normal(size=3)
+        assert rng.normal() == ref.normal()

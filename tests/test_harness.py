@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lrip_lab import harness, seeding
@@ -12,6 +13,7 @@ from lrip_lab.cli import main
 from lrip_lab.errors import ConfigError, InputError
 from lrip_lab.decoder import DecoderOptions
 from lrip_lab.harness import ExperimentConfig, build_decoder_options, emit_plot_data, run, write_report
+from reference import iop_trial
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -357,21 +359,28 @@ def _inside(value, interval: str) -> bool:
     return (lo < value or lo_closed and lo == value) and (value < hi or hi_closed and value == hi)
 
 
-def _just_outside(kind, interval: str) -> list:
-    """The values of kind just outside each finite end of interval; a list kind gets one-entry lists."""
-    if isinstance(kind, list):
-        return [[v] for v in _just_outside(kind[0], interval)]
+def _outside(kind, interval: str) -> list:
+    """The values of kind just outside and far outside each finite end of interval.
+
+    Far outside is 4 past the end, or half the width of a bounded interval.  A list kind gets each value as a
+    one-entry list, and again as the second entry after one inside the interval.
+    """
     lo, lo_closed, hi, hi_closed = _ends(interval)
+    step = min(4.0, (hi - lo) / 2)
+    if isinstance(kind, list):
+        values = _outside(kind[0], interval)
+        inside = kind[0](lo + step if math.isfinite(lo) else hi - step)
+        return [[v] for v in values] + [[inside, v] for v in values]
     values = []
     if math.isfinite(lo):
-        values.append(lo if not lo_closed else lo - 1 if kind is int else math.nextafter(lo, -math.inf))
+        values += [lo if not lo_closed else lo - 1 if kind is int else math.nextafter(lo, -math.inf), lo - step]
     if math.isfinite(hi):
-        values.append(hi if not hi_closed else hi + 1 if kind is int else math.nextafter(hi, math.inf))
+        values += [hi if not hi_closed else hi + 1 if kind is int else math.nextafter(hi, math.inf), hi + step]
     return [kind(v) for v in values]
 
 
 def _range_cases() -> list:
-    """(experiment, section.key, default, interval, value) for every value just outside a ranged key's range."""
+    """(experiment, section.key, default, interval, value) for every value outside a ranged key's range."""
     cases = []
 
     def walk(experiment, keys, prefix):
@@ -380,7 +389,7 @@ def _range_cases() -> list:
                 walk(experiment, entry, f"{prefix}{key}.")
             elif len(entry) == 3:
                 kind, default, interval = entry
-                cases.extend((experiment, prefix + key, default, interval, v) for v in _just_outside(kind, interval))
+                cases.extend((experiment, prefix + key, default, interval, v) for v in _outside(kind, interval))
 
     for name, experiment in harness.EXPERIMENTS.items():
         walk(name, {**harness._CONFIG_KEYS, "certifier": experiment.certifier}, "")
@@ -480,12 +489,8 @@ class TestCli:
         ("concentration_sweep", "m_sweep", []),
         ("certify_fourier", "t", 1.0),
         ("certify_fourier", "t", 0.0),
-        ("certify_fourier", "t", 1.5),
         ("recommend_m", "t", 1.0),
-        ("certify_fourier", "c0_cover", -1.0),
         ("certify_fourier", "c0_cover", 2.5),
-        ("concentration_sweep", "t_grid", [0.0]),
-        ("concentration_sweep", "t_grid", [0.3, -0.5]),
     ])
     def test_bad_certifier_value_exit_code(self, tmp_path, capsys, monkeypatch, config, key, value):
         # a bare int() ran 2 trials for 2.7 and 1 for true; medians over no draws or reps were NaN,
@@ -493,7 +498,8 @@ class TestCli:
         # concentration draws failed only inside estimate_concentration, and an empty m_sweep ran no sweep;
         # certify's t = 1 ran every draw and then divided by zero in 1.5 / (1 - t) (exit 3), c0_cover = -1
         # reported prop2 rho 0.565 where c0_cover = 3 gives 1.0, and t_grid [0.0] gave a null slope and
-        # [-0.5] a negative c_hat_median (both exit 0).  Each is refused before the experiment runs.
+        # [-0.5] a negative c_hat_median (both exit 0).  Each is refused before the experiment runs; the last
+        # three, and certify's t = 1.5, are cases of test_out_of_range_value_exit_code.
         monkeypatch.setattr("lrip_lab.cli.run", lambda config: pytest.fail("the experiment ran"))
         cfg = json.loads((ROOT / "configs" / f"{config}.json").read_text())
         cfg["certifier"][key] = value
@@ -562,8 +568,8 @@ class TestCli:
                              ids=[f"{case[0]}-{case[1]}={case[-1]}" for case in RANGE_CASES])
     def test_out_of_range_value_exit_code(self, tmp_path, capsys, monkeypatch, experiment, path, default, interval,
                                           value):
-        # a value just outside a finite end of its key's range, in an experiment's shipped config, is refused while
-        # the config is parsed, naming section.key; the key's own default lies in the range
+        # a value just or far outside a finite end of its key's range, in an experiment's shipped config, is refused
+        # while the config is parsed, naming section.key; the key's own default lies in the range
         assert default in (None, harness._REQUIRED) or _inside(default, interval)
         monkeypatch.setattr("lrip_lab.cli.run", lambda config: pytest.fail("the experiment ran"))
         cfg = json.loads((ROOT / "configs" / f"{SHIPPED[experiment]}.json").read_text())
@@ -578,6 +584,18 @@ class TestCli:
         assert err.startswith("config error:") and f"{path} must be in {interval}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", [
+        {"d": 3, "s": 1, "N": 2, "M": 1.0, "bases": [[1.0, 0.0, 0.0], [0.0, 1.0]]},
+        {"d": 2, "s": 1, "N": 2, "M": 1.0, "kind": "axes", "bases": [[1.0, 0.0], [0.0, 1.0]]},
+    ], ids=["entry-of-wrong-length", "axes-with-bases"])
+    def test_bad_model_bases_exit_code(self, tmp_path, capsys, monkeypatch, model):
+        # an entry of the wrong length ended in numpy's reshape error (exit 1), and kind axes was ignored beside bases
+        monkeypatch.setattr("lrip_lab.cli.run", lambda config: pytest.fail("the experiment ran"))
+        cfg = base_config(experiment="decode", model=model, operator={"kind": "random-fourier", "m": 8})
+        assert main(["decode", "--config", self.write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "model.bases" in err and "Traceback" not in err
+
     def test_negative_seed_on_the_command_line_exit_code(self):
         # a negative master seed reached numpy's SeedSequence, whose ValueError ended the run with a traceback (exit 1)
         config = ROOT / "configs" / "decode_fourier.json"
@@ -586,11 +604,12 @@ class TestCli:
         assert proc.returncode == 2
         assert "master_seed" in proc.stderr and "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("section, key, value", [("model", "s", -3), ("model", "s", 21), ("model", "N", 0),
-                                                     ("model", "M", -1.0), ("operator", "sigma", 0.0),
-                                                     ("operator", "sigma", -1.0), ("certifier", "c0_m", 0.0)])
+    @pytest.mark.parametrize("section, key, value", [("model", "s", 21), ("model", "N", 0), ("model", "M", -1.0),
+                                                     ("operator", "sigma", 0.0), ("operator", "sigma", -1.0),
+                                                     ("certifier", "c0_m", 0.0)])
     def test_bad_recommend_m_value_exit_code(self, tmp_path, capsys, section, key, value):
-        # these ran: a math domain error (exit 1), a division by zero (exit 3), or m = 1 for a negative s (exit 0)
+        # these ran: a math domain error (exit 1), a division by zero (exit 3), or m = 1 for a negative s (exit 0),
+        # which test_out_of_range_value_exit_code now tries as model.s = -3
         cfg = json.loads((ROOT / "configs" / "recommend_m.json").read_text())
         cfg[section][key] = value
         out = tmp_path / "out"
@@ -650,6 +669,25 @@ def test_decode_report_serializes_measurement():
     y = report.results["y"]
     assert len(y) == 12 and all(len(pair) == 2 for pair in y)
     assert report.results["decode"]["converged"]
+
+
+@pytest.mark.parametrize("noise_scale, model_error_scale", [(0.0, 0.0), (0.05, 0.0), (0.0, 0.3), (0.05, 0.3)])
+@pytest.mark.parametrize("kind", ["linear-gaussian", "random-fourier"])
+def test_decode_draws_an_iop_trial(kind, noise_scale, model_error_scale):
+    # the signal and measurement are bitwise the per-trial recipe of the IOP check, from the stream (master_seed, 21);
+    # with noise and no model error, the decode experiment used to draw its noise where a trial draws its perturbation
+    cfg = ExperimentConfig.from_dict(base_config(
+        experiment="decode",
+        master_seed=6,
+        model={"d": 3, "s": 1, "N": 2, "M": 1.0},
+        operator={"kind": kind, "m": 5},
+        certifier={"noise_scale": noise_scale, "model_error_scale": model_error_scale},
+    ))
+    results = run(cfg).results
+    op = harness.build_operator(cfg, results["operator_seed"])
+    xstar, y, _ = iop_trial(op, harness.build_model(cfg), seeding.generator(6, 21), noise_scale, model_error_scale)
+    assert np.array(results["x_true"]).tobytes() == xstar.tobytes()
+    assert np.array(results["y"]).tobytes() == np.stack([y.real, y.imag], axis=1).tobytes()
 
 
 def test_certify_m_sweep_estimates_only_lrip(monkeypatch):
