@@ -1,4 +1,4 @@
-"""Print sha256(results_bytes())[:8] of every shipped config and benchmark workload, and near, decode, operator and trial digests.
+"""Print sha256(results_bytes())[:8] of every shipped config and benchmark workload, and six digests of the library.
 
 Usage, from any directory:
 
@@ -12,8 +12,10 @@ metrics (see near_digest): a workload's hash can stay put when its near
 points move.  The line "decode digest" hashes certified_minimum's and
 decode's output arrays on fixed random Fourier instances (see
 decode_digest), "operator digest" the operators drawn from fixed seeds and
-their gaps (see operator_digest), and the last line, "trial digest", the
-IOP trials that _draw_trials draws on fixed instances (see trial_digest).
+their gaps (see operator_digest), "trial digest" the IOP trials that
+_draw_trials draws on fixed instances (see trial_digest), and the last line,
+"witness digest", the arrays of check_iop_inequality's witness on fixed
+instances (see witness_digest).
 The library is the one in this checkout's src/, so two checkouts can be
 compared line by line.
 """
@@ -37,6 +39,7 @@ from lrip_lab import (  # noqa: E402
     Pseudometric,
     RandomFourierOperator,
     UnionOfSubspaces,
+    check_iop_inequality,
     decode,
     harness,
     seeding,
@@ -131,6 +134,28 @@ def trial_digest() -> str:
     return digest.hexdigest()[:8]
 
 
+def witness_digest() -> str:
+    """sha256(...)[:8] over the arrays of check_iop_inequality's witness, on fixed instances.
+
+    The model and the two operators are trial_digest's.  The linear map is
+    checked under the Euclidean metric and the Fourier map under the Gaussian
+    kernel at sigma = 1, at A = 0.5, B = 1, lambda = 0, noise_scale 0.1,
+    model_error_scale 0.3 and seed 12, with 0 and with 4 candidates, over 70
+    trials, so two chunks run; 53 of the 70 trials are satisfied on the
+    linear map and 61 on the Fourier map.
+    """
+    digest = hashlib.sha256()
+    model = UnionOfSubspaces.random(6, 2, 3, 1.0, 3)
+    for kind, metric in (("linear-gaussian", Pseudometric("euclidean")),
+                         ("random-fourier", Pseudometric("gaussian-kernel", 1.0))):
+        op = OperatorLaw(kind, 12, 6, 1.0).sample(4)
+        for candidates in (0, 4):
+            w = check_iop_inequality(op, model, metric, DecoderOptions(), 0.5, 1.0, 0.0, 70, 0.1, 0.3, 12, candidates)
+            for a in (w.x_true, w.decode_dist, w.model_dist, w.lambda_eff, w.satisfied):
+                digest.update(a.tobytes())
+    return digest.hexdigest()[:8]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[7, 101], help="benchmark seeds of the workloads")
@@ -150,6 +175,7 @@ def main(argv=None) -> int:
     print(f"decode digest\t{decode_digest()}", flush=True)
     print(f"operator digest\t{operator_digest()}", flush=True)
     print(f"trial digest\t{trial_digest()}", flush=True)
+    print(f"witness digest\t{witness_digest()}", flush=True)
     return 0
 
 

@@ -1,7 +1,7 @@
 """Empirical and theoretical certification of LRIP / BP / IOP constants.
 
 Empirical estimators sample model pairs and report worst-case ratios; they
-understate the true suprema and are labeled accordingly (pairs_tested plus
+understate the true suprema and are labeled accordingly (sample counts plus
 near/far stratification travel with every report).  The failure-probability
 calculators are closed-form arithmetic in the concentration exponent and
 covering bounds; Prop. 2 takes the model and metric and builds both covers at
@@ -105,7 +105,6 @@ class LripEstimate:
             "violations": self.violation_count,
             "worst_cases": _pair_json(self.worst_pair),
             "seed": self.seed,
-            "config_echo": {"eta": self.eta, "pairs": self.pairs_tested, "mode": self.mode},
             "label": "empirical",
         }
 
@@ -264,7 +263,6 @@ class BpEstimate:
 
     beta_hat: float
     pairs_tested: int
-    metric_G: Pseudometric
     worst_pair: tuple[np.ndarray, np.ndarray] | None
     seed: int | None = None
 
@@ -275,10 +273,6 @@ class BpEstimate:
             "pairs_tested": self.pairs_tested,
             "worst_cases": _pair_json(self.worst_pair),
             "seed": self.seed,
-            "config_echo": {
-                "pairs": self.pairs_tested,
-                "metric_G": {"kind": self.metric_G.kind, "sigma": self.metric_G.sigma},
-            },
             "label": "empirical",
         }
 
@@ -307,7 +301,7 @@ def estimate_bp(
     keep = dG > 0
     x, xs, dG = x[keep], xs[keep], dG[keep]
     if x.shape[0] == 0:
-        return BpEstimate(0.0, 0, metric_G, None, seed=rng_seed)
+        return BpEstimate(0.0, 0, None, seed=rng_seed)
     # endpoint form, not gap_batch: on certify runs this is the benchmark's only
     # apply_batch caller, which bench/test_trace_counts.py requires
     gaps = _in_row_blocks(lambda a, b: np.linalg.norm(op.apply_batch(a) - op.apply_batch(b), axis=1), op.m, x, xs)
@@ -316,7 +310,6 @@ def estimate_bp(
     return BpEstimate(
         beta_hat=float(ratios[worst]),
         pairs_tested=int(x.shape[0]),
-        metric_G=metric_G,
         worst_pair=(x[worst].copy(), xs[worst].copy()),
         seed=rng_seed,
     )
@@ -326,56 +319,57 @@ def estimate_bp(
 # IOP
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IopTrial:
-    x_true: np.ndarray
-    noise_norm: float
-    decode_dist: float
-    model_dist: float
-    lambda_eff: float
-    satisfied: bool
-    reason: str = ""
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IopWitness:
-    """Instance-optimality trial transcript at constants (A, B, lambda)."""
+    """Instance-optimality trial transcript at constants (A, B, lambda), one array entry per trial.
+
+    x_true has shape (n, d); decode_dist, model_dist (the infimum of d'),
+    lambda_eff (+inf where the decode did not converge) and satisfied have
+    shape (n,).  Every trial's noise has norm noise_norm.  trials, the range
+    of trial indices, is what bench/spans.py counts.
+    """
 
     A: float
     B: float
     lam: float
-    trials: tuple[IopTrial, ...]
+    noise_norm: float
+    x_true: np.ndarray
+    decode_dist: np.ndarray
+    model_dist: np.ndarray
+    lambda_eff: np.ndarray
+    satisfied: np.ndarray
     mode: str
     seed: int | None = None
 
     @property
+    def trials(self) -> range:
+        return range(len(self.satisfied))
+
+    @property
     def satisfied_count(self) -> int:
-        return sum(t.satisfied for t in self.trials)
+        return int(np.count_nonzero(self.satisfied))
 
     @property
     def all_satisfied(self) -> bool:
-        return self.satisfied_count == len(self.trials)
+        return bool(self.satisfied.all())
 
     def report_dict(self) -> dict:
         return {
             "mode": self.mode,
             "constants": {"A": self.A, "B": self.B, "lambda": self.lam},
-            "pairs_tested": len(self.trials),
+            "pairs_tested": len(self.satisfied),
             "satisfied": self.satisfied_count,
             "worst_cases": [
                 {
-                    "decode_dist": t.decode_dist,
-                    "model_dist": t.model_dist,
-                    "noise_norm": t.noise_norm,
-                    "lambda_eff": t.lambda_eff,
-                    "reason": t.reason,
+                    "decode_dist": float(self.decode_dist[k]),
+                    "model_dist": float(self.model_dist[k]),
+                    "noise_norm": self.noise_norm,
+                    "lambda_eff": float(self.lambda_eff[k]),
+                    "reason": "" if np.isfinite(self.lambda_eff[k]) else "decoder did not converge",
                 }
-                for t in self.trials
-                if not t.satisfied
-            ][:8],
+                for k in np.flatnonzero(~self.satisfied)[:8]
+            ],
             "seed": self.seed,
-            "config_echo": {"A": self.A, "B": self.B, "lambda": self.lam,
-                            "trials": len(self.trials), "mode": self.mode},
             "label": "empirical",
         }
 
@@ -442,7 +436,7 @@ def check_iop_inequality(
     (set to 0 for the non-uniform check, which evaluates d' at the
     projection only).  lambda_eff augments lambda by the decoder's residual
     certificate; a decoder that failed to converge marks the trial
-    unsatisfied with a reason rather than raising.
+    unsatisfied, with lambda_eff +inf, rather than raising.
 
     Trials run _IOP_CHUNK at a time, in three phases:
 
@@ -455,8 +449,9 @@ def check_iop_inequality(
       chunk; the secants x* - c are formed once, for one dist and one
       gap_batch.
 
-    A trial's record depends only on its stream, not on the trial count or
-    on the chunking.
+    Each chunk's arrays are concatenated once into the witness.  A trial's
+    entries depend only on its stream, not on the trial count or on the
+    chunking.
     """
     if not all(math.isfinite(v) and v >= 0 for v in (A, B, lam)):
         raise InputError(f"A, B, lambda must be finite and nonnegative, got A={A}, B={B}, lambda={lam}")
@@ -468,7 +463,7 @@ def check_iop_inequality(
         raise InputError(f"uniform_candidates must be >= 0, got {uniform_candidates}")
     decoder_opts = decoder_opts or DecoderOptions()
     d, c = model.dim, uniform_candidates
-    out = []
+    chunks = []  # per chunk: x*, decode_dist, model_dist, lambda_eff, satisfied
     for first in range(0, trials, _IOP_CHUNK):
         rngs = seeding.generators(rng_seed, 2, np.arange(first, min(first + _IOP_CHUNK, trials)))
         xstar, y, cands = _draw_trials(op, model, rngs, noise_scale, model_error_scale, c)
@@ -479,16 +474,11 @@ def check_iop_inequality(
         cands[:, 0] = project_to_model(model, xstar, metric)
         D = (xstar[:, None, :] - cands).reshape(-1, d)
         dprime = np.min((metric.dist(D) + B * op.gap_batch(D)).reshape(-1, 1 + c), axis=1)
-        for j, ok in enumerate(dec.converged):
-            lam_eff = lam + float(dec.gap[j]) if ok else np.inf
-            satisfied = ok and decode_dist[j] <= A * dprime[j] + B * noise_scale + lam_eff
-            out.append(IopTrial(xstar[j], noise_scale, float(decode_dist[j]), float(dprime[j]), lam_eff,
-                                bool(satisfied), reason="" if ok else "decoder did not converge"))
-    return IopWitness(
-        A=A, B=B, lam=lam, trials=tuple(out),
-        mode="uniform" if uniform_candidates else "non-uniform",
-        seed=rng_seed,
-    )
+        lam_eff = np.where(dec.converged, lam + dec.gap, np.inf)
+        satisfied = dec.converged & (decode_dist <= A * dprime + B * noise_scale + lam_eff)
+        chunks.append((xstar, decode_dist, dprime, lam_eff, satisfied))
+    return IopWitness(A, B, lam, noise_scale, *map(np.concatenate, zip(*chunks)),
+                      mode="uniform" if uniform_candidates else "non-uniform", seed=rng_seed)
 
 
 def lrip_from_iop_witness(
@@ -574,7 +564,6 @@ class ConcentrationEstimate:
         return {
             "mode": "concentration",
             "constants": {"m": self.m, "draws": self.draws},
-            "pairs_tested": self.draws,
             "t_grid": list(self.t_grid),
             "p_hat": list(self.p_hat),
             "c_hat": list(self.c_hat),
@@ -583,7 +572,6 @@ class ConcentrationEstimate:
             "wilson_p_upper": list(self.wilson_p_upper),
             "c_lower": list(self.c_lower),
             "seed": self.seed,
-            "config_echo": {"draws": self.draws, "m": self.m, "t_grid": list(self.t_grid)},
             "label": "empirical",
         }
 

@@ -43,31 +43,19 @@ def main(argv=None) -> int:
         if args.out is not None and isinstance(output, dict):
             obj["output"] = {**output, "dir": args.out}
         config = ExperimentConfig.from_dict(obj)
-    except (ConfigError, InputError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         report = run(config)
+        paths = write_report(report, config.output["dir"], config.output["series"]) if config.output["dir"] else None
     except (ConfigError, InputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (FloatingPointError, ZeroDivisionError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-
-    if config.output["dir"]:
-        try:
-            paths = write_report(report, config.output["dir"], config.output["series"])
-        except InputError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        except OSError as exc:
-            print(f"unwritable output path: {exc}", file=sys.stderr)
-            return EXIT_OUTPUT
-        print(f"wrote {paths['report']}")
-    else:
-        print(json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False))
+    except OSError as exc:
+        print(f"unwritable output path: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
+    print(f"wrote {paths['report']}" if paths else
+          json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False))
     return EXIT_OK
 
 

@@ -166,13 +166,16 @@ class ExperimentConfig:
             return
         if op["kind"] is None:
             raise ConfigError(f"operator.kind is required for {self.experiment}")
+        if op["seed"] is not None and self.experiment in ("certify", "concentration-sweep"):
+            raise ConfigError(f"{self.experiment} draws each operator from master_seed; operator.seed is not read")
+        if op["m"] is not None and sweep:
+            raise ConfigError("a concentration sweep takes m from certifier.m_sweep; operator.m is not read")
         if op["identity"] and op["kind"] != "linear-gaussian":
             raise ConfigError("operator.identity applies to linear-gaussian only")
         if op["identity"] and sweep:
             raise ConfigError("a concentration sweep draws random operators; operator.identity is not one")
         if op["identity"] and any(m not in (None, model["d"]) for m in [op["m"], *c.get("m_sweep", [])]):
             raise ConfigError("identity operator requires m == d")
-        # a concentration sweep builds its operators at the m_sweep entries only
         if not op["identity"] and not sweep and op["m"] is None:
             raise ConfigError(f"operator.m is required for {self.experiment}")
         if self.metric["kind"] == "gaussian-kernel" and self.metric["sigma"] is None:
@@ -341,7 +344,7 @@ def _run_iop(cfg: ExperimentConfig) -> dict:
     return {
         "iop": witness.report_dict(),
         "satisfied": witness.satisfied_count,
-        "trials": len(witness.trials),
+        "trials": len(witness.satisfied),
         "all_satisfied": witness.all_satisfied,
         "lrip_estimate": alpha_report,
         "operator_seed": op_seed,

@@ -7,7 +7,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from lrip_lab import decoder, models, seeding
-from lrip_lab.certifier import IopTrial
 from lrip_lab.decoder import DecodeResult, DecoderOptions, certified_minimum
 from lrip_lab.errors import InputError
 from lrip_lab.models import UnionOfSubspaces, project_to_model, sample_model_points
@@ -137,11 +136,12 @@ def iop_trial(op, model: UnionOfSubspaces, rng, noise_scale: float, model_error_
 
 
 def iop_trials(op, model: UnionOfSubspaces, metric, decoder_opts, A: float, B: float, lam: float, trials: int,
-               noise_scale: float, model_error_scale: float, rng_seed: int, uniform_candidates: int) -> list:
-    """The IopTrial records of check_iop_inequality, from its per-trial draw loop.
+               noise_scale: float, model_error_scale: float, rng_seed: int, uniform_candidates: int) -> tuple:
+    """The arrays x_true, decode_dist, model_dist, lambda_eff and satisfied of check_iop_inequality, drawn per trial.
 
     Trial k is iop_trial from its own stream (rng_seed, 2, k).  All trials
-    are decoded and checked together, as one chunk.
+    are decoded and checked together, as one chunk, and each trial's
+    lambda_eff and inequality are evaluated on its own, in scalars.
     """
     d, c = model.dim, uniform_candidates
     xstar, y = np.empty((trials, d)), np.empty((trials, op.m), dtype=complex)
@@ -154,13 +154,10 @@ def iop_trials(op, model: UnionOfSubspaces, metric, decoder_opts, A: float, B: f
     cands[:, 0] = project_to_model(model, xstar, metric)
     D = (xstar[:, None, :] - cands).reshape(-1, d)
     dprime = np.min((metric.dist(D) + B * op.gap_batch(D)).reshape(-1, 1 + c), axis=1)
-    out = []
-    for k, ok in enumerate(dec.converged):
-        lam_eff = lam + float(dec.gap[k]) if ok else np.inf
-        satisfied = ok and decode_dist[k] <= A * dprime[k] + B * noise_scale + lam_eff
-        out.append(IopTrial(xstar[k], noise_scale, float(decode_dist[k]), float(dprime[k]), lam_eff,
-                            bool(satisfied), reason="" if ok else "decoder did not converge"))
-    return out
+    lam_eff = np.array([lam + float(gap) if ok else np.inf for ok, gap in zip(dec.converged, dec.gap)])
+    satisfied = np.array([bool(ok and decode_dist[k] <= A * dprime[k] + B * noise_scale + lam_eff[k])
+                          for k, ok in enumerate(dec.converged)])
+    return xstar, decode_dist, dprime, lam_eff, satisfied
 
 
 def near_points_in_d_space(model: UnionOfSubspaces, metric, anchors, eps: float, rng_seed):

@@ -161,7 +161,7 @@ class TestEstimateBp:
         op = RandomFourierOperator.from_seed(24, 5, 1.0, 3)
         bp = estimate_bp(op, model, KERNEL, pairs=500, rng_seed=4)
         x, xs = bp.worst_pair
-        ratio = op.gap_batch(x - xs)[0] / bp.metric_G.dist(x - xs)
+        ratio = op.gap_batch(x - xs)[0] / KERNEL.dist(x - xs)
         assert ratio == pytest.approx(bp.beta_hat, abs=1e-10)
 
     def test_desk_scale_beta_below_one_plus_t(self):
@@ -240,9 +240,9 @@ class TestCheckIop:
                                        trials=20, noise_scale=0.05, model_error_scale=0.2,
                                        rng_seed=2)
         A, B = witness.A, witness.B
-        for trial in witness.trials:
-            bound = A * trial.model_dist + B * trial.noise_norm + trial.lambda_eff
-            assert trial.satisfied == (trial.decode_dist <= bound)
+        for k in witness.trials:
+            bound = A * witness.model_dist[k] + B * witness.noise_norm + witness.lambda_eff[k]
+            assert witness.satisfied[k] == (witness.decode_dist[k] <= bound)
 
     @pytest.mark.parametrize("candidates", [0, 64])
     def test_model_dist_matches_endpoint_loop(self, candidates):
@@ -255,14 +255,13 @@ class TestCheckIop:
         witness = check_iop_inequality(op, model, EUCLID, None, A=1.0, B=2.0, lam=0.0,
                                        trials=20, noise_scale=0.1, model_error_scale=0.3,
                                        rng_seed=6, uniform_candidates=candidates)
-        for trial in witness.trials:
-            x = trial.x_true
+        for x, model_dist in zip(witness.x_true, witness.model_dist):
             proj = project_to_model(model, x, EUCLID)
             ref = EUCLID.dist(x - proj) + 2.0 * float(np.linalg.norm(op.apply_batch(x)[0] - op.apply_batch(proj)[0]))
             if candidates:
-                assert trial.model_dist <= ref * (1 + 1e-12)
+                assert model_dist <= ref * (1 + 1e-12)
             else:
-                assert trial.model_dist == pytest.approx(ref, rel=1e-12)
+                assert model_dist == pytest.approx(ref, rel=1e-12)
 
     def test_one_linear_decode_per_trial(self, monkeypatch):
         calls = count_decode_linear(monkeypatch)
@@ -271,7 +270,7 @@ class TestCheckIop:
         witness = check_iop_inequality(op, model, EUCLID, None, A=1.0, B=4.0, lam=0.0,
                                        trials=25, noise_scale=0.1, model_error_scale=0.3,
                                        rng_seed=24)
-        assert len(witness.trials) == 25
+        assert witness.x_true.shape == (25, 3) and witness.satisfied.shape == (25,)
         assert sum(calls) == 25  # each trial decoded exactly once
 
     def test_fourier_lambda_eff_adds_the_unclipped_gap(self, monkeypatch):
@@ -288,10 +287,10 @@ class TestCheckIop:
         witness = check_iop_inequality(op, model, KERNEL, DecoderOptions(), A=1.0, B=2.0,
                                        lam=0.01, trials=4, noise_scale=0.05, model_error_scale=0.3,
                                        rng_seed=3)
-        assert len(gaps) == 4 and all(t.reason == "" for t in witness.trials)
-        for trial, gap in zip(witness.trials, gaps):
+        assert len(gaps) == 4
+        for lambda_eff, gap in zip(witness.lambda_eff, gaps, strict=True):
             assert 0.0 <= gap < np.inf
-            assert trial.lambda_eff == 0.01 + gap
+            assert lambda_eff == 0.01 + gap
 
     def test_negative_constants_rejected(self):
         model = UnionOfSubspaces.axes(2, 1.0)
@@ -326,10 +325,15 @@ class TestCheckIop:
             check_iop_inequality(op, model, EUCLID, None, A=1.0, B=2.0, lam=0.0, rng_seed=0, **kwargs)
 
 
-def trial_bits(trial) -> tuple:
-    """An IopTrial as exact bits, so two records compare equal only when identical."""
-    return (trial.x_true.tobytes(), float(trial.noise_norm).hex(), float(trial.decode_dist).hex(),
-            float(trial.model_dist).hex(), float(trial.lambda_eff).hex(), trial.satisfied, trial.reason)
+def trial_bits(arrays, k=None) -> list:
+    """The IOP arrays (x_true, decode_dist, model_dist, lambda_eff, satisfied), or their first k trials, as exact bits.
+
+    arrays is a witness or the tuple of reference.iop_trials; two compare equal only when every array has the same
+    dtype, shape and bytes.
+    """
+    if isinstance(arrays, certifier.IopWitness):
+        arrays = (arrays.x_true, arrays.decode_dist, arrays.model_dist, arrays.lambda_eff, arrays.satisfied)
+    return [(a.dtype.str, a[:k].shape, a[:k].tobytes()) for a in arrays]
 
 
 IOP_INSTANCES = {
@@ -353,12 +357,12 @@ class TestIopBatchInvariance:
     @pytest.mark.parametrize("candidates", [0, 64])
     @pytest.mark.parametrize("name", list(IOP_INSTANCES))
     def test_first_trials_match_a_shorter_run(self, name, candidates, monkeypatch):
-        full = [trial_bits(t) for t in self.witness(name, 25, candidates).trials]
+        full = self.witness(name, 25, candidates)
         for k in (1, 2, 7):
-            assert [trial_bits(t) for t in self.witness(name, k, candidates).trials] == full[:k]
+            assert trial_bits(self.witness(name, k, candidates)) == trial_bits(full, k)
         monkeypatch.setattr(certifier, "_IOP_CHUNK", 3)
-        assert [trial_bits(t) for t in self.witness(name, 25, candidates).trials] == full
-        assert [trial_bits(t) for t in self.witness(name, 1, candidates).trials] == full[:1]
+        assert trial_bits(self.witness(name, 25, candidates)) == trial_bits(full)
+        assert trial_bits(self.witness(name, 1, candidates)) == trial_bits(full, 1)
 
 
 IOP_AT_SUBSPACE_DIM = {  # (model, map, metric, decoder options) at subspace dimension s
@@ -378,8 +382,7 @@ class TestIopMatchesPerTrialDraws:
     def test_trials_match_the_reference_loop(self, name, s, candidates):
         model, op, metric, opts = IOP_AT_SUBSPACE_DIM[name](s)
         args = (op, model, metric, opts, 1.0, 2.0, 0.0, 6, 0.1, 0.3, 33, candidates)
-        got = check_iop_inequality(*args).trials
-        assert [trial_bits(t) for t in got] == [trial_bits(t) for t in reference.iop_trials(*args)]
+        assert trial_bits(check_iop_inequality(*args)) == trial_bits(reference.iop_trials(*args))
 
     @pytest.mark.parametrize("noise_scale, model_error_scale", [(0.0, 0.3), (0.1, 0.0), (0.0, 0.0)])
     @pytest.mark.parametrize("name", list(IOP_AT_SUBSPACE_DIM))
@@ -387,8 +390,17 @@ class TestIopMatchesPerTrialDraws:
         # zero noise draws nothing, so the candidates after it keep their place in the trial's stream
         model, op, metric, opts = IOP_AT_SUBSPACE_DIM[name](2)
         args = (op, model, metric, opts, 1.0, 2.0, 0.0, 6, noise_scale, model_error_scale, 33, 64)
-        got = check_iop_inequality(*args).trials
-        assert [trial_bits(t) for t in got] == [trial_bits(t) for t in reference.iop_trials(*args)]
+        assert trial_bits(check_iop_inequality(*args)) == trial_bits(reference.iop_trials(*args))
+
+    @pytest.mark.parametrize("candidates", [0, 4])
+    def test_unconverged_trials_match_the_reference_loop(self, candidates):
+        # at 5 polish iterations some decodes stop unconverged, with lambda_eff +inf and the trial unsatisfied
+        model, op, metric, _ = IOP_AT_SUBSPACE_DIM["fourier"](2)
+        args = (op, model, metric, DecoderOptions(max_iters=5, target=1e-2), 1.0, 2.0, 0.0, 12, 0.1, 0.3, 33,
+                candidates)
+        witness = check_iop_inequality(*args)
+        assert 0 < np.isinf(witness.lambda_eff).sum() < 12
+        assert trial_bits(witness) == trial_bits(reference.iop_trials(*args))
 
 
 class TestLripFromIopWitness:

@@ -66,15 +66,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict([1, 2])
 
-    @pytest.mark.parametrize("key, value", [("trials", 0), ("noise_scale", -0.1), ("model_error_scale", -0.1),
-                                            ("uniform_candidates", -1), ("A", -1.0), ("lambda", -1.0), ("B", -1.0)])
-    def test_iop_range_refused_at_parse_time(self, key, value):
-        # refused by the certifier too, but only after the LRIP estimate that sets B when B is not given
-        cfg = json.loads((ROOT / "configs" / "iop_linear.json").read_text())
-        cfg["certifier"][key] = value
-        with pytest.raises(ConfigError, match=f"certifier.{key}"):
-            ExperimentConfig.from_dict(cfg)
-
 
 class TestDecoderOptions:
     def test_defaults_come_from_the_options(self):
@@ -187,7 +178,7 @@ class TestConcentrationSweep:
             experiment="concentration-sweep",
             master_seed=2,
             model={"d": 2, "s": 1, "N": 2, "M": 1.0, "kind": "axes"},
-            operator={"kind": "random-fourier", "m": 16, "sigma": 1.0},
+            operator={"kind": "random-fourier", "sigma": 1.0},
             metric={"kind": "gaussian-kernel", "sigma": 1.0},
             certifier={"m_sweep": m_sweep, "reps": reps, "draws": draws,
                        "t_grid": [0.1, 0.3]},
@@ -201,10 +192,12 @@ class TestConcentrationSweep:
         assert len(csv_t.strip().splitlines()) == 1 + 2  # header + t-grid length
 
     def test_operator_m_is_not_required(self):
-        # the sweep builds its operators at the m_sweep entries only, so operator.m changes nothing
+        # the sweep builds its operators at the m_sweep entries only, so it takes no operator.m, and refuses one
+        assert self.sweep_config([16]).operator["m"] is None
         cfg = self.sweep_config([16]).to_dict()
-        del cfg["operator"]["m"]
-        assert run(ExperimentConfig.from_dict(cfg)).results_bytes() == run(self.sweep_config([16])).results_bytes()
+        cfg["operator"]["m"] = 16
+        with pytest.raises(ConfigError, match="operator.m"):
+            ExperimentConfig.from_dict(cfg)
 
     def test_identity_operator_is_refused(self):
         # every draw of the identity is the same map, so there is no concentration over draws to estimate
@@ -271,7 +264,7 @@ LINEAGE_CONFIGS = {
     ),
     "concentration-sweep": dict(
         model={"d": 3, "s": 1, "N": 2, "M": 1.0},
-        operator={"kind": "random-fourier", "m": 8, "sigma": 1.0},
+        operator={"kind": "random-fourier", "sigma": 1.0},
         certifier={"m_sweep": [4, 8], "reps": 2, "draws": 100, "t_grid": [0.3]},
     ),
 }
@@ -431,19 +424,6 @@ class TestCli:
         path = self.write_config(tmp_path, cfg)
         assert main(["certify", "--config", path]) == 2
 
-    @pytest.mark.parametrize("bad", [{"trials": 0}, {"noise_scale": -0.1}, {"uniform_candidates": -1}],
-                             ids=["zero-trials", "negative-noise", "negative-candidates"])
-    def test_bad_iop_input_exit_code(self, tmp_path, bad):
-        cfg = base_config(
-            experiment="iop-experiment",
-            model={"d": 3, "s": 1, "N": 3, "M": 1.0, "seed": 21},
-            operator={"kind": "linear-gaussian", "m": 3, "seed": 22},
-            metric={"kind": "euclidean"},
-            certifier={"B": 2.0, "trials": 5, "noise_scale": 0.1, "model_error_scale": 0.3, **bad},
-        )
-        path = self.write_config(tmp_path, cfg)
-        assert main(["iop-experiment", "--config", path]) == 2
-
     @pytest.mark.parametrize("section, key, value", [
         (None, "master_seed", "x"),
         ("model", "d", "three"),
@@ -470,36 +450,23 @@ class TestCli:
         ("certify_fourier", "draws", 2.5),
         ("certify_fourier", "t", True),
         ("certify_fourier", "anchored", 1),
-        ("certify_fourier", "m_sweep", [16.5]),
+        pytest.param("certify_fourier", "m_sweep", [16.5], id="certify_fourier-m_sweep-value7"),
         ("certify_fourier", "m_sweep", 16),
         ("concentration_sweep", "reps", 1.5),
-        ("concentration_sweep", "t_grid", ["0.3"]),
+        pytest.param("concentration_sweep", "t_grid", ["0.3"], id="concentration_sweep-t_grid-value10"),
         ("recommend_m", "rho_target", True),
-        ("certify_fourier", "draws", 0),
-        ("certify_fourier", "sweep_draws", 0),
-        ("concentration_sweep", "reps", 0),
-        ("concentration_sweep", "t_grid", []),
+        pytest.param("concentration_sweep", "t_grid", [], id="concentration_sweep-t_grid-value15"),
         ("iop_linear", "noise_scale", float("nan")),
         ("iop_linear", "noise_scale", float("inf")),
         ("iop_linear", "B", float("inf")),
         ("iop_linear", "lambda", float("inf")),
-        ("concentration_sweep", "t_grid", [float("nan")]),
-        ("certify_fourier", "concentration_draws", 50),
-        ("concentration_sweep", "draws", 50),
-        ("concentration_sweep", "m_sweep", []),
-        ("certify_fourier", "t", 1.0),
-        ("certify_fourier", "t", 0.0),
-        ("recommend_m", "t", 1.0),
-        ("certify_fourier", "c0_cover", 2.5),
+        pytest.param("concentration_sweep", "t_grid", [float("nan")], id="concentration_sweep-t_grid-value20"),
+        pytest.param("concentration_sweep", "m_sweep", [], id="concentration_sweep-m_sweep-value23"),
     ])
     def test_bad_certifier_value_exit_code(self, tmp_path, capsys, monkeypatch, config, key, value):
-        # a bare int() ran 2 trials for 2.7 and 1 for true; medians over no draws or reps were NaN,
-        # an empty t_grid raised IndexError, a NaN noise_scale passed every range check, fewer than 100
-        # concentration draws failed only inside estimate_concentration, and an empty m_sweep ran no sweep;
-        # certify's t = 1 ran every draw and then divided by zero in 1.5 / (1 - t) (exit 3), c0_cover = -1
-        # reported prop2 rho 0.565 where c0_cover = 3 gives 1.0, and t_grid [0.0] gave a null slope and
-        # [-0.5] a negative c_hat_median (both exit 0).  Each is refused before the experiment runs; the last
-        # three, and certify's t = 1.5, are cases of test_out_of_range_value_exit_code.
+        # a bare int() ran 2 trials for 2.7 and 1 for true, an empty t_grid raised IndexError, a NaN noise_scale
+        # passed every range check, and an empty m_sweep ran no sweep.  Each is refused before the experiment runs;
+        # the values outside a key's range are cases of test_out_of_range_value_exit_code.
         monkeypatch.setattr("lrip_lab.cli.run", lambda config: pytest.fail("the experiment ran"))
         cfg = json.loads((ROOT / "configs" / f"{config}.json").read_text())
         cfg["certifier"][key] = value
@@ -596,6 +563,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "model.bases" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("config, key, value", [("certify_fourier", "seed", 5), ("concentration_sweep", "seed", 5),
+                                                    ("concentration_sweep", "m", 16)])
+    def test_unread_operator_key_exit_code(self, tmp_path, capsys, monkeypatch, config, key, value):
+        # certify draws operator k from the stream (40, k) and a sweep from the law at each m_sweep entry, so these
+        # keys were parsed and never read: certify_fourier's results were the same without a seed and at seeds 5 and 6
+        monkeypatch.setattr("lrip_lab.cli.run", lambda config: pytest.fail("the experiment ran"))
+        cfg = json.loads((ROOT / "configs" / f"{config}.json").read_text())
+        cfg["operator"][key] = value
+        out = tmp_path / "out"
+        assert main([cfg["experiment"], "--config", self.write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"operator.{key}" in err
+        assert not out.exists()
+
     def test_negative_seed_on_the_command_line_exit_code(self):
         # a negative master seed reached numpy's SeedSequence, whose ValueError ended the run with a traceback (exit 1)
         config = ROOT / "configs" / "decode_fourier.json"
@@ -604,12 +585,10 @@ class TestCli:
         assert proc.returncode == 2
         assert "master_seed" in proc.stderr and "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("section, key, value", [("model", "s", 21), ("model", "N", 0), ("model", "M", -1.0),
-                                                     ("operator", "sigma", 0.0), ("operator", "sigma", -1.0),
-                                                     ("certifier", "c0_m", 0.0)])
+    @pytest.mark.parametrize("section, key, value", [("model", "s", 21)])
     def test_bad_recommend_m_value_exit_code(self, tmp_path, capsys, section, key, value):
-        # these ran: a math domain error (exit 1), a division by zero (exit 3), or m = 1 for a negative s (exit 0),
-        # which test_out_of_range_value_exit_code now tries as model.s = -3
+        # model.s > model.d is a rule that spans keys; each value outside its key's range is a case of
+        # test_out_of_range_value_exit_code
         cfg = json.loads((ROOT / "configs" / "recommend_m.json").read_text())
         cfg[section][key] = value
         out = tmp_path / "out"
@@ -639,7 +618,7 @@ class TestCli:
         cfg = base_config(
             experiment="concentration-sweep",
             model={"d": 2, "s": 1, "N": 2, "M": 1.0, "kind": "axes"},
-            operator={"kind": "random-fourier", "m": 16, "sigma": 1.0},
+            operator={"kind": "random-fourier", "sigma": 1.0},
             metric={"kind": "gaussian-kernel", "sigma": 1.0},
             certifier={"m_sweep": [16], "reps": 1, "draws": 120, "t_grid": [0.3]},
             output={"series": ["p_hat_vs_m"]},
