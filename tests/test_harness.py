@@ -66,6 +66,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict([1, 2])
 
+    @pytest.mark.parametrize("key, value", [("trials", 0), ("noise_scale", -0.1), ("model_error_scale", -0.1),
+                                            ("uniform_candidates", -1), ("A", -1.0), ("lambda", -1.0), ("B", -1.0)])
+    def test_iop_range_refused_at_parse_time(self, key, value):
+        # refused by the certifier too, but only after the LRIP estimate that sets B when B is not given
+        cfg = json.loads((ROOT / "configs" / "iop_linear.json").read_text())
+        cfg["certifier"][key] = value
+        with pytest.raises(ConfigError, match=f"certifier.{key}"):
+            ExperimentConfig.from_dict(cfg)
+
 
 class TestDecoderOptions:
     def test_defaults_come_from_the_options(self):
@@ -424,6 +433,19 @@ class TestCli:
         path = self.write_config(tmp_path, cfg)
         assert main(["certify", "--config", path]) == 2
 
+    @pytest.mark.parametrize("bad", [{"trials": 0}, {"noise_scale": -0.1}, {"uniform_candidates": -1}],
+                             ids=["zero-trials", "negative-noise", "negative-candidates"])
+    def test_bad_iop_input_exit_code(self, tmp_path, bad):
+        cfg = base_config(
+            experiment="iop-experiment",
+            model={"d": 3, "s": 1, "N": 3, "M": 1.0, "seed": 21},
+            operator={"kind": "linear-gaussian", "m": 3, "seed": 22},
+            metric={"kind": "euclidean"},
+            certifier={"B": 2.0, "trials": 5, "noise_scale": 0.1, "model_error_scale": 0.3, **bad},
+        )
+        path = self.write_config(tmp_path, cfg)
+        assert main(["iop-experiment", "--config", path]) == 2
+
     @pytest.mark.parametrize("section, key, value", [
         (None, "master_seed", "x"),
         ("model", "d", "three"),
@@ -455,18 +477,31 @@ class TestCli:
         ("concentration_sweep", "reps", 1.5),
         pytest.param("concentration_sweep", "t_grid", ["0.3"], id="concentration_sweep-t_grid-value10"),
         ("recommend_m", "rho_target", True),
+        ("certify_fourier", "draws", 0),
+        ("certify_fourier", "sweep_draws", 0),
+        ("concentration_sweep", "reps", 0),
         pytest.param("concentration_sweep", "t_grid", [], id="concentration_sweep-t_grid-value15"),
         ("iop_linear", "noise_scale", float("nan")),
         ("iop_linear", "noise_scale", float("inf")),
         ("iop_linear", "B", float("inf")),
         ("iop_linear", "lambda", float("inf")),
         pytest.param("concentration_sweep", "t_grid", [float("nan")], id="concentration_sweep-t_grid-value20"),
+        ("certify_fourier", "concentration_draws", 50),
+        ("concentration_sweep", "draws", 50),
         pytest.param("concentration_sweep", "m_sweep", [], id="concentration_sweep-m_sweep-value23"),
+        ("certify_fourier", "t", 1.0),
+        ("certify_fourier", "t", 0.0),
+        ("recommend_m", "t", 1.0),
+        ("certify_fourier", "c0_cover", 2.5),
     ])
     def test_bad_certifier_value_exit_code(self, tmp_path, capsys, monkeypatch, config, key, value):
-        # a bare int() ran 2 trials for 2.7 and 1 for true, an empty t_grid raised IndexError, a NaN noise_scale
-        # passed every range check, and an empty m_sweep ran no sweep.  Each is refused before the experiment runs;
-        # the values outside a key's range are cases of test_out_of_range_value_exit_code.
+        # a bare int() ran 2 trials for 2.7 and 1 for true; medians over no draws or reps were NaN,
+        # an empty t_grid raised IndexError, a NaN noise_scale passed every range check, fewer than 100
+        # concentration draws failed only inside estimate_concentration, and an empty m_sweep ran no sweep;
+        # certify's t = 1 ran every draw and then divided by zero in 1.5 / (1 - t) (exit 3), c0_cover = -1
+        # reported prop2 rho 0.565 where c0_cover = 3 gives 1.0, and t_grid [0.0] gave a null slope and
+        # [-0.5] a negative c_hat_median (both exit 0).  Each is refused before the experiment runs; the last
+        # three, and certify's t = 1.5, are cases of test_out_of_range_value_exit_code.
         monkeypatch.setattr("lrip_lab.cli.run", lambda config: pytest.fail("the experiment ran"))
         cfg = json.loads((ROOT / "configs" / f"{config}.json").read_text())
         cfg["certifier"][key] = value
@@ -585,10 +620,12 @@ class TestCli:
         assert proc.returncode == 2
         assert "master_seed" in proc.stderr and "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("section, key, value", [("model", "s", 21)])
+    @pytest.mark.parametrize("section, key, value", [("model", "s", 21), ("model", "N", 0), ("model", "M", -1.0),
+                                                     ("operator", "sigma", 0.0), ("operator", "sigma", -1.0),
+                                                     ("certifier", "c0_m", 0.0)])
     def test_bad_recommend_m_value_exit_code(self, tmp_path, capsys, section, key, value):
-        # model.s > model.d is a rule that spans keys; each value outside its key's range is a case of
-        # test_out_of_range_value_exit_code
+        # these ran: a math domain error (exit 1), a division by zero (exit 3), or m = 1 for a negative s (exit 0),
+        # which test_out_of_range_value_exit_code now tries as model.s = -3
         cfg = json.loads((ROOT / "configs" / "recommend_m.json").read_text())
         cfg[section][key] = value
         out = tmp_path / "out"
