@@ -82,20 +82,24 @@ def _cast(kind, value, key: str, interval: str | None = None):
     return out
 
 
+def _paths(value, path: str) -> list:
+    """path, or the path of each value nested in value when value is a non-empty JSON object."""
+    if isinstance(value, dict) and value:
+        return [p for k, v in value.items() for p in _paths(v, f"{path}.{k}")]
+    return [path]
+
+
 def _section(spec, keys: dict, name: str) -> dict:
     """The values of config section name, or of the whole config when name is empty.
 
     keys maps each key to (kind, default) or (kind, default, interval), kind and interval as in _cast, or to the keys
     of a nested section.  Each given value is cast to its kind and checked against its interval, and each key not
-    given takes its default, None included.  An unknown key is refused, and so is a missing key whose default is
-    _REQUIRED.
+    given takes its default, None included.  A missing key whose default is _REQUIRED is refused, and then an
+    unknown key, named by the path of each value it holds.
     """
     path = lambda key: f"{name}.{key}" if name else key
     if not isinstance(spec, dict):
         raise ConfigError(f"{name or 'config'} must be a JSON object, got {spec!r}")
-    unknown = [path(key) for key in spec if key not in keys]
-    if unknown:
-        raise ConfigError(f"unknown keys {', '.join(unknown)}; {name or 'config'} takes {', '.join(keys)}")
     values = {}
     for key, entry in keys.items():
         if isinstance(entry, dict):
@@ -106,6 +110,9 @@ def _section(spec, keys: dict, name: str) -> dict:
             raise ConfigError(f"{path(key)} is required")
         else:
             values[key] = entry[1]
+    unknown = [p for key in spec if key not in keys for p in _paths(spec[key], path(key))]
+    if unknown:
+        raise ConfigError(f"unknown keys {', '.join(unknown)}; {name or 'config'} takes {', '.join(keys) or 'no keys'}")
     return values
 
 
@@ -113,8 +120,8 @@ def _section(spec, keys: dict, name: str) -> dict:
 class ExperimentConfig:
     """An experiment configuration parsed by from_dict: every section as typed values, defaults filled in.
 
-    The keys, kinds and defaults are those of _CONFIG_KEYS and of the experiment's certifier keys in EXPERIMENTS.
-    to_dict gives the config as it was given, which every report echoes.
+    The keys, kinds and defaults are those of _CONFIG_KEYS and of the experiment's table in EXPERIMENTS, which lists
+    only the keys it reads.  to_dict gives the config as it was given, which every report echoes.
     """
 
     experiment: str
@@ -130,9 +137,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
+        # _section checks experiment, the first key, before it refuses the sections of an unknown experiment
         exp = obj.get("experiment") if isinstance(obj, dict) else None
-        certifier = EXPERIMENTS[exp].certifier if isinstance(exp, str) and exp in EXPERIMENTS else {}
-        keys = {**_CONFIG_KEYS, "certifier": certifier}
+        keys = {**_CONFIG_KEYS, **(EXPERIMENTS[exp].keys if isinstance(exp, str) and exp in EXPERIMENTS else {})}
         values = _section(obj, keys, "")
         echo = {key: dict(obj.get(key, {})) if isinstance(entry, dict) else values[key] for key, entry in keys.items()}
         cfg = cls(**values, echo=echo)
@@ -142,17 +149,16 @@ class ExperimentConfig:
     def validate(self):
         """The rules that span keys, run before any computation; _section has checked each value in its range."""
         model, op, c = self.model, self.operator, self.certifier
-        sweep = self.experiment == "concentration-sweep"
         if model["s"] > model["d"]:
             raise ConfigError(f"need model.s <= model.d, got model.s = {model['s']}, model.d = {model['d']}")
-        lengths = None if model["bases"] is None else [len(b) for b in model["bases"]]
+        lengths = None if model.get("bases") is None else [len(b) for b in model["bases"]]
         if lengths is not None and (model["kind"] == "axes" or lengths != [model["d"] * model["s"]] * model["N"]):
             raise ConfigError(f"model.bases must be model.N entries of length model.d * model.s, without model.kind "
                               f"axes; got lengths {lengths} with kind {model['kind']}")
         # the series start at the first t of t_grid, and a concentration sweep at its first m
         if c.get("t_grid") == []:
             raise ConfigError("certifier.t_grid must not be empty")
-        if sweep and c["m_sweep"] == []:
+        if self.experiment == "concentration-sweep" and c["m_sweep"] == []:
             raise ConfigError("certifier.m_sweep must not be empty")
         if c.get("pair") is not None and [len(x) for x in c["pair"]] != [model["d"]] * 2:
             raise ConfigError(f"certifier.pair must be two points of length model.d = {model['d']}, got {c['pair']}")
@@ -162,23 +168,13 @@ class ExperimentConfig:
             raise ConfigError(f"unknown output.series {unknown}; {self.experiment} writes {list(series)}")
         if "alpha_hat_vs_m" in self.output["series"] and not c["m_sweep"]:
             raise ConfigError("output.series alpha_hat_vs_m needs certifier.m_sweep")
-        if self.experiment == "recommend-m":
-            return
-        if op["kind"] is None:
-            raise ConfigError(f"operator.kind is required for {self.experiment}")
-        if op["seed"] is not None and self.experiment in ("certify", "concentration-sweep"):
-            raise ConfigError(f"{self.experiment} draws each operator from master_seed; operator.seed is not read")
-        if op["m"] is not None and sweep:
-            raise ConfigError("a concentration sweep takes m from certifier.m_sweep; operator.m is not read")
-        if op["identity"] and op["kind"] != "linear-gaussian":
-            raise ConfigError("operator.identity applies to linear-gaussian only")
-        if op["identity"] and sweep:
-            raise ConfigError("a concentration sweep draws random operators; operator.identity is not one")
-        if op["identity"] and any(m not in (None, model["d"]) for m in [op["m"], *c.get("m_sweep", [])]):
-            raise ConfigError("identity operator requires m == d")
-        if not op["identity"] and not sweep and op["m"] is None:
+        other_sizes = {op.get("m"), *c.get("m_sweep", [])} - {None, model["d"]}
+        if op.get("identity") and (op["kind"] != "linear-gaussian" or other_sizes):
+            raise ConfigError("operator.identity is the linear-gaussian identity, so operator.m and each m_sweep entry "
+                              "must equal model.d")
+        if "m" in op and not op["identity"] and op["m"] is None:
             raise ConfigError(f"operator.m is required for {self.experiment}")
-        if self.metric["kind"] == "gaussian-kernel" and self.metric["sigma"] is None:
+        if self.metric.get("kind") == "gaussian-kernel" and self.metric["sigma"] is None:
             raise ConfigError("metric.sigma is required for the kernel metric")
 
     def to_dict(self) -> dict:
@@ -524,75 +520,78 @@ def _run_concentration_sweep(cfg: ExperimentConfig) -> dict:
 
 class _Experiment(NamedTuple):
     runner: Callable[[ExperimentConfig], dict]
-    certifier: dict  # key -> (kind, default) or (kind, default, interval), as _section takes them
+    keys: dict  # section -> the keys the runner reads there, key -> (kind, default) or (kind, default, interval)
     streams: dict  # the streams derived from the master seed, by name
     series: tuple  # the CSV series its results can carry
 
 
-# The one table of experiments.  A None default of bp_pairs, sweep_draws, alpha_max or beta_max stands for a value
-# the runner works out from pairs, draws or t.  estimate_concentration needs 100 draws, and 3 is the proven
-# ball-covering constant.  In the streams, -1 stands for a draw, rep or sweep index, and some are derived only on
-# some branches (31 when B is not given, 41 in anchored mode, 44-45 for the Fourier map, 50 when no pair is given).
+# The one table of experiments, each with the keys it reads, built from these fragments.  A None default leaves a key
+# unset: a seed then comes from the master seed, the identity operator takes m from model.d, and bp_pairs, sweep_draws,
+# alpha_max and beta_max are worked out from pairs, draws or t.  estimate_concentration needs 100 draws, 3 is the
+# proven ball-covering constant, and grid_oracle.resolution is DecoderOptions.target.  No runner reads decoder.restarts
+# or grid_oracle.enabled, but the iop-fourier benchmark passes them.  In the streams, -1 is a draw, rep or sweep index.
+_SHAPE = {"d": (int, _REQUIRED, "[1, inf)"), "s": (int, _REQUIRED, "[1, inf)"), "N": (int, _REQUIRED, "[1, inf)"),
+          "M": (float, _REQUIRED, "(0, inf)")}
+_MODEL = {**_SHAPE, "kind": (("random", "axes"), "random"), "seed": (int, None, "[0, inf)"), "bases": ([[float]], None)}
+_SIGMA = {"sigma": (float, 1.0, "(0, inf)")}
+_LAW = {"kind": (OPERATOR_KINDS, _REQUIRED), **_SIGMA}
+_OPERATOR = {**_LAW, "m": (int, None, "[1, inf)"), "identity": (bool, False)}
+_METRIC = {"kind": (("euclidean", "gaussian-kernel"), "euclidean"), "sigma": (float, None, "(0, inf)")}
+_DECODE = {"model": _MODEL, "operator": {**_OPERATOR, "seed": (int, None, "[0, inf)")}, "metric": _METRIC, "decoder": {
+    "max_iters": (int, DecoderOptions.max_iters, "[1, inf)"), "restarts": (int, None),
+    "grid_oracle": {"resolution": (float, DecoderOptions.target, "(0, inf)"), "enabled": (bool, None)}}}
 _LRIP = {"eta": (float, 0.0, "[0, inf)"), "near_eps": (float, 0.1, "(0, inf)")}
 _SCALES = {"noise_scale": (float, 0.0, "[0, inf)"), "model_error_scale": (float, 0.0, "[0, inf)")}
 EXPERIMENTS = {
     "certify": _Experiment(
         _run_certify,
-        {"draws": (int, 100, "[1, inf)"), "pairs": (int, 10000, "[1, inf)"), "bp_pairs": (int, None, "[1, inf)"),
-         "anchored": (bool, True), **_LRIP, "perturbation_scale": (float, 1.0, "[0, inf)"),
-         "t": (float, 0.5, "(0, 1)"), "alpha_max": (float, None, "(0, inf)"), "beta_max": (float, None, "(0, inf)"),
-         "m_sweep": ([int], [], "[1, inf)"), "sweep_draws": (int, None, "[1, inf)"),
-         "c_of_half_t": (float, None, "[0, inf)"), "estimate_concentration": (bool, True),
-         "concentration_draws": (int, 200, "[100, inf)"), "c0_cover": (float, 3.0, "[3, inf)")},
+        {"model": _MODEL, "operator": _OPERATOR, "metric": _METRIC, "decoder": {}, "certifier": {
+            "draws": (int, 100, "[1, inf)"), "pairs": (int, 10000, "[1, inf)"), "bp_pairs": (int, None, "[1, inf)"),
+            "anchored": (bool, True), **_LRIP, "perturbation_scale": (float, 1.0, "[0, inf)"),
+            "t": (float, 0.5, "(0, 1)"), "alpha_max": (float, None, "(0, inf)"), "beta_max": (float, None, "(0, inf)"),
+            "m_sweep": ([int], [], "[1, inf)"), "sweep_draws": (int, None, "[1, inf)"),
+            "c_of_half_t": (float, None, "[0, inf)"), "estimate_concentration": (bool, True),
+            "concentration_draws": (int, 200, "[100, inf)"), "c0_cover": (float, 3.0, "[3, inf)")}},
         {"model": (10,), "operator_draw_k": (40, -1), "anchor": (41,), "pairs_draw_k": (42, -1),
          "bp_pairs_draw_k": (43, -1), "concentration_pair": (44,), "concentration_draws": (45,)},
         ("alpha_hat_vs_draw", "beta_hat_vs_draw", "alpha_hat_vs_m")),
-    "decode": _Experiment(
-        _run_decode, _SCALES, {"model": (10,), "operator": (20,), "signal_and_noise": (21,)}, ()),
+    "decode": _Experiment(_run_decode, {**_DECODE, "certifier": _SCALES},
+                          {"model": (10,), "operator": (20,), "signal_and_noise": (21,)}, ()),
     "iop-experiment": _Experiment(
         _run_iop,
-        {"B": (float, None, "[0, inf)"), "pairs": (int, 2000, "[1, inf)"), **_LRIP, "A": (float, 1.0, "[0, inf)"),
-         "lambda": (float, 0.0, "[0, inf)"), "trials": (int, 100, "[1, inf)"), **_SCALES,
-         "uniform_candidates": (int, 64, "[0, inf)")},
+        {**_DECODE, "certifier": {
+            "B": (float, None, "[0, inf)"), "pairs": (int, 2000, "[1, inf)"), **_LRIP, "A": (float, 1.0, "[0, inf)"),
+            "lambda": (float, 0.0, "[0, inf)"), "trials": (int, 100, "[1, inf)"), **_SCALES,
+            "uniform_candidates": (int, 64, "[0, inf)")}},
         {"model": (10,), "operator": (30,), "lrip_pairs": (31,), "iop_trials": (32,)}, ()),
-    "recommend-m": _Experiment(
-        _run_recommend_m, {"t": (float, _REQUIRED, "(0, 1)"), "rho_target": (float, _REQUIRED, "(0, 1)"),
-                           "c0_m": (float, 1.0, "(0, inf)")}, {}, ()),
+    "recommend-m": _Experiment(_run_recommend_m, {"model": _SHAPE, "operator": _SIGMA, "metric": {}, "decoder": {},
+                                                  "certifier": {"t": (float, _REQUIRED, "(0, 1)"),
+                                                                "rho_target": (float, _REQUIRED, "(0, 1)"),
+                                                                "c0_m": (float, 1.0, "(0, inf)")}}, {}, ()),
     "concentration-sweep": _Experiment(
         _run_concentration_sweep,
-        {"m_sweep": ([int], [16, 64, 256], "[1, inf)"), "t_grid": ([float], [0.3], "(0, inf)"),
-         "reps": (int, 5, "[1, inf)"), "draws": (int, 200, "[100, inf)"), "pair": ([[float]], None)},
+        {"model": _MODEL, "operator": _LAW, "metric": _METRIC, "decoder": {}, "certifier": {
+            "m_sweep": ([int], [16, 64, 256], "[1, inf)"), "t_grid": ([float], [0.3], "(0, inf)"),
+            "reps": (int, 5, "[1, inf)"), "draws": (int, 200, "[100, inf)"), "pair": ([[float]], None)}},
         {"model": (10,), "pair": (50,), "concentration_m_rep": (51, -1, -1)}, ("p_hat_vs_m", "c_hat_vs_t")),
 }
 
-# Every other key.  A None default leaves the key unset: a seed then comes from the master seed, the identity
-# operator takes m from model.d, and only the kernel metric needs a sigma.  decoder.grid_oracle.resolution is read as
-# DecoderOptions.target.  decoder.restarts and decoder.grid_oracle.enabled served the multi-start decoder, which is
-# gone; the benchmark's iop-fourier workload still passes all three, so they keep their names and the last two are
-# parsed and never read.
+# The keys of every experiment, as the CLI's --seed sets master_seed whatever the experiment.
 _CONFIG_KEYS = {
     "experiment": (tuple(EXPERIMENTS), _REQUIRED), "master_seed": (int, 0, "[0, inf)"), "workers": (int, 1, "[1, inf)"),
-    "model": {"d": (int, _REQUIRED, "[1, inf)"), "s": (int, _REQUIRED, "[1, inf)"), "N": (int, _REQUIRED, "[1, inf)"),
-              "M": (float, _REQUIRED, "(0, inf)"), "kind": (("random", "axes"), "random"),
-              "seed": (int, None, "[0, inf)"), "bases": ([[float]], None)},
-    "operator": {"kind": (OPERATOR_KINDS, None), "m": (int, None, "[1, inf)"), "sigma": (float, 1.0, "(0, inf)"),
-                 "identity": (bool, False), "seed": (int, None, "[0, inf)")},
-    "metric": {"kind": (("euclidean", "gaussian-kernel"), "euclidean"), "sigma": (float, None, "(0, inf)")},
-    "decoder": {"max_iters": (int, DecoderOptions.max_iters, "[1, inf)"), "restarts": (int, None),
-                "grid_oracle": {"resolution": (float, DecoderOptions.target, "(0, inf)"), "enabled": (bool, None)}},
-    "certifier": {},
     "output": {"dir": (str, None), "series": ([str], [])},
 }
 
 
 def _seed_streams(cfg: ExperimentConfig) -> dict:
-    """The experiment's seed streams, less the model and operator streams a config pins."""
-    pinned = set()
-    if cfg.model["seed"] is not None or cfg.model["bases"] is not None or cfg.model["kind"] != "random":
-        pinned.add("model")
-    if cfg.operator["seed"] is not None:
-        pinned.add("operator")
-    return {name: path for name, path in EXPERIMENTS[cfg.experiment].streams.items() if name not in pinned}
+    """The experiment's streams less those its config pins or skips: a pinned model or operator, a given B or pair, an
+    unanchored certify, and certify's concentration estimate off the random Fourier map or when c_of_half_t is given."""
+    model, op, c = cfg.model, cfg.operator, cfg.certifier
+    estimated = op.get("kind") == "random-fourier" and c.get("c_of_half_t") is None and c.get("estimate_concentration")
+    derived = {"model": model.get("seed") is None and model.get("bases") is None and model.get("kind") == "random",
+               "operator": op.get("seed") is None, "lrip_pairs": c.get("B") is None, "anchor": c.get("anchored"),
+               "concentration_pair": estimated, "concentration_draws": estimated, "pair": c.get("pair") is None}
+    return {name: path for name, path in EXPERIMENTS[cfg.experiment].streams.items() if derived.get(name, True)}
 
 
 def _strict_json(value):

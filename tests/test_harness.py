@@ -18,14 +18,19 @@ from reference import iop_trial
 ROOT = Path(__file__).resolve().parent.parent
 
 
+# the operator and metric of a config for another experiment than recommend-m, which reads neither
+FOURIER = {"kind": "random-fourier", "m": 55, "sigma": 1.0}
+KERNEL = {"kind": "gaussian-kernel", "sigma": 1.0}
+
+
 def base_config(**overrides):
-    """A recommend-m config with overrides; the certifier keys of recommend-m go only to that experiment."""
+    """A recommend-m config with overrides; it gives only the sections recommend-m reads, and its certifier keys go
+    only to that experiment."""
     cfg = {
         "experiment": "recommend-m",
         "master_seed": 0,
         "model": {"d": 20, "s": 2, "N": 5, "M": 1.0},
-        "operator": {"kind": "random-fourier", "m": 55, "sigma": 1.0},
-        "metric": {"kind": "gaussian-kernel", "sigma": 1.0},
+        "operator": {"sigma": 1.0},
     }
     cfg.update(overrides)
     if cfg["experiment"] == "recommend-m":
@@ -43,7 +48,7 @@ class TestConfig:
             ExperimentConfig.from_dict(base_config(experiment="mystery"))
 
     def test_dimension_check(self):
-        cfg = base_config(experiment="certify")
+        cfg = base_config(experiment="certify", operator=FOURIER, metric=KERNEL)
         cfg["model"]["s"] = 30  # s > d
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(cfg)
@@ -57,9 +62,9 @@ class TestConfig:
         assert ExperimentConfig.from_dict(cfg).output["series"][-1] == "alpha_hat_vs_m"
 
     def test_missing_operator_kind(self):
-        cfg = base_config(experiment="certify")
+        cfg = base_config(experiment="certify", metric=KERNEL)
         cfg["operator"] = {"m": 8}
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="operator.kind is required"):
             ExperimentConfig.from_dict(cfg)
 
     def test_not_an_object(self):
@@ -76,21 +81,22 @@ class TestConfig:
             ExperimentConfig.from_dict(cfg)
 
 
+def decode_config(**overrides):
+    return base_config(experiment="decode", operator=FOURIER, metric=KERNEL, **overrides)
+
+
 class TestDecoderOptions:
     def test_defaults_come_from_the_options(self):
-        cfg = ExperimentConfig.from_dict(base_config(experiment="decode"))
+        cfg = ExperimentConfig.from_dict(decode_config())
         assert build_decoder_options(cfg) == DecoderOptions()
 
     def test_values_are_read(self):
-        cfg = ExperimentConfig.from_dict(base_config(
-            experiment="decode", decoder={"max_iters": 40, "grid_oracle": {"resolution": 0.01}},
-        ))
+        cfg = ExperimentConfig.from_dict(decode_config(decoder={"max_iters": 40, "grid_oracle": {"resolution": 0.01}}))
         assert build_decoder_options(cfg) == DecoderOptions(max_iters=40, target=0.01)
 
     def test_keys_of_the_multi_start_decoder_are_dropped(self):
         # the benchmark's iop-fourier workload still passes restarts and grid_oracle.enabled
-        cfg = ExperimentConfig.from_dict(base_config(
-            experiment="decode",
+        cfg = ExperimentConfig.from_dict(decode_config(
             decoder={"restarts": 8, "max_iters": 40, "grid_oracle": {"enabled": True, "resolution": 0.01}},
         ))
         assert build_decoder_options(cfg) == DecoderOptions(max_iters=40, target=0.01)
@@ -98,7 +104,7 @@ class TestDecoderOptions:
     @pytest.mark.parametrize("decoder", [{"gtol": 1e-10}, {"grid_oracle": {"resolutoin": 0.01}}])
     def test_unknown_keys_rejected(self, decoder):
         with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict(base_config(experiment="decode", decoder=decoder))
+            ExperimentConfig.from_dict(decode_config(decoder=decoder))
 
 
 class TestRecommendMExperiment:
@@ -171,6 +177,7 @@ class TestStrictJson:
             experiment="iop-experiment",
             model={"d": 4, "s": 2, "N": 3, "M": 1.0, "seed": 1},
             operator={"kind": "random-fourier", "m": 48, "sigma": 1.0, "seed": 2},
+            metric=KERNEL,
             decoder={"max_iters": 1},
             certifier={"trials": 3, "noise_scale": 0.05, "model_error_scale": 0.3, "pairs": 100},
         )
@@ -202,17 +209,17 @@ class TestConcentrationSweep:
 
     def test_operator_m_is_not_required(self):
         # the sweep builds its operators at the m_sweep entries only, so it takes no operator.m, and refuses one
-        assert self.sweep_config([16]).operator["m"] is None
+        assert "m" not in self.sweep_config([16]).operator
         cfg = self.sweep_config([16]).to_dict()
         cfg["operator"]["m"] = 16
-        with pytest.raises(ConfigError, match="operator.m"):
+        with pytest.raises(ConfigError, match="unknown keys operator.m;"):
             ExperimentConfig.from_dict(cfg)
 
     def test_identity_operator_is_refused(self):
         # every draw of the identity is the same map, so there is no concentration over draws to estimate
         cfg = self.sweep_config([2]).to_dict()
         cfg["operator"] = {"kind": "linear-gaussian", "identity": True}
-        with pytest.raises(ConfigError, match="operator.identity"):
+        with pytest.raises(ConfigError, match="unknown keys operator.identity;"):
             ExperimentConfig.from_dict(cfg)
 
     def test_unknown_series_rejected(self):
@@ -256,6 +263,7 @@ LINEAGE_CONFIGS = {
     "decode": dict(
         model={"d": 4, "s": 3, "N": 2, "M": 1.0},
         operator={"kind": "random-fourier", "m": 12, "sigma": 1.0},
+        metric=KERNEL,
         decoder={"max_iters": 20},
         certifier={"noise_scale": 0.05},
     ),
@@ -268,12 +276,14 @@ LINEAGE_CONFIGS = {
     "certify": dict(
         model={"d": 3, "s": 1, "N": 2, "M": 1.0},
         operator={"kind": "random-fourier", "m": 8, "sigma": 1.0},
+        metric=KERNEL,
         certifier={"draws": 2, "pairs": 50, "bp_pairs": 50, "t": 0.5,
                    "concentration_draws": 100},
     ),
     "concentration-sweep": dict(
         model={"d": 3, "s": 1, "N": 2, "M": 1.0},
         operator={"kind": "random-fourier", "sigma": 1.0},
+        metric=KERNEL,
         certifier={"m_sweep": [4, 8], "reps": 2, "draws": 100, "t_grid": [0.3]},
     ),
 }
@@ -323,15 +333,34 @@ class TestSeedLineage:
     def matches(path, stream) -> bool:
         return len(path) == len(stream) and all(s in (-1, p) for p, s in zip(path, stream))
 
-    @pytest.mark.parametrize("experiment", list(LINEAGE_CONFIGS))
-    def test_streams_are_those_derived(self, monkeypatch, experiment):
-        lineage, paths = self.derived_paths(monkeypatch, dict(LINEAGE_CONFIGS[experiment],
-                                                              experiment=experiment))
+    def assert_streams_are_those_derived(self, lineage, paths):
         streams = [tuple(v) for v in lineage["streams"].values()]
         assert lineage["master_seed"] == self.MASTER
         assert all(any(self.matches(p, s) for s in streams) for p in paths)
         assert all(any(self.matches(p, s) for p in paths) for s in streams)
-        assert (experiment == "recommend-m") == (streams == [])
+
+    @pytest.mark.parametrize("experiment", list(LINEAGE_CONFIGS))
+    def test_streams_are_those_derived(self, monkeypatch, experiment):
+        lineage, paths = self.derived_paths(monkeypatch, dict(LINEAGE_CONFIGS[experiment],
+                                                              experiment=experiment))
+        self.assert_streams_are_those_derived(lineage, paths)
+        assert (experiment == "recommend-m") == (lineage["streams"] == {})
+
+    @pytest.mark.parametrize("experiment, section, values, stream", [
+        ("iop-experiment", "certifier", {"B": 2.0}, "lrip_pairs"),
+        ("certify", "certifier", {"anchored": False}, "anchor"),
+        ("certify", "operator", {"kind": "linear-gaussian"}, "concentration_pair"),
+        ("certify", "certifier", {"c_of_half_t": 0.5}, "concentration_pair"),
+        ("certify", "certifier", {"estimate_concentration": False}, "concentration_pair"),
+        ("concentration-sweep", "certifier", {"pair": [[0.1, 0.2, 0.3], [0.3, 0.2, 0.1]]}, "pair"),
+    ], ids=["B-given", "unanchored", "linear-map", "c-of-half-t-given", "concentration-not-estimated", "pair-given"])
+    def test_a_stream_the_branch_skips_is_left_out(self, monkeypatch, experiment, section, values, stream):
+        # each of these streams used to be listed though this branch of the run never derives it
+        cfg = LINEAGE_CONFIGS[experiment]
+        cfg = dict(cfg, experiment=experiment, **{section: dict(cfg[section], **values)})
+        lineage, paths = self.derived_paths(monkeypatch, cfg)
+        assert stream not in lineage["streams"]
+        self.assert_streams_are_those_derived(lineage, paths)
 
     @pytest.mark.parametrize("experiment", ["decode", "iop-experiment"])
     def test_pinned_seeds_are_left_out(self, monkeypatch, experiment):
@@ -381,24 +410,47 @@ def _outside(kind, interval: str) -> list:
     return [kind(v) for v in values]
 
 
-def _range_cases() -> list:
-    """(experiment, section.key, default, interval, value) for every value outside a ranged key's range."""
-    cases = []
-
-    def walk(experiment, keys, prefix):
-        for key, entry in keys.items():
-            if isinstance(entry, dict):
-                walk(experiment, entry, f"{prefix}{key}.")
-            elif len(entry) == 3:
-                kind, default, interval = entry
-                cases.extend((experiment, prefix + key, default, interval, v) for v in _outside(kind, interval))
-
-    for name, experiment in harness.EXPERIMENTS.items():
-        walk(name, {**harness._CONFIG_KEYS, "certifier": experiment.certifier}, "")
-    return cases
+def _valid(kind, default, interval="[1, inf)"):
+    """A value of kind that lies in interval: the default, unless the key is unset or required by default."""
+    if default not in (None, harness._REQUIRED):
+        return default
+    if isinstance(kind, tuple):
+        return kind[0]
+    if isinstance(kind, list):
+        return [_valid(kind[0], None, interval)]
+    return True if kind is bool else kind(_ends(interval)[0] + 1)
 
 
-RANGE_CASES = _range_cases()
+def _leaves(keys: dict, prefix: str = "") -> dict:
+    """section.key -> (kind, default[, interval]) for every key of a key table, nested sections by their full path."""
+    leaves = {}
+    for key, entry in keys.items():
+        leaves.update(_leaves(entry, f"{prefix}{key}.") if isinstance(entry, dict) else {prefix + key: entry})
+    return leaves
+
+
+# each experiment's own key table
+TABLES = {name: _leaves({**harness._CONFIG_KEYS, **experiment.keys})
+          for name, experiment in harness.EXPERIMENTS.items()}
+# (experiment, section.key, default, interval, value) for every value outside a ranged key's range
+RANGE_CASES = [(name, path, entry[1], entry[2], value) for name, table in TABLES.items()
+               for path, entry in table.items() if len(entry) == 3 for value in _outside(entry[0], entry[2])]
+# (experiment, section.key, value) for every key of model, operator, metric and decoder that another experiment reads
+# and this one does not, with a value that one takes; the certifier keys were per experiment already
+SECTION_KEYS = {path: entry for table in TABLES.values() for path, entry in table.items()
+                if path.split(".")[0] in ("model", "operator", "metric", "decoder")}
+UNREAD_CASES = [(name, path, _valid(*entry)) for name, table in TABLES.items()
+                for path, entry in SECTION_KEYS.items() if path not in table]
+
+
+def _set(cfg: dict, path: str, value):
+    """cfg with value at the dotted path, its sections made as needed."""
+    *sections, key = path.split(".")
+    node = cfg
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[key] = value
+    return cfg
 
 
 class TestCli:
@@ -557,6 +609,7 @@ class TestCli:
             experiment="certify",
             model={"d": 3, "s": 1, "N": 2, "M": 1.0},
             operator={"kind": "random-fourier", "m": 8, "sigma": 1.0},
+            metric=KERNEL,
             certifier={"draws": 1, "pairs": 20, "estimate_concentration": False},
             output={"series": ["alpha_hat_vs_m"]},
         )
@@ -574,16 +627,24 @@ class TestCli:
         # while the config is parsed, naming section.key; the key's own default lies in the range
         assert default in (None, harness._REQUIRED) or _inside(default, interval)
         monkeypatch.setattr("lrip_lab.cli.run", lambda config: pytest.fail("the experiment ran"))
-        cfg = json.loads((ROOT / "configs" / f"{SHIPPED[experiment]}.json").read_text())
-        *sections, key = path.split(".")
-        node = cfg
-        for section in sections:
-            node = node.setdefault(section, {})
-        node[key] = value
+        cfg = _set(json.loads((ROOT / "configs" / f"{SHIPPED[experiment]}.json").read_text()), path, value)
         out = tmp_path / "out"
         assert main([experiment, "--config", self.write_config(tmp_path, cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"{path} must be in {interval}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment, path, value", UNREAD_CASES,
+                             ids=[f"{case[0]}-{case[1]}" for case in UNREAD_CASES])
+    def test_unread_key_exit_code(self, tmp_path, capsys, monkeypatch, experiment, path, value):
+        # a key the experiment does not read, in its shipped config, is refused while the config is parsed; such keys
+        # used to be parsed and ignored, so recommend-m with operator.m 7 printed m = 55
+        monkeypatch.setattr("lrip_lab.cli.run", lambda config: pytest.fail("the experiment ran"))
+        cfg = _set(json.loads((ROOT / "configs" / f"{SHIPPED[experiment]}.json").read_text()), path, value)
+        out = tmp_path / "out"
+        assert main([experiment, "--config", self.write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: unknown keys {path};")
         assert not out.exists()
 
     @pytest.mark.parametrize("model", [
@@ -593,7 +654,7 @@ class TestCli:
     def test_bad_model_bases_exit_code(self, tmp_path, capsys, monkeypatch, model):
         # an entry of the wrong length ended in numpy's reshape error (exit 1), and kind axes was ignored beside bases
         monkeypatch.setattr("lrip_lab.cli.run", lambda config: pytest.fail("the experiment ran"))
-        cfg = base_config(experiment="decode", model=model, operator={"kind": "random-fourier", "m": 8})
+        cfg = base_config(experiment="decode", model=model, operator={"kind": "random-fourier", "m": 8}, metric=KERNEL)
         assert main(["decode", "--config", self.write_config(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "model.bases" in err and "Traceback" not in err
@@ -697,6 +758,7 @@ def test_decode_draws_an_iop_trial(kind, noise_scale, model_error_scale):
         master_seed=6,
         model={"d": 3, "s": 1, "N": 2, "M": 1.0},
         operator={"kind": kind, "m": 5},
+        metric=KERNEL,
         certifier={"noise_scale": noise_scale, "model_error_scale": model_error_scale},
     ))
     results = run(cfg).results
@@ -767,8 +829,15 @@ def test_readme_quick_tour_runs(capsys):
     assert len(capsys.readouterr().out.splitlines()) == 2
 
 
+def _read_by(names: list) -> str:
+    """The README's "read by" cell of a key that the experiments named read alike."""
+    missing = [name for name in harness.EXPERIMENTS if name not in names]
+    return "all" if not missing else f"all but {missing[0]}" if len(missing) == 1 else ", ".join(names)
+
+
 def test_readme_key_table_matches_the_schema():
-    # the defaults and ranges live in the schema, and the README table is where users read them
+    # the keys, readers, defaults and ranges live in the experiments' tables, and the README table is where users
+    # read them; a key that two experiments read with different defaults or ranges has a row for each
     lines = (ROOT / "README.md").read_text().splitlines()
     start = lines.index("| section | key | read by | type | default | range |")
     rows = []
@@ -776,30 +845,18 @@ def test_readme_key_table_matches_the_schema():
         if not line.startswith("|"):
             break
         rows.append([cell.strip().replace("`", "") for cell in line.strip("|").split("|")])
-    readme = {(section, key, by if section == "certifier" else None): (kind, default, interval)
-              for section, key, by, kind, default, interval in rows}
+    readme = {(section, key, by): (kind, default, interval) for section, key, by, kind, default, interval in rows}
     assert len(readme) == len(rows)
 
-    expected = {}
-
-    def walk(keys, section):
-        for key, entry in keys.items():
-            if isinstance(entry, dict):
-                walk(entry, key if section == "top level" else f"{section}.{key}")
-            else:
-                expected[(section, key, None)] = entry
-
-    walk(harness._CONFIG_KEYS, "top level")
     readers = {}
-    for name, experiment in harness.EXPERIMENTS.items():
-        for key, entry in experiment.certifier.items():
-            readers.setdefault((key, _kind_text(entry[0]), repr(entry[1:])), ([], entry))[0].append(name)
-    for (key, _, _), (names, entry) in readers.items():
-        expected[("certifier", key, ", ".join(names))] = entry
+    for name, table in TABLES.items():
+        for path, entry in table.items():
+            section, _, key = path.rpartition(".")
+            row = (section or "top level", key, _kind_text(entry[0]), repr(entry[1:]))
+            readers.setdefault(row, ([], entry))[0].append(name)
+    expected = {(section, key, _read_by(names)): entry for (section, key, _, _), (names, entry) in readers.items()}
     assert readme.keys() == expected.keys()
     for row, (kind, default, *interval) in expected.items():
         assert readme[row][0] == _kind_text(kind), row
         assert _default_matches(readme[row][1], default), row
         assert readme[row][2] == "".join(interval), row
-    for section, key, by, _, _, _ in rows:
-        assert set(by.removeprefix("all but ").split(", ")) <= {"all", *harness.EXPERIMENTS}, (section, key)
