@@ -1,4 +1,4 @@
-"""Print sha256(results_bytes())[:8] of every shipped config and benchmark workload, and six digests of the library.
+"""Print sha256(results_bytes())[:8] of every shipped config and benchmark workload, and five digests of the library.
 
 Usage, from any directory:
 
@@ -9,13 +9,17 @@ written.  Each workload of bench/workloads.py runs at every seed given; that
 module is only imported, without writing its bytecode cache.  The line "near
 digest" hashes sample_near_points' output on fixed instances under both
 metrics (see near_digest): a workload's hash can stay put when its near
-points move.  The line "decode digest" hashes certified_minimum's and
-decode's output arrays on fixed random Fourier instances (see
-decode_digest), "operator digest" the operators drawn from fixed seeds and
-their gaps (see operator_digest), "trial digest" the IOP trials that
-_draw_trials draws on fixed instances (see trial_digest), and the last line,
-"witness digest", the arrays of check_iop_inequality's witness on fixed
-instances (see witness_digest).
+points move.  So can an iop-* workload's when its trials move: its results
+hold the IOP counts and only the unsatisfied trials' worst_cases, not
+x_true, so the trial and witness digests are the check on a change to the
+trial path (generators aliased by list(seeding.generators(...)) move both
+digests and no workload hash).  The line "decode digest" hashes
+certified_minimum's and decode's output arrays on fixed random Fourier
+instances (see decode_digest), "operator digest" the operators drawn from
+fixed seeds and their gaps (see operator_digest), "trial digest" the IOP
+trials that _draw_trials draws on fixed instances (see trial_digest), and
+the last line, "witness digest", the arrays of check_iop_inequality's
+witness on fixed instances (see witness_digest).
 The library is the one in this checkout's src/, so two checkouts can be
 compared line by line.
 """
@@ -129,7 +133,7 @@ def trial_digest() -> str:
         op = OperatorLaw(kind, 12, 6, 1.0).sample(4)
         for scales in ((0.0, 0.0), (0.1, 0.0), (0.0, 0.3), (0.1, 0.3)):
             for candidates in (0, 4):
-                for a in _draw_trials(op, model, seeding.generators(11, 2, np.arange(64)), *scales, candidates):
+                for a in _draw_trials(op, model, seeding.generators(11, 2, np.arange(64)), 64, *scales, candidates):
                     digest.update(a.tobytes())
     return digest.hexdigest()[:8]
 
@@ -141,8 +145,9 @@ def witness_digest() -> str:
     checked under the Euclidean metric and the Fourier map under the Gaussian
     kernel at sigma = 1, at A = 0.5, B = 1, lambda = 0, noise_scale 0.1,
     model_error_scale 0.3 and seed 12, with 0 and with 4 candidates, over 70
-    trials, so two chunks run; 53 of the 70 trials are satisfied on the
-    linear map and 61 on the Fourier map.
+    trials in one chunk (a chunk of 64 trials made them two, with the same
+    digest); 53 of the 70 trials are satisfied on the linear map and 61 on
+    the Fourier map.
     """
     digest = hashlib.sha256()
     model = UnionOfSubspaces.random(6, 2, 3, 1.0, 3)

@@ -37,7 +37,6 @@ from .errors import InputError
 from .models import (
     CoveringBound,
     UnionOfSubspaces,
-    _draw_model_points,
     _map_model_points,
     covering_bound_model,
     covering_bound_secant,
@@ -374,38 +373,56 @@ class IopWitness:
         }
 
 
-_IOP_CHUNK = 64  # trials drawn, decoded and checked together; bounds the working arrays
+_IOP_CHUNK = 256  # trials drawn, decoded and checked together; bounds the working arrays; each shipped run is one
 
 
-def _draw_trials(op, model: UnionOfSubspaces, rngs, noise_scale: float, model_error_scale: float,
+def _draw_trials(op, model: UnionOfSubspaces, rngs, n: int, noise_scale: float, model_error_scale: float,
                  candidates: int = 0) -> tuple:
-    """The instances y = Psi(x*) + e of IOP trials, one from each generator of rngs: (x*, y, points).
+    """The instances y = Psi(x*) + e of n IOP trials, one from each generator of rngs: (x*, y, points).
 
     x* is a model point plus an isotropic Gaussian perturbation of RMS norm
     ``model_error_scale``; e is Gaussian noise of norm ``noise_scale``, real
     on the linear map and complex otherwise.  Trial k draws from the k-th
-    generator only, in the order model point, perturbation, raw noise (none
-    at noise_scale 0), candidates; then one _map_model_points call maps all
-    model points and candidates, one array expression adds the
+    generator only, in _draw_model_points' order for its model point, then
+    the perturbation and the raw noise (none at noise_scale 0) in one
+    standard_normal call, then its candidates.  The draws go straight into
+    arrays allocated for the n trials; then one _map_model_points call maps
+    all model points and candidates, one array expression adds the
     perturbations, each noise row is scaled by its _row_norms, and one
     apply_batch measures x*.  So a trial does not depend on the trials drawn
     with it.  Shapes: x* (n, d), y (n, m), points (n, 1 + candidates, d),
     each trial's model point first.
+
+    rngs must yield exactly n generators.  seeding.generators yields one
+    reused Generator, so its items must be used in turn: list(rngs) would
+    hold n aliases of the last stream's state, which is why n is given and
+    not counted.
     """
-    d, c, real = model.dim, candidates, isinstance(op, LinearGaussianOperator)
-    draws, perturb, noise = [], [], []  # draws: each trial's model point, then its candidates
-    for rng in rngs:
-        draws.append(_draw_model_points(model, 1, rng))
-        perturb.append(rng.normal(size=d))
-        if noise_scale:
-            noise.append(rng.normal(size=op.m) + (0j if real else 1j * rng.normal(size=op.m)))
+    d, s, c, m = model.dim, model.subspace_dim, candidates, op.m
+    real = isinstance(op, LinearGaussianOperator)
+    idx = np.empty((n, 1 + c), dtype=np.int64)
+    Z, U = np.empty((n, 1 + c, s)), np.empty((n, 1 + c))  # each trial's model point, then its candidates
+    noise_cols = 0 if not noise_scale else m if real else 2 * m
+    normal = np.empty((n, d + noise_cols))  # each trial's perturbation, then its raw noise
+    num_subspaces = model.num_subspaces
+    # normal(0, 1) is 0 + 1 z, so standard_normal draws the same values; see _draw_model_points for the scalars
+    for k, rng in zip(range(n), rngs, strict=True):
+        idx[k, 0] = rng.integers(num_subspaces)
+        rng.standard_normal(out=Z[k, 0])
+        U[k, 0] = rng.random()
+        rng.standard_normal(out=normal[k])
         if c:
-            draws.append(_draw_model_points(model, c, rng))
-    points = _map_model_points(model, *(np.concatenate(a) for a in zip(*draws))).reshape(len(perturb), 1 + c, d)
-    xstar = points[:, 0] + np.array(perturb) * (model_error_scale / math.sqrt(d))
-    E = np.array(noise) if noise_scale else np.zeros((len(perturb), op.m), dtype=complex)
+            idx[k, 1:] = rng.integers(num_subspaces, size=c)
+            rng.standard_normal(out=Z[k, 1:])
+            rng.random(out=U[k, 1:])
+    points = _map_model_points(model, idx.reshape(-1), Z.reshape(-1, s), U.reshape(-1, 1)).reshape(n, 1 + c, d)
+    xstar = points[:, 0] + normal[:, :d] * (model_error_scale / math.sqrt(d))
     if noise_scale:
+        raw = normal[:, d:]
+        E = raw + 0j if real else raw[:, :m] + 1j * raw[:, m:]
         E *= (noise_scale / _row_norms(E))[:, None]
+    else:
+        E = np.zeros((n, m), dtype=complex)
     return xstar, op.apply_batch(xstar) + E, points
 
 
@@ -441,7 +458,8 @@ def check_iop_inequality(
     Trials run _IOP_CHUNK at a time, in three phases:
 
     * draw: the chunk's streams (rng_seed, 2, k) are derived in one
-      seeding.generators call, and _draw_trials draws trial k from its own;
+      seeding.generators call, and _draw_trials draws trial k from its own
+      into arrays allocated for the chunk;
     * decode: ``decode`` decodes the chunk's measurements, the linear map
       in one decode_linear call, the Fourier map in one lockstep search
       and polish for the whole chunk;
@@ -465,8 +483,9 @@ def check_iop_inequality(
     d, c = model.dim, uniform_candidates
     chunks = []  # per chunk: x*, decode_dist, model_dist, lambda_eff, satisfied
     for first in range(0, trials, _IOP_CHUNK):
-        rngs = seeding.generators(rng_seed, 2, np.arange(first, min(first + _IOP_CHUNK, trials)))
-        xstar, y, cands = _draw_trials(op, model, rngs, noise_scale, model_error_scale, c)
+        ks = np.arange(first, min(first + _IOP_CHUNK, trials))
+        xstar, y, cands = _draw_trials(op, model, seeding.generators(rng_seed, 2, ks), len(ks), noise_scale,
+                                       model_error_scale, c)
 
         dec = decode(op, model, y, decoder_opts)
 

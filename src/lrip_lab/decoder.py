@@ -96,7 +96,9 @@ def _secular_bisection(S, beta, Vt, radius: float, tol: float) -> np.ndarray:
     Row k has singular values S[k], coefficients beta[k] = U'y and right
     singular vectors Vt[k]; its path is z(mu) = V diag(S / (S^2 + mu)) beta,
     and mu is bisected until ||z(mu)|| is within tol of radius, at most 200
-    steps.  Rows advance together, and a row leaves once it is done.
+    steps.  Rows advance together, and a row leaves once it is done: the
+    numerators, S^2 and brackets of the rows still active are kept compacted,
+    so a step gathers nothing.
     """
     num, S2 = S * beta, S**2
 
@@ -109,18 +111,20 @@ def _secular_bisection(S, beta, Vt, radius: float, tol: float) -> np.ndarray:
         hi[grow] *= 2.0
         grow = grow[hi[grow] <= 1e300]
         grow = grow[norm_at(hi[grow], grow) > radius]
-    mu, active = np.empty(len(S)), np.arange(len(S))
+    mu, active, num_a, S2_a = np.empty(len(S)), np.arange(len(S)), num, S2
     for _ in range(200):
         if not len(active):
             break
-        mid = 0.5 * (lo[active] + hi[active])
-        norms = norm_at(mid, active)
+        mid = 0.5 * (lo + hi)
+        norms = np.linalg.norm(num_a / (S2_a + mid[:, None]), axis=1)
         done = np.abs(norms - radius) <= tol
-        mu[active[done]] = mid[done]
-        active, mid, above = active[~done], mid[~done], norms[~done] > radius
-        lo[active[above]] = mid[above]
-        hi[active[~above]] = mid[~above]
-    mu[active] = 0.5 * (lo[active] + hi[active])
+        if done.any():
+            mu[active[done]] = mid[done]
+            keep = ~done
+            active, num_a, S2_a, lo, hi, mid, norms = (a[keep] for a in (active, num_a, S2_a, lo, hi, mid, norms))
+        above = norms > radius
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    mu[active] = 0.5 * (lo + hi)
     return _ball_project(_row_products(num / (S2 + mu[:, None]), Vt), radius)
 
 

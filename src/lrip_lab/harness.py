@@ -293,7 +293,7 @@ def _run_decode(cfg: ExperimentConfig) -> dict:
     op = build_operator(cfg, op_seed)
     c = cfg.certifier
     rngs = [seeding.generator(cfg.master_seed, 21)]
-    (x_true,), y, _ = _draw_trials(op, model, rngs, c["noise_scale"], c["model_error_scale"])
+    (x_true,), y, _ = _draw_trials(op, model, rngs, 1, c["noise_scale"], c["model_error_scale"])
     dec = decode(op, model, y, opts)
     return {
         "decode": {f.name: getattr(dec, f.name)[0].tolist() for f in fields(dec) if f.name != "gap"},

@@ -142,7 +142,11 @@ def generators(master_seed, *path):
     The states are derived at the call; the iterator then gives one
     Generator, local to the call, with each position's PCG64 state assigned
     in turn (has_uint32 and uinteger reset, as a new PCG64 has them): use
-    each before taking the next.  PCG64 seeds from
+    each before taking the next.  So the items are aliases of one object:
+    list(generators(...)), for instance to count them, holds n references to
+    the last position's state, and every stream drawn from that list is the
+    last one.  A consumer that needs the count takes it from the column it
+    passed in.  PCG64 seeds from
     generate_state(4, uint64), words (seed_hi, seed_lo, inc_hi, inc_lo), and
     its srandom step is inc = 2 inc' + 1, state = (inc + seed) * MULT + inc,
     both mod 2^128.

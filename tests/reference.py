@@ -1,4 +1,4 @@
-"""Brute-force, multi-start, certificate, per-trial IOP and near-sampler references that the tests use."""
+"""Brute-force, multi-start, certificate, bisection, per-trial IOP and near-sampler references that the tests use."""
 
 import math
 from dataclasses import fields
@@ -104,6 +104,40 @@ def residual_certificate(result, op, model: UnionOfSubspaces, y, target: float =
         return np.inf
     (lower,), _, _ = certified_minimum(op, model, np.asarray(y)[None], target, result.residual)
     return float(result.residual - lower)
+
+
+def secular_bisection(S, beta, Vt, radius: float, tol: float) -> np.ndarray:
+    """decoder._secular_bisection as it was before it kept its active rows compacted, each step gathering them.
+
+    Row k has singular values S[k], coefficients beta[k] = U'y and right
+    singular vectors Vt[k]; its path is z(mu) = V diag(S / (S^2 + mu)) beta,
+    and mu is bisected until ||z(mu)|| is within tol of radius, at most 200
+    steps.  Rows advance together, and a row leaves once it is done.
+    """
+    num, S2 = S * beta, S**2
+
+    def norm_at(mu, rows):
+        return np.linalg.norm(num[rows] / (S2[rows] + mu[:, None]), axis=1)
+
+    lo, hi = np.zeros(len(S)), np.maximum(S2[:, 0], 1.0)
+    grow = np.flatnonzero(norm_at(hi, slice(None)) > radius)
+    while len(grow):
+        hi[grow] *= 2.0
+        grow = grow[hi[grow] <= 1e300]
+        grow = grow[norm_at(hi[grow], grow) > radius]
+    mu, active = np.empty(len(S)), np.arange(len(S))
+    for _ in range(200):
+        if not len(active):
+            break
+        mid = 0.5 * (lo[active] + hi[active])
+        norms = norm_at(mid, active)
+        done = np.abs(norms - radius) <= tol
+        mu[active[done]] = mid[done]
+        active, mid, above = active[~done], mid[~done], norms[~done] > radius
+        lo[active[above]] = mid[above]
+        hi[active[~above]] = mid[~above]
+    mu[active] = 0.5 * (lo[active] + hi[active])
+    return models._ball_project(models._row_products(num / (S2 + mu[:, None]), Vt), radius)
 
 
 def noise(op, norm: float, rng) -> np.ndarray:

@@ -364,6 +364,20 @@ class TestIopBatchInvariance:
         assert trial_bits(self.witness(name, 25, candidates)) == trial_bits(full)
         assert trial_bits(self.witness(name, 1, candidates)) == trial_bits(full, 1)
 
+    def test_a_run_across_the_default_chunk_boundary(self, monkeypatch):
+        # the shipped IOP runs fit in one chunk, so this is the one run that crosses the default boundary
+        trials = certifier._IOP_CHUNK + 5
+        calls = count_decode_linear(monkeypatch)
+        full = self.witness("linear", trials)
+        assert calls == [certifier._IOP_CHUNK, 5]
+        for k in (1, 7, certifier._IOP_CHUNK):
+            assert trial_bits(self.witness("linear", k)) == trial_bits(full, k)
+        monkeypatch.setattr(certifier, "_IOP_CHUNK", 3)
+        assert trial_bits(self.witness("linear", trials)) == trial_bits(full)
+        model, op, metric, opts = IOP_INSTANCES["linear"]
+        args = (op(), model(), metric, opts, 1.0, 2.0, 0.0, trials, 0.1, 0.3, 31, 64)
+        assert trial_bits(reference.iop_trials(*args)) == trial_bits(full)
+
 
 IOP_AT_SUBSPACE_DIM = {  # (model, map, metric, decoder options) at subspace dimension s
     "linear": lambda s: (UnionOfSubspaces.random(s + 2, s, 3, 1.0, 21),

@@ -18,6 +18,7 @@ from lrip_lab.certifier import _draw_trials
 from lrip_lab.decoder import _HALVINGS, _line_search, certified_minimum, decode
 from lrip_lab.models import sample_model_points
 from lrip_lab.operators import jacobian
+import reference
 from reference import grid_minimum, iop_trial, multi_start_decode, noise, residual_certificate, rows
 
 KERNEL = Pseudometric("gaussian-kernel", 1.0)
@@ -237,6 +238,35 @@ class TestDecodeLinear:
             x0 = sample_model_points(model, 1, seed)[0]
             (res,) = rows(decode_linear(op, model, (op.matrix @ x0)[None]))
             assert res.residual <= 1e-10
+
+
+class TestSecularBisection:
+    """The bisection on compacted active rows is bitwise the loop that gathers them on every step."""
+
+    @staticmethod
+    def bisection_rows(s, seed, n=60):
+        """(S, beta, Vt) of n random rows: 20 plain, 20 whose hi bracket has to grow and 20 whose minimum-norm
+        point lies inside the ball, which never come within tol and stop at the 200-step cap.  The last 10
+        have S near 1e-150, so their bracket after 200 halvings still moves the point."""
+        rng = np.random.default_rng(seed)
+        S = -np.sort(-np.abs(rng.normal(size=(n, s))), axis=1)
+        S[50:] *= 1e-150
+        beta = rng.normal(scale=3.0, size=(n, s))
+        beta[20:40] *= 1e4
+        beta[40:] *= 1e-3 * S[40:]
+        return S, beta, np.linalg.qr(rng.normal(size=(n, s, s)))[0]
+
+    @pytest.mark.parametrize("tol", [1e-10, 0.0])
+    @pytest.mark.parametrize("radius", [1.0, 0.7])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_matches_the_gathering_loop(self, s, radius, tol):
+        for seed in range(3):
+            S, beta, Vt = self.bisection_rows(s, seed)
+            hi = np.maximum(S[:, 0] ** 2, 1.0)
+            assert np.all(np.linalg.norm(S * beta / (S**2 + hi[:, None]), axis=1)[20:40] > radius)
+            assert np.all(np.linalg.norm(beta[40:] / S[40:], axis=1) < radius)
+            got = decoder._secular_bisection(S, beta, Vt, radius, tol)
+            assert got.tobytes() == reference.secular_bisection(S, beta, Vt, radius, tol).tobytes()
 
 
 def line_search_one_apply_per_step(z, f, grad, step, radius, mapped):
@@ -836,7 +866,7 @@ class TestNoiseVector:
     @pytest.mark.parametrize("op", [LinearGaussianOperator.from_seed(5, 3, 0),
                                     RandomFourierOperator.from_seed(5, 3, 1.0, 0)])
     def test_exact_norm(self, op):
-        xstar, y, _ = _draw_trials(op, self.MODEL, [np.random.default_rng(1)], 0.25, 0.3)
+        xstar, y, _ = _draw_trials(op, self.MODEL, [np.random.default_rng(1)], 1, 0.25, 0.3)
         e = y[0] - op.apply_batch(xstar)[0]
         assert y.shape == (1, 5) and y.dtype == complex
         assert np.linalg.norm(e) == pytest.approx(0.25, rel=1e-12)
@@ -850,17 +880,17 @@ class TestNoiseVector:
         op = (LinearGaussianOperator.from_seed(m, 3, m) if kind == "real"
               else RandomFourierOperator.from_seed(m, 3, 1.0, m))
         ks = np.arange(5000)
-        xstar, y, _ = _draw_trials(op, self.MODEL, seeding.generators(m, 2, ks), 0.3, 0.1)
+        xstar, y, _ = _draw_trials(op, self.MODEL, seeding.generators(m, 2, ks), len(ks), 0.3, 0.1)
         alone = [iop_trial(op, self.MODEL, seeding.generator(m, 2, k), 0.3, 0.1) for k in ks]
         assert xstar.tobytes() == np.array([a[0] for a in alone]).tobytes()
         assert y.tobytes() == np.array([a[1] for a in alone]).tobytes()
-        first = [_draw_trials(op, self.MODEL, [seeding.generator(m, 2, k)], 0.3, 0.1)[1][0] for k in ks[:200]]
+        first = [_draw_trials(op, self.MODEL, [seeding.generator(m, 2, k)], 1, 0.3, 0.1)[1][0] for k in ks[:200]]
         assert np.array(first).tobytes() == y[:200].tobytes()
 
     def test_zero_norm_draws_nothing(self):
         op = RandomFourierOperator.from_seed(4, 3, 1.0, 0)
         rng = np.random.default_rng(2)
-        xstar, y, _ = _draw_trials(op, self.MODEL, [rng], 0.0, 0.3)
+        xstar, y, _ = _draw_trials(op, self.MODEL, [rng], 1, 0.0, 0.3)
         assert np.array_equal(y, op.apply_batch(xstar))
         ref = np.random.default_rng(2)
         sample_model_points(self.MODEL, 1, ref)
