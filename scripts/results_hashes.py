@@ -1,4 +1,4 @@
-"""Print sha256(results_bytes())[:8] of every shipped config and benchmark workload, and five digests of the library.
+"""Print sha256(results_bytes())[:8] of every shipped config and benchmark workload, and six digests of the library.
 
 Usage, from any directory:
 
@@ -17,9 +17,12 @@ digests and no workload hash).  The line "decode digest" hashes
 certified_minimum's and decode's output arrays on fixed random Fourier
 instances (see decode_digest), "operator digest" the operators drawn from
 fixed seeds and their gaps (see operator_digest), "trial digest" the IOP
-trials that _draw_trials draws on fixed instances (see trial_digest), and
-the last line, "witness digest", the arrays of check_iop_inequality's
-witness on fixed instances (see witness_digest).
+trials that _draw_trials draws on fixed instances (see trial_digest),
+"witness digest" the arrays of check_iop_inequality's witness on fixed
+instances (see witness_digest), and the last line, "estimator digest", every
+field of the LRIP and BP estimates on fixed instances (see estimator_digest):
+no config or workload hash covers lrip_from_iop_witness, a violating pair,
+eta > 0 or a single pair.
 The library is the one in this checkout's src/, so two checkouts can be
 compared line by line.
 """
@@ -27,6 +30,7 @@ compared line by line.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import sys
 from pathlib import Path
@@ -45,7 +49,10 @@ from lrip_lab import (  # noqa: E402
     UnionOfSubspaces,
     check_iop_inequality,
     decode,
+    estimate_bp,
+    estimate_lrip,
     harness,
+    lrip_from_iop_witness,
     seeding,
 )
 from lrip_lab.certifier import _draw_trials  # noqa: E402
@@ -161,6 +168,54 @@ def witness_digest() -> str:
     return digest.hexdigest()[:8]
 
 
+def _estimate_bytes(est) -> bytes:
+    """Every field of an LRIP or BP estimate, in field order; a pair is its two arrays' bytes."""
+    fields = []
+    for f in dataclasses.fields(est):
+        v = getattr(est, f.name)
+        fields.append((f.name, [a.tobytes() for a in v] if isinstance(v, tuple) else v))
+    return repr(fields).encode()
+
+
+def estimator_digest() -> str:
+    """sha256(...)[:8] over every field of estimate_lrip's, estimate_bp's and lrip_from_iop_witness' estimates.
+
+    The instances are trial_digest's model with its linear map under the
+    Euclidean metric and its Fourier map under the Gaussian kernel at
+    sigma = 1; the axes of R^4 (M = 1) under LinearGaussianOperator.from_seed(3, 4, 5)
+    with its first column zeroed, so pairs on the first axis collapse; and
+    span(e1, e2) and span(e2, e3) in R^4 (M = 1) under the same map unchanged,
+    whose pair spans overlap.  On each, estimate_lrip runs uniform and
+    anchored at the model point sample_model_points(model, 1, 6)[0], at
+    pairs = 1, 2 and 2000, eta = 0 and 0.05, seed 8, near_eps 0.1, and once
+    more uniform at 6 pairs and near_eps 1e-300, so its near rows fall back;
+    estimate_bp at the same pair counts, seed 9; and lrip_from_iop_witness
+    at B = 0.5, lambda = 0.01, 40 pairs, seed 10.
+    """
+    digest = hashlib.sha256()
+    model = UnionOfSubspaces.random(6, 2, 3, 1.0, 3)
+    collapsing = LinearGaussianOperator.from_seed(3, 4, 5).matrix.copy()
+    collapsing[:, 0] = 0.0
+    e = np.eye(4)
+    instances = [
+        (model, OperatorLaw("linear-gaussian", 12, 6, 1.0).sample(4), Pseudometric("euclidean")),
+        (model, OperatorLaw("random-fourier", 12, 6, 1.0).sample(4), Pseudometric("gaussian-kernel", 1.0)),
+        (UnionOfSubspaces.axes(4, 1.0), LinearGaussianOperator(collapsing), Pseudometric("euclidean")),
+        (UnionOfSubspaces((e[:, :2], e[:, 1:3]), 1.0), LinearGaussianOperator.from_seed(3, 4, 5),
+         Pseudometric("euclidean")),
+    ]
+    for model, op, metric in instances:
+        anchor = sample_model_points(model, 1, 6)[0]
+        for pairs in (1, 2, 2000):
+            for a in (None, anchor):
+                for eta in (0.0, 0.05):
+                    digest.update(_estimate_bytes(estimate_lrip(op, model, metric, pairs, 8, a, eta, 0.1)))
+            digest.update(_estimate_bytes(estimate_bp(op, model, metric, pairs, 9)))
+        digest.update(_estimate_bytes(estimate_lrip(op, model, metric, 6, 8, None, 0.0, 1e-300)))
+        digest.update(_estimate_bytes(lrip_from_iop_witness(op, model, metric, DecoderOptions(), 0.5, 0.01, 40, 10)))
+    return digest.hexdigest()[:8]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[7, 101], help="benchmark seeds of the workloads")
@@ -181,6 +236,7 @@ def main(argv=None) -> int:
     print(f"operator digest\t{operator_digest()}", flush=True)
     print(f"trial digest\t{trial_digest()}", flush=True)
     print(f"witness digest\t{witness_digest()}", flush=True)
+    print(f"estimator digest\t{estimator_digest()}", flush=True)
     return 0
 
 

@@ -108,14 +108,24 @@ class LripEstimate:
         }
 
 
-def _lrip_ratio(numer, gaps):
-    """The LRIP ratio (d - eta)_+ / ||Psi x - Psi x'|| from numer = (d - eta)_+ and the measurement gaps.
+def _max_ratio(numer, denom, X, X2):
+    """The largest secant ratio numer / denom over the pairs (X[k], X2[k]), and a copy of its pair.
 
-    A pair with numer = 0 has ratio 0, also at gap 0; a positive numer over a
-    zero gap has ratio +inf.
+    The one ratio core of the LRIP, BP and witness estimators.  A pair with
+    numer = 0 has ratio 0, also at denom 0; a positive numer over a zero
+    denom has ratio +inf.  Ties go to the first pair; with no pairs the
+    result is (0.0, None).
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(numer > 0, numer / gaps, 0.0)
+        ratios = np.where(numer > 0, numer / denom, 0.0)
+    value = float(ratios.max(initial=0.0))
+    return value, _first_pair(X, X2, ratios == value)
+
+
+def _first_pair(X, X2, mask):
+    """A copy of the first pair (X[k], X2[k]) with mask[k], or None."""
+    k = np.flatnonzero(mask)
+    return (X[k[0]].copy(), X2[k[0]].copy()) if len(k) else None
 
 
 def _pair_json(pair):
@@ -128,29 +138,25 @@ def _extremal_linear_pairs(op: LinearGaussianOperator, model: UnionOfSubspaces):
     On the span W of S_i + S_j the ratio ||w|| / ||A w|| is maximized by the
     right singular vector of A W at the smallest singular value, so adding
     one pair per (i, j) makes the sampled maximum equal to the true supremum
-    for the Euclidean metric.
+    for the Euclidean metric.  Returns the pairs as two (n, d) arrays of
+    first and second endpoints.
     """
-    pairs = []
-    N = model.num_subspaces
-    M = model.norm_bound
-    for i in range(N):
-        for j in range(i, N):
-            stacked = np.hstack([model.bases[i], model.bases[j]])
-            Q, R = np.linalg.qr(stacked)
-            keep = np.abs(np.diag(R)) > 1e-12
-            W = Q[:, : keep.sum()] if keep.any() else Q[:, :1]
-            _, _, Vt = np.linalg.svd(op.matrix @ W, full_matrices=False)
-            w = W @ Vt[-1]
-            # split w = x - x' with x in S_i, x' in S_j, scaled into the ball
-            AB = np.hstack([model.bases[i], -model.bases[j]])
-            coef, *_ = np.linalg.lstsq(AB, w, rcond=None)
-            a, b = coef[: model.subspace_dim], coef[model.subspace_dim :]
-            scale = max(np.linalg.norm(a), np.linalg.norm(b))
-            if scale <= 1e-14:
-                continue
-            c = M / scale
-            pairs.append((model.bases[i] @ (a * c), model.bases[j] @ (b * c)))
-    return pairs
+    firsts, seconds = [], []
+    for i, j in itertools.combinations_with_replacement(range(model.num_subspaces), 2):
+        # an orthonormal basis of S_i + S_j, whatever their overlap (an unpivoted QR's diagonal misses a
+        # column independent of the others once a dependent one precedes it)
+        U, S, _ = np.linalg.svd(np.hstack([model.bases[i], model.bases[j]]), full_matrices=False)
+        W = U[:, S > 1e-12 * S[0]]
+        _, _, Vt = np.linalg.svd(op.matrix @ W, full_matrices=False)
+        w = W @ Vt[-1]
+        # split w = x - x' with x in S_i, x' in S_j, scaled into the ball
+        coef, *_ = np.linalg.lstsq(np.hstack([model.bases[i], -model.bases[j]]), w, rcond=None)
+        a, b = coef[: model.subspace_dim], coef[model.subspace_dim :]
+        scale = max(np.linalg.norm(a), np.linalg.norm(b))
+        if scale > 1e-14:
+            firsts.append(model.bases[i] @ (a * (model.norm_bound / scale)))
+            seconds.append(model.bases[j] @ (b * (model.norm_bound / scale)))
+    return np.reshape(firsts, (-1, model.dim)), np.reshape(seconds, (-1, model.dim))
 
 
 def estimate_lrip(
@@ -191,64 +197,44 @@ def estimate_lrip(
         if not model.contains(anchor, tol=1e-8):
             raise InputError("anchor does not lie in the model")
     n_near = int(round(pairs * 0.5))
-    n_far = pairs - n_near
+    n_far = pairs - n_near  # >= 1, as pairs >= 1
 
-    X_list, X2_list, strata = [], [], {"near": 0, "far": 0, "extremal": 0, "near_fallback": 0}
+    def firsts(n):
+        return np.broadcast_to(anchor, (n, model.dim)) if anchored else sample_model_points(model, n, rng_pairs)
 
-    if n_far:
-        if anchored:
-            X_list.append(np.broadcast_to(anchor, (n_far, model.dim)))
-        else:
-            X_list.append(sample_model_points(model, n_far, rng_pairs))
-        X2_list.append(sample_model_points(model, n_far, rng_pairs))
-        strata["far"] = n_far
+    strata = {"near": 0, "far": 0, "extremal": 0, "near_fallback": 0}
+    drawn = {"far": (firsts(n_far), sample_model_points(model, n_far, rng_pairs))}  # stratum: (X, X2), in draw order
     if n_near:
-        if anchored:
-            firsts = np.broadcast_to(anchor, (n_near, model.dim))
-        else:
-            firsts = sample_model_points(model, n_near, rng_pairs)
-        seconds, found = sample_near_points(model, metric, firsts, near_eps, rng_pairs)
-        fallback = ~found
-        strata["near_fallback"] = int(fallback.sum())
-        seconds[fallback] = sample_model_points(model, strata["near_fallback"], rng_pairs)
-        X_list.append(firsts)
-        X2_list.append(seconds)
-        strata["near"] = n_near
-
+        near = firsts(n_near)
+        seconds, found = sample_near_points(model, metric, near, near_eps, rng_pairs)
+        strata["near_fallback"] = int(np.count_nonzero(~found))
+        seconds[~found] = sample_model_points(model, strata["near_fallback"], rng_pairs)
+        drawn["near"] = (near, seconds)
     if (
         not anchored
         and isinstance(op, LinearGaussianOperator)
         and metric.kind == "euclidean"
         and model.num_subspaces <= 64
     ):
-        extremal = _extremal_linear_pairs(op, model)
-        if extremal:
-            X_list.append(np.array([p[0] for p in extremal]))
-            X2_list.append(np.array([p[1] for p in extremal]))
-            strata["extremal"] = len(extremal)
+        drawn["extremal"] = _extremal_linear_pairs(op, model)
+    strata.update((name, len(Xs)) for name, (Xs, _) in drawn.items())
 
-    X = np.vstack(X_list)
-    X2 = np.vstack(X2_list)
+    X, X2 = (np.vstack(rows) for rows in zip(*drawn.values()))
     D = X - X2
     numer = np.maximum(metric.dist(D) - eta, 0.0)
     gaps = op.gap_batch(D)
-
     collapsed = (gaps == 0) & (numer > 0)
-    violation_count = int(collapsed.sum())
-    ratios = _lrip_ratio(numer, gaps)
-
-    worst = int(np.argmax(ratios))
-    alpha_hat = float(ratios[worst])
+    alpha_hat, worst_pair = _max_ratio(numer, gaps, X, X2)
     return LripEstimate(
         alpha_hat=alpha_hat,
         eta=eta,
-        pairs_tested=int(X.shape[0]),
-        worst_pair=(X[worst].copy(), X2[worst].copy()),
+        pairs_tested=len(X),
+        worst_pair=worst_pair,
         mode=MODE_ANCHORED if anchored else MODE_UNIFORM,
         strata=strata,
         seed=rng_seed,
-        violation_count=violation_count,
-        violating_pair=(X[collapsed][0].copy(), X2[collapsed][0].copy()) if violation_count else None,
+        violation_count=int(np.count_nonzero(collapsed)),
+        violating_pair=_first_pair(X, X2, collapsed),
     )
 
 
@@ -299,19 +285,11 @@ def estimate_bp(
     dG = metric_G.dist(x - xs)
     keep = dG > 0
     x, xs, dG = x[keep], xs[keep], dG[keep]
-    if x.shape[0] == 0:
-        return BpEstimate(0.0, 0, None, seed=rng_seed)
     # endpoint form, not gap_batch: on certify runs this is the benchmark's only
     # apply_batch caller, which bench/test_trace_counts.py requires
     gaps = _in_row_blocks(lambda a, b: np.linalg.norm(op.apply_batch(a) - op.apply_batch(b), axis=1), op.m, x, xs)
-    ratios = gaps / dG
-    worst = int(np.argmax(ratios))
-    return BpEstimate(
-        beta_hat=float(ratios[worst]),
-        pairs_tested=int(x.shape[0]),
-        worst_pair=(x[worst].copy(), xs[worst].copy()),
-        seed=rng_seed,
-    )
+    beta_hat, worst_pair = _max_ratio(gaps, dG, x, xs)
+    return BpEstimate(beta_hat, len(x), worst_pair, seed=rng_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -531,24 +509,22 @@ def lrip_from_iop_witness(
     X2 = sample_model_points(model, pairs, rng)
     dec = decode(op, model, op.apply_batch(X2), decoder_opts)
 
-    tested = np.flatnonzero(dec.converged)
-    eta_eff = 2.0 * (lam + dec.gap[tested])
-    D = X[tested] - X2[tested]
+    X, X2, eta_eff = X[dec.converged], X2[dec.converged], 2.0 * (lam + dec.gap[dec.converged])
+    D = X - X2
     d = metric.dist(D)
     psn = op.gap_batch(D)
-    violating = tested[d > B * psn + eta_eff + 1e-12]
-    ratios = _lrip_ratio(np.maximum(d - eta_eff, 0.0), psn)
-    worst = int(tested[np.argmax(ratios)]) if len(tested) else None
+    violating = d > B * psn + eta_eff + 1e-12
+    alpha_hat, worst_pair = _max_ratio(np.maximum(d - eta_eff, 0.0), psn, X, X2)
     return LripEstimate(
-        alpha_hat=float(ratios.max(initial=0.0)),
+        alpha_hat=alpha_hat,
         eta=2.0 * lam,
-        pairs_tested=len(tested),
-        worst_pair=None if worst is None else (X[worst].copy(), X2[worst].copy()),
+        pairs_tested=len(X),
+        worst_pair=worst_pair,
         mode="FromIopWitness",
-        strata={"far": pairs, "unconverged": pairs - len(tested)},
+        strata={"far": pairs, "unconverged": pairs - len(X)},
         seed=rng_seed,
-        violation_count=len(violating),
-        violating_pair=(X[violating[0]].copy(), X2[violating[0]].copy()) if len(violating) else None,
+        violation_count=int(np.count_nonzero(violating)),
+        violating_pair=_first_pair(X, X2, violating),
     )
 
 

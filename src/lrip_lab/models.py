@@ -285,6 +285,19 @@ def sample_near_points(
     return points, found
 
 
+def _union_cover(model: UnionOfSubspaces, metric: Pseudometric, delta: float, c0: float, pieces: int, ell: float,
+                 diameter: float) -> CoveringBound:
+    """The union bound pieces (log N + s log(c0 L M / (l delta))) on log N(set, d, delta); one ball at the diameter."""
+    if not delta > 0:
+        raise InputError(f"delta must be positive, got {delta}")
+    _, L = norm_equivalence_factors(metric, model.norm_bound)
+    log_count = 0.0
+    if delta < diameter:
+        per_piece = pieces * model.subspace_dim * np.log(float(c0) * L * model.norm_bound / (ell * delta))
+        log_count = float(max(0.0, pieces * np.log(model.num_subspaces) + max(0.0, per_piece)))
+    return CoveringBound(radius=float(delta), log_count=log_count)
+
+
 def covering_bound_model(
     model: UnionOfSubspaces,
     metric: Pseudometric,
@@ -298,14 +311,7 @@ def covering_bound_model(
     ball-covering constant (default 3).  Radii at or above the model diameter
     need a single ball.
     """
-    if not delta > 0:
-        raise InputError(f"delta must be positive, got {delta}")
-    _, L = norm_equivalence_factors(metric, model.norm_bound)
-    log_count = 0.0
-    if delta < metric.from_gap(2.0 * model.norm_bound):
-        per_subspace = model.subspace_dim * np.log(float(c0) * L * model.norm_bound / delta)
-        log_count = float(max(0.0, np.log(model.num_subspaces) + max(0.0, per_subspace)))
-    return CoveringBound(radius=float(delta), log_count=log_count)
+    return _union_cover(model, metric, delta, c0, 1, 1.0, metric.from_gap(2.0 * model.norm_bound))
 
 
 def covering_bound_secant(
@@ -319,20 +325,12 @@ def covering_bound_secant(
     Normalized secants of a union of N subspaces live in the union of the
     N^2 pairwise sums (dimension <= 2s) with norm controlled by M/l, giving
 
-        log N(secants, d, delta) <= 2 log N + 2s log(c0 L M / (l delta)).
+        log N(secants, d, delta) <= 2 log N + 2s log(c0 L M / (l delta)),
+
+    and their metric diameter is 2 (unit norms) or sqrt(2) (the kernel's cap).
     """
-    if not delta > 0:
-        raise InputError(f"delta must be positive, got {delta}")
-    ell, L = norm_equivalence_factors(metric, model.norm_bound)
-    # normalized secants have unit Euclidean norm under the Euclidean metric
-    # and metric values capped at sqrt(2) under the kernel metric, so the
-    # secant set's metric diameter is bounded accordingly
     diameter = 2.0 if metric.kind == "euclidean" else float(np.sqrt(2.0))
-    log_count = 0.0
-    if delta < diameter:
-        per_pair = 2 * model.subspace_dim * np.log(float(c0) * L * model.norm_bound / (ell * delta))
-        log_count = float(max(0.0, 2.0 * np.log(model.num_subspaces) + max(0.0, per_pair)))
-    return CoveringBound(radius=float(delta), log_count=log_count)
+    return _union_cover(model, metric, delta, c0, 2, norm_equivalence_factors(metric, model.norm_bound)[0], diameter)
 
 
 def greedy_cover(points, metric: Pseudometric, delta: float) -> CoveringBound:

@@ -113,6 +113,28 @@ class TestEstimateLrip:
         est = estimate_lrip(op, model, KERNEL, pairs=5, rng_seed=3)
         assert est.strata == {"near": 2, "far": 3, "extremal": 0, "near_fallback": 0}  # 2.5 rounds to even
 
+    @pytest.mark.parametrize("anchored", [False, True])
+    def test_single_pair_has_no_near_stratum(self, anchored):
+        # one pair is one far pair; the uniform linear estimate adds its N(N + 1) / 2 extremal pairs
+        model = UnionOfSubspaces.random(5, 2, 3, 1.0, 1)
+        op = LinearGaussianOperator.from_seed(4, 5, 2)
+        anchor = sample_model_points(model, 1, 7)[0] if anchored else None
+        est = estimate_lrip(op, model, EUCLID, pairs=1, rng_seed=3, anchor=anchor)
+        extremal = 0 if anchored else 6
+        assert list(est.strata.items()) == [("near", 0), ("far", 1), ("extremal", extremal), ("near_fallback", 0)]
+        assert est.pairs_tested == 1 + extremal
+        assert est.worst_pair is not None
+
+    def test_extremal_stratum_is_exact_on_overlapping_subspaces(self):
+        # span(e1, e2) + span(e2, e3) is span(e1, e2, e3), so the supremum of ||x - x'|| / ||A (x - x')||
+        # over model pairs is 1 / sigma_min of A's first three columns
+        e = np.eye(4)
+        model = UnionOfSubspaces((e[:, :2], e[:, 1:3]), 1.0)
+        op = LinearGaussianOperator.from_seed(3, 4, 5)
+        est = estimate_lrip(op, model, EUCLID, pairs=2000, rng_seed=0)
+        assert est.alpha_hat == pytest.approx(1.0 / np.linalg.svd(op.matrix[:, :3], compute_uv=False)[-1], rel=1e-12)
+        assert all(model.contains(x, tol=1e-12) for x in est.worst_pair)
+
     def test_desk_scale_anchored_alpha_below_two(self):
         # Fourier operator at the recommended m = 55 on the (d=20, s=2, N=5)
         # model: anchored estimates stay below 2 in at least 90 of 100 draws
@@ -140,6 +162,46 @@ class TestEstimateLrip:
                 estimate_lrip(op, model, KERNEL, pairs=2000, rng_seed=100 + k).alpha_hat
             )
         assert np.median(anchored) <= np.median(uniform)
+
+
+class TestMaxRatio:
+    """certifier._max_ratio, the ratio core of the LRIP, BP and witness estimators, and its _first_pair."""
+
+    X = np.arange(8.0).reshape(4, 2)
+
+    def test_ties_go_to_the_first_pair(self):
+        value, (x, x2) = certifier._max_ratio(np.array([1.0, 2.0, 4.0, 2.0]), np.array([1.0, 1.0, 2.0, 4.0]),
+                                              self.X, -self.X)
+        assert value == 2.0
+        assert np.array_equal(x, self.X[1]) and np.array_equal(x2, -self.X[1])
+
+    def test_zero_over_zero_is_zero(self):
+        value, (x, _) = certifier._max_ratio(np.zeros(4), np.array([0.0, 1.0, 0.0, 2.0]), self.X, self.X)
+        assert value == 0.0
+        assert np.array_equal(x, self.X[0])
+
+    def test_positive_over_zero_is_infinite(self):
+        value, (x, _) = certifier._max_ratio(np.array([0.0, 1.0, 5.0, 1.0]), np.array([0.0, 0.0, 1.0, 0.0]),
+                                             self.X, self.X)
+        assert value == np.inf
+        assert np.array_equal(x, self.X[1])
+
+    def test_no_pairs(self):
+        empty = np.empty((0, 2))
+        assert certifier._max_ratio(np.empty(0), np.empty(0), empty, empty) == (0.0, None)
+
+    def test_pairs_are_copies(self):
+        X = self.X.copy()
+        _, (x, _) = certifier._max_ratio(np.ones(4), np.ones(4), X, X)
+        x[:] = -1.0
+        pair = certifier._first_pair(X, X, np.array([False, True, True, False]))
+        pair[0][:] = -1.0
+        assert np.array_equal(X, self.X)
+
+    def test_first_pair(self):
+        x, x2 = certifier._first_pair(self.X, -self.X, np.array([False, False, True, True]))
+        assert np.array_equal(x, self.X[2]) and np.array_equal(x2, -self.X[2])
+        assert certifier._first_pair(self.X, self.X, np.zeros(4, dtype=bool)) is None
 
 
 class TestEstimateBp:
@@ -173,6 +235,16 @@ class TestEstimateBp:
             bp = estimate_bp(op, model, KERNEL, pairs=10_000, rng_seed=500 + k)
             good += bp.beta_hat <= 1.5
         assert good >= 90
+
+    def test_no_pair_at_positive_distance(self):
+        class ZeroMetric:
+            def dist(self, D):
+                return np.zeros(len(D))
+
+        model = UnionOfSubspaces.random(5, 2, 3, 1.0, 1)
+        for op in (LinearGaussianOperator.from_seed(4, 5, 1), RandomFourierOperator.from_seed(4, 5, 1.0, 1)):
+            bp = estimate_bp(op, model, ZeroMetric(), 10, 0)
+            assert (bp.beta_hat, bp.pairs_tested, bp.worst_pair) == (0.0, 0, None)
 
 
 class TestMemoryBoundedInM:
