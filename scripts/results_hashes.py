@@ -1,4 +1,4 @@
-"""Print sha256(results_bytes())[:8] of every shipped config and benchmark workload, and six digests of the library.
+"""Print sha256(results_bytes())[:8] of every shipped config and benchmark workload, and seven digests of the library.
 
 Usage, from any directory:
 
@@ -19,10 +19,12 @@ instances (see decode_digest), "operator digest" the operators drawn from
 fixed seeds and their gaps (see operator_digest), "trial digest" the IOP
 trials that _draw_trials draws on fixed instances (see trial_digest),
 "witness digest" the arrays of check_iop_inequality's witness on fixed
-instances (see witness_digest), and the last line, "estimator digest", every
-field of the LRIP and BP estimates on fixed instances (see estimator_digest):
-no config or workload hash covers lrip_from_iop_witness, a violating pair,
-eta > 0 or a single pair.
+instances (see witness_digest), "estimator digest" every field of the LRIP
+and BP estimates on fixed instances (see estimator_digest): no config or
+workload hash covers lrip_from_iop_witness, a violating pair, eta > 0 or a
+single pair.  The last line, "lineage digest", hashes the seed lineage of
+every config and workload run above, which lists the streams each run
+derived.
 The library is the one in this checkout's src/, so two checkouts can be
 compared line by line.
 """
@@ -32,6 +34,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -60,8 +63,10 @@ from lrip_lab.decoder import certified_minimum  # noqa: E402
 from lrip_lab.models import sample_model_points, sample_near_points  # noqa: E402
 
 
-def results_hash(config: dict) -> str:
+def results_hash(config: dict, lineage) -> str:
+    """sha256(results_bytes())[:8] of the config's run; the sha256 object lineage takes the run's seed lineage."""
     report = harness.run(harness.ExperimentConfig.from_dict(config))
+    lineage.update(json.dumps(report.seed_lineage, sort_keys=True).encode())
     return hashlib.sha256(report.results_bytes()).hexdigest()[:8]
 
 
@@ -220,16 +225,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[7, 101], help="benchmark seeds of the workloads")
     args = parser.parse_args(argv)
+    lineage = hashlib.sha256()
     for path in sorted((ROOT / "configs").glob("*.json")):
         config = harness.read_config(path)
         config.pop("output", None)
-        print(f"{path.stem}\t{results_hash(config)}", flush=True)
+        print(f"{path.stem}\t{results_hash(config, lineage)}", flush=True)
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
 
     for name in workloads.WORKLOADS:
-        hashes = [results_hash(workloads.build_config(name, seed)[0]) for seed in args.seeds]
+        hashes = [results_hash(workloads.build_config(name, seed)[0], lineage) for seed in args.seeds]
         print(f"{name} (seeds {' / '.join(map(str, args.seeds))})\t{' / '.join(hashes)}", flush=True)
     print(f"near digest\t{near_digest()}", flush=True)
     print(f"decode digest\t{decode_digest()}", flush=True)
@@ -237,6 +243,7 @@ def main(argv=None) -> int:
     print(f"trial digest\t{trial_digest()}", flush=True)
     print(f"witness digest\t{witness_digest()}", flush=True)
     print(f"estimator digest\t{estimator_digest()}", flush=True)
+    print(f"lineage digest\t{lineage.hexdigest()[:8]}", flush=True)
     return 0
 
 

@@ -179,9 +179,10 @@ def estimate_lrip(
     Near rows that ``sample_near_points`` cannot fill fall back to
     independent model points; strata["near_fallback"] counts them.
 
-    For linear operators under the Euclidean metric the sample is enriched
-    with the per-subspace-pair extremal directions of the operator, which
-    makes alpha_hat the exact supremum for union-of-subspaces models.
+    In uniform mode, for linear operators under the Euclidean metric on a
+    model of at most 64 subspaces, the sample is enriched with the
+    per-subspace-pair extremal directions of the operator, which makes
+    alpha_hat the exact supremum; strata["extremal"] > 0 says it is exact.
 
     Pairs whose measurement gap vanishes while the metric gap exceeds eta are
     LRIP violations and set alpha_hat = +inf.
@@ -614,22 +615,18 @@ def estimate_concentration(
         wu = wilson_upper(fails, draws)
         wilson.append(wu)
         c_lo.append(-math.log(wu))
+    # the exponent made nondecreasing in t: each c_hat raised to the running maximum over t_grid in sorted order
     order = np.argsort(t_grid)
-    c_mono = list(c_hat)
-    flags = [False] * len(t_grid)
-    running = -np.inf
-    for i in order:
-        if c_mono[i] < running:
-            c_mono[i] = running
-            flags[i] = True
-        else:
-            running = c_mono[i]
+    raw = np.array(c_hat)[order]
+    running = np.maximum.accumulate(raw)
+    c_mono, flags = np.empty(len(t_grid)), np.empty(len(t_grid), dtype=bool)
+    c_mono[order], flags[order] = running, raw < running
     return ConcentrationEstimate(
         t_grid=t_grid,
         p_hat=tuple(p_hat),
         c_hat=tuple(c_hat),
-        c_hat_monotone=tuple(c_mono),
-        monotone_adjusted=tuple(flags),
+        c_hat_monotone=tuple(c_mono.tolist()),
+        monotone_adjusted=tuple(flags.tolist()),
         wilson_p_upper=tuple(wilson),
         c_lower=tuple(c_lo),
         draws=draws,

@@ -13,7 +13,7 @@ import copy
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -116,12 +116,38 @@ def _section(spec, keys: dict, name: str) -> dict:
     return values
 
 
+class _Streams:
+    """The streams one run derives from its master seed, each noted by name as it is derived.
+
+    A stream's path is its entry in the experiment's streams table, with the given draw index, m or rep filled in
+    where the entry holds -1.  Pool threads note into one set, and lineage lists the noted streams in table order.
+    """
+
+    def __init__(self, master_seed: int, table: dict):
+        self.master_seed, self.table, self.derived = master_seed, table, set()
+
+    def _path(self, name: str, index: tuple) -> tuple:
+        self.derived.add(name)
+        index = iter(index)
+        return tuple(next(index) if p == -1 else p for p in self.table[name])
+
+    def seed(self, name: str, *index: int) -> int:
+        return seeding.child_seed(self.master_seed, *self._path(name, index))
+
+    def generator(self, name: str, *index: int) -> np.random.Generator:
+        return seeding.generator(self.master_seed, *self._path(name, index))
+
+    def lineage(self) -> dict:
+        return seeding.lineage(self.master_seed, {n: p for n, p in self.table.items() if n in self.derived})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """An experiment configuration parsed by from_dict: every section as typed values, defaults filled in.
 
     The keys, kinds and defaults are those of _CONFIG_KEYS and of the experiment's table in EXPERIMENTS, which lists
-    only the keys it reads.  to_dict gives the config as it was given, which every report echoes.
+    only the keys it reads.  to_dict gives the config as it was given, which every report echoes.  Each config, and
+    each copy that replace makes, holds a fresh _Streams that the runner derives its streams through.
     """
 
     experiment: str
@@ -134,6 +160,10 @@ class ExperimentConfig:
     certifier: dict
     output: dict
     echo: dict = field(repr=False, compare=False)
+    _streams: _Streams = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_streams", _Streams(self.master_seed, EXPERIMENTS[self.experiment].streams))
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -168,6 +198,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown output.series {unknown}; {self.experiment} writes {list(series)}")
         if "alpha_hat_vs_m" in self.output["series"] and not c["m_sweep"]:
             raise ConfigError("output.series alpha_hat_vs_m needs certifier.m_sweep")
+        if c.get("sweep_draws") is not None and not c["m_sweep"]:
+            raise ConfigError("certifier.sweep_draws needs certifier.m_sweep")
+        if len(set(c.get("m_sweep", []))) < len(c.get("m_sweep", [])):
+            raise ConfigError(f"certifier.m_sweep must not repeat an entry, got {c['m_sweep']}")
         other_sizes = {op.get("m"), *c.get("m_sweep", [])} - {None, model["d"]}
         if op.get("identity") and (op["kind"] != "linear-gaussian" or other_sizes):
             raise ConfigError("operator.identity is the linear-gaussian identity, so operator.m and each m_sweep entry "
@@ -204,13 +238,7 @@ class Report:
     wall_clock_seconds: float
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "results": self.results,
-            "seed_lineage": self.seed_lineage,
-            "library_version": self.library_version,
-            "wall_clock_seconds": self.wall_clock_seconds,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def payload_bytes(self) -> bytes:
         """Canonical bytes of the deterministic part (everything but wall clock)."""
@@ -229,9 +257,12 @@ class Report:
 
 # --- builders -------------------------------------------------------------
 
-def _config_seed(spec: dict, master_seed: int, stream: int) -> int:
-    """spec["seed"] when the config pins it, else the child seed of the master at ``stream``."""
-    return seeding.child_seed(master_seed, stream) if spec["seed"] is None else spec["seed"]
+def _config_seed(cfg: ExperimentConfig, spec: dict, name: str, *index: int) -> int | None:
+    """The seed of a model or operator section: None for the identity operator, which draws nothing, spec["seed"]
+    when the config pins it, else the seed of stream name."""
+    if spec.get("identity"):
+        return None
+    return cfg._streams.seed(name, *index) if spec.get("seed") is None else spec["seed"]
 
 
 def build_model(cfg: ExperimentConfig) -> UnionOfSubspaces:
@@ -241,7 +272,7 @@ def build_model(cfg: ExperimentConfig) -> UnionOfSubspaces:
     if m["kind"] == "axes":
         model = UnionOfSubspaces.axes(m["d"], m["M"])
     else:
-        model = UnionOfSubspaces.random(m["d"], m["s"], m["N"], m["M"], _config_seed(m, cfg.master_seed, 10))
+        model = UnionOfSubspaces.random(m["d"], m["s"], m["N"], m["M"], _config_seed(cfg, m, "model"))
     if model.num_subspaces != m["N"] or model.subspace_dim != m["s"]:
         raise ConfigError("model kind is inconsistent with (s, N)")
     return model
@@ -253,7 +284,7 @@ def build_law(cfg: ExperimentConfig, m: int) -> OperatorLaw:
 
 
 def build_operator(cfg: ExperimentConfig, seed: int, m: int | None = None):
-    """The configured operator drawn from seed, with m measurements in place of operator.m when m is given."""
+    """The configured operator drawn from seed (None for the identity), with m measurements in place of operator.m."""
     if cfg.operator["identity"]:
         return LinearGaussianOperator(np.eye(cfg.model["d"]))
     return build_law(cfg, cfg.operator["m"] if m is None else m).sample(seed)
@@ -289,10 +320,10 @@ def _run_decode(cfg: ExperimentConfig) -> dict:
     model = build_model(cfg)
     metric = build_metric(cfg)
     opts = build_decoder_options(cfg)
-    op_seed = _config_seed(cfg.operator, cfg.master_seed, 20)
+    op_seed = _config_seed(cfg, cfg.operator, "operator")
     op = build_operator(cfg, op_seed)
     c = cfg.certifier
-    rngs = [seeding.generator(cfg.master_seed, 21)]
+    rngs = [cfg._streams.generator("signal_and_noise")]
     (x_true,), y, _ = _draw_trials(op, model, rngs, 1, c["noise_scale"], c["model_error_scale"])
     dec = decode(op, model, y, opts)
     return {
@@ -311,19 +342,14 @@ def _run_iop(cfg: ExperimentConfig) -> dict:
     metric = build_metric(cfg)
     opts = build_decoder_options(cfg)
     c = cfg.certifier
-    op_seed = _config_seed(cfg.operator, cfg.master_seed, 30)
+    op_seed = _config_seed(cfg, cfg.operator, "operator")
     op = build_operator(cfg, op_seed)
 
     B = c["B"]
     alpha_report = None
     if B is None:
-        est = estimate_lrip(
-            op, model, metric,
-            pairs=c["pairs"],
-            rng_seed=seeding.child_seed(cfg.master_seed, 31),
-            eta=c["eta"],
-            near_eps=c["near_eps"],
-        )
+        est = estimate_lrip(op, model, metric, pairs=c["pairs"], rng_seed=cfg._streams.seed("lrip_pairs"), eta=c["eta"],
+                            near_eps=c["near_eps"])
         B = 2.0 * est.alpha_hat
         alpha_report = est.report_dict()
     witness = check_iop_inequality(
@@ -334,7 +360,7 @@ def _run_iop(cfg: ExperimentConfig) -> dict:
         trials=c["trials"],
         noise_scale=c["noise_scale"],
         model_error_scale=c["model_error_scale"],
-        rng_seed=seeding.child_seed(cfg.master_seed, 32),
+        rng_seed=cfg._streams.seed("iop_trials"),
         uniform_candidates=c["uniform_candidates"],
     )
     return {
@@ -351,15 +377,9 @@ def _run_iop(cfg: ExperimentConfig) -> dict:
 def _lrip_draw(cfg, model, metric, anchor, k, m=None):
     """Draw k's operator, with m measurements in place of operator.m when m is given, and its LRIP estimate."""
     c = cfg.certifier
-    op = build_operator(cfg, seeding.child_seed(cfg.master_seed, 40, k), m)
-    est = estimate_lrip(
-        op, model, metric,
-        pairs=c["pairs"],
-        rng_seed=seeding.child_seed(cfg.master_seed, 42, k),
-        anchor=anchor,
-        eta=c["eta"],
-        near_eps=c["near_eps"],
-    )
+    op = build_operator(cfg, _config_seed(cfg, cfg.operator, "operator_draw_k", k), m)
+    est = estimate_lrip(op, model, metric, pairs=c["pairs"], rng_seed=cfg._streams.seed("pairs_draw_k", k),
+                        anchor=anchor, eta=c["eta"], near_eps=c["near_eps"])
     return op, est
 
 
@@ -369,7 +389,7 @@ def _certify_one_draw(cfg, model, metric, anchor, k):
     bp = estimate_bp(
         op, model, metric,
         pairs=c["pairs"] if c["bp_pairs"] is None else c["bp_pairs"],
-        rng_seed=seeding.child_seed(cfg.master_seed, 43, k),
+        rng_seed=cfg._streams.seed("bp_pairs_draw_k", k),
         perturbation_scale=c["perturbation_scale"],
     )
     hyp = hypothesis_constants(op, model) if isinstance(op, RandomFourierOperator) else None
@@ -383,7 +403,7 @@ def _run_certify(cfg: ExperimentConfig) -> dict:
     draws, t = c["draws"], c["t"]
     anchor = None
     if c["anchored"]:
-        anchor = sample_model_points(model, 1, seeding.generator(cfg.master_seed, 41))[0]
+        anchor = sample_model_points(model, 1, cfg._streams.generator("anchor"))[0]
 
     results = _map_indexed(lambda k: _certify_one_draw(cfg, model, metric, anchor, k), draws, cfg.workers)
     alphas = [est.alpha_hat for est, _, _ in results]
@@ -415,40 +435,29 @@ def _run_certify(cfg: ExperimentConfig) -> dict:
     }
 
     if c["m_sweep"]:
-        sweep_rows = []
+        sweep_draws, rows = draws if c["sweep_draws"] is None else c["sweep_draws"], []
         for m_val in c["m_sweep"]:
-            sweep = _map_indexed(
-                lambda k: _lrip_draw(cfg, model, metric, anchor, k, m_val)[1].alpha_hat,
-                draws if c["sweep_draws"] is None else c["sweep_draws"],
-                cfg.workers,
-            )
-            sweep_rows.append([m_val, float(np.median(sweep))])
-        payload["series"]["alpha_hat_vs_m"] = {
-            "columns": ["m", "alpha_hat_median"],
-            "rows": sweep_rows,
-        }
+            sweep = _map_indexed(lambda k: _lrip_draw(cfg, model, metric, anchor, k, m_val)[1].alpha_hat, sweep_draws,
+                                 cfg.workers)
+            rows.append([m_val, float(np.median(sweep))])
+        payload["series"]["alpha_hat_vs_m"] = {"columns": ["m", "alpha_hat_median"], "rows": rows}
 
     hyps = [h for _, _, h in results if h is not None]
     if hyps:
-        med = lambda vals: float(np.median(vals))
-        consts_median = {
-            "C1": med([h.C1 for h in hyps]),
-            "C2": med([h.C2 for h in hyps]),
-            "C3": med([h.C3 for h in hyps]),
-            "M_S": hyps[0].M_S,
-        }
-        payload["hypothesis_constants_median"] = consts_median
+        payload["hypothesis_constants_median"] = {
+            **{name: float(np.median([getattr(h, name) for h in hyps])) for name in ("C1", "C2", "C3")},
+            "M_S": hyps[0].M_S}
         # theoretical side: covering bounds + failure probability at level t
         c_half_t = c["c_of_half_t"]
         if c_half_t is None and c["estimate_concentration"]:
-            x, x2 = sample_model_points(model, 2, seeding.generator(cfg.master_seed, 44))
+            x, x2 = sample_model_points(model, 2, cfg._streams.generator("concentration_pair"))
             conc = estimate_concentration(
                 law=build_law(cfg, cfg.operator["m"]),
                 pair=(x, x2),
                 metric=metric,
                 draws=c["concentration_draws"],
                 t_grid=[t / 2.0],
-                rng_seed=seeding.child_seed(cfg.master_seed, 45),
+                rng_seed=cfg._streams.seed("concentration_draws"),
             )
             # use the Wilson lower confidence bound when no failures were seen
             c_half_t = float(conc.c_hat[0] if np.isfinite(conc.c_hat[0]) else conc.c_lower[0])
@@ -467,26 +476,20 @@ def _run_concentration_sweep(cfg: ExperimentConfig) -> dict:
     if c["pair"] is not None:
         x, x2 = np.asarray(c["pair"], dtype=float)
     else:
-        x, x2 = sample_model_points(model, 2, seeding.generator(cfg.master_seed, 50))
+        x, x2 = sample_model_points(model, 2, cfg._streams.generator("pair"))
 
-    def one(args):
-        m, rep = args
-        return estimate_concentration(
-            law=build_law(cfg, m),
-            pair=(x, x2),
-            metric=metric,
-            draws=c["draws"],
-            t_grid=t_grid,
-            rng_seed=seeding.child_seed(cfg.master_seed, 51, m, rep),
-        )
+    reps = c["reps"]
 
-    tasks = [(m, rep) for m in m_sweep for rep in range(c["reps"])]
-    ests = _map_indexed(lambda k: one(tasks[k]), len(tasks), cfg.workers)
-    by_m = {m: [ests[i] for i, (mm, _) in enumerate(tasks) if mm == m] for m in m_sweep}
+    def one(k):  # task k is rep k % reps at m_sweep[k // reps], so each m's reps are one slice of the tasks
+        m, rep = m_sweep[k // reps], k % reps
+        return estimate_concentration(law=build_law(cfg, m), pair=(x, x2), metric=metric, draws=c["draws"],
+                                      t_grid=t_grid, rng_seed=cfg._streams.seed("concentration_m_rep", m, rep))
+
+    ests = _map_indexed(one, len(m_sweep) * reps, cfg.workers)
 
     per_m = []
-    for m in m_sweep:
-        group = by_m[m]
+    for i, m in enumerate(m_sweep):
+        group = ests[i * reps:(i + 1) * reps]
         p_median = [float(np.median([e.p_hat[j] for e in group])) for j in range(len(t_grid))]
         c_median = [-np.log(p) if p > 0 else None for p in p_median]
         per_m.append({
@@ -495,7 +498,7 @@ def _run_concentration_sweep(cfg: ExperimentConfig) -> dict:
             "c_hat_median": c_median,
             "estimates": [e.report_dict() for e in group],
         })
-    slopes = fit_concentration_slope([e for group in by_m.values() for e in group])
+    slopes = fit_concentration_slope(ests)
     payload = {
         "pair": [[float(v) for v in x], [float(v) for v in x2]],
         "t_grid": t_grid,
@@ -521,7 +524,7 @@ def _run_concentration_sweep(cfg: ExperimentConfig) -> dict:
 class _Experiment(NamedTuple):
     runner: Callable[[ExperimentConfig], dict]
     keys: dict  # section -> the keys the runner reads there, key -> (kind, default) or (kind, default, interval)
-    streams: dict  # the streams derived from the master seed, by name
+    streams: dict  # name -> path of each stream a run may derive from the master seed; the one place a path is written
     series: tuple  # the CSV series its results can carry
 
 
@@ -529,7 +532,7 @@ class _Experiment(NamedTuple):
 # unset: a seed then comes from the master seed, the identity operator takes m from model.d, and bp_pairs, sweep_draws,
 # alpha_max and beta_max are worked out from pairs, draws or t.  estimate_concentration needs 100 draws, 3 is the
 # proven ball-covering constant, and grid_oracle.resolution is DecoderOptions.target.  No runner reads decoder.restarts
-# or grid_oracle.enabled, but the iop-fourier benchmark passes them.  In the streams, -1 is a draw, rep or sweep index.
+# or grid_oracle.enabled, but the iop-fourier benchmark passes them.  In a stream's path, -1 is a draw index, m or rep.
 _SHAPE = {"d": (int, _REQUIRED, "[1, inf)"), "s": (int, _REQUIRED, "[1, inf)"), "N": (int, _REQUIRED, "[1, inf)"),
           "M": (float, _REQUIRED, "(0, inf)")}
 _MODEL = {**_SHAPE, "kind": (("random", "axes"), "random"), "seed": (int, None, "[0, inf)"), "bases": ([[float]], None)}
@@ -583,17 +586,6 @@ _CONFIG_KEYS = {
 }
 
 
-def _seed_streams(cfg: ExperimentConfig) -> dict:
-    """The experiment's streams less those its config pins or skips: a pinned model or operator, a given B or pair, an
-    unanchored certify, and certify's concentration estimate off the random Fourier map or when c_of_half_t is given."""
-    model, op, c = cfg.model, cfg.operator, cfg.certifier
-    estimated = op.get("kind") == "random-fourier" and c.get("c_of_half_t") is None and c.get("estimate_concentration")
-    derived = {"model": model.get("seed") is None and model.get("bases") is None and model.get("kind") == "random",
-               "operator": op.get("seed") is None, "lrip_pairs": c.get("B") is None, "anchor": c.get("anchored"),
-               "concentration_pair": estimated, "concentration_draws": estimated, "pair": c.get("pair") is None}
-    return {name: path for name, path in EXPERIMENTS[cfg.experiment].streams.items() if derived.get(name, True)}
-
-
 def _strict_json(value):
     """value with each non-finite float in its dicts, lists and tuples replaced by None, which JSON writes as null."""
     if isinstance(value, dict):
@@ -606,12 +598,13 @@ def _strict_json(value):
 def run(config: ExperimentConfig) -> Report:
     """Run the configured experiment and assemble the report; its results hold no NaN or infinity."""
     start = time.perf_counter()
+    config = replace(config)  # with a fresh _Streams, so the lineage lists this run's streams alone
     results = _strict_json(EXPERIMENTS[config.experiment].runner(config))
     wall = time.perf_counter() - start
     return Report(
         config=config.to_dict(),
         results=results,
-        seed_lineage=seeding.lineage(config.master_seed, _seed_streams(config)),
+        seed_lineage=config._streams.lineage(),
         library_version=__version__,
         wall_clock_seconds=wall,
     )

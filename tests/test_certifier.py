@@ -135,6 +135,17 @@ class TestEstimateLrip:
         assert est.alpha_hat == pytest.approx(1.0 / np.linalg.svd(op.matrix[:, :3], compute_uv=False)[-1], rel=1e-12)
         assert all(model.contains(x, tol=1e-12) for x in est.worst_pair)
 
+    def test_extremal_stratum_needs_at_most_64_subspaces(self):
+        # past 64 subspaces no extremal pair is added and alpha_hat is only a sampled maximum: at N = 65 it reads
+        # 11.75, while the extremal stratum on the first 64 of those subspaces alone gives the exact 35.24
+        model = UnionOfSubspaces.random(6, 1, 65, 1.0, 0)
+        op = LinearGaussianOperator.from_seed(4, 6, 1)
+        est = estimate_lrip(op, model, EUCLID, pairs=2000, rng_seed=0)
+        first_64 = estimate_lrip(op, UnionOfSubspaces(model.bases[:64], 1.0), EUCLID, pairs=2000, rng_seed=0)
+        assert est.strata["extremal"] == 0 and first_64.strata["extremal"] > 0
+        assert est.alpha_hat == pytest.approx(11.75, abs=0.01)
+        assert first_64.alpha_hat == pytest.approx(35.24, abs=0.01)
+
     def test_desk_scale_anchored_alpha_below_two(self):
         # Fourier operator at the recommended m = 55 on the (d=20, s=2, N=5)
         # model: anchored estimates stay below 2 in at least 90 of 100 draws
@@ -596,13 +607,29 @@ class TestEstimateConcentration:
             medians.append(np.median(reps))
         assert medians[1] < medians[0]
 
+    @staticmethod
+    def running_max_loop(t_grid, c_hat):
+        """The monotone exponents and their flags as a loop over t_grid in argsort order."""
+        c_mono, flags, running = list(c_hat), [False] * len(t_grid), -np.inf
+        for i in np.argsort(t_grid):
+            if c_mono[i] < running:
+                c_mono[i], flags[i] = running, True
+            else:
+                running = c_mono[i]
+        return tuple(c_mono), tuple(flags)
+
     def test_monotone_regularization_is_nondecreasing(self):
+        # the second grid is unsorted, repeats t = 0.3 and sees no deviation at t = 0.95, an infinite exponent
         pair = (np.zeros(3), np.array([1.0, 0, 0]))
-        est = estimate_concentration(self.linear_law(16, 3), pair, EUCLID, draws=200,
-                                     t_grid=[0.0, 0.1, 0.2, 0.3, 0.5], rng_seed=3)
-        assert list(est.c_hat_monotone) == sorted(est.c_hat_monotone)
-        for raw, mono, flag in zip(est.c_hat, est.c_hat_monotone, est.monotone_adjusted):
-            assert (mono != raw) == flag
+        for t_grid in ([0.0, 0.1, 0.2, 0.3, 0.5], [0.3, 0.0, 0.95, 0.1, 0.3, 0.5]):
+            est = estimate_concentration(self.linear_law(16, 3), pair, EUCLID, draws=200, t_grid=t_grid, rng_seed=3)
+            assert [est.c_hat_monotone[i] for i in np.argsort(t_grid)] == sorted(est.c_hat_monotone)
+            for raw, mono, flag in zip(est.c_hat, est.c_hat_monotone, est.monotone_adjusted):
+                assert (mono != raw) == flag
+            assert (est.c_hat_monotone, est.monotone_adjusted) == self.running_max_loop(t_grid, est.c_hat)
+            assert all(type(c) is float for c in est.c_hat_monotone)
+            assert all(type(f) is bool for f in est.monotone_adjusted)
+        assert math.isinf(est.c_hat_monotone[2])
 
     def test_ratio_matches_endpoint_form(self):
         pair = (np.zeros(3), np.array([0.6, -0.2, 0.1]))

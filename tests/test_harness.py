@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -317,6 +318,10 @@ class TestSeedLineage:
     MASTER = 3
 
     def derived_paths(self, monkeypatch, cfg) -> tuple[dict, set]:
+        report, paths = self.derived_report(monkeypatch, cfg)
+        return report.seed_lineage, paths
+
+    def derived_report(self, monkeypatch, cfg) -> tuple[harness.Report, set]:
         derive, paths = seeding.derive, set()
 
         def recording(master_seed, *path):
@@ -327,7 +332,7 @@ class TestSeedLineage:
         monkeypatch.setattr(seeding, "derive", recording)
         report = run(ExperimentConfig.from_dict(base_config(experiment=cfg.pop("experiment"),
                                                             master_seed=self.MASTER, **cfg)))
-        return report.seed_lineage, paths
+        return report, paths
 
     @staticmethod
     def matches(path, stream) -> bool:
@@ -370,6 +375,50 @@ class TestSeedLineage:
         lineage, paths = self.derived_paths(monkeypatch, cfg)
         assert "model" not in lineage["streams"] and "operator" not in lineage["streams"]
         assert {(10,), (20,), (30,)}.isdisjoint(paths)
+
+    @pytest.mark.parametrize("experiment", ["decode", "iop-experiment", "certify"])
+    def test_identity_operator_derives_no_operator_stream(self, monkeypatch, experiment):
+        # the identity draws nothing, yet its runs used to derive an operator seed, list operator: [30] (or
+        # operator_draw_k: [40, -1]) and report operator_seed 1000343104 for iop_linear.json
+        cfg = LINEAGE_CONFIGS[experiment]
+        cfg = dict(cfg, experiment=experiment, operator={"kind": "linear-gaussian", "identity": True})
+        report, paths = self.derived_report(monkeypatch, cfg)
+        streams = report.seed_lineage["streams"]
+        assert "operator" not in streams and "operator_draw_k" not in streams
+        assert {(20,), (30,)}.isdisjoint(paths) and not any(p[0] == 40 for p in paths)
+        self.assert_streams_are_those_derived(report.seed_lineage, paths)
+        assert report.results.get("operator_seed", None) is None
+
+    def test_lineage_does_not_depend_on_workers(self):
+        # the pool's threads note their streams into one record, which lists them in table order
+        cfg = dict(LINEAGE_CONFIGS["certify"], certifier=dict(LINEAGE_CONFIGS["certify"]["certifier"], m_sweep=[4, 8]))
+        lineages = [json.dumps(run(ExperimentConfig.from_dict(base_config(experiment="certify", workers=workers,
+                                                                          **cfg))).seed_lineage).encode()
+                    for workers in (1, 2)]
+        assert lineages[0] == lineages[1]
+        assert list(json.loads(lineages[0])["streams"]) == list(harness.EXPERIMENTS["certify"].streams)
+
+    def test_threads_lose_no_stream(self):
+        # eight threads on two cores, switching every microsecond, each note streams into one record; a lost note
+        # would drop a name from the lineage
+        table = {f"s{i}": (i, -1) for i in range(64)}
+        streams, interval = harness._Streams(self.MASTER, table), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                seeds = list(pool.map(lambda i: streams.seed(f"s{i % 64}", i), range(512), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert seeds == [seeding.child_seed(self.MASTER, i % 64, i) for i in range(512)]
+        assert streams.lineage()["streams"] == {name: list(path) for name, path in table.items()}
+
+    def test_each_run_lists_only_its_own_streams(self):
+        # one config object run twice, the second time on a branch that derives fewer streams, records each run afresh
+        config = ExperimentConfig.from_dict(base_config(experiment="iop-experiment",
+                                                        **LINEAGE_CONFIGS["iop-experiment"]))
+        assert "lrip_pairs" in run(config).seed_lineage["streams"]
+        config.certifier["B"] = 2.0
+        assert "lrip_pairs" not in run(config).seed_lineage["streams"]
 
 
 # the shipped config of each experiment
@@ -618,6 +667,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "alpha_hat_vs_m" in err and "certifier.m_sweep" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("config, m_sweep", [("certify_fourier", [8, 8]), ("concentration_sweep", [16, 64, 16])])
+    def test_repeated_m_sweep_entry_exit_code(self, tmp_path, capsys, monkeypatch, config, m_sweep):
+        # a repeated m ran its estimates again from the same streams: certify computed the same alpha_hat_vs_m row
+        # twice, and a sweep at [16, 16] reported m = 16 twice, each entry holding both copies of its estimates
+        monkeypatch.setattr("lrip_lab.cli.run", lambda config: pytest.fail("the experiment ran"))
+        cfg = json.loads((ROOT / "configs" / f"{config}.json").read_text())
+        cfg["certifier"]["m_sweep"] = m_sweep
+        assert main([cfg["experiment"], "--config", self.write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "certifier.m_sweep" in err
+
+    def test_sweep_draws_without_m_sweep_exit_code(self, tmp_path, capsys, monkeypatch):
+        # sweep_draws is the draw count of the m sweep, and without one it was accepted and never read
+        monkeypatch.setattr("lrip_lab.cli.run", lambda config: pytest.fail("the experiment ran"))
+        cfg = json.loads((ROOT / "configs" / "certify_fourier.json").read_text())
+        cfg["certifier"]["sweep_draws"] = 7
+        assert main(["certify", "--config", self.write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "certifier.sweep_draws" in err
 
     @pytest.mark.parametrize("experiment, path, default, interval, value", RANGE_CASES,
                              ids=[f"{case[0]}-{case[1]}={case[-1]}" for case in RANGE_CASES])
