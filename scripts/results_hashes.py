@@ -1,4 +1,4 @@
-"""Print sha256(results_bytes())[:8] of every shipped config and benchmark workload, and seven digests of the library.
+"""Print sha256(results_bytes())[:8] of every shipped config and benchmark workload, and eight digests of the library.
 
 Usage, from any directory:
 
@@ -13,12 +13,20 @@ points move.  So can an iop-* workload's when its trials move: its results
 hold the IOP counts and only the unsatisfied trials' worst_cases, not
 x_true, so the trial and witness digests are the check on a change to the
 trial path (generators aliased by list(seeding.generators(...)) move both
-digests and no workload hash).  The line "decode digest" hashes
-certified_minimum's and decode's output arrays on fixed random Fourier
-instances (see decode_digest), "operator digest" the operators drawn from
-fixed seeds and their gaps (see operator_digest), "trial digest" the IOP
-trials that _draw_trials draws on fixed instances (see trial_digest),
-"witness digest" the arrays of check_iop_inequality's witness on fixed
+digests and no workload hash).  The line "certificate digest" hashes
+certified_minimum's output arrays and "decode digest" decode's, on the same
+fixed random Fourier instances (see fourier_instances), so a change to the
+box bounds and a change to the polish each show on their own line.  With
+the einsum phases and gradient and the fmod wrap in _box_bounds, and a
+polish that tried every halving and gradient step before it stopped, they
+read bb172c51 and e3d3b543; the stacked matmul and rint wrap moved the
+certificate digest to 23364671 (the lower bounds' last bits; cells, subspaces
+and centres stayed) and the decode digest to c930340e (the gaps), and the
+stop after a failed full step at a point stationary within rounding moved
+only the decode digest, to c72fc982.  The line "operator digest" hashes the
+operators drawn from fixed seeds and their gaps (see operator_digest),
+"trial digest" the IOP trials that _draw_trials draws on fixed instances
+(see trial_digest), "witness digest" the arrays of check_iop_inequality's witness on fixed
 instances (see witness_digest), "estimator digest" every field of the LRIP
 and BP estimates on fixed instances (see estimator_digest): no config or
 workload hash covers lrip_from_iop_witness, a violating pair, eta > 0 or a
@@ -88,23 +96,37 @@ def near_digest() -> str:
     return digest.hexdigest()[:8]
 
 
-def decode_digest() -> str:
-    """sha256(...)[:8] over certified_minimum's (lower, cells, sub, Z) and decode's arrays, on fixed instances.
+def fourier_instances():
+    """(model, op, Y) of the certificate and decode digests: random Fourier maps on random unions of subspaces.
 
-    Each instance is a random Fourier map on a random union of subspaces
-    (d = s + 2, N = 3, M = 1, m = 16), with rows drawn off the model from
-    default_rng(s): 16 rows at each of s = 1, 2 and 3, and 2 rows at s = 8.
+    Each has d = s + 2, N = 3, M = 1, m = 16, with rows drawn off the model
+    from default_rng(s): 16 rows at each of s = 1, 2 and 3, and 2 rows at
+    s = 8.
     """
-    digest = hashlib.sha256()
     for s, n in ((1, 16), (2, 16), (3, 16), (8, 2)):
         rng = np.random.default_rng(s)
         model = UnionOfSubspaces.random(s + 2, s, 3, 1.0, s)
         op = RandomFourierOperator.from_seed(16, s + 2, 1.0, s)
         Y = op.apply_batch(rng.normal(scale=0.5, size=(n, s + 2))) + 0.05 * rng.normal(size=(n, 16))
+        yield model, op, Y
+
+
+def certificate_digest() -> str:
+    """sha256(...)[:8] over certified_minimum's (lower, cells, sub, Z) at target 1e-6, on fourier_instances."""
+    digest = hashlib.sha256()
+    for model, op, Y in fourier_instances():
         lower, cells, (sub, Z) = certified_minimum(op, model, Y, 1e-6, np.inf)
+        for a in (lower, cells, sub, Z):
+            digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()[:8]
+
+
+def decode_digest() -> str:
+    """sha256(...)[:8] over decode's arrays at the default DecoderOptions, on fourier_instances."""
+    digest = hashlib.sha256()
+    for model, op, Y in fourier_instances():
         dec = decode(op, model, Y, DecoderOptions())
-        for a in (lower, cells, sub, Z, dec.xhat, dec.residual, dec.subspace_index, dec.optimizer_iters,
-                  dec.converged, dec.gap):
+        for a in (dec.xhat, dec.residual, dec.subspace_index, dec.optimizer_iters, dec.converged, dec.gap):
             digest.update(np.ascontiguousarray(a).tobytes())
     return digest.hexdigest()[:8]
 
@@ -238,6 +260,7 @@ def main(argv=None) -> int:
         hashes = [results_hash(workloads.build_config(name, seed)[0], lineage) for seed in args.seeds]
         print(f"{name} (seeds {' / '.join(map(str, args.seeds))})\t{' / '.join(hashes)}", flush=True)
     print(f"near digest\t{near_digest()}", flush=True)
+    print(f"certificate digest\t{certificate_digest()}", flush=True)
     print(f"decode digest\t{decode_digest()}", flush=True)
     print(f"operator digest\t{operator_digest()}", flush=True)
     print(f"trial digest\t{trial_digest()}", flush=True)

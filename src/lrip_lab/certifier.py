@@ -540,16 +540,14 @@ class ConcentrationEstimate:
     p_hat[i] estimates P(||Psi x - Psi x'|| / d(x, x') - 1 <= -t_grid[i])
     over operator draws; c_hat = -log p_hat with a +inf sentinel at zero
     observed failures, where the Wilson upper interval limit supplies a
-    finite lower confidence bound c_lower.  c_hat_monotone applies a running
-    maximum (the exponent must be nondecreasing in t); indices where it
-    changed anything are flagged.
+    finite lower confidence bound c_lower.  All t share one set of draws, and
+    the failures at t cannot grow with t, so c_hat and c_lower are
+    nondecreasing in t as they stand.
     """
 
     t_grid: tuple[float, ...]
     p_hat: tuple[float, ...]
     c_hat: tuple[float, ...]
-    c_hat_monotone: tuple[float, ...]
-    monotone_adjusted: tuple[bool, ...]
     wilson_p_upper: tuple[float, ...]
     c_lower: tuple[float, ...]
     draws: int
@@ -563,8 +561,6 @@ class ConcentrationEstimate:
             "t_grid": list(self.t_grid),
             "p_hat": list(self.p_hat),
             "c_hat": list(self.c_hat),
-            "c_hat_monotone": list(self.c_hat_monotone),
-            "monotone_adjusted": list(self.monotone_adjusted),
             "wilson_p_upper": list(self.wilson_p_upper),
             "c_lower": list(self.c_lower),
             "seed": self.seed,
@@ -615,18 +611,10 @@ def estimate_concentration(
         wu = wilson_upper(fails, draws)
         wilson.append(wu)
         c_lo.append(-math.log(wu))
-    # the exponent made nondecreasing in t: each c_hat raised to the running maximum over t_grid in sorted order
-    order = np.argsort(t_grid)
-    raw = np.array(c_hat)[order]
-    running = np.maximum.accumulate(raw)
-    c_mono, flags = np.empty(len(t_grid)), np.empty(len(t_grid), dtype=bool)
-    c_mono[order], flags[order] = running, raw < running
     return ConcentrationEstimate(
         t_grid=t_grid,
         p_hat=tuple(p_hat),
         c_hat=tuple(c_hat),
-        c_hat_monotone=tuple(c_mono.tolist()),
-        monotone_adjusted=tuple(flags.tolist()),
         wilson_p_upper=tuple(wilson),
         c_lower=tuple(c_lo),
         draws=draws,

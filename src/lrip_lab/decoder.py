@@ -45,10 +45,13 @@ class DecoderOptions:
     tries the full Gauss-Newton step first, halves it only when that fails
     the Armijo test, and steps along the gradient only when no halving
     passes (_line_search).  The polish has converged when its projected
-    gradient pg has ||pg|| <= GTOL, or when no line-search step lowers
-    f = ||r||^2 by more than its rounding error 64 eps f and
-    ||pg|| <= 64 sqrt(eps) ||J|| ||r||.  A polish stopped by max_iters has
-    not converged.
+    gradient pg has ||pg|| <= GTOL, or when it is stationary within
+    rounding, ||pg|| <= 64 sqrt(eps) ||J|| ||r||, and its full step does not
+    make progress (lower f = ||r||^2 by more than its rounding error 64 eps f
+    and pass the Armijo test): it then stops without trying the halvings and
+    the gradient steps.  A polish that is not stationary within rounding and
+    finds no step that makes progress stops unconverged, and so does one
+    stopped by max_iters.
     """
 
     max_iters: int = 500
@@ -200,7 +203,7 @@ def _evaluate(op, bases, Y, sub, Z):
     return P, np.real(np.sum(R * R.conj(), axis=1))
 
 
-def _line_search(op, bases, Y, sub, z, f, grad, step, radius):
+def _line_search(op, bases, Y, sub, z, f, grad, step, radius, stationary):
     """The first step that makes progress from each start, along its Gauss-Newton step and then its gradient.
 
     Start k runs on subspace sub[k] against the measurement row Y[k], from
@@ -211,21 +214,23 @@ def _line_search(op, bases, Y, sub, z, f, grad, step, radius):
     f' <= f + 1e-4 (z' - z) . grad.  Three stages run in turn, each on the
     starts still without progress: the full step with the Armijo test, the
     other 53 of _HALVINGS with the Armijo test, and the 54 steps
-    _HALVINGS / (1 + ||grad||) along -grad with plain decrease.  A stage goes
+    _HALVINGS / (1 + ||grad||) along -grad with plain decrease.  A start
+    marked in stationary stops after its full step: when that fails, it
+    skips the halving and gradient stages.  A stage goes
     over its starts in groups of at most _ROWS points, one op.apply_batch
     call each, and a start takes its first passing step size.  Returns
     (found, z', psi', f'), whose rows are meaningful where found.
     """
     n = len(z)
     found, Zn, Pn, Fn = np.zeros(n, dtype=bool), np.empty_like(z), np.empty((n, op.m), complex), np.empty(n)
-    for direction, alphas, armijo in (
-        (step, _HALVINGS[:1], True),
-        (step, _HALVINGS[1:], True),
-        (-grad, _HALVINGS / (1.0 + np.linalg.norm(grad, axis=1, keepdims=True)), False),
+    for direction, alphas, armijo, skip in (
+        (step, _HALVINGS[:1], True, np.zeros(n, dtype=bool)),
+        (step, _HALVINGS[1:], True, stationary),
+        (-grad, _HALVINGS / (1.0 + np.linalg.norm(grad, axis=1, keepdims=True)), False, stationary),
     ):
         k = alphas.shape[-1]
         alphas = np.broadcast_to(alphas, (n, k))
-        miss = np.flatnonzero(~found)
+        miss = np.flatnonzero(~(found | skip))
         group = max(1, _ROWS // k)
         for lo in range(0, len(miss), group):
             g = miss[lo:lo + group]
@@ -251,7 +256,10 @@ def _gauss_newton(op, model, Y, sub, Z0, max_iters):
     i psi * V_i, from the map values psi at the iterate and the restricted
     map V_i.  The Gauss-Newton
     steps of a round come from one batched SVD with lstsq's cutoff, and the
-    line search tries the full step first (see _line_search).  A start's
+    line search tries the full step first (see _line_search).  A start
+    stationary within rounding, ||pg|| <= 64 sqrt(eps) ||J|| ||r||, stops
+    converged when its full step fails, and only the other starts go on to
+    the halvings and the gradient steps (see DecoderOptions).  A start's
     outcome does not depend on the starts run with it.  Returns (Z, f,
     iters, converged), one entry per start.
     """
@@ -280,11 +288,12 @@ def _gauss_newton(op, model, Y, sub, Z0, max_iters):
         U, S, Wt = np.linalg.svd(Jr, full_matrices=False)
         inv = np.divide(1.0, S, out=np.zeros_like(S), where=S > _EPS * max(Jr.shape[1:]) * S[:, :1])
         step = -np.einsum("nts,nt->ns", Wt, inv * np.einsum("nkt,nk->nt", U, Rr))
-        found, Zn, Pn, Fn = _line_search(op, bases, y, sub[active], z, f, grad, step, M)
-        # a start with no progress has converged when its gradient is within rounding of stationary
-        stuck = ~found
-        J_norm = np.sqrt(np.sum(Jr[stuck] ** 2, axis=(1, 2)))
-        converged[active[stuck]] = pg[stuck] <= _PG_RTOL * J_norm * np.linalg.norm(Rr[stuck], axis=1)
+        # a start with no progress has converged when it is within rounding of stationary, and such a start
+        # stops once its full step fails
+        J_norm = np.sqrt(np.sum(Jr**2, axis=(1, 2)))
+        stationary = pg <= _PG_RTOL * J_norm * np.linalg.norm(Rr, axis=1)
+        found, Zn, Pn, Fn = _line_search(op, bases, y, sub[active], z, f, grad, step, M, stationary)
+        converged[active[~found]] = stationary[~found]
         active = active[found]
         Z[active], P[active], F[active] = Zn[found], Pn[found], Fn[found]
     return Z, F, iters, converged
@@ -294,14 +303,36 @@ def _box_bounds(V, L1, M, h, consts, owner, I, Zc):
     """f at the centres Zc of boxes of half-width h on subspaces I, and the boxes' lower bounds.
 
     owner is the row of each box, and consts = (c, phi, base, curvature,
-    allowance) holds each row's constants (see certified_minimum).  Each
-    box's sums over the m frequencies run along its own numbers, so its
-    values do not depend on the boxes bounded with it.  Returns (f0, bound).
+    allowance) holds each row's constants (see certified_minimum).  The
+    phases and the gradient come from a stacked matmul, one matrix-vector
+    product per box, and each box's sums over the m frequencies run along
+    its own numbers, so its values do not depend on the boxes bounded with
+    it.  Returns (f0, bound).
+
+    The phases are wrapped as u - 2 pi rint(u / 2 pi), which subtracts an
+    integer k times the float 2 pi; k is exact however u / 2 pi rounds.  So
+    a wrapped phase is the exact phase v_j . z0 - phi_j less a multiple of
+    2 pi, plus an error delta_j from rounding: of the s-term dot product,
+    whose size is at most M ||v_j||_1 as every centre lies in [-M, M]^s; of
+    the subtraction of phi_j; and of k times the float 2 pi, which is off
+    from 2 pi by at most pi eps with |k| <= |u| / 2 pi + 1, and of the
+    product and difference that use it.  Each is at most a few
+    eps (M ||v_j||_1 + pi), and so is the amount by which a wrapped phase may
+    exceed pi in magnitude.  Such an error is a constant shift of phi_j, so
+    each of the three bounds holds exactly for the objective with shifted
+    phases, the first-order one once the phase is clamped to [-pi, pi],
+    which moves it by at most 2 c_j times that excess.  As
+    |d sin^2(x/2) / dx| <= 1/2, the shifted objective differs from f by at
+    most 2 c_j |delta_j| per frequency, everywhere.  The allowance's phase
+    term, (64 + 4 max(m, s)) eps sum_j c_j (2 pi + 2 M max_j ||v_j||_1), is
+    sum_j 2 c_j (32 + 2 max(m, s)) eps (pi + M max_j ||v_j||_1), far above
+    those few eps per frequency.
     """
     c, phi, base, curvature, allowance = consts
     Vc = V[I]
-    u = (np.einsum("nms,ns->nm", Vc, Zc) - phi[owner] + np.pi) % (2.0 * np.pi) - np.pi
-    grad = np.einsum("nm,nms->ns", 2.0 * c[owner] * np.sin(u), Vc)
+    u = np.matmul(Vc, Zc[:, :, None])[:, :, 0] - phi[owner]
+    u -= 2.0 * np.pi * np.rint(u / (2.0 * np.pi))
+    grad = np.matmul((2.0 * c[owner] * np.sin(u))[:, None, :], Vc)[:, 0, :]
     del Vc
     c = c[owner]  # gathered for the sums only once V[I] is freed, which keeps the chunk's peak memory down
     f0 = base[owner] + np.sum(4.0 * np.sin(0.5 * u) ** 2 * c, axis=1)

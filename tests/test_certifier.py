@@ -607,29 +607,18 @@ class TestEstimateConcentration:
             medians.append(np.median(reps))
         assert medians[1] < medians[0]
 
-    @staticmethod
-    def running_max_loop(t_grid, c_hat):
-        """The monotone exponents and their flags as a loop over t_grid in argsort order."""
-        c_mono, flags, running = list(c_hat), [False] * len(t_grid), -np.inf
-        for i in np.argsort(t_grid):
-            if c_mono[i] < running:
-                c_mono[i], flags[i] = running, True
-            else:
-                running = c_mono[i]
-        return tuple(c_mono), tuple(flags)
-
     def test_monotone_regularization_is_nondecreasing(self):
-        # the second grid is unsorted, repeats t = 0.3 and sees no deviation at t = 0.95, an infinite exponent
+        # all t share one set of draws, so the exponents need no regularization: in sorted t, c_hat and c_lower
+        # never decrease.  The second grid is unsorted, repeats t = 0.3 and sees no deviation at t = 0.95, an
+        # infinite exponent
         pair = (np.zeros(3), np.array([1.0, 0, 0]))
         for t_grid in ([0.0, 0.1, 0.2, 0.3, 0.5], [0.3, 0.0, 0.95, 0.1, 0.3, 0.5]):
             est = estimate_concentration(self.linear_law(16, 3), pair, EUCLID, draws=200, t_grid=t_grid, rng_seed=3)
-            assert [est.c_hat_monotone[i] for i in np.argsort(t_grid)] == sorted(est.c_hat_monotone)
-            for raw, mono, flag in zip(est.c_hat, est.c_hat_monotone, est.monotone_adjusted):
-                assert (mono != raw) == flag
-            assert (est.c_hat_monotone, est.monotone_adjusted) == self.running_max_loop(t_grid, est.c_hat)
-            assert all(type(c) is float for c in est.c_hat_monotone)
-            assert all(type(f) is bool for f in est.monotone_adjusted)
-        assert math.isinf(est.c_hat_monotone[2])
+            order = np.argsort(t_grid, kind="stable")
+            for values in (est.c_hat, est.c_lower):
+                assert [values[i] for i in order] == sorted(values)
+            assert all(type(c) is float for c in est.c_hat + est.c_lower)
+        assert math.isinf(est.c_hat[2])
 
     def test_ratio_matches_endpoint_form(self):
         pair = (np.zeros(3), np.array([0.6, -0.2, 0.1]))

@@ -85,6 +85,8 @@ def per_start_gauss_newton(op, B, y, z0, radius, max_iters):
         R = op.apply_batch(cands @ B.T) - y
         F = np.real(np.sum(R * R.conj(), axis=1))
         ok = (F < (1 - decoder._F_RTOL) * fz) & (F <= fz + 1e-4 * ((cands - z) @ grad))
+        if not ok[0] and pg <= decoder._PG_RTOL * np.linalg.norm(Jr) * np.linalg.norm(Rr):
+            return z, fz, iters, True
         if not ok.any():
             cands = decoder._ball_project(z - (_HALVINGS / (1.0 + np.linalg.norm(grad)))[:, None] * grad, radius)
             R = op.apply_batch(cands @ B.T) - y
@@ -367,10 +369,36 @@ class TestDecodeNonlinear:
         y = op.apply_batch(np.random.default_rng(6).normal(size=4))[0]
         calls.clear()
         res = fourier_decode(op, model, y)
-        assert res.optimizer_iters > 1
-        # the start, then per iteration one call for each stage of _line_search (the full step, the other 53
-        # halvings, the 54 gradient steps), and the recomputed residual
-        assert len(calls) <= 3 * res.optimizer_iters + 2
+        assert res.optimizer_iters > 1 and res.converged
+        # the start; in each round but the last, at most one call for each stage of _line_search (the full step,
+        # the other 53 halvings, the 54 gradient steps); one call in the last round, whose full step fails at a
+        # point within rounding of stationary; and the recomputed residual
+        assert len(calls) <= 3 * res.optimizer_iters
+
+    def test_stationary_start_maps_only_its_full_step(self, monkeypatch):
+        # off-model minima with f near 1, where rounding keeps ||pg|| above GTOL: a polish restarted at its own
+        # converged iterate stops in its first round, after its full step, without the 53 halvings and the 54
+        # gradient steps
+        model = UnionOfSubspaces.random(4, 2, 3, 0.8, 2)
+        op = RandomFourierOperator.from_seed(48, 4, 1.0, 5)
+        rng = np.random.default_rng(6)
+        Y = op.apply_batch(rng.normal(size=(5, 4)))
+        _, _, (sub, Z0) = certified_minimum(op, model, Y, 1e-6, np.inf)
+        Z, F, _, converged = decoder._gauss_newton(op, model, Y, sub, Z0, 500)
+        assert converged.all() and np.all(F > 0.1)
+        mapped = []
+        original = RandomFourierOperator.apply_batch
+
+        def counted(self, X):
+            mapped.append(len(np.atleast_2d(X)))
+            return original(self, X)
+
+        monkeypatch.setattr(RandomFourierOperator, "apply_batch", counted)
+        for k in range(len(Y)):
+            mapped.clear()
+            again = decoder._gauss_newton(op, model, Y[k:k + 1], sub[k:k + 1], Z[k:k + 1], 500)
+            assert mapped == [1, 1]  # the start, then the full step
+            assert again[1][0] == pytest.approx(F[k], rel=1e-14) and again[2][0] == 1 and again[3][0]
 
     def test_line_search_matches_one_apply_per_step(self):
         # each step size mapped through B @ z' and its own apply_batch call, f as the squared norm
@@ -385,7 +413,8 @@ class TestDecodeNonlinear:
         steps = np.array([-0.1 * grad, [-3.0, -1.0], [3.0, 1.0], [-0.764798, 0.0], [-1.529596, 0.0]])
         n = len(steps)
         found, Zn, Pn, Fn = _line_search(op, bases, np.broadcast_to(y, (n, op.m)), np.ones(n, dtype=int),
-                                         np.tile(z, (n, 1)), np.full(n, f), np.tile(grad, (n, 1)), steps, 0.8)
+                                         np.tile(z, (n, 1)), np.full(n, f), np.tile(grad, (n, 1)), steps, 0.8,
+                                         np.zeros(n, dtype=bool))
 
         def mapped(c):
             psi = op.apply_batch(B @ c)[0]
@@ -420,7 +449,7 @@ class TestDecodeNonlinear:
             step = -grad * np.array([0.1, 10.0, 1e3, -1.0, 0.0, 1.0])[:, None]
             if seed % 3 == 0:  # a stationary start: no step size makes progress
                 z[-1], f[-1], grad[-1], step[-1] = z[0], 0.0, grad[0], step[0]
-            found, Zn, Pn, Fn = _line_search(op, bases, Y, sub, z, f, grad, step, M)
+            found, Zn, Pn, Fn = _line_search(op, bases, Y, sub, z, f, grad, step, M, np.zeros(n, dtype=bool))
             for k in range(n):
                 def mapped(c):
                     psi, fc = decoder._evaluate(op, bases, Y[k:k + 1], sub[k:k + 1], c[None])
@@ -685,6 +714,73 @@ class TestCertifiedMinimum:
         assert peaks[1] < 32 * 2**20
         assert peaks[1] < 1.25 * peaks[0]  # four rows in flight without the shared budget hold over twice as much
         assert np.all(cells <= decoder._CERT_BUDGET)
+
+    @staticmethod
+    def box_bounds(op, model, Y, monkeypatch):
+        """The bound(owner, sub, Z, h) that certified_minimum hands its branch-and-bound for the rows Y: _box_bounds."""
+        bounds, engine = [], decoder._branch_and_bound
+
+        def capture(n, model, bound, level):
+            bounds.append(bound)
+            return engine(n, model, bound, level)
+
+        monkeypatch.setattr(decoder, "_branch_and_bound", capture)
+        certified_minimum(op, model, Y, 1e-6, np.inf)
+        return bounds[0]
+
+    @staticmethod
+    def large_phase_instance(s, k):
+        """sigma = 0.2 and M = 3 on R^3: the phases v_j . z wrap many times in the ball, M max ||v_j||_1 > 5 * 2 pi."""
+        model = UnionOfSubspaces.random(3, s, 2, 3.0, 60 + k)
+        op = RandomFourierOperator.from_seed(32, 3, 0.2, 70 + k)
+        assert model.norm_bound * np.abs(decoder._restricted_map(op, model)).sum(axis=2).max() > 10.0 * np.pi
+        return model, op, noisy_off_model_target(model, op, k)
+
+    def test_below_grid_and_residual_at_large_phases(self):
+        for k in range(4):
+            model, op, y = self.large_phase_instance(1, k)
+            (lower,), (cells,), _ = certified_minimum(op, model, y[None], 1e-6, np.inf)
+            _, rg = grid_minimum(op, model, y, resolution=1e-4)
+            assert 0 < cells < decoder._CERT_BUDGET
+            assert lower <= rg
+            assert lower <= multi_start_decode(op, model, y, rng_seed=k).residual
+
+    def test_box_bounds_below_f_in_the_box_at_large_phases(self, monkeypatch):
+        # one _box_bounds call on boxes of three rows, both subspaces, half-widths M down to M / 2^12 and
+        # centres anywhere in [-M, M]^2, each checked against f at 64 points of its box that lie in the ball
+        model, op, _ = self.large_phase_instance(2, 0)
+        Y = np.array([noisy_off_model_target(model, op, k) for k in range(3)])
+        bound = self.box_bounds(op, model, Y, monkeypatch)
+        rng = np.random.default_rng(5)
+        M, n = model.norm_bound, 200
+        owner, sub = rng.integers(3, size=n), rng.integers(2, size=n)
+        checked = 0
+        for h in M * 0.5 ** np.arange(0, 13, 3):
+            Zc = rng.uniform(-M, M, size=(n, 2))
+            _, lower = bound(owner, sub, Zc, h)
+            for k in range(n):
+                Z = Zc[k] + h * rng.uniform(-1.0, 1.0, size=(64, 2))
+                Z = Z[np.linalg.norm(Z, axis=1) <= M]
+                if len(Z):
+                    R = op.apply_batch(Z @ model.bases[sub[k]].T) - Y[owner[k]]
+                    assert lower[k] <= np.min(np.real(np.sum(R * R.conj(), axis=1)))
+                    checked += 1
+        assert checked > 500
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_box_bounds_are_per_box(self, s, monkeypatch):
+        # a batch that mixes rows, subspaces and centres gives each box bitwise what it gets alone
+        model, op, Y = fourier_rows(s)
+        bound = self.box_bounds(op, model, Y, monkeypatch)
+        rng = np.random.default_rng(s)
+        n, M = 300, model.norm_bound
+        owner, sub = rng.integers(len(Y), size=n), rng.integers(model.num_subspaces, size=n)
+        Zc = rng.uniform(-M, M, size=(n, s))
+        for h in (M, M / 64):
+            f0, lower = bound(owner, sub, Zc, h)
+            for k in range(n):
+                one_f0, one_lower = bound(owner[k:k + 1], sub[k:k + 1], Zc[k:k + 1], h)
+                assert one_f0.tobytes() == f0[k:k + 1].tobytes() and one_lower.tobytes() == lower[k:k + 1].tobytes()
 
     def test_converged_fourier_gaps_are_nonnegative(self):
         converged = 0
