@@ -16,23 +16,16 @@ trial path (generators aliased by list(seeding.generators(...)) move both
 digests and no workload hash).  The line "certificate digest" hashes
 certified_minimum's output arrays and "decode digest" decode's, on the same
 fixed random Fourier instances (see fourier_instances), so a change to the
-box bounds and a change to the polish each show on their own line.  With
-the einsum phases and gradient and the fmod wrap in _box_bounds, and a
-polish that tried every halving and gradient step before it stopped, they
-read bb172c51 and e3d3b543; the stacked matmul and rint wrap moved the
-certificate digest to 23364671 (the lower bounds' last bits; cells, subspaces
-and centres stayed) and the decode digest to c930340e (the gaps), and the
-stop after a failed full step at a point stationary within rounding moved
-only the decode digest, to c72fc982.  The line "operator digest" hashes the
-operators drawn from fixed seeds and their gaps (see operator_digest),
-"trial digest" the IOP trials that _draw_trials draws on fixed instances
-(see trial_digest), "witness digest" the arrays of check_iop_inequality's witness on fixed
-instances (see witness_digest), "estimator digest" every field of the LRIP
-and BP estimates on fixed instances (see estimator_digest): no config or
-workload hash covers lrip_from_iop_witness, a violating pair, eta > 0 or a
-single pair.  The last line, "lineage digest", hashes the seed lineage of
-every config and workload run above, which lists the streams each run
-derived.
+box bounds and a change to the polish each show on their own line.  The
+line "operator digest" hashes the operators drawn from fixed seeds and their
+gaps (see operator_digest), "trial digest" the IOP trials that _draw_trials
+draws on fixed instances (see trial_digest), "witness digest" the arrays of
+check_iop_inequality's witness on fixed instances (see witness_digest), and
+"estimator digest" every field of the LRIP and BP estimates on fixed
+instances (see estimator_digest): no config or workload hash covers
+lrip_from_iop_witness, a violating pair, eta > 0 or a single pair.  The last
+line, "lineage digest", hashes the seed lineage of every config and workload
+run above, which lists the streams each run derived.
 The library is the one in this checkout's src/, so two checkouts can be
 compared line by line.
 """

@@ -27,6 +27,7 @@ _F_RTOL = 64 * _EPS
 _PG_RTOL = 64 * np.sqrt(_EPS)
 _HALVINGS = 0.5 ** np.arange(54)  # 1, 1/2, ..., 2^-53 >= 1e-16
 _ROWS = 256  # points per apply_batch call of the line search
+_NEWTON_STEPS = 50  # cap of the secular solve; a handful of steps reach tol
 
 # Branch-and-bound residual certificate (see certified_minimum).
 _CERT_BUDGET = 100_000  # boxes bounded per certificate, over all subspaces
@@ -41,17 +42,19 @@ class DecoderOptions:
     the branch-and-bound of certified_minimum stops refining a box once its
     lower bound is within target of the best residual found, and decode
     polishes that search's best box centre with one projected Gauss-Newton
-    start, whose iterations max_iters bounds.  An iteration's line search
-    tries the full Gauss-Newton step first, halves it only when that fails
-    the Armijo test, and steps along the gradient only when no halving
-    passes (_line_search).  The polish has converged when its projected
-    gradient pg has ||pg|| <= GTOL, or when it is stationary within
+    start, whose iterations max_iters bounds.  An iteration's step is the
+    Gauss-Newton step, or the Gauss-Newton step constrained to the ball when
+    that one leaves it, so it is a descent direction that stays in the ball;
+    its line search tries the full step first and halves it only when that
+    fails the Armijo test (_line_search).  The polish has converged when its
+    projected gradient pg has ||pg|| <= GTOL, or when it is stationary within
     rounding, ||pg|| <= 64 sqrt(eps) ||J|| ||r||, and its full step does not
     make progress (lower f = ||r||^2 by more than its rounding error 64 eps f
-    and pass the Armijo test): it then stops without trying the halvings and
-    the gradient steps.  A polish that is not stationary within rounding and
-    finds no step that makes progress stops unconverged, and so does one
-    stopped by max_iters.
+    and pass the Armijo test): it then stops without trying the halvings.  A
+    polish that is not stationary within rounding and whose 54 step sizes
+    all fail stops unconverged, and so does one stopped by max_iters.
+    So converged means stationary on the ball: to GTOL, or within rounding
+    with no full step left that makes progress.
     """
 
     max_iters: int = 500
@@ -93,42 +96,36 @@ def _measurement_rows(y, m: int) -> np.ndarray:
     return y
 
 
-def _secular_bisection(S, beta, Vt, radius: float, tol: float) -> np.ndarray:
-    """The point of norm radius on the Tikhonov path of each row, by bisection on the secular equation.
+def _secular_solve(S, beta, Vt, radius: float, tol: float) -> np.ndarray:
+    """The point of norm radius on the Tikhonov path of each row, by Newton's method on the secular equation.
 
-    Row k has singular values S[k], coefficients beta[k] = U'y and right
-    singular vectors Vt[k]; its path is z(mu) = V diag(S / (S^2 + mu)) beta,
-    and mu is bisected until ||z(mu)|| is within tol of radius, at most 200
-    steps.  Rows advance together, and a row leaves once it is done: the
-    numerators, S^2 and brackets of the rows still active are kept compacted,
-    so a step gathers nothing.
+    Row k has singular values S[k], in descending order, coefficients
+    beta[k] = U'y and right singular vectors Vt[k]; its path is
+    z(mu) = V diag(S / (S^2 + mu)) beta, mu >= 0.  Newton's method runs on
+    1/||z(mu)|| = 1/radius (More and Sorensen 1983) from
+    mu0 = max(||S beta|| / radius - max S^2, 0), where
+    ||z|| >= ||S beta|| / (max S^2 + mu) is at least radius, so mu0 is never
+    above the root, and at s = 1 it is the root.  1/||z(mu)|| is concave and
+    increasing, so the iterates rise to the root.  A row stops once ||z(mu)||
+    is within tol of radius, or after _NEWTON_STEPS steps; a row whose
+    minimum-norm point z(0) lies inside the ball, which no caller sends,
+    stays at mu = 0.  Each row steps on its own numbers, so its point does
+    not depend on the rows solved with it.
     """
-    num, S2 = S * beta, S**2
-
-    def norm_at(mu, rows):
-        return np.linalg.norm(num[rows] / (S2[rows] + mu[:, None]), axis=1)
-
-    lo, hi = np.zeros(len(S)), np.maximum(S2[:, 0], 1.0)
-    grow = np.flatnonzero(norm_at(hi, slice(None)) > radius)
-    while len(grow):
-        hi[grow] *= 2.0
-        grow = grow[hi[grow] <= 1e300]
-        grow = grow[norm_at(hi[grow], grow) > radius]
-    mu, active, num_a, S2_a = np.empty(len(S)), np.arange(len(S)), num, S2
-    for _ in range(200):
-        if not len(active):
+    num = S * beta
+    # a zero numerator adds nothing to z, and a denominator of 1 keeps 0/0 out of a zero S at mu = 0
+    S2 = np.where(num == 0.0, 1.0, S * S)
+    mu = np.maximum(np.linalg.norm(num, axis=1) / radius - S[:, 0] ** 2, 0.0)
+    for _ in range(_NEWTON_STEPS):
+        z = num / (S2 + mu[:, None])
+        norms = np.linalg.norm(z, axis=1)
+        far = np.abs(norms - radius) > tol
+        if not far.any():
             break
-        mid = 0.5 * (lo + hi)
-        norms = np.linalg.norm(num_a / (S2_a + mid[:, None]), axis=1)
-        done = np.abs(norms - radius) <= tol
-        if done.any():
-            mu[active[done]] = mid[done]
-            keep = ~done
-            active, num_a, S2_a, lo, hi, mid, norms = (a[keep] for a in (active, num_a, S2_a, lo, hi, mid, norms))
-        above = norms > radius
-        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
-    mu[active] = 0.5 * (lo + hi)
-    return _ball_project(_row_products(num / (S2 + mu[:, None]), Vt), radius)
+        # the Newton step of 1/||z|| - 1/radius: d||z||/dmu = -sum(z^2 / (S^2 + mu)) / ||z||
+        step = (norms / radius - 1.0) * norms**2 / np.sum(z * z / (S2 + mu[:, None]), axis=1)
+        mu = np.where(far, np.maximum(mu + step, 0.0), mu)
+    return _ball_project(_row_products(z, Vt), radius)
 
 
 def _constrained_ls(G: np.ndarray, Y: np.ndarray, radius: float, tol: float = 1e-10) -> np.ndarray:
@@ -137,8 +134,8 @@ def _constrained_ls(G: np.ndarray, Y: np.ndarray, radius: float, tol: float = 1e
     One SVD per G_i serves every row.  A row takes the unconstrained
     minimum-norm solution when it is feasible, and otherwise the
     norm-equality solution on the Tikhonov path
-    z(mu) = (G'G + mu I)^{-1} G'y, from one bisection run on all such
-    (i, row) pairs at once (_secular_bisection).  Returns Z with
+    z(mu) = (G'G + mu I)^{-1} G'y, from one Newton run on all such
+    (i, row) pairs at once (_secular_solve).  Returns Z with
     Z[i, k] the solution for G_i and Y[k].
     """
     U, svals, Vt = np.linalg.svd(G, full_matrices=False)
@@ -151,7 +148,7 @@ def _constrained_ls(G: np.ndarray, Y: np.ndarray, radius: float, tol: float = 1e
     Z = _row_products(coeffs, Vt[:, None])
     sub, row = np.nonzero(np.linalg.norm(Z, axis=2) > radius)
     if len(sub):
-        Z[sub, row] = _secular_bisection(svals[sub], beta[sub, row], Vt[sub], radius, tol)
+        Z[sub, row] = _secular_solve(svals[sub], beta[sub, row], Vt[sub], radius, tol)
     return Z
 
 
@@ -163,7 +160,7 @@ def decode_linear(op: LinearGaussianOperator, model: UnionOfSubspaces, y) -> Dec
     row: min_z ||A B_i z - y|| with ||z|| <= M is the minimum-norm
     least-squares solution when that lies in the ball (which also covers a
     rank-deficient A B_i), and otherwise a point of the regularization path
-    found by one bisection for all rows and subspaces outside the ball
+    found by one secular solve for all rows and subspaces outside the ball
     (_constrained_ls).  Each row keeps its best subspace:
     residuals within a factor 1 + 64 eps of the best count as tied, and a tie
     goes to the lowest index, so rounding cannot pick the winner.  Every row
@@ -204,42 +201,33 @@ def _evaluate(op, bases, Y, sub, Z):
 
 
 def _line_search(op, bases, Y, sub, z, f, grad, step, radius, stationary):
-    """The first step that makes progress from each start, along its Gauss-Newton step and then its gradient.
+    """The first step size that makes progress from each start along its Gauss-Newton step.
 
     Start k runs on subspace sub[k] against the measurement row Y[k], from
-    z[k], with objective f[k], gradient grad[k] and Gauss-Newton step
-    step[k].  A candidate is z + alpha * direction
-    projected onto the ball, and it makes progress when it lowers f by more
-    than its rounding error 64 eps f and, with the Armijo test, passes
-    f' <= f + 1e-4 (z' - z) . grad.  Three stages run in turn, each on the
-    starts still without progress: the full step with the Armijo test, the
-    other 53 of _HALVINGS with the Armijo test, and the 54 steps
-    _HALVINGS / (1 + ||grad||) along -grad with plain decrease.  A start
-    marked in stationary stops after its full step: when that fails, it
-    skips the halving and gradient stages.  A stage goes
-    over its starts in groups of at most _ROWS points, one op.apply_batch
-    call each, and a start takes its first passing step size.  Returns
-    (found, z', psi', f'), whose rows are meaningful where found.
+    z[k], with objective f[k], gradient grad[k] and a step[k] that keeps
+    z + step in the ball, up to rounding (see _gauss_newton).  A candidate is
+    z + alpha * step projected onto the ball, and it makes progress when it
+    lowers f by more than its rounding error 64 eps f and passes the Armijo
+    test f' <= f + 1e-4 (z' - z) . grad.  The full step is tried first, and
+    then, on the starts it fails and that are not marked in stationary, the
+    other 53 of _HALVINGS.  The halvings go over their starts in groups of
+    at most _ROWS points, one op.apply_batch call each, and a start takes its
+    first passing step size.  Returns (found, z', psi', f'), whose rows are
+    meaningful where found.
     """
     n = len(z)
     found, Zn, Pn, Fn = np.zeros(n, dtype=bool), np.empty_like(z), np.empty((n, op.m), complex), np.empty(n)
-    for direction, alphas, armijo, skip in (
-        (step, _HALVINGS[:1], True, np.zeros(n, dtype=bool)),
-        (step, _HALVINGS[1:], True, stationary),
-        (-grad, _HALVINGS / (1.0 + np.linalg.norm(grad, axis=1, keepdims=True)), False, stationary),
-    ):
-        k = alphas.shape[-1]
-        alphas = np.broadcast_to(alphas, (n, k))
+    for alphas, skip in ((_HALVINGS[:1], np.zeros(n, dtype=bool)), (_HALVINGS[1:], stationary)):
+        k = len(alphas)
         miss = np.flatnonzero(~(found | skip))
         group = max(1, _ROWS // k)
         for lo in range(0, len(miss), group):
             g = miss[lo:lo + group]
-            cands = _ball_project(z[g, None, :] + alphas[g, :, None] * direction[g, None, :], radius)
+            cands = _ball_project(z[g, None, :] + alphas[:, None] * step[g, None, :], radius)
             P, F = _evaluate(op, bases, np.repeat(Y[g], k, axis=0), np.repeat(sub[g], k), cands.reshape(len(g) * k, -1))
             P, F = P.reshape(len(g), k, -1), F.reshape(len(g), k)
-            ok = F < (1.0 - _F_RTOL) * f[g, None]
-            if armijo:
-                ok &= F <= f[g, None] + 1e-4 * np.einsum("nks,ns->nk", cands - z[g, None, :], grad[g])
+            ok = (F < (1.0 - _F_RTOL) * f[g, None]) & (
+                F <= f[g, None] + 1e-4 * np.einsum("nks,ns->nk", cands - z[g, None, :], grad[g]))
             j = np.argmax(ok, axis=1)
             rows = np.arange(len(g))
             found[g], Zn[g], Pn[g], Fn[g] = ok[rows, j], cands[rows, j], P[rows, j], F[rows, j]
@@ -254,14 +242,17 @@ def _gauss_newton(op, model, Y, sub, Z0, max_iters):
     leaves the round in which it stops.  Complex residuals are stacked as
     real and imaginary parts, and the Jacobian in coefficients is
     i psi * V_i, from the map values psi at the iterate and the restricted
-    map V_i.  The Gauss-Newton
-    steps of a round come from one batched SVD with lstsq's cutoff, and the
-    line search tries the full step first (see _line_search).  A start
-    stationary within rounding, ||pg|| <= 64 sqrt(eps) ||J|| ||r||, stops
-    converged when its full step fails, and only the other starts go on to
-    the halvings and the gradient steps (see DecoderOptions).  A start's
-    outcome does not depend on the starts run with it.  Returns (Z, f,
-    iters, converged), one entry per start.
+    map V_i.  A round's steps come from one batched SVD J = U S W': the
+    Gauss-Newton step, with lstsq's cutoff, where z + step stays in the ball,
+    and otherwise the step to the minimiser of ||J (z' - z) + r|| over the
+    ball, on the path of beta = S W'z - U'r (_secular_solve, to within
+    1e-12 M of the sphere).  Either is a descent direction that keeps the
+    iterate in the ball, and the line search tries its full step first (see
+    _line_search).  A start stationary within rounding,
+    ||pg|| <= 64 sqrt(eps) ||J|| ||r||, stops converged when its full step
+    fails, and only the other starts go on to the halvings (see
+    DecoderOptions).  A start's outcome does not depend on the starts run
+    with it.  Returns (Z, f, iters, converged), one entry per start.
     """
     M = model.norm_bound
     bases, V = model.bases, _restricted_map(op, model)
@@ -287,7 +278,13 @@ def _gauss_newton(op, model, Y, sub, Z0, max_iters):
         # Gauss-Newton steps min ||Jr step + Rr||, with lstsq's cutoff on small singular values
         U, S, Wt = np.linalg.svd(Jr, full_matrices=False)
         inv = np.divide(1.0, S, out=np.zeros_like(S), where=S > _EPS * max(Jr.shape[1:]) * S[:, :1])
-        step = -np.einsum("nts,nt->ns", Wt, inv * np.einsum("nkt,nk->nt", U, Rr))
+        UtR = np.einsum("nkt,nk->nt", U, Rr)
+        step = -np.einsum("nts,nt->ns", Wt, inv * UtR)
+        # a step that leaves the ball gives way to the step constrained to it
+        out = np.flatnonzero(np.linalg.norm(z + step, axis=1) > M)
+        if len(out):
+            beta = S[out] * np.einsum("nts,ns->nt", Wt[out], z[out]) - UtR[out]
+            step[out] = _secular_solve(S[out], beta, Wt[out], M, 1e-12 * M) - z[out]
         # a start with no progress has converged when it is within rounding of stationary, and such a start
         # stops once its full step fails
         J_norm = np.sqrt(np.sum(Jr**2, axis=(1, 2)))
@@ -466,27 +463,19 @@ def _next_level(owner, n, sub, centres, bounds, h, M):
     """The children that meet the ball of the boxes of half-width h that split, 2^s per box at +-h/2, in parent order.
 
     owner is the row of each parent, one of n, and sub, centres and bounds
-    its subspace, centre and bound.  Children are made and ball-tested
-    _CERT_CHUNK at a time, once to count them and once more to write the kept
-    ones into arrays of exact size.  Returns (count, subspace, centre,
+    its subspace, centre and bound.  All children are made and ball-tested
+    at once: _branch_and_bound splits no more boxes than leave room for all
+    their children within _CERT_BUDGET.  Returns (count, subspace, centre,
     inherited bound), with count[r] the children row r keeps.
     """
     if not len(owner):  # no box split, as always when 2^s exceeds the budget
         return np.zeros(n, dtype=int), sub, centres, bounds
     s, children = centres.shape[1], 2 ** centres.shape[1]
     offsets = ((np.arange(children)[:, None] >> np.arange(s)) & 1) - 0.5
-    piece = max(1, _CERT_CHUNK // children)  # parents whose children make one chunk
-    parts = [slice(lo, lo + piece) for lo in range(0, len(centres), piece)]
-    kids = lambda q: (centres[q][:, None, :] + h * offsets).reshape(-1, s)
-    meets_ball = [np.linalg.norm(np.maximum(np.abs(kids(q)) - 0.5 * h, 0.0), axis=1) <= M for q in parts]
-    count = np.bincount(np.repeat(owner, children)[np.concatenate(meets_ball)], minlength=n)
-    total, at = int(count.sum()), 0
-    idx, Z, inherited = np.empty(total, dtype=int), np.empty((total, s)), np.empty(total)
-    for q, keep in zip(parts, meets_ball):
-        kept = slice(at, at + int(keep.sum()))
-        idx[kept], Z[kept] = np.repeat(sub[q], children)[keep], kids(q)[keep]
-        inherited[kept], at = np.repeat(bounds[q], children)[keep], kept.stop
-    return count, idx, Z, inherited
+    kids = (centres[:, None, :] + h * offsets).reshape(-1, s)
+    keep = np.linalg.norm(np.maximum(np.abs(kids) - 0.5 * h, 0.0), axis=1) <= M
+    count = np.bincount(np.repeat(owner, children)[keep], minlength=n)
+    return count, np.repeat(sub, children)[keep], kids[keep], np.repeat(bounds, children)[keep]
 
 
 def decode(op, model: UnionOfSubspaces, y, opts: DecoderOptions) -> DecodeResult:

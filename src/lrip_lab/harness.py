@@ -12,9 +12,11 @@ from __future__ import annotations
 import copy
 import json
 import time
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -89,8 +91,8 @@ def _paths(value, path: str) -> list:
     return [path]
 
 
-def _section(spec, keys: dict, name: str) -> dict:
-    """The values of config section name, or of the whole config when name is empty.
+def _section(spec, keys: dict, name: str) -> Mapping:
+    """The values of config section name, or of the whole config when name is empty, as a read-only mapping.
 
     keys maps each key to (kind, default) or (kind, default, interval), kind and interval as in _cast, or to the keys
     of a nested section.  Each given value is cast to its kind and checked against its interval, and each key not
@@ -113,7 +115,8 @@ def _section(spec, keys: dict, name: str) -> dict:
     unknown = [p for key in spec if key not in keys for p in _paths(spec[key], path(key))]
     if unknown:
         raise ConfigError(f"unknown keys {', '.join(unknown)}; {name or 'config'} takes {', '.join(keys) or 'no keys'}")
-    return values
+    # read-only, nested sections too, so a validated config cannot be edited past validate
+    return MappingProxyType(values)
 
 
 class _Streams:
@@ -146,19 +149,20 @@ class ExperimentConfig:
     """An experiment configuration parsed by from_dict: every section as typed values, defaults filled in.
 
     The keys, kinds and defaults are those of _CONFIG_KEYS and of the experiment's table in EXPERIMENTS, which lists
-    only the keys it reads.  to_dict gives the config as it was given, which every report echoes.  Each config, and
-    each copy that replace makes, holds a fresh _Streams that the runner derives its streams through.
+    only the keys it reads.  Each section, nested ones too, is a read-only mapping, so a validated config cannot be
+    edited in place past validate.  to_dict gives the config as it was given, which every report echoes.  Each
+    config, and each copy that replace makes, holds a fresh _Streams that the runner derives its streams through.
     """
 
     experiment: str
     master_seed: int
     workers: int
-    model: dict
-    operator: dict
-    metric: dict
-    decoder: dict
-    certifier: dict
-    output: dict
+    model: Mapping
+    operator: Mapping
+    metric: Mapping
+    decoder: Mapping
+    certifier: Mapping
+    output: Mapping
     echo: dict = field(repr=False, compare=False)
     _streams: _Streams = field(init=False, repr=False, compare=False)
 

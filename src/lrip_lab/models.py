@@ -128,9 +128,8 @@ def _draw_model_points(model: UnionOfSubspaces, n: int, rng: np.random.Generator
     Returns idx of shape (n,), Z of shape (n, s) and U of shape (n, 1);
     _map_model_points turns them into the points.
     """
-    # integers' size handling costs several times its draw, so one index is drawn as a scalar, which
-    # draws the same value; random() is uniform(0, 1) bit for bit (0 + 1 r) at half the call cost
-    idx = rng.integers(model.num_subspaces, size=n) if n != 1 else np.array([rng.integers(model.num_subspaces)])
+    # random() is uniform(0, 1) bit for bit (0 + 1 r) at half the call cost
+    idx = rng.integers(model.num_subspaces, size=n)
     Z = rng.normal(size=(n, model.subspace_dim))
     return idx, Z, rng.random(size=(n, 1))
 

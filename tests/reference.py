@@ -107,12 +107,13 @@ def residual_certificate(result, op, model: UnionOfSubspaces, y, target: float =
 
 
 def secular_bisection(S, beta, Vt, radius: float, tol: float) -> np.ndarray:
-    """decoder._secular_bisection as it was before it kept its active rows compacted, each step gathering them.
+    """The bisection that decoder._secular_solve's Newton steps replaced, each step gathering the active rows.
 
     Row k has singular values S[k], coefficients beta[k] = U'y and right
     singular vectors Vt[k]; its path is z(mu) = V diag(S / (S^2 + mu)) beta,
     and mu is bisected until ||z(mu)|| is within tol of radius, at most 200
-    steps.  Rows advance together, and a row leaves once it is done.
+    steps.  Rows advance together, and a row leaves once it is done; a row
+    whose minimum-norm point lies inside the ball bisects towards mu = 0.
     """
     num, S2 = S * beta, S**2
 

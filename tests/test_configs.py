@@ -6,6 +6,7 @@ experiment's table accepts is read when the shipped configs and the workloads ru
 
 import dataclasses
 import sys
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
@@ -60,8 +61,8 @@ def test_benchmark_workloads_parse():
 class _Recording(dict):
     """A parsed config section that adds to reads the path of each key read from it."""
 
-    def __init__(self, values: dict, path: str, reads: set):
-        super().__init__({key: _Recording(v, f"{path}.{key}", reads) if isinstance(v, dict) else v
+    def __init__(self, values: Mapping, path: str, reads: set):
+        super().__init__({key: _Recording(v, f"{path}.{key}", reads) if isinstance(v, Mapping) else v
                           for key, v in values.items()})
         self.path, self.reads = path, reads
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -61,6 +62,17 @@ class TestConfig:
             ExperimentConfig.from_dict(cfg)
         cfg["certifier"]["m_sweep"] = [16]
         assert ExperimentConfig.from_dict(cfg).output["series"][-1] == "alpha_hat_vs_m"
+
+    def test_sections_are_read_only(self):
+        # an edited section would run a config that validate never saw, such as the repeated sweep it refuses
+        config = ExperimentConfig.from_dict(json.loads((ROOT / "configs" / "certify_fourier.json").read_text()))
+        with pytest.raises(TypeError):
+            config.certifier["m_sweep"] = [8, 8]
+        with pytest.raises(TypeError):
+            config.output["dir"] = "elsewhere"
+        dec = ExperimentConfig.from_dict(decode_config()).decoder
+        with pytest.raises(TypeError):
+            dec["grid_oracle"]["resolution"] = 1.0
 
     def test_missing_operator_kind(self):
         cfg = base_config(experiment="certify", metric=KERNEL)
@@ -417,7 +429,7 @@ class TestSeedLineage:
         config = ExperimentConfig.from_dict(base_config(experiment="iop-experiment",
                                                         **LINEAGE_CONFIGS["iop-experiment"]))
         assert "lrip_pairs" in run(config).seed_lineage["streams"]
-        config.certifier["B"] = 2.0
+        config = dataclasses.replace(config, certifier={**config.certifier, "B": 2.0})
         assert "lrip_pairs" not in run(config).seed_lineage["streams"]
 
 
