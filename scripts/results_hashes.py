@@ -23,7 +23,8 @@ draws on fixed instances (see trial_digest), "witness digest" the arrays of
 check_iop_inequality's witness on fixed instances (see witness_digest), and
 "estimator digest" every field of the LRIP and BP estimates on fixed
 instances (see estimator_digest): no config or workload hash covers
-lrip_from_iop_witness, a violating pair, eta > 0 or a single pair.  The last
+lrip_from_iop_witness, a violating pair, eta > 0, a single pair or near
+fallbacks over several row blocks.  The last
 line, "lineage digest", hashes the seed lineage of every config and workload
 run above, which lists the streams each run derived.
 The library is the one in this checkout's src/, so two checkouts can be
@@ -210,7 +211,11 @@ def estimator_digest() -> str:
     pairs = 1, 2 and 2000, eta = 0 and 0.05, seed 8, near_eps 0.1, and once
     more uniform at 6 pairs and near_eps 1e-300, so its near rows fall back;
     estimate_bp at the same pair counts, seed 9; and lrip_from_iop_witness
-    at B = 0.5, lambda = 0.01, 40 pairs, seed 10.
+    at B = 0.5, lambda = 0.01, 40 pairs, seed 10.  Last, on each instance,
+    estimate_lrip uniform at 5,000 pairs, seed 8 and near_eps 1e-16, where
+    rounding decides which near rows are found (265 to 1,622 of the 2,500
+    fall back), and estimate_bp at 5,000 pairs, seed 9: every stratum of
+    these spans several of the estimators' row blocks.
     """
     digest = hashlib.sha256()
     model = UnionOfSubspaces.random(6, 2, 3, 1.0, 3)
@@ -233,6 +238,9 @@ def estimator_digest() -> str:
             digest.update(_estimate_bytes(estimate_bp(op, model, metric, pairs, 9)))
         digest.update(_estimate_bytes(estimate_lrip(op, model, metric, 6, 8, None, 0.0, 1e-300)))
         digest.update(_estimate_bytes(lrip_from_iop_witness(op, model, metric, DecoderOptions(), 0.5, 0.01, 40, 10)))
+    for model, op, metric in instances:
+        digest.update(_estimate_bytes(estimate_lrip(op, model, metric, 5000, 8, None, 0.0, 1e-16)))
+        digest.update(_estimate_bytes(estimate_bp(op, model, metric, 5000, 9)))
     return digest.hexdigest()[:8]
 
 

@@ -31,12 +31,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import seeding
+from . import models, seeding
 from .decoder import DecoderOptions, _row_norms, decode
 from .errors import InputError
 from .models import (
     CoveringBound,
     UnionOfSubspaces,
+    _draw_model_points,
     _map_model_points,
     covering_bound_model,
     covering_bound_secant,
@@ -108,24 +109,64 @@ class LripEstimate:
         }
 
 
-def _max_ratio(numer, denom, X, X2):
-    """The largest secant ratio numer / denom over the pairs (X[k], X2[k]), and a copy of its pair.
+def _max_ratio(blocks):
+    """The largest secant ratio numer / denom over blocks of pairs, a copy of its pair, and the flagged pairs.
 
-    The one ratio core of the LRIP, BP and witness estimators.  A pair with
+    The one ratio core of the LRIP, BP and witness estimators.  A block is
+    (pos, numer, denom, flagged, X, X2): the pairs (X[k], X2[k]) at the
+    ascending positions pos, flagged a boolean mask or None.  A pair with
     numer = 0 has ratio 0, also at denom 0; a positive numer over a zero
-    denom has ratio +inf.  Ties go to the first pair; with no pairs the
-    result is (0.0, None).
+    denom has ratio +inf.  The blocks are reduced one at a time, each to its
+    largest ratio and the position of its first winning row, ties going to
+    the least position, so however the pairs are split and ordered the
+    result is that of one block of all pairs.  Returns (value, pair, pairs,
+    flagged count, first flagged pair); a pair is None where there is none,
+    and with no pairs the value is 0.0.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(numer > 0, numer / denom, 0.0)
-    value = float(ratios.max(initial=0.0))
-    return value, _first_pair(X, X2, ratios == value)
+    value, at, pair = 0.0, None, None
+    count, flagged_count, flagged_at, flagged_pair = 0, 0, None, None
+    for pos, numer, denom, flagged, X, X2 in blocks:
+        count += len(pos)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(numer > 0, numer / denom, 0.0)
+        top = float(ratios.max(initial=0.0))
+        if top > value:
+            value, at = top, None
+        if top == value and (k := _earlier(pos, ratios == top, at)) is not None:
+            at, pair = pos[k], (X[k].copy(), X2[k].copy())
+        if flagged is not None:
+            flagged_count += int(np.count_nonzero(flagged))
+            if (k := _earlier(pos, flagged, flagged_at)) is not None:
+                flagged_at, flagged_pair = pos[k], (X[k].copy(), X2[k].copy())
+        del pos, numer, denom, flagged, X, X2, ratios  # free this block before the next one is computed
+    return value, pair, count, flagged_count, flagged_pair
 
 
-def _first_pair(X, X2, mask):
-    """A copy of the first pair (X[k], X2[k]) with mask[k], or None."""
+def _earlier(pos, mask, at):
+    """The first row k with mask[k], if its position pos[k] precedes at (None: any position does); else None."""
     k = np.flatnonzero(mask)
-    return (X[k[0]].copy(), X2[k[0]].copy()) if len(k) else None
+    return k[0] if len(k) and (at is None or pos[k[0]] < at) else None
+
+
+def _row_blocks(n: int):
+    """Index arrays of the consecutive row blocks of range(n), _NEAR_CHUNK rows each (the last may be shorter).
+
+    The near sampler works through its anchors in chunks of the same size
+    from one generator, so calling it on each block consumes the generator as
+    one call on all rows does.
+    """
+    step = models._NEAR_CHUNK
+    return (np.arange(a, min(a + step, n)) for a in range(0, n, step))
+
+
+def _points(model: UnionOfSubspaces, draws, rows) -> np.ndarray:
+    """The model points of the rows (an index array) of the draws (idx, Z, U) of _draw_model_points.
+
+    Each point is mapped from its own row (_map_model_points), so it is
+    bitwise its row of one map of all draws; the draws stay unchanged.
+    """
+    idx, Z, U = draws
+    return _map_model_points(model, idx[rows], Z[rows], U[rows])
 
 
 def _pair_json(pair):
@@ -186,6 +227,13 @@ def estimate_lrip(
 
     Pairs whose measurement gap vanishes while the metric gap exceeds eta are
     LRIP violations and set alpha_hat = +inf.
+
+    Memory.  Random endpoints are kept as their _draw_model_points draws,
+    (s + 2) numbers each, and _max_ratio reduces the strata one _row_blocks
+    block at a time: far rows, near rows (the found ones), near fallbacks,
+    which are drawn after all near rows, and extremal rows.  No (pairs, d)
+    array is formed, and each row keeps its position in stratum order, so
+    the estimate is bitwise that of one block of all pairs.
     """
     if pairs < 1:
         raise InputError(f"pairs must be >= 1, got {pairs}")
@@ -199,43 +247,55 @@ def estimate_lrip(
             raise InputError("anchor does not lie in the model")
     n_near = int(round(pairs * 0.5))
     n_far = pairs - n_near  # >= 1, as pairs >= 1
-
-    def firsts(n):
-        return np.broadcast_to(anchor, (n, model.dim)) if anchored else sample_model_points(model, n, rng_pairs)
-
-    strata = {"near": 0, "far": 0, "extremal": 0, "near_fallback": 0}
-    drawn = {"far": (firsts(n_far), sample_model_points(model, n_far, rng_pairs))}  # stratum: (X, X2), in draw order
-    if n_near:
-        near = firsts(n_near)
-        seconds, found = sample_near_points(model, metric, near, near_eps, rng_pairs)
-        strata["near_fallback"] = int(np.count_nonzero(~found))
-        seconds[~found] = sample_model_points(model, strata["near_fallback"], rng_pairs)
-        drawn["near"] = (near, seconds)
+    far_firsts = None if anchored else _draw_model_points(model, n_far, rng_pairs)
+    far_seconds = _draw_model_points(model, n_far, rng_pairs)
+    near_firsts = None if anchored else _draw_model_points(model, n_near, rng_pairs)
+    extremal = (np.empty((0, model.dim)),) * 2
     if (
         not anchored
         and isinstance(op, LinearGaussianOperator)
         and metric.kind == "euclidean"
         and model.num_subspaces <= 64
     ):
-        drawn["extremal"] = _extremal_linear_pairs(op, model)
-    strata.update((name, len(Xs)) for name, (Xs, _) in drawn.items())
+        extremal = _extremal_linear_pairs(op, model)
+    strata = {"near": n_near, "far": n_far, "extremal": len(extremal[0]), "near_fallback": 0}
 
-    X, X2 = (np.vstack(rows) for rows in zip(*drawn.values()))
-    D = X - X2
-    numer = np.maximum(metric.dist(D) - eta, 0.0)
-    gaps = op.gap_batch(D)
-    collapsed = (gaps == 0) & (numer > 0)
-    alpha_hat, worst_pair = _max_ratio(numer, gaps, X, X2)
+    def firsts(draws, rows):
+        return np.broadcast_to(anchor, (len(rows), model.dim)) if anchored else _points(model, draws, rows)
+
+    def measured(pos, X, X2):
+        D = X - X2
+        numer = np.maximum(metric.dist(D) - eta, 0.0)
+        gaps = op.gap_batch(D)
+        return pos, numer, gaps, (gaps == 0) & (numer > 0), X, X2
+
+    def blocks():
+        for rows in _row_blocks(n_far):
+            yield measured(rows, firsts(far_firsts, rows), _points(model, far_seconds, rows))
+        found = np.zeros(n_near, dtype=bool)
+        for rows in _row_blocks(n_near):
+            X = firsts(near_firsts, rows)
+            X2, hit = sample_near_points(model, metric, X, near_eps, rng_pairs)
+            found[rows] = hit
+            yield measured(n_far + rows[hit], X[hit], X2[hit])
+        lost = np.flatnonzero(~found)
+        strata["near_fallback"] = len(lost)
+        fallback = _draw_model_points(model, len(lost), rng_pairs)
+        for j in _row_blocks(len(lost)):
+            yield measured(n_far + lost[j], firsts(near_firsts, lost[j]), _points(model, fallback, j))
+        yield measured(pairs + np.arange(len(extremal[0])), *extremal)
+
+    alpha_hat, worst_pair, tested, violations, violating_pair = _max_ratio(blocks())
     return LripEstimate(
         alpha_hat=alpha_hat,
         eta=eta,
-        pairs_tested=len(X),
+        pairs_tested=tested,
         worst_pair=worst_pair,
         mode=MODE_ANCHORED if anchored else MODE_UNIFORM,
         strata=strata,
         seed=rng_seed,
-        violation_count=int(np.count_nonzero(collapsed)),
-        violating_pair=_first_pair(X, X2, collapsed),
+        violation_count=violations,
+        violating_pair=violating_pair,
     )
 
 
@@ -276,21 +336,34 @@ def estimate_bp(
     Ambient points are model points displaced by isotropic Gaussian noise of
     root-mean-square norm ``perturbation_scale``; the model endpoint is an
     independent model point.  Zero-distance pairs are skipped.
+
+    Memory.  Both model points are kept as their _draw_model_points draws,
+    (s + 2) numbers each, and _max_ratio reduces the pairs one _row_blocks
+    block at a time.  The perturbation is the last draw, so each block
+    draws its own rows of it.  No (pairs, d) array is formed, and the
+    estimate is bitwise that of one block of all pairs.
     """
     if pairs < 1:
         raise InputError(f"pairs must be >= 1, got {pairs}")
     rng = seeding.generator(rng_seed, 1)
-    xs = sample_model_points(model, pairs, rng)
-    x = sample_model_points(model, pairs, rng)
-    x = x + rng.normal(size=x.shape) * (perturbation_scale / math.sqrt(model.dim))
-    dG = metric_G.dist(x - xs)
-    keep = dG > 0
-    x, xs, dG = x[keep], xs[keep], dG[keep]
-    # endpoint form, not gap_batch: on certify runs this is the benchmark's only
-    # apply_batch caller, which bench/test_trace_counts.py requires
-    gaps = _in_row_blocks(lambda a, b: np.linalg.norm(op.apply_batch(a) - op.apply_batch(b), axis=1), op.m, x, xs)
-    beta_hat, worst_pair = _max_ratio(gaps, dG, x, xs)
-    return BpEstimate(beta_hat, len(x), worst_pair, seed=rng_seed)
+    model_points = _draw_model_points(model, pairs, rng)
+    ambient_points = _draw_model_points(model, pairs, rng)
+    scale = perturbation_scale / math.sqrt(model.dim)
+
+    def block(rows):
+        xs = _points(model, model_points, rows)
+        x = _points(model, ambient_points, rows)
+        x = x + rng.normal(size=x.shape) * scale
+        dG = metric_G.dist(x - xs)
+        keep = dG > 0
+        x, xs = x[keep], xs[keep]
+        # endpoint form, not gap_batch: on certify runs this is the benchmark's only
+        # apply_batch caller, which bench/test_trace_counts.py requires
+        gaps = _in_row_blocks(lambda a, b: np.linalg.norm(op.apply_batch(a) - op.apply_batch(b), axis=1), op.m, x, xs)
+        return rows[keep], gaps, dG[keep], None, x, xs
+
+    beta_hat, worst_pair, tested, _, _ = _max_ratio(map(block, _row_blocks(pairs)))
+    return BpEstimate(beta_hat, tested, worst_pair, seed=rng_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -515,17 +588,18 @@ def lrip_from_iop_witness(
     d = metric.dist(D)
     psn = op.gap_batch(D)
     violating = d > B * psn + eta_eff + 1e-12
-    alpha_hat, worst_pair = _max_ratio(np.maximum(d - eta_eff, 0.0), psn, X, X2)
+    alpha_hat, worst_pair, tested, violations, violating_pair = _max_ratio(
+        [(np.arange(len(X)), np.maximum(d - eta_eff, 0.0), psn, violating, X, X2)])
     return LripEstimate(
         alpha_hat=alpha_hat,
         eta=2.0 * lam,
-        pairs_tested=len(X),
+        pairs_tested=tested,
         worst_pair=worst_pair,
         mode="FromIopWitness",
-        strata={"far": pairs, "unconverged": pairs - len(X)},
+        strata={"far": pairs, "unconverged": pairs - tested},
         seed=rng_seed,
-        violation_count=int(np.count_nonzero(violating)),
-        violating_pair=_first_pair(X, X2, violating),
+        violation_count=violations,
+        violating_pair=violating_pair,
     )
 
 

@@ -1,4 +1,4 @@
-"""Brute-force, multi-start, certificate, bisection, per-trial IOP and near-sampler references that the tests use."""
+"""Brute-force, multi-start, certificate, bisection, per-trial IOP, near-sampler and one-block estimator references that the tests use."""
 
 import math
 from dataclasses import fields
@@ -6,10 +6,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from lrip_lab import decoder, models, seeding
+from lrip_lab import certifier, decoder, models, seeding
+from lrip_lab.certifier import BpEstimate, LripEstimate
 from lrip_lab.decoder import DecodeResult, DecoderOptions, certified_minimum
 from lrip_lab.errors import InputError
-from lrip_lab.models import UnionOfSubspaces, project_to_model, sample_model_points
+from lrip_lab.models import UnionOfSubspaces, project_to_model, sample_model_points, sample_near_points
 from lrip_lab.operators import LinearGaussianOperator, RandomFourierOperator, jacobian
 
 
@@ -230,3 +231,76 @@ def near_points_in_d_space(model: UnionOfSubspaces, metric, anchors, eps: float,
             if used % models._NEAR_PER_RADIUS == 0:
                 radius *= 0.7
     return points, found
+
+
+def _one_block_ratio(numer, denom, X, X2, flagged):
+    """(value, worst pair, flagged count, first flagged pair) over all pairs at once, ties to the first pair."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(numer > 0, numer / denom, 0.0)
+    value = float(ratios.max(initial=0.0))
+
+    def first(mask):
+        k = np.flatnonzero(mask)
+        return (X[k[0]].copy(), X2[k[0]].copy()) if len(k) else None
+
+    return value, first(ratios == value), int(np.count_nonzero(flagged)), first(flagged)
+
+
+def lrip_one_block_pairs(op, model: UnionOfSubspaces, metric, pairs: int, rng_seed: int, anchor=None,
+                         near_eps: float = 0.1):
+    """The pairs of estimate_lrip as two arrays of every pair's rows in stratum order (far, near, extremal), and its strata.
+
+    The draws are estimate_lrip's, in its order: far firsts (uniform mode)
+    and seconds, near firsts, one sample_near_points call on all near
+    anchors, then the near fallbacks, written into the rows not found.
+    """
+    rng = seeding.generator(rng_seed, 0)
+    anchored = anchor is not None
+    n_near = int(round(pairs * 0.5))
+    n_far = pairs - n_near
+
+    def firsts(n):
+        return np.broadcast_to(np.asarray(anchor, dtype=float), (n, model.dim)) if anchored \
+            else sample_model_points(model, n, rng)
+
+    strata = {"near": 0, "far": 0, "extremal": 0, "near_fallback": 0}
+    drawn = {"far": (firsts(n_far), sample_model_points(model, n_far, rng))}
+    if n_near:
+        near = firsts(n_near)
+        seconds, found = sample_near_points(model, metric, near, near_eps, rng)
+        strata["near_fallback"] = int(np.count_nonzero(~found))
+        seconds[~found] = sample_model_points(model, strata["near_fallback"], rng)
+        drawn["near"] = (near, seconds)
+    if (not anchored and isinstance(op, LinearGaussianOperator) and metric.kind == "euclidean"
+            and model.num_subspaces <= 64):
+        drawn["extremal"] = certifier._extremal_linear_pairs(op, model)
+    strata.update((name, len(Xs)) for name, (Xs, _) in drawn.items())
+    X, X2 = (np.vstack(rows) for rows in zip(*drawn.values()))
+    return X, X2, strata
+
+
+def lrip_one_block(op, model: UnionOfSubspaces, metric, pairs: int, rng_seed: int, anchor=None, eta: float = 0.0,
+                   near_eps: float = 0.1) -> LripEstimate:
+    """estimate_lrip with every pair held at once: the pairs of lrip_one_block_pairs measured and reduced whole."""
+    X, X2, strata = lrip_one_block_pairs(op, model, metric, pairs, rng_seed, anchor, near_eps)
+    D = X - X2
+    numer = np.maximum(metric.dist(D) - eta, 0.0)
+    gaps = op.gap_batch(D)
+    alpha_hat, worst_pair, violations, violating_pair = _one_block_ratio(numer, gaps, X, X2, (gaps == 0) & (numer > 0))
+    return LripEstimate(alpha_hat, eta, len(X), worst_pair, certifier.MODE_ANCHORED if anchor is not None
+                        else certifier.MODE_UNIFORM, strata, rng_seed, violations, violating_pair)
+
+
+def bp_one_block(op, model: UnionOfSubspaces, metric_G, pairs: int, rng_seed: int,
+                 perturbation_scale: float = 1.0) -> BpEstimate:
+    """estimate_bp with every pair held at once: both endpoints and the perturbation drawn, measured and reduced whole."""
+    rng = seeding.generator(rng_seed, 1)
+    xs = sample_model_points(model, pairs, rng)
+    x = sample_model_points(model, pairs, rng)
+    x = x + rng.normal(size=x.shape) * (perturbation_scale / math.sqrt(model.dim))
+    dG = metric_G.dist(x - xs)
+    keep = dG > 0
+    x, xs, dG = x[keep], xs[keep], dG[keep]
+    gaps = np.linalg.norm(op.apply_batch(x) - op.apply_batch(xs), axis=1)
+    beta_hat, worst_pair, _, _ = _one_block_ratio(gaps, dG, x, xs, np.zeros(len(x), dtype=bool))
+    return BpEstimate(beta_hat, len(x), worst_pair, seed=rng_seed)

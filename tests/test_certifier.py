@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -28,7 +29,7 @@ from lrip_lab.certifier import (
     wilson_upper,
 )
 import lrip_lab
-from lrip_lab import certifier, decoder, harness, seeding
+from lrip_lab import certifier, decoder, harness, models, seeding
 from lrip_lab.decoder import DecoderOptions
 from lrip_lab.models import sample_model_points
 from lrip_lab.spaces import norm_equivalence_factors
@@ -176,43 +177,64 @@ class TestEstimateLrip:
 
 
 class TestMaxRatio:
-    """certifier._max_ratio, the ratio core of the LRIP, BP and witness estimators, and its _first_pair."""
+    """certifier._max_ratio, the block reduction at the core of the LRIP, BP and witness estimators."""
 
     X = np.arange(8.0).reshape(4, 2)
 
+    @staticmethod
+    def one_block(numer, denom, X, X2, flagged=None):
+        return certifier._max_ratio([(np.arange(len(X)), numer, denom, flagged, X, X2)])
+
     def test_ties_go_to_the_first_pair(self):
-        value, (x, x2) = certifier._max_ratio(np.array([1.0, 2.0, 4.0, 2.0]), np.array([1.0, 1.0, 2.0, 4.0]),
-                                              self.X, -self.X)
-        assert value == 2.0
+        value, (x, x2), pairs, _, _ = self.one_block(np.array([1.0, 2.0, 4.0, 2.0]), np.array([1.0, 1.0, 2.0, 4.0]),
+                                                     self.X, -self.X)
+        assert (value, pairs) == (2.0, 4)
         assert np.array_equal(x, self.X[1]) and np.array_equal(x2, -self.X[1])
 
     def test_zero_over_zero_is_zero(self):
-        value, (x, _) = certifier._max_ratio(np.zeros(4), np.array([0.0, 1.0, 0.0, 2.0]), self.X, self.X)
+        value, (x, _), _, _, _ = self.one_block(np.zeros(4), np.array([0.0, 1.0, 0.0, 2.0]), self.X, self.X)
         assert value == 0.0
         assert np.array_equal(x, self.X[0])
 
     def test_positive_over_zero_is_infinite(self):
-        value, (x, _) = certifier._max_ratio(np.array([0.0, 1.0, 5.0, 1.0]), np.array([0.0, 0.0, 1.0, 0.0]),
-                                             self.X, self.X)
+        value, (x, _), _, _, _ = self.one_block(np.array([0.0, 1.0, 5.0, 1.0]), np.array([0.0, 0.0, 1.0, 0.0]),
+                                                self.X, self.X)
         assert value == np.inf
         assert np.array_equal(x, self.X[1])
 
     def test_no_pairs(self):
         empty = np.empty((0, 2))
-        assert certifier._max_ratio(np.empty(0), np.empty(0), empty, empty) == (0.0, None)
+        assert self.one_block(np.empty(0), np.empty(0), empty, empty, np.zeros(0, dtype=bool)) == (0.0, None, 0, 0, None)
+        assert certifier._max_ratio([]) == (0.0, None, 0, 0, None)
 
     def test_pairs_are_copies(self):
         X = self.X.copy()
-        _, (x, _) = certifier._max_ratio(np.ones(4), np.ones(4), X, X)
+        _, (x, _), _, _, (f, _) = self.one_block(np.ones(4), np.ones(4), X, X, np.array([False, True, True, False]))
         x[:] = -1.0
-        pair = certifier._first_pair(X, X, np.array([False, True, True, False]))
-        pair[0][:] = -1.0
+        f[:] = -1.0
         assert np.array_equal(X, self.X)
 
     def test_first_pair(self):
-        x, x2 = certifier._first_pair(self.X, -self.X, np.array([False, False, True, True]))
+        # the flagged pairs are counted, and the first of them is copied out
+        *_, count, (x, x2) = self.one_block(np.ones(4), np.ones(4), self.X, -self.X, np.array([False, False, True, True]))
+        assert count == 2
         assert np.array_equal(x, self.X[2]) and np.array_equal(x2, -self.X[2])
-        assert certifier._first_pair(self.X, self.X, np.zeros(4, dtype=bool)) is None
+        assert self.one_block(np.ones(4), np.ones(4), self.X, self.X, np.zeros(4, dtype=bool))[3:] == (0, None)
+        assert self.one_block(np.ones(4), np.ones(4), self.X, self.X)[3:] == (0, None)
+
+    @pytest.mark.parametrize("order", [[0, 1, 2], [2, 1, 0], [1, 2, 0]])
+    def test_blocks_reduce_as_one_block(self, order):
+        # ties at the maximum (positions 2, 5 and 7) and flags (3 and 6) spread over blocks that come in any order
+        X = np.arange(16.0).reshape(8, 2)
+        numer = np.array([1.0, 0.0, 3.0, 1.0, 0.5, 3.0, 2.0, 3.0])
+        denom = np.array([1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        flagged = np.array([False, False, False, True, False, False, True, False])
+        parts = [np.array([0, 1, 3, 4]), np.array([5, 6]), np.array([2, 7])]  # positions ascend within a block
+        blocks = [(parts[b], numer[parts[b]], denom[parts[b]], flagged[parts[b]], X[parts[b]], -X[parts[b]])
+                  for b in order]
+        value, pair, pairs, count, first = certifier._max_ratio(blocks)
+        assert (value, pairs, count) == (3.0, 8, 2)
+        assert np.array_equal(pair[0], X[2]) and np.array_equal(first[0], X[3])
 
 
 class TestEstimateBp:
@@ -281,6 +303,126 @@ class TestMemoryBoundedInM:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.25 * peaks[0]
+
+
+class TestMemoryBoundedInPairs:
+    """The estimators keep (s + 2) numbers per drawn point and map, measure and reduce the pairs in row blocks.
+
+    At 40,000 pairs (d = 20, s = 2, m = 55) the traced peaks were 25.9 MiB
+    (BP), 31.2 MiB (anchored LRIP) and 37.3 MiB (uniform LRIP) when every
+    pair was held as two rows of d numbers.
+    """
+
+    MODEL = UnionOfSubspaces.random(20, 2, 5, 1.0, 99)
+    ESTIMATORS = {
+        "bp": lambda op, model, n: estimate_bp(op, model, KERNEL, n, 1),
+        "lrip-anchored": lambda op, model, n: estimate_lrip(op, model, KERNEL, n, 2, sample_model_points(model, 1, 7)[0]),
+        "lrip-uniform": lambda op, model, n: estimate_lrip(op, model, KERNEL, n, 2),
+    }
+
+    @pytest.mark.parametrize("name", list(ESTIMATORS))
+    def test_peak_at_40k_pairs(self, name):
+        op = RandomFourierOperator.from_seed(55, 20, 1.0, 3)
+        tracemalloc.start()
+        try:
+            self.ESTIMATORS[name](op, self.MODEL, 40_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
+
+def estimate_fields(est) -> list:
+    """Every field of an estimate, in field order, with each array of a pair as its bytes."""
+    return [(f.name, [a.tobytes() for a in v] if isinstance(v, tuple) else v)
+            for f in dataclasses.fields(est) for v in [getattr(est, f.name)]]
+
+
+class TestBlockIndependence:
+    """estimate_lrip and estimate_bp in row blocks of 7 and of the default size equal one block of all pairs, bitwise.
+
+    The block size is models._NEAR_CHUNK, which the near sampler also works
+    through; the one-block references call it once on all near anchors.
+    """
+
+    SMALL = UnionOfSubspaces.random(6, 2, 3, 1.0, 3)
+    LINEAR = LinearGaussianOperator.from_seed(12, 6, 4)
+    FOURIER = RandomFourierOperator.from_seed(12, 6, 1.0, 4)
+
+    @pytest.fixture(params=[7, None], ids=["block-7", "block-default"])
+    def block(self, request, monkeypatch):
+        if request.param:
+            monkeypatch.setattr(models, "_NEAR_CHUNK", request.param)
+        return models._NEAR_CHUNK
+
+    @staticmethod
+    def pairs(block):
+        # two and a half blocks per stratum, so every stratum has a short last block
+        return 5 * block + 2
+
+    @pytest.mark.parametrize("anchored", [False, True], ids=["uniform", "anchored"])
+    @pytest.mark.parametrize("kind", ["linear", "fourier"])
+    def test_lrip_modes(self, block, anchored, kind):
+        op, metric = (self.LINEAR, EUCLID) if kind == "linear" else (self.FOURIER, KERNEL)
+        anchor = sample_model_points(self.SMALL, 1, 6)[0] if anchored else None
+        args = (op, self.SMALL, metric, self.pairs(block), 8, anchor, 0.05)
+        est = estimate_lrip(*args)
+        assert estimate_fields(est) == estimate_fields(reference.lrip_one_block(*args))
+        assert est.strata["near"] > block and est.strata["far"] > block
+
+    def test_fallbacks_in_more_than_one_block(self, block):
+        # at near_eps 1e-16 the mapping's rounding decides: some near rows are found, the others fall back
+        args = (self.LINEAR, self.SMALL, EUCLID, self.pairs(block), 8, None, 0.0, 1e-16)
+        est = estimate_lrip(*args)
+        assert estimate_fields(est) == estimate_fields(reference.lrip_one_block(*args))
+        # more fallbacks than a block holds: they come from more than one near block and fill more than one block
+        assert block < est.strata["near_fallback"] < est.strata["near"]
+
+    @pytest.mark.parametrize("anchored", [False, True], ids=["uniform", "anchored"])
+    def test_each_pair_keeps_its_one_block_position(self, block, anchored, monkeypatch):
+        # every pair reaches _max_ratio with its position in stratum order, also the near fallbacks, which come
+        # last: uniform at near_eps 1e-16 finds some near rows, anchored at 1e-300 none
+        reduce, blocks = certifier._max_ratio, []
+        monkeypatch.setattr(certifier, "_max_ratio", lambda parts: reduce(blocks.extend(parts) or blocks))
+        anchor = sample_model_points(self.SMALL, 1, 6)[0] if anchored else None
+        args = (self.LINEAR, self.SMALL, EUCLID, self.pairs(block), 8, anchor)
+        near_eps = 1e-300 if anchored else 1e-16
+        est = estimate_lrip(*args, 0.0, near_eps)
+        X, X2, _ = reference.lrip_one_block_pairs(*args, near_eps)
+        pos = np.concatenate([b[0] for b in blocks])
+        assert np.array_equal(np.sort(pos), np.arange(len(X))) and est.strata["near_fallback"] > 0
+        assert np.concatenate([b[4] for b in blocks]).tobytes() == X[pos].tobytes()
+        assert np.concatenate([b[5] for b in blocks]).tobytes() == X2[pos].tobytes()
+
+    def test_violations(self, block):
+        # pairs on the first axis collapse under a map with a zero first column
+        collapsing = LinearGaussianOperator.from_seed(3, 4, 5).matrix.copy()
+        collapsing[:, 0] = 0.0
+        args = (LinearGaussianOperator(collapsing), UnionOfSubspaces.axes(4, 1.0), EUCLID, self.pairs(block), 8)
+        est = estimate_lrip(*args)
+        assert est.violation_count > 0 and est.alpha_hat == np.inf
+        assert estimate_fields(est) == estimate_fields(reference.lrip_one_block(*args))
+
+    @pytest.mark.parametrize("kind", ["linear", "fourier"])
+    def test_bp(self, block, kind):
+        op, metric = (self.LINEAR, EUCLID) if kind == "linear" else (self.FOURIER, KERNEL)
+        args = (op, self.SMALL, metric, 2 * block + 3, 9)
+        assert estimate_fields(estimate_bp(*args)) == estimate_fields(reference.bp_one_block(*args))
+
+    def test_all_ties_go_to_pair_0(self, block):
+        # the identity under the Euclidean metric gives every pair of positive distance the ratio 1 exactly
+        model, op, n = self.SMALL, LinearGaussianOperator(np.eye(6)), self.pairs(block)
+        lrip, bp = estimate_lrip(op, model, EUCLID, n, 8), estimate_bp(op, model, EUCLID, n, 9)
+        assert estimate_fields(lrip) == estimate_fields(reference.lrip_one_block(op, model, EUCLID, n, 8))
+        assert estimate_fields(bp) == estimate_fields(reference.bp_one_block(op, model, EUCLID, n, 9))
+        assert (lrip.alpha_hat, bp.beta_hat) == (1.0, 1.0)
+        rng = seeding.generator(8, 0)
+        X, X2 = sample_model_points(model, n - n // 2, rng), sample_model_points(model, n - n // 2, rng)
+        assert np.array_equal(lrip.worst_pair[0], X[0]) and np.array_equal(lrip.worst_pair[1], X2[0])
+        rng = seeding.generator(9, 1)
+        xs, x = sample_model_points(model, n, rng), sample_model_points(model, n, rng)
+        x = x + rng.normal(size=x.shape) * (1.0 / math.sqrt(model.dim))
+        assert np.array_equal(bp.worst_pair[0], x[0]) and np.array_equal(bp.worst_pair[1], xs[0])
 
 
 class TestCheckIop:

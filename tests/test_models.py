@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lrip_lab import models
 from lrip_lab import (
     CoveringBound,
     InputError,
@@ -241,6 +242,29 @@ class TestNearSampler:
         a, _ = sample_near_points(model, KERNEL, anchors, 0.1, 3)
         b, _ = sample_near_points(model, KERNEL, anchors, 0.1, 3)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("chunk", [16, None], ids=["chunk-16", "chunk-default"])
+    @pytest.mark.parametrize("metric", [EUCLID, KERNEL], ids=["euclidean", "kernel"])
+    def test_calls_split_at_a_chunk_multiple_match_one_call(self, metric, chunk, monkeypatch):
+        # the estimators call the sampler on row blocks of _NEAR_CHUNK anchors with one generator; anchors lifted
+        # off the model by 0 to 0.2, a third of them, make some rows give up and others take many passes
+        if chunk:
+            monkeypatch.setattr(models, "_NEAR_CHUNK", chunk)
+        chunk = models._NEAR_CHUNK
+        model = UnionOfSubspaces.random(6, 2, 3, 1.0, 1)
+        n = 3 * chunk + 5
+        anchors = sample_model_points(model, n, 2)
+        lift = np.random.default_rng(3).normal(size=(n, 6))
+        anchors[::3] += (lift * (np.linspace(0.0, 0.2, n) / np.linalg.norm(lift, axis=1))[:, None])[::3]
+        whole = np.random.default_rng(4)
+        points, found = sample_near_points(model, metric, anchors, 0.1, whole)
+        assert 0 < np.count_nonzero(~found) < n // 3
+        for splits in ([chunk], [2 * chunk], [chunk, 3 * chunk]):
+            split = np.random.default_rng(4)
+            parts = [sample_near_points(model, metric, part, 0.1, split) for part in np.split(anchors, splits)]
+            assert np.concatenate([p for p, _ in parts]).tobytes() == points.tobytes()
+            assert np.concatenate([f for _, f in parts]).tobytes() == found.tobytes()
+            assert split.bit_generator.state == whole.bit_generator.state
 
     @pytest.mark.parametrize("metric", [EUCLID, KERNEL], ids=["euclidean", "kernel"])
     def test_law_matches_the_d_space_sampler(self, metric):
